@@ -19,13 +19,15 @@ from .courant import CourantError, EpsilonSpace, ESpace
 from .dirac import (DiracError, Submodule, find_two_form_witness, is_dirac,
                     is_poisson, lie_algebroid_check, poisson_graph,
                     two_form_graph)
-from .exactlin import QMatrix, rat_str
+from .exactlin import ExactLinError, QMatrix, rat_str
 from .files import (BUNDLED_ALGEBRAS, BUNDLED_TABLES, FileFormatError,
                     load_algebra_ref, load_bracket_table, load_submodule,
                     load_two_form)
-from .hochschild import homology, cohomology_h1, decode_index
-from .morita import transport_dirac, verify_morita, verify_opposite
-from .omni import (build_omni_iso, d_structure_check, verify_ev1,
+from .hochschild import (HochschildError, cohomology_h1, decode_index,
+                         homology)
+from .morita import (MoritaError, transport_dirac, verify_morita,
+                     verify_opposite)
+from .omni import (OmniError, build_omni_iso, d_structure_check, verify_ev1,
                    verify_main_theorem)
 
 SCHEMA = "hccourant/1"
@@ -347,7 +349,8 @@ def main(argv: Optional[list] = None) -> int:
                 f"{args.subcommand} requires --algebra")
         body, code = COMMANDS[args.subcommand](args)
     except (FileFormatError, AlgebraError, GuardError, CourantError,
-            DiracError, OSError) as exc:
+            DiracError, ExactLinError, HochschildError, MoritaError,
+            OmniError, OSError) as exc:
         body, code = {"error": str(exc)}, EXIT_ERROR
     report = {"schema": SCHEMA, "subcommand": args.subcommand,
               "seed": args.seed, "exit_code": code}

@@ -21,10 +21,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 ZERO = Q(0)
 ONE = Q(1)
 
-#: above this many entries rref switches to a dict-of-nonzeros row store;
-#: both paths run the identical elimination and give identical results.
-SPARSE_THRESHOLD = 10**6
-
 
 def rat(x) -> Q:
     """Coerce ints, strings like ``"p/q"``, or rationals to an exact rational."""
@@ -92,6 +88,19 @@ class QMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _trusted(cls, rows: tuple, cols: int) -> "QMatrix":
+        """Wrap a tuple of equal-length tuples of rationals as they are.
+
+        Skips the coercion and the shape checks of ``__init__``; only for
+        rows this module has built from rationals itself.
+        """
+        M = object.__new__(cls)
+        object.__setattr__(M, "data", rows)
+        object.__setattr__(M, "rows", len(rows))
+        object.__setattr__(M, "cols", cols)
+        return M
+
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
 
@@ -121,8 +130,8 @@ class QMatrix:
         return QMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix([[self.data[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)], cols=self.rows)
+        return QMatrix._trusted(tuple(zip(*self.data)) if self.rows else
+                                ((),) * self.cols, self.rows)
 
     def to_lists(self):
         return [list(r) for r in self.data]
@@ -135,7 +144,7 @@ def stack(*mats: QMatrix) -> QMatrix:
     rows = []
     for m in mats:
         rows.extend(m.data)
-    return QMatrix(rows, cols=cols.pop())
+    return QMatrix._trusted(tuple(rows), cols.pop())
 
 
 def mat_vec(M: QMatrix, v: Sequence) -> tuple:
@@ -161,18 +170,22 @@ def row_combination(c: Sequence, M: QMatrix) -> tuple:
 # ---------------------------------------------------------------------------
 # RREF
 
-def _rref_dense(rows, cols, transform):
-    n = len(rows)
-    T = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)] \
-        if transform else None
+def _eliminate(M: QMatrix, transform: bool):
+    """Gauss-Jordan elimination on a dict-of-nonzeros row store.
+
+    The pivot for each column is the first row, in order, with a nonzero
+    entry.  Returns the dense rows of R, the dense rows of T (R = T.M, or
+    None without ``transform``) and the pivot columns.
+    """
+    n, cols = M.rows, M.cols
+    rows = [_sparse(r) for r in M.data]
+    T = [{i: ONE} for i in range(n)] if transform else None
     pivots = []
     r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if c in rows[i]), None)
         if pr is None:
             continue
         if pr != r:
@@ -182,114 +195,58 @@ def _rref_dense(rows, cols, transform):
         pv = rows[r][c]
         if pv != 1:
             inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
+            rows[r] = {k: x * inv for k, x in rows[r].items()}
             if T is not None:
-                T[r] = [x * inv for x in T[r]]
+                T[r] = {k: x * inv for k, x in T[r].items()}
         prow = rows[r]
         for i in range(n):
             if i == r:
                 continue
-            f = rows[i][c]
+            f = rows[i].get(c)
             if f:
-                ri = rows[i]
-                for k in range(c, cols):
-                    x = prow[k]
-                    if x:
-                        ri[k] -= f * x
+                _axpy(rows[i], f, prow)
                 if T is not None:
-                    ti, tr = T[i], T[r]
-                    for k in range(n):
-                        x = tr[k]
-                        if x:
-                            ti[k] -= f * x
+                    _axpy(T[i], f, T[r])
         pivots.append(c)
         r += 1
-        if r == n:
-            break
-    return rows, T, pivots
-
-
-def _rref_sparse(rows, cols, transform):
-    # identical elimination order on a dict-of-nonzeros row store
-    n = len(rows)
-    srows = [{k: x for k, x in enumerate(r) if x} for r in rows]
-    T = [{i: ONE} for i in range(n)] if transform else None
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, n):
-            if srows[i].get(c):
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            srows[r], srows[pr] = srows[pr], srows[r]
-            if T is not None:
-                T[r], T[pr] = T[pr], T[r]
-        pv = srows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            srows[r] = {k: x * inv for k, x in srows[r].items()}
-            if T is not None:
-                T[r] = {k: x * inv for k, x in T[r].items()}
-        prow = srows[r]
-        for i in range(n):
-            if i == r:
-                continue
-            f = srows[i].get(c)
-            if f:
-                ri = srows[i]
-                for k, x in prow.items():
-                    y = ri.get(k, ZERO) - f * x
-                    if y:
-                        ri[k] = y
-                    elif k in ri:
-                        del ri[k]
-                if T is not None:
-                    ti = T[i]
-                    for k, x in T[r].items():
-                        y = ti.get(k, ZERO) - f * x
-                        if y:
-                            ti[k] = y
-                        elif k in ti:
-                            del ti[k]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    dense = [[srows[i].get(k, ZERO) for k in range(cols)] for i in range(n)]
+    R = tuple(tuple(row.get(k, ZERO) for k in range(cols)) for row in rows)
     Td = None
     if T is not None:
-        Td = [[T[i].get(k, ZERO) for k in range(n)] for i in range(n)]
-    return dense, Td, pivots
+        Td = tuple(tuple(row.get(k, ZERO) for k in range(n)) for row in T)
+    return R, Td, pivots
 
 
-def _run_rref(M: QMatrix, transform: bool, force_sparse: Optional[bool] = None):
-    rows = [list(r) for r in M.data]
-    sparse = (M.rows * M.cols > SPARSE_THRESHOLD) if force_sparse is None \
-        else force_sparse
-    if sparse:
-        rows, T, pivots = _rref_sparse(rows, M.cols, transform)
-    else:
-        rows, T, pivots = _rref_dense(rows, M.cols, transform)
-    return rows, T, pivots
+def _sparse(row: Sequence) -> dict:
+    return {k: x for k, x in enumerate(row) if x}
 
 
-def rref(M: QMatrix, force_sparse: Optional[bool] = None):
+def _axpy(w: dict, f, row: dict) -> None:
+    """w -= f * row on sparse rows, dropping entries that cancel."""
+    for k, x in row.items():
+        y = w.get(k)
+        if y is None:
+            w[k] = -f * x
+        else:
+            y -= f * x
+            if y:
+                w[k] = y
+            else:
+                del w[k]
+
+
+def rref(M: QMatrix):
     """Reduced row echelon form.
 
     Returns ``(R, pivots, rank)`` with pivot columns ascending.
     """
-    rows, _, pivots = _run_rref(M, transform=False, force_sparse=force_sparse)
-    return QMatrix(rows, cols=M.cols), tuple(pivots), len(pivots)
+    R, _, pivots = _eliminate(M, transform=False)
+    return QMatrix._trusted(R, M.cols), tuple(pivots), len(pivots)
 
 
 def rref_transform(M: QMatrix):
     """RREF with the row transform: returns ``(R, T, pivots, rank)``, R = T.M."""
-    rows, T, pivots = _run_rref(M, transform=True)
-    return (QMatrix(rows, cols=M.cols), QMatrix(T, cols=M.rows),
+    R, T, pivots = _eliminate(M, transform=True)
+    return (QMatrix._trusted(R, M.cols), QMatrix._trusted(T, M.rows),
             tuple(pivots), len(pivots))
 
 
@@ -300,7 +257,7 @@ def rank(M: QMatrix) -> int:
 def row_space(M: QMatrix) -> QMatrix:
     """Canonical (RREF) basis of the row span."""
     R, _, rk = rref(M)
-    return QMatrix(R.data[:rk], cols=M.cols)
+    return QMatrix._trusted(R.data[:rk], M.cols)
 
 
 def nullspace(M: QMatrix) -> QMatrix:
@@ -315,8 +272,8 @@ def nullspace(M: QMatrix) -> QMatrix:
         x[fc] = ONE
         for j, pc in enumerate(pivots):
             x[pc] = -R[j][fc]
-        basis.append(x)
-    return QMatrix(basis, cols=M.cols)
+        basis.append(tuple(x))
+    return QMatrix._trusted(tuple(basis), M.cols)
 
 
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
@@ -425,14 +382,24 @@ def quotient_basis(space: QMatrix, subspace: QMatrix):
         raise ExactLinError("quotient_basis: subspace not contained in space")
     Rsub = row_space(subspace)
     Rsp = row_space(space)
-    # keep the canonical space-basis rows that grow the span beyond Rsub
+    # keep the canonical space-basis rows that grow the span beyond Rsub.
+    # One echelon of (pivot column, sparse row) pairs spans Rsub and the rows
+    # kept so far; each row is 1 at its pivot and 0 at every earlier pivot,
+    # so one pass over it leaves the residual of a candidate row.
+    echelon = [(min(d), d) for d in map(_sparse, Rsub.data)]
     kept = []
-    echelon = QMatrix(Rsub.data, cols=space.cols)
     for row in Rsp.data:
-        if not in_row_span(row, echelon):
+        w = _sparse(row)
+        for pc, erow in echelon:
+            f = w.get(pc)
+            if f:
+                _axpy(w, f, erow)
+        if w:
             kept.append(row)
-            echelon = stack(echelon, QMatrix([row], cols=space.cols))
-    reps = QMatrix(kept, cols=space.cols)
+            pc = min(w)
+            inv = 1 / w[pc]
+            echelon.append((pc, {k: x * inv for k, x in w.items()}))
+    reps = QMatrix._trusted(tuple(kept), space.cols)
     nreps = reps.rows
     if nreps + Rsub.rows == 0:
         def reduce_zero(v):

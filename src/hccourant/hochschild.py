@@ -351,21 +351,6 @@ def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
     return QMatrix(rows, cols=chain_space_dim(A, n - 1))
 
 
-def _cycle_condition_matrix(A: FiniteAlgebra, n: int) -> QMatrix:
-    """Matrix M with {z : Mz = 0} the degree-n cycles (cod x dom)."""
-    dom = chain_space_dim(A, n)
-    cod = chain_space_dim(A, n - 1)
-    cols = [[ZERO] * dom for _ in range(cod)]
-    for idx in range(dom):
-        coords = [ZERO] * dom
-        coords[idx] = ONE
-        img = boundary_b(Chain(A, n, tuple(coords))).coords
-        for k, x in enumerate(img):
-            if x:
-                cols[k][idx] = x
-    return QMatrix(cols, cols=dom)
-
-
 def homology(A: FiniteAlgebra, n: int, *,
              max_dim: Optional[int] = None) -> HomologyPresentation:
     """H_n(A, A) with canonical cycle/boundary bases and class reps."""
@@ -375,7 +360,8 @@ def homology(A: FiniteAlgebra, n: int, *,
     if n == 0:
         cycles = QMatrix.identity(N)
     else:
-        cycles = nullspace(_cycle_condition_matrix(A, n))
+        # b(z) = z.B for B the rows b(e_idx), so the cycles solve B^T z = 0
+        cycles = nullspace(_boundary_operator_rows(A, n).transpose())
     boundaries = row_space(_boundary_operator_rows(A, n + 1))
     reps, reduce = quotient_basis(cycles, boundaries)
     return HomologyPresentation(A, n, "homology", N, cycles, boundaries,

@@ -1,6 +1,7 @@
 """File loaders and the command-line front end, including exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,18 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     code, out = run(["validate", "--algebra", str(p)], capsys)
     assert code == 2
     assert "error" in out
+
+
+def test_non_rational_unit_exit_2_one_line_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"name": "x", "dimension": 1, "basis": ["1"], '
+                 '"unit": ["x"], "structure": [[0, 0, ["1"]]]}')
+    code, out = run(["validate", "--algebra", str(p), "--format", "json"],
+                    capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert "\n" not in doc["error"] and "'x'" in doc["error"]
 
 
 def test_malformed_json_exit_2_with_position(tmp_path, capsys):
@@ -164,3 +177,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(p.read_text())["algebra"] == "Q"
+
+
+def test_suite_seed42_report_is_pinned(capsys):
+    """The suite report is byte-identical to the recorded one, so a change
+    to any layer under it cannot drift a verdict, a dimension or a class
+    representative unnoticed."""
+    pinned = (Path(__file__).parent / "data" / "suite_seed42.json").read_text(
+        encoding="utf-8")
+    code, out = run(["suite", "--seed", "42", "--format", "json"], capsys)
+    assert code == 0
+    assert out == pinned

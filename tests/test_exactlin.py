@@ -1,11 +1,17 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, _rref_dense,
-                                _rref_sparse, in_row_span, make_reducer,
-                                membership, nullspace, quotient_basis, rank,
-                                rat, rat_str, row_space, rref, span_equal,
-                                vec)
+from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, in_row_span,
+                                make_reducer, membership, nullspace,
+                                quotient_basis, rank, rat, rat_str,
+                                row_space, rref, span_contains, span_equal,
+                                stack, vec)
+from hccourant.files import BUNDLED_ALGEBRAS
+from hccourant.hochschild import homology
 
 rationals = st.builds(
     lambda p, q: Q(p) / Q(q),
@@ -113,15 +119,127 @@ def test_membership_reconstruction(M, coeffs):
     assert tuple(rebuilt) == tuple(v)
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices())
-def test_dense_and_sparse_rref_agree(M):
-    dr, dp, drk = rref(M, force_sparse=False)
-    sr, sp, srk = rref(M, force_sparse=True)
-    assert (dr, dp, drk) == (sr, sp, srk)
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def reference_rref(M: QMatrix):
+    """Textbook Gauss-Jordan on lists of ``Fraction``s."""
+    R = [[_fraction(x) for x in row] for row in M]
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        pr = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        R[r] = [x / R[r][c] for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, tuple(pivots), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=7, max_cols=7))
+def test_rref_matches_reference_gauss_jordan(M):
+    R, pivots, rk = rref(M)
+    ref_R, ref_pivots, ref_rk = reference_rref(M)
+    assert [[_fraction(x) for x in row] for row in R] == ref_R
+    assert pivots == ref_pivots
+    assert rk == ref_rk
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_row_space_is_span_equal(M):
     assert span_equal(row_space(M), M)
+
+
+# ---------------------------------------------------------------------------
+# quotient_basis against the stack-and-re-eliminate loop it replaced
+
+def reference_quotient_basis(space: QMatrix, subspace: QMatrix):
+    """One membership test per space-basis row against a re-stacked
+    echelon; the loop quotient_basis ran before its incremental echelon."""
+    if not span_contains(space, subspace):
+        raise ExactLinError("quotient_basis: subspace not contained in space")
+    Rsub = row_space(subspace)
+    Rsp = row_space(space)
+    kept = []
+    echelon = QMatrix(Rsub.data, cols=space.cols)
+    for row in Rsp.data:
+        if not in_row_span(row, echelon):
+            kept.append(row)
+            echelon = stack(echelon, QMatrix([row], cols=space.cols))
+    reps = QMatrix(kept, cols=space.cols)
+    nreps = reps.rows
+    if nreps + Rsub.rows == 0:
+        def reduce_zero(v):
+            if not all(x == 0 for x in vec(v)):
+                raise ExactLinError("reduce: vector outside the span")
+            return ()
+        return reps, reduce_zero
+    coords = make_reducer(stack(reps, Rsub) if nreps else Rsub)
+    return reps, lambda v: coords(v)[:nreps]
+
+
+def _combination(coeffs, M: QMatrix) -> tuple:
+    out = [Q(0)] * M.cols
+    for c, row in zip(coeffs, M):
+        for k, x in enumerate(row):
+            out[k] += c * x
+    return tuple(out)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=6, max_cols=6),
+       st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                max_size=4),
+       st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                min_size=1, max_size=3))
+def test_quotient_basis_matches_reference(space, sub_coeffs, probe_coeffs):
+    subspace = QMatrix([_combination(c, space) for c in sub_coeffs],
+                       cols=space.cols)
+    probes = list(space) + list(subspace) + [
+        _combination(c, space) for c in probe_coeffs]
+    reps, reduce = quotient_basis(space, subspace)
+    ref_reps, ref_reduce = reference_quotient_basis(space, subspace)
+    assert reps == ref_reps
+    for v in probes:
+        assert reduce(v) == ref_reduce(v)
+
+
+def _guarded_degrees(A):
+    """Degrees n that homology(A, n) accepts under the default guards."""
+    out = []
+    for n in sorted(GUARD_MAX_DIM):
+        try:
+            check_guard(A.dim, n)
+            check_guard(A.dim, n + 1)
+        except GuardError:
+            continue
+        out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_homology_quotients_match_reference(name, algebras):
+    A = algebras[name]
+    degrees = _guarded_degrees(A)
+    assert degrees
+    rng = random.Random(name)
+    for n in degrees:
+        pres = homology(A, n)
+        Z, B = pres.cycle_basis, pres.boundary_basis
+        probes = list(Z)[:8] + list(B)[:8] + [
+            _combination([rng.randint(-3, 3) for _ in range(Z.rows)], Z)
+            for _ in range(4)]
+        reps, reduce = reference_quotient_basis(Z, B)
+        assert pres.class_reps == reps
+        for v in probes:
+            assert pres.reduce(v) == reduce(v)
