@@ -12,16 +12,14 @@ from .algebra import (AlgebraError, FiniteAlgebra, GuardError, build_v1,
                       ground_field, load_algebra, make_algebra,
                       matrix_algebra, opposite_algebra, save_algebra,
                       truncated_poly, upper_triangular2)
-from .courant import (CourantError, EElement, EpsilonSpace, ESpace,
-                      bilinear_form, build_espace, courant_bracket, epsilon,
-                      kernel_J, skew_bracket)
+from .courant import CourantError, EElement, EpsilonSpace, ESpace, kernel_J
 from .dirac import (BracketTable, DiracError, DiracVerdict, Submodule,
                     TwoFormClass, biderivation_space, find_two_form_witness,
                     is_bracket_closed, is_dirac, is_isotropic,
                     is_maximally_isotropic, is_poisson, is_z_stable,
                     lie_algebroid_check, make_bracket_table, poisson_graph,
                     table_from_flat, two_form, two_form_graph)
-from .exactlin import Q, QMatrix, nullspace, rank, rref
+from .exactlin import HccourantError, Q, QMatrix, nullspace, rank, rref
 from .files import (FileFormatError, load_algebra_ref, load_bracket_table,
                     load_submodule, load_two_form)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, boundary_b,

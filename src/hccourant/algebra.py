@@ -8,14 +8,14 @@ unit laws, checked exactly on all basis triples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .exactlin import (Q, ZERO, ONE, QMatrix, nullspace, rat, rat_str,
-                       row_space, vec, vec_is_zero)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+                       nullspace, rat, rat_str, row_space, vec, vec_is_zero)
 
 
-class AlgebraError(ValueError):
+class AlgebraError(HccourantError):
     pass
 
 
@@ -48,25 +48,9 @@ class FiniteAlgebra:
     structure: tuple  # structure[i][j]: coords of e_i e_j, tuple of mpq
     unit: tuple       # coords of 1
 
-    def mul_basis(self, i: int, j: int) -> tuple:
-        return self.structure[i][j]
-
     def mul(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        d = self.dim
-        out = [ZERO] * d
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] += c * s
-        return tuple(out)
+        return bilinear(x, y, self.structure, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
@@ -78,44 +62,6 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: FiniteAlgebra
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise AlgebraError("coordinate length does not match dimension")
-
-    def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._same(other)
-            return AlgebraElement(self.algebra,
-                                  self.algebra.mul(self.coords, other.coords))
-        return AlgebraElement(self.algebra,
-                              tuple(Q(other) * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def _same(self, other):
-        if self.algebra is not other.algebra:
-            raise AlgebraError("elements belong to different algebras")
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
 
 
 def _validate(name, dim, structure, unit):

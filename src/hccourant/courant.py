@@ -13,18 +13,18 @@ quotient is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
-from .exactlin import (Q, ZERO, ONE, QMatrix, in_row_span, membership,
-                       nullspace, quotient_basis, rank, stack, vec,
-                       vec_is_zero)
-from .hochschild import (Chain, Cochain1, HomologyPresentation, boundary_b,
-                         cochain_from_flat, cohomology_h1, connes_B, homology,
-                         interior_product, lie_derivative, pairing)
+from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
+                       in_row_span, nullspace, quotient_basis, rank,
+                       row_combination, vec, vec_is_zero)
+from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
+                         commutator, connes_B, h_left_multiply, homology,
+                         lie_derivative, pairing)
 
 
-class CourantError(ValueError):
+class CourantError(HccourantError):
     pass
 
 
@@ -68,7 +68,12 @@ class EElement:
 
 
 class ESpace:
-    """E(A) with fixed presentations of H^1, H_1, H_0 and the center."""
+    """E(A) with fixed presentations of H^1, H_1, H_0 and the center.
+
+    ``dim``, ``bracket``, ``form``, ``z_scale``, ``center_basis`` and
+    ``h0_dim`` act on coordinate tuples and are shared with EpsilonSpace, so
+    a submodule can live in either ambient.
+    """
 
     def __init__(self, algebra: FiniteAlgebra, *,
                  max_dim: Optional[int] = None):
@@ -78,6 +83,7 @@ class ESpace:
         self.h0 = homology(algebra, 0, max_dim=max_dim)
         self.center_basis = center(algebra)
         self.dim = self.h1co.dim + self.h1.dim
+        self.h0_dim = self.h0.dim
         # pairing table: P[i][j] = <X_i, alpha_j> in H_0 class coordinates
         self._ptable = tuple(
             tuple(pairing(self._derivation_rep(i), self.h1.rep_chain(j),
@@ -92,14 +98,8 @@ class ESpace:
         return cochain_from_flat(self.algebra, self.h1co.class_reps[k])
 
     def derivation_of(self, xcoords: Sequence) -> Cochain1:
-        d = self.algebra.dim
-        flat = [ZERO] * (d * d)
-        for c, row in zip(xcoords, self.h1co.class_reps):
-            if c:
-                for k, v in enumerate(row):
-                    if v:
-                        flat[k] += c * v
-        return cochain_from_flat(self.algebra, flat)
+        return cochain_from_flat(
+            self.algebra, row_combination(xcoords, self.h1co.class_reps))
 
     def chain_of(self, acoords: Sequence) -> Chain:
         return self.h1.class_to_chain(acoords)
@@ -130,17 +130,7 @@ class ESpace:
 
     def pairing_classes(self, xcoords: Sequence, acoords: Sequence) -> tuple:
         """<X, alpha> in H_0 class coordinates, bilinear in class coords."""
-        out = [ZERO] * self.h0.dim
-        for i, xi in enumerate(xcoords):
-            if not xi:
-                continue
-            for j, aj in enumerate(acoords):
-                if aj:
-                    c = xi * aj
-                    for k, p in enumerate(self._ptable[i][j]):
-                        if p:
-                            out[k] += c * p
-        return tuple(out)
+        return bilinear(xcoords, acoords, self._ptable, self.h0.dim)
 
     def bilinear_form(self, e1: EElement, e2: EElement) -> tuple:
         self._check(e1, e2)
@@ -175,7 +165,6 @@ class ESpace:
         X2 = self.derivation_of(e2.x)
         a1 = self.chain_of(e1.alpha)
         a2 = self.chain_of(e2.alpha)
-        from .hochschild import commutator
         xb = self.class_of_derivation(commutator(X1, X2))
         t = lie_derivative(X1, a2, checked=False) \
             - lie_derivative(X2, a1, checked=False)
@@ -202,25 +191,25 @@ class ESpace:
             raise CourantError("center_action: image left the center")
         return out
 
-    def z_scale(self, zcoords: Sequence, e: EElement) -> EElement:
-        """The Z(A)-module action z.(X, alpha) on class coordinates."""
+    def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
+        """The Z(A)-module action z.(X, alpha) on E(A) coordinates."""
         A = self.algebra
         z = vec(zcoords)
+        e = self.from_vec(u)
         X = self.derivation_of(e.x)
-        rows = tuple(A.mul(z, X.rows[j]) for j in range(A.dim))
-        xz = self.class_of_derivation(Cochain1(A, rows))
-        a = self.chain_of(e.alpha)
-        out = [ZERO] * len(a.coords)
-        for idx, c in enumerate(a.coords):
-            if c:
-                i0 = idx // A.dim
-                rest = idx % A.dim
-                prod = A.mul(z, A.basis_vector(i0))
-                for k, p in enumerate(prod):
-                    if p:
-                        out[k * A.dim + rest] += c * p
-        az = self.h1.reduce(out)
-        return EElement(self, xz, az)
+        xz = self.class_of_derivation(
+            Cochain1(A, tuple(A.mul(z, row) for row in X.rows)))
+        az = self.h1.reduce_chain(h_left_multiply(z, self.chain_of(e.alpha)))
+        return xz + az
+
+    def bracket(self, u: Sequence, v: Sequence) -> tuple:
+        """The Courant bracket on E(A) coordinates."""
+        e = self.courant_bracket(self.from_vec(u), self.from_vec(v))
+        return e.to_vec()
+
+    def form(self, u: Sequence, v: Sequence) -> tuple:
+        """The H_0-valued form on E(A) coordinates."""
+        return self.bilinear_form(self.from_vec(u), self.from_vec(v))
 
     def h0_action(self, xcoords: Sequence, h0coords: Sequence) -> tuple:
         """The action of a derivation class on H_0 = A/[A, A] (well-defined
@@ -232,20 +221,6 @@ class ESpace:
     def _check(self, e1: EElement, e2: EElement):
         if e1.space is not self or e2.space is not self:
             raise CourantError("elements of a different E-space")
-
-
-# module-level aliases matching the operation names
-def courant_bracket(e1: EElement, e2: EElement) -> EElement:
-    return e1.space.courant_bracket(e1, e2)
-
-def skew_bracket(e1: EElement, e2: EElement) -> EElement:
-    return e1.space.skew_bracket(e1, e2)
-
-def bilinear_form(e1: EElement, e2: EElement) -> tuple:
-    return e1.space.bilinear_form(e1, e2)
-
-def rho(e: EElement) -> tuple:
-    return e.x
 
 
 def kernel_J(E: ESpace) -> QMatrix:
@@ -283,6 +258,8 @@ class EpsilonSpace:
         self.class_reps = reps
         self._reduce = reduce
         self.dim = reps.rows
+        self.center_basis = espace.center_basis
+        self.h0_dim = espace.h0_dim
         self._verify_ideal()
         self.form_table = tuple(
             tuple(self._form_on_reps(i, j) for j in range(self.dim))
@@ -295,20 +272,11 @@ class EpsilonSpace:
         """E(A) coordinates -> epsilon(A) class coordinates."""
         return self._reduce(evec)
 
-    def project(self, e: EElement) -> tuple:
-        return self._reduce(e.to_vec())
-
     def lift(self, coords: Sequence) -> EElement:
         coords = vec(coords)
         if len(coords) != self.dim:
             raise CourantError("epsilon coordinate length mismatch")
-        out = [ZERO] * self.espace.dim
-        for c, row in zip(coords, self.class_reps):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        out[k] += c * x
-        return self.espace.from_vec(out)
+        return self.espace.from_vec(row_combination(coords, self.class_reps))
 
     def basis_coords(self, k: int) -> tuple:
         return tuple(ONE if i == k else ZERO for i in range(self.dim))
@@ -320,21 +288,11 @@ class EpsilonSpace:
         return self._reduce(b.to_vec())
 
     def form(self, u: Sequence, v: Sequence) -> tuple:
-        u, v = vec(u), vec(v)
-        out = [ZERO] * self.espace.h0.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    c = ui * vj
-                    for k, p in enumerate(self.form_table[i][j]):
-                        if p:
-                            out[k] += c * p
-        return tuple(out)
+        return bilinear(vec(u), vec(v), self.form_table, self.h0_dim)
 
     def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
-        return self._reduce(self.espace.z_scale(zcoords, self.lift(u)).to_vec())
+        return self._reduce(
+            self.espace.z_scale(zcoords, self.lift(u).to_vec()))
 
     def rho(self, u: Sequence) -> tuple:
         """Induced anchor; only well-defined when the algebra is commutative
@@ -376,10 +334,3 @@ class EpsilonSpace:
         if rank(QMatrix(rows, cols=self.dim * self.espace.h0.dim)) != self.dim:
             raise CourantError("induced form on the quotient is degenerate")
 
-
-def epsilon(E: ESpace) -> EpsilonSpace:
-    return EpsilonSpace(E)
-
-
-def build_espace(A: FiniteAlgebra, *, max_dim: Optional[int] = None) -> ESpace:
-    return ESpace(A, max_dim=max_dim)

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
-from .courant import CourantError, EpsilonSpace, ESpace
-from .exactlin import (Q, ZERO, ONE, QMatrix, in_row_span, membership,
-                       nullspace, rank, row_space, span_contains, stack, vec,
+from .courant import EpsilonSpace, ESpace
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+                       in_row_span, membership, nullspace, rank, rat_str,
+                       row_combination, row_space, span_contains, vec,
                        vec_is_zero)
-from .hochschild import (Chain, Cochain1, HochschildError,
-                         HomologyPresentation, connes_B, homology,
-                         interior_product)
+from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
+                         homology, interior_product)
 
 
-class DiracError(ValueError):
+class DiracError(HccourantError):
     pass
 
 
@@ -35,8 +35,7 @@ class Submodule:
     vectors: QMatrix
 
     def __post_init__(self):
-        dim = _ambient_dim(self.ambient)
-        if self.vectors.cols != dim:
+        if self.vectors.cols != self.ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
         object.__setattr__(self, "vectors", row_space(self.vectors))
 
@@ -49,40 +48,6 @@ class Submodule:
         return isinstance(self.ambient, EpsilonSpace)
 
 
-def _ambient_dim(amb) -> int:
-    return amb.dim
-
-
-def _form(amb, u, v) -> tuple:
-    if isinstance(amb, EpsilonSpace):
-        return amb.form(u, v)
-    return amb.bilinear_form(amb.from_vec(u), amb.from_vec(v))
-
-
-def _bracket(amb, u, v) -> tuple:
-    if isinstance(amb, EpsilonSpace):
-        return amb.bracket(u, v)
-    return amb.courant_bracket(amb.from_vec(u), amb.from_vec(v)).to_vec()
-
-
-def _z_scale(amb, z, u) -> tuple:
-    if isinstance(amb, EpsilonSpace):
-        return amb.z_scale(z, u)
-    return amb.z_scale(z, amb.from_vec(u)).to_vec()
-
-
-def _center_basis(amb) -> QMatrix:
-    if isinstance(amb, EpsilonSpace):
-        return amb.espace.center_basis
-    return amb.center_basis
-
-
-def _h0_dim(amb) -> int:
-    if isinstance(amb, EpsilonSpace):
-        return amb.espace.h0.dim
-    return amb.h0.dim
-
-
 def _unit_vec(n, k):
     return tuple(ONE if i == k else ZERO for i in range(n))
 
@@ -91,7 +56,7 @@ def is_isotropic(L: Submodule) -> bool:
     """The form vanishes on all spanning pairs."""
     for i in range(L.dim):
         for j in range(i, L.dim):
-            if not vec_is_zero(_form(L.ambient, L.vectors[i], L.vectors[j])):
+            if not vec_is_zero(L.ambient.form(L.vectors[i], L.vectors[j])):
                 return False
     return True
 
@@ -99,13 +64,13 @@ def is_isotropic(L: Submodule) -> bool:
 def orthogonal(L: Submodule) -> QMatrix:
     """L-perp = {e : (e, l) = 0 in H_0 for every l in L}."""
     amb = L.ambient
-    n = _ambient_dim(amb)
-    h0d = _h0_dim(amb)
+    n = amb.dim
+    h0d = amb.h0_dim
     # form of the ambient basis against each spanning vector, stacked over
     # the H0 coordinates
     rows = []
     for l in L.vectors:
-        cols = [_form(amb, _unit_vec(n, k), l) for k in range(n)]
+        cols = [amb.form(_unit_vec(n, k), l) for k in range(n)]
         for h in range(h0d):
             rows.append([cols[k][h] for k in range(n)])
     if not rows:
@@ -126,16 +91,16 @@ def is_bracket_closed(L: Submodule):
     spanning indices and the offending bracket value."""
     for i in range(L.dim):
         for j in range(L.dim):
-            b = _bracket(L.ambient, L.vectors[i], L.vectors[j])
+            b = L.ambient.bracket(L.vectors[i], L.vectors[j])
             if not in_row_span(b, L.vectors):
                 return False, (i, j, b)
     return True, None
 
 
 def is_z_stable(L: Submodule) -> bool:
-    for z in _center_basis(L.ambient):
+    for z in L.ambient.center_basis:
         for l in L.vectors:
-            if not in_row_span(_z_scale(L.ambient, z, l), L.vectors):
+            if not in_row_span(L.ambient.z_scale(z, l), L.vectors):
                 return False
     return True
 
@@ -151,7 +116,6 @@ class DiracVerdict:
     counterexample: Optional[tuple]
 
     def to_json(self) -> dict:
-        from .exactlin import rat_str
         ce = None
         if self.counterexample is not None:
             i, j, b = self.counterexample
@@ -168,7 +132,7 @@ def is_dirac(L: Submodule) -> DiracVerdict:
     if not L.on_quotient:
         raise DiracError("Dirac verdicts require the nondegenerate quotient; "
                          "use is_maximally_isotropic for the pre-quotient view")
-    if _ambient_dim(L.ambient) == 0:
+    if L.ambient.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     iso = is_isotropic(L)
     maximal = is_maximally_isotropic(L) if iso else False
@@ -198,18 +162,7 @@ class BracketTable:
         _check_biderivation(A, self.table)
 
     def eval(self, a: Sequence, b: Sequence) -> tuple:
-        d = self.algebra.dim
-        out = [ZERO] * d
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    c = ai * bj
-                    for k, t in enumerate(self.table[i][j]):
-                        if t:
-                            out[k] += c * t
-        return tuple(out)
+        return bilinear(a, b, self.table, self.algebra.dim)
 
 
 def _check_biderivation(A: FiniteAlgebra, table) -> None:
@@ -430,7 +383,7 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     """The graph {(X, i_X omega)} over the H^1 class basis, projected to the
     quotient, with its Dirac verdict attached."""
     E = omega.espace
-    if _ambient_dim(eps) == 0:
+    if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()
     rows = []
@@ -550,12 +503,8 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         draws.append(cb[k])
     if rng is not None:
         for _ in range(z_samples):
-            coeffs = [rng.randint(-3, 3) for _ in range(cdim)]
-            z = [ZERO] * cb.cols
-            for c, row in zip(coeffs, cb):
-                for m, x in enumerate(row):
-                    z[m] += Q(c) * x
-            draws.append(tuple(z))
+            coeffs = vec(rng.randint(-3, 3) for _ in range(cdim))
+            draws.append(row_combination(coeffs, cb))
     for z in draws:
         for i in range(L.dim):
             xz = E.center_action(eps.lift(L.vectors[i]).x, z)

@@ -36,30 +36,20 @@ def rat_str(x) -> str:
 
 
 def vec(entries: Iterable) -> tuple:
-    return tuple(Q(x) for x in entries)
+    """Entries as a tuple of exact rationals; rationals pass through as they
+    are, anything else goes through ``Q``."""
+    return tuple(x if type(x) is Q else Q(x) for x in entries)
 
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * a for a in v)
-
-def vec_dot(u: Sequence, v: Sequence):
-    s = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            s += a * b
-    return s
 
 def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
-class ExactLinError(ValueError):
+class HccourantError(ValueError):
+    """Base of every error the package raises on bad input or a refusal."""
+
+
+class ExactLinError(HccourantError):
     pass
 
 
@@ -73,7 +63,7 @@ class QMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
-        rows = tuple(tuple(Q(x) for x in r) for r in data)
+        rows = tuple(vec(r) for r in data)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -87,19 +77,6 @@ class QMatrix:
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-
-    @classmethod
-    def _trusted(cls, rows: tuple, cols: int) -> "QMatrix":
-        """Wrap a tuple of equal-length tuples of rationals as they are.
-
-        Skips the coercion and the shape checks of ``__init__``; only for
-        rows this module has built from rationals itself.
-        """
-        M = object.__new__(cls)
-        object.__setattr__(M, "data", rows)
-        object.__setattr__(M, "rows", len(rows))
-        object.__setattr__(M, "cols", cols)
-        return M
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
@@ -130,11 +107,8 @@ class QMatrix:
         return QMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix._trusted(tuple(zip(*self.data)) if self.rows else
-                                ((),) * self.cols, self.rows)
-
-    def to_lists(self):
-        return [list(r) for r in self.data]
+        return QMatrix(tuple(zip(*self.data)) if self.rows else
+                       ((),) * self.cols, self.rows)
 
 
 def stack(*mats: QMatrix) -> QMatrix:
@@ -144,14 +118,7 @@ def stack(*mats: QMatrix) -> QMatrix:
     rows = []
     for m in mats:
         rows.extend(m.data)
-    return QMatrix._trusted(tuple(rows), cols.pop())
-
-
-def mat_vec(M: QMatrix, v: Sequence) -> tuple:
-    """M applied to v as a column vector (length M.cols -> length M.rows)."""
-    if len(v) != M.cols:
-        raise ExactLinError("mat_vec: dimension mismatch")
-    return tuple(vec_dot(row, v) for row in M.data)
+    return QMatrix(rows, cols.pop())
 
 
 def row_combination(c: Sequence, M: QMatrix) -> tuple:
@@ -164,6 +131,23 @@ def row_combination(c: Sequence, M: QMatrix) -> tuple:
             for k, x in enumerate(row):
                 if x:
                     out[k] += ci * x
+    return tuple(out)
+
+
+def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
+    """sum_ij u_i v_j table[i][j] for a table of length-``dim`` vectors, e.g.
+    structure constants, a pairing table or a bracket table."""
+    out = [ZERO] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = table[i]
+        for j, vj in enumerate(v):
+            if vj:
+                c = ui * vj
+                for k, t in enumerate(row[j]):
+                    if t:
+                        out[k] += c * t
     return tuple(out)
 
 
@@ -240,13 +224,13 @@ def rref(M: QMatrix):
     Returns ``(R, pivots, rank)`` with pivot columns ascending.
     """
     R, _, pivots = _eliminate(M, transform=False)
-    return QMatrix._trusted(R, M.cols), tuple(pivots), len(pivots)
+    return QMatrix(R, M.cols), tuple(pivots), len(pivots)
 
 
 def rref_transform(M: QMatrix):
     """RREF with the row transform: returns ``(R, T, pivots, rank)``, R = T.M."""
     R, T, pivots = _eliminate(M, transform=True)
-    return (QMatrix._trusted(R, M.cols), QMatrix._trusted(T, M.rows),
+    return (QMatrix(R, M.cols), QMatrix(T, M.rows),
             tuple(pivots), len(pivots))
 
 
@@ -257,7 +241,7 @@ def rank(M: QMatrix) -> int:
 def row_space(M: QMatrix) -> QMatrix:
     """Canonical (RREF) basis of the row span."""
     R, _, rk = rref(M)
-    return QMatrix._trusted(R.data[:rk], M.cols)
+    return QMatrix(R.data[:rk], M.cols)
 
 
 def nullspace(M: QMatrix) -> QMatrix:
@@ -273,7 +257,7 @@ def nullspace(M: QMatrix) -> QMatrix:
         for j, pc in enumerate(pivots):
             x[pc] = -R[j][fc]
         basis.append(tuple(x))
-    return QMatrix._trusted(tuple(basis), M.cols)
+    return QMatrix(tuple(basis), M.cols)
 
 
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
@@ -342,7 +326,7 @@ def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
     def reduce(v: Sequence) -> tuple:
         if len(v) != ncols:
             raise ExactLinError("reduce: dimension mismatch")
-        w = list(Q(x) for x in v)
+        w = list(vec(v))
         c_r = [ZERO] * rk
         for j, pc in enumerate(pivots):
             f = w[pc]
@@ -399,7 +383,7 @@ def quotient_basis(space: QMatrix, subspace: QMatrix):
             pc = min(w)
             inv = 1 / w[pc]
             echelon.append((pc, {k: x * inv for k, x in w.items()}))
-    reps = QMatrix._trusted(tuple(kept), space.cols)
+    reps = QMatrix(tuple(kept), space.cols)
     nreps = reps.rows
     if nreps + Rsub.rows == 0:
         def reduce_zero(v):

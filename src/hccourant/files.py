@@ -7,6 +7,8 @@ Formats:
 - submodule: {"ambient": "E" | "epsilon", "vectors": [["p/q", ...], ...]}.
 - two-form: {"algebra": name-ref, "coords": ["p/q", ...]} against the
   canonical degree-2 homology class basis.
+- omni bracket table: {"entries": [[i, j, ["p/q", ...]], ...]} giving
+  mu(v_i, v_j) in V = Q^n, with omitted entries equal to zero.
 
 Bundled example algebras and tables ship in the package data directory and
 can be referred to by bare name (e.g. "v1_3") anywhere a file is accepted.
@@ -18,10 +20,10 @@ import json
 import os
 from typing import Optional, Union
 
-from .algebra import AlgebraError, FiniteAlgebra, algebra_from_json
+from .algebra import FiniteAlgebra, algebra_from_json
 from .courant import EpsilonSpace, ESpace
 from .dirac import BracketTable, Submodule, TwoFormClass, two_form
-from .exactlin import QMatrix, ZERO, rat, vec
+from .exactlin import HccourantError, QMatrix, ZERO, rat, vec
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -32,7 +34,7 @@ BUNDLED_TABLES = ("bracket_zero_v1_3", "bracket_so3_v1_3",
                   "bracket_nonjacobi_v1_3")
 
 
-class FileFormatError(ValueError):
+class FileFormatError(HccourantError):
     pass
 
 
@@ -63,18 +65,18 @@ def load_algebra_ref(ref: str) -> FiniteAlgebra:
     return algebra_from_json(_load_json(path))
 
 
-def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
-    path = resolve_path(ref, BUNDLED_TABLES)
-    if not os.path.exists(path):
-        raise FileFormatError(
-            f"no such bracket-table file or bundled name: {ref!r}")
+def load_table(path: str, d: int) -> list:
+    """The d x d table of length-d rational vectors in an ``entries`` file
+    (a bracket table, or the omni bracket table mu with mu[i][j] the
+    coordinates of mu(v_i, v_j)); omitted entries are zero."""
     doc = _load_json(path)
     try:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: missing 'entries'") from exc
-    d = A.dim
-    table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+    if not isinstance(entries, list):
+        raise FileFormatError(f"{path}: 'entries' must be a list")
+    table = [[(ZERO,) * d for _ in range(d)] for _ in range(d)]
     for entry in entries:
         try:
             i, j, coords = entry
@@ -85,9 +87,16 @@ def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
                 f"{path}: malformed entry {entry!r}") from exc
         if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
             raise FileFormatError(f"{path}: entry out of range: {entry!r}")
-        table[i][j] = list(coords)
-    return BracketTable(A, tuple(tuple(vec(r) for r in row)
-                                 for row in table))
+        table[i][j] = coords
+    return table
+
+
+def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
+    path = resolve_path(ref, BUNDLED_TABLES)
+    if not os.path.exists(path):
+        raise FileFormatError(
+            f"no such bracket-table file or bundled name: {ref!r}")
+    return BracketTable(A, tuple(map(tuple, load_table(path, A.dim))))
 
 
 def load_submodule(path: str,

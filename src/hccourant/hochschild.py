@@ -10,14 +10,15 @@ class representatives, and the H0-valued pairing <X, alpha> = i_X(alpha).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, check_guard, commutator_subspace
-from .exactlin import (Q, ZERO, ONE, QMatrix, ExactLinError, in_row_span,
-                       nullspace, quotient_basis, row_space, vec, vec_is_zero)
+from .algebra import FiniteAlgebra, check_guard
+from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, in_row_span,
+                       nullspace, quotient_basis, row_combination, row_space,
+                       vec, vec_is_zero)
 
 
-class HochschildError(ValueError):
+class HochschildError(HccourantError):
     pass
 
 
@@ -65,14 +66,6 @@ def chain_space_dim(A: FiniteAlgebra, n: int) -> int:
     return A.dim ** (n + 1)
 
 
-def zero_chain(A: FiniteAlgebra, n: int) -> Chain:
-    return Chain(A, n, (ZERO,) * chain_space_dim(A, n))
-
-
-def chain_from_coords(A: FiniteAlgebra, n: int, coords: Sequence) -> Chain:
-    return Chain(A, n, vec(coords))
-
-
 def encode_index(A: FiniteAlgebra, indices: Sequence[int]) -> int:
     idx = 0
     for i in indices:
@@ -88,15 +81,21 @@ def decode_index(A: FiniteAlgebra, idx: int, n: int) -> tuple:
     return tuple(reversed(out))
 
 
+def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
+    """The degree-n chain sum x e_a over (multi-index a, coefficient x) pairs;
+    repeated multi-indices add up."""
+    out = [ZERO] * chain_space_dim(A, n)
+    for a, x in terms:
+        out[encode_index(A, a)] += x
+    return Chain(A, n, tuple(out))
+
+
 def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
-    n = len(indices) - 1
-    coords = [ZERO] * chain_space_dim(A, n)
-    coords[encode_index(A, indices)] = ONE
-    return Chain(A, n, tuple(coords))
+    return chain_from_terms(A, len(indices) - 1, ((indices, ONE),))
 
 
-def chain_sparse(c: Chain):
-    """Sparse view [(multi-index, value), ...] used in CLI reports."""
+def chain_sparse(c: Chain) -> list:
+    """The nonzero terms [(multi-index, coefficient), ...] in index order."""
     A = c.algebra
     return [(decode_index(A, i, c.degree), x)
             for i, x in enumerate(c.coords) if x]
@@ -142,10 +141,6 @@ def cochain_from_flat(A: FiniteAlgebra, flat: Sequence) -> Cochain1:
     if len(flat) != d * d:
         raise HochschildError("flat cochain length mismatch")
     return Cochain1(A, tuple(flat[j * d:(j + 1) * d] for j in range(d)))
-
-
-def zero_cochain(A: FiniteAlgebra) -> Cochain1:
-    return cochain_from_flat(A, (ZERO,) * (A.dim * A.dim))
 
 
 def inner_derivation(A: FiniteAlgebra, a: Sequence) -> Cochain1:
@@ -195,51 +190,55 @@ def require_derivation(f: Cochain1) -> None:
 
 # ---------------------------------------------------------------------------
 # chain-level operators
+#
+# Each operator is a rule on elementary tensors: ``terms(a)`` yields the
+# (multi-index, coefficient) pairs of its image on e_a0 (x) ... (x) e_an, and
+# ``_apply`` extends the rule linearly.
+
+def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
+    """The linear extension of a basis-term rule, applied to c."""
+    return chain_from_terms(c.algebra, degree,
+                            ((b, x * y) for a, x in chain_sparse(c)
+                             for b, y in terms(a)))
+
+
+def _b_terms(A: FiniteAlgebra, n: int) -> Callable:
+    """b on a degree-n basis chain: the face maps a_i a_(i+1) with sign
+    (-1)^i, plus the cyclic last face a_n a_0 with sign (-1)^n."""
+    S = A.structure
+
+    def terms(a):
+        for i in range(n):
+            for k, p in enumerate(S[a[i]][a[i + 1]]):
+                if p:
+                    yield a[:i] + (k,) + a[i + 2:], (-p if i % 2 else p)
+        for k, p in enumerate(S[a[n]][a[0]]):
+            if p:
+                yield (k,) + a[1:n], (-p if n % 2 else p)
+
+    return terms
+
 
 def boundary_b(c: Chain) -> Chain:
     """The Hochschild boundary: face maps plus the cyclic last face with
     sign (-1)^n."""
     if c.degree < 1:
         raise HochschildError("boundary undefined in degree 0")
-    A = c.algebra
-    n = c.degree
-    out = [ZERO] * chain_space_dim(A, n - 1)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
-        for i in range(n):
-            sign = -x if i % 2 else x
-            prod = A.structure[a[i]][a[i + 1]]
-            rest = a[:i] + a[i + 2:]
-            for k, p in enumerate(prod):
-                if p:
-                    out[encode_index(A, a[:i] + (k,) + rest[i:])] += sign * p
-        sign = -x if n % 2 else x
-        prod = A.structure[a[n]][a[0]]
-        for k, p in enumerate(prod):
-            if p:
-                out[encode_index(A, (k,) + a[1:n])] += sign * p
-    return Chain(A, n - 1, tuple(out))
+    return _apply(c, c.degree - 1, _b_terms(c.algebra, c.degree))
 
 
 def lie_derivative(X: Cochain1, c: Chain, *, checked: bool = True) -> Chain:
     """Sum over slots of applying the derivation X in one slot."""
     if checked:
         require_derivation(X)
-    A = c.algebra
-    n = c.degree
-    out = [ZERO] * len(c.coords)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
-        for i in range(n + 1):
-            row = X.rows[a[i]]
-            for k, r in enumerate(row):
+
+    def terms(a):
+        for i, ai in enumerate(a):
+            for k, r in enumerate(X.rows[ai]):
                 if r:
-                    out[encode_index(A, a[:i] + (k,) + a[i + 1:])] += x * r
-    return Chain(A, n, tuple(out))
+                    yield a[:i] + (k,) + a[i + 1:], r
+
+    return _apply(c, c.degree, terms)
 
 
 def interior_product(X: Cochain1, c: Chain, *, checked: bool = True) -> Chain:
@@ -250,56 +249,47 @@ def interior_product(X: Cochain1, c: Chain, *, checked: bool = True) -> Chain:
         require_derivation(X)
     A = c.algebra
     n = c.degree
-    sgn = ONE if (n + 1) % 2 == 0 else -ONE
-    out = [ZERO] * chain_space_dim(A, n - 1)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
+    negative = n % 2 == 0
+
+    def terms(a):
         head = A.mul(X.rows[a[n]], A.basis_vector(a[0]))
         for k, p in enumerate(head):
             if p:
-                out[encode_index(A, (k,) + a[1:n])] += sgn * x * p
-    return Chain(A, n - 1, tuple(out))
+                yield (k,) + a[1:n], (-p if negative else p)
+
+    return _apply(c, n - 1, terms)
 
 
 def connes_B(c: Chain) -> Chain:
     """Connes' boundary in the explicit, non-normalized form: for each cyclic
     rotation, a 1 (x) ... term and an a_i (x) 1 (x) ... term, both with sign
     (-1)^(n i)."""
-    A = c.algebra
     n = c.degree
-    unit = A.unit
-    out = [ZERO] * chain_space_dim(A, n + 1)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
+    unit = c.algebra.unit
+
+    def terms(a):
         for i in range(n + 1):
-            sign = -x if (n * i) % 2 else x
             cyc = a[i:] + a[:i]
             for u, cu in enumerate(unit):
                 if cu:
-                    out[encode_index(A, (u,) + cyc)] += sign * cu
-                    out[encode_index(A, (cyc[0], u) + cyc[1:])] += sign * cu
-    return Chain(A, n + 1, tuple(out))
+                    y = -cu if (n * i) % 2 else cu
+                    yield (u,) + cyc, y
+                    yield (cyc[0], u) + cyc[1:], y
+
+    return _apply(c, n + 1, terms)
 
 
 def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
     """The homotopy a_0 (x) ... -> a' a_0 (x) ... used against inner
     derivations."""
     A = c.algebra
-    n = c.degree
-    out = [ZERO] * len(c.coords)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
-        head = A.mul(aprime, A.basis_vector(a[0]))
-        for k, p in enumerate(head):
+
+    def terms(a):
+        for k, p in enumerate(A.mul(aprime, A.basis_vector(a[0]))):
             if p:
-                out[encode_index(A, (k,) + a[1:])] += x * p
-    return Chain(A, n, tuple(out))
+                yield (k,) + a[1:], p
+
+    return _apply(c, c.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +322,15 @@ class HomologyPresentation:
         coords = vec(coords)
         if len(coords) != self.dim:
             raise HochschildError("class coordinate length mismatch")
-        out = [ZERO] * self.ambient_dim
-        for c, row in zip(coords, self.class_reps):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        out[k] += c * x
-        return Chain(self.algebra, self.degree, tuple(out))
+        return Chain(self.algebra, self.degree,
+                     row_combination(coords, self.class_reps))
 
 
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
     """Rows = images under b of the degree-n basis chains (dom x cod)."""
-    rows = []
-    for idx in range(chain_space_dim(A, n)):
-        coords = [ZERO] * chain_space_dim(A, n)
-        coords[idx] = ONE
-        rows.append(boundary_b(Chain(A, n, tuple(coords))).coords)
+    terms = _b_terms(A, n)
+    rows = [chain_from_terms(A, n - 1, terms(decode_index(A, idx, n))).coords
+            for idx in range(chain_space_dim(A, n))]
     return QMatrix(rows, cols=chain_space_dim(A, n - 1))
 
 

@@ -14,15 +14,14 @@ from typing import Optional
 
 from .algebra import FiniteAlgebra, matrix_algebra, opposite_algebra
 from .courant import EpsilonSpace, ESpace
-from .dirac import DiracVerdict, Submodule, is_dirac
-from .exactlin import (Q, ZERO, ONE, QMatrix, in_row_span, make_reducer,
-                       membership, rank, vec, vec_is_zero)
-from .hochschild import (Chain, Cochain1, boundary_b, chain_space_dim,
-                         connes_B, elementary_chain, encode_index,
-                         decode_index, interior_product)
+from .dirac import Submodule, is_dirac
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, membership, rank,
+                       row_combination, vec)
+from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
+                         chain_sparse)
 
 
-class MoritaError(ValueError):
+class MoritaError(HccourantError):
     pass
 
 
@@ -43,21 +42,12 @@ def cotr(X: Cochain1, M: FiniteAlgebra, r: int) -> Cochain1:
 
 
 def inc(c: Chain, M: FiniteAlgebra, r: int) -> Chain:
-    """Corner embedding of chains: every slot lands in the (1,1) corner."""
-    A = c.algebra
-    d = A.dim
-    n = c.degree
-    out = [ZERO] * chain_space_dim(M, n)
-    for idx, x in enumerate(c.coords):
-        if not x:
-            continue
-        a = decode_index(A, idx, n)
-        out[encode_index(M, tuple(i for i in a))] += x
-    return Chain(M, n, tuple(out))
+    """Corner embedding of chains: every slot lands in the (1,1) corner.
 
-
-# note: with the basis order E_pq(e_i) at index (p r + q) d + i, the (1,1)
-# corner E11(e_i) sits at index i, so the corner embedding is index-preserving
+    With the basis order E_pq(e_i) at index (p r + q) d + i, the (1,1) corner
+    E11(e_i) sits at index i, so the embedding keeps every multi-index.
+    """
+    return chain_from_terms(M, c.degree, chain_sparse(c))
 
 
 @dataclass(frozen=True)
@@ -72,31 +62,13 @@ class MoritaMaps:
 
     def map_e_vec(self, v) -> tuple:
         """E(A) class coordinates -> E(M_r(A)) class coordinates."""
-        src, tgt = self.source, self.target
         v = vec(v)
-        x, a = v[:src.h1co.dim], v[src.h1co.dim:]
-        out = [ZERO] * tgt.dim
-        for c, row in zip(x, self.h1co_map):
-            if c:
-                for k, y in enumerate(row):
-                    if y:
-                        out[k] += c * y
-        off = tgt.h1co.dim
-        for c, row in zip(a, self.h1_map):
-            if c:
-                for k, y in enumerate(row):
-                    if y:
-                        out[off + k] += c * y
-        return tuple(out)
+        hc = self.source.h1co.dim
+        return (row_combination(v[:hc], self.h1co_map)
+                + row_combination(v[hc:], self.h1_map))
 
     def map_h0(self, h) -> tuple:
-        out = [ZERO] * self.target.h0.dim
-        for c, row in zip(vec(h), self.h0_map):
-            if c:
-                for k, y in enumerate(row):
-                    if y:
-                        out[k] += c * y
-        return tuple(out)
+        return row_combination(vec(h), self.h0_map)
 
 
 def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
@@ -183,30 +155,18 @@ def _check_homotopy_identity(A: FiniteAlgebra, M: FiniteAlgebra,
                              r: int) -> bool:
     """(1_M - E11(1)) (x) E11(a) = -b{(1_M - E11(1)) (x) E11(a) (x) E11(1)}
     as an exact chain identity, for every basis a."""
-    d = A.dim
-    D = M.dim
     u = list(M.unit)
     for k, c in enumerate(A.unit):  # subtract E11(1)
         u[k] -= c
-    e11_1 = [ZERO] * D
-    for k, c in enumerate(A.unit):
-        e11_1[k] = c
-    for i in range(d):
-        # expected: u (x) E11(e_i)
-        expected = [ZERO] * (D * D)
-        for k, x in enumerate(u):
-            if x:
-                expected[k * D + i] = x
-        # chain u (x) E11(e_i) (x) E11(1)
-        coords = [ZERO] * (D ** 3)
-        for k, x in enumerate(u):
-            if not x:
-                continue
-            for m, y in enumerate(e11_1):
-                if y:
-                    coords[(k * D + i) * D + m] = x * y
-        img = boundary_b(Chain(M, 2, tuple(coords)))
-        if tuple(-x for x in img.coords) != tuple(expected):
+    u_terms = [(k, x) for k, x in enumerate(u) if x]
+    # E11(1) has the coordinates of 1 in A, by the index-preserving corner
+    one_terms = [(m, y) for m, y in enumerate(A.unit) if y]
+    for i in range(A.dim):
+        expected = chain_from_terms(M, 1, (((k, i), x) for k, x in u_terms))
+        chain = chain_from_terms(M, 2, (((k, i, m), x * y)
+                                        for k, x in u_terms
+                                        for m, y in one_terms))
+        if not (boundary_b(chain) + expected).is_zero():
             return False
     return True
 

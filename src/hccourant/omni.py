@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra, build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac
-from .exactlin import (ZERO, ONE, QMatrix, membership, rank, span_equal, vec,
-                       vec_is_zero)
-from .hochschild import Chain, Cochain1, elementary_chain
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, membership, rank,
+                       row_combination, span_equal, vec, vec_is_zero)
+from .hochschild import Cochain1, elementary_chain
 
 
-class OmniError(ValueError):
+class OmniError(HccourantError):
     pass
 
 
@@ -122,24 +122,12 @@ class OmniIso:
     inv: QMatrix   # epsilon basis -> omni coordinates
 
     def to_eps(self, e: OmniElement) -> tuple:
-        n = self.n
         coords = [x for row in e.xi for x in row] + list(e.v)
-        out = [ZERO] * self.eps.dim
-        for c, row in zip(coords, self.fwd):
-            if c:
-                for k, y in enumerate(row):
-                    if y:
-                        out[k] += c * y
-        return tuple(out)
+        return row_combination(coords, self.fwd)
 
     def from_eps(self, u: Sequence) -> OmniElement:
         n = self.n
-        coords = [ZERO] * (n * n + n)
-        for c, row in zip(vec(u), self.inv):
-            if c:
-                for k, y in enumerate(row):
-                    if y:
-                        coords[k] += c * y
+        coords = row_combination(vec(u), self.inv)
         xi = tuple(tuple(coords[i * n + j] for j in range(n))
                    for i in range(n))
         return OmniElement(n, xi, tuple(coords[n * n:]))

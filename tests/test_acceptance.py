@@ -145,10 +145,12 @@ def test_criterion_03_courant_axioms(capsys, espaces):
         for z in zs:
             for e1 in basis:
                 for e2 in basis:
-                    lhs = E.courant_bracket(e1, E.z_scale(z, e2))
+                    lhs = E.courant_bracket(
+                        e1, E.from_vec(E.z_scale(z, e2.to_vec())))
                     xz = E.center_action(e1.x, z)
-                    rhs = E.z_scale(z, E.courant_bracket(e1, e2)) + \
-                        E.z_scale(xz, e2)
+                    rhs = E.from_vec(E.z_scale(
+                        z, E.courant_bracket(e1, e2).to_vec())) + \
+                        E.from_vec(E.z_scale(xz, e2.to_vec()))
                     ok = ok and lhs.to_vec() == rhs.to_vec()
     _report(capsys, 3, "Courant axioms (c0)-(c4) on full bases + 100 random triples",
             ok, time.monotonic() - t0, 60)

@@ -92,6 +92,38 @@ def test_omni_subcommand_reports_dims(capsys):
     assert doc["kernel_dim"] == 1
 
 
+@pytest.mark.parametrize("entry", (
+    [0, 1, ["0"]],               # coordinate list shorter than n
+    [-1, 0, ["1", "0"]],         # negative index
+    [0, 1, ["1", "0", "0"]],     # coordinate list longer than n
+))
+def test_omni_malformed_mu_exit_2_one_line_error(tmp_path, capsys, entry):
+    p = tmp_path / "mu.json"
+    p.write_text(json.dumps({"entries": [entry]}))
+    code, out = run(["omni", "--dim", "2", "--mu", str(p), "--format",
+                     "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert doc["error"] and "\n" not in doc["error"]
+
+
+def test_every_package_error_derives_from_the_base():
+    import importlib
+    import pkgutil
+
+    import hccourant
+    from hccourant.exactlin import HccourantError
+    errors = []
+    for info in pkgutil.iter_modules(hccourant.__path__):
+        mod = importlib.import_module(f"hccourant.{info.name}")
+        errors += [obj for name, obj in vars(mod).items()
+                   if name.endswith("Error") and isinstance(obj, type)
+                   and obj.__module__ == mod.__name__]
+    assert len(errors) >= 9
+    assert all(issubclass(e, HccourantError) for e in errors), errors
+
+
 def test_dirac_check_nonjacobi_exit_1_with_counterexample(capsys):
     code, out = run(["dirac-check", "--algebra", "v1_3",
                      "--bracket", "bracket_nonjacobi_v1_3",

@@ -89,6 +89,24 @@ def test_empty_matrix_needs_cols():
     assert nullspace(M).rows == 4
 
 
+def test_vec_and_qmatrix_hold_only_rationals():
+    inputs = [3, "2/5", True, Q(-7) / 3]
+    expected = (Q(3), Q(2) / 5, Q(1), Q(-7) / 3)
+    v = vec(inputs)
+    assert v == expected and all(type(x) is Q for x in v)
+    M = QMatrix([inputs, inputs[::-1]])
+    assert M[0] == expected
+    assert all(type(x) is Q for row in M for x in row)
+    # outputs built from rationals keep the type
+    for out in (rref(M)[0], M.transpose(), stack(M, M), row_space(M),
+                nullspace(M)):
+        assert all(type(x) is Q for row in out for x in row)
+    with pytest.raises(ExactLinError):
+        QMatrix([[1, 2], [3]])
+    with pytest.raises(ExactLinError):
+        QMatrix([[1, 2]], cols=3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(M):

@@ -8,10 +8,13 @@ and the product rule for the degree-raising map on commutative algebras.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hccourant.algebra import build_v1, ground_field, truncated_poly
-from hccourant.exactlin import Q, in_row_span, vec
-from hccourant.hochschild import (Chain, Cochain1, boundary_b,
+from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
+                               check_guard, ground_field, truncated_poly)
+from hccourant.exactlin import Q, QMatrix, in_row_span, vec
+from hccourant.hochschild import (Chain, Cochain1, _boundary_operator_rows,
+                                  boundary_b,
                                   coboundary_beta, cohomology_h1, commutator,
                                   connes_B, derivation_basis, elementary_chain,
                                   h_left_multiply, homology, inner_derivation,
@@ -199,3 +202,170 @@ def test_pairing_value():
 def test_descent(algebras, name):
     rep = verify_descent(algebras[name], 1)
     assert rep.ok, rep
+
+
+# ---------------------------------------------------------------------------
+# the basis-term rules against the per-operator loops they replaced
+#
+# The reference copies below keep the original dense decode/encode loops,
+# with their own index helpers, as the oracle for the chain-level operators.
+
+def _ref_encode(d, a):
+    idx = 0
+    for i in a:
+        idx = idx * d + i
+    return idx
+
+
+def _ref_decode(d, idx, n):
+    out = []
+    for _ in range(n + 1):
+        idx, r = divmod(idx, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _ref_boundary_b(c):
+    A, n, d = c.algebra, c.degree, c.algebra.dim
+    out = [Q(0)] * d ** n
+    for idx, x in enumerate(c.coords):
+        if not x:
+            continue
+        a = _ref_decode(d, idx, n)
+        for i in range(n):
+            sign = -x if i % 2 else x
+            rest = a[:i] + a[i + 2:]
+            for k, p in enumerate(A.structure[a[i]][a[i + 1]]):
+                if p:
+                    out[_ref_encode(d, a[:i] + (k,) + rest[i:])] += sign * p
+        sign = -x if n % 2 else x
+        for k, p in enumerate(A.structure[a[n]][a[0]]):
+            if p:
+                out[_ref_encode(d, (k,) + a[1:n])] += sign * p
+    return Chain(A, n - 1, tuple(out))
+
+
+def _ref_lie_derivative(X, c):
+    A, n, d = c.algebra, c.degree, c.algebra.dim
+    out = [Q(0)] * len(c.coords)
+    for idx, x in enumerate(c.coords):
+        if not x:
+            continue
+        a = _ref_decode(d, idx, n)
+        for i in range(n + 1):
+            for k, r in enumerate(X.rows[a[i]]):
+                if r:
+                    out[_ref_encode(d, a[:i] + (k,) + a[i + 1:])] += x * r
+    return Chain(A, n, tuple(out))
+
+
+def _ref_interior_product(X, c):
+    A, n, d = c.algebra, c.degree, c.algebra.dim
+    sgn = Q(1) if (n + 1) % 2 == 0 else Q(-1)
+    out = [Q(0)] * d ** n
+    for idx, x in enumerate(c.coords):
+        if not x:
+            continue
+        a = _ref_decode(d, idx, n)
+        head = A.mul(X.rows[a[n]], A.basis_vector(a[0]))
+        for k, p in enumerate(head):
+            if p:
+                out[_ref_encode(d, (k,) + a[1:n])] += sgn * x * p
+    return Chain(A, n - 1, tuple(out))
+
+
+def _ref_connes_B(c):
+    A, n, d = c.algebra, c.degree, c.algebra.dim
+    out = [Q(0)] * d ** (n + 2)
+    for idx, x in enumerate(c.coords):
+        if not x:
+            continue
+        a = _ref_decode(d, idx, n)
+        for i in range(n + 1):
+            sign = -x if (n * i) % 2 else x
+            cyc = a[i:] + a[:i]
+            for u, cu in enumerate(A.unit):
+                if cu:
+                    out[_ref_encode(d, (u,) + cyc)] += sign * cu
+                    out[_ref_encode(d, (cyc[0], u) + cyc[1:])] += sign * cu
+    return Chain(A, n + 1, tuple(out))
+
+
+def _ref_h_left_multiply(aprime, c):
+    A, n, d = c.algebra, c.degree, c.algebra.dim
+    out = [Q(0)] * len(c.coords)
+    for idx, x in enumerate(c.coords):
+        if not x:
+            continue
+        a = _ref_decode(d, idx, n)
+        head = A.mul(aprime, A.basis_vector(a[0]))
+        for k, p in enumerate(head):
+            if p:
+                out[_ref_encode(d, (k,) + a[1:])] += x * p
+    return Chain(A, n, tuple(out))
+
+
+def _ref_boundary_operator_rows(A, n):
+    """b applied to one dense elementary chain per degree-n basis index."""
+    N = A.dim ** (n + 1)
+    rows = []
+    for idx in range(N):
+        coords = [Q(0)] * N
+        coords[idx] = Q(1)
+        rows.append(_ref_boundary_b(Chain(A, n, tuple(coords))).coords)
+    return QMatrix(rows, cols=A.dim ** n)
+
+
+_rationals = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _chains(draw, algebras):
+    name = draw(st.sampled_from(sorted(algebras)))
+    A = algebras[name]
+    n = draw(st.integers(0, 2 if A.dim > 2 else 3))
+    N = A.dim ** (n + 1)
+    terms = draw(st.dictionaries(st.integers(0, N - 1), _rationals,
+                                 max_size=8))
+    return Chain(A, n, tuple(terms.get(i, Q(0)) for i in range(N)))
+
+
+def _derivation(draw, A):
+    basis = derivation_basis(A)
+    coeffs = draw(st.lists(_rationals, min_size=basis.rows,
+                           max_size=basis.rows))
+    flat = [Q(0)] * (A.dim * A.dim)
+    for c, row in zip(coeffs, basis):
+        flat = [f + c * x for f, x in zip(flat, row)]
+    return Cochain1(A, tuple(tuple(flat[j * A.dim:(j + 1) * A.dim])
+                             for j in range(A.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_operators_match_reference_loops(algebras, data):
+    c = data.draw(_chains(algebras))
+    A = c.algebra
+    X = _derivation(data.draw, A)
+    aprime = tuple(data.draw(st.lists(_rationals, min_size=A.dim,
+                                      max_size=A.dim)))
+    assert lie_derivative(X, c, checked=False) == _ref_lie_derivative(X, c)
+    assert connes_B(c) == _ref_connes_B(c)
+    assert h_left_multiply(aprime, c) == _ref_h_left_multiply(aprime, c)
+    if c.degree >= 1:
+        assert boundary_b(c) == _ref_boundary_b(c)
+        assert interior_product(X, c, checked=False) == \
+            _ref_interior_product(X, c)
+
+
+@pytest.mark.parametrize("name", ("q", "qx2", "qx3", "v1_1", "v1_2", "v1_3",
+                                  "m2q", "ut2"))
+def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
+    A = algebras[name]
+    for n in range(1, max(GUARD_MAX_DIM) + 1):
+        try:
+            check_guard(A.dim, n)
+        except GuardError:
+            continue
+        assert _boundary_operator_rows(A, n) == \
+            _ref_boundary_operator_rows(A, n)
