@@ -230,22 +230,28 @@ def algebra_to_json(A: FiniteAlgebra) -> dict:
 def algebra_from_json(doc: dict) -> FiniteAlgebra:
     try:
         name = doc["name"]
-        dim = int(doc["dimension"])
+        dim = doc["dimension"]
         basis = list(doc["basis"])
         unit = [rat(x) for x in doc["unit"]]
         triples = doc["structure"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra description: {exc}") from exc
+    # bool is an int subclass and int() truncates floats: accept only JSON
+    # integers as the dimension and as indices
+    if type(dim) is not int:
+        raise AlgebraError(f"dimension must be an integer, got {dim!r}")
     if len(basis) != dim:
         raise AlgebraError("basis length does not match dimension")
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in triples:
         try:
             i, j, coords = entry
-            i, j = int(i), int(j)
             coords = [rat(x) for x in coords]
         except (TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed structure entry {entry!r}") from exc
+        if type(i) is not int or type(j) is not int:
+            raise AlgebraError(
+                f"structure entry indices must be integers: {entry!r}")
         if not (0 <= i < dim and 0 <= j < dim) or len(coords) != dim:
             raise AlgebraError(f"structure entry out of range: {entry!r}")
         structure[i][j] = coords

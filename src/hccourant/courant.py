@@ -6,18 +6,30 @@ E(A) carries the Leibniz bracket
 
 and the H0-valued symmetric form (e1, e2) = <X2, a1> + <X1, a2>.  The radical
 J of the form is a two-sided bracket ideal; the quotient carries a
-nondegenerate induced form.  Both facts are re-verified exactly whenever the
-quotient is constructed.
+nondegenerate induced form.
+
+Both spaces work from structure tensors fixed by their values on a class
+basis: the bracket table [[e_i, e_j]] and the Z(A)-action table c_m . e_k
+for the centre basis c_m.  ESpace builds them from the chain-level rules on
+first use, so a space that never brackets pays nothing; ``bracket`` and
+``z_scale`` contract them with ``bilinear``.  The chain-level
+``courant_bracket`` stays as the reference the tables are tested against.
+
+Checks run at construction: ESpace verifies that B descends to H_0 (D does
+not depend on the representative); EpsilonSpace verifies, exactly, that J is
+a two-sided bracket ideal and that the induced form is nondegenerate, and
+raises CourantError if either fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       in_row_span, nullspace, quotient_basis, rank,
+                       make_membership, nullspace, quotient_basis, rank,
                        row_combination, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
@@ -108,9 +120,7 @@ class ESpace:
         return EElement(self, vec(x), vec(alpha))
 
     def from_vec(self, v: Sequence) -> EElement:
-        v = vec(v)
-        if len(v) != self.dim:
-            raise CourantError("E-vector length mismatch")
+        v = self._coords(v)
         return EElement(self, v[:self.h1co.dim], v[self.h1co.dim:])
 
     def basis_element(self, k: int) -> EElement:
@@ -153,9 +163,10 @@ class ESpace:
     def _check_d_map_descent(self):
         # B of a commutator representative must land in the boundaries,
         # otherwise D would depend on the representative
+        in_boundaries = make_membership(self.h1.boundary_basis)
         for row in self.h0.boundary_basis:
             b = connes_B(Chain(self.algebra, 0, row))
-            if not in_row_span(b.coords, self.h1.boundary_basis):
+            if in_boundaries(b.coords) is None:
                 raise CourantError(
                     "B does not descend on H0: representative dependence")
 
@@ -181,31 +192,89 @@ class ESpace:
         return EElement(self, b.x,
                         tuple(p - half * q for p, q in zip(b.alpha, d.alpha)))
 
+    # -- structure tensors --------------------------------------------------
+
+    @cached_property
+    def bracket_table(self) -> tuple:
+        """bracket_table[i][j] = [[e_i, e_j]] in E coordinates, assembled
+        from the chain rules on class-basis pairs: [X_i, X_j] (skew),
+        L_X_i alpha_j, and -L_X_j alpha_i + D<X_j, alpha_i>; (alpha, alpha)
+        pairs bracket to 0."""
+        hc, hh = self.h1co.dim, self.h1.dim
+        zero_x, zero_a = (ZERO,) * hc, (ZERO,) * hh
+        T = [[zero_x + zero_a] * self.dim for _ in range(self.dim)]
+        X = [self._derivation_rep(i) for i in range(hc)]
+        for i in range(hc):
+            for j in range(i + 1, hc):
+                c = self.class_of_derivation(commutator(X[i], X[j]))
+                T[i][j] = c + zero_a
+                T[j][i] = tuple(-x for x in c) + zero_a
+        D = QMatrix([self.d_map(h).alpha
+                     for h in QMatrix.identity(self.h0.dim)], cols=hh)
+        for i in range(hc):
+            for j in range(hh):
+                lx = self.h1.reduce(lie_derivative(
+                    X[i], self.h1.rep_chain(j), checked=False).coords)
+                back = row_combination(self._ptable[i][j], D)
+                T[i][hc + j] = zero_x + lx
+                T[hc + j][i] = zero_x + tuple(b - a for a, b in zip(lx, back))
+        return tuple(map(tuple, T))
+
+    @cached_property
+    def z_table(self) -> tuple:
+        """z_table[m][k] = c_m . e_k in E coordinates for the centre basis
+        c_m: (z X, z alpha) on class representatives."""
+        A = self.algebra
+        hc, hh = self.h1co.dim, self.h1.dim
+        table = []
+        for z in self.center_basis:
+            rows = []
+            for k in range(hc):
+                X = self._derivation_rep(k)
+                zx = Cochain1(A, tuple(A.mul(z, row) for row in X.rows))
+                rows.append(self.class_of_derivation(zx) + (ZERO,) * hh)
+            for k in range(hh):
+                za = h_left_multiply(z, self.h1.rep_chain(k))
+                rows.append((ZERO,) * hc + self.h1.reduce_chain(za))
+            table.append(tuple(rows))
+        return tuple(table)
+
+    @cached_property
+    def _center_membership(self):
+        return make_membership(self.center_basis)
+
+    def center_coords(self, zcoords: Sequence) -> tuple:
+        """Coordinates of a central element over ``center_basis``."""
+        c = self._center_membership(zcoords)
+        if c is None:
+            raise CourantError("element is not central")
+        return c
+
     def center_action(self, xcoords: Sequence, zcoords: Sequence) -> tuple:
         """X(z) for z central; the result is checked to be central again."""
-        if not in_row_span(vec(zcoords), self.center_basis):
+        if self._center_membership(zcoords) is None:
             raise CourantError("center_action: element is not central")
         X = self.derivation_of(xcoords)
         out = X.apply(vec(zcoords))
-        if not in_row_span(out, self.center_basis):
+        if self._center_membership(out) is None:
             raise CourantError("center_action: image left the center")
         return out
 
     def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
         """The Z(A)-module action z.(X, alpha) on E(A) coordinates."""
-        A = self.algebra
-        z = vec(zcoords)
-        e = self.from_vec(u)
-        X = self.derivation_of(e.x)
-        xz = self.class_of_derivation(
-            Cochain1(A, tuple(A.mul(z, row) for row in X.rows)))
-        az = self.h1.reduce_chain(h_left_multiply(z, self.chain_of(e.alpha)))
-        return xz + az
+        return bilinear(self.center_coords(zcoords), self._coords(u),
+                        self.z_table, self.dim)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """The Courant bracket on E(A) coordinates."""
-        e = self.courant_bracket(self.from_vec(u), self.from_vec(v))
-        return e.to_vec()
+        return bilinear(self._coords(u), self._coords(v), self.bracket_table,
+                        self.dim)
+
+    def _coords(self, u: Sequence) -> tuple:
+        u = vec(u)
+        if len(u) != self.dim:
+            raise CourantError("E-vector length mismatch")
+        return u
 
     def form(self, u: Sequence, v: Sequence) -> tuple:
         """The H_0-valued form on E(A) coordinates."""
@@ -273,26 +342,45 @@ class EpsilonSpace:
         return self._reduce(evec)
 
     def lift(self, coords: Sequence) -> EElement:
-        coords = vec(coords)
-        if len(coords) != self.dim:
-            raise CourantError("epsilon coordinate length mismatch")
-        return self.espace.from_vec(row_combination(coords, self.class_reps))
+        return self.espace.from_vec(
+            row_combination(self._coords(coords), self.class_reps))
 
     def basis_coords(self, k: int) -> tuple:
         return tuple(ONE if i == k else ZERO for i in range(self.dim))
 
     # -- induced structure --------------------------------------------------
 
+    @cached_property
+    def bracket_table(self) -> tuple:
+        """bracket_table[a][b] = [[r_a, r_b]] reduced, for the class
+        representatives r_a; well defined because J is an ideal."""
+        E, reps = self.espace, self.class_reps
+        return tuple(tuple(self._reduce(E.bracket(ra, rb)) for rb in reps)
+                     for ra in reps)
+
+    @cached_property
+    def z_table(self) -> tuple:
+        """z_table[m][a] = c_m . r_a reduced, for the centre basis c_m."""
+        E, reps = self.espace, self.class_reps
+        return tuple(tuple(self._reduce(E.z_scale(z, ra)) for ra in reps)
+                     for z in self.center_basis)
+
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        b = self.espace.courant_bracket(self.lift(u), self.lift(v))
-        return self._reduce(b.to_vec())
+        return bilinear(self._coords(u), self._coords(v), self.bracket_table,
+                        self.dim)
 
     def form(self, u: Sequence, v: Sequence) -> tuple:
         return bilinear(vec(u), vec(v), self.form_table, self.h0_dim)
 
     def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
-        return self._reduce(
-            self.espace.z_scale(zcoords, self.lift(u).to_vec()))
+        return bilinear(self.espace.center_coords(zcoords), self._coords(u),
+                        self.z_table, self.dim)
+
+    def _coords(self, u: Sequence) -> tuple:
+        u = vec(u)
+        if len(u) != self.dim:
+            raise CourantError("epsilon coordinate length mismatch")
+        return u
 
     def rho(self, u: Sequence) -> tuple:
         """Induced anchor; only well-defined when the algebra is commutative
@@ -315,14 +403,14 @@ class EpsilonSpace:
 
     def _verify_ideal(self):
         E = self.espace
+        T = E.bracket_table
+        in_J = make_membership(self.J)
+        units = QMatrix.identity(E.dim)
         for j, jrow in enumerate(self.J):
-            ej = E.from_vec(jrow)
-            for k in range(E.dim):
-                ek = E.basis_element(k)
-                left = E.courant_bracket(ej, ek).to_vec()
-                right = E.courant_bracket(ek, ej).to_vec()
-                if not in_row_span(left, self.J) or \
-                        not in_row_span(right, self.J):
+            for k, ek in enumerate(units):
+                left = bilinear(jrow, ek, T, E.dim)
+                right = bilinear(ek, jrow, T, E.dim)
+                if in_J(left) is None or in_J(right) is None:
                     raise CourantError(
                         f"radical is not a bracket ideal at (J{j}, e{k})")
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace
 from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       in_row_span, membership, nullspace, rank, rat_str,
+                       make_membership, nullspace, rank, rat_str,
                        row_combination, row_space, span_contains, vec,
                        vec_is_zero)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
@@ -46,6 +47,12 @@ class Submodule:
     @property
     def on_quotient(self) -> bool:
         return isinstance(self.ambient, EpsilonSpace)
+
+    @cached_property
+    def span_coords(self):
+        """``membership`` against the spanning vectors, with one elimination
+        per submodule: coefficients over ``vectors``, or None outside."""
+        return make_membership(self.vectors)
 
 
 def _unit_vec(n, k):
@@ -92,7 +99,7 @@ def is_bracket_closed(L: Submodule):
     for i in range(L.dim):
         for j in range(L.dim):
             b = L.ambient.bracket(L.vectors[i], L.vectors[j])
-            if not in_row_span(b, L.vectors):
+            if L.span_coords(b) is None:
                 return False, (i, j, b)
     return True, None
 
@@ -100,7 +107,7 @@ def is_bracket_closed(L: Submodule):
 def is_z_stable(L: Submodule) -> bool:
     for z in L.ambient.center_basis:
         for l in L.vectors:
-            if not in_row_span(L.ambient.z_scale(z, l), L.vectors):
+            if L.span_coords(L.ambient.z_scale(z, l)) is None:
                 return False
     return True
 
@@ -470,8 +477,7 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         x = eps.lift(u).x
         rows = []
         for z in cb:
-            img = E.center_action(x, z)
-            rows.append(list(membership(img, cb)))
+            rows.append(list(E.center_coords(E.center_action(x, z))))
         return rows
 
     def mat_sub(P, R):

@@ -260,38 +260,55 @@ def nullspace(M: QMatrix) -> QMatrix:
     return QMatrix(tuple(basis), M.cols)
 
 
+def _solver(S: QMatrix):
+    """One elimination of S; returns ``(solve, rank)`` where ``solve(v)`` is
+    the c with c.S = v when v is in the row span of S, else None, in
+    O(rank x cols) per call."""
+    R, T, pivots, rk = rref_transform(S)
+    rdata = R.data
+    tdata = T.data
+    ncols = S.cols
+    nrows = S.rows
+
+    def solve(v: Sequence) -> Optional[tuple]:
+        w = list(vec(v))
+        if len(w) != ncols:
+            raise ExactLinError("membership: dimension mismatch")
+        c_r = [ZERO] * rk
+        for j, pc in enumerate(pivots):
+            f = w[pc]
+            if f:
+                c_r[j] = f
+                row = rdata[j]
+                for k in range(pc, ncols):
+                    x = row[k]
+                    if x:
+                        w[k] -= f * x
+        if not all(a == 0 for a in w):
+            return None
+        # coefficients over the original rows of S
+        out = [ZERO] * nrows
+        for j in range(rk):
+            f = c_r[j]
+            if f:
+                trow = tdata[j]
+                for k in range(nrows):
+                    x = trow[k]
+                    if x:
+                        out[k] += f * x
+        return tuple(out)
+
+    return solve, rk
+
+
+def make_membership(S: QMatrix) -> Callable[[Sequence], Optional[tuple]]:
+    """``membership`` against a fixed S, eliminating S once for every call."""
+    return _solver(S)[0]
+
+
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
     """Coefficients c with c.S = v when v is in the row span of S, else None."""
-    v = vec(v)
-    if len(v) != S.cols:
-        raise ExactLinError("membership: dimension mismatch")
-    if S.rows == 0:
-        return () if vec_is_zero(v) else None
-    R, T, pivots, rk = rref_transform(S)
-    w = list(v)
-    c_r = [ZERO] * rk
-    for j, pc in enumerate(pivots):
-        f = w[pc]
-        if f:
-            c_r[j] = f
-            row = R[j]
-            for k in range(pc, len(w)):
-                x = row[k]
-                if x:
-                    w[k] -= f * x
-    if not all(a == 0 for a in w):
-        return None
-    # coefficients over the original rows of S
-    out = [ZERO] * S.rows
-    for j in range(rk):
-        f = c_r[j]
-        if f:
-            trow = T[j]
-            for k in range(S.rows):
-                x = trow[k]
-                if x:
-                    out[k] += f * x
-    return tuple(out)
+    return make_membership(S)(v)
 
 
 def in_row_span(v: Sequence, S: QMatrix) -> bool:
@@ -315,40 +332,15 @@ def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
     The returned callable maps any v in rowspan(B) to the unique c with
     c.B = v, in O(rows x cols) per call; raises ExactLinError outside the span.
     """
-    R, T, pivots, rk = rref_transform(B)
+    solve, rk = _solver(B)
     if rk != B.rows:
         raise ExactLinError("make_reducer: rows are dependent")
-    rdata = R.data
-    tdata = T.data
-    ncols = B.cols
-    nrows = B.rows
 
     def reduce(v: Sequence) -> tuple:
-        if len(v) != ncols:
-            raise ExactLinError("reduce: dimension mismatch")
-        w = list(vec(v))
-        c_r = [ZERO] * rk
-        for j, pc in enumerate(pivots):
-            f = w[pc]
-            if f:
-                c_r[j] = f
-                row = rdata[j]
-                for k in range(pc, ncols):
-                    x = row[k]
-                    if x:
-                        w[k] -= f * x
-        if not all(a == 0 for a in w):
+        c = solve(v)
+        if c is None:
             raise ExactLinError("reduce: vector outside the span")
-        out = [ZERO] * nrows
-        for j in range(rk):
-            f = c_r[j]
-            if f:
-                trow = tdata[j]
-                for k in range(nrows):
-                    x = trow[k]
-                    if x:
-                        out[k] += f * x
-        return tuple(out)
+        return c
 
     return reduce
 

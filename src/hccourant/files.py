@@ -80,11 +80,15 @@ def load_table(path: str, d: int) -> list:
     for entry in entries:
         try:
             i, j, coords = entry
-            i, j = int(i), int(j)
             coords = vec(rat(x) for x in coords)
         except (TypeError, ValueError) as exc:
             raise FileFormatError(
                 f"{path}: malformed entry {entry!r}") from exc
+        # bool is an int subclass and int() truncates floats: accept only
+        # JSON integers as indices
+        if type(i) is not int or type(j) is not int:
+            raise FileFormatError(
+                f"{path}: entry indices must be integers: {entry!r}")
         if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
             raise FileFormatError(f"{path}: entry out of range: {entry!r}")
         table[i][j] = coords

@@ -15,8 +15,8 @@ from typing import Optional
 from .algebra import FiniteAlgebra, matrix_algebra, opposite_algebra
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, membership, rank,
-                       row_combination, vec)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, make_reducer,
+                       rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
 
@@ -92,10 +92,9 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
     h0_map = QMatrix(h0_rows, cols=tgt.h0.dim)
     if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
         raise MoritaError("corner embedding does not identify H_0")
-    h0_inv = QMatrix(
-        [membership(tuple(ONE if i == k else ZERO
-                          for i in range(tgt.h0.dim)), h0_map)
-         for k in range(tgt.h0.dim)], cols=src.h0.dim)
+    h0_coords = make_reducer(h0_map)
+    h0_inv = QMatrix([h0_coords(row) for row in QMatrix.identity(tgt.h0.dim)],
+                     cols=src.h0.dim)
     return MoritaMaps(src, tgt, r,
                       QMatrix(h1co_rows, cols=tgt.h1co.dim),
                       QMatrix(h1_rows, cols=tgt.h1.dim),
@@ -197,17 +196,11 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
                 pairing_ok = False
 
     # bracket: (T (+) I) [[u, v]] = [[(T (+) I) u, (T (+) I) v]]
-    bracket_ok = True
-    for i in range(src.dim):
-        u = src.basis_element(i)
-        for j in range(src.dim):
-            v = src.basis_element(j)
-            lhs = maps.map_e_vec(src.courant_bracket(u, v).to_vec())
-            rhs = tgt.courant_bracket(
-                tgt.from_vec(maps.map_e_vec(u.to_vec())),
-                tgt.from_vec(maps.map_e_vec(v.to_vec()))).to_vec()
-            if lhs != rhs:
-                bracket_ok = False
+    e_images = [maps.map_e_vec(u) for u in QMatrix.identity(src.dim)]
+    bracket_ok = all(
+        maps.map_e_vec(src.bracket_table[i][j])
+        == tgt.bracket(e_images[i], e_images[j])
+        for i in range(src.dim) for j in range(src.dim))
 
     homotopy_ok = _check_homotopy_identity(A, M, r)
 
@@ -297,18 +290,10 @@ def verify_opposite(A: FiniteAlgebra, *,
     same_pres = (E.h1co.class_reps == Eop.h1co.class_reps
                  and E.h1.class_reps == Eop.h1.class_reps
                  and E.h0.class_reps == Eop.h0.class_reps)
-    brackets = True
-    forms = True
+    brackets = forms = dims and same_pres
     if dims and same_pres:
-        for i in range(E.dim):
-            u, uo = E.basis_element(i), Eop.basis_element(i)
-            for j in range(E.dim):
-                v, vo = E.basis_element(j), Eop.basis_element(j)
-                if E.courant_bracket(u, v).to_vec() != \
-                        Eop.courant_bracket(uo, vo).to_vec():
-                    brackets = False
-                if E.bilinear_form(u, v) != Eop.bilinear_form(uo, vo):
-                    forms = False
-    else:
-        brackets = forms = dims and same_pres
+        brackets = E.bracket_table == Eop.bracket_table
+        basis = QMatrix.identity(E.dim)
+        forms = all(E.form(u, v) == Eop.form(u, v)
+                    for u in basis for v in basis)
     return OppositeReport(A.name, dims, same_pres, brackets, forms)

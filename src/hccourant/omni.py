@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra, build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, membership, rank,
-                       row_combination, span_equal, vec, vec_is_zero)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, make_reducer,
+                       rank, row_combination, span_equal, vec, vec_is_zero)
 from .hochschild import Cochain1, elementary_chain
 
 
@@ -198,9 +198,8 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
     if rank(fwd) != dim:
         raise OmniError("the canonical map gl(V) (+) V -> epsilon(V[1]) "
                         "is not bijective")
-    inv_rows = [membership(tuple(ONE if i == k else ZERO
-                                 for i in range(eps.dim)), fwd)
-                for k in range(eps.dim)]
+    coords = make_reducer(fwd)
+    inv_rows = [coords(row) for row in QMatrix.identity(eps.dim)]
     return OmniIso(n, A_E, eps, fwd, QMatrix(inv_rows, cols=dim))
 
 

@@ -57,5 +57,15 @@ def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:
     return Chain(A, n, rand_vec(rng, A.dim ** (n + 1)))
 
 
+def perturbed_table(table, i, j, k):
+    """A copy of a bracket table with 1 added to coordinate k of entry
+    (i, j)."""
+    rows = [list(row) for row in table]
+    cell = list(rows[i][j])
+    cell[k] += 1
+    rows[i][j] = tuple(cell)
+    return tuple(map(tuple, rows))
+
+
 def rng_for(name: str) -> random.Random:
     return random.Random(zlib.crc32(name.encode()))

@@ -96,12 +96,58 @@ def test_omni_subcommand_reports_dims(capsys):
     [0, 1, ["0"]],               # coordinate list shorter than n
     [-1, 0, ["1", "0"]],         # negative index
     [0, 1, ["1", "0", "0"]],     # coordinate list longer than n
+    [0.9, 1, ["1", "0"]],        # float index (int() would truncate it)
+    [True, 0, ["-1", "0"]],      # boolean index (a bool is an int)
+    ["1", 0, ["-1", "0"]],       # string index
 ))
 def test_omni_malformed_mu_exit_2_one_line_error(tmp_path, capsys, entry):
     p = tmp_path / "mu.json"
     p.write_text(json.dumps({"entries": [entry]}))
     code, out = run(["omni", "--dim", "2", "--mu", str(p), "--format",
                      "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert doc["error"] and "\n" not in doc["error"]
+
+
+def test_omni_mu_float_and_bool_indices_rejected(tmp_path, capsys):
+    # read as 0 and 1, these entries would make a skew table and exit 0
+    p = tmp_path / "mu.json"
+    p.write_text(json.dumps({"entries": [[0.9, 1, ["1", "0"]],
+                                         [True, 0, ["-1", "0"]]]}))
+    code, out = run(["omni", "--dim", "2", "--mu", str(p), "--format",
+                     "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert "0.9" in doc["error"] and "\n" not in doc["error"]
+
+
+def test_bracket_table_float_index_exit_2(tmp_path, capsys):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"algebra": "v1_3", "entries": [
+        [1.0, 2, ["0", "0", "0", "1"]], [2, 1, ["0", "0", "0", "-1"]]]}))
+    code, out = run(["dirac-check", "--algebra", "v1_3", "--bracket", str(p),
+                     "--format", "json"], capsys)
+    assert code == 2
+    assert "\n" not in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("dimension, entry", (
+    (1.0, [0, 0, ["1"]]),
+    (True, [0, 0, ["1"]]),
+    (1, [0.0, 0, ["1"]]),
+    (1, [0, False, ["1"]]),
+))
+def test_algebra_non_integer_dimension_or_index_exit_2(tmp_path, capsys,
+                                                       dimension, entry):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps({"name": "x", "dimension": dimension,
+                             "basis": ["1"], "unit": ["1"],
+                             "structure": [entry]}))
+    code, out = run(["validate", "--algebra", str(p), "--format", "json"],
+                    capsys)
     assert code == 2
     doc = json.loads(out)
     assert doc["exit_code"] == 2

@@ -1,13 +1,14 @@
 """The bracket/form/anchor axioms on E(A) and the quotient construction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hccourant.algebra import truncated_poly
+from hccourant.algebra import build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
-from hccourant.exactlin import Q, QMatrix, rank, vec_is_zero
+from hccourant.exactlin import Q, QMatrix, rank, row_combination, vec_is_zero
 from hccourant.hochschild import (Chain, Cochain1, commutator,
-                                  elementary_chain)
-from conftest import rand_combination, rand_vec, rng_for
+                                  elementary_chain, h_left_multiply)
+from conftest import perturbed_table, rand_combination, rand_vec, rng_for
 
 NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
 
@@ -174,3 +175,61 @@ def test_mismatched_spaces_rejected(espaces):
     e2 = E2.basis_element(0)
     with pytest.raises(CourantError):
         E1.courant_bracket(e1, e2)
+
+
+# ---------------------------------------------------------------------------
+# the cached structure tensors against the chain-level maps
+
+def _chain_z_scale(E, zcoords, u):
+    """Reference Z(A)-action: z.X and z.alpha on chain representatives,
+    reduced to classes (the chain-level body the z_table replaced)."""
+    A = E.algebra
+    e = E.from_vec(u)
+    X = E.derivation_of(e.x)
+    xz = E.class_of_derivation(
+        Cochain1(A, tuple(A.mul(zcoords, row) for row in X.rows)))
+    az = E.h1.reduce_chain(h_left_multiply(zcoords, E.chain_of(e.alpha)))
+    return xz + az
+
+
+@pytest.fixture(scope="module")
+def table_spaces(epsilons):
+    """Every bundled quotient with E != 0, plus the omni space V[1], n = 4."""
+    spaces = {name: epsilons[name] for name in NONZERO_E}
+    spaces["v1_4"] = EpsilonSpace(ESpace(build_v1(4)))
+    return spaces
+
+
+_rationals = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_structure_tables_match_chain_level_maps(table_spaces, data):
+    eps = table_spaces[data.draw(st.sampled_from(sorted(table_spaces)))]
+    E = eps.espace
+
+    def draw_vec(n):
+        return tuple(data.draw(st.lists(_rationals, min_size=n, max_size=n)))
+
+    u, v = draw_vec(E.dim), draw_vec(E.dim)
+    z = row_combination(draw_vec(E.center_basis.rows), E.center_basis)
+    assert E.bracket(u, v) == \
+        E.courant_bracket(E.from_vec(u), E.from_vec(v)).to_vec()
+    assert E.z_scale(z, u) == _chain_z_scale(E, z, u)
+    a, b = draw_vec(eps.dim), draw_vec(eps.dim)
+    lift_a = eps.lift(a)
+    assert eps.bracket(a, b) == \
+        eps.reduce(E.courant_bracket(lift_a, eps.lift(b)).to_vec())
+    assert eps.z_scale(z, a) == \
+        eps.reduce(_chain_z_scale(E, z, lift_a.to_vec()))
+
+
+def test_ideal_check_fails_on_a_perturbed_bracket_table():
+    E = ESpace(build_v1(2))  # its own instance: the tables are cached on it
+    J = kernel_J(E)
+    a = next(k for k, x in enumerate(J[0]) if x)
+    # [e_0, J_0] gains a multiple of e_0, which lies outside J
+    E.bracket_table = perturbed_table(E.bracket_table, 0, a, 0)
+    with pytest.raises(CourantError, match="bracket ideal"):
+        EpsilonSpace(E)

@@ -11,9 +11,11 @@ from hccourant.dirac import Submodule, is_dirac, make_bracket_table, \
 from hccourant.exactlin import Q, QMatrix
 from hccourant.hochschild import (Chain, Cochain1, boundary_b,
                                   elementary_chain, homology)
+from hccourant import morita
 from hccourant.morita import (MoritaError, cotr, inc, transport_dirac,
                               verify_morita, verify_opposite,
                               _check_homotopy_identity)
+from conftest import perturbed_table
 
 
 def test_m2q_homology_matches_ground_field():
@@ -94,3 +96,30 @@ def test_ut2_has_trivial_e_on_both_sides():
     assert E.dim == 0
     rep = verify_opposite(upper_triangular2())
     assert rep.ok
+
+
+def _perturbing_espace(source):
+    """An ESpace factory that perturbs the bracket table of every space not
+    over ``source`` (the opposite or matrix-algebra side)."""
+    def build(A, **kwargs):
+        E = ESpace(A, **kwargs)
+        if A is not source:
+            E.bracket_table = perturbed_table(E.bracket_table, 0, 0, 0)
+        return E
+    return build
+
+
+def test_opposite_bracket_comparison_can_fail(monkeypatch):
+    A = truncated_poly(3)
+    monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
+    rep = verify_opposite(A)
+    assert rep.presentations_coincide and rep.form_tables_match
+    assert not rep.bracket_tables_match and not rep.ok
+
+
+def test_morita_bracket_comparison_can_fail(monkeypatch):
+    A = truncated_poly(2)
+    monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
+    rep = verify_morita(A, 2).report
+    assert rep.pairing_preserved and rep.homotopy_identity
+    assert not rep.bracket_preserved and not rep.ok
