@@ -8,12 +8,15 @@ and the H0-valued symmetric form (e1, e2) = <X2, a1> + <X1, a2>.  The radical
 J of the form is a two-sided bracket ideal; the quotient carries a
 nondegenerate induced form.
 
-Both spaces work from structure tensors fixed by their values on a class
-basis: the bracket table [[e_i, e_j]] and the Z(A)-action table c_m . e_k
-for the centre basis c_m.  ESpace builds them from the chain-level rules on
-first use, so a space that never brackets pays nothing; ``bracket`` and
-``z_scale`` contract them with ``bilinear``.  The chain-level
-``courant_bracket`` stays as the reference the tables are tested against.
+An element of either space is its coordinate tuple over a class basis, and
+both spaces work from structure tensors fixed by their values on that basis:
+the bracket table [[e_i, e_j]], the form table (e_i, e_j) and the
+Z(A)-action table c_m . e_k for the centre basis c_m.  ESpace builds them
+from the chain-level rules on first use, so a space that never brackets
+pays nothing; ``bracket``, ``form`` and ``z_scale`` contract them with
+``bilinear``, and ``orthogonal`` reads every radical and orthogonal off the
+form table.  The chain-level ``courant_bracket`` stays as the reference the
+tables are tested against.
 
 Checks run at construction: ESpace verifies that B descends to H_0 (D does
 not depend on the representative); EpsilonSpace verifies, exactly, that J is
@@ -23,13 +26,12 @@ raises CourantError if either fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       make_membership, nullspace, quotient_basis, rank,
+                       make_membership, nullspace, quotient_basis,
                        row_combination, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
@@ -40,51 +42,13 @@ class CourantError(HccourantError):
     pass
 
 
-@dataclass(frozen=True)
-class EElement:
-    """An element of E(A) in class coordinates over a fixed ESpace."""
-    space: "ESpace"
-    x: tuple      # H^1 class coordinates
-    alpha: tuple  # H_1 class coordinates
-
-    def __post_init__(self):
-        if len(self.x) != self.space.h1co.dim or \
-                len(self.alpha) != self.space.h1.dim:
-            raise CourantError("coordinate length mismatch")
-
-    def to_vec(self) -> tuple:
-        return self.x + self.alpha
-
-    def __add__(self, other):
-        self._same(other)
-        return EElement(self.space,
-                        tuple(a + b for a, b in zip(self.x, other.x)),
-                        tuple(a + b for a, b in zip(self.alpha, other.alpha)))
-
-    def __sub__(self, other):
-        self._same(other)
-        return EElement(self.space,
-                        tuple(a - b for a, b in zip(self.x, other.x)),
-                        tuple(a - b for a, b in zip(self.alpha, other.alpha)))
-
-    def __mul__(self, c):
-        c = Q(c)
-        return EElement(self.space, tuple(c * a for a in self.x),
-                        tuple(c * a for a in self.alpha))
-
-    __rmul__ = __mul__
-
-    def _same(self, other):
-        if self.space is not other.space:
-            raise CourantError("elements of different E-spaces")
-
-
 class ESpace:
     """E(A) with fixed presentations of H^1, H_1, H_0 and the center.
 
-    ``dim``, ``bracket``, ``form``, ``z_scale``, ``center_basis`` and
-    ``h0_dim`` act on coordinate tuples and are shared with EpsilonSpace, so
-    a submodule can live in either ambient.
+    Elements are E coordinate tuples, x-part (H^1) first.  ``dim``,
+    ``bracket``, ``form``, ``form_table``, ``z_scale``, ``center_basis`` and
+    ``h0_dim`` are shared with EpsilonSpace, so a submodule can live in
+    either ambient.
     """
 
     def __init__(self, algebra: FiniteAlgebra, *,
@@ -116,17 +80,6 @@ class ESpace:
     def chain_of(self, acoords: Sequence) -> Chain:
         return self.h1.class_to_chain(acoords)
 
-    def element(self, x: Sequence, alpha: Sequence) -> EElement:
-        return EElement(self, vec(x), vec(alpha))
-
-    def from_vec(self, v: Sequence) -> EElement:
-        v = self._coords(v)
-        return EElement(self, v[:self.h1co.dim], v[self.h1co.dim:])
-
-    def basis_element(self, k: int) -> EElement:
-        return self.from_vec(tuple(ONE if i == k else ZERO
-                                   for i in range(self.dim)))
-
     def class_of_derivation(self, X: Cochain1) -> tuple:
         return self.h1co.reduce(X.flatten())
 
@@ -142,23 +95,17 @@ class ESpace:
         """<X, alpha> in H_0 class coordinates, bilinear in class coords."""
         return bilinear(xcoords, acoords, self._ptable, self.h0.dim)
 
-    def bilinear_form(self, e1: EElement, e2: EElement) -> tuple:
-        self._check(e1, e2)
-        a = self.pairing_classes(e2.x, e1.alpha)
-        b = self.pairing_classes(e1.x, e2.alpha)
-        return tuple(p + q for p, q in zip(a, b))
+    def rho(self, u: Sequence) -> tuple:
+        """The anchor: the H^1 part of an E(A) vector."""
+        return self._coords(u)[:self.h1co.dim]
 
-    def rho(self, e: EElement) -> tuple:
-        return e.x
-
-    def d_map(self, h0coords: Sequence) -> EElement:
+    def d_map(self, h0coords: Sequence) -> tuple:
         """D(h) = (0, class of B on a representative of h)."""
         h0coords = vec(h0coords)
         if len(h0coords) != self.h0.dim:
             raise CourantError("H0 coordinate length mismatch")
         rep = self.h0.class_to_chain(h0coords)
-        alpha = self.h1.reduce_chain(connes_B(rep))
-        return EElement(self, (ZERO,) * self.h1co.dim, alpha)
+        return (ZERO,) * self.h1co.dim + self.h1.reduce_chain(connes_B(rep))
 
     def _check_d_map_descent(self):
         # B of a commutator representative must land in the boundaries,
@@ -170,27 +117,27 @@ class ESpace:
                 raise CourantError(
                     "B does not descend on H0: representative dependence")
 
-    def courant_bracket(self, e1: EElement, e2: EElement) -> EElement:
-        self._check(e1, e2)
-        X1 = self.derivation_of(e1.x)
-        X2 = self.derivation_of(e2.x)
-        a1 = self.chain_of(e1.alpha)
-        a2 = self.chain_of(e2.alpha)
+    def courant_bracket(self, u: Sequence, v: Sequence) -> tuple:
+        """The bracket on chain representatives: the reference the bracket
+        table is tested against."""
+        hc = self.h1co.dim
+        u, v = self._coords(u), self._coords(v)
+        X1, X2 = self.derivation_of(u[:hc]), self.derivation_of(v[:hc])
+        a1, a2 = self.chain_of(u[hc:]), self.chain_of(v[hc:])
         xb = self.class_of_derivation(commutator(X1, X2))
         t = lie_derivative(X1, a2, checked=False) \
             - lie_derivative(X2, a1, checked=False)
-        h = self.pairing_classes(e2.x, e1.alpha)
+        h = self.pairing_classes(v[:hc], u[hc:])
         bterm = connes_B(self.h0.class_to_chain(h))
         ab = self.h1.reduce(tuple(p + q for p, q in
                                   zip(t.coords, bterm.coords)))
-        return EElement(self, xb, ab)
+        return xb + ab
 
-    def skew_bracket(self, e1: EElement, e2: EElement) -> EElement:
+    def skew_bracket(self, u: Sequence, v: Sequence) -> tuple:
         half = Q(1, 2)
-        b = self.courant_bracket(e1, e2)
-        d = self.d_map(self.bilinear_form(e1, e2))
-        return EElement(self, b.x,
-                        tuple(p - half * q for p, q in zip(b.alpha, d.alpha)))
+        return tuple(p - half * q for p, q in
+                     zip(self.courant_bracket(u, v),
+                         self.d_map(self.form(u, v))))
 
     # -- structure tensors --------------------------------------------------
 
@@ -209,7 +156,7 @@ class ESpace:
                 c = self.class_of_derivation(commutator(X[i], X[j]))
                 T[i][j] = c + zero_a
                 T[j][i] = tuple(-x for x in c) + zero_a
-        D = QMatrix([self.d_map(h).alpha
+        D = QMatrix([self.d_map(h)[hc:]
                      for h in QMatrix.identity(self.h0.dim)], cols=hh)
         for i in range(hc):
             for j in range(hh):
@@ -219,6 +166,18 @@ class ESpace:
                 T[i][hc + j] = zero_x + lx
                 T[hc + j][i] = zero_x + tuple(b - a for a, b in zip(lx, back))
         return tuple(map(tuple, T))
+
+    @cached_property
+    def form_table(self) -> tuple:
+        """form_table[i][j] = (e_i, e_j) in H_0 class coordinates: the
+        pairing <X_i, alpha_j> on (X, alpha) pairs, symmetric, and 0 on
+        (X, X) and (alpha, alpha) pairs."""
+        hc = self.h1co.dim
+        F = [[(ZERO,) * self.h0_dim] * self.dim for _ in range(self.dim)]
+        for i in range(hc):
+            for j in range(self.h1.dim):
+                F[i][hc + j] = F[hc + j][i] = self._ptable[i][j]
+        return tuple(map(tuple, F))
 
     @cached_property
     def z_table(self) -> tuple:
@@ -278,7 +237,8 @@ class ESpace:
 
     def form(self, u: Sequence, v: Sequence) -> tuple:
         """The H_0-valued form on E(A) coordinates."""
-        return self.bilinear_form(self.from_vec(u), self.from_vec(v))
+        return bilinear(self._coords(u), self._coords(v), self.form_table,
+                        self.h0_dim)
 
     def h0_action(self, xcoords: Sequence, h0coords: Sequence) -> tuple:
         """The action of a derivation class on H_0 = A/[A, A] (well-defined
@@ -287,28 +247,25 @@ class ESpace:
         rep = self.h0.class_to_chain(vec(h0coords))
         return self.h0.reduce(X.apply(rep.coords))
 
-    def _check(self, e1: EElement, e2: EElement):
-        if e1.space is not self or e2.space is not self:
-            raise CourantError("elements of a different E-space")
+
+def orthogonal(space, vectors) -> QMatrix:
+    """Basis of {e : (e, l) = 0 in H_0 for every row l of ``vectors``} in the
+    coordinates of ``space`` (an ESpace or EpsilonSpace), read off its form
+    table: row (l, h) holds sum_j l_j F[k][j][h] at column k."""
+    F, n = space.form_table, space.dim
+    rows = []
+    for l in vectors:
+        terms = [(j, c) for j, c in enumerate(l) if c]
+        rows += ([sum((c * F[k][j][h] for j, c in terms if F[k][j][h]), ZERO)
+                  for k in range(n)] for h in range(space.h0_dim))
+    if not rows:
+        return QMatrix.identity(n)
+    return nullspace(QMatrix(rows, cols=n))
 
 
 def kernel_J(E: ESpace) -> QMatrix:
     """Basis of the radical {e : (e, e') = 0 for all e'} in E coordinates."""
-    hc, hh, h0d = E.h1co.dim, E.h1.dim, E.h0.dim
-    rows = []
-    # pairing with basis (X_l, 0): <X_l, alpha-part> = 0
-    for l in range(hc):
-        for k in range(h0d):
-            rows.append([ZERO] * hc +
-                        [E._ptable[l][j][k] for j in range(hh)])
-    # pairing with basis (0, alpha_m): <x-part, alpha_m> = 0
-    for m in range(hh):
-        for k in range(h0d):
-            rows.append([E._ptable[i][m][k] for i in range(hc)] +
-                        [ZERO] * hh)
-    if not rows:
-        return QMatrix.identity(E.dim)
-    return nullspace(QMatrix(rows, cols=E.dim))
+    return orthogonal(E, QMatrix.identity(E.dim))
 
 
 class EpsilonSpace:
@@ -330,9 +287,8 @@ class EpsilonSpace:
         self.center_basis = espace.center_basis
         self.h0_dim = espace.h0_dim
         self._verify_ideal()
-        self.form_table = tuple(
-            tuple(self._form_on_reps(i, j) for j in range(self.dim))
-            for i in range(self.dim))
+        self.form_table = tuple(tuple(espace.form(ra, rb) for rb in reps)
+                                for ra in reps)
         self._verify_nondegenerate()
 
     # -- coordinates --------------------------------------------------------
@@ -341,9 +297,9 @@ class EpsilonSpace:
         """E(A) coordinates -> epsilon(A) class coordinates."""
         return self._reduce(evec)
 
-    def lift(self, coords: Sequence) -> EElement:
-        return self.espace.from_vec(
-            row_combination(self._coords(coords), self.class_reps))
+    def lift(self, coords: Sequence) -> tuple:
+        """epsilon(A) class coordinates -> E(A) coordinates of the rep."""
+        return row_combination(self._coords(coords), self.class_reps)
 
     def basis_coords(self, k: int) -> tuple:
         return tuple(ONE if i == k else ZERO for i in range(self.dim))
@@ -392,14 +348,9 @@ class EpsilonSpace:
             if not vec_is_zero(row[:self.espace.h1co.dim]):
                 raise CourantError(
                     "radical leaves the H_1 summand: rho undefined")
-        return self.lift(u).x
+        return self.espace.rho(self.lift(u))
 
     # -- construction-time verification -------------------------------------
-
-    def _form_on_reps(self, i: int, j: int) -> tuple:
-        e1 = self.espace.from_vec(self.class_reps[i])
-        e2 = self.espace.from_vec(self.class_reps[j])
-        return self.espace.bilinear_form(e1, e2)
 
     def _verify_ideal(self):
         E = self.espace
@@ -415,10 +366,6 @@ class EpsilonSpace:
                         f"radical is not a bracket ideal at (J{j}, e{k})")
 
     def _verify_nondegenerate(self):
-        if self.dim == 0:
-            return
-        rows = [[x for cell in self.form_table[i] for x in cell]
-                for i in range(self.dim)]
-        if rank(QMatrix(rows, cols=self.dim * self.espace.h0.dim)) != self.dim:
+        if orthogonal(self, QMatrix.identity(self.dim)).rows:
             raise CourantError("induced form on the quotient is degenerate")
 

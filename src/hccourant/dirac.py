@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
-from .courant import EpsilonSpace, ESpace
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix,
                        make_membership, nullspace, rank, rat_str,
                        row_combination, row_space, span_contains, vec,
                        vec_is_zero)
@@ -70,19 +70,7 @@ def is_isotropic(L: Submodule) -> bool:
 
 def orthogonal(L: Submodule) -> QMatrix:
     """L-perp = {e : (e, l) = 0 in H_0 for every l in L}."""
-    amb = L.ambient
-    n = amb.dim
-    h0d = amb.h0_dim
-    # form of the ambient basis against each spanning vector, stacked over
-    # the H0 coordinates
-    rows = []
-    for l in L.vectors:
-        cols = [amb.form(_unit_vec(n, k), l) for k in range(n)]
-        for h in range(h0d):
-            rows.append([cols[k][h] for k in range(n)])
-    if not rows:
-        return QMatrix.identity(n)
-    return nullspace(QMatrix(rows, cols=n))
+    return form_orthogonal(L.ambient, L.vectors)
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -167,9 +155,6 @@ class BracketTable:
                     for i in range(d) for j in range(d)):
             raise DiracError("bracket table has wrong shape")
         _check_biderivation(A, self.table)
-
-    def eval(self, a: Sequence, b: Sequence) -> tuple:
-        return bilinear(a, b, self.table, self.algebra.dim)
 
 
 def _check_biderivation(A: FiniteAlgebra, table) -> None:
@@ -474,7 +459,7 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     def sigma(u):
         """Matrix of the anchor of u on the center (rows: images of the
         center basis in center coordinates)."""
-        x = eps.lift(u).x
+        x = E.rho(eps.lift(u))
         rows = []
         for z in cb:
             rows.append(list(E.center_coords(E.center_action(x, z))))
@@ -490,11 +475,10 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
 
     anchor_ok = True
     skew_ok = True
-    for i in range(L.dim):
-        si = sigma(L.vectors[i])
-        for j in range(L.dim):
+    sigmas = [sigma(u) for u in L.vectors]
+    for i, si in enumerate(sigmas):
+        for j, sj in enumerate(sigmas):
             br = eps.bracket(L.vectors[i], L.vectors[j])
-            sj = sigma(L.vectors[j])
             # rows are images of the center basis, so composition reverses
             comm = mat_sub(mat_mul(sj, si), mat_mul(si, sj))
             if sigma(br) != comm:
@@ -513,7 +497,7 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
             draws.append(row_combination(coeffs, cb))
     for z in draws:
         for i in range(L.dim):
-            xz = E.center_action(eps.lift(L.vectors[i]).x, z)
+            xz = E.center_action(E.rho(eps.lift(L.vectors[i])), z)
             for j in range(L.dim):
                 lhs = eps.bracket(L.vectors[i],
                                   eps.z_scale(z, L.vectors[j]))

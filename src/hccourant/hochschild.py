@@ -299,8 +299,6 @@ def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
 class HomologyPresentation:
     algebra: FiniteAlgebra
     degree: int
-    kind: str  # "homology" or "cohomology"
-    ambient_dim: int
     cycle_basis: QMatrix
     boundary_basis: QMatrix
     class_reps: QMatrix
@@ -347,8 +345,7 @@ def homology(A: FiniteAlgebra, n: int, *,
         cycles = nullspace(_boundary_operator_rows(A, n).transpose())
     boundaries = row_space(_boundary_operator_rows(A, n + 1))
     reps, reduce = quotient_basis(cycles, boundaries)
-    return HomologyPresentation(A, n, "homology", N, cycles, boundaries,
-                                reps, reduce)
+    return HomologyPresentation(A, n, cycles, boundaries, reps, reduce)
 
 
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
@@ -389,8 +386,7 @@ def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     derivations = derivation_basis(A)
     inner = inner_derivation_basis(A)
     reps, reduce = quotient_basis(derivations, inner)
-    return HomologyPresentation(A, 1, "cohomology", A.dim * A.dim,
-                                derivations, inner, reps, reduce)
+    return HomologyPresentation(A, 1, derivations, inner, reps, reduce)
 
 
 def pairing(X: Cochain1, alpha: Chain,

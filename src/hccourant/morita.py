@@ -146,8 +146,7 @@ class MoritaContext:
     report: MoritaReport
 
     def map_eps(self, u) -> tuple:
-        lifted = self.src_eps.lift(u).to_vec()
-        return self.tgt_eps.reduce(self.maps.map_e_vec(lifted))
+        return self.tgt_eps.reduce(self.maps.map_e_vec(self.src_eps.lift(u)))
 
 
 def _check_homotopy_identity(A: FiniteAlgebra, M: FiniteAlgebra,
@@ -213,7 +212,7 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     qf_ok = True
     if dims_ok:
         def qmap(u):
-            return tgt_eps.reduce(maps.map_e_vec(src_eps.lift(u).to_vec()))
+            return tgt_eps.reduce(maps.map_e_vec(src_eps.lift(u)))
         basis = [src_eps.basis_coords(k) for k in range(src_eps.dim)]
         images = QMatrix([qmap(b) for b in basis] or [],
                          cols=tgt_eps.dim)

@@ -34,6 +34,10 @@ def rand_vec(rng, n):
     return tuple(rand_q(rng) for _ in range(n))
 
 
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
 def rand_combination(rng, basis: QMatrix):
     out = [Q(0)] * basis.cols
     for row in basis:

@@ -257,12 +257,35 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(p.read_text())["algebra"] == "Q"
 
 
+def _assert_pinned(name, args, capsys):
+    pinned = (Path(__file__).parent / "data" / name).read_text(
+        encoding="utf-8")
+    code, out = run(args + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == pinned
+
+
 def test_suite_seed42_report_is_pinned(capsys):
     """The suite report is byte-identical to the recorded one, so a change
     to any layer under it cannot drift a verdict, a dimension or a class
     representative unnoticed."""
-    pinned = (Path(__file__).parent / "data" / "suite_seed42.json").read_text(
-        encoding="utf-8")
-    code, out = run(["suite", "--seed", "42", "--format", "json"], capsys)
-    assert code == 0
-    assert out == pinned
+    _assert_pinned("suite_seed42.json", ["suite", "--seed", "42"], capsys)
+
+
+PINNED_REPORTS = {
+    "kernel_v1_3.json": ["kernel", "--algebra", "v1_3"],
+    "epsilon_v1_3.json": ["epsilon", "--algebra", "v1_3"],
+    "poisson_graph_v1_3_so3_seed7.json": [
+        "poisson-graph", "--algebra", "v1_3", "--bracket", "bracket_so3_v1_3",
+        "--seed", "7"],
+    "morita_v1_2.json": ["morita", "--algebra", "v1_2"],
+    "omni_dim2.json": ["omni", "--dim", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_cli_report_is_pinned(name, capsys):
+    """The suite records only dimensions; these reports also pin the J
+    basis, the epsilon class reps and form table, the graph bases and the
+    Lie-algebroid report."""
+    _assert_pinned(name, PINNED_REPORTS[name], capsys)

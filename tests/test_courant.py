@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
-from hccourant.exactlin import Q, QMatrix, rank, row_combination, vec_is_zero
+from hccourant.dirac import Submodule, orthogonal
+from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace, rank,
+                                row_combination)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
                                   elementary_chain, h_left_multiply)
-from conftest import perturbed_table, rand_combination, rand_vec, rng_for
+from conftest import (perturbed_table, rand_combination, rand_vec, rng_for,
+                      vec_add)
 
 NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
 
@@ -37,7 +40,7 @@ def test_epsilon_nondegenerate(epsilons, name):
 
 
 def _rand_elements(rng, E, count=3):
-    return [E.from_vec(rand_vec(rng, E.dim)) for _ in range(count)]
+    return [rand_vec(rng, E.dim) for _ in range(count)]
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -47,9 +50,9 @@ def test_c0_leibniz_identity(espaces, name):
     for _ in range(12):
         e1, e2, e3 = _rand_elements(rng, E)
         lhs = E.courant_bracket(e1, E.courant_bracket(e2, e3))
-        rhs = E.courant_bracket(E.courant_bracket(e1, e2), e3) + \
-            E.courant_bracket(e2, E.courant_bracket(e1, e3))
-        assert lhs.to_vec() == rhs.to_vec()
+        rhs = vec_add(E.courant_bracket(E.courant_bracket(e1, e2), e3),
+                      E.courant_bracket(e2, E.courant_bracket(e1, e3)))
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -59,7 +62,8 @@ def test_c1_anchor_intertwines(espaces, name):
     for _ in range(12):
         e1, e2 = _rand_elements(rng, E, 2)
         br = E.courant_bracket(e1, e2)
-        comm = commutator(E.derivation_of(e1.x), E.derivation_of(e2.x))
+        comm = commutator(E.derivation_of(E.rho(e1)),
+                          E.derivation_of(E.rho(e2)))
         assert E.rho(br) == E.class_of_derivation(comm)
 
 
@@ -70,11 +74,11 @@ def test_c2_center_module_rule(espaces, name):
     for _ in range(12):
         e1, e2 = _rand_elements(rng, E, 2)
         z = rand_combination(rng, E.center_basis)
-        lhs = E.courant_bracket(e1, E.from_vec(E.z_scale(z, e2.to_vec())))
-        xz = E.center_action(e1.x, z)
-        rhs = E.from_vec(E.z_scale(z, E.courant_bracket(e1, e2).to_vec())) + \
-            E.from_vec(E.z_scale(xz, e2.to_vec()))
-        assert lhs.to_vec() == rhs.to_vec()
+        lhs = E.courant_bracket(e1, E.z_scale(z, e2))
+        xz = E.center_action(E.rho(e1), z)
+        rhs = vec_add(E.z_scale(z, E.courant_bracket(e1, e2)),
+                      E.z_scale(xz, e2))
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -83,10 +87,10 @@ def test_c3_invariance_of_form(espaces, name):
     rng = rng_for(f"c3/{name}")
     for _ in range(12):
         e1, e2, e3 = _rand_elements(rng, E)
-        lhs = E.h0_action(e1.x, E.bilinear_form(e2, e3))
+        lhs = E.h0_action(E.rho(e1), E.form(e2, e3))
         rhs = tuple(p + q for p, q in zip(
-            E.bilinear_form(E.courant_bracket(e1, e2), e3),
-            E.bilinear_form(e2, E.courant_bracket(e1, e3))))
+            E.form(E.courant_bracket(e1, e2), e3),
+            E.form(e2, E.courant_bracket(e1, e3))))
         assert lhs == rhs
 
 
@@ -96,8 +100,8 @@ def test_c4_symmetric_defect(espaces, name):
     rng = rng_for(f"c4/{name}")
     for _ in range(12):
         (e1,) = _rand_elements(rng, E, 1)
-        lhs = (E.courant_bracket(e1, e1) * 2).to_vec()
-        rhs = E.d_map(E.bilinear_form(e1, e1)).to_vec()
+        lhs = tuple(2 * x for x in E.courant_bracket(e1, e1))
+        rhs = E.d_map(E.form(e1, e1))
         assert lhs == rhs
 
 
@@ -107,8 +111,8 @@ def test_skew_bracket_is_antisymmetric(espaces, name):
     rng = rng_for(f"skew/{name}")
     for _ in range(12):
         e1, e2 = _rand_elements(rng, E, 2)
-        a = E.skew_bracket(e1, e2).to_vec()
-        b = E.skew_bracket(e2, e1).to_vec()
+        a = E.skew_bracket(e1, e2)
+        b = E.skew_bracket(e2, e1)
         assert a == tuple(-x for x in b)
 
 
@@ -118,7 +122,7 @@ def test_form_is_symmetric(espaces, name):
     rng = rng_for(f"sym/{name}")
     for _ in range(12):
         e1, e2 = _rand_elements(rng, E, 2)
-        assert E.bilinear_form(e1, e2) == E.bilinear_form(e2, e1)
+        assert E.form(e1, e2) == E.form(e2, e1)
 
 
 def test_pairing_value_qx2(espaces):
@@ -138,12 +142,10 @@ def test_kernel_is_two_sided_bracket_ideal(espaces, name):
     E = espaces[name]
     J = kernel_J(E)
     from hccourant.exactlin import in_row_span
-    for row in J:
-        j = E.from_vec(row)
-        for k in range(E.dim):
-            e = E.basis_element(k)
-            assert in_row_span(E.courant_bracket(j, e).to_vec(), J)
-            assert in_row_span(E.courant_bracket(e, j).to_vec(), J)
+    for j in J:
+        for e in QMatrix.identity(E.dim):
+            assert in_row_span(E.courant_bracket(j, e), J)
+            assert in_row_span(E.courant_bracket(e, j), J)
 
 
 def test_quotient_bracket_well_defined(epsilons):
@@ -156,10 +158,9 @@ def test_quotient_bracket_well_defined(epsilons):
         # perturb a lift by a kernel element; the reduced bracket must agree
         lift_u = eps.lift(u)
         jrow = eps.J[rng.randrange(eps.J.rows)]
-        perturbed = E.from_vec(tuple(a + b for a, b in
-                                     zip(lift_u.to_vec(), jrow)))
+        perturbed = vec_add(lift_u, jrow)
         b1 = eps.bracket(u, v)
-        b2 = eps.reduce(E.courant_bracket(perturbed, eps.lift(v)).to_vec())
+        b2 = eps.reduce(E.courant_bracket(perturbed, eps.lift(v)))
         assert b1 == b2
 
 
@@ -170,10 +171,11 @@ def test_rho_on_quotient_for_commutative(epsilons):
 
 
 def test_mismatched_spaces_rejected(espaces):
+    """A vector of another E-space has the wrong length and is refused."""
     E1, E2 = espaces["qx2"], espaces["qx3"]
-    e1 = E1.basis_element(0)
-    e2 = E2.basis_element(0)
-    with pytest.raises(CourantError):
+    e1 = QMatrix.identity(E1.dim)[0]
+    e2 = QMatrix.identity(E2.dim)[0]
+    with pytest.raises(CourantError, match="length mismatch"):
         E1.courant_bracket(e1, e2)
 
 
@@ -183,13 +185,21 @@ def test_mismatched_spaces_rejected(espaces):
 def _chain_z_scale(E, zcoords, u):
     """Reference Z(A)-action: z.X and z.alpha on chain representatives,
     reduced to classes (the chain-level body the z_table replaced)."""
-    A = E.algebra
-    e = E.from_vec(u)
-    X = E.derivation_of(e.x)
+    A, hc = E.algebra, E.h1co.dim
+    X = E.derivation_of(u[:hc])
     xz = E.class_of_derivation(
         Cochain1(A, tuple(A.mul(zcoords, row) for row in X.rows)))
-    az = E.h1.reduce_chain(h_left_multiply(zcoords, E.chain_of(e.alpha)))
+    az = E.h1.reduce_chain(h_left_multiply(zcoords, E.chain_of(u[hc:])))
     return xz + az
+
+
+def _pairing_form(E, u, v):
+    """Reference form: <X2, a1> + <X1, a2> contracted with the pairing
+    table (the body the form table replaced)."""
+    hc, h0d = E.h1co.dim, E.h0.dim
+    a = bilinear(v[:hc], u[hc:], E._ptable, h0d)
+    b = bilinear(u[:hc], v[hc:], E._ptable, h0d)
+    return tuple(p + q for p, q in zip(a, b))
 
 
 @pytest.fixture(scope="module")
@@ -214,15 +224,14 @@ def test_structure_tables_match_chain_level_maps(table_spaces, data):
 
     u, v = draw_vec(E.dim), draw_vec(E.dim)
     z = row_combination(draw_vec(E.center_basis.rows), E.center_basis)
-    assert E.bracket(u, v) == \
-        E.courant_bracket(E.from_vec(u), E.from_vec(v)).to_vec()
+    assert E.bracket(u, v) == E.courant_bracket(u, v)
+    assert E.form(u, v) == _pairing_form(E, u, v)
     assert E.z_scale(z, u) == _chain_z_scale(E, z, u)
     a, b = draw_vec(eps.dim), draw_vec(eps.dim)
-    lift_a = eps.lift(a)
-    assert eps.bracket(a, b) == \
-        eps.reduce(E.courant_bracket(lift_a, eps.lift(b)).to_vec())
-    assert eps.z_scale(z, a) == \
-        eps.reduce(_chain_z_scale(E, z, lift_a.to_vec()))
+    lift_a, lift_b = eps.lift(a), eps.lift(b)
+    assert eps.bracket(a, b) == eps.reduce(E.courant_bracket(lift_a, lift_b))
+    assert eps.form(a, b) == _pairing_form(E, lift_a, lift_b)
+    assert eps.z_scale(z, a) == eps.reduce(_chain_z_scale(E, z, lift_a))
 
 
 def test_ideal_check_fails_on_a_perturbed_bracket_table():
@@ -233,3 +242,64 @@ def test_ideal_check_fails_on_a_perturbed_bracket_table():
     E.bracket_table = perturbed_table(E.bracket_table, 0, a, 0)
     with pytest.raises(CourantError, match="bracket ideal"):
         EpsilonSpace(E)
+
+
+def test_nondegeneracy_check_fails_on_a_zeroed_form_table():
+    eps = EpsilonSpace(ESpace(build_v1(2)))  # its own instance
+    zero = (ZERO,) * eps.h0_dim
+    eps.form_table = tuple((zero,) * eps.dim for _ in range(eps.dim))
+    with pytest.raises(CourantError, match="degenerate"):
+        eps._verify_nondegenerate()
+
+
+# ---------------------------------------------------------------------------
+# radicals and orthogonals read off the form table, against the bodies they
+# replaced
+
+def _pairing_kernel_J(E):
+    """Reference radical: the H_0 coordinates of <X_l, alpha-part> and
+    <x-part, alpha_m> stacked from the pairing table."""
+    hc, hh, h0d = E.h1co.dim, E.h1.dim, E.h0.dim
+    rows = []
+    for l in range(hc):
+        for k in range(h0d):
+            rows.append([ZERO] * hc +
+                        [E._ptable[l][j][k] for j in range(hh)])
+    for m in range(hh):
+        for k in range(h0d):
+            rows.append([E._ptable[i][m][k] for i in range(hc)] +
+                        [ZERO] * hh)
+    if not rows:
+        return QMatrix.identity(E.dim)
+    return nullspace(QMatrix(rows, cols=E.dim))
+
+
+def _unit_form_orthogonal(L):
+    """Reference orthogonal: the form of each ambient unit vector against
+    each spanning vector, stacked over the H_0 coordinates."""
+    amb = L.ambient
+    n = amb.dim
+    rows = []
+    for l in L.vectors:
+        cols = [amb.form(QMatrix.identity(n)[k], l) for k in range(n)]
+        for h in range(amb.h0_dim):
+            rows.append([cols[k][h] for k in range(n)])
+    if not rows:
+        return QMatrix.identity(n)
+    return nullspace(QMatrix(rows, cols=n))
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_kernel_J_matches_pairing_table_body(espaces, name):
+    E = espaces[name]
+    assert kernel_J(E) == _pairing_kernel_J(E)
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_orthogonal_matches_unit_form_body(espaces, epsilons, name):
+    rng = rng_for(f"perp/{name}")
+    for amb in (espaces[name], epsilons[name]):
+        for count in range(amb.dim + 1):
+            L = Submodule(amb, QMatrix([rand_vec(rng, amb.dim)
+                                        for _ in range(count)], cols=amb.dim))
+            assert orthogonal(L) == _unit_form_orthogonal(L)
