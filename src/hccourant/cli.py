@@ -199,7 +199,8 @@ def _cmd_morita(args):
     ctx = verify_morita(A, args.r, max_dim=args.guard)
     rep = ctx.report.to_json()
     rep["h0_map"] = _rmat(ctx.maps.h0_map)
-    rep["opposite"] = verify_opposite(A, max_dim=args.guard).to_json()
+    rep["opposite"] = verify_opposite(ctx.maps.source,
+                                     max_dim=args.guard).to_json()
     ok = ctx.report.ok and rep["opposite"]["ok"]
     return rep, (EXIT_OK if ok else EXIT_FALSE)
 

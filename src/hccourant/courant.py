@@ -326,7 +326,8 @@ class EpsilonSpace:
                         self.dim)
 
     def form(self, u: Sequence, v: Sequence) -> tuple:
-        return bilinear(vec(u), vec(v), self.form_table, self.h0_dim)
+        return bilinear(self._coords(u), self._coords(v), self.form_table,
+                        self.h0_dim)
 
     def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
         return bilinear(self.espace.center_coords(zcoords), self._coords(u),

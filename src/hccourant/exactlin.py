@@ -4,9 +4,15 @@ Everything downstream (homology, brackets, Dirac verdicts) reduces to the
 operations here: reduced row echelon form, nullspaces, row-span membership
 and quotient bases, all over Q with no rounding ever.
 
-Matrices are immutable (tuples of tuples of ``mpq``).  Pivoting is
-deterministic: the pivot for each column is the first row, in order, with a
-nonzero entry, so every basis this module produces is reproducible.
+Matrices are immutable (tuples of tuples of ``mpq``).  One sparse reduced
+echelon, grown a row at a time, is the only elimination; every routine
+reads its result from it.  The nonzero rows of R, the pivots,
+``row_space`` and ``nullspace`` are canonical functions of the row span, so
+they do not depend on the order or multiplicity of the input rows.  The
+coefficients that ``membership``
+and the T of ``rref_transform`` give over dependent rows are one valid
+solution among many; every caller in the package either tests ``membership``
+for None or passes independent rows, where the coefficients are unique.
 """
 
 from __future__ import annotations
@@ -102,23 +108,9 @@ class QMatrix:
         return QMatrix([[ONE if i == j else ZERO for j in range(n)]
                         for i in range(n)], cols=n)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
-
     def transpose(self) -> "QMatrix":
         return QMatrix(tuple(zip(*self.data)) if self.rows else
                        ((),) * self.cols, self.rows)
-
-
-def stack(*mats: QMatrix) -> QMatrix:
-    cols = {m.cols for m in mats}
-    if len(cols) != 1:
-        raise ExactLinError("stack: column mismatch")
-    rows = []
-    for m in mats:
-        rows.extend(m.data)
-    return QMatrix(rows, cols.pop())
 
 
 def row_combination(c: Sequence, M: QMatrix) -> tuple:
@@ -152,57 +144,7 @@ def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# RREF
-
-def _eliminate(M: QMatrix, transform: bool):
-    """Gauss-Jordan elimination on a dict-of-nonzeros row store.
-
-    The pivot for each column is the first row, in order, with a nonzero
-    entry.  Returns the dense rows of R, the dense rows of T (R = T.M, or
-    None without ``transform``) and the pivot columns.
-    """
-    n, cols = M.rows, M.cols
-    rows = [_sparse(r) for r in M.data]
-    T = [{i: ONE} for i in range(n)] if transform else None
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == n:
-            break
-        pr = next((i for i in range(r, n) if c in rows[i]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            if T is not None:
-                T[r], T[pr] = T[pr], T[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = {k: x * inv for k, x in rows[r].items()}
-            if T is not None:
-                T[r] = {k: x * inv for k, x in T[r].items()}
-        prow = rows[r]
-        for i in range(n):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if f:
-                _axpy(rows[i], f, prow)
-                if T is not None:
-                    _axpy(T[i], f, T[r])
-        pivots.append(c)
-        r += 1
-    R = tuple(tuple(row.get(k, ZERO) for k in range(cols)) for row in rows)
-    Td = None
-    if T is not None:
-        Td = tuple(tuple(row.get(k, ZERO) for k in range(n)) for row in T)
-    return R, Td, pivots
-
-
-def _sparse(row: Sequence) -> dict:
-    return {k: x for k, x in enumerate(row) if x}
-
+# The echelon
 
 def _axpy(w: dict, f, row: dict) -> None:
     """w -= f * row on sparse rows, dropping entries that cancel."""
@@ -218,101 +160,163 @@ def _axpy(w: dict, f, row: dict) -> None:
                 del w[k]
 
 
+def _dense(row: dict, n: int) -> tuple:
+    out = [ZERO] * n
+    for k, x in row.items():
+        out[k] = x
+    return tuple(out)
+
+
+class _Echelon:
+    """The reduced row echelon form of a growing span.
+
+    ``rows`` maps each pivot column to a sparse row ({column: value}) that
+    is 1 at its pivot and 0 at every other pivot.  A row's pivot is its
+    leftmost nonzero, so the rows sorted by pivot are the RREF of the span.
+    ``tags`` maps each pivot to a sparse tag: the row as a combination of
+    the tags of the rows added, e.g. {i: 1} for the i-th row of a matrix,
+    or {} for a row whose coefficients are not wanted.
+    """
+
+    __slots__ = ("cols", "rows", "tags")
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.rows = {}
+        self.tags = {}
+
+    def residual(self, v: Sequence, tag: dict):
+        """``(w, t)``: v less its projection on the echelon, as a sparse row
+        (empty when v lies in the span), and t, tag less the same
+        combination of tags."""
+        w = {k: x for k, x in enumerate(v) if x}
+        t = dict(tag)
+        rows, tags = self.rows, self.tags
+        # each row is 0 at every other pivot, so w[p] is still v[p] when
+        # row p is subtracted, in any order
+        for p in [k for k in w if k in rows]:
+            f = w[p]
+            _axpy(w, f, rows[p])
+            _axpy(t, f, tags[p])
+        return w, t
+
+    def add(self, row: Sequence, tag: dict) -> bool:
+        """Add a row carrying ``tag``; True when the span grew."""
+        w, t = self.residual(row, tag)
+        if not w:
+            return False
+        p = min(w)
+        if w[p] != 1:
+            inv = 1 / w[p]
+            w = {k: x * inv for k, x in w.items()}
+            t = {k: x * inv for k, x in t.items()}
+        for q, r in self.rows.items():
+            f = r.get(p)
+            if f:
+                _axpy(r, f, w)
+                _axpy(self.tags[q], f, t)
+        self.rows[p] = w
+        self.tags[p] = t
+        return True
+
+    def basis(self) -> tuple:
+        """The dense rows of the RREF, pivots ascending."""
+        rows, n = self.rows, self.cols
+        return tuple(_dense(rows[p], n) for p in sorted(rows))
+
+    def coords(self, v: Sequence, n: int) -> Optional[tuple]:
+        """c with v = sum_i c_i r_i + (rows with empty tags), where r_i is
+        the row added with tag {i: 1} and i < n; None outside the span."""
+        if len(v) != self.cols:
+            raise ExactLinError("membership: dimension mismatch")
+        w, t = self.residual(vec(v), {})
+        if w:
+            return None
+        return _dense({k: -x for k, x in t.items()}, n)
+
+
+def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
+    """The echelon of the rows of M, added in order; with ``tagged`` row i
+    carries the tag {i: 1}, so tags are coefficients over the rows of M."""
+    E = _Echelon(M.cols)
+    for i, row in enumerate(M.data):
+        E.add(row, {i: ONE} if tagged else {})
+    return E
+
+
+def _reducer(E: _Echelon, n: int) -> Callable[[Sequence], tuple]:
+    def reduce(v: Sequence) -> tuple:
+        c = E.coords(v, n)
+        if c is None:
+            raise ExactLinError("reduce: vector outside the span")
+        return c
+
+    return reduce
+
+
+# ---------------------------------------------------------------------------
+# Readers
+
 def rref(M: QMatrix):
-    """Reduced row echelon form.
+    """Reduced row echelon form, padded with zero rows to M's shape.
 
     Returns ``(R, pivots, rank)`` with pivot columns ascending.
     """
-    R, _, pivots = _eliminate(M, transform=False)
-    return QMatrix(R, M.cols), tuple(pivots), len(pivots)
+    E = _echelon(M, False)
+    rk = len(E.rows)
+    R = E.basis() + ((ZERO,) * M.cols,) * (M.rows - rk)
+    return QMatrix(R, M.cols), tuple(sorted(E.rows)), rk
 
 
 def rref_transform(M: QMatrix):
-    """RREF with the row transform: returns ``(R, T, pivots, rank)``, R = T.M."""
-    R, T, pivots = _eliminate(M, transform=True)
-    return (QMatrix(R, M.cols), QMatrix(T, M.rows),
-            tuple(pivots), len(pivots))
+    """RREF with a row transform: returns ``(R, T, pivots, rank)``, R = T.M.
+
+    The rows of T past the rank are zero, like those of R.
+    """
+    E = _echelon(M, True)
+    pivots = tuple(sorted(E.rows))
+    pad = M.rows - len(pivots)
+    R = E.basis() + ((ZERO,) * M.cols,) * pad
+    T = tuple(_dense(E.tags[p], M.rows) for p in pivots) + \
+        ((ZERO,) * M.rows,) * pad
+    return QMatrix(R, M.cols), QMatrix(T, M.rows), pivots, len(pivots)
 
 
 def rank(M: QMatrix) -> int:
-    return rref(M)[2]
+    return len(_echelon(M, False).rows)
 
 
 def row_space(M: QMatrix) -> QMatrix:
     """Canonical (RREF) basis of the row span."""
-    R, _, rk = rref(M)
-    return QMatrix(R.data[:rk], M.cols)
+    return QMatrix(_echelon(M, False).basis(), M.cols)
 
 
 def nullspace(M: QMatrix) -> QMatrix:
     """Canonical basis of {x : Mx = 0}, free variables set to 1 in ascending
     column order; rows of the result are the basis vectors."""
-    R, pivots, rk = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        x = [ZERO] * M.cols
-        x[fc] = ONE
-        for j, pc in enumerate(pivots):
-            x[pc] = -R[j][fc]
-        basis.append(tuple(x))
-    return QMatrix(tuple(basis), M.cols)
-
-
-def _solver(S: QMatrix):
-    """One elimination of S; returns ``(solve, rank)`` where ``solve(v)`` is
-    the c with c.S = v when v is in the row span of S, else None, in
-    O(rank x cols) per call."""
-    R, T, pivots, rk = rref_transform(S)
-    rdata = R.data
-    tdata = T.data
-    ncols = S.cols
-    nrows = S.rows
-
-    def solve(v: Sequence) -> Optional[tuple]:
-        w = list(vec(v))
-        if len(w) != ncols:
-            raise ExactLinError("membership: dimension mismatch")
-        c_r = [ZERO] * rk
-        for j, pc in enumerate(pivots):
-            f = w[pc]
-            if f:
-                c_r[j] = f
-                row = rdata[j]
-                for k in range(pc, ncols):
-                    x = row[k]
-                    if x:
-                        w[k] -= f * x
-        if not all(a == 0 for a in w):
-            return None
-        # coefficients over the original rows of S
-        out = [ZERO] * nrows
-        for j in range(rk):
-            f = c_r[j]
-            if f:
-                trow = tdata[j]
-                for k in range(nrows):
-                    x = trow[k]
-                    if x:
-                        out[k] += f * x
-        return tuple(out)
-
-    return solve, rk
+    rows = _echelon(M, False).rows
+    free = [c for c in range(M.cols) if c not in rows]
+    basis = {fc: {fc: ONE} for fc in free}
+    for p, row in rows.items():
+        for k, x in row.items():
+            if k != p:
+                basis[k][p] = -x
+    return QMatrix(tuple(_dense(basis[fc], M.cols) for fc in free), M.cols)
 
 
 def make_membership(S: QMatrix) -> Callable[[Sequence], Optional[tuple]]:
     """``membership`` against a fixed S, eliminating S once for every call."""
-    return _solver(S)[0]
+    E = _echelon(S, True)
+
+    def solve(v: Sequence) -> Optional[tuple]:
+        return E.coords(v, S.rows)
+
+    return solve
 
 
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
     """Coefficients c with c.S = v when v is in the row span of S, else None."""
     return make_membership(S)(v)
-
-
-def in_row_span(v: Sequence, S: QMatrix) -> bool:
-    return membership(v, S) is not None
 
 
 def span_equal(A: QMatrix, B: QMatrix) -> bool:
@@ -323,70 +327,43 @@ def span_equal(A: QMatrix, B: QMatrix) -> bool:
 
 def span_contains(A: QMatrix, B: QMatrix) -> bool:
     """Every row of B lies in the row span of A."""
-    return rank(A) == rank(stack(A, B))
+    if A.cols != B.cols:
+        raise ExactLinError("span_contains: column mismatch")
+    E = _echelon(A, False)
+    return not any(E.residual(row, {})[0] for row in B.data)
 
 
 def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
     """Coordinate map onto the rows of B (must be linearly independent).
 
     The returned callable maps any v in rowspan(B) to the unique c with
-    c.B = v, in O(rows x cols) per call; raises ExactLinError outside the span.
+    c.B = v; raises ExactLinError outside the span.
     """
-    solve, rk = _solver(B)
-    if rk != B.rows:
+    E = _echelon(B, True)
+    if len(E.rows) != B.rows:
         raise ExactLinError("make_reducer: rows are dependent")
-
-    def reduce(v: Sequence) -> tuple:
-        c = solve(v)
-        if c is None:
-            raise ExactLinError("reduce: vector outside the span")
-        return c
-
-    return reduce
+    return _reducer(E, B.rows)
 
 
 def quotient_basis(space: QMatrix, subspace: QMatrix):
     """Coset representatives of rowspan(space) / rowspan(subspace).
 
-    Returns ``(reps, reduce)``: reps complete a basis of the subspace to a
-    basis of the space, and ``reduce`` maps any vector of the space to its
-    coordinates over reps modulo the subspace.
+    Returns ``(reps, reduce)``: reps are the canonical space-basis rows that
+    complete the subspace to the space, and ``reduce`` maps any vector of
+    the space to its coordinates over reps modulo the subspace.
     """
     if space.cols != subspace.cols:
         raise ExactLinError("quotient_basis: column mismatch")
-    if not span_contains(space, subspace):
-        raise ExactLinError("quotient_basis: subspace not contained in space")
-    Rsub = row_space(subspace)
     Rsp = row_space(space)
-    # keep the canonical space-basis rows that grow the span beyond Rsub.
-    # One echelon of (pivot column, sparse row) pairs spans Rsub and the rows
-    # kept so far; each row is 1 at its pivot and 0 at every earlier pivot,
-    # so one pass over it leaves the residual of a candidate row.
-    echelon = [(min(d), d) for d in map(_sparse, Rsub.data)]
+    # one echelon: subspace rows carry no tag, kept row i carries {i: 1}, so
+    # the tags of a vector's combination are its coordinates over reps
+    E = _Echelon(space.cols)
+    for row in subspace.data:
+        E.add(row, {})
     kept = []
     for row in Rsp.data:
-        w = _sparse(row)
-        for pc, erow in echelon:
-            f = w.get(pc)
-            if f:
-                _axpy(w, f, erow)
-        if w:
+        if E.add(row, {len(kept): ONE}):
             kept.append(row)
-            pc = min(w)
-            inv = 1 / w[pc]
-            echelon.append((pc, {k: x * inv for k, x in w.items()}))
-    reps = QMatrix(tuple(kept), space.cols)
-    nreps = reps.rows
-    if nreps + Rsub.rows == 0:
-        def reduce_zero(v):
-            if not vec_is_zero(vec(v)):
-                raise ExactLinError("reduce: vector outside the span")
-            return ()
-        return reps, reduce_zero
-    full = stack(reps, Rsub) if nreps else Rsub
-    coords = make_reducer(full)
-
-    def reduce(v: Sequence) -> tuple:
-        return coords(v)[:nreps]
-
-    return reps, reduce
+    if len(E.rows) != Rsp.rows:
+        raise ExactLinError("quotient_basis: subspace not contained in space")
+    return QMatrix(tuple(kept), space.cols), _reducer(E, len(kept))

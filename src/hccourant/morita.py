@@ -273,16 +273,16 @@ class OppositeReport:
                 "form_tables_match": self.form_tables_match, "ok": self.ok}
 
 
-def verify_opposite(A: FiniteAlgebra, *,
+def verify_opposite(E: ESpace, *,
                     max_dim: Optional[int] = None) -> OppositeReport:
-    """E(A) vs E(A^op) under the identity on chains.
+    """E(A) vs E(A^op) under the identity on chains, for E = E(A).
 
     Degree-1 cycle and boundary spaces, derivations and inner derivations all
     literally coincide for the opposite product, so both sides share their
     canonical presentations; the bracket and form tables are then compared
     entry by entry.
     """
-    E = ESpace(A, max_dim=max_dim)
+    A = E.algebra
     Eop = ESpace(opposite_algebra(A), max_dim=max_dim)
     dims = (E.h1co.dim == Eop.h1co.dim and E.h1.dim == Eop.h1.dim
             and E.h0.dim == Eop.h0.dim)

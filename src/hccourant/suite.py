@@ -117,7 +117,7 @@ def run_suite(seed: int):
         ctx = verify_morita(A, 2, src=spaces[name][1])
         add(f"morita/{name}", ctx.report.ok, **ctx.report.to_json())
     for name in ("ut2", "qx3"):
-        rep = verify_opposite(spaces[name][0])
+        rep = verify_opposite(spaces[name][1])
         add(f"opposite/{name}", rep.ok, **rep.to_json())
 
     # the omni-Lie model, on the bundled v1_n spaces (the same algebras as

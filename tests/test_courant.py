@@ -141,11 +141,11 @@ def test_pairing_value_qx2(espaces):
 def test_kernel_is_two_sided_bracket_ideal(espaces, name):
     E = espaces[name]
     J = kernel_J(E)
-    from hccourant.exactlin import in_row_span
+    from hccourant.exactlin import membership
     for j in J:
         for e in QMatrix.identity(E.dim):
-            assert in_row_span(E.courant_bracket(j, e), J)
-            assert in_row_span(E.courant_bracket(e, j), J)
+            assert membership(E.courant_bracket(j, e), J) is not None
+            assert membership(E.courant_bracket(e, j), J) is not None
 
 
 def test_quotient_bracket_well_defined(epsilons):
@@ -177,6 +177,16 @@ def test_mismatched_spaces_rejected(espaces):
     e2 = QMatrix.identity(E2.dim)[0]
     with pytest.raises(CourantError, match="length mismatch"):
         E1.courant_bracket(e1, e2)
+
+
+def test_epsilon_form_rejects_wrong_length(espaces, epsilons):
+    """epsilon(A).form checks lengths as E(A).form does."""
+    eps = epsilons["v1_3"]
+    assert eps.dim != 1
+    with pytest.raises(CourantError, match="length mismatch"):
+        espaces["v1_3"].form((1,), (1,))
+    with pytest.raises(CourantError, match="length mismatch"):
+        eps.form((1,), (1,))
 
 
 # ---------------------------------------------------------------------------

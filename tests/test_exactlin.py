@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, in_row_span,
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, make_membership,
                                 make_reducer, membership, nullspace,
-                                quotient_basis, rank, rat, rat_str,
-                                row_space, rref, span_contains, span_equal,
-                                stack, vec)
+                                quotient_basis, rank, rat, rat_str, row_space,
+                                rref, rref_transform, span_contains,
+                                span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 
@@ -59,8 +59,8 @@ def test_membership_and_span():
     c = membership((2, 3, 5), S)
     assert c == (Q(2), Q(3))
     assert membership((0, 0, 1), S) is None
-    assert in_row_span((1, 1, 2), S)
-    assert not in_row_span((1, 1, 3), S)
+    assert membership((1, 1, 2), S) is not None
+    assert membership((1, 1, 3), S) is None
 
 
 def test_quotient_basis_reduces_subspace_to_zero():
@@ -78,6 +78,27 @@ def test_make_reducer_rejects_outside_span():
     assert red((5, 0, 0)) == (Q(5),)
     with pytest.raises(ExactLinError):
         red((0, 1, 0))
+
+
+def test_quotient_basis_rejects_bad_subspace():
+    space = QMatrix([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ExactLinError, match="not contained"):
+        quotient_basis(space, QMatrix([[0, 1, 1]]))
+    with pytest.raises(ExactLinError, match="column mismatch"):
+        quotient_basis(space, QMatrix([[1, 0]]))
+
+
+def test_make_reducer_rejects_dependent_rows():
+    with pytest.raises(ExactLinError, match="dependent"):
+        make_reducer(QMatrix([[1, 2, 0], [0, 1, 1], [1, 3, 1]]))
+
+
+def test_membership_solver_rejects_wrong_length():
+    solve = make_membership(QMatrix([[1, 0, 1], [0, 1, 1]]))
+    assert solve((1, 1, 2)) == (Q(1), Q(1))
+    for v in ((1, 1), (1, 1, 2, 0)):
+        with pytest.raises(ExactLinError, match="dimension mismatch"):
+            solve(v)
 
 
 def test_empty_matrix_needs_cols():
@@ -98,8 +119,8 @@ def test_vec_and_qmatrix_hold_only_rationals():
     assert M[0] == expected
     assert all(type(x) is Q for row in M for x in row)
     # outputs built from rationals keep the type
-    for out in (rref(M)[0], M.transpose(), stack(M, M), row_space(M),
-                nullspace(M)):
+    for out in (rref(M)[0], rref_transform(M)[1], M.transpose(),
+                row_space(M), nullspace(M)):
         assert all(type(x) is Q for row in out for x in row)
     with pytest.raises(ExactLinError):
         QMatrix([[1, 2], [3]])
@@ -171,6 +192,27 @@ def test_rref_matches_reference_gauss_jordan(M):
     assert rk == ref_rk
 
 
+def _with_dependent_rows(M: QMatrix, picks) -> QMatrix:
+    """M with row i + f * row j inserted at position j for each (i, j, f),
+    often ahead of the rows it combines, and a zero row at the end."""
+    rows = list(M)
+    for i, j, f in picks:
+        dep = tuple(a + f * b for a, b in zip(M[i % M.rows], M[j % M.rows]))
+        rows.insert(j % len(rows), dep)
+    return QMatrix(rows + [(Q(0),) * M.cols], cols=M.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                      st.integers(-2, 2)), max_size=3))
+def test_rref_transform_matches_rref(M, picks):
+    M = _with_dependent_rows(M, picks)
+    R, T, pivots, rk = rref_transform(M)
+    assert (R, pivots, rk) == rref(M)
+    assert T.rows == T.cols == M.rows
+    assert tuple(R) == tuple(_combination(t, M) for t in T)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_row_space_is_span_equal(M):
@@ -179,6 +221,10 @@ def test_row_space_is_span_equal(M):
 
 # ---------------------------------------------------------------------------
 # quotient_basis against the stack-and-re-eliminate loop it replaced
+
+def _stack(A: QMatrix, B: QMatrix) -> QMatrix:
+    return QMatrix(A.data + B.data, cols=A.cols)
+
 
 def reference_quotient_basis(space: QMatrix, subspace: QMatrix):
     """One membership test per space-basis row against a re-stacked
@@ -190,9 +236,9 @@ def reference_quotient_basis(space: QMatrix, subspace: QMatrix):
     kept = []
     echelon = QMatrix(Rsub.data, cols=space.cols)
     for row in Rsp.data:
-        if not in_row_span(row, echelon):
+        if membership(row, echelon) is None:
             kept.append(row)
-            echelon = stack(echelon, QMatrix([row], cols=space.cols))
+            echelon = _stack(echelon, QMatrix([row], cols=space.cols))
     reps = QMatrix(kept, cols=space.cols)
     nreps = reps.rows
     if nreps + Rsub.rows == 0:
@@ -201,7 +247,7 @@ def reference_quotient_basis(space: QMatrix, subspace: QMatrix):
                 raise ExactLinError("reduce: vector outside the span")
             return ()
         return reps, reduce_zero
-    coords = make_reducer(stack(reps, Rsub) if nreps else Rsub)
+    coords = make_reducer(_stack(reps, Rsub) if nreps else Rsub)
     return reps, lambda v: coords(v)[:nreps]
 
 

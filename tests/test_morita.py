@@ -87,14 +87,14 @@ def test_transport_requires_matching_quotient():
                                      lambda: truncated_poly(3),
                                      lambda: build_v1(2)))
 def test_opposite_algebra_same_presentation(factory):
-    rep = verify_opposite(factory())
+    rep = verify_opposite(ESpace(factory()))
     assert rep.ok, rep
 
 
 def test_ut2_has_trivial_e_on_both_sides():
     E = ESpace(upper_triangular2())
     assert E.dim == 0
-    rep = verify_opposite(upper_triangular2())
+    rep = verify_opposite(E)
     assert rep.ok
 
 
@@ -111,8 +111,9 @@ def _perturbing_espace(source):
 
 def test_opposite_bracket_comparison_can_fail(monkeypatch):
     A = truncated_poly(3)
+    E = ESpace(A)
     monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
-    rep = verify_opposite(A)
+    rep = verify_opposite(E)
     assert rep.presentations_coincide and rep.form_tables_match
     assert not rep.bracket_tables_match and not rep.ok
 
