@@ -1,18 +1,21 @@
 """Finite-dimensional unital associative algebras over Q by structure constants.
 
 An algebra is a dense table ``structure[i][j]`` giving the coordinates of
-``e_i * e_j``.  The constructor rejects any table failing associativity or the
-unit laws, checked exactly on all basis triples.
+``e_i * e_j``; ``mul`` contracts its sparse form, built once per algebra.
+The constructor rejects any table failing associativity or the unit laws,
+checked exactly on all basis triples.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       nullspace, rat, rat_str, row_space, vec, vec_is_zero)
+                       nullspace, rat, rat_str, row_space, sparse_table, vec,
+                       vec_is_zero)
 
 
 class AlgebraError(HccourantError):
@@ -48,9 +51,13 @@ class FiniteAlgebra:
     structure: tuple  # structure[i][j]: coords of e_i e_j, tuple of mpq
     unit: tuple       # coords of 1
 
+    @cached_property
+    def _sparse_structure(self) -> tuple:
+        return sparse_table(self.structure)
+
     def mul(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        return bilinear(x, y, self.structure, self.dim)
+        return bilinear(x, y, self._sparse_structure, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
@@ -64,21 +71,20 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"
 
 
-def _validate(name, dim, structure, unit):
+def _validate(A: FiniteAlgebra) -> None:
+    name, dim, structure, unit = A.name, A.dim, A.structure, A.unit
     if dim < 1:
         raise AlgebraError(f"{name}: dimension must be >= 1")
-    probe = FiniteAlgebra(name, dim, tuple(f"e{i}" for i in range(dim)),
-                          structure, unit)
     for i in range(dim):
-        ei = probe.basis_vector(i)
-        if probe.mul(unit, ei) != ei or probe.mul(ei, unit) != ei:
+        ei = A.basis_vector(i)
+        if A.mul(unit, ei) != ei or A.mul(ei, unit) != ei:
             raise AlgebraError(f"{name}: unit laws fail on basis element {i}")
     for i in range(dim):
         for j in range(dim):
             ij = structure[i][j]
             for k in range(dim):
-                left = probe.mul(ij, probe.basis_vector(k))
-                right = probe.mul(probe.basis_vector(i), structure[j][k])
+                left = A.mul(ij, A.basis_vector(k))
+                right = A.mul(A.basis_vector(i), structure[j][k])
                 if left != right:
                     raise AlgebraError(
                         f"{name}: associativity fails at triple ({i},{j},{k})")
@@ -94,8 +100,9 @@ def make_algebra(name: str, basis_names: Sequence[str],
     if len(u) != dim or any(len(table[i][j]) != dim
                             for i in range(dim) for j in range(dim)):
         raise AlgebraError(f"{name}: inconsistent dimensions")
-    _validate(name, dim, table, u)
-    return FiniteAlgebra(name, dim, tuple(basis_names), table, u)
+    A = FiniteAlgebra(name, dim, tuple(basis_names), table, u)
+    _validate(A)
+    return A
 
 
 # ---------------------------------------------------------------------------

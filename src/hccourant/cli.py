@@ -117,12 +117,12 @@ def _cmd_epsilon(args):
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
     eps = EpsilonSpace(E)
+    units = QMatrix.identity(eps.dim)
     return {"algebra": A.name, "e_dim": E.dim, "kernel_dim": eps.J.rows,
             "epsilon_dim": eps.dim,
             "class_reps": _rmat(eps.class_reps),
-            "form_table": [[_rvec(eps.form_table[i][j])
-                            for j in range(eps.dim)]
-                           for i in range(eps.dim)],
+            "form_table": [[_rvec(eps.form(u, v)) for v in units]
+                           for u in units],
             "nondegenerate": True}, EXIT_OK
 
 

@@ -11,12 +11,15 @@ nondegenerate induced form.
 An element of either space is its coordinate tuple over a class basis, and
 both spaces work from structure tensors fixed by their values on that basis:
 the bracket table [[e_i, e_j]], the form table (e_i, e_j) and the
-Z(A)-action table c_m . e_k for the centre basis c_m.  ESpace builds them
-from the chain-level rules on first use, so a space that never brackets
-pays nothing; ``bracket``, ``form`` and ``z_scale`` contract them with
-``bilinear``, and ``orthogonal`` reads every radical and orthogonal off the
-form table.  The chain-level ``courant_bracket`` stays as the reference the
-tables are tested against.
+Z(A)-action table c_m . e_k for the centre basis c_m.  A table stores only
+its nonzero cells, in the canonical sparse form of ``exactlin.sparse_table``
+(row i holds ascending (j, cell) pairs, a cell ascending (k, t) pairs with
+t != 0), so two tables are equal exactly when ``==`` says so.  ESpace builds
+them from the chain-level rules on first use, so a space that never
+brackets pays nothing; ``bracket``, ``form`` and ``z_scale`` contract them
+with ``bilinear``, and ``orthogonal`` reads every radical and orthogonal off
+the form table.  The chain-level ``courant_bracket`` stays as the reference
+the tables are tested against.
 
 Checks run at construction: ESpace verifies that B descends to H_0 (D does
 not depend on the representative); EpsilonSpace verifies, exactly, that J is
@@ -32,7 +35,8 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
                        make_membership, nullspace, quotient_basis,
-                       row_combination, vec, vec_is_zero)
+                       row_combination, sparse, sparse_table, vec,
+                       vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -40,6 +44,13 @@ from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
 
 class CourantError(HccourantError):
     pass
+
+
+def _freeze(rows) -> tuple:
+    """A sparse table from one {j: cell} dict per row: empty cells dropped,
+    j ascending."""
+    return tuple(tuple(sorted((j, c) for j, c in r.items() if c))
+                 for r in rows)
 
 
 class ESpace:
@@ -61,10 +72,9 @@ class ESpace:
         self.dim = self.h1co.dim + self.h1.dim
         self.h0_dim = self.h0.dim
         # pairing table: P[i][j] = <X_i, alpha_j> in H_0 class coordinates
-        self._ptable = tuple(
-            tuple(pairing(self._derivation_rep(i), self.h1.rep_chain(j),
-                          self.h0)
-                  for j in range(self.h1.dim))
+        self._ptable = sparse_table(
+            (pairing(self._derivation_rep(i), self.h1.rep_chain(j), self.h0)
+             for j in range(self.h1.dim))
             for i in range(self.h1co.dim))
         self._check_d_map_descent()
 
@@ -148,24 +158,24 @@ class ESpace:
         L_X_i alpha_j, and -L_X_j alpha_i + D<X_j, alpha_i>; (alpha, alpha)
         pairs bracket to 0."""
         hc, hh = self.h1co.dim, self.h1.dim
-        zero_x, zero_a = (ZERO,) * hc, (ZERO,) * hh
-        T = [[zero_x + zero_a] * self.dim for _ in range(self.dim)]
+        T = [{} for _ in range(self.dim)]
         X = [self._derivation_rep(i) for i in range(hc)]
         for i in range(hc):
             for j in range(i + 1, hc):
                 c = self.class_of_derivation(commutator(X[i], X[j]))
-                T[i][j] = c + zero_a
-                T[j][i] = tuple(-x for x in c) + zero_a
+                T[i][j] = sparse(c)
+                T[j][i] = sparse([-x for x in c])
         D = QMatrix([self.d_map(h)[hc:]
                      for h in QMatrix.identity(self.h0.dim)], cols=hh)
+        ex, ea = QMatrix.identity(hc), QMatrix.identity(hh)
         for i in range(hc):
             for j in range(hh):
                 lx = self.h1.reduce(lie_derivative(
                     X[i], self.h1.rep_chain(j), checked=False).coords)
-                back = row_combination(self._ptable[i][j], D)
-                T[i][hc + j] = zero_x + lx
-                T[hc + j][i] = zero_x + tuple(b - a for a, b in zip(lx, back))
-        return tuple(map(tuple, T))
+                back = row_combination(self.pairing_classes(ex[i], ea[j]), D)
+                T[i][hc + j] = sparse(lx, hc)
+                T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
+        return _freeze(T)
 
     @cached_property
     def form_table(self) -> tuple:
@@ -173,11 +183,11 @@ class ESpace:
         pairing <X_i, alpha_j> on (X, alpha) pairs, symmetric, and 0 on
         (X, X) and (alpha, alpha) pairs."""
         hc = self.h1co.dim
-        F = [[(ZERO,) * self.h0_dim] * self.dim for _ in range(self.dim)]
-        for i in range(hc):
-            for j in range(self.h1.dim):
-                F[i][hc + j] = F[hc + j][i] = self._ptable[i][j]
-        return tuple(map(tuple, F))
+        F = [{} for _ in range(self.dim)]
+        for i, row in enumerate(self._ptable):
+            for j, cell in row:
+                F[i][hc + j] = F[hc + j][i] = cell
+        return _freeze(F)
 
     @cached_property
     def z_table(self) -> tuple:
@@ -187,16 +197,16 @@ class ESpace:
         hc, hh = self.h1co.dim, self.h1.dim
         table = []
         for z in self.center_basis:
-            rows = []
+            row = {}
             for k in range(hc):
                 X = self._derivation_rep(k)
-                zx = Cochain1(A, tuple(A.mul(z, row) for row in X.rows))
-                rows.append(self.class_of_derivation(zx) + (ZERO,) * hh)
+                zx = Cochain1(A, tuple(A.mul(z, r) for r in X.rows))
+                row[k] = sparse(self.class_of_derivation(zx))
             for k in range(hh):
                 za = h_left_multiply(z, self.h1.rep_chain(k))
-                rows.append((ZERO,) * hc + self.h1.reduce_chain(za))
-            table.append(tuple(rows))
-        return tuple(table)
+                row[hc + k] = sparse(self.h1.reduce_chain(za), hc)
+            table.append(row)
+        return _freeze(table)
 
     @cached_property
     def _center_membership(self):
@@ -255,9 +265,14 @@ def orthogonal(space, vectors) -> QMatrix:
     F, n = space.form_table, space.dim
     rows = []
     for l in vectors:
-        terms = [(j, c) for j, c in enumerate(l) if c]
-        rows += ([sum((c * F[k][j][h] for j, c in terms if F[k][j][h]), ZERO)
-                  for k in range(n)] for h in range(space.h0_dim))
+        block = [[ZERO] * n for _ in range(space.h0_dim)]
+        for k, row in enumerate(F):
+            for j, cell in row:
+                c = l[j]
+                if c:
+                    for h, t in cell:
+                        block[h][k] += c * t
+        rows += block
     if not rows:
         return QMatrix.identity(n)
     return nullspace(QMatrix(rows, cols=n))
@@ -287,8 +302,8 @@ class EpsilonSpace:
         self.center_basis = espace.center_basis
         self.h0_dim = espace.h0_dim
         self._verify_ideal()
-        self.form_table = tuple(tuple(espace.form(ra, rb) for rb in reps)
-                                for ra in reps)
+        self.form_table = sparse_table((espace.form(ra, rb) for rb in reps)
+                                       for ra in reps)
         self._verify_nondegenerate()
 
     # -- coordinates --------------------------------------------------------
@@ -311,15 +326,15 @@ class EpsilonSpace:
         """bracket_table[a][b] = [[r_a, r_b]] reduced, for the class
         representatives r_a; well defined because J is an ideal."""
         E, reps = self.espace, self.class_reps
-        return tuple(tuple(self._reduce(E.bracket(ra, rb)) for rb in reps)
-                     for ra in reps)
+        return sparse_table((self._reduce(E.bracket(ra, rb)) for rb in reps)
+                            for ra in reps)
 
     @cached_property
     def z_table(self) -> tuple:
         """z_table[m][a] = c_m . r_a reduced, for the centre basis c_m."""
         E, reps = self.espace, self.class_reps
-        return tuple(tuple(self._reduce(E.z_scale(z, ra)) for ra in reps)
-                     for z in self.center_basis)
+        return sparse_table((self._reduce(E.z_scale(z, ra)) for ra in reps)
+                            for z in self.center_basis)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         return bilinear(self._coords(u), self._coords(v), self.bracket_table,

@@ -473,18 +473,20 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         return [[sum((P[i][k] * R[k][j] for k in range(n)), ZERO)
                  for j in range(n)] for i in range(n)]
 
+    vs = L.vectors
+    n = L.dim
+    # br[i][j] = [[l_i, l_j]], computed once for every loop below
+    br = [[eps.bracket(a, b) for b in vs] for a in vs]
     anchor_ok = True
     skew_ok = True
-    sigmas = [sigma(u) for u in L.vectors]
+    sigmas = [sigma(u) for u in vs]
     for i, si in enumerate(sigmas):
         for j, sj in enumerate(sigmas):
-            br = eps.bracket(L.vectors[i], L.vectors[j])
             # rows are images of the center basis, so composition reverses
             comm = mat_sub(mat_mul(sj, si), mat_mul(si, sj))
-            if sigma(br) != comm:
+            if sigma(br[i][j]) != comm:
                 anchor_ok = False
-            rb = eps.bracket(L.vectors[j], L.vectors[i])
-            if not vec_is_zero(tuple(a + b for a, b in zip(br, rb))):
+            if not vec_is_zero([a + b for a, b in zip(br[i][j], br[j][i])]):
                 skew_ok = False
 
     leibniz_ok = True
@@ -496,27 +498,22 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
             coeffs = vec(rng.randint(-3, 3) for _ in range(cdim))
             draws.append(row_combination(coeffs, cb))
     for z in draws:
-        for i in range(L.dim):
-            xz = E.center_action(E.rho(eps.lift(L.vectors[i])), z)
-            for j in range(L.dim):
-                lhs = eps.bracket(L.vectors[i],
-                                  eps.z_scale(z, L.vectors[j]))
+        zl = [eps.z_scale(z, l) for l in vs]
+        for i in range(n):
+            xz = E.center_action(E.rho(eps.lift(vs[i])), z)
+            for j in range(n):
+                lhs = eps.bracket(vs[i], zl[j])
                 rhs = tuple(a + b for a, b in zip(
-                    eps.z_scale(z, eps.bracket(L.vectors[i], L.vectors[j])),
-                    eps.z_scale(xz, L.vectors[j])))
+                    eps.z_scale(z, br[i][j]), eps.z_scale(xz, vs[j])))
                 if lhs != rhs:
                     leibniz_ok = False
 
-    jacobi_ok = True
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for k in range(L.dim):
-                a = eps.bracket(L.vectors[i],
-                                eps.bracket(L.vectors[j], L.vectors[k]))
-                b = eps.bracket(eps.bracket(L.vectors[i], L.vectors[j]),
-                                L.vectors[k])
-                c = eps.bracket(L.vectors[j],
-                                eps.bracket(L.vectors[i], L.vectors[k]))
-                if a != tuple(p + q for p, q in zip(b, c)):
-                    jacobi_ok = False
+    # nested[i][j][k] = [[l_i, [[l_j, l_k]]]]; Jacobi in Leibniz form reads
+    # [[l_i, [[l_j, l_k]]]] = [[[[l_i, l_j]], l_k]] + [[l_j, [[l_i, l_k]]]]
+    nested = [[[eps.bracket(vs[i], br[j][k]) for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    jacobi_ok = all(
+        nested[i][j][k] == tuple(p + q for p, q in zip(
+            eps.bracket(br[i][j], vs[k]), nested[j][i][k]))
+        for i in range(n) for j in range(n) for k in range(n))
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)

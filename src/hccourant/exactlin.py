@@ -126,19 +126,31 @@ def row_combination(c: Sequence, M: QMatrix) -> tuple:
     return tuple(out)
 
 
+def sparse(v: Sequence, shift: int = 0) -> tuple:
+    """The nonzero entries of v as ``(k + shift, v_k)`` pairs, k ascending:
+    one cell of a sparse table."""
+    return tuple((k + shift, x) for k, x in enumerate(v) if x)
+
+
+def sparse_table(table) -> tuple:
+    """The sparse form of a dense table of vectors: row i holds the
+    ``(j, sparse(table[i][j]))`` pairs with a nonzero cell, j ascending."""
+    return tuple(tuple((j, c) for j, c in enumerate(map(sparse, row)) if c)
+                 for row in table)
+
+
 def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
-    """sum_ij u_i v_j table[i][j] for a table of length-``dim`` vectors, e.g.
-    structure constants, a pairing table or a bracket table."""
+    """sum_ij u_i v_j table[i][j] as a length-``dim`` vector, for a sparse
+    table (see ``sparse_table``): structure constants, a pairing table, a
+    bracket table.  Only the nonzero cells and entries are visited."""
     out = [ZERO] * dim
     for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = table[i]
-        for j, vj in enumerate(v):
-            if vj:
-                c = ui * vj
-                for k, t in enumerate(row[j]):
-                    if t:
+        if ui:
+            for j, cell in table[i]:
+                vj = v[j]
+                if vj:
+                    c = ui * vj
+                    for k, t in cell:
                         out[k] += c * t
     return tuple(out)
 

@@ -195,9 +195,10 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
                 pairing_ok = False
 
     # bracket: (T (+) I) [[u, v]] = [[(T (+) I) u, (T (+) I) v]]
-    e_images = [maps.map_e_vec(u) for u in QMatrix.identity(src.dim)]
+    units = QMatrix.identity(src.dim)
+    e_images = [maps.map_e_vec(u) for u in units]
     bracket_ok = all(
-        maps.map_e_vec(src.bracket_table[i][j])
+        maps.map_e_vec(src.bracket(units[i], units[j]))
         == tgt.bracket(e_images[i], e_images[j])
         for i in range(src.dim) for j in range(src.dim))
 

@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra, build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, make_reducer,
-                       rank, row_combination, span_equal, vec, vec_is_zero)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+                       make_reducer, rank, row_combination, span_equal,
+                       sparse_table, vec, vec_is_zero)
 from .hochschild import Cochain1, elementary_chain
 
 
@@ -283,35 +284,25 @@ class DStructureReport:
 
 
 def mu_tilde(n: int, mu, v) -> tuple:
-    """The matrix of mu(v, .) acting on the basis of V."""
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, c in enumerate(vec(v)):
-        if not c:
-            continue
-        for j in range(n):
-            for k, x in enumerate(mu[i][j]):
-                if x:
-                    rows[k][j] += c * x
-    return tuple(tuple(r) for r in rows)
+    """The matrix of mu(v, .) acting on the basis of V, for mu in the sparse
+    table form of ``exactlin.sparse_table``: column j is mu(v, v_j)."""
+    v = vec(v)
+    return tuple(zip(*(bilinear(v, e, mu, n) for e in QMatrix.identity(n))))
 
 
 def _lie_oracle(n: int, mu):
-    skew = all(mu[i][j][k] == -mu[j][i][k]
-               for i in range(n) for j in range(i, n) for k in range(n))
-    jacobi = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = [ZERO] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = mu[a][b]
-                    for s, x in enumerate(inner):
-                        if x:
-                            for t, y in enumerate(mu[s][c]):
-                                if y:
-                                    total[t] += x * y
-                if not vec_is_zero(total):
-                    jacobi = False
+    """(skew, jacobi) for mu in sparse table form, on basis pairs and
+    triples."""
+    units = QMatrix.identity(n)
+    br = [[bilinear(x, y, mu, n) for y in units] for x in units]
+    skew = all(br[i][j] == tuple(-t for t in br[j][i])
+               for i in range(n) for j in range(i, n))
+    # outer[a][b][c] = mu(mu(v_a, v_b), v_c)
+    outer = [[[bilinear(br[a][b], z, mu, n) for z in units]
+              for b in range(n)] for a in range(n)]
+    jacobi = all(vec_is_zero([p + q + r for p, q, r in zip(
+        outer[i][j][k], outer[j][k][i], outer[k][i][j])])
+        for i in range(n) for j in range(n) for k in range(n))
     return skew, jacobi
 
 
@@ -320,6 +311,9 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j)."""
     n = iso.n
     mu = tuple(tuple(vec(mu[i][j]) for j in range(n)) for i in range(n))
+    if any(len(c) != n for row in mu for c in row):
+        raise OmniError("mu has cells of the wrong length")
+    mu = sparse_table(mu)
     rows = []
     for i in range(n):
         v = tuple(ONE if k == i else ZERO for k in range(n))

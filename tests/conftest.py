@@ -62,13 +62,29 @@ def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:
 
 
 def perturbed_table(table, i, j, k):
-    """A copy of a bracket table with 1 added to coordinate k of entry
-    (i, j)."""
-    rows = [list(row) for row in table]
-    cell = list(rows[i][j])
-    cell[k] += 1
-    rows[i][j] = tuple(cell)
-    return tuple(map(tuple, rows))
+    """A copy of a sparse bracket table (``exactlin.sparse_table`` form) with
+    1 added to coordinate k of cell (i, j), still in canonical form."""
+    rows = [dict(row) for row in table]
+    cell = dict(rows[i].get(j, ()))
+    cell[k] = cell.get(k, Q(0)) + 1
+    rows[i][j] = tuple(sorted((m, t) for m, t in cell.items() if t))
+    return tuple(tuple(sorted((m, c) for m, c in row.items() if c))
+                 for row in rows)
+
+
+def is_canonical_table(table, rows, cols, dim) -> bool:
+    """``table`` is in the canonical sparse form: ``rows`` rows of
+    (j, cell) pairs, j ascending in range(cols), no empty cell, and each cell
+    (k, t) pairs, k ascending in range(dim), no zero t."""
+    def ascending(idx, bound):
+        return (all(a < b for a, b in zip(idx, idx[1:]))
+                and all(0 <= a < bound for a in idx))
+
+    return len(table) == rows and all(
+        ascending([j for j, _ in row], cols)
+        and all(cell and ascending([k for k, _ in cell], dim)
+                and all(t != 0 for _, t in cell) for _, cell in row)
+        for row in table)
 
 
 def rng_for(name: str) -> random.Random:

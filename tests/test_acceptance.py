@@ -169,8 +169,9 @@ def test_criterion_04_kernel_ideal_and_nondegeneracy(capsys, espaces, epsilons):
                 ok = ok and membership(E.courant_bracket(j, e), J) is not None
                 ok = ok and membership(E.courant_bracket(e, j), J) is not None
         eps = epsilons[name]
-        M = QMatrix([[x for cell in row for x in cell]
-                     for row in eps.form_table] or [],
+        units = QMatrix.identity(eps.dim)
+        M = QMatrix([[x for v in units for x in eps.form(u, v)]
+                     for u in units] or [],
                     cols=eps.dim * E.h0.dim)
         ok = ok and rank(M) == eps.dim
     _report(capsys, 4, "[[J,E]],[[E,J]] in J and nondegenerate quotient form",

@@ -10,8 +10,8 @@ from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace, rank,
                                 row_combination)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
                                   elementary_chain, h_left_multiply)
-from conftest import (perturbed_table, rand_combination, rand_vec, rng_for,
-                      vec_add)
+from conftest import (is_canonical_table, perturbed_table, rand_combination,
+                      rand_vec, rng_for, vec_add)
 
 NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
 
@@ -33,8 +33,9 @@ def test_kernel_dimensions(espaces, name):
 @pytest.mark.parametrize("name", NONZERO_E)
 def test_epsilon_nondegenerate(epsilons, name):
     eps = epsilons[name]
-    M = QMatrix([[hv for cell in row for hv in cell]
-                 for row in eps.form_table] or [],
+    units = QMatrix.identity(eps.dim)
+    M = QMatrix([[hv for v in units for hv in eps.form(u, v)]
+                 for u in units] or [],
                 cols=eps.dim * eps.espace.h0.dim)
     assert rank(M) == eps.dim
 
@@ -244,6 +245,20 @@ def test_structure_tables_match_chain_level_maps(table_spaces, data):
     assert eps.z_scale(z, a) == eps.reduce(_chain_z_scale(E, z, lift_a))
 
 
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_structure_tables_are_canonical(espaces, epsilons, name):
+    """Every table stores its nonzero cells only, indices ascending, so
+    table == table' means equal tensors."""
+    E = espaces[name]
+    assert is_canonical_table(E._ptable, E.h1co.dim, E.h1.dim, E.h0_dim)
+    for space in (E, epsilons[name]):
+        n = space.dim
+        assert is_canonical_table(space.bracket_table, n, n, n)
+        assert is_canonical_table(space.form_table, n, n, space.h0_dim)
+        assert is_canonical_table(space.z_table, space.center_basis.rows,
+                                  n, n)
+
+
 def test_ideal_check_fails_on_a_perturbed_bracket_table():
     E = ESpace(build_v1(2))  # its own instance: the tables are cached on it
     J = kernel_J(E)
@@ -256,8 +271,7 @@ def test_ideal_check_fails_on_a_perturbed_bracket_table():
 
 def test_nondegeneracy_check_fails_on_a_zeroed_form_table():
     eps = EpsilonSpace(ESpace(build_v1(2)))  # its own instance
-    zero = (ZERO,) * eps.h0_dim
-    eps.form_table = tuple((zero,) * eps.dim for _ in range(eps.dim))
+    eps.form_table = ((),) * eps.dim  # every cell zero
     with pytest.raises(CourantError, match="degenerate"):
         eps._verify_nondegenerate()
 
@@ -270,15 +284,15 @@ def _pairing_kernel_J(E):
     """Reference radical: the H_0 coordinates of <X_l, alpha-part> and
     <x-part, alpha_m> stacked from the pairing table."""
     hc, hh, h0d = E.h1co.dim, E.h1.dim, E.h0.dim
+    ex, ea = QMatrix.identity(hc), QMatrix.identity(hh)
+    P = [[E.pairing_classes(x, a) for a in ea] for x in ex]
     rows = []
     for l in range(hc):
         for k in range(h0d):
-            rows.append([ZERO] * hc +
-                        [E._ptable[l][j][k] for j in range(hh)])
+            rows.append([ZERO] * hc + [P[l][j][k] for j in range(hh)])
     for m in range(hh):
         for k in range(h0d):
-            rows.append([E._ptable[i][m][k] for i in range(hc)] +
-                        [ZERO] * hh)
+            rows.append([P[i][m][k] for i in range(hc)] + [ZERO] * hh)
     if not rows:
         return QMatrix.identity(E.dim)
     return nullspace(QMatrix(rows, cols=E.dim))

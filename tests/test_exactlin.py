@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, make_membership,
-                                make_reducer, membership, nullspace,
-                                quotient_basis, rank, rat, rat_str, row_space,
-                                rref, rref_transform, span_contains,
-                                span_equal, vec)
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
+                                make_membership, make_reducer, membership,
+                                nullspace, quotient_basis, rank, rat, rat_str,
+                                row_space, rref, rref_transform, sparse_table,
+                                span_contains, span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
+from conftest import is_canonical_table
 
 rationals = st.builds(
     lambda p, q: Q(p) / Q(q),
@@ -307,3 +308,44 @@ def test_homology_quotients_match_reference(name, algebras):
         assert pres.class_reps == reps
         for v in probes:
             assert pres.reduce(v) == reduce(v)
+
+
+# ---------------------------------------------------------------------------
+# the sparse bilinear contraction against a dense reference
+
+def _dense_bilinear(u, v, table, dim):
+    """sum_ijk u_i v_j table[i][j][k] e_k over every cell, zeros included."""
+    out = [Q(0)] * dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for k, t in enumerate(table[i][j]):
+                out[k] += ui * vj * t
+    return tuple(out)
+
+
+# zeros are drawn often, so tables hold zero entries, zero cells and zero
+# rows, and u, v are often zero in places or everywhere
+_sparse_rationals = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
+
+
+def _vectors(n):
+    return st.one_of(st.just((Q(0),) * n),
+                     st.lists(_sparse_rationals, min_size=n, max_size=n)
+                     .map(tuple))
+
+
+@st.composite
+def _contractions(draw):
+    m, n, dim = (draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                 draw(st.integers(0, 4)))
+    table = [[draw(_vectors(dim)) for _ in range(n)] for _ in range(m)]
+    return draw(_vectors(m)), draw(_vectors(n)), table, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contractions())
+def test_bilinear_matches_dense_contraction(case):
+    u, v, table, dim = case
+    sparse = sparse_table(table)
+    assert is_canonical_table(sparse, len(table), len(v), dim)
+    assert bilinear(u, v, sparse, dim) == _dense_bilinear(u, v, table, dim)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hccourant.exactlin import Q, QMatrix, nullspace
+from hccourant.exactlin import Q, QMatrix, nullspace, sparse_table
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
                             d_structure_check, mu_tilde, omni_element,
                             omni_pairing, verify_ev1, verify_main_theorem,
@@ -117,8 +117,8 @@ def test_mu_tilde():
     n = 3
     mu = _zero_mu(n)
     mu[0][1][2] = 1  # mu(v1, v2) = v3
-    m = mu_tilde(n, tuple(tuple(tuple(Q(x) for x in c) for c in r)
-                          for r in mu), (Q(1), Q(0), Q(0)))
+    m = mu_tilde(n, sparse_table(tuple(tuple(Q(x) for x in c) for c in r)
+                                 for r in mu), (Q(1), Q(0), Q(0)))
     assert m[2][1] == 1
     assert sum(abs(x) for row in m for x in row) == 1
 
@@ -152,3 +152,10 @@ def test_d_structure_random_corpus_agrees():
                    for _ in range(n)] for _ in range(n)]
             rep = d_structure_check(iso, mu)
             assert rep.consistent
+
+
+def test_d_structure_rejects_wrong_cell_length():
+    iso = build_omni_iso(2)
+    mu = [[[0, 0], [0]], [[0, 0], [0, 0]]]
+    with pytest.raises(OmniError, match="wrong length"):
+        d_structure_check(iso, mu)
