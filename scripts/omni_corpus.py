@@ -3,6 +3,12 @@
 formulas, the explicit isomorphism, and a randomized D-structure corpus
 (graphs of random mu tables versus the direct Lie-bracket oracle).
 
+The corpus draws two kinds of mu table per dimension n: entries drawn
+uniformly from {-1, 0, 1}, which are almost never Lie brackets, and
+change-of-basis images P mu(P^-1 x, P^-1 y) of known Lie brackets (so(3),
+Heisenberg, r_2, each plus an abelian summand), which always are.  The
+second kind checks the oracle agreement on the Dirac = True side.
+
 Example:
     python scripts/omni_corpus.py --max-n 3 --tables 200 --seed 11
 """
@@ -11,8 +17,18 @@ import argparse
 import random
 from dataclasses import dataclass
 
+from hccourant.exactlin import (QMatrix, bilinear, make_reducer, rank,
+                                row_combination, sparse_table)
 from hccourant.omni import (build_omni_iso, d_structure_check, verify_ev1,
                             verify_main_theorem)
+
+#: known Lie brackets: name -> (dimension, {(i, j): {k: c}}) for
+#: [e_i, e_j] = sum_k c e_k, with [e_j, e_i] = -[e_i, e_j] implied
+LIE_BRACKETS = {
+    "so3": (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}),
+    "heisenberg": (3, {(0, 1): {2: 1}}),
+    "r2": (2, {(0, 1): {1: 1}}),
+}
 
 
 @dataclass
@@ -20,6 +36,35 @@ class OmniConfig:
     max_n: int = 3
     tables: int = 200
     seed: int = 0
+
+
+def lie_table(name: str, n: int) -> list:
+    """The bracket ``name`` plus an abelian summand, as an n x n x n table."""
+    _, brackets = LIE_BRACKETS[name]
+    mu = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), image in brackets.items():
+        for k, c in image.items():
+            mu[i][j][k] += c
+            mu[j][i][k] -= c
+    return mu
+
+
+def conjugated_lie_table(n: int, rng: random.Random):
+    """``(name, table)``: P mu(P^-1 x, P^-1 y) for a known Lie bracket mu of
+    dimension at most n and a random invertible integer matrix P."""
+    name = rng.choice(sorted(k for k, (dim, _) in LIE_BRACKETS.items()
+                             if dim <= n))
+    while True:
+        P = QMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                     for _ in range(n)])
+        if rank(P) == n:
+            break
+    coords = make_reducer(P)
+    # row i of inv_cols is P^-1 e_i, the i-th column of P^-1
+    inv_cols = QMatrix([coords(e) for e in QMatrix.identity(n)]).transpose()
+    mu, PT = sparse_table(lie_table(name, n)), P.transpose()
+    return name, [[row_combination(bilinear(x, y, mu, n), PT)
+                   for y in inv_cols] for x in inv_cols]
 
 
 def run(cfg: OmniConfig) -> int:
@@ -41,9 +86,18 @@ def run(cfg: OmniConfig) -> int:
             d = d_structure_check(iso, mu)
             lie_count += d.is_lie_bracket
             inconsistent += not d.consistent
-        print(f"  D-structure corpus: {cfg.tables} tables, "
-              f"{lie_count} Lie brackets, {inconsistent} disagreements")
+        lie_dirac = 0
+        for _ in range(cfg.tables):
+            d = d_structure_check(iso, conjugated_lie_table(n, rng)[1])
+            lie_dirac += d.is_lie_bracket and d.dirac
+            inconsistent += not d.consistent
+        print(f"  D-structure corpus: {cfg.tables} uniform tables, "
+              f"{lie_count} Lie brackets; {cfg.tables} change-of-basis Lie "
+              f"tables, {lie_dirac} Lie and Dirac; "
+              f"{inconsistent} disagreements")
         bad += inconsistent + (not main.ok) + (not rep.ok)
+        # an image of a Lie bracket is one: each such table must pass both
+        bad += cfg.tables - lie_dirac
     return 0 if bad == 0 else 1
 
 

@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       nullspace, rat, rat_str, row_space, sparse_table, vec,
-                       vec_is_zero)
+                       nullspace, rat, rat_str, row_space, sparse,
+                       sparse_table, vec, vec_is_zero)
 
 
 class AlgebraError(HccourantError):
@@ -110,14 +110,11 @@ def make_algebra(name: str, basis_names: Sequence[str],
 
 def center(A: FiniteAlgebra) -> QMatrix:
     """Basis of {z : z e_i = e_i z for all i}; always contains the unit."""
-    d = A.dim
-    rows = []
-    for i in range(d):
-        for k in range(d):
-            # sum_s z_s (c_{si}^k - c_{is}^k) = 0
-            rows.append([A.structure[s][i][k] - A.structure[i][s][k]
-                         for s in range(d)])
-    return nullspace(QMatrix(rows, cols=d))
+    d, S = A.dim, A.structure
+    # sum_s z_s (c_{si}^k - c_{is}^k) = 0 for every (i, k)
+    return nullspace(QMatrix(
+        [sparse([S[s][i][k] - S[i][s][k] for s in range(d)])
+         for i in range(d) for k in range(d)], cols=d))
 
 
 def commutator_subspace(A: FiniteAlgebra) -> QMatrix:

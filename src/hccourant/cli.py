@@ -216,8 +216,8 @@ def _cmd_omni(args):
            "e_dim": ev1.e_dim, "kernel_dim": iso.eps.J.rows,
            "epsilon_dim": iso.eps.dim,
            "isomorphism": {
-               "gl_basis_images": _rmat(iso.fwd[:n * n]),
-               "v_basis_images": _rmat(iso.fwd[n * n:])}}
+               "gl_basis_images": _rmat(iso.fwd.data[:n * n]),
+               "v_basis_images": _rmat(iso.fwd.data[n * n:])}}
     ok = ev1.ok and main.ok
     if mu is not None:
         d = d_structure_check(iso, mu)

@@ -29,13 +29,14 @@ raises CourantError if either fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
-from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
+from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
                        make_membership, nullspace, quotient_basis,
-                       row_combination, sparse, sparse_table, vec,
+                       row_combination, sparse, sparse_row, sparse_table, vec,
                        vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
@@ -44,13 +45,6 @@ from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
 
 class CourantError(HccourantError):
     pass
-
-
-def _freeze(rows) -> tuple:
-    """A sparse table from one {j: cell} dict per row: empty cells dropped,
-    j ascending."""
-    return tuple(tuple(sorted((j, c) for j, c in r.items() if c))
-                 for r in rows)
 
 
 class ESpace:
@@ -175,7 +169,7 @@ class ESpace:
                 back = row_combination(self.pairing_classes(ex[i], ea[j]), D)
                 T[i][hc + j] = sparse(lx, hc)
                 T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
-        return _freeze(T)
+        return tuple(map(sparse_row, T))
 
     @cached_property
     def form_table(self) -> tuple:
@@ -187,7 +181,7 @@ class ESpace:
         for i, row in enumerate(self._ptable):
             for j, cell in row:
                 F[i][hc + j] = F[hc + j][i] = cell
-        return _freeze(F)
+        return tuple(map(sparse_row, F))
 
     @cached_property
     def z_table(self) -> tuple:
@@ -206,7 +200,7 @@ class ESpace:
                 za = h_left_multiply(z, self.h1.rep_chain(k))
                 row[hc + k] = sparse(self.h1.reduce_chain(za), hc)
             table.append(row)
-        return _freeze(table)
+        return tuple(map(sparse_row, table))
 
     @cached_property
     def _center_membership(self):
@@ -265,16 +259,14 @@ def orthogonal(space, vectors) -> QMatrix:
     F, n = space.form_table, space.dim
     rows = []
     for l in vectors:
-        block = [[ZERO] * n for _ in range(space.h0_dim)]
+        block = [defaultdict(lambda: ZERO) for _ in range(space.h0_dim)]
         for k, row in enumerate(F):
             for j, cell in row:
                 c = l[j]
                 if c:
                     for h, t in cell:
                         block[h][k] += c * t
-        rows += block
-    if not rows:
-        return QMatrix.identity(n)
+        rows += map(sparse_row, block)
     return nullspace(QMatrix(rows, cols=n))
 
 
@@ -315,9 +307,6 @@ class EpsilonSpace:
     def lift(self, coords: Sequence) -> tuple:
         """epsilon(A) class coordinates -> E(A) coordinates of the rep."""
         return row_combination(self._coords(coords), self.class_reps)
-
-    def basis_coords(self, k: int) -> tuple:
-        return tuple(ONE if i == k else ZERO for i in range(self.dim))
 
     # -- induced structure --------------------------------------------------
 

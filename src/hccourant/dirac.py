@@ -7,17 +7,18 @@ a submodule is reported as a separate flag alongside the Q-linear verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix,
-                       make_membership, nullspace, rank, rat_str,
-                       row_combination, row_space, span_contains, vec,
-                       vec_is_zero)
+from .exactlin import (ZERO, HccourantError, QMatrix, make_membership,
+                       nullspace, rank, rat_str, row_combination, row_space,
+                       span_contains, sparse_row, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
                          homology, interior_product)
 
@@ -55,15 +56,12 @@ class Submodule:
         return make_membership(self.vectors)
 
 
-def _unit_vec(n, k):
-    return tuple(ONE if i == k else ZERO for i in range(n))
-
-
 def is_isotropic(L: Submodule) -> bool:
     """The form vanishes on all spanning pairs."""
+    vs = L.vectors.data
     for i in range(L.dim):
         for j in range(i, L.dim):
-            if not vec_is_zero(L.ambient.form(L.vectors[i], L.vectors[j])):
+            if not vec_is_zero(L.ambient.form(vs[i], vs[j])):
                 return False
     return True
 
@@ -84,9 +82,10 @@ def is_maximally_isotropic(L: Submodule) -> bool:
 def is_bracket_closed(L: Submodule):
     """Returns (closed, counterexample); the counterexample names the pair of
     spanning indices and the offending bracket value."""
+    vs = L.vectors.data
     for i in range(L.dim):
         for j in range(L.dim):
-            b = L.ambient.bracket(L.vectors[i], L.vectors[j])
+            b = L.ambient.bracket(vs[i], vs[j])
             if L.span_coords(b) is None:
                 return False, (i, j, b)
     return True, None
@@ -158,36 +157,11 @@ class BracketTable:
 
 
 def _check_biderivation(A: FiniteAlgebra, table) -> None:
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                # {e_i, e_j e_k} = {e_i, e_j} e_k + e_j {e_i, e_k}
-                lhs = [ZERO] * d
-                for s, c in enumerate(A.structure[j][k]):
-                    if c:
-                        for m, t in enumerate(table[i][s]):
-                            if t:
-                                lhs[m] += c * t
-                rhs = tuple(p + q for p, q in
-                            zip(A.mul(table[i][j], A.basis_vector(k)),
-                                A.mul(A.basis_vector(j), table[i][k])))
-                if tuple(lhs) != rhs:
-                    raise DiracError(
-                        f"second-slot biderivation law fails at ({i},{j},{k})")
-                # {e_j e_k, e_i} = {e_j, e_i} e_k + e_j {e_k, e_i}
-                lhs = [ZERO] * d
-                for s, c in enumerate(A.structure[j][k]):
-                    if c:
-                        for m, t in enumerate(table[s][i]):
-                            if t:
-                                lhs[m] += c * t
-                rhs = tuple(p + q for p, q in
-                            zip(A.mul(table[j][i], A.basis_vector(k)),
-                                A.mul(A.basis_vector(j), table[k][i])))
-                if tuple(lhs) != rhs:
-                    raise DiracError(
-                        f"first-slot biderivation law fails at ({i},{j},{k})")
+    flat = [x for row in table for cell in row for x in cell]
+    for slot, i, j, k, rows in _leibniz_laws(A):
+        if any(sum(c * flat[q] for q, c in row) for row in rows):
+            raise DiracError(
+                f"{slot}-slot biderivation law fails at ({i},{j},{k})")
 
 
 def make_bracket_table(A: FiniteAlgebra, table) -> BracketTable:
@@ -203,43 +177,43 @@ def biderivation_space(A: FiniteAlgebra) -> QMatrix:
     """
     if not A.is_commutative():
         raise DiracError("biderivation space requires a commutative algebra")
-    d = A.dim
+    rows = [row for *_, law in _leibniz_laws(A) for row in law]
+    return nullspace(QMatrix(rows, cols=A.dim ** 3))
 
-    def pos(i, j, k):
-        return (i * d + j) * d + k
 
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for m in range(d):
-                    # second slot law, coordinate m
-                    row = [ZERO] * (d ** 3)
-                    for s, c in enumerate(A.structure[j][k]):
-                        if c:
-                            row[pos(i, s, m)] += c
-                    for s in range(d):
-                        ek = A.structure[s][k][m]
-                        if ek:
-                            row[pos(i, j, s)] -= ek
-                        ej = A.structure[j][s][m]
-                        if ej:
-                            row[pos(i, k, s)] -= ej
-                    rows.append(row)
-                    # first slot law, coordinate m
-                    row = [ZERO] * (d ** 3)
-                    for s, c in enumerate(A.structure[j][k]):
-                        if c:
-                            row[pos(s, i, m)] += c
-                    for s in range(d):
-                        ek = A.structure[s][k][m]
-                        if ek:
-                            row[pos(j, i, s)] -= ek
-                        ej = A.structure[j][s][m]
-                        if ej:
-                            row[pos(k, i, s)] -= ej
-                    rows.append(row)
-    return nullspace(QMatrix(rows, cols=d ** 3))
+@functools.lru_cache(maxsize=8)
+def _leibniz_laws(A: FiniteAlgebra) -> tuple:
+    """The biderivation laws as sparse rows on the flattened table, one row
+    per coordinate m: for each (i, j, k), ``("second", i, j, k, rows)`` for
+    {e_i, e_j e_k} = {e_i, e_j} e_k + e_j {e_i, e_k}, then ``("first", ...)``
+    for {e_j e_k, e_i} = {e_j, e_i} e_k + e_j {e_k, e_i}, the same rule with
+    the two slots of every unknown swapped.  Cached, since every bracket
+    table over A is checked against them."""
+    d, S = A.dim, A.structure
+    laws = []
+
+    def second(a, b, c):  # coordinate c of {e_a, e_b}
+        return (a * d + b) * d + c
+
+    def first(a, b, c):
+        return second(b, a, c)
+
+    for i, j, k in itertools.product(range(d), repeat=3):
+        for slot, pos in (("second", second), ("first", first)):
+            rows = []
+            for m in range(d):
+                row = defaultdict(lambda: ZERO)
+                for s, c in enumerate(S[j][k]):
+                    if c:
+                        row[pos(i, s, m)] += c
+                for s in range(d):
+                    if S[s][k][m]:
+                        row[pos(i, j, s)] -= S[s][k][m]
+                    if S[j][s][m]:
+                        row[pos(i, k, s)] -= S[j][s][m]
+                rows.append(sparse_row(row))
+            laws.append((slot, i, j, k, rows))
+    return tuple(laws)
 
 
 def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:
@@ -315,11 +289,12 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     if not A.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
     pi = hamiltonian_map(E, t)
+    units = QMatrix.identity(E.h1.dim)
     rows = []
     for k in range(E.h1.dim):
         X = pi(E.h1.class_reps[k])
         xclass = E.class_of_derivation(X)
-        rows.append(xclass + _unit_vec(E.h1.dim, k))
+        rows.append(xclass + units[k])
     L_E = Submodule(E, QMatrix(rows, cols=E.dim))
     proj = [eps.reduce(r) for r in L_E.vectors] or []
     L_eps = Submodule(eps, QMatrix(proj, cols=eps.dim))
@@ -378,11 +353,12 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()
+    units = QMatrix.identity(E.h1co.dim)
     rows = []
     for k in range(E.h1co.dim):
         X = E._derivation_rep(k)
         ix = interior_product(X, rep, checked=False)
-        rows.append(_unit_vec(E.h1co.dim, k) + E.h1.reduce_chain(ix))
+        rows.append(units[k] + E.h1.reduce_chain(ix))
     L_E = Submodule(E, QMatrix(rows, cols=E.dim))
     proj = [eps.reduce(r) for r in L_E.vectors]
     L = Submodule(eps, QMatrix(proj, cols=eps.dim))
@@ -473,7 +449,7 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         return [[sum((P[i][k] * R[k][j] for k in range(n)), ZERO)
                  for j in range(n)] for i in range(n)]
 
-    vs = L.vectors
+    vs = L.vectors.data
     n = L.dim
     # br[i][j] = [[l_i, l_j]], computed once for every loop below
     br = [[eps.bracket(a, b) for b in vs] for a in vs]

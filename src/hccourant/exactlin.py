@@ -4,9 +4,12 @@ Everything downstream (homology, brackets, Dirac verdicts) reduces to the
 operations here: reduced row echelon form, nullspaces, row-span membership
 and quotient bases, all over Q with no rounding ever.
 
-Matrices are immutable (tuples of tuples of ``mpq``).  One sparse reduced
-echelon, grown a row at a time, is the only elimination; every routine
-reads its result from it.  The nonzero rows of R, the pivots,
+Matrices are immutable and store sparse rows: the nonzero entries of a
+row as ascending ``(k, x)`` pairs, the one row form of the kernel (see
+``QMatrix``); dense tuples are made only where a caller reads a row as a
+coordinate tuple.  One sparse reduced echelon, grown a row at a time, is
+the only elimination; it takes sparse rows and gives them back, and every
+routine reads its result from it.  The nonzero rows of R, the pivots,
 ``row_space`` and ``nullspace`` are canonical functions of the row span, so
 they do not depend on the order or multiplicity of the input rows.  The
 coefficients that ``membership``
@@ -60,57 +63,95 @@ class ExactLinError(HccourantError):
 
 
 class QMatrix:
-    """Immutable matrix of exact rationals.
+    """Immutable matrix of exact rationals, stored as sparse rows.
 
-    ``cols`` must be given explicitly when there are no rows, so that empty
-    bases still know the dimension of the ambient space.
+    A row is stored in the canonical sparse form of ``sparse``: its nonzero
+    entries as ``(k, x)`` pairs, k ascending, so two matrices are equal
+    exactly when their stored rows are.  The constructor takes each row in
+    either form: a dense row of ``cols`` entries, or a sparse row of
+    ``(k, x)`` pairs with k ascending in ``range(cols)`` (zero entries are
+    dropped; an empty row is a zero row).  ``M[i]``, iteration and ``data``
+    give dense tuples, for callers that read a row as a coordinate tuple.
+
+    ``cols`` must be given explicitly when there are no rows or the first
+    row is sparse, so that every matrix knows the dimension of its ambient
+    space.
     """
 
-    __slots__ = ("data", "rows", "cols")
+    __slots__ = ("sparse_rows", "rows", "cols")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
-        rows = tuple(vec(r) for r in data)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ExactLinError("ragged rows")
-            if cols is not None and cols != ncols:
-                raise ExactLinError("cols mismatch")
-        else:
-            if cols is None:
-                raise ExactLinError("empty matrix needs explicit cols")
-            ncols = cols
-        object.__setattr__(self, "data", rows)
+        data = list(data)
+        if cols is None:
+            if not data or _is_sparse(data[0]):
+                raise ExactLinError("a matrix without a dense first row "
+                                    "needs explicit cols")
+            cols = len(data[0])
+        rows = tuple(_canonical(r, cols) for r in data)
+        object.__setattr__(self, "sparse_rows", rows)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
 
+    @property
+    def data(self) -> tuple:
+        return tuple(self)
+
     def __getitem__(self, i):
-        return self.data[i]
+        return dense(self.sparse_rows[i], self.cols)
 
     def __iter__(self):
-        return iter(self.data)
+        n = self.cols
+        return (dense(r, n) for r in self.sparse_rows)
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.cols == other.cols
-                and self.data == other.data)
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.sparse_rows))
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix([[ONE if i == j else ZERO for j in range(n)]
-                        for i in range(n)], cols=n)
+        return QMatrix([((i, ONE),) for i in range(n)], n)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(zip(*self.data)) if self.rows else
-                       ((),) * self.cols, self.rows)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for k, x in row:
+                out[k].append((i, x))
+        return QMatrix(out, self.rows)
+
+
+def _is_sparse(row) -> bool:
+    return bool(row) and type(row[0]) is tuple
+
+
+def _canonical(row, cols: int) -> tuple:
+    """A row given dense or sparse, as a sparse row of rationals with its
+    zeros dropped; raises unless a dense row has ``cols`` entries and the
+    indices of a sparse row ascend in range(cols)."""
+    if row and not _is_sparse(row):
+        if len(row) != cols:
+            raise ExactLinError("row length does not match cols")
+        return sparse(vec(row))
+    out = []
+    last = -1
+    for k, x in row:
+        if type(k) is not int or not last < k < cols:
+            raise ExactLinError("sparse row indices must ascend in "
+                                f"range({cols})")
+        last = k
+        if type(x) is not Q:
+            x = Q(x)
+        if x:
+            out.append((k, x))
+    return tuple(out)
 
 
 def row_combination(c: Sequence, M: QMatrix) -> tuple:
@@ -118,18 +159,31 @@ def row_combination(c: Sequence, M: QMatrix) -> tuple:
     if len(c) != M.rows:
         raise ExactLinError("row_combination: dimension mismatch")
     out = [ZERO] * M.cols
-    for ci, row in zip(c, M.data):
+    for ci, row in zip(c, M.sparse_rows):
         if ci:
-            for k, x in enumerate(row):
-                if x:
-                    out[k] += ci * x
+            for k, x in row:
+                out[k] += ci * x
     return tuple(out)
 
 
 def sparse(v: Sequence, shift: int = 0) -> tuple:
     """The nonzero entries of v as ``(k + shift, v_k)`` pairs, k ascending:
-    one cell of a sparse table."""
+    a sparse row, or one cell of a sparse table."""
     return tuple((k + shift, x) for k, x in enumerate(v) if x)
+
+
+def sparse_row(d: dict) -> tuple:
+    """The canonical sparse form of a {k: x} dict: its (k, x) items with x
+    nonzero (or, for a table row of cells, nonempty), k ascending."""
+    return tuple(sorted((k, x) for k, x in d.items() if x))
+
+
+def dense(row: Sequence, n: int) -> tuple:
+    """The length-n tuple of a sparse row."""
+    out = [ZERO] * n
+    for k, x in row:
+        out[k] = x
+    return tuple(out)
 
 
 def sparse_table(table) -> tuple:
@@ -172,13 +226,6 @@ def _axpy(w: dict, f, row: dict) -> None:
                 del w[k]
 
 
-def _dense(row: dict, n: int) -> tuple:
-    out = [ZERO] * n
-    for k, x in row.items():
-        out[k] = x
-    return tuple(out)
-
-
 class _Echelon:
     """The reduced row echelon form of a growing span.
 
@@ -197,11 +244,11 @@ class _Echelon:
         self.rows = {}
         self.tags = {}
 
-    def residual(self, v: Sequence, tag: dict):
-        """``(w, t)``: v less its projection on the echelon, as a sparse row
-        (empty when v lies in the span), and t, tag less the same
-        combination of tags."""
-        w = {k: x for k, x in enumerate(v) if x}
+    def residual(self, row: Sequence, tag: dict):
+        """``(w, t)``: a sparse row less its projection on the echelon, as a
+        {column: value} dict (empty when the row lies in the span), and t,
+        tag less the same combination of tags."""
+        w = dict(row)
         t = dict(tag)
         rows, tags = self.rows, self.tags
         # each row is 0 at every other pivot, so w[p] is still v[p] when
@@ -232,26 +279,26 @@ class _Echelon:
         return True
 
     def basis(self) -> tuple:
-        """The dense rows of the RREF, pivots ascending."""
-        rows, n = self.rows, self.cols
-        return tuple(_dense(rows[p], n) for p in sorted(rows))
+        """The sparse rows of the RREF, pivots ascending."""
+        rows = self.rows
+        return tuple(sparse_row(rows[p]) for p in sorted(rows))
 
     def coords(self, v: Sequence, n: int) -> Optional[tuple]:
         """c with v = sum_i c_i r_i + (rows with empty tags), where r_i is
         the row added with tag {i: 1} and i < n; None outside the span."""
         if len(v) != self.cols:
             raise ExactLinError("membership: dimension mismatch")
-        w, t = self.residual(vec(v), {})
+        w, t = self.residual(sparse(v), {})
         if w:
             return None
-        return _dense({k: -x for k, x in t.items()}, n)
+        return dense([(k, -x) for k, x in t.items()], n)
 
 
 def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
     """The echelon of the rows of M, added in order; with ``tagged`` row i
     carries the tag {i: 1}, so tags are coefficients over the rows of M."""
     E = _Echelon(M.cols)
-    for i, row in enumerate(M.data):
+    for i, row in enumerate(M.sparse_rows):
         E.add(row, {i: ONE} if tagged else {})
     return E
 
@@ -276,7 +323,7 @@ def rref(M: QMatrix):
     """
     E = _echelon(M, False)
     rk = len(E.rows)
-    R = E.basis() + ((ZERO,) * M.cols,) * (M.rows - rk)
+    R = E.basis() + ((),) * (M.rows - rk)
     return QMatrix(R, M.cols), tuple(sorted(E.rows)), rk
 
 
@@ -287,10 +334,9 @@ def rref_transform(M: QMatrix):
     """
     E = _echelon(M, True)
     pivots = tuple(sorted(E.rows))
-    pad = M.rows - len(pivots)
-    R = E.basis() + ((ZERO,) * M.cols,) * pad
-    T = tuple(_dense(E.tags[p], M.rows) for p in pivots) + \
-        ((ZERO,) * M.rows,) * pad
+    pad = ((),) * (M.rows - len(pivots))
+    R = E.basis() + pad
+    T = tuple(sparse_row(E.tags[p]) for p in pivots) + pad
     return QMatrix(R, M.cols), QMatrix(T, M.rows), pivots, len(pivots)
 
 
@@ -313,7 +359,7 @@ def nullspace(M: QMatrix) -> QMatrix:
         for k, x in row.items():
             if k != p:
                 basis[k][p] = -x
-    return QMatrix(tuple(_dense(basis[fc], M.cols) for fc in free), M.cols)
+    return QMatrix([sparse_row(basis[fc]) for fc in free], M.cols)
 
 
 def make_membership(S: QMatrix) -> Callable[[Sequence], Optional[tuple]]:
@@ -342,7 +388,7 @@ def span_contains(A: QMatrix, B: QMatrix) -> bool:
     if A.cols != B.cols:
         raise ExactLinError("span_contains: column mismatch")
     E = _echelon(A, False)
-    return not any(E.residual(row, {})[0] for row in B.data)
+    return not any(E.residual(row, {})[0] for row in B.sparse_rows)
 
 
 def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
@@ -370,10 +416,10 @@ def quotient_basis(space: QMatrix, subspace: QMatrix):
     # one echelon: subspace rows carry no tag, kept row i carries {i: 1}, so
     # the tags of a vector's combination are its coordinates over reps
     E = _Echelon(space.cols)
-    for row in subspace.data:
+    for row in subspace.sparse_rows:
         E.add(row, {})
     kept = []
-    for row in Rsp.data:
+    for row in Rsp.sparse_rows:
         if E.add(row, {len(kept): ONE}):
             kept.append(row)
     if len(E.rows) != Rsp.rows:

@@ -9,13 +9,16 @@ class representatives, and the H0-valued pairing <X, alpha> = i_X(alpha).
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix,
                        make_membership, nullspace, quotient_basis,
-                       row_combination, row_space, vec, vec_is_zero)
+                       row_combination, row_space, sparse_row, vec,
+                       vec_is_zero)
 
 
 class HochschildError(HccourantError):
@@ -73,14 +76,6 @@ def encode_index(A: FiniteAlgebra, indices: Sequence[int]) -> int:
     return idx
 
 
-def decode_index(A: FiniteAlgebra, idx: int, n: int) -> tuple:
-    out = []
-    for _ in range(n + 1):
-        idx, r = divmod(idx, A.dim)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
     """The degree-n chain sum x e_a over (multi-index a, coefficient x) pairs;
     repeated multi-indices add up."""
@@ -94,11 +89,15 @@ def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
     return chain_from_terms(A, len(indices) - 1, ((indices, ONE),))
 
 
+def multi_indices(A: FiniteAlgebra, n: int):
+    """The degree-n multi-indices (a_0, ..., a_n) in coordinate order."""
+    return itertools.product(range(A.dim), repeat=n + 1)
+
+
 def chain_sparse(c: Chain) -> list:
     """The nonzero terms [(multi-index, coefficient), ...] in index order."""
-    A = c.algebra
-    return [(decode_index(A, i, c.degree), x)
-            for i, x in enumerate(c.coords) if x]
+    return [(a, x) for a, x in zip(multi_indices(c.algebra, c.degree),
+                                   c.coords) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,15 @@ class HomologyPresentation:
 
 
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
-    """Rows = images under b of the degree-n basis chains (dom x cod)."""
+    """Rows = images under b of the degree-n basis chains (dom x cod), as
+    sparse rows."""
     terms = _b_terms(A, n)
-    rows = [chain_from_terms(A, n - 1, terms(decode_index(A, idx, n))).coords
-            for idx in range(chain_space_dim(A, n))]
+    rows = []
+    for a in multi_indices(A, n):
+        row = defaultdict(lambda: ZERO)
+        for b, x in terms(a):
+            row[encode_index(A, b)] += x
+        rows.append(sparse_row(row))
     return QMatrix(rows, cols=chain_space_dim(A, n - 1))
 
 
@@ -350,35 +354,30 @@ def homology(A: FiniteAlgebra, n: int, *,
 
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
     """Basis of Der(A), each row a flattened dim x dim map."""
-    d = A.dim
+    d, S = A.dim, A.structure
     rows = []
-    for i in range(d):
-        for j in range(d):
-            cij = A.structure[i][j]
-            for m in range(d):
-                row = [ZERO] * (d * d)
-                for s, c in enumerate(cij):
-                    if c:
-                        row[s * d + m] += c
-                for k in range(d):
-                    ckj = A.structure[k][j][m]
-                    if ckj:
-                        row[i * d + k] -= ckj
-                    cik = A.structure[i][k][m]
-                    if cik:
-                        row[j * d + k] -= cik
-                rows.append(row)
+    # X(e_i e_j) = X(e_i) e_j + e_i X(e_j) at coordinate m, on the unknowns
+    # X[s][m] (the image of e_s, flattened at s d + m)
+    for i, j, m in itertools.product(range(d), repeat=3):
+        row = defaultdict(lambda: ZERO)
+        for s, c in enumerate(S[i][j]):
+            if c:
+                row[s * d + m] += c
+        for k in range(d):
+            ckj = S[k][j][m]
+            if ckj:
+                row[i * d + k] -= ckj
+            cik = S[i][k][m]
+            if cik:
+                row[j * d + k] -= cik
+        rows.append(sparse_row(row))
     return nullspace(QMatrix(rows, cols=d * d))
 
 
 def inner_derivation_basis(A: FiniteAlgebra) -> QMatrix:
-    d = A.dim
-    rows = []
-    for i in range(d):
-        flat = inner_derivation(A, A.basis_vector(i)).flatten()
-        if not vec_is_zero(flat):
-            rows.append(flat)
-    return row_space(QMatrix(rows, cols=d * d))
+    return row_space(QMatrix(
+        [inner_derivation(A, A.basis_vector(i)).flatten()
+         for i in range(A.dim)], cols=A.dim ** 2))
 
 
 def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:

@@ -15,7 +15,7 @@ from typing import Optional
 from .algebra import FiniteAlgebra, matrix_algebra, opposite_algebra
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, make_reducer,
+from .exactlin import (ZERO, HccourantError, QMatrix, make_reducer,
                        rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
@@ -86,8 +86,7 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
         h1_rows.append(tgt.class_of_chain(ia))
     h0_rows = []
     for k in range(src.h0.dim):
-        ia = inc(src.h0.class_to_chain(
-            tuple(ONE if i == k else ZERO for i in range(src.h0.dim))), M, r)
+        ia = inc(src.h0.rep_chain(k), M, r)
         h0_rows.append(tgt.h0.reduce_chain(ia))
     h0_map = QMatrix(h0_rows, cols=tgt.h0.dim)
     if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
@@ -185,10 +184,8 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
 
     # pairing: <T(X), I(alpha)> = phi(<X, alpha>) on class bases
     pairing_ok = True
-    for i in range(src.h1co.dim):
-        xi = tuple(ONE if k == i else ZERO for k in range(src.h1co.dim))
-        for j in range(src.h1.dim):
-            aj = tuple(ONE if k == j else ZERO for k in range(src.h1.dim))
+    for i, xi in enumerate(QMatrix.identity(src.h1co.dim)):
+        for j, aj in enumerate(QMatrix.identity(src.h1.dim)):
             lhs = tgt.pairing_classes(maps.h1co_map[i], maps.h1_map[j])
             rhs = maps.map_h0(src.pairing_classes(xi, aj))
             if lhs != rhs:
@@ -214,7 +211,7 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     if dims_ok:
         def qmap(u):
             return tgt_eps.reduce(maps.map_e_vec(src_eps.lift(u)))
-        basis = [src_eps.basis_coords(k) for k in range(src_eps.dim)]
+        basis = list(QMatrix.identity(src_eps.dim))
         images = QMatrix([qmap(b) for b in basis] or [],
                          cols=tgt_eps.dim)
         if rank(images) != src_eps.dim:

@@ -205,17 +205,10 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
 
 
 def _omni_basis(n):
-    out = []
-    zero_m = tuple(tuple([ZERO] * n) for _ in range(n))
-    zero_v = tuple([ZERO] * n)
-    for i in range(n):
-        for j in range(n):
-            out.append(OmniElement(n, _basis_matrix(n, i, j), zero_v))
-    for i in range(n):
-        out.append(OmniElement(n, zero_m,
-                               tuple(ONE if k == i else ZERO
-                                     for k in range(n))))
-    return out
+    zero_v = (ZERO,) * n
+    return ([OmniElement(n, _basis_matrix(n, i, j), zero_v)
+             for i in range(n) for j in range(n)]
+            + [OmniElement(n, (zero_v,) * n, v) for v in QMatrix.identity(n)])
 
 
 def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
@@ -314,10 +307,8 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     if any(len(c) != n for row in mu for c in row):
         raise OmniError("mu has cells of the wrong length")
     mu = sparse_table(mu)
-    rows = []
-    for i in range(n):
-        v = tuple(ONE if k == i else ZERO for k in range(n))
-        rows.append(iso.to_eps(OmniElement(n, mu_tilde(n, mu, v), v)))
+    rows = [iso.to_eps(OmniElement(n, mu_tilde(n, mu, v), v))
+            for v in QMatrix.identity(n)]
     L = Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
     verdict = is_dirac(L)
     skew, jacobi = _lie_oracle(n, mu)

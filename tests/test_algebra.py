@@ -8,7 +8,8 @@ from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
                                load_algebra, make_algebra, matrix_algebra,
                                opposite_algebra, truncated_poly,
                                upper_triangular2)
-from hccourant.exactlin import Q, rank
+from hccourant.exactlin import Q, QMatrix, nullspace, rank
+from hccourant.files import BUNDLED_ALGEBRAS
 
 
 def test_ground_field():
@@ -77,6 +78,24 @@ def test_center_of_commutative_is_everything():
     A = truncated_poly(3)
     assert center(A).rows == A.dim
     assert commutator_subspace(A).rows == 0
+
+
+def _ref_center(A):
+    """The dense-row center that the sparse-row one replaced."""
+    d = A.dim
+    rows = []
+    for i in range(d):
+        for k in range(d):
+            # sum_s z_s (c_{si}^k - c_{is}^k) = 0
+            rows.append([A.structure[s][i][k] - A.structure[i][s][k]
+                         for s in range(d)])
+    return nullspace(QMatrix(rows, cols=d))
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_center_matches_dense_reference(algebras, name):
+    A = algebras[name]
+    assert center(A) == _ref_center(A)
 
 
 def test_commutator_subspace_m2q():

@@ -279,6 +279,10 @@ PINNED_REPORTS = {
         "poisson-graph", "--algebra", "v1_3", "--bracket", "bracket_so3_v1_3",
         "--seed", "7"],
     "morita_v1_2.json": ["morita", "--algebra", "v1_2"],
+    # the scale regime: the targets M_3(qx2) and M_3(v1_2) have dimension
+    # 18 and 27, above every other algebra tier-1 builds
+    "morita_qx2_r3.json": ["morita", "--algebra", "qx2", "--r", "3"],
+    "morita_v1_2_r3.json": ["morita", "--algebra", "v1_2", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
 }
 

@@ -167,7 +167,7 @@ def test_quotient_bracket_well_defined(epsilons):
 
 def test_rho_on_quotient_for_commutative(epsilons):
     eps = epsilons["qx2"]
-    u = eps.basis_coords(0)
+    u = QMatrix.identity(eps.dim)[0]
     assert len(eps.rho(u)) == eps.espace.h1co.dim
 
 

@@ -6,14 +6,15 @@ import pytest
 
 from hccourant.algebra import build_v1, truncated_poly
 from hccourant.dirac import (BracketTable, DiracError, Submodule,
-                             biderivation_space, find_two_form_witness,
+                             _check_biderivation, biderivation_space, find_two_form_witness,
                              is_bracket_closed, is_dirac, is_isotropic,
                              is_maximally_isotropic, is_poisson, is_z_stable,
                              lie_algebroid_check, make_bracket_table,
                              orthogonal, poisson_graph, table_from_flat,
                              two_form, two_form_graph)
-from hccourant.exactlin import Q, QMatrix
-from hccourant.files import load_bracket_table
+from hccourant.exactlin import Q, QMatrix, nullspace
+from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
+                             load_bracket_table)
 from conftest import rng_for
 
 
@@ -186,3 +187,112 @@ def test_submodule_canonicalized_to_rref(v13):
     L = Submodule(eps, QMatrix([v, v], cols=eps.dim))
     assert L.dim == 1
     assert L.vectors[0][0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the one-rule biderivation laws against the dense loops they replaced
+
+def _ref_biderivation_space(A):
+    """The dense-row biderivation_space, one block per slot law."""
+    d = A.dim
+
+    def pos(i, j, k):
+        return (i * d + j) * d + k
+
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for m in range(d):
+                    # second slot law, coordinate m
+                    row = [Q(0)] * (d ** 3)
+                    for s, c in enumerate(A.structure[j][k]):
+                        if c:
+                            row[pos(i, s, m)] += c
+                    for s in range(d):
+                        ek = A.structure[s][k][m]
+                        if ek:
+                            row[pos(i, j, s)] -= ek
+                        ej = A.structure[j][s][m]
+                        if ej:
+                            row[pos(i, k, s)] -= ej
+                    rows.append(row)
+                    # first slot law, coordinate m
+                    row = [Q(0)] * (d ** 3)
+                    for s, c in enumerate(A.structure[j][k]):
+                        if c:
+                            row[pos(s, i, m)] += c
+                    for s in range(d):
+                        ek = A.structure[s][k][m]
+                        if ek:
+                            row[pos(j, i, s)] -= ek
+                        ej = A.structure[j][s][m]
+                        if ej:
+                            row[pos(k, i, s)] -= ej
+                    rows.append(row)
+    return nullspace(QMatrix(rows, cols=d ** 3))
+
+
+def _ref_check_biderivation(A, table):
+    """The dense check: the message of the first law that fails, or None."""
+    d = A.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = [Q(0)] * d
+                for s, c in enumerate(A.structure[j][k]):
+                    for m, t in enumerate(table[i][s]):
+                        lhs[m] += c * t
+                rhs = tuple(p + q for p, q in
+                            zip(A.mul(table[i][j], A.basis_vector(k)),
+                                A.mul(A.basis_vector(j), table[i][k])))
+                if tuple(lhs) != rhs:
+                    return ("second-slot biderivation law fails at "
+                            f"({i},{j},{k})")
+                lhs = [Q(0)] * d
+                for s, c in enumerate(A.structure[j][k]):
+                    for m, t in enumerate(table[s][i]):
+                        lhs[m] += c * t
+                rhs = tuple(p + q for p, q in
+                            zip(A.mul(table[j][i], A.basis_vector(k)),
+                                A.mul(A.basis_vector(j), table[k][i])))
+                if tuple(lhs) != rhs:
+                    return ("first-slot biderivation law fails at "
+                            f"({i},{j},{k})")
+    return None
+
+
+COMMUTATIVE = [name for name in BUNDLED_ALGEBRAS
+               if load_algebra_ref(name).is_commutative()]
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_biderivation_space_matches_dense_reference(algebras, name):
+    A = algebras[name]
+    assert biderivation_space(A) == _ref_biderivation_space(A)
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_biderivation_check_matches_dense_reference(algebras, name):
+    """Biderivations pass both checks; a table with one entry moved fails
+    both, at the same law."""
+    A = algebras[name]
+    d = A.dim
+    space = biderivation_space(A)
+    rng = rng_for(f"bidercheck/{name}")
+    for _ in range(10):
+        flat = [Q(0)] * d ** 3
+        for row in space:
+            c = rng.randint(-2, 2)
+            flat = [a + c * b for a, b in zip(flat, row)]
+        if rng.random() < 0.8:
+            flat[rng.randrange(d ** 3)] += rng.randint(1, 3)
+        table = tuple(tuple(tuple(flat[(i * d + j) * d:(i * d + j + 1) * d])
+                            for j in range(d)) for i in range(d))
+        expected = _ref_check_biderivation(A, table)
+        try:
+            _check_biderivation(A, table)
+            got = None
+        except DiracError as exc:
+            got = str(exc)
+        assert got == expected

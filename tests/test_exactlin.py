@@ -349,3 +349,55 @@ def test_bilinear_matches_dense_contraction(case):
     sparse = sparse_table(table)
     assert is_canonical_table(sparse, len(table), len(v), dim)
     assert bilinear(u, v, sparse, dim) == _dense_bilinear(u, v, table, dim)
+
+
+# ---------------------------------------------------------------------------
+# the sparse row form against dense rows
+
+@st.composite
+def _dense_rows(draw):
+    """(rows, cols): dense rows with zero entries and zero rows drawn
+    often, and empty matrices (no rows, or no columns)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    row = st.one_of(st.just((Q(0),) * n),
+                    st.lists(_sparse_rationals, min_size=n, max_size=n)
+                    .map(tuple))
+    return [draw(row) for _ in range(m)], n
+
+
+def _is_canonical_row(row, cols) -> bool:
+    ks = [k for k, _ in row]
+    return (all(type(x) is Q and x != 0 for _, x in row)
+            and all(0 <= k < cols for k in ks)
+            and all(a < b for a, b in zip(ks, ks[1:])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_rows())
+def test_sparse_rows_match_dense_reference(case):
+    rows, n = case
+    M = QMatrix(rows, cols=n)
+    # the same rows in sparse form, and as pairs that keep their zeros
+    S = QMatrix([tuple((k, x) for k, x in enumerate(r) if x) for r in rows],
+                cols=n)
+    Z = QMatrix([tuple(enumerate(r)) for r in rows], cols=n)
+    assert M == S == Z and hash(M) == hash(S)
+    assert (M.rows, M.cols) == (len(rows), n)
+    assert M.data == tuple(M) == tuple(rows)
+    assert all(M[i] == r for i, r in enumerate(rows))
+    T = M.transpose()
+    assert (T.rows, T.cols) == (n, len(rows))
+    assert T.data == tuple(zip(*rows) if rows else ((),) * n)
+    assert T.transpose() == M
+    for out in (M, T, row_space(M), nullspace(M), rref(M)[0]):
+        assert all(_is_canonical_row(r, out.cols) for r in out.sparse_rows)
+
+
+def test_sparse_rows_are_validated():
+    assert QMatrix([((2, 1),), ()], cols=3)[0] == (Q(0), Q(0), Q(1))
+    for bad in ([((1, 1), (0, 1))], [((1, 1), (1, 2))], [((3, 1),)],
+                [((-1, 1),)], [((0.0, 1),)]):
+        with pytest.raises(ExactLinError, match="ascend"):
+            QMatrix(bad, cols=3)
+    with pytest.raises(ExactLinError, match="explicit cols"):
+        QMatrix([((0, 1),)])

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, ground_field, truncated_poly)
-from hccourant.exactlin import Q, QMatrix, membership, vec
+from hccourant.exactlin import Q, QMatrix, membership, nullspace, vec
+from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Chain, Cochain1, _boundary_operator_rows,
                                   boundary_b,
                                   coboundary_beta, cohomology_h1, commutator,
@@ -369,3 +370,32 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
             continue
         assert _boundary_operator_rows(A, n) == \
             _ref_boundary_operator_rows(A, n)
+
+
+def _ref_derivation_basis(A):
+    """The dense-row derivation_basis that the sparse-row one replaced."""
+    d = A.dim
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            cij = A.structure[i][j]
+            for m in range(d):
+                row = [Q(0)] * (d * d)
+                for s, c in enumerate(cij):
+                    if c:
+                        row[s * d + m] += c
+                for k in range(d):
+                    ckj = A.structure[k][j][m]
+                    if ckj:
+                        row[i * d + k] -= ckj
+                    cik = A.structure[i][k][m]
+                    if cik:
+                        row[j * d + k] -= cik
+                rows.append(row)
+    return nullspace(QMatrix(rows, cols=d * d))
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_derivation_basis_matches_dense_reference(algebras, name):
+    A = algebras[name]
+    assert derivation_basis(A) == _ref_derivation_basis(A)

@@ -1,5 +1,8 @@
 """The gl(V) (+) V model and its realization on V[1]."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from hccourant.exactlin import Q, QMatrix, nullspace, sparse_table
@@ -8,6 +11,14 @@ from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
                             omni_pairing, verify_ev1, verify_main_theorem,
                             weinstein_bracket)
 from conftest import rng_for
+
+
+def _load_script(name):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _elem(n, xi, v):
@@ -144,6 +155,10 @@ def test_d_structure_non_skew_fails():
 
 
 def test_d_structure_random_corpus_agrees():
+    """Uniform {-1, 0, 1} tables (almost never Lie) and change-of-basis
+    images of so(3), Heisenberg and r_2 (+) abelian (always Lie), so the
+    oracle agreement is checked on both sides of the verdict."""
+    corpus = _load_script("omni_corpus")
     for n in (2, 3):
         iso = build_omni_iso(n)
         rng = rng_for(f"dcorpus/{n}")
@@ -152,6 +167,11 @@ def test_d_structure_random_corpus_agrees():
                    for _ in range(n)] for _ in range(n)]
             rep = d_structure_check(iso, mu)
             assert rep.consistent
+        # an image of a Lie bracket is one, so every draw is Lie and Dirac
+        for _ in range(10):
+            name, mu = corpus.conjugated_lie_table(n, rng)
+            rep = d_structure_check(iso, mu)
+            assert rep.consistent and rep.is_lie_bracket and rep.dirac, name
 
 
 def test_d_structure_rejects_wrong_cell_length():
