@@ -1,21 +1,23 @@
 """Finite-dimensional unital associative algebras over Q by structure constants.
 
-An algebra is a dense table ``structure[i][j]`` giving the coordinates of
-``e_i * e_j``; ``mul`` contracts its sparse form, built once per algebra.
-The constructor rejects any table failing associativity or the unit laws,
+An algebra stores its structure constants once, as a sparse table
+(``exactlin.sparse_table``) whose cells are the nonzero products e_i e_j.
+Every reader visits only these cells; a dense table is read only by
+``make_algebra`` and written only to a JSON description file.  The
+constructor rejects any table failing associativity or the unit laws,
 checked exactly on all basis triples.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       nullspace, rat, rat_str, row_space, sparse,
-                       sparse_table, vec, vec_is_zero)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear, dense,
+                       nullspace, rat, rat_str, sparse, sparse_row,
+                       sparse_table, transpose_table)
 
 
 class AlgebraError(HccourantError):
@@ -48,61 +50,75 @@ class FiniteAlgebra:
     name: str
     dim: int
     basis_names: tuple
-    structure: tuple  # structure[i][j]: coords of e_i e_j, tuple of mpq
+    structure: tuple  # sparse table (exactlin.sparse_table) of e_i e_j
     unit: tuple       # coords of 1
 
-    @cached_property
-    def _sparse_structure(self) -> tuple:
-        return sparse_table(self.structure)
+    def __post_init__(self):
+        _validate(self)
 
     def mul(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants."""
-        return bilinear(x, y, self._sparse_structure, self.dim)
+        return bilinear(x, y, self.structure, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def is_commutative(self) -> bool:
-        d = self.dim
-        return all(self.structure[i][j] == self.structure[j][i]
-                   for i in range(d) for j in range(i + 1, d))
+        return self.structure == transpose_table(self.structure)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"
 
 
+def _products(terms) -> dict:
+    """sum x * cell over (k, x, cell) terms, as {k: sparse cell} with the
+    zero sums dropped."""
+    acc = defaultdict(lambda: defaultdict(lambda: ZERO))
+    for k, x, cell in terms:
+        for m, t in cell:
+            acc[k][m] += x * t
+    return dict(sparse_row({k: sparse_row(c) for k, c in acc.items()}))
+
+
 def _validate(A: FiniteAlgebra) -> None:
-    name, dim, structure, unit = A.name, A.dim, A.structure, A.unit
+    name, dim, S, unit = A.name, A.dim, A.structure, A.unit
+    if len(unit) != dim or len(S) != dim:
+        raise AlgebraError(f"{name}: inconsistent dimensions")
     if dim < 1:
         raise AlgebraError(f"{name}: dimension must be >= 1")
     for i in range(dim):
         ei = A.basis_vector(i)
         if A.mul(unit, ei) != ei or A.mul(ei, unit) != ei:
             raise AlgebraError(f"{name}: unit laws fail on basis element {i}")
+    # (e_i e_j) e_k against e_i (e_j e_k), for every k of one (i, j) at once
+    cells = [dict(row) for row in S]
     for i in range(dim):
         for j in range(dim):
-            ij = structure[i][j]
-            for k in range(dim):
-                left = A.mul(ij, A.basis_vector(k))
-                right = A.mul(A.basis_vector(i), structure[j][k])
-                if left != right:
-                    raise AlgebraError(
-                        f"{name}: associativity fails at triple ({i},{j},{k})")
+            left = _products((k, x, cell) for s, x in cells[i].get(j, ())
+                             for k, cell in S[s])
+            right = _products((k, y, cells[i].get(t, ()))
+                              for k, cell in S[j] for t, y in cell)
+            if left != right:
+                k = min(k for k in left.keys() | right.keys()
+                        if left.get(k) != right.get(k))
+                raise AlgebraError(
+                    f"{name}: associativity fails at triple ({i},{j},{k})")
 
 
 def make_algebra(name: str, basis_names: Sequence[str],
                  structure: Sequence[Sequence[Sequence]],
                  unit: Sequence) -> FiniteAlgebra:
+    """The algebra whose dense table ``structure[i][j]`` holds the
+    coordinates of e_i e_j, stored as its sparse table."""
     dim = len(basis_names)
-    table = tuple(tuple(vec(structure[i][j]) for j in range(dim))
-                  for i in range(dim))
-    u = vec(unit)
-    if len(u) != dim or any(len(table[i][j]) != dim
-                            for i in range(dim) for j in range(dim)):
+    if len(structure) != dim or any(
+            len(row) != dim or any(len(cell) != dim for cell in row)
+            for row in structure):
         raise AlgebraError(f"{name}: inconsistent dimensions")
-    A = FiniteAlgebra(name, dim, tuple(basis_names), table, u)
-    _validate(A)
-    return A
+    table = sparse_table([[tuple(map(rat, cell)) for cell in row]
+                          for row in structure])
+    return FiniteAlgebra(name, dim, tuple(basis_names), table,
+                         tuple(map(rat, unit)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +126,15 @@ def make_algebra(name: str, basis_names: Sequence[str],
 
 def center(A: FiniteAlgebra) -> QMatrix:
     """Basis of {z : z e_i = e_i z for all i}; always contains the unit."""
-    d, S = A.dim, A.structure
-    # sum_s z_s (c_{si}^k - c_{is}^k) = 0 for every (i, k)
-    return nullspace(QMatrix(
-        [sparse([S[s][i][k] - S[i][s][k] for s in range(d)])
-         for i in range(d) for k in range(d)], cols=d))
-
-
-def commutator_subspace(A: FiniteAlgebra) -> QMatrix:
-    """Canonical basis of span{ab - ba}."""
-    d = A.dim
-    rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            row = tuple(a - b for a, b in zip(A.structure[i][j],
-                                              A.structure[j][i]))
-            if not vec_is_zero(row):
-                rows.append(row)
-    return row_space(QMatrix(rows, cols=d))
+    # row (i, k): sum_s z_s (c_{si}^k - c_{is}^k) = 0, read off each
+    # nonzero c_{ab}^k as +t at (b, k, s=a) and -t at (a, k, s=b)
+    rows = defaultdict(lambda: defaultdict(lambda: ZERO))
+    for a, row in enumerate(A.structure):
+        for b, cell in row:
+            for k, t in cell:
+                rows[b, k][a] += t
+                rows[a, k][b] -= t
+    return nullspace(QMatrix(map(sparse_row, rows.values()), cols=A.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -166,44 +173,32 @@ def build_v1(n: int) -> FiniteAlgebra:
 
 
 def matrix_algebra(A: FiniteAlgebra, r: int) -> FiniteAlgebra:
-    """M_r(A) with basis E_pq(e_i), ordered lexicographically in (p, q, i)."""
+    """M_r(A) with basis E_pq(e_i), ordered lexicographically in (p, q, i):
+    E_pq(e_i) E_qt(e_j) = E_pt(e_i e_j), and every other product is 0."""
     if r < 1:
         raise AlgebraError("matrix_algebra requires r >= 1")
     d = A.dim
-    D = r * r * d
 
     def idx(p, q, i):
         return (p * r + q) * d + i
 
-    zero = [ZERO] * D
-    structure = [[list(zero) for _ in range(D)] for _ in range(D)]
-    for p in range(r):
-        for q in range(r):
-            for i in range(d):
-                a = idx(p, q, i)
-                for s in range(r):
-                    if s != q:
-                        continue
-                    for t in range(r):
-                        for j in range(d):
-                            b = idx(s, t, j)
-                            prod = A.structure[i][j]
-                            row = structure[a][b]
-                            for k, c in enumerate(prod):
-                                if c:
-                                    row[idx(p, t, k)] = c
-    unit = [ZERO] * D
+    table = tuple(
+        tuple((idx(q, t, j), tuple((idx(p, t, k), x) for k, x in cell))
+              for t in range(r) for j, cell in A.structure[i])
+        for p in range(r) for q in range(r) for i in range(d))
+    unit = [ZERO] * (r * r * d)
     for p in range(r):
         for k, c in enumerate(A.unit):
             unit[idx(p, p, k)] = c
-    names = [f"E{p+1}{q+1}({A.basis_names[i]})"
-             for p in range(r) for q in range(r) for i in range(d)]
-    return make_algebra(f"M{r}({A.name})", names, structure, unit)
+    names = tuple(f"E{p+1}{q+1}({A.basis_names[i]})"
+                  for p in range(r) for q in range(r) for i in range(d))
+    return FiniteAlgebra(f"M{r}({A.name})", r * r * d, names, table,
+                         tuple(unit))
 
 
 def opposite_algebra(A: FiniteAlgebra) -> FiniteAlgebra:
-    table = [[A.structure[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    return make_algebra(f"{A.name}^op", A.basis_names, table, A.unit)
+    return FiniteAlgebra(f"{A.name}^op", A.dim, A.basis_names,
+                         transpose_table(A.structure), A.unit)
 
 
 def upper_triangular2() -> FiniteAlgebra:
@@ -220,11 +215,8 @@ def upper_triangular2() -> FiniteAlgebra:
 # JSON description files
 
 def algebra_to_json(A: FiniteAlgebra) -> dict:
-    triples = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if not vec_is_zero(A.structure[i][j]):
-                triples.append([i, j, [rat_str(x) for x in A.structure[i][j]]])
+    triples = [[i, j, [rat_str(x) for x in dense(cell, A.dim)]]
+               for i, row in enumerate(A.structure) for j, cell in row]
     return {"name": A.name, "dimension": A.dim,
             "basis": list(A.basis_names),
             "unit": [rat_str(x) for x in A.unit],
@@ -235,8 +227,8 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
     try:
         name = doc["name"]
         dim = doc["dimension"]
-        basis = list(doc["basis"])
-        unit = [rat(x) for x in doc["unit"]]
+        basis = tuple(doc["basis"])
+        unit = tuple(rat(x) for x in doc["unit"])
         triples = doc["structure"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra description: {exc}") from exc
@@ -246,7 +238,7 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
         raise AlgebraError(f"dimension must be an integer, got {dim!r}")
     if len(basis) != dim:
         raise AlgebraError("basis length does not match dimension")
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    rows = [{} for _ in range(dim)]
     for entry in triples:
         try:
             i, j, coords = entry
@@ -258,8 +250,11 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
                 f"structure entry indices must be integers: {entry!r}")
         if not (0 <= i < dim and 0 <= j < dim) or len(coords) != dim:
             raise AlgebraError(f"structure entry out of range: {entry!r}")
-        structure[i][j] = coords
-    return make_algebra(name, basis, structure, unit)
+        if j in rows[i]:
+            raise AlgebraError(f"repeated structure entry for the pair "
+                               f"({i}, {j})")
+        rows[i][j] = sparse(coords)
+    return FiniteAlgebra(name, dim, basis, tuple(map(sparse_row, rows)), unit)
 
 
 def load_algebra(path: str) -> FiniteAlgebra:

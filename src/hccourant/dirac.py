@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -18,9 +17,9 @@ from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
 from .exactlin import (ZERO, HccourantError, QMatrix, make_membership,
                        nullspace, rank, rat_str, row_combination, row_space,
-                       span_contains, sparse_row, vec, vec_is_zero)
+                       span_contains, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
-                         homology, interior_product)
+                         homology, interior_product, leibniz_rows)
 
 
 class DiracError(HccourantError):
@@ -189,30 +188,16 @@ def _leibniz_laws(A: FiniteAlgebra) -> tuple:
     for {e_j e_k, e_i} = {e_j, e_i} e_k + e_j {e_k, e_i}, the same rule with
     the two slots of every unknown swapped.  Cached, since every bracket
     table over A is checked against them."""
-    d, S = A.dim, A.structure
+    d = A.dim
+    law = leibniz_rows(A)
     laws = []
-
-    def second(a, b, c):  # coordinate c of {e_a, e_b}
-        return (a * d + b) * d + c
-
-    def first(a, b, c):
-        return second(b, a, c)
-
     for i, j, k in itertools.product(range(d), repeat=3):
-        for slot, pos in (("second", second), ("first", first)):
-            rows = []
-            for m in range(d):
-                row = defaultdict(lambda: ZERO)
-                for s, c in enumerate(S[j][k]):
-                    if c:
-                        row[pos(i, s, m)] += c
-                for s in range(d):
-                    if S[s][k][m]:
-                        row[pos(i, j, s)] -= S[s][k][m]
-                    if S[j][s][m]:
-                        row[pos(i, k, s)] -= S[j][s][m]
-                rows.append(sparse_row(row))
-            laws.append((slot, i, j, k, rows))
+        # the law of the derivation {e_i, .}, then of {., e_i}; coordinate
+        # m of {e_a, e_b} sits at (a d + b) d + m
+        laws.append(("second", i, j, k,
+                     law(j, k, lambda s, m: (i * d + s) * d + m)))
+        laws.append(("first", i, j, k,
+                     law(j, k, lambda s, m: (s * d + i) * d + m)))
     return tuple(laws)
 
 

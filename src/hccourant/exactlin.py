@@ -81,8 +81,8 @@ class QMatrix:
     __slots__ = ("sparse_rows", "rows", "cols")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
-        data = list(data)
         if cols is None:
+            data = list(data)
             if not data or _is_sparse(data[0]):
                 raise ExactLinError("a matrix without a dense first row "
                                     "needs explicit cols")
@@ -191,6 +191,16 @@ def sparse_table(table) -> tuple:
     ``(j, sparse(table[i][j]))`` pairs with a nonzero cell, j ascending."""
     return tuple(tuple((j, c) for j, c in enumerate(map(sparse, row)) if c)
                  for row in table)
+
+
+def transpose_table(table) -> tuple:
+    """The square sparse table whose cell (j, i) is cell (i, j) of
+    ``table``, in the same canonical form."""
+    out = [[] for _ in table]
+    for i, row in enumerate(table):
+        for j, cell in row:
+            out[j].append((i, cell))
+    return tuple(map(tuple, out))
 
 
 def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:

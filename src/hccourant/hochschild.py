@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix,
                        make_membership, nullspace, quotient_basis,
-                       row_combination, row_space, sparse_row, vec,
-                       vec_is_zero)
+                       row_combination, row_space, sparse_row,
+                       transpose_table, vec, vec_is_zero)
 
 
 class HochschildError(HccourantError):
@@ -172,7 +172,7 @@ def coboundary_beta(f: Cochain1) -> QMatrix:
         for j in range(d):
             ej = A.basis_vector(j)
             t1 = A.mul(ei, f.apply_basis(j))
-            t2 = f.apply(A.structure[i][j])
+            t2 = f.apply(A.mul(ei, ej))
             t3 = A.mul(f.apply_basis(i), ej)
             rows.append(tuple(a - b + c for a, b, c in zip(t1, t2, t3)))
     return QMatrix(rows, cols=d)
@@ -204,16 +204,14 @@ def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
 def _b_terms(A: FiniteAlgebra, n: int) -> Callable:
     """b on a degree-n basis chain: the face maps a_i a_(i+1) with sign
     (-1)^i, plus the cyclic last face a_n a_0 with sign (-1)^n."""
-    S = A.structure
+    cells = [dict(row) for row in A.structure]
 
     def terms(a):
         for i in range(n):
-            for k, p in enumerate(S[a[i]][a[i + 1]]):
-                if p:
-                    yield a[:i] + (k,) + a[i + 2:], (-p if i % 2 else p)
-        for k, p in enumerate(S[a[n]][a[0]]):
-            if p:
-                yield (k,) + a[1:n], (-p if n % 2 else p)
+            for k, p in cells[a[i]].get(a[i + 1], ()):
+                yield a[:i] + (k,) + a[i + 2:], (-p if i % 2 else p)
+        for k, p in cells[a[n]].get(a[0], ()):
+            yield (k,) + a[1:n], (-p if n % 2 else p)
 
     return terms
 
@@ -327,13 +325,15 @@ def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
     """Rows = images under b of the degree-n basis chains (dom x cod), as
     sparse rows."""
     terms = _b_terms(A, n)
-    rows = []
-    for a in multi_indices(A, n):
-        row = defaultdict(lambda: ZERO)
+
+    def row(a):
+        out = defaultdict(lambda: ZERO)
         for b, x in terms(a):
-            row[encode_index(A, b)] += x
-        rows.append(sparse_row(row))
-    return QMatrix(rows, cols=chain_space_dim(A, n - 1))
+            out[encode_index(A, b)] += x
+        return sparse_row(out)
+
+    return QMatrix(map(row, multi_indices(A, n)),
+                   cols=chain_space_dim(A, n - 1))
 
 
 def homology(A: FiniteAlgebra, n: int, *,
@@ -352,25 +352,37 @@ def homology(A: FiniteAlgebra, n: int, *,
     return HomologyPresentation(A, n, cycles, boundaries, reps, reduce)
 
 
+def leibniz_rows(A: FiniteAlgebra) -> Callable:
+    """``rows(i, j, col)``: the Leibniz law D(e_i e_j) = D(e_i) e_j +
+    e_i D(e_j) as d sparse rows, one per coordinate m, on the unknowns
+    D(e_s)_m at column ``col(s, m)``."""
+    d, S = A.dim, A.structure
+    cells = [dict(row) for row in S]
+    by_right = transpose_table(S)  # by_right[j]: the (k, e_k e_j) pairs
+
+    def rows(i, j, col):
+        out = [defaultdict(lambda: ZERO) for _ in range(d)]
+        for s, c in cells[i].get(j, ()):
+            for m in range(d):
+                out[m][col(s, m)] += c
+        for k, cell in by_right[j]:
+            for m, c in cell:
+                out[m][col(i, k)] -= c
+        for k, cell in S[i]:
+            for m, c in cell:
+                out[m][col(j, k)] -= c
+        return [sparse_row(row) for row in out]
+
+    return rows
+
+
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
     """Basis of Der(A), each row a flattened dim x dim map."""
-    d, S = A.dim, A.structure
-    rows = []
-    # X(e_i e_j) = X(e_i) e_j + e_i X(e_j) at coordinate m, on the unknowns
-    # X[s][m] (the image of e_s, flattened at s d + m)
-    for i, j, m in itertools.product(range(d), repeat=3):
-        row = defaultdict(lambda: ZERO)
-        for s, c in enumerate(S[i][j]):
-            if c:
-                row[s * d + m] += c
-        for k in range(d):
-            ckj = S[k][j][m]
-            if ckj:
-                row[i * d + k] -= ckj
-            cik = S[i][k][m]
-            if cik:
-                row[j * d + k] -= cik
-        rows.append(sparse_row(row))
+    d = A.dim
+    law = leibniz_rows(A)
+    # the unknown X(e_s)_m sits at s d + m of the flattened map
+    rows = (row for i, j in itertools.product(range(d), repeat=2)
+            for row in law(i, j, lambda s, m: s * d + m))
     return nullspace(QMatrix(rows, cols=d * d))
 
 
@@ -417,9 +429,6 @@ class DescentReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
 
 
 def verify_descent(A: FiniteAlgebra, n: int, *,

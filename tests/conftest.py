@@ -61,6 +61,13 @@ def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:
     return Chain(A, n, rand_vec(rng, A.dim ** (n + 1)))
 
 
+def dense_structure(A: FiniteAlgebra) -> tuple:
+    """The dense table S[i][j] = coordinates of e_i e_j, read off ``A.mul``
+    on unit vectors, for reference loops that index a cell."""
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    return tuple(tuple(A.mul(x, y) for y in e) for x in e)
+
+
 def perturbed_table(table, i, j, k):
     """A copy of a sparse bracket table (``exactlin.sparse_table`` form) with
     1 added to coordinate k of cell (i, j), still in canonical form."""

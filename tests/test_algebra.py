@@ -1,15 +1,18 @@
+import itertools
 import json
 
 import pytest
 
 from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
                                algebra_to_json, build_v1, center, check_guard,
-                               commutator_subspace, ground_field,
-                               load_algebra, make_algebra, matrix_algebra,
-                               opposite_algebra, truncated_poly,
-                               upper_triangular2)
-from hccourant.exactlin import Q, QMatrix, nullspace, rank
+                               ground_field, load_algebra, make_algebra,
+                               matrix_algebra, opposite_algebra,
+                               truncated_poly, upper_triangular2)
+from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace, rank
 from hccourant.files import BUNDLED_ALGEBRAS
+from hccourant.hochschild import homology
+
+from conftest import dense_structure, is_canonical_table
 
 
 def test_ground_field():
@@ -64,6 +67,96 @@ def test_unit_law_rejected():
                      [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [1, 0])
 
 
+@pytest.mark.parametrize("structure", (
+    [[[1, 0], [0, 1]]],                                      # one row short
+    [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]],  # an extra row
+    [[[1, 0], [0, 1], [0, 0]], [[0, 1], [0, 0]]],            # a long row
+    [[[1, 0], [0, 1, 0]], [[0, 1], [0, 0]]],                 # a long cell
+))
+def test_ragged_table_rejected(structure):
+    with pytest.raises(AlgebraError, match="inconsistent dimensions"):
+        make_algebra("ragged", ["1", "x"], structure, [1, 0])
+
+
+def test_non_rational_constant_rejected():
+    with pytest.raises(HccourantError, match="'a'"):
+        make_algebra("x", ["1"], [[["a"]]], [1])
+    with pytest.raises(HccourantError, match="'a'"):
+        make_algebra("x", ["1"], [[[1]]], ["a"])
+
+
+def _ref_first_failure(S, unit):
+    """The dense check the sparse one replaced: the first unit-law failure,
+    else the first associativity failure over (i, j, k) in lexicographic
+    order, or None."""
+    d = len(unit)
+
+    def mul(x, y):
+        out = [Q(0)] * d
+        for i, j in itertools.product(range(d), repeat=2):
+            if x[i] and y[j]:
+                for k in range(d):
+                    out[k] += x[i] * y[j] * S[i][j][k]
+        return tuple(out)
+
+    e = [tuple(Q(int(i == k)) for k in range(d)) for i in range(d)]
+    for i in range(d):
+        if mul(unit, e[i]) != e[i] or mul(e[i], unit) != e[i]:
+            return f"unit laws fail on basis element {i}"
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if mul(S[i][j], e[k]) != mul(e[i], S[j][k]):
+            return f"associativity fails at triple ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_perturbed_table_rejected_as_dense_reference(algebras, name):
+    """Adding 1 to any one structure constant: make_algebra raises exactly
+    when the dense check finds a failure, and names the same one."""
+    A = algebras[name]
+    S = dense_structure(A)
+    rejected = 0
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        T = [[list(cell) for cell in row] for row in S]
+        T[i][j][k] += 1
+        expected = _ref_first_failure(T, A.unit)
+        if expected is None:
+            make_algebra(A.name, A.basis_names, T, A.unit)
+            continue
+        with pytest.raises(AlgebraError) as exc:
+            make_algebra(A.name, A.basis_names, T, A.unit)
+        assert str(exc.value) == f"{A.name}: {expected}"
+        rejected += 1
+    assert rejected
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_structure_is_canonical_sparse_table(algebras, name):
+    A = algebras[name]
+    for B in (A, opposite_algebra(A), matrix_algebra(A, 2),
+              matrix_algebra(A, 3)):
+        assert is_canonical_table(B.structure, B.dim, B.dim, B.dim), B
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_opposite_and_matrix_algebra_match_dense_reference(algebras, name):
+    A = algebras[name]
+    d, S = A.dim, dense_structure(A)
+    assert dense_structure(opposite_algebra(A)) == tuple(
+        tuple(S[j][i] for j in range(d)) for i in range(d))
+    assert A.is_commutative() == all(
+        S[i][j] == S[j][i] for i in range(d) for j in range(d))
+    # E_pq(e_i) E_st(e_j) = [q = s] E_pt(e_i e_j)
+    r, D = 2, 4 * d
+    M = dense_structure(matrix_algebra(A, r))
+    for (p, q, i), (s, t, j) in itertools.product(
+            itertools.product(range(r), range(r), range(d)), repeat=2):
+        cell = [Q(0)] * D
+        if q == s:
+            cell[(p * r + t) * d:(p * r + t + 1) * d] = S[i][j]
+        assert M[(p * r + q) * d + i][(s * r + t) * d + j] == tuple(cell)
+
+
 def test_center_of_matrix_algebra_is_scalars():
     M = matrix_algebra(ground_field(), 2)
     Z = center(M)
@@ -77,18 +170,18 @@ def test_center_of_matrix_algebra_is_scalars():
 def test_center_of_commutative_is_everything():
     A = truncated_poly(3)
     assert center(A).rows == A.dim
-    assert commutator_subspace(A).rows == 0
+    # span{ab - ba} is the degree-0 boundaries: b(a (x) b) = ab - ba
+    assert homology(A, 0).boundary_basis.rows == 0
 
 
 def _ref_center(A):
     """The dense-row center that the sparse-row one replaced."""
-    d = A.dim
+    d, S = A.dim, dense_structure(A)
     rows = []
     for i in range(d):
         for k in range(d):
             # sum_s z_s (c_{si}^k - c_{is}^k) = 0
-            rows.append([A.structure[s][i][k] - A.structure[i][s][k]
-                         for s in range(d)])
+            rows.append([S[s][i][k] - S[i][s][k] for s in range(d)])
     return nullspace(QMatrix(rows, cols=d))
 
 
@@ -101,7 +194,7 @@ def test_center_matches_dense_reference(algebras, name):
 def test_commutator_subspace_m2q():
     M = matrix_algebra(ground_field(), 2)
     # sl2: traceless matrices
-    assert commutator_subspace(M).rows == 3
+    assert homology(M, 0).boundary_basis.rows == 3
 
 
 def test_opposite_of_commutative_identical():

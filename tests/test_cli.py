@@ -154,6 +154,24 @@ def test_algebra_non_integer_dimension_or_index_exit_2(tmp_path, capsys,
     assert doc["error"] and "\n" not in doc["error"]
 
 
+def test_algebra_repeated_structure_pair_exit_2(tmp_path, capsys):
+    # a repeated (i, j) entry is refused, not silently overwritten
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps({"name": "x", "dimension": 2,
+                             "basis": ["1", "x"], "unit": ["1", "0"],
+                             "structure": [[0, 0, ["1", "0"]],
+                                           [0, 1, ["0", "1"]],
+                                           [1, 0, ["0", "1"]],
+                                           [0, 1, ["0", "2"]]]}))
+    code = main(["validate", "--algebra", str(p), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["exit_code"] == 2
+    assert "\n" not in doc["error"] and "(0, 1)" in doc["error"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_every_package_error_derives_from_the_base():
     import importlib
     import pkgutil
@@ -280,9 +298,13 @@ PINNED_REPORTS = {
         "--seed", "7"],
     "morita_v1_2.json": ["morita", "--algebra", "v1_2"],
     # the scale regime: the targets M_3(qx2) and M_3(v1_2) have dimension
-    # 18 and 27, above every other algebra tier-1 builds
+    # 18 and 27
     "morita_qx2_r3.json": ["morita", "--algebra", "qx2", "--r", "3"],
     "morita_v1_2_r3.json": ["morita", "--algebra", "v1_2", "--r", "3"],
+    # dimension 36: the commutative M_3(v1_3) and the non-commutative
+    # M_3(m2q) = M_6(Q)
+    "morita_v1_3_r3.json": ["morita", "--algebra", "v1_3", "--r", "3"],
+    "morita_m2q_r3.json": ["morita", "--algebra", "m2q", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
 }
 

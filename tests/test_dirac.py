@@ -15,7 +15,7 @@ from hccourant.dirac import (BracketTable, DiracError, Submodule,
 from hccourant.exactlin import Q, QMatrix, nullspace
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
-from conftest import rng_for
+from conftest import dense_structure, rng_for
 
 
 def _table(A, entries):
@@ -194,7 +194,7 @@ def test_submodule_canonicalized_to_rref(v13):
 
 def _ref_biderivation_space(A):
     """The dense-row biderivation_space, one block per slot law."""
-    d = A.dim
+    d, S = A.dim, dense_structure(A)
 
     def pos(i, j, k):
         return (i * d + j) * d + k
@@ -206,27 +206,27 @@ def _ref_biderivation_space(A):
                 for m in range(d):
                     # second slot law, coordinate m
                     row = [Q(0)] * (d ** 3)
-                    for s, c in enumerate(A.structure[j][k]):
+                    for s, c in enumerate(S[j][k]):
                         if c:
                             row[pos(i, s, m)] += c
                     for s in range(d):
-                        ek = A.structure[s][k][m]
+                        ek = S[s][k][m]
                         if ek:
                             row[pos(i, j, s)] -= ek
-                        ej = A.structure[j][s][m]
+                        ej = S[j][s][m]
                         if ej:
                             row[pos(i, k, s)] -= ej
                     rows.append(row)
                     # first slot law, coordinate m
                     row = [Q(0)] * (d ** 3)
-                    for s, c in enumerate(A.structure[j][k]):
+                    for s, c in enumerate(S[j][k]):
                         if c:
                             row[pos(s, i, m)] += c
                     for s in range(d):
-                        ek = A.structure[s][k][m]
+                        ek = S[s][k][m]
                         if ek:
                             row[pos(j, i, s)] -= ek
-                        ej = A.structure[j][s][m]
+                        ej = S[j][s][m]
                         if ej:
                             row[pos(k, i, s)] -= ej
                     rows.append(row)
@@ -235,12 +235,12 @@ def _ref_biderivation_space(A):
 
 def _ref_check_biderivation(A, table):
     """The dense check: the message of the first law that fails, or None."""
-    d = A.dim
+    d, S = A.dim, dense_structure(A)
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 lhs = [Q(0)] * d
-                for s, c in enumerate(A.structure[j][k]):
+                for s, c in enumerate(S[j][k]):
                     for m, t in enumerate(table[i][s]):
                         lhs[m] += c * t
                 rhs = tuple(p + q for p, q in
@@ -250,7 +250,7 @@ def _ref_check_biderivation(A, table):
                     return ("second-slot biderivation law fails at "
                             f"({i},{j},{k})")
                 lhs = [Q(0)] * d
-                for s, c in enumerate(A.structure[j][k]):
+                for s, c in enumerate(S[j][k]):
                     for m, t in enumerate(table[s][i]):
                         lhs[m] += c * t
                 rhs = tuple(p + q for p, q in

@@ -22,7 +22,8 @@ from hccourant.hochschild import (Chain, Cochain1, _boundary_operator_rows,
                                   inner_derivation_basis, interior_product,
                                   is_derivation, lie_derivative, pairing,
                                   verify_descent)
-from conftest import rand_chain, rand_derivation, rand_vec, rng_for
+from conftest import (dense_structure, rand_chain, rand_derivation, rand_vec,
+                      rng_for)
 
 SMALL = ("q", "qx2", "qx3", "v1_1", "v1_2", "ut2")
 
@@ -228,6 +229,7 @@ def _ref_decode(d, idx, n):
 
 def _ref_boundary_b(c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
+    S = dense_structure(A)
     out = [Q(0)] * d ** n
     for idx, x in enumerate(c.coords):
         if not x:
@@ -236,11 +238,11 @@ def _ref_boundary_b(c):
         for i in range(n):
             sign = -x if i % 2 else x
             rest = a[:i] + a[i + 2:]
-            for k, p in enumerate(A.structure[a[i]][a[i + 1]]):
+            for k, p in enumerate(S[a[i]][a[i + 1]]):
                 if p:
                     out[_ref_encode(d, a[:i] + (k,) + rest[i:])] += sign * p
         sign = -x if n % 2 else x
-        for k, p in enumerate(A.structure[a[n]][a[0]]):
+        for k, p in enumerate(S[a[n]][a[0]]):
             if p:
                 out[_ref_encode(d, (k,) + a[1:n])] += sign * p
     return Chain(A, n - 1, tuple(out))
@@ -372,23 +374,47 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
             _ref_boundary_operator_rows(A, n)
 
 
-def _ref_derivation_basis(A):
-    """The dense-row derivation_basis that the sparse-row one replaced."""
-    d = A.dim
+def _ref_coboundary_beta(f):
+    """The dense defect a f(b) - f(ab) + f(a) b at (a, b) = (e_i, e_j), with
+    ab read off the dense table."""
+    A, d = f.algebra, f.algebra.dim
+    S = dense_structure(A)
     rows = []
     for i in range(d):
         for j in range(d):
-            cij = A.structure[i][j]
+            t1 = A.mul(A.basis_vector(i), f.rows[j])
+            t2 = f.apply(S[i][j])
+            t3 = A.mul(f.rows[i], A.basis_vector(j))
+            rows.append(tuple(a - b + c for a, b, c in zip(t1, t2, t3)))
+    return QMatrix(rows, cols=d)
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_coboundary_beta_matches_dense_reference(algebras, name):
+    A = algebras[name]
+    rng = rng_for(name)
+    for _ in range(3):
+        f = Cochain1(A, tuple(rand_vec(rng, A.dim) for _ in range(A.dim)))
+        assert coboundary_beta(f) == _ref_coboundary_beta(f)
+
+
+def _ref_derivation_basis(A):
+    """The dense-row derivation_basis that the sparse-row one replaced."""
+    d, S = A.dim, dense_structure(A)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            cij = S[i][j]
             for m in range(d):
                 row = [Q(0)] * (d * d)
                 for s, c in enumerate(cij):
                     if c:
                         row[s * d + m] += c
                 for k in range(d):
-                    ckj = A.structure[k][j][m]
+                    ckj = S[k][j][m]
                     if ckj:
                         row[i * d + k] -= ckj
-                    cik = A.structure[i][k][m]
+                    cik = S[i][k][m]
                     if cik:
                         row[j * d + k] -= cik
                 rows.append(row)

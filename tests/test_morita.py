@@ -9,6 +9,7 @@ from hccourant.courant import ESpace
 from hccourant.dirac import Submodule, is_dirac, make_bracket_table, \
     poisson_graph
 from hccourant.exactlin import Q, QMatrix
+from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Chain, Cochain1, boundary_b,
                                   elementary_chain, homology)
 from hccourant import morita
@@ -60,6 +61,12 @@ def test_verify_morita_v1_2():
     ctx = verify_morita(build_v1(2), 2)
     assert ctx.report.ok
     assert ctx.src_eps.dim == ctx.tgt_eps.dim == 6
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_verify_morita_r3_every_bundled_algebra(algebras, name):
+    """Morita invariance at r = 3, targets of dimension up to 36."""
+    assert verify_morita(algebras[name], 3).report.ok
 
 
 def test_transport_dirac_structure():
