@@ -67,6 +67,18 @@ def conjugated_lie_table(n: int, rng: random.Random):
                    for y in inv_cols] for x in inv_cols]
 
 
+def v1_lie_poisson_table(n: int, rng: random.Random):
+    """``(name, table)``: a Lie-Poisson bracket on V[1] = Q.1 (+) V as an
+    (n + 1)^3 table over the basis 1, v_1..v_n: {v_i, v_j} is cell (i, j)
+    of ``conjugated_lie_table`` and {1, .} = {., 1} = 0.  Any bracket on V
+    extends so to a biderivation, since V.V = 0; it is Poisson because the
+    bracket on V is Lie."""
+    name, mu = conjugated_lie_table(n, rng)
+    zero = [0] * (n + 1)
+    return name, [[zero] * (n + 1)] + [[zero] + [[0, *c] for c in row]
+                                       for row in mu]
+
+
 def run(cfg: OmniConfig) -> int:
     bad = 0
     for n in range(1, cfg.max_n + 1):

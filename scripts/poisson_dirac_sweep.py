@@ -2,6 +2,10 @@
 """Randomized sweep checking is_poisson(t) == is_dirac(p(L_pi)) over random
 biderivation tables on a commutative bundled algebra.
 
+Random biderivations are almost never Poisson, so on V[1] = Q.1 (+) V the
+sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table) and
+requires each of them to be both Poisson and Dirac.
+
 Example:
     python scripts/poisson_dirac_sweep.py --algebra v1_3 --count 500 --seed 7
 """
@@ -10,11 +14,14 @@ import argparse
 import random
 from dataclasses import dataclass
 
+from hccourant.algebra import build_v1
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import (biderivation_space, is_dirac, is_poisson,
-                             poisson_graph, table_from_flat)
+                             make_bracket_table, poisson_graph,
+                             table_from_flat)
 from hccourant.exactlin import Q
 from hccourant.files import load_algebra_ref
+from omni_corpus import v1_lie_poisson_table
 
 
 @dataclass
@@ -52,7 +59,22 @@ def run(cfg: SweepConfig) -> int:
             print(f"  DISAGREEMENT at draw {k}: poisson={p} dirac={d}")
     print(f"poisson tables: {poisson_count}/{cfg.count}; "
           f"disagreements: {disagreements}")
-    return 0 if disagreements == 0 else 1
+    failures = disagreements
+    n = A.dim - 1
+    if n and A.structure == build_v1(n).structure:
+        both = 0
+        for k in range(cfg.count):
+            name, table = v1_lie_poisson_table(n, rng)
+            t = make_bracket_table(A, table)
+            _, L = poisson_graph(E, eps, t)
+            p, d = is_poisson(t), is_dirac(L).dirac
+            both += p and d
+            if not (p and d):
+                print(f"  LIE-POISSON FAILURE at draw {k} ({name}): "
+                      f"poisson={p} dirac={d}")
+        failures += cfg.count - both
+        print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac")
+    return 0 if failures == 0 else 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .hochschild import (Chain, Cochain1, HomologyPresentation, boundary_b,
                          verify_descent)
 from .morita import (MoritaContext, MoritaReport, OppositeReport, cotr, inc,
                      transport_dirac, verify_morita, verify_opposite)
-from .omni import (DStructureReport, OmniElement, OmniIso, build_omni_iso,
+from .omni import (DStructureReport, OmniIso, build_omni_iso,
                    d_structure_check, omni_pairing, verify_ev1,
                    verify_main_theorem, weinstein_bracket)
 

@@ -98,10 +98,8 @@ def _cmd_courant(args):
     rep = _e_presentation(E)
     rep["algebra"] = A.name
     rep["pairing_table"] = [
-        [_rvec(E.pairing_classes(
-            tuple(1 if a == i else 0 for a in range(E.h1co.dim)),
-            tuple(1 if b == j else 0 for b in range(E.h1.dim))))
-         for j in range(E.h1.dim)] for i in range(E.h1co.dim)]
+        [_rvec(E.pairing_classes(x, a)) for a in QMatrix.identity(E.h1.dim)]
+        for x in QMatrix.identity(E.h1co.dim)]
     return rep, EXIT_OK
 
 

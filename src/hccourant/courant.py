@@ -223,10 +223,17 @@ class ESpace:
             raise CourantError("center_action: image left the center")
         return out
 
-    def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
-        """The Z(A)-module action z.(X, alpha) on E(A) coordinates."""
-        return bilinear(self.center_coords(zcoords), self._coords(u),
-                        self.z_table, self.dim)
+    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
+        """The Z(A)-module action z.(X, alpha) on E(A) coordinates, for z
+        given by its coordinates c over ``center_basis``."""
+        return bilinear(self._zcoords(c), self._coords(u), self.z_table,
+                        self.dim)
+
+    def _zcoords(self, c: Sequence) -> tuple:
+        c = vec(c)
+        if len(c) != self.center_basis.rows:
+            raise CourantError("centre coordinate length mismatch")
+        return c
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """The Courant bracket on E(A) coordinates."""
@@ -322,8 +329,8 @@ class EpsilonSpace:
     def z_table(self) -> tuple:
         """z_table[m][a] = c_m . r_a reduced, for the centre basis c_m."""
         E, reps = self.espace, self.class_reps
-        return sparse_table((self._reduce(E.z_scale(z, ra)) for ra in reps)
-                            for z in self.center_basis)
+        return sparse_table((self._reduce(E.z_scale(c, ra)) for ra in reps)
+                            for c in QMatrix.identity(self.center_basis.rows))
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         return bilinear(self._coords(u), self._coords(v), self.bracket_table,
@@ -333,9 +340,9 @@ class EpsilonSpace:
         return bilinear(self._coords(u), self._coords(v), self.form_table,
                         self.h0_dim)
 
-    def z_scale(self, zcoords: Sequence, u: Sequence) -> tuple:
-        return bilinear(self.espace.center_coords(zcoords), self._coords(u),
-                        self.z_table, self.dim)
+    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
+        return bilinear(self.espace._zcoords(c), self._coords(u), self.z_table,
+                        self.dim)
 
     def _coords(self, u: Sequence) -> tuple:
         u = vec(u)

@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
-from .exactlin import (ZERO, HccourantError, QMatrix, make_membership,
-                       nullspace, rank, rat_str, row_combination, row_space,
-                       span_contains, vec, vec_is_zero)
+from .exactlin import (ZERO, HccourantError, QMatrix, bilinear,
+                       make_membership, nullspace, rank, rat_str,
+                       row_combination, row_space, span_contains,
+                       sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
                          homology, interior_product, leibniz_rows)
 
@@ -91,9 +92,9 @@ def is_bracket_closed(L: Submodule):
 
 
 def is_z_stable(L: Submodule) -> bool:
-    for z in L.ambient.center_basis:
+    for c in QMatrix.identity(L.ambient.center_basis.rows):
         for l in L.vectors:
-            if L.span_coords(L.ambient.z_scale(z, l)) is None:
+            if L.span_coords(L.ambient.z_scale(c, l)) is None:
                 return False
     return True
 
@@ -209,29 +210,26 @@ def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:
     return BracketTable(A, t)
 
 
+def lie_laws(n: int, table) -> tuple:
+    """(skew, jacobi) for a bilinear bracket on Q^n given as a sparse table
+    (see ``exactlin.sparse_table``), on all basis pairs and triples."""
+    units = QMatrix.identity(n)
+    br = [[bilinear(x, y, table, n) for y in units] for x in units]
+    skew = all(br[i][j] == tuple(-t for t in br[j][i])
+               for i in range(n) for j in range(i, n))
+    # outer[a][b][c] = [[e_a, e_b], e_c]
+    outer = [[[bilinear(br[a][b], z, table, n) for z in units]
+              for b in range(n)] for a in range(n)]
+    jacobi = all(vec_is_zero([p + q + r for p, q, r in zip(
+        outer[i][j][k], outer[j][k][i], outer[k][i][j])])
+        for i in range(n) for j in range(n) for k in range(n))
+    return skew, jacobi
+
+
 def is_poisson(t: BracketTable) -> bool:
     """Brute-force oracle: skew-symmetry and the Jacobi identity on all basis
     pairs and triples."""
-    A = t.algebra
-    d = A.dim
-    for i in range(d):
-        for j in range(i, d):
-            if tuple(-x for x in t.table[i][j]) != t.table[j][i]:
-                return False
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                s = [ZERO] * d
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = t.table[a][b]
-                    for m, x in enumerate(inner):
-                        if x:
-                            for q, y in enumerate(t.table[m][c]):
-                                if y:
-                                    s[q] += x * y
-                if not vec_is_zero(s):
-                    return False
-    return True
+    return all(lie_laws(t.algebra.dim, sparse_table(t.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +415,12 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     cb = E.center_basis
     cdim = cb.rows
 
-    def sigma(u):
+    def sigma(u) -> QMatrix:
         """Matrix of the anchor of u on the center (rows: images of the
         center basis in center coordinates)."""
         x = E.rho(eps.lift(u))
-        rows = []
-        for z in cb:
-            rows.append(list(E.center_coords(E.center_action(x, z))))
-        return rows
-
-    def mat_sub(P, R):
-        return [[a - b for a, b in zip(p, r)] for p, r in zip(P, R)]
-
-    def mat_mul(P, R):
-        n = len(P)
-        return [[sum((P[i][k] * R[k][j] for k in range(n)), ZERO)
-                 for j in range(n)] for i in range(n)]
+        return QMatrix([E.center_coords(E.center_action(x, z)) for z in cb],
+                       cols=cdim)
 
     vs = L.vectors.data
     n = L.dim
@@ -443,29 +431,32 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     sigmas = [sigma(u) for u in vs]
     for i, si in enumerate(sigmas):
         for j, sj in enumerate(sigmas):
-            # rows are images of the center basis, so composition reverses
-            comm = mat_sub(mat_mul(sj, si), mat_mul(si, sj))
+            # rows are images of the center basis, so composition reverses:
+            # row k of sj si - si sj is sj[k] . si - si[k] . sj
+            comm = QMatrix([[a - b for a, b in zip(row_combination(p, si),
+                                                   row_combination(q, sj))]
+                            for p, q in zip(sj, si)], cols=cdim)
             if sigma(br[i][j]) != comm:
                 anchor_ok = False
             if not vec_is_zero([a + b for a, b in zip(br[i][j], br[j][i])]):
                 skew_ok = False
 
+    # z runs over the center basis, then random combinations of it, as
+    # center coordinates c; the anchor image X_i(z) in center coordinates is
+    # c . sigma(l_i), since X_i acts linearly
     leibniz_ok = True
-    draws = []
-    for k in range(cdim):
-        draws.append(cb[k])
+    draws = list(QMatrix.identity(cdim))
     if rng is not None:
         for _ in range(z_samples):
-            coeffs = vec(rng.randint(-3, 3) for _ in range(cdim))
-            draws.append(row_combination(coeffs, cb))
-    for z in draws:
-        zl = [eps.z_scale(z, l) for l in vs]
+            draws.append(vec(rng.randint(-3, 3) for _ in range(cdim)))
+    for c in draws:
+        zl = [eps.z_scale(c, l) for l in vs]
         for i in range(n):
-            xz = E.center_action(E.rho(eps.lift(vs[i])), z)
+            xz = row_combination(c, sigmas[i])
             for j in range(n):
                 lhs = eps.bracket(vs[i], zl[j])
                 rhs = tuple(a + b for a, b in zip(
-                    eps.z_scale(z, br[i][j]), eps.z_scale(xz, vs[j])))
+                    eps.z_scale(c, br[i][j]), eps.z_scale(xz, vs[j])))
                 if lhs != rhs:
                     leibniz_ok = False
 

@@ -1,27 +1,35 @@
 """The omni-Lie model gl(V) (+) V and its realization as epsilon(V[1]).
 
+An element of gl(V) (+) V is its coordinate tuple: the matrix unit E_ij at
+i n + j, then v_i at n^2 + i.  The Weinstein bracket ([xi1, xi2], xi1 v2) and
+the V-valued pairing (1/2)(xi2 v1 + xi1 v2) are sparse tables in the form of
+``exactlin.sparse_table``, built once per n and contracted with ``bilinear``.
+
 V[1] is the algebra Q.1 (+) V with all products of V-vectors equal to zero.
 This module builds the explicit linear bijection gl(V) (+) V -> epsilon(V[1])
 sending a matrix to its derivation class and a vector v to the homology class
-of 1 (x) v, and verifies exactly that it carries the Weinstein bracket
-([xi1, xi2], xi1 v2) to the induced Courant bracket, and the V-valued pairing
-(1/2)(xi2 v1 + xi1 v2) to the induced bilinear form up to the global scalar 2.
-Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
-Lie brackets on V; `d_structure_check` decides both sides and compares them.
+of 1 (x) v, and verifies exactly that it carries the Weinstein bracket to the
+induced Courant bracket, and the pairing to the induced bilinear form up to
+the global scalar 2.  Dirac structures of epsilon(V[1]) that are graphs over
+V then correspond to Lie brackets on V; `d_structure_check` decides both
+sides and compares them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, build_v1
+from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
-from .dirac import DiracVerdict, Submodule, is_dirac
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       make_reducer, rank, row_combination, span_equal,
-                       sparse_table, vec, vec_is_zero)
-from .hochschild import Cochain1, elementary_chain
+from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear, dense,
+                       rank, row_combination, span_equal, sparse_row,
+                       sparse_table, vec)
+from .hochschild import cochain_from_flat, elementary_chain
 
 
 class OmniError(HccourantError):
@@ -33,51 +41,60 @@ class OmniError(HccourantError):
 FORM_SCALAR = 2
 
 
-@dataclass(frozen=True)
-class OmniElement:
-    """An element (xi, v) of gl(V) (+) V; xi is stored as a tuple of rows."""
-    n: int
-    xi: tuple
-    v: tuple
-
-    def __post_init__(self):
-        n = self.n
-        if len(self.v) != n or len(self.xi) != n or \
-                any(len(r) != n for r in self.xi):
-            raise OmniError("shape mismatch in omni-Lie element")
+def _table(cells: dict, dim: int) -> tuple:
+    """The sparse table with ``dim`` rows of a {(a, b): {k: t}} dict of
+    cells; zero entries and empty cells are dropped."""
+    rows = [{} for _ in range(dim)]
+    for (a, b), cell in cells.items():
+        rows[a][b] = sparse_row(cell)
+    return tuple(map(sparse_row, rows))
 
 
-def omni_element(n: int, xi, v) -> OmniElement:
-    return OmniElement(n, tuple(vec(r) for r in xi), vec(v))
+def _cells() -> defaultdict:
+    return defaultdict(lambda: defaultdict(lambda: ZERO))
 
 
-def _mat_vec(xi, v):
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in xi)
+@functools.lru_cache(maxsize=None)
+def weinstein_table(n: int) -> tuple:
+    """[[E_ij, E_jk]] contains +E_ik, [[E_ij, E_ki]] contains -E_kj (the
+    commutator), [[E_ij, v_j]] = v_i, and every other pair brackets to 0."""
+    nn = n * n
+    cells = _cells()
+    for i, j, k in itertools.product(range(n), repeat=3):
+        cells[i * n + j, j * n + k][i * n + k] += 1
+        cells[i * n + j, k * n + i][k * n + j] -= 1
+    for i, j in itertools.product(range(n), repeat=2):
+        cells[i * n + j, nn + j][nn + i] += 1
+    return _table(cells, nn + n)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-                       for j in range(n)) for i in range(n))
+@functools.lru_cache(maxsize=None)
+def pairing_table(n: int) -> tuple:
+    """(E_ij, v_j) = (v_j, E_ij) = v_i / 2, and every other pair is 0."""
+    nn, half = n * n, ONE / 2
+    cells = _cells()
+    for i, j in itertools.product(range(n), repeat=2):
+        cells[i * n + j, nn + j][i] += half
+        cells[nn + j, i * n + j][i] += half
+    return _table(cells, nn + n)
 
 
-def weinstein_bracket(e1: OmniElement, e2: OmniElement) -> OmniElement:
+def _coords(n: int, u: Sequence) -> tuple:
+    u = vec(u)
+    if len(u) != n * n + n:
+        raise OmniError("omni-Lie coordinate length mismatch")
+    return u
+
+
+def weinstein_bracket(n: int, u: Sequence, v: Sequence) -> tuple:
     """([xi1, xi2], xi1 v2): the skew-symmetrization of the Leibniz bracket."""
-    if e1.n != e2.n:
-        raise OmniError("omni-Lie elements of different dimensions")
-    comm = tuple(tuple(a - b for a, b in zip(ra, rb))
-                 for ra, rb in zip(_mat_mul(e1.xi, e2.xi),
-                                   _mat_mul(e2.xi, e1.xi)))
-    return OmniElement(e1.n, comm, _mat_vec(e1.xi, e2.v))
+    return bilinear(_coords(n, u), _coords(n, v), weinstein_table(n),
+                    n * n + n)
 
 
-def omni_pairing(e1: OmniElement, e2: OmniElement) -> tuple:
+def omni_pairing(n: int, u: Sequence, v: Sequence) -> tuple:
     """The V-valued symmetric pairing (1/2)(xi2 v1 + xi1 v2)."""
-    if e1.n != e2.n:
-        raise OmniError("omni-Lie elements of different dimensions")
-    half = ONE / 2
-    return tuple(half * (a + b) for a, b in zip(_mat_vec(e2.xi, e1.v),
-                                                _mat_vec(e1.xi, e2.v)))
+    return bilinear(_coords(n, u), _coords(n, v), pairing_table(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -115,41 +132,14 @@ def verify_ev1(n: int, *, espace: Optional[ESpace] = None) -> EV1Report:
 
 @dataclass(frozen=True)
 class OmniIso:
-    """The bijection gl(V) (+) V -> epsilon(V[1]) and its inverse."""
+    """The bijection gl(V) (+) V -> epsilon(V[1])."""
     n: int
     espace: ESpace
     eps: EpsilonSpace
     fwd: QMatrix   # omni basis (E_ij then v_i) -> epsilon coordinates
-    inv: QMatrix   # epsilon basis -> omni coordinates
 
-    def to_eps(self, e: OmniElement) -> tuple:
-        coords = [x for row in e.xi for x in row] + list(e.v)
-        return row_combination(coords, self.fwd)
-
-    def from_eps(self, u: Sequence) -> OmniElement:
-        n = self.n
-        coords = row_combination(vec(u), self.inv)
-        xi = tuple(tuple(coords[i * n + j] for j in range(n))
-                   for i in range(n))
-        return OmniElement(n, xi, tuple(coords[n * n:]))
-
-
-def _derivation_of_matrix(A: FiniteAlgebra, xi) -> Cochain1:
-    """The derivation of V[1] acting as xi on V and killing the unit."""
-    n = A.dim - 1
-    rows = [tuple([ZERO] * A.dim)]
-    for j in range(n):
-        img = [ZERO] * A.dim
-        for i in range(n):
-            if xi[i][j]:
-                img[i + 1] = xi[i][j]
-        rows.append(tuple(img))
-    return Cochain1(A, tuple(rows))
-
-
-def _basis_matrix(n, i, j):
-    return tuple(tuple(ONE if (p, q) == (i, j) else ZERO for q in range(n))
-                 for p in range(n))
+    def to_eps(self, u: Sequence) -> tuple:
+        return row_combination(_coords(self.n, u), self.fwd)
 
 
 @dataclass(frozen=True)
@@ -185,11 +175,14 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
     if eps.dim != dim:
         raise OmniError(
             f"epsilon(V[1]) has dimension {eps.dim}, expected {dim}")
+    d = n + 1
     rows = []
     for i in range(n):
         for j in range(n):
-            X = _derivation_of_matrix(A, _basis_matrix(n, i, j))
-            xcls = A_E.class_of_derivation(X)
+            # the derivation acting as E_ij on V and killing the unit: its
+            # one nonzero entry is v_i in the image of v_j
+            flat = dense(((d * (j + 1) + i + 1, ONE),), d * d)
+            xcls = A_E.class_of_derivation(cochain_from_flat(A, flat))
             rows.append(eps.reduce(tuple(xcls) + (ZERO,) * A_E.h1.dim))
     for i in range(n):
         c = elementary_chain(A, (0, i + 1))  # the cycle 1 (x) v_i
@@ -199,16 +192,7 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
     if rank(fwd) != dim:
         raise OmniError("the canonical map gl(V) (+) V -> epsilon(V[1]) "
                         "is not bijective")
-    coords = make_reducer(fwd)
-    inv_rows = [coords(row) for row in QMatrix.identity(eps.dim)]
-    return OmniIso(n, A_E, eps, fwd, QMatrix(inv_rows, cols=dim))
-
-
-def _omni_basis(n):
-    zero_v = (ZERO,) * n
-    return ([OmniElement(n, _basis_matrix(n, i, j), zero_v)
-             for i in range(n) for j in range(n)]
-            + [OmniElement(n, (zero_v,) * n, v) for v in QMatrix.identity(n)])
+    return OmniIso(n, A_E, eps, fwd)
 
 
 def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
@@ -231,19 +215,18 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
     kernel_generators_ok = span_equal(
         QMatrix(gen_rows or [], cols=E.dim), eps.J)
 
-    basis = _omni_basis(n)
-    images = [iso.to_eps(e) for e in basis]
+    units = QMatrix.identity(n * n + n)
+    images = iso.fwd.data
     bijective = True  # enforced in build_omni_iso
 
     bracket_ok = True
     form_ok = True
-    for i, u in enumerate(basis):
-        for j, w in enumerate(basis):
+    for i, u in enumerate(units):
+        for j, w in enumerate(units):
             lhs = eps.bracket(images[i], images[j])
-            rhs = iso.to_eps(weinstein_bracket(u, w))
-            if lhs != rhs:
+            if lhs != iso.to_eps(weinstein_bracket(n, u, w)):
                 bracket_ok = False
-            p = omni_pairing(u, w)
+            p = omni_pairing(n, u, w)
             embedded = E.h0_class((ZERO,) + tuple(FORM_SCALAR * x for x in p))
             if eps.form(images[i], images[j]) != embedded:
                 form_ok = False
@@ -283,22 +266,6 @@ def mu_tilde(n: int, mu, v) -> tuple:
     return tuple(zip(*(bilinear(v, e, mu, n) for e in QMatrix.identity(n))))
 
 
-def _lie_oracle(n: int, mu):
-    """(skew, jacobi) for mu in sparse table form, on basis pairs and
-    triples."""
-    units = QMatrix.identity(n)
-    br = [[bilinear(x, y, mu, n) for y in units] for x in units]
-    skew = all(br[i][j] == tuple(-t for t in br[j][i])
-               for i in range(n) for j in range(i, n))
-    # outer[a][b][c] = mu(mu(v_a, v_b), v_c)
-    outer = [[[bilinear(br[a][b], z, mu, n) for z in units]
-              for b in range(n)] for a in range(n)]
-    jacobi = all(vec_is_zero([p + q + r for p, q, r in zip(
-        outer[i][j][k], outer[j][k][i], outer[k][i][j])])
-        for i in range(n) for j in range(n) for k in range(n))
-    return skew, jacobi
-
-
 def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     """Dirac verdict of the graph {(mu(v, .), v)} versus the Lie-bracket
     oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j)."""
@@ -307,10 +274,11 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     if any(len(c) != n for row in mu for c in row):
         raise OmniError("mu has cells of the wrong length")
     mu = sparse_table(mu)
-    rows = [iso.to_eps(OmniElement(n, mu_tilde(n, mu, v), v))
-            for v in QMatrix.identity(n)]
+    # the graph row over v: the matrix mu(v, .) flattened, then v
+    rows = [iso.to_eps(tuple(x for row in mu_tilde(n, mu, v) for x in row)
+                       + v) for v in QMatrix.identity(n)]
     L = Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
     verdict = is_dirac(L)
-    skew, jacobi = _lie_oracle(n, mu)
+    skew, jacobi = lie_laws(n, mu)
     return DStructureReport(n, verdict.dirac, skew and jacobi, skew, jacobi,
                             verdict)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 
 from .courant import EpsilonSpace, ESpace
-from .dirac import (Submodule, biderivation_space, find_two_form_witness,
-                    is_dirac, is_poisson, poisson_graph, table_from_flat,
-                    two_form_graph)
-from .exactlin import Q, QMatrix, rat_str
+from .dirac import (biderivation_space, find_two_form_witness, is_dirac,
+                    is_poisson, poisson_graph, table_from_flat, two_form_graph)
+from .exactlin import rat_str, row_combination
 from .files import BUNDLED_ALGEBRAS, BUNDLED_TABLES, load_algebra_ref, \
     load_bracket_table
 from .morita import verify_morita, verify_opposite
@@ -30,13 +29,8 @@ def _random_table(A, space, rng):
     if space.rows == 0:
         return table_from_flat(A, [0] * (A.dim ** 3))
     while True:
-        flat = [0] * (A.dim ** 3)
-        for row in space:
-            c = rng.randint(-3, 3)
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        flat[k] += c * x
+        flat = row_combination([rng.randint(-3, 3) for _ in range(space.rows)],
+                               space)
         if any(flat):
             return table_from_flat(A, flat)
 

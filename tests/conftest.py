@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,13 @@ def is_canonical_table(table, rows, cols, dim) -> bool:
 
 def rng_for(name: str) -> random.Random:
     return random.Random(zlib.crc32(name.encode()))
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, for tests that reuse a script's
+    corpus generators."""
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

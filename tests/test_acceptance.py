@@ -146,11 +146,12 @@ def test_criterion_03_courant_axioms(capsys, espaces):
                 E.d_map(E.form(e1, e1))
         # (c2) on basis pairs with sampled central elements
         for z in zs:
+            c = E.center_coords(z)
             for e1 in basis:
                 for e2 in basis:
-                    lhs = E.courant_bracket(e1, E.z_scale(z, e2))
-                    xz = E.center_action(E.rho(e1), z)
-                    rhs = vec_add(E.z_scale(z, E.courant_bracket(e1, e2)),
+                    lhs = E.courant_bracket(e1, E.z_scale(c, e2))
+                    xz = E.center_coords(E.center_action(E.rho(e1), z))
+                    rhs = vec_add(E.z_scale(c, E.courant_bracket(e1, e2)),
                                   E.z_scale(xz, e2))
                     ok = ok and lhs == rhs
     _report(capsys, 3, "Courant axioms (c0)-(c4) on full bases + 100 random triples",

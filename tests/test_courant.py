@@ -75,9 +75,10 @@ def test_c2_center_module_rule(espaces, name):
     for _ in range(12):
         e1, e2 = _rand_elements(rng, E, 2)
         z = rand_combination(rng, E.center_basis)
-        lhs = E.courant_bracket(e1, E.z_scale(z, e2))
-        xz = E.center_action(E.rho(e1), z)
-        rhs = vec_add(E.z_scale(z, E.courant_bracket(e1, e2)),
+        c = E.center_coords(z)
+        lhs = E.courant_bracket(e1, E.z_scale(c, e2))
+        xz = E.center_coords(E.center_action(E.rho(e1), z))
+        rhs = vec_add(E.z_scale(c, E.courant_bracket(e1, e2)),
                       E.z_scale(xz, e2))
         assert lhs == rhs
 
@@ -190,6 +191,22 @@ def test_epsilon_form_rejects_wrong_length(espaces, epsilons):
         eps.form((1,), (1,))
 
 
+def test_z_scale_checks_centre_coordinate_length(espaces, epsilons):
+    """z_scale takes coordinates over the centre basis: a vector of another
+    length, such as the algebra coordinates of a central element, is
+    refused."""
+    E, eps = espaces["v1_3"], epsilons["v1_3"]
+    u = QMatrix.identity(E.dim)[0]
+    with pytest.raises(CourantError, match="centre coordinate length"):
+        E.z_scale((1,), u)
+    with pytest.raises(CourantError, match="centre coordinate length"):
+        eps.z_scale((1,), eps.reduce(u))
+    M = espaces["m2q"]
+    assert M.center_basis.rows == 1
+    with pytest.raises(CourantError, match="centre coordinate length"):
+        M.z_scale(M.algebra.unit, ())
+
+
 # ---------------------------------------------------------------------------
 # the cached structure tensors against the chain-level maps
 
@@ -235,14 +252,15 @@ def test_structure_tables_match_chain_level_maps(table_spaces, data):
 
     u, v = draw_vec(E.dim), draw_vec(E.dim)
     z = row_combination(draw_vec(E.center_basis.rows), E.center_basis)
+    c = E.center_coords(z)
     assert E.bracket(u, v) == E.courant_bracket(u, v)
     assert E.form(u, v) == _pairing_form(E, u, v)
-    assert E.z_scale(z, u) == _chain_z_scale(E, z, u)
+    assert E.z_scale(c, u) == _chain_z_scale(E, z, u)
     a, b = draw_vec(eps.dim), draw_vec(eps.dim)
     lift_a, lift_b = eps.lift(a), eps.lift(b)
     assert eps.bracket(a, b) == eps.reduce(E.courant_bracket(lift_a, lift_b))
     assert eps.form(a, b) == _pairing_form(E, lift_a, lift_b)
-    assert eps.z_scale(z, a) == eps.reduce(_chain_z_scale(E, z, lift_a))
+    assert eps.z_scale(c, a) == eps.reduce(_chain_z_scale(E, z, lift_a))
 
 
 @pytest.mark.parametrize("name", NONZERO_E)

@@ -1,5 +1,6 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
+import itertools
 import random
 
 import pytest
@@ -9,13 +10,13 @@ from hccourant.dirac import (BracketTable, DiracError, Submodule,
                              _check_biderivation, biderivation_space, find_two_form_witness,
                              is_bracket_closed, is_dirac, is_isotropic,
                              is_maximally_isotropic, is_poisson, is_z_stable,
-                             lie_algebroid_check, make_bracket_table,
+                             lie_algebroid_check, lie_laws, make_bracket_table,
                              orthogonal, poisson_graph, table_from_flat,
                              two_form, two_form_graph)
-from hccourant.exactlin import Q, QMatrix, nullspace
+from hccourant.exactlin import Q, QMatrix, nullspace, sparse_table, vec
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
-from conftest import dense_structure, rng_for
+from conftest import dense_structure, load_script, rng_for
 
 
 def _table(A, entries):
@@ -161,6 +162,53 @@ def test_random_biderivations_poisson_iff_dirac(espaces, epsilons, name):
         t = table_from_flat(A, flat)
         _, L = poisson_graph(E, eps, t)
         assert is_poisson(t) == is_dirac(L).dirac
+    if name.startswith("v1_"):
+        # random biderivations are almost never Poisson: Lie-Poisson tables
+        # check the other side of the verdict
+        corpus = load_script("omni_corpus")
+        for _ in range(20):
+            _, table = corpus.v1_lie_poisson_table(A.dim - 1, rng)
+            t = make_bracket_table(A, table)
+            _, L = poisson_graph(E, eps, t)
+            assert is_poisson(t) and is_dirac(L).dirac
+
+
+def _dense_lie_laws(n, mu):
+    """(skew, jacobi) of a dense table, mu[i][j][k] the coordinate k of
+    mu(e_i, e_j), with the cyclic Jacobi sum written out on its entries."""
+    triples = list(itertools.product(range(n), repeat=3))
+    skew = all(mu[i][j][k] == -mu[j][i][k] for i, j, k in triples)
+
+    def outer(a, b, c, q):  # coordinate q of mu(mu(e_a, e_b), e_c)
+        return sum(mu[a][b][m] * mu[m][c][q] for m in range(n))
+
+    jacobi = all(outer(i, j, k, q) + outer(j, k, i, q) + outer(k, i, j, q)
+                 == 0 for i, j, k in triples for q in range(n))
+    return skew, jacobi
+
+
+def test_lie_laws_match_dense_cyclic_sum():
+    """Sparse random tables (mostly not skew), their skew parts and
+    change-of-basis images of Lie brackets, so every (skew, jacobi) outcome
+    is met."""
+    corpus = load_script("omni_corpus")
+    rng = rng_for("lie_laws")
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(30):
+            mu = [[[rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)) for _ in range(n)]
+                   for _ in range(n)] for _ in range(n)]
+            skew = [[[a - b for a, b in zip(mu[i][j], mu[j][i])]
+                     for j in range(n)] for i in range(n)]
+            tables = [mu, skew]
+            if n > 1:
+                tables.append(corpus.conjugated_lie_table(n, rng)[1])
+            for t in tables:
+                laws = lie_laws(n, sparse_table(
+                    tuple(vec(c) for c in row) for row in t))
+                assert laws == _dense_lie_laws(n, t)
+                seen.add(laws)
+    assert seen == set(itertools.product((True, False), repeat=2))
 
 
 def test_two_form_zero_graph_is_gl_summand(v13):
@@ -171,6 +219,20 @@ def test_two_form_zero_graph_is_gl_summand(v13):
     L, verdict = two_form_graph(eps, omega)
     assert verdict.dirac
     assert L.vectors == _h1_summand(eps).vectors
+
+
+@pytest.mark.parametrize("name", ("qx2", "qx3"))
+def test_lie_algebroid_on_h1_summand(espaces, epsilons, name):
+    """The zero two-form graph has a nonzero anchor, and on Q[x]/(x^n) the
+    centre acts on epsilon, so every term of the Leibniz rule is seen; on
+    V[1] the anchor term z.l vanishes for z in V."""
+    from hccourant.hochschild import homology
+    E, eps = espaces[name], epsilons[name]
+    h2 = homology(E.algebra, 2)
+    L, verdict = two_form_graph(eps, two_form(E, (0,) * h2.dim, h2=h2))
+    assert verdict.dirac
+    rep = lie_algebroid_check(eps, L, rng=rng_for(f"algebroid/{name}"))
+    assert rep.ok, rep.to_json()
 
 
 def test_two_form_witness_search_is_recorded(espaces):

@@ -1,28 +1,25 @@
 """The gl(V) (+) V model and its realization on V[1]."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hccourant.exactlin import Q, QMatrix, nullspace, sparse_table
+from hccourant.exactlin import (Q, QMatrix, make_reducer, nullspace,
+                                sparse_table)
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
-                            d_structure_check, mu_tilde, omni_element,
-                            omni_pairing, verify_ev1, verify_main_theorem,
-                            weinstein_bracket)
-from conftest import rng_for
+                            d_structure_check, mu_tilde, omni_pairing,
+                            pairing_table, verify_ev1, verify_main_theorem,
+                            weinstein_bracket, weinstein_table)
+from conftest import is_canonical_table, load_script, rng_for
 
 
-def _load_script(name):
-    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _elem(xi, v):
+    """The coordinate tuple of (xi, v): the rows of xi, then v."""
+    return tuple(Q(x) for row in xi for x in row) + tuple(Q(x) for x in v)
 
 
-def _elem(n, xi, v):
-    return omni_element(n, xi, v)
+def _rand_elem(rng, n):
+    return _elem([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)],
+                 [rng.randint(-3, 3) for _ in range(n)])
 
 
 def _zero_mu(n):
@@ -32,58 +29,42 @@ def _zero_mu(n):
 def test_weinstein_bracket_formula():
     I = ((1, 0), (0, 1))
     z = ((0, 0), (0, 0))
-    e = _elem(2, I, (0, 0))
-    br = weinstein_bracket(e, e)
-    assert all(all(x == 0 for x in row) for row in br.xi)
-    xi = ((1, 2), (3, 4))
-    a = _elem(2, xi, (0, 0))
-    b = _elem(2, z, (1, 1))
-    br = weinstein_bracket(a, b)
-    assert br.v == (Q(3), Q(7))
-    assert all(all(x == 0 for x in row) for row in br.xi)
+    e = _elem(I, (0, 0))
+    assert weinstein_bracket(2, e, e) == (0,) * 6
+    a = _elem(((1, 2), (3, 4)), (0, 0))
+    b = _elem(z, (1, 1))
+    # ([xi, 0], xi (1, 1)) = (0, (3, 7))
+    assert weinstein_bracket(2, a, b) == (0, 0, 0, 0, Q(3), Q(7))
 
 
 def test_weinstein_bracket_is_leibniz():
     rng = rng_for("leibniz")
     n = 3
     for _ in range(25):
-        es = [_elem(n, [[rng.randint(-3, 3) for _ in range(n)]
-                        for _ in range(n)],
-                    [rng.randint(-3, 3) for _ in range(n)])
-              for _ in range(3)]
-        e1, e2, e3 = es
-        lhs = weinstein_bracket(e1, weinstein_bracket(e2, e3))
-        rhs1 = weinstein_bracket(weinstein_bracket(e1, e2), e3)
-        rhs2 = weinstein_bracket(e2, weinstein_bracket(e1, e3))
-        assert lhs.xi == tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(rhs1.xi, rhs2.xi))
-        assert lhs.v == tuple(a + b for a, b in zip(rhs1.v, rhs2.v))
+        e1, e2, e3 = (_rand_elem(rng, n) for _ in range(3))
+        lhs = weinstein_bracket(n, e1, weinstein_bracket(n, e2, e3))
+        rhs1 = weinstein_bracket(n, weinstein_bracket(n, e1, e2), e3)
+        rhs2 = weinstein_bracket(n, e2, weinstein_bracket(n, e1, e3))
+        assert lhs == tuple(a + b for a, b in zip(rhs1, rhs2))
 
 
 def test_omni_pairing_symmetric_and_value():
-    xi = ((2, 0), (0, 2))
-    a = _elem(2, xi, (0, 0))
-    b = _elem(2, ((0, 0), (0, 0)), (1, 3))
-    assert omni_pairing(a, b) == (Q(1), Q(3))  # (1/2) xi v
-    assert omni_pairing(a, b) == omni_pairing(b, a)
+    a = _elem(((2, 0), (0, 2)), (0, 0))
+    b = _elem(((0, 0), (0, 0)), (1, 3))
+    assert omni_pairing(2, a, b) == (Q(1), Q(3))  # (1/2) xi v
+    assert omni_pairing(2, a, b) == omni_pairing(2, b, a)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_omni_pairing_nondegenerate(n):
     """(e, .) = 0 forces e = 0, solved as an exact linear system."""
     dim = n * n + n
-
-    def unflatten(c):
-        xi = tuple(tuple(c[i * n + j] for j in range(n)) for i in range(n))
-        return _elem(n, xi, tuple(c[n * n:]))
-
-    basis = [unflatten(tuple(Q(1) if k == i else Q(0) for k in range(dim)))
-             for i in range(dim)]
+    units = QMatrix.identity(dim)
     rows = []
-    for b in basis:
+    for b in units:
         row = []
-        for c in basis:
-            row.extend(omni_pairing(b, c))
+        for c in units:
+            row.extend(omni_pairing(n, b, c))
         rows.append(row)
     # e = sum x_b basis_b is degenerate iff x annihilates every row block:
     # x . M = 0, i.e. x in the nullspace of the transpose
@@ -92,13 +73,69 @@ def test_omni_pairing_nondegenerate(n):
 
 
 def test_shape_mismatch_rejected():
-    z3 = tuple((0, 0, 0) for _ in range(3))
     with pytest.raises(OmniError):
-        weinstein_bracket(_elem(2, ((0, 0), (0, 0)), (0, 0)),
-                          _elem(3, z3, (0, 0, 0)))
+        weinstein_bracket(2, (0,) * 6, (0,) * 12)
     with pytest.raises(OmniError):
-        omni_element(2, ((0, 0), (0, 0)), (0, 0, 0))
+        omni_pairing(2, (0,) * 5, (0,) * 6)
+    with pytest.raises(OmniError):
+        build_omni_iso(2).to_eps((0,) * 5)
 
+
+# ---------------------------------------------------------------------------
+# the tables against dense matrix products
+
+def _matrix(n, u):
+    return [u[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _dense_weinstein(n, u, w):
+    """([xi1, xi2], xi1 v2) through explicit matrix products."""
+    x1, x2 = _matrix(n, u), _matrix(n, w)
+    p, q = _mat_mul(x1, x2), _mat_mul(x2, x1)
+    comm = [p[i][j] - q[i][j] for i in range(n) for j in range(n)]
+    return tuple(comm + _mat_vec(x1, w[n * n:]))
+
+
+def _dense_pairing(n, u, w):
+    """(1/2)(xi2 v1 + xi1 v2) through explicit matrix products."""
+    a = _mat_vec(_matrix(n, w), u[n * n:])
+    b = _mat_vec(_matrix(n, u), w[n * n:])
+    return tuple(Q(1, 2) * (x + y) for x, y in zip(a, b))
+
+
+_rationals = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tables_match_dense_matrix_products(data):
+    n = data.draw(st.integers(1, 4))
+    u, w = (tuple(data.draw(st.lists(_rationals, min_size=n * n + n,
+                                     max_size=n * n + n)))
+            for _ in range(2))
+    assert weinstein_bracket(n, u, w) == _dense_weinstein(n, u, w)
+    assert omni_pairing(n, u, w) == _dense_pairing(n, u, w)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_omni_tables_are_canonical(n):
+    dim = n * n + n
+    assert is_canonical_table(weinstein_table(n), dim, dim, dim)
+    assert is_canonical_table(pairing_table(n), dim, dim, n)
+
+
+# ---------------------------------------------------------------------------
+# the realization on V[1]
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_ev1_dimensions(n):
@@ -115,13 +152,11 @@ def test_main_theorem(n):
 
 def test_iso_roundtrip():
     iso = build_omni_iso(2)
+    coords = make_reducer(iso.fwd)
     rng = rng_for("roundtrip")
     for _ in range(10):
-        e = _elem(2, [[rng.randint(-3, 3) for _ in range(2)]
-                      for _ in range(2)],
-                  [rng.randint(-3, 3) for _ in range(2)])
-        back = iso.from_eps(iso.to_eps(e))
-        assert back.xi == e.xi and back.v == e.v
+        u = _rand_elem(rng, 2)
+        assert coords(iso.to_eps(u)) == u
 
 
 def test_mu_tilde():
@@ -158,7 +193,7 @@ def test_d_structure_random_corpus_agrees():
     """Uniform {-1, 0, 1} tables (almost never Lie) and change-of-basis
     images of so(3), Heisenberg and r_2 (+) abelian (always Lie), so the
     oracle agreement is checked on both sides of the verdict."""
-    corpus = _load_script("omni_corpus")
+    corpus = load_script("omni_corpus")
     for n in (2, 3):
         iso = build_omni_iso(n)
         rng = rng_for(f"dcorpus/{n}")
