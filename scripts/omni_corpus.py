@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from hccourant.exactlin import (QMatrix, bilinear, make_reducer, rank,
                                 row_combination, sparse_table)
-from hccourant.omni import (build_omni_iso, d_structure_check, verify_ev1,
-                            verify_main_theorem)
+from hccourant.omni import d_structure_check, verify_ev1, verify_main_theorem
 
 #: known Lie brackets: name -> (dimension, {(i, j): {k: c}}) for
 #: [e_i, e_j] = sum_k c e_k, with [e_j, e_i] = -[e_i, e_j] implied
@@ -51,7 +50,11 @@ def lie_table(name: str, n: int) -> list:
 
 def conjugated_lie_table(n: int, rng: random.Random):
     """``(name, table)``: P mu(P^-1 x, P^-1 y) for a known Lie bracket mu of
-    dimension at most n and a random invertible integer matrix P."""
+    dimension at most n and a random invertible integer matrix P.  On a
+    1-dimensional V the only Lie bracket is 0, which is returned as "zero"
+    without a draw."""
+    if n == 1:
+        return "zero", [[[0]]]
     name = rng.choice(sorted(k for k, (dim, _) in LIE_BRACKETS.items()
                              if dim <= n))
     while True:

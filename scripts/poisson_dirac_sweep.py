@@ -19,7 +19,7 @@ from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import (biderivation_space, is_dirac, is_poisson,
                              make_bracket_table, poisson_graph,
                              table_from_flat)
-from hccourant.exactlin import Q
+from hccourant.exactlin import row_combination
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
 
@@ -43,13 +43,9 @@ def run(cfg: SweepConfig) -> int:
     poisson_count = 0
     disagreements = 0
     for k in range(cfg.count):
-        flat = [Q(0)] * (A.dim ** 3)
-        for row in space:
-            c = rng.randint(-cfg.coeff_bound, cfg.coeff_bound)
-            if c:
-                for i, x in enumerate(row):
-                    flat[i] += c * x
-        t = table_from_flat(A, flat)
+        coeffs = [rng.randint(-cfg.coeff_bound, cfg.coeff_bound)
+                  for _ in range(space.rows)]
+        t = table_from_flat(A, row_combination(coeffs, space))
         p = is_poisson(t)
         _, L = poisson_graph(E, eps, t)
         d = is_dirac(L).dirac

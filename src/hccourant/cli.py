@@ -85,6 +85,9 @@ def _cmd_homology(args):
 
 
 def _cmd_cohomology(args):
+    if args.degree != 1:
+        raise HccourantError(f"cohomology supports only degree 1, not "
+                             f"{args.degree}")
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
     return {"algebra": A.name, "degree": 1, "dim": E.h1co.dim,
@@ -259,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--algebra", help="algebra JSON file or bundled name")
         sp.add_argument("--degree", type=int, default=1,
-                        help="homology degree (homology subcommand)")
+                        help="homology degree (homology subcommand); "
+                             "cohomology takes only 1")
         sp.add_argument("--r", type=int, default=2,
                         help="matrix size for the morita subcommand")
         sp.add_argument("--bracket",

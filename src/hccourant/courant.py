@@ -35,9 +35,9 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
-                       make_membership, nullspace, quotient_basis,
-                       row_combination, sparse, sparse_row, sparse_table, vec,
-                       vec_is_zero)
+                       make_membership, make_span_test, nullspace,
+                       quotient_basis, row_combination, sparse, sparse_row,
+                       sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -114,10 +114,10 @@ class ESpace:
     def _check_d_map_descent(self):
         # B of a commutator representative must land in the boundaries,
         # otherwise D would depend on the representative
-        in_boundaries = make_membership(self.h1.boundary_basis)
+        in_boundaries = make_span_test(self.h1.boundary_basis)
         for row in self.h0.boundary_basis:
             b = connes_B(Chain(self.algebra, 0, row))
-            if in_boundaries(b.coords) is None:
+            if not in_boundaries(b.coords):
                 raise CourantError(
                     "B does not descend on H0: representative dependence")
 
@@ -367,13 +367,13 @@ class EpsilonSpace:
     def _verify_ideal(self):
         E = self.espace
         T = E.bracket_table
-        in_J = make_membership(self.J)
+        in_J = make_span_test(self.J)
         units = QMatrix.identity(E.dim)
         for j, jrow in enumerate(self.J):
             for k, ek in enumerate(units):
                 left = bilinear(jrow, ek, T, E.dim)
                 right = bilinear(ek, jrow, T, E.dim)
-                if in_J(left) is None or in_J(right) is None:
+                if not (in_J(left) and in_J(right)):
                     raise CourantError(
                         f"radical is not a bracket ideal at (J{j}, e{k})")
 

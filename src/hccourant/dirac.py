@@ -3,6 +3,12 @@
 Submodules are Q-subspaces of E(A) or of the nondegenerate quotient, stored
 as canonical (RREF) spanning sets.  Verdicts are exact; the Z(A)-stability of
 a submodule is reported as a separate flag alongside the Q-linear verdict.
+
+By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
+isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
+lies in its orthogonal, so it is maximal exactly when the two have one
+dimension.  A skew bracket's Jacobiator is totally antisymmetric, so
+``lie_laws`` sums it on i < j < k once skew-symmetry holds.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
 from .exactlin import (ZERO, HccourantError, QMatrix, bilinear,
-                       make_membership, nullspace, rank, rat_str,
-                       row_combination, row_space, span_contains,
-                       sparse_table, vec, vec_is_zero)
+                       make_span_test, nullspace, rat_str, row_combination,
+                       row_space, sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
                          homology, interior_product, leibniz_rows)
 
@@ -50,20 +55,21 @@ class Submodule:
         return isinstance(self.ambient, EpsilonSpace)
 
     @cached_property
-    def span_coords(self):
-        """``membership`` against the spanning vectors, with one elimination
-        per submodule: coefficients over ``vectors``, or None outside."""
-        return make_membership(self.vectors)
+    def contains(self):
+        """The span test of ``vectors``, one elimination per submodule."""
+        return make_span_test(self.vectors)
+
+    @cached_property
+    def isotropic(self) -> bool:
+        """The form vanishes on all spanning pairs (it is symmetric, so on
+        the pairs i <= j)."""
+        vs, form = self.vectors.data, self.ambient.form
+        return all(vec_is_zero(form(vs[i], vs[j]))
+                   for i in range(self.dim) for j in range(i, self.dim))
 
 
 def is_isotropic(L: Submodule) -> bool:
-    """The form vanishes on all spanning pairs."""
-    vs = L.vectors.data
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            if not vec_is_zero(L.ambient.form(vs[i], vs[j])):
-                return False
-    return True
+    return L.isotropic
 
 
 def orthogonal(L: Submodule) -> QMatrix:
@@ -72,21 +78,21 @@ def orthogonal(L: Submodule) -> QMatrix:
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and equal to its orthogonal."""
-    if not is_isotropic(L):
-        return False
-    perp = orthogonal(L)
-    return rank(perp) == L.dim and span_contains(L.vectors, perp)
+    """L isotropic and equal to its orthogonal: an isotropic L lies in L-perp,
+    whose basis rows are independent, so the dimensions decide."""
+    return L.isotropic and orthogonal(L).rows == L.dim
 
 
 def is_bracket_closed(L: Submodule):
-    """Returns (closed, counterexample); the counterexample names the pair of
-    spanning indices and the offending bracket value."""
+    """Returns (closed, counterexample); the counterexample names the first
+    failing pair of spanning indices in row-major order and the offending
+    bracket value.  On an isotropic L the bracket is skew, so the pairs
+    i <= j decide and hold that first failure."""
     vs = L.vectors.data
     for i in range(L.dim):
-        for j in range(L.dim):
+        for j in range(i if L.isotropic else 0, L.dim):
             b = L.ambient.bracket(vs[i], vs[j])
-            if L.span_coords(b) is None:
+            if not L.contains(b):
                 return False, (i, j, b)
     return True, None
 
@@ -94,7 +100,7 @@ def is_bracket_closed(L: Submodule):
 def is_z_stable(L: Submodule) -> bool:
     for c in QMatrix.identity(L.ambient.center_basis.rows):
         for l in L.vectors:
-            if L.span_coords(L.ambient.z_scale(c, l)) is None:
+            if not L.contains(L.ambient.z_scale(c, l)):
                 return False
     return True
 
@@ -128,10 +134,9 @@ def is_dirac(L: Submodule) -> DiracVerdict:
                          "use is_maximally_isotropic for the pre-quotient view")
     if L.ambient.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
-    iso = is_isotropic(L)
-    maximal = is_maximally_isotropic(L) if iso else False
+    maximal = is_maximally_isotropic(L)
     closed, ce = is_bracket_closed(L)
-    return DiracVerdict(iso, maximal, closed, maximal and closed,
+    return DiracVerdict(L.isotropic, maximal, closed, maximal and closed,
                         is_z_stable(L), False, ce)
 
 
@@ -210,26 +215,36 @@ def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:
     return BracketTable(A, t)
 
 
-def lie_laws(n: int, table) -> tuple:
-    """(skew, jacobi) for a bilinear bracket on Q^n given as a sparse table
-    (see ``exactlin.sparse_table``), on all basis pairs and triples."""
+def _lie_flags(n: int, table):
+    """Yields skew, then jacobi; ``all`` over it skips Jacobi if skew fails."""
     units = QMatrix.identity(n)
     br = [[bilinear(x, y, table, n) for y in units] for x in units]
     skew = all(br[i][j] == tuple(-t for t in br[j][i])
                for i in range(n) for j in range(i, n))
-    # outer[a][b][c] = [[e_a, e_b], e_c]
-    outer = [[[bilinear(br[a][b], z, table, n) for z in units]
-              for b in range(n)] for a in range(n)]
-    jacobi = all(vec_is_zero([p + q + r for p, q, r in zip(
-        outer[i][j][k], outer[j][k][i], outer[k][i][j])])
-        for i in range(n) for j in range(n) for k in range(n))
-    return skew, jacobi
+    yield skew
+
+    @functools.cache
+    def outer(a, b, c):  # [[e_a, e_b], e_c]
+        return bilinear(br[a][b], units[c], table, n)
+
+    # a skew bracket's Jacobiator is totally antisymmetric
+    triples = (itertools.combinations(range(n), 3) if skew
+               else itertools.product(range(n), repeat=3))
+    yield all(vec_is_zero([p + q + r for p, q, r in zip(
+        outer(i, j, k), outer(j, k, i), outer(k, i, j))])
+        for i, j, k in triples)
+
+
+def lie_laws(n: int, table) -> tuple:
+    """(skew, jacobi) for a bilinear bracket on Q^n given as a sparse table
+    (see ``exactlin.sparse_table``), on all basis pairs and triples."""
+    return tuple(_lie_flags(n, table))
 
 
 def is_poisson(t: BracketTable) -> bool:
-    """Brute-force oracle: skew-symmetry and the Jacobi identity on all basis
-    pairs and triples."""
-    return all(lie_laws(t.algebra.dim, sparse_table(t.table)))
+    """Brute-force oracle: skew-symmetry, then the Jacobi identity, on the
+    basis pairs and triples."""
+    return all(_lie_flags(t.algebra.dim, sparse_table(t.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +442,6 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     # br[i][j] = [[l_i, l_j]], computed once for every loop below
     br = [[eps.bracket(a, b) for b in vs] for a in vs]
     anchor_ok = True
-    skew_ok = True
     sigmas = [sigma(u) for u in vs]
     for i, si in enumerate(sigmas):
         for j, sj in enumerate(sigmas):
@@ -438,8 +452,6 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                             for p, q in zip(sj, si)], cols=cdim)
             if sigma(br[i][j]) != comm:
                 anchor_ok = False
-            if not vec_is_zero([a + b for a, b in zip(br[i][j], br[j][i])]):
-                skew_ok = False
 
     # z runs over the center basis, then random combinations of it, as
     # center coordinates c; the anchor image X_i(z) in center coordinates is
@@ -460,12 +472,9 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                 if lhs != rhs:
                     leibniz_ok = False
 
-    # nested[i][j][k] = [[l_i, [[l_j, l_k]]]]; Jacobi in Leibniz form reads
-    # [[l_i, [[l_j, l_k]]]] = [[[[l_i, l_j]], l_k]] + [[l_j, [[l_i, l_k]]]]
-    nested = [[[eps.bracket(vs[i], br[j][k]) for k in range(n)]
-               for j in range(n)] for i in range(n)]
-    jacobi_ok = all(
-        nested[i][j][k] == tuple(p + q for p, q in zip(
-            eps.bracket(br[i][j], vs[k]), nested[j][i][k]))
-        for i in range(n) for j in range(n) for k in range(n))
+    # structure constants: a member of L (in RREF) has its entries at the
+    # pivots as coordinates; on a skew bracket Leibniz and cyclic Jacobi agree
+    pivots = [row[0][0] for row in L.vectors.sparse_rows]
+    consts = sparse_table([[b[p] for p in pivots] for b in row] for row in br)
+    skew_ok, jacobi_ok = lie_laws(n, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)

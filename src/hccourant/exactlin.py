@@ -12,10 +12,11 @@ the only elimination; it takes sparse rows and gives them back, and every
 routine reads its result from it.  The nonzero rows of R, the pivots,
 ``row_space`` and ``nullspace`` are canonical functions of the row span, so
 they do not depend on the order or multiplicity of the input rows.  The
-coefficients that ``membership``
-and the T of ``rref_transform`` give over dependent rows are one valid
-solution among many; every caller in the package either tests ``membership``
-for None or passes independent rows, where the coefficients are unique.
+coefficients that ``membership`` and the T of ``rref_transform`` give over
+dependent rows are one valid solution among many; every caller in the
+package passes independent rows, where the coefficients are unique, and
+asks ``make_span_test`` when it only wants to know whether a vector lies in
+a span.
 """
 
 from __future__ import annotations
@@ -387,18 +388,23 @@ def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
     return make_membership(S)(v)
 
 
+def make_span_test(S: QMatrix) -> Callable[[Sequence], bool]:
+    """Whether v lies in the row span of a fixed S, eliminating S once and
+    without the coefficients ``make_membership`` carries."""
+    E = _echelon(S, False)
+
+    def contains(v: Sequence) -> bool:
+        if len(v) != S.cols:
+            raise ExactLinError("span test: dimension mismatch")
+        return not E.residual(sparse(v), {})[0]
+
+    return contains
+
+
 def span_equal(A: QMatrix, B: QMatrix) -> bool:
     if A.cols != B.cols:
         return False
     return row_space(A) == row_space(B)
-
-
-def span_contains(A: QMatrix, B: QMatrix) -> bool:
-    """Every row of B lies in the row span of A."""
-    if A.cols != B.cols:
-        raise ExactLinError("span_contains: column mismatch")
-    E = _echelon(A, False)
-    return not any(E.residual(row, {})[0] for row in B.sparse_rows)
 
 
 def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:

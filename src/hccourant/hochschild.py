@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix,
-                       make_membership, nullspace, quotient_basis,
+                       make_span_test, nullspace, quotient_basis,
                        row_combination, row_space, sparse_row,
                        transpose_table, vec, vec_is_zero)
 
@@ -438,22 +438,17 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
     pres_n = homology(A, n, max_dim=max_dim)
     pres_lo = homology(A, n - 1, max_dim=max_dim) if n >= 1 else None
     check_guard(A.dim, n + 2, max_dim)
-    boundaries_hi = row_space(_boundary_operator_rows(A, n + 2))
+    in_boundaries_hi = make_span_test(_boundary_operator_rows(A, n + 2))
     checks = []
 
     def add(name, case, ok):
         checks.append(DescentCheck(name, case, ok))
 
-    def span_test(S):
-        # one elimination per fixed span, however many vectors it tests
-        solve = make_membership(S)
-        return lambda v: solve(v) is not None
-
-    in_cycles = span_test(pres_n.cycle_basis)
-    in_boundaries = span_test(pres_n.boundary_basis)
+    in_cycles = make_span_test(pres_n.cycle_basis)
+    in_boundaries = make_span_test(pres_n.boundary_basis)
     if pres_lo is not None:
-        in_cycles_lo = span_test(pres_lo.cycle_basis)
-        in_boundaries_lo = span_test(pres_lo.boundary_basis)
+        in_cycles_lo = make_span_test(pres_lo.cycle_basis)
+        in_boundaries_lo = make_span_test(pres_lo.boundary_basis)
 
     der = derivation_basis(A)
     for xi, xflat in enumerate(der):
@@ -492,7 +487,6 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
         z = pres_n.rep_chain(zi)
         bBz = boundary_b(connes_B(z))
         add("b(B(cycle)) is a boundary", f"z{zi}", in_boundaries(bBz.coords))
-    in_boundaries_hi = span_test(boundaries_hi)
     for bi, b in enumerate(pres_n.boundary_basis):
         Bb = connes_B(Chain(A, n, b))
         add("B boundaries->boundaries", f"b{bi}", in_boundaries_hi(Bb.coords))

@@ -6,18 +6,14 @@ the per-criterion lines are printed unconditionally.
 """
 
 import filecmp
-import sys
 import time
-
-import pytest
 
 from hccourant.algebra import build_v1, ground_field, matrix_algebra
 from hccourant.cli import main as cli_main
 from hccourant.courant import ESpace, kernel_J
-from hccourant.dirac import (Submodule, biderivation_space,
-                             find_two_form_witness, is_dirac, is_poisson,
-                             poisson_graph, table_from_flat, two_form,
-                             two_form_graph)
+from hccourant.dirac import (biderivation_space, find_two_form_witness,
+                             is_dirac, is_poisson, poisson_graph,
+                             table_from_flat, two_form, two_form_graph)
 from hccourant.exactlin import Q, QMatrix, rank
 from hccourant.files import BUNDLED_ALGEBRAS, BUNDLED_TABLES, \
     load_bracket_table

@@ -8,7 +8,7 @@ from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
                                ground_field, load_algebra, make_algebra,
                                matrix_algebra, opposite_algebra,
                                truncated_poly, upper_triangular2)
-from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace, rank
+from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from hccourant.cli import main
-from hccourant.files import (FileFormatError, load_algebra_ref,
-                             load_bracket_table, load_submodule)
+from hccourant.files import FileFormatError, load_algebra_ref
 
 
 def run(args, capsys):
@@ -81,6 +80,19 @@ def test_unsupported_degree_blocked(capsys):
     code, out = run(["homology", "--algebra", "qx2", "--degree", "5"],
                     capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("degree", ("0", "2", "-1"))
+def test_cohomology_refuses_any_degree_but_1(degree, capsys):
+    code, out = run(["cohomology", "--algebra", "qx2", "--degree", degree,
+                     "--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2 and "degree" not in doc
+    assert "\n" not in doc["error"] and degree in doc["error"]
+    code, out = run(["cohomology", "--algebra", "qx2", "--format", "json"],
+                    capsys)
+    assert code == 0 and json.loads(out)["degree"] == 1
 
 
 def test_omni_subcommand_reports_dims(capsys):

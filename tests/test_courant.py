@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant.algebra import build_v1, truncated_poly
+from hccourant.algebra import build_v1
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
 from hccourant.dirac import Submodule, orthogonal
 from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace, rank,
-                                row_combination)
+                                row_combination, vec_is_zero)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
                                   elementary_chain, h_left_multiply)
 from conftest import (is_canonical_table, perturbed_table, rand_combination,
@@ -105,6 +105,35 @@ def test_c4_symmetric_defect(espaces, name):
         lhs = tuple(2 * x for x in E.courant_bracket(e1, e1))
         rhs = E.d_map(E.form(e1, e1))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_bracket_symmetric_part_is_d_of_form(espaces, name):
+    """[[u, v]] + [[v, u]] = D(u, v) on the bracket tables: the premise of
+    testing the closure of an isotropic submodule on the pairs i <= j."""
+    E = espaces[name]
+    rng = rng_for(f"courant-axiom/{name}")
+    for _ in range(12):
+        u, v = _rand_elements(rng, E, 2)
+        assert (vec_add(E.bracket(u, v), E.bracket(v, u))
+                == E.d_map(E.form(u, v)))
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_quotient_bracket_skew_on_orthogonal_pairs(epsilons, name):
+    """(u, v) = 0 in the quotient makes [[u, v]] = -[[v, u]]."""
+    eps = epsilons[name]
+    rng = rng_for(f"orthogonal-skew/{name}")
+    nonzero = 0
+    for _ in range(12):
+        u = rand_vec(rng, eps.dim)
+        perp = orthogonal(Submodule(eps, QMatrix([u], cols=eps.dim)))
+        v = rand_combination(rng, perp)
+        assert vec_is_zero(eps.form(u, v))
+        b = eps.bracket(u, v)
+        assert b == tuple(-x for x in eps.bracket(v, u))
+        nonzero += not vec_is_zero(b)
+    assert nonzero
 
 
 @pytest.mark.parametrize("name", NONZERO_E)

@@ -1,19 +1,22 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
 import itertools
-import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hccourant.algebra import build_v1, truncated_poly
-from hccourant.dirac import (BracketTable, DiracError, Submodule,
-                             _check_biderivation, biderivation_space, find_two_form_witness,
-                             is_bracket_closed, is_dirac, is_isotropic,
-                             is_maximally_isotropic, is_poisson, is_z_stable,
-                             lie_algebroid_check, lie_laws, make_bracket_table,
-                             orthogonal, poisson_graph, table_from_flat,
-                             two_form, two_form_graph)
-from hccourant.exactlin import Q, QMatrix, nullspace, sparse_table, vec
+from hccourant.dirac import (DiracError, DiracVerdict, Submodule,
+                             _check_biderivation, biderivation_space,
+                             find_two_form_witness, is_bracket_closed,
+                             is_dirac, is_isotropic, is_maximally_isotropic,
+                             is_poisson, is_z_stable, lie_algebroid_check,
+                             lie_laws, make_bracket_table, orthogonal,
+                             poisson_graph, table_from_flat, two_form,
+                             two_form_graph)
+from hccourant.exactlin import (Q, QMatrix, make_membership, nullspace, rank,
+                                row_combination, sparse_table, vec,
+                                vec_is_zero)
+from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
 from conftest import dense_structure, load_script, rng_for
@@ -145,7 +148,7 @@ def test_qx2_forced_biderivation(espaces, epsilons):
         assert is_poisson(t) == is_dirac(L).dirac
 
 
-@pytest.mark.parametrize("name", ("qx3", "v1_2", "v1_3"))
+@pytest.mark.parametrize("name", ("qx3", "v1_1", "v1_2", "v1_3"))
 def test_random_biderivations_poisson_iff_dirac(espaces, epsilons, name):
     E = espaces[name]
     eps = epsilons[name]
@@ -153,13 +156,8 @@ def test_random_biderivations_poisson_iff_dirac(espaces, epsilons, name):
     space = biderivation_space(A)
     rng = rng_for(f"bider/{name}")
     for _ in range(20):
-        flat = [Q(0)] * (A.dim ** 3)
-        for row in space:
-            c = rng.randint(-3, 3)
-            if c:
-                for k, x in enumerate(row):
-                    flat[k] += c * x
-        t = table_from_flat(A, flat)
+        coeffs = [rng.randint(-3, 3) for _ in range(space.rows)]
+        t = table_from_flat(A, row_combination(coeffs, space))
         _, L = poisson_graph(E, eps, t)
         assert is_poisson(t) == is_dirac(L).dirac
     if name.startswith("v1_"):
@@ -209,6 +207,191 @@ def test_lie_laws_match_dense_cyclic_sum():
                 assert laws == _dense_lie_laws(n, t)
                 seen.add(laws)
     assert seen == set(itertools.product((True, False), repeat=2))
+
+
+# ---------------------------------------------------------------------------
+# the verdicts that use skew-symmetry and isotropy against the brute-force
+# bodies they replaced
+
+NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
+
+
+def _ref_is_isotropic(L):
+    vs = L.vectors.data
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            if not vec_is_zero(L.ambient.form(vs[i], vs[j])):
+                return False
+    return True
+
+
+def _ref_is_maximally_isotropic(L):
+    if not _ref_is_isotropic(L):
+        return False
+    perp = orthogonal(L)
+    in_L = make_membership(L.vectors)
+    return rank(perp) == L.dim and all(in_L(r) is not None for r in perp)
+
+
+def _ref_is_bracket_closed(L):
+    vs = L.vectors.data
+    coords = make_membership(L.vectors)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            b = L.ambient.bracket(vs[i], vs[j])
+            if coords(b) is None:
+                return False, (i, j, b)
+    return True, None
+
+
+def _ref_is_dirac(L):
+    iso = _ref_is_isotropic(L)
+    maximal = _ref_is_maximally_isotropic(L) if iso else False
+    closed, ce = _ref_is_bracket_closed(L)
+    return DiracVerdict(iso, maximal, closed, maximal and closed,
+                        is_z_stable(L), False, ce)
+
+
+def _ref_algebroid_laws(eps, L):
+    """(skew, jacobi) of the bracket on L from its spanning vectors, Jacobi
+    in Leibniz form on every triple:
+    [[l_i, [[l_j, l_k]]]] = [[[[l_i, l_j]], l_k]] + [[l_j, [[l_i, l_k]]]]."""
+    vs = L.vectors.data
+    n = L.dim
+    br = [[eps.bracket(a, b) for b in vs] for a in vs]
+    skew = all(vec_is_zero([a + b for a, b in zip(br[i][j], br[j][i])])
+               for i in range(n) for j in range(n))
+    nested = [[[eps.bracket(vs[i], br[j][k]) for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    jacobi = all(
+        nested[i][j][k] == tuple(p + q for p, q in zip(
+            eps.bracket(br[i][j], vs[k]), nested[j][i][k]))
+        for i in range(n) for j in range(n) for k in range(n))
+    return skew, jacobi
+
+
+def _summand(ambient, part):
+    """The H^1 ("x") or H_1 ("alpha") summand of E(A), as rows in the
+    coordinates of ``ambient`` (E(A) or the quotient); both are isotropic."""
+    E = getattr(ambient, "espace", ambient)
+    hc = E.h1co.dim
+    units = list(QMatrix.identity(E.dim))
+    rows = units[:hc] if part == "x" else units[hc:]
+    if ambient is not E:
+        rows = [ambient.reduce(r) for r in rows]
+    return QMatrix(rows, cols=ambient.dim)
+
+
+_rationals = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_verdicts_match_brute_force_bodies(epsilons, data):
+    """Submodules of E(A) and of the quotient of every dimension: free
+    rational rows (mostly not isotropic) and combinations inside the
+    isotropic H^1 and H_1 summands."""
+    eps = epsilons[data.draw(st.sampled_from(NONZERO_E))]
+    ambient = data.draw(st.sampled_from((eps.espace, eps)))
+    n = ambient.dim
+    d = data.draw(st.integers(0, n))
+    part = data.draw(st.sampled_from(("free", "x", "alpha")))
+    if part == "free":
+        rows = [data.draw(st.lists(_rationals, min_size=n, max_size=n))
+                for _ in range(d)]
+    else:
+        basis = _summand(ambient, part)
+        coeffs = st.lists(st.integers(-2, 2), min_size=basis.rows,
+                          max_size=basis.rows)
+        rows = [row_combination(data.draw(coeffs), basis) for _ in range(d)]
+    L = Submodule(ambient, QMatrix(rows, cols=n))
+    assert is_isotropic(L) == _ref_is_isotropic(L)
+    assert is_maximally_isotropic(L) == _ref_is_maximally_isotropic(L)
+    assert is_bracket_closed(L) == _ref_is_bracket_closed(L)
+    if L.on_quotient:
+        verdict = is_dirac(L)
+        assert verdict.to_json() == _ref_is_dirac(L).to_json()
+        if verdict.dirac:
+            rep = lie_algebroid_check(eps, L)
+            assert (rep.skew_ok, rep.jacobi_ok) == _ref_algebroid_laws(eps, L)
+
+
+def test_closure_counterexample_below_the_diagonal():
+    """On a submodule that is not isotropic the bracket is not skew, and the
+    only failing pair can lie below the diagonal: (1, 0) here."""
+    eps = EpsilonSpace(ESpace(load_algebra_ref("qx3")))
+    L = Submodule(eps, QMatrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
+    assert not is_isotropic(L)
+    closed, ce = is_bracket_closed(L)
+    assert not closed and ce[:2] == (1, 0)
+    assert (closed, ce) == _ref_is_bracket_closed(L)
+    assert is_dirac(L).to_json() == _ref_is_dirac(L).to_json()
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_dimension_alone_is_not_maximality(epsilons, name):
+    """A submodule that is not isotropic can have an orthogonal of its own
+    dimension, in E(A) and in the quotient; it is still not maximally
+    isotropic."""
+    eps = epsilons[name]
+    rng = rng_for(f"perp-dimension/{name}")
+    for ambient in (eps.espace, eps):
+        n = ambient.dim
+        while True:
+            L = Submodule(ambient, QMatrix(
+                [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)]
+                 for _ in range(rng.randint(1, n))], cols=n))
+            if not _ref_is_isotropic(L) and orthogonal(L).rows == L.dim:
+                break
+        assert not is_maximally_isotropic(L)
+        if L.on_quotient:
+            assert not is_dirac(L).maximal
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_lie_algebroid_laws_match_leibniz_form(epsilons, name):
+    """Dirac structures: both summands, the Poisson graphs of random
+    biderivations that are Poisson, and, on V[1], Lie-Poisson graphs."""
+    eps = epsilons[name]
+    E, A = eps.espace, eps.algebra
+    rng = rng_for(f"algebroid-laws/{name}")
+    dirac = [Submodule(eps, _summand(eps, part)) for part in ("x", "alpha")]
+    space = biderivation_space(A)
+    for _ in range(5):
+        coeffs = [rng.randint(-2, 2) for _ in range(space.rows)]
+        dirac.append(poisson_graph(
+            E, eps, table_from_flat(A, row_combination(coeffs, space)))[1])
+    if name.startswith("v1_"):
+        corpus = load_script("omni_corpus")
+        for _ in range(3):
+            table = corpus.v1_lie_poisson_table(A.dim - 1, rng)[1]
+            dirac.append(poisson_graph(E, eps, make_bracket_table(A, table))[1])
+    checked = 0
+    for L in dirac:
+        if is_dirac(L).dirac:
+            rep = lie_algebroid_check(eps, L, rng=rng)
+            assert (rep.skew_ok, rep.jacobi_ok) == _ref_algebroid_laws(eps, L)
+            assert rep.ok
+            checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("name", ("qx3", "v1_2", "v1_3"))
+def test_is_poisson_matches_dense_laws_on_non_skew_tables(espaces, name):
+    """Random biderivations are rarely skew; ``is_poisson`` stops at the
+    skew failure and must still agree with the full dense laws."""
+    A = espaces[name].algebra
+    d = A.dim
+    space = biderivation_space(A)
+    rng = rng_for(f"poisson-non-skew/{name}")
+    non_skew = 0
+    for _ in range(15):
+        coeffs = [rng.randint(-3, 3) for _ in range(space.rows)]
+        t = table_from_flat(A, row_combination(coeffs, space))
+        skew, jacobi = _dense_lie_laws(d, t.table)
+        assert is_poisson(t) == (skew and jacobi)
+        non_skew += not skew
+    assert non_skew
 
 
 def test_two_form_zero_graph_is_gl_summand(v13):

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
-                                make_membership, make_reducer, membership,
+                                make_membership, make_reducer, make_span_test,
+                                membership,
                                 nullspace, quotient_basis, rank, rat, rat_str,
                                 row_space, rref, rref_transform, sparse_table,
-                                span_contains, span_equal, vec)
+                                span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 from conftest import is_canonical_table
@@ -62,6 +63,9 @@ def test_membership_and_span():
     assert membership((0, 0, 1), S) is None
     assert membership((1, 1, 2), S) is not None
     assert membership((1, 1, 3), S) is None
+    in_S = make_span_test(S)
+    assert in_S((2, 3, 5)) and in_S((1, 1, 2)) and in_S((0, 0, 0))
+    assert not in_S((0, 0, 1)) and not in_S((1, 1, 3))
 
 
 def test_quotient_basis_reduces_subspace_to_zero():
@@ -95,11 +99,14 @@ def test_make_reducer_rejects_dependent_rows():
 
 
 def test_membership_solver_rejects_wrong_length():
-    solve = make_membership(QMatrix([[1, 0, 1], [0, 1, 1]]))
+    S = QMatrix([[1, 0, 1], [0, 1, 1]])
+    solve = make_membership(S)
     assert solve((1, 1, 2)) == (Q(1), Q(1))
     for v in ((1, 1), (1, 1, 2, 0)):
         with pytest.raises(ExactLinError, match="dimension mismatch"):
             solve(v)
+        with pytest.raises(ExactLinError, match="dimension mismatch"):
+            make_span_test(S)(v)
 
 
 def test_empty_matrix_needs_cols():
@@ -152,6 +159,7 @@ def test_membership_reconstruction(M, coeffs):
             v[k] += c * x
     c = membership(tuple(v), M)
     assert c is not None
+    assert make_span_test(M)(tuple(v))
     rebuilt = [Q(0)] * M.cols
     for ci, row in zip(c, M):
         for k, x in enumerate(row):
@@ -230,7 +238,7 @@ def _stack(A: QMatrix, B: QMatrix) -> QMatrix:
 def reference_quotient_basis(space: QMatrix, subspace: QMatrix):
     """One membership test per space-basis row against a re-stacked
     echelon; the loop quotient_basis ran before its incremental echelon."""
-    if not span_contains(space, subspace):
+    if any(membership(row, space) is None for row in subspace):
         raise ExactLinError("quotient_basis: subspace not contained in space")
     Rsub = row_space(subspace)
     Rsp = row_space(space)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
-                               check_guard, ground_field, truncated_poly)
-from hccourant.exactlin import Q, QMatrix, membership, nullspace, vec
+                               check_guard, truncated_poly)
+from hccourant.exactlin import Q, QMatrix, membership, nullspace
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Chain, Cochain1, _boundary_operator_rows,
                                   boundary_b,

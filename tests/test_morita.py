@@ -8,10 +8,10 @@ from hccourant.algebra import (build_v1, ground_field, matrix_algebra,
 from hccourant.courant import ESpace
 from hccourant.dirac import Submodule, is_dirac, make_bracket_table, \
     poisson_graph
-from hccourant.exactlin import Q, QMatrix
+from hccourant.exactlin import QMatrix
 from hccourant.files import BUNDLED_ALGEBRAS
-from hccourant.hochschild import (Chain, Cochain1, boundary_b,
-                                  elementary_chain, homology)
+from hccourant.hochschild import (Cochain1, boundary_b, elementary_chain,
+                                  homology)
 from hccourant import morita
 from hccourant.morita import (MoritaError, cotr, inc, transport_dirac,
                               verify_morita, verify_opposite,
