@@ -156,6 +156,8 @@ def _cmd_dirac_check(args):
 
 
 def _cmd_poisson_graph(args):
+    if args.bracket is None:
+        raise FileFormatError("poisson-graph requires --bracket")
     A, E, eps = _build_spaces(args)
     t = load_bracket_table(args.bracket, A)
     L_E, L = poisson_graph(E, eps, t)

@@ -259,10 +259,11 @@ class ESpace:
         return self.h0.reduce(X.apply(rep.coords))
 
 
-def orthogonal(space, vectors) -> QMatrix:
-    """Basis of {e : (e, l) = 0 in H_0 for every row l of ``vectors``} in the
-    coordinates of ``space`` (an ESpace or EpsilonSpace), read off its form
-    table: row (l, h) holds sum_j l_j F[k][j][h] at column k."""
+def orthogonal_rows(space, vectors) -> QMatrix:
+    """The equations of {e : (e, l) = 0 in H_0 for every row l of
+    ``vectors``} in the coordinates of ``space`` (an ESpace or
+    EpsilonSpace), read off its form table: row (l, h) holds
+    sum_j l_j F[k][j][h] at column k."""
     F, n = space.form_table, space.dim
     rows = []
     for l in vectors:
@@ -274,7 +275,12 @@ def orthogonal(space, vectors) -> QMatrix:
                     for h, t in cell:
                         block[h][k] += c * t
         rows += map(sparse_row, block)
-    return nullspace(QMatrix(rows, cols=n))
+    return QMatrix(rows, cols=n)
+
+
+def orthogonal(space, vectors) -> QMatrix:
+    """Basis of the space that ``orthogonal_rows`` gives the equations of."""
+    return nullspace(orthogonal_rows(space, vectors))
 
 
 def kernel_J(E: ESpace) -> QMatrix:

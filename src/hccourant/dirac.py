@@ -1,14 +1,15 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
-Submodules are Q-subspaces of E(A) or of the nondegenerate quotient, stored
-as canonical (RREF) spanning sets.  Verdicts are exact; the Z(A)-stability of
-a submodule is reported as a separate flag alongside the Q-linear verdict.
+Submodules are Q-subspaces of E(A) or of the quotient, stored as canonical
+(RREF) spanning sets.  Verdicts are exact; Z(A)-stability is a separate flag.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
 isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
-lies in its orthogonal, so it is maximal exactly when the two have one
-dimension.  A skew bracket's Jacobiator is totally antisymmetric, so
-``lie_laws`` sums it on i < j < k once skew-symmetry holds.
+lies in its orthogonal, so it is maximal exactly when dim L-perp = dim L.  A
+skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws`` sums it
+on i < j < k once skew-symmetry holds.  The hamiltonian map of a Poisson
+graph and the anchor of a Lie algebroid are sparse tables, cached per
+algebra and per quotient and contracted by ``bilinear``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
-from .courant import EpsilonSpace, ESpace, orthogonal as form_orthogonal
-from .exactlin import (ZERO, HccourantError, QMatrix, bilinear,
-                       make_span_test, nullspace, rat_str, row_combination,
-                       row_space, sparse_table, vec, vec_is_zero)
-from .hochschild import (Chain, Cochain1, HomologyPresentation, connes_B,
-                         homology, interior_product, leibniz_rows)
+from .courant import (EpsilonSpace, ESpace, orthogonal as form_orthogonal,
+                      orthogonal_rows)
+from .exactlin import (HccourantError, QMatrix, bilinear, make_span_test,
+                       nullspace, rank, rat_str, row_combination, row_space,
+                       sparse_table, vec, vec_is_zero)
+from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
+                         interior_product, leibniz_rows)
 
 
 class DiracError(HccourantError):
@@ -78,9 +80,11 @@ def orthogonal(L: Submodule) -> QMatrix:
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and equal to its orthogonal: an isotropic L lies in L-perp,
-    whose basis rows are independent, so the dimensions decide."""
-    return L.isotropic and orthogonal(L).rows == L.dim
+    """L isotropic and equal to its orthogonal: an isotropic L lies in
+    L-perp, so the dimensions decide, and dim L-perp is the ambient
+    dimension less the rank of the equations of L-perp."""
+    return L.isotropic and L.ambient.dim - rank(
+        orthogonal_rows(L.ambient, L.vectors)) == L.dim
 
 
 def is_bracket_closed(L: Submodule):
@@ -250,51 +254,49 @@ def is_poisson(t: BracketTable) -> bool:
 # ---------------------------------------------------------------------------
 # Poisson graphs
 
+@functools.lru_cache(maxsize=8)
+def _hamiltonian_table(A: FiniteAlgebra) -> tuple:
+    """The hamiltonian map a (x) b -> a {b, .} as a sparse table: row i d + j
+    is the chain e_i (x) e_j, column (j d + k) d + s is the entry
+    {e_j, e_k}_s of the flat bracket table, and the cell is e_i e_s placed
+    at row k of the flat cochain.  Cached, since every bracket table over A
+    is contracted with it."""
+    d, S = A.dim, A.structure
+    return tuple(
+        tuple(((j * d + k) * d + s, tuple((k * d + m, x) for m, x in cell))
+              for k in range(d) for s, cell in S[i])
+        for i in range(d) for j in range(d))
+
+
 def hamiltonian_map(E: ESpace, t: BracketTable):
     """The map sending the class of a (x) b to the derivation a {b, .},
-    realized on chain representatives; returns a function on degree-1 chain
-    coordinates.  Well-definedness (vanishing on the boundaries) is asserted.
-    """
+    realized on chain representatives; returns a function from degree-1
+    chain coordinates to the flat cochain.  Well-definedness (vanishing on
+    the boundaries) is asserted."""
     A = E.algebra
     if t.algebra is not A:
         raise DiracError("bracket table over a different algebra")
-    d = A.dim
+    T, n = _hamiltonian_table(A), A.dim ** 2
+    flat = tuple(x for row in t.table for cell in row for x in cell)
 
-    def on_chain(coords: Sequence) -> Cochain1:
-        rows = [[ZERO] * d for _ in range(d)]
-        for idx, c in enumerate(coords):
-            if not c:
-                continue
-            i, j = divmod(idx, d)
-            ei = A.basis_vector(i)
-            for k in range(d):
-                prod = A.mul(ei, t.table[j][k])
-                for m, p in enumerate(prod):
-                    if p:
-                        rows[k][m] += c * p
-        return Cochain1(A, tuple(tuple(r) for r in rows))
+    def on_chain(coords: Sequence) -> tuple:
+        return bilinear(coords, flat, T, n)
 
-    for b in E.h1.boundary_basis:
-        if not on_chain(b).is_zero():
-            raise DiracError("hamiltonian map does not vanish on boundaries")
+    if any(any(on_chain(b)) for b in E.h1.boundary_basis):
+        raise DiracError("hamiltonian map does not vanish on boundaries")
     return on_chain
 
 
 def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     """The graph of the hamiltonian map over the H_1 class basis, in E(A),
     together with its projection to the quotient."""
-    A = E.algebra
-    if not A.is_commutative():
+    if not E.algebra.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
     pi = hamiltonian_map(E, t)
-    units = QMatrix.identity(E.h1.dim)
-    rows = []
-    for k in range(E.h1.dim):
-        X = pi(E.h1.class_reps[k])
-        xclass = E.class_of_derivation(X)
-        rows.append(xclass + units[k])
+    rows = [E.h1co.reduce(pi(rep)) + unit for rep, unit in
+            zip(E.h1.class_reps, QMatrix.identity(E.h1.dim))]
     L_E = Submodule(E, QMatrix(rows, cols=E.dim))
-    proj = [eps.reduce(r) for r in L_E.vectors] or []
+    proj = [eps.reduce(r) for r in L_E.vectors]
     L_eps = Submodule(eps, QMatrix(proj, cols=eps.dim))
     return L_E, L_eps
 
@@ -397,6 +399,18 @@ def find_two_form_witness(E: ESpace, *, rng=None, random_tries: int = 50,
 # ---------------------------------------------------------------------------
 # the Lie-algebroid consequences of a Dirac structure
 
+@functools.lru_cache(maxsize=8)
+def _anchor_table(eps: EpsilonSpace) -> tuple:
+    """The anchor on the centre as a sparse table: cell (a, m) is X_a(c_m) in
+    centre coordinates, for X_a the anchor of class rep r_a and c_m the
+    centre basis.  ``center_action`` checks on every basis pair that c_m and
+    its image are central, which by linearity covers every u and z."""
+    E = eps.espace
+    return sparse_table(
+        (E.center_coords(E.center_action(E.rho(r), c)) for c in E.center_basis)
+        for r in eps.class_reps)
+
+
 @dataclass(frozen=True)
 class LieAlgebroidReport:
     anchor_bracket_ok: bool
@@ -426,16 +440,11 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     verdict = is_dirac(L)
     if not verdict.dirac:
         raise DiracError("lie_algebroid_check requires a Dirac structure")
-    E = eps.espace
-    cb = E.center_basis
-    cdim = cb.rows
+    cdim = eps.center_basis.rows
+    S, units = _anchor_table(eps), QMatrix.identity(cdim)
 
-    def sigma(u) -> QMatrix:
-        """Matrix of the anchor of u on the center (rows: images of the
-        center basis in center coordinates)."""
-        x = E.rho(eps.lift(u))
-        return QMatrix([E.center_coords(E.center_action(x, z)) for z in cb],
-                       cols=cdim)
+    def sigma(u) -> QMatrix:  # rows: the images of the centre basis
+        return QMatrix([bilinear(u, e, S, cdim) for e in units], cols=cdim)
 
     vs = L.vectors.data
     n = L.dim
@@ -457,7 +466,7 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     # center coordinates c; the anchor image X_i(z) in center coordinates is
     # c . sigma(l_i), since X_i acts linearly
     leibniz_ok = True
-    draws = list(QMatrix.identity(cdim))
+    draws = list(units)
     if rng is not None:
         for _ in range(z_samples):
             draws.append(vec(rng.randint(-3, 3) for _ in range(cdim)))

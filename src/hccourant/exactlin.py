@@ -52,7 +52,7 @@ def vec(entries: Iterable) -> tuple:
 
 
 def vec_is_zero(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 class HccourantError(ValueError):
@@ -159,12 +159,13 @@ def row_combination(c: Sequence, M: QMatrix) -> tuple:
     """c . M, the linear combination of the rows of M with coefficients c."""
     if len(c) != M.rows:
         raise ExactLinError("row_combination: dimension mismatch")
-    out = [ZERO] * M.cols
+    out = {}
     for ci, row in zip(c, M.sparse_rows):
         if ci:
             for k, x in row:
-                out[k] += ci * x
-    return tuple(out)
+                x *= ci
+                out[k] = out[k] + x if k in out else x
+    return dense(out.items(), M.cols)
 
 
 def sparse(v: Sequence, shift: int = 0) -> tuple:
@@ -207,8 +208,9 @@ def transpose_table(table) -> tuple:
 def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
     """sum_ij u_i v_j table[i][j] as a length-``dim`` vector, for a sparse
     table (see ``sparse_table``): structure constants, a pairing table, a
-    bracket table.  Only the nonzero cells and entries are visited."""
-    out = [ZERO] * dim
+    bracket table.  Only the nonzero cells and entries are visited, and the
+    sums accumulate in a dict, so no term is ever added to a zero."""
+    out = {}
     for i, ui in enumerate(u):
         if ui:
             for j, cell in table[i]:
@@ -216,8 +218,9 @@ def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
                 if vj:
                     c = ui * vj
                     for k, t in cell:
-                        out[k] += c * t
-    return tuple(out)
+                        t *= c
+                        out[k] = out[k] + t if k in out else t
+    return dense(out.items(), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """File loaders and the command-line front end, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hccourant
 from hccourant.cli import main
 from hccourant.files import FileFormatError, load_algebra_ref
 
@@ -271,6 +275,31 @@ def test_missing_algebra_flag(capsys):
     assert code == 2
 
 
+# every subcommand run without an option it requires; ``suite`` requires
+# none, and ``two-form`` searches for a witness when ``--omega`` is absent
+MISSING_OPTION = [[name] for name in (
+    "validate", "homology", "cohomology", "courant", "kernel", "epsilon",
+    "dirac-check", "poisson-graph", "two-form", "morita", "omni")] + [
+    ["dirac-check", "--algebra", "qx2"],
+    ["poisson-graph", "--algebra", "qx2"]]
+
+
+@pytest.mark.parametrize("argv", MISSING_OPTION, ids=" ".join)
+def test_missing_required_option_exit_2_one_line_error(argv):
+    """Run as a user runs it, in a fresh interpreter, so that an exception
+    escaping ``main`` shows as a traceback on stderr."""
+    src = str(Path(hccourant.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hccourant.cli", *argv, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["exit_code"] == 2
+    assert doc["error"] and "\n" not in doc["error"]
+
+
 def test_seed_recorded(capsys):
     code, out = run(["validate", "--algebra", "q", "--seed", "99",
                      "--format", "json"], capsys)
@@ -287,11 +316,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(p.read_text())["algebra"] == "Q"
 
 
-def _assert_pinned(name, args, capsys):
+def _assert_pinned(name, args, expected_code, capsys):
     pinned = (Path(__file__).parent / "data" / name).read_text(
         encoding="utf-8")
     code, out = run(args + ["--format", "json"], capsys)
-    assert code == 0
+    assert code == expected_code
     assert out == pinned
 
 
@@ -299,15 +328,22 @@ def test_suite_seed42_report_is_pinned(capsys):
     """The suite report is byte-identical to the recorded one, so a change
     to any layer under it cannot drift a verdict, a dimension or a class
     representative unnoticed."""
-    _assert_pinned("suite_seed42.json", ["suite", "--seed", "42"], capsys)
+    _assert_pinned("suite_seed42.json", ["suite", "--seed", "42"], 0,
+                   capsys)
 
 
-PINNED_REPORTS = {
+def _poisson_graph(table):
+    return ["poisson-graph", "--algebra", "v1_3", "--bracket", table,
+            "--seed", "7"]
+
+
+# name -> (arguments, exit code)
+PINNED_REPORTS = {name: (args, 0) for name, args in {
     "kernel_v1_3.json": ["kernel", "--algebra", "v1_3"],
     "epsilon_v1_3.json": ["epsilon", "--algebra", "v1_3"],
-    "poisson_graph_v1_3_so3_seed7.json": [
-        "poisson-graph", "--algebra", "v1_3", "--bracket", "bracket_so3_v1_3",
-        "--seed", "7"],
+    "poisson_graph_v1_3_so3_seed7.json": _poisson_graph("bracket_so3_v1_3"),
+    # the zero bracket: a second Lie-algebroid report
+    "poisson_graph_v1_3_zero_seed7.json": _poisson_graph("bracket_zero_v1_3"),
     "morita_v1_2.json": ["morita", "--algebra", "v1_2"],
     # the scale regime: the targets M_3(qx2) and M_3(v1_2) have dimension
     # 18 and 27
@@ -318,7 +354,10 @@ PINNED_REPORTS = {
     "morita_v1_3_r3.json": ["morita", "--algebra", "v1_3", "--r", "3"],
     "morita_m2q_r3.json": ["morita", "--algebra", "m2q", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
-}
+}.items()}
+# the false side: not Poisson, not closed, with the closure counterexample
+PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_seed7.json"] = (
+    _poisson_graph("bracket_nonjacobi_v1_3"), 1)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
@@ -326,4 +365,4 @@ def test_cli_report_is_pinned(name, capsys):
     """The suite records only dimensions; these reports also pin the J
     basis, the epsilon class reps and form table, the graph bases and the
     Lie-algebroid report."""
-    _assert_pinned(name, PINNED_REPORTS[name], capsys)
+    _assert_pinned(name, *PINNED_REPORTS[name], capsys)

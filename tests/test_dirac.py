@@ -5,18 +5,20 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant.dirac import (DiracError, DiracVerdict, Submodule,
-                             _check_biderivation, biderivation_space,
-                             find_two_form_witness, is_bracket_closed,
-                             is_dirac, is_isotropic, is_maximally_isotropic,
+from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
+                             Submodule, _anchor_table, _check_biderivation,
+                             biderivation_space, find_two_form_witness,
+                             hamiltonian_map, is_bracket_closed, is_dirac,
+                             is_isotropic, is_maximally_isotropic,
                              is_poisson, is_z_stable, lie_algebroid_check,
                              lie_laws, make_bracket_table, orthogonal,
                              poisson_graph, table_from_flat, two_form,
                              two_form_graph)
-from hccourant.exactlin import (Q, QMatrix, make_membership, nullspace, rank,
-                                row_combination, sparse_table, vec,
-                                vec_is_zero)
+from hccourant.exactlin import (Q, QMatrix, bilinear, make_membership,
+                                nullspace, rank, row_combination,
+                                sparse_table, vec, vec_is_zero)
 from hccourant.courant import EpsilonSpace, ESpace
+from hccourant.hochschild import Cochain1
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
 from conftest import dense_structure, load_script, rng_for
@@ -541,3 +543,126 @@ def test_biderivation_check_matches_dense_reference(algebras, name):
         except DiracError as exc:
             got = str(exc)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the hamiltonian and anchor tables against the loops they replaced
+
+GRAPH_ALGEBRAS = ("qx2", "qx3", "v1_2", "v1_3")
+
+
+@pytest.fixture(scope="module")
+def bider_spaces(algebras):
+    return {name: biderivation_space(algebras[name])
+            for name in GRAPH_ALGEBRAS}
+
+
+def _ref_on_chain(A, t, coords):
+    """The flat cochain a {b, .} of a degree-1 chain, by the loop over
+    (index, k) pairs that the hamiltonian table replaced."""
+    d = A.dim
+    rows = [[Q(0)] * d for _ in range(d)]
+    for idx, c in enumerate(coords):
+        if not c:
+            continue
+        i, j = divmod(idx, d)
+        ei = A.basis_vector(i)
+        for k in range(d):
+            prod = A.mul(ei, t.table[j][k])
+            for m, p in enumerate(prod):
+                if p:
+                    rows[k][m] += c * p
+    return Cochain1(A, tuple(tuple(r) for r in rows)).flatten()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hamiltonian_map_matches_chain_loop(espaces, bider_spaces, data):
+    """Drawn biderivations on drawn chains (cycles or not), and on the H_1
+    class representatives that ``poisson_graph`` maps."""
+    name = data.draw(st.sampled_from(GRAPH_ALGEBRAS))
+    E, space = espaces[name], bider_spaces[name]
+    A = E.algebra
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=space.rows,
+                                max_size=space.rows))
+    t = table_from_flat(A, row_combination(coeffs, space))
+    pi = hamiltonian_map(E, t)
+    chain = data.draw(st.lists(st.one_of(st.just(Q(0)), _rationals),
+                               min_size=A.dim ** 2, max_size=A.dim ** 2))
+    for coords in [chain, *E.h1.class_reps]:
+        assert pi(coords) == _ref_on_chain(A, t, coords)
+
+
+def test_hamiltonian_map_refuses_a_non_biderivation(v13):
+    """A table that is not a biderivation (built past the validation of
+    ``BracketTable``) gives a map that does not vanish on boundaries."""
+    A, E, _ = v13
+    d = A.dim
+    table = [[(Q(0),) * d for _ in range(d)] for _ in range(d)]
+    table[1][2] = (Q(1),) + (Q(0),) * (d - 1)
+    table[2][1] = (Q(-1),) + (Q(0),) * (d - 1)
+    t = object.__new__(BracketTable)
+    object.__setattr__(t, "algebra", A)
+    object.__setattr__(t, "table", tuple(map(tuple, table)))
+    with pytest.raises(DiracError, match="boundaries"):
+        hamiltonian_map(E, t)
+
+
+def _ref_sigma(eps, u):
+    """The anchor of u on the centre, by the body the anchor table replaced:
+    row m is X(c_m) in centre coordinates, through ``center_action``."""
+    E = eps.espace
+    cb = E.center_basis
+    x = E.rho(eps.lift(u))
+    return QMatrix([E.center_coords(E.center_action(x, z)) for z in cb],
+                   cols=cb.rows)
+
+
+def _table_sigma(eps, u):
+    """The same anchor as ``lie_algebroid_check`` contracts it: row m is
+    ``bilinear(u, e_m, S, cdim)`` on the anchor table S."""
+    cdim = eps.center_basis.rows
+    return QMatrix([bilinear(u, e, _anchor_table(eps), cdim)
+                    for e in QMatrix.identity(cdim)], cols=cdim)
+
+
+def _dirac_graphs(eps, rng):
+    """Dirac structures: both summands (on qx3 the H^1 summand is the zero
+    two-form graph, with a nonzero anchor), the Poisson graphs of the zero
+    bracket and, on V[1], of Lie-Poisson tables."""
+    E, A = eps.espace, eps.algebra
+    found = [Submodule(eps, _summand(eps, part)) for part in ("x", "alpha")]
+    zero = make_bracket_table(A, [[(0,) * A.dim] * A.dim] * A.dim)
+    found.append(poisson_graph(E, eps, zero)[1])
+    if A.name.startswith("V[1]"):
+        corpus = load_script("omni_corpus")
+        for _ in range(3):
+            table = corpus.v1_lie_poisson_table(A.dim - 1, rng)[1]
+            found.append(poisson_graph(E, eps, make_bracket_table(A, table))[1])
+    return [L for L in found if is_dirac(L).dirac]
+
+
+@pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
+def test_anchor_table_matches_center_action_on_dirac_graphs(epsilons, name):
+    """Every spanning vector of a Dirac graph and every bracket of two, as
+    ``lie_algebroid_check`` applies the anchor to them."""
+    eps = epsilons[name]
+    graphs = _dirac_graphs(eps, rng_for(f"anchor/{name}"))
+    assert len(graphs) >= 3
+    seen_nonzero = False
+    for L in graphs:
+        vs = L.vectors.data
+        for u in vs + tuple(eps.bracket(a, b) for a in vs for b in vs):
+            sigma = _ref_sigma(eps, u)
+            assert _table_sigma(eps, u) == sigma
+            seen_nonzero |= any(sigma.sparse_rows)
+    assert seen_nonzero
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_anchor_table_matches_center_action_on_drawn_vectors(epsilons, data):
+    eps = epsilons[data.draw(st.sampled_from(GRAPH_ALGEBRAS))]
+    u = data.draw(st.lists(st.one_of(st.just(Q(0)), _rationals),
+                           min_size=eps.dim, max_size=eps.dim))
+    assert _table_sigma(eps, u) == _ref_sigma(eps, u)

@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
                                 make_membership, make_reducer, make_span_test,
                                 membership,
                                 nullspace, quotient_basis, rank, rat, rat_str,
-                                row_space, rref, rref_transform, sparse_table,
-                                span_equal, vec)
+                                row_combination, row_space, rref,
+                                rref_transform, sparse_table, span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 from conftest import is_canonical_table
@@ -352,11 +352,15 @@ def _contractions(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_contractions())
+# two terms on one output entry: a sum, not the last term
+@example(((Q(1), Q(1)), (Q(1),), [[(Q(1),)], [(Q(2),)]], 1))
 def test_bilinear_matches_dense_contraction(case):
     u, v, table, dim = case
     sparse = sparse_table(table)
     assert is_canonical_table(sparse, len(table), len(v), dim)
-    assert bilinear(u, v, sparse, dim) == _dense_bilinear(u, v, table, dim)
+    out = bilinear(u, v, sparse, dim)
+    assert out == _dense_bilinear(u, v, table, dim)
+    assert all(type(x) is Q for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +403,41 @@ def test_sparse_rows_match_dense_reference(case):
     assert T.transpose() == M
     for out in (M, T, row_space(M), nullspace(M), rref(M)[0]):
         assert all(_is_canonical_row(r, out.cols) for r in out.sparse_rows)
+
+
+def _dense_row_combination(c, rows, n):
+    """sum_i c_i rows[i] over every entry, zeros included."""
+    out = [Q(0)] * n
+    for ci, row in zip(c, rows):
+        for k, x in enumerate(row):
+            out[k] += ci * x
+    return tuple(out)
+
+
+@st.composite
+def _combinations(draw):
+    """(c, rows, cols): rational or integer coefficients, zeros drawn often;
+    the rows are followed by their negatives half the time, so that sums
+    cancel."""
+    rows, n = draw(_dense_rows())
+    if draw(st.booleans()):
+        rows = rows + [tuple(-x for x in r) for r in rows]
+    m = len(rows)
+    c = draw(st.one_of(
+        _vectors(m), st.lists(st.integers(-2, 2), min_size=m, max_size=m)))
+    return c, rows, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_combinations())
+@example(((Q(1), Q(1)), [(Q(1),), (Q(2),)], 1))
+def test_row_combination_matches_dense_reference(case):
+    c, rows, n = case
+    out = row_combination(c, QMatrix(rows, cols=n))
+    assert out == _dense_row_combination(c, rows, n)
+    assert all(type(x) is Q for x in out)
+    with pytest.raises(ExactLinError, match="dimension mismatch"):
+        row_combination(tuple(c) + (Q(1),), QMatrix(rows, cols=n))
 
 
 def test_sparse_rows_are_validated():
