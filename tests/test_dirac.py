@@ -637,8 +637,9 @@ def _dirac_graphs(eps, rng):
     if A.name.startswith("V[1]"):
         corpus = load_script("omni_corpus")
         for _ in range(3):
-            table = corpus.v1_lie_poisson_table(A.dim - 1, rng)[1]
-            found.append(poisson_graph(E, eps, make_bracket_table(A, table))[1])
+            t = make_bracket_table(
+                A, corpus.v1_lie_poisson_table(A.dim - 1, rng)[1])
+            found.append(poisson_graph(E, eps, t)[1])
     return [L for L in found if is_dirac(L).dirac]
 
 
