@@ -59,9 +59,10 @@ class ESpace:
     def __init__(self, algebra: FiniteAlgebra, *,
                  max_dim: Optional[int] = None):
         self.algebra = algebra
-        self.h1co = cohomology_h1(algebra)
+        # the guarded homologies first, so a refused algebra costs nothing
         self.h1 = homology(algebra, 1, max_dim=max_dim)
         self.h0 = homology(algebra, 0, max_dim=max_dim)
+        self.h1co = cohomology_h1(algebra)
         self.center_basis = center(algebra)
         self.dim = self.h1co.dim + self.h1.dim
         self.h0_dim = self.h0.dim
@@ -115,7 +116,7 @@ class ESpace:
         # B of a commutator representative must land in the boundaries,
         # otherwise D would depend on the representative
         in_boundaries = make_span_test(self.h1.boundary_basis)
-        for row in self.h0.boundary_basis:
+        for row in self.h0.boundary_basis.sparse_rows:
             b = connes_B(Chain(self.algebra, 0, row))
             if not in_boundaries(b.coords):
                 raise CourantError(
@@ -131,11 +132,9 @@ class ESpace:
         xb = self.class_of_derivation(commutator(X1, X2))
         t = lie_derivative(X1, a2, checked=False) \
             - lie_derivative(X2, a1, checked=False)
-        h = self.pairing_classes(v[:hc], u[hc:])
-        bterm = connes_B(self.h0.class_to_chain(h))
-        ab = self.h1.reduce(tuple(p + q for p, q in
-                                  zip(t.coords, bterm.coords)))
-        return xb + ab
+        bterm = connes_B(self.h0.class_to_chain(
+            self.pairing_classes(v[:hc], u[hc:])))
+        return xb + self.h1.reduce_chain(t + bterm)
 
     def skew_bracket(self, u: Sequence, v: Sequence) -> tuple:
         half = Q(1, 2)

@@ -88,7 +88,7 @@ class QMatrix:
                 raise ExactLinError("a matrix without a dense first row "
                                     "needs explicit cols")
             cols = len(data[0])
-        rows = tuple(_canonical(r, cols) for r in data)
+        rows = tuple(canonical_row(r, cols) for r in data)
         object.__setattr__(self, "sparse_rows", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", cols)
@@ -133,10 +133,10 @@ def _is_sparse(row) -> bool:
     return bool(row) and type(row[0]) is tuple
 
 
-def _canonical(row, cols: int) -> tuple:
-    """A row given dense or sparse, as a sparse row of rationals with its
-    zeros dropped; raises unless a dense row has ``cols`` entries and the
-    indices of a sparse row ascend in range(cols)."""
+def canonical_row(row, cols: int) -> tuple:
+    """A row of a QMatrix or a Hochschild chain, given dense or sparse, as a
+    sparse row of rationals with its zeros dropped; raises unless a dense
+    row has ``cols`` entries and sparse indices ascend in range(cols)."""
     if row and not _is_sparse(row):
         if len(row) != cols:
             raise ExactLinError("row length does not match cols")

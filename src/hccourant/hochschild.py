@@ -1,9 +1,11 @@
 """Hochschild chains and cochains in low degrees.
 
 Chains of degree n live in A (x) A^(x)n with coordinates indexed
-lexicographically by (i_0, ..., i_n).  The module provides the boundary b,
-the degree-1 coboundary, Connes' boundary B, the Lie derivative and interior
-product of a derivation, homology/cohomology presentations with deterministic
+lexicographically by (i_0, ..., i_n).  A ``Chain`` stores one sparse row
+over them, in the row form of ``QMatrix``, so every operator visits only
+nonzero terms; ``coords`` is a dense read-only view.  The module provides
+the boundary b, Connes' boundary B, the Lie derivative and interior product
+of a derivation, homology/cohomology presentations with deterministic
 class representatives, and the H0-valued pairing <X, alpha> = i_X(alpha).
 """
 
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
-from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix,
-                       make_span_test, nullspace, quotient_basis,
-                       row_combination, row_space, sparse_row,
+from .exactlin import (ZERO, ONE, ExactLinError, HccourantError, QMatrix,
+                       canonical_row, dense, make_span_test, nullspace,
+                       quotient_basis, row_space, sparse_row,
                        transpose_table, vec, vec_is_zero)
 
 
@@ -30,35 +32,36 @@ class HochschildError(HccourantError):
 
 @dataclass(frozen=True)
 class Chain:
+    """A degree-n chain as one sparse row of (``encode_index``, x) pairs,
+    given dense or sparse and stored by the row rule of ``QMatrix``
+    (``canonical_row``), so ``==`` and ``hash`` compare chains."""
     algebra: FiniteAlgebra
     degree: int
-    coords: tuple  # length dim^(degree+1)
+    row: tuple
 
     def __post_init__(self):
         if self.degree < 0:
             raise HochschildError("degree must be >= 0")
-        if len(self.coords) != self.algebra.dim ** (self.degree + 1):
-            raise HochschildError("coordinate length mismatch")
+        N = chain_space_dim(self.algebra, self.degree)
+        try:
+            object.__setattr__(self, "row", canonical_row(self.row, N))
+        except ExactLinError as exc:
+            raise HochschildError(f"chain: {exc}") from None
 
-    def __add__(self, other):
+    @property
+    def coords(self) -> tuple:
+        return dense(self.row, chain_space_dim(self.algebra, self.degree))
+
+    def __add__(self, other, sign=ONE):
         self._same(other)
-        return Chain(self.algebra, self.degree,
-                     tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _summed(self.algebra, self.degree, itertools.chain(
+            self.row, ((k, sign * x) for k, x in other.row)))
 
     def __sub__(self, other):
-        self._same(other)
-        return Chain(self.algebra, self.degree,
-                     tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, c):
-        c = Q(c)
-        return Chain(self.algebra, self.degree,
-                     tuple(c * a for a in self.coords))
-
-    __rmul__ = __mul__
+        return self.__add__(other, -ONE)
 
     def is_zero(self):
-        return vec_is_zero(self.coords)
+        return not self.row
 
     def _same(self, other):
         if self.algebra is not other.algebra or self.degree != other.degree:
@@ -76,13 +79,18 @@ def encode_index(A: FiniteAlgebra, indices: Sequence[int]) -> int:
     return idx
 
 
+def _summed(A: FiniteAlgebra, n: int, pairs: Iterable) -> Chain:
+    """The degree-n chain sum x e_k over (coordinate k, x) pairs."""
+    out = {}
+    for k, x in pairs:
+        out[k] = out[k] + x if k in out else x
+    return Chain(A, n, sparse_row(out))
+
+
 def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
     """The degree-n chain sum x e_a over (multi-index a, coefficient x) pairs;
     repeated multi-indices add up."""
-    out = [ZERO] * chain_space_dim(A, n)
-    for a, x in terms:
-        out[encode_index(A, a)] += x
-    return Chain(A, n, tuple(out))
+    return _summed(A, n, ((encode_index(A, a), x) for a, x in terms))
 
 
 def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
@@ -96,8 +104,9 @@ def multi_indices(A: FiniteAlgebra, n: int):
 
 def chain_sparse(c: Chain) -> list:
     """The nonzero terms [(multi-index, coefficient), ...] in index order."""
-    return [(a, x) for a, x in zip(multi_indices(c.algebra, c.degree),
-                                   c.coords) if x]
+    d, n = c.algebra.dim, c.degree
+    return [(tuple(k // d ** (n - i) % d for i in range(n + 1)), x)
+            for k, x in c.row]
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +132,6 @@ class Cochain1:
                     if r:
                         out[k] += xj * r
         return tuple(out)
-
-    def apply_basis(self, j: int) -> tuple:
-        return self.rows[j]
 
     def flatten(self) -> tuple:
         return tuple(x for row in self.rows for x in row)
@@ -161,25 +167,11 @@ def commutator(X: Cochain1, Y: Cochain1) -> Cochain1:
     return Cochain1(A, rows)
 
 
-def coboundary_beta(f: Cochain1) -> QMatrix:
-    """Degree-1 coboundary defect: row (i, j) holds a f(b) - f(ab) + f(a) b
-    evaluated at (a, b) = (e_i, e_j); the zero matrix iff f is a derivation."""
-    A = f.algebra
-    d = A.dim
-    rows = []
-    for i in range(d):
-        ei = A.basis_vector(i)
-        for j in range(d):
-            ej = A.basis_vector(j)
-            t1 = A.mul(ei, f.apply_basis(j))
-            t2 = f.apply(A.mul(ei, ej))
-            t3 = A.mul(f.apply_basis(i), ej)
-            rows.append(tuple(a - b + c for a, b, c in zip(t1, t2, t3)))
-    return QMatrix(rows, cols=d)
-
-
 def is_derivation(f: Cochain1) -> bool:
-    return all(vec_is_zero(r) for r in coboundary_beta(f))
+    """Whether f solves the Leibniz system of ``derivation_basis``."""
+    flat = f.flatten()
+    return not any(sum(x * flat[k] for k, x in row)
+                   for row in _leibniz_system(f.algebra))
 
 
 def require_derivation(f: Cochain1) -> None:
@@ -311,28 +303,24 @@ class HomologyPresentation:
         return self.reduce(c.coords)
 
     def rep_chain(self, k: int) -> Chain:
-        return Chain(self.algebra, self.degree, self.class_reps[k])
+        return Chain(self.algebra, self.degree, self.class_reps.sparse_rows[k])
 
     def class_to_chain(self, coords: Sequence) -> Chain:
         coords = vec(coords)
         if len(coords) != self.dim:
             raise HochschildError("class coordinate length mismatch")
-        return Chain(self.algebra, self.degree,
-                     row_combination(coords, self.class_reps))
+        return _summed(self.algebra, self.degree,
+                       ((k, c * x) for c, row in
+                        zip(coords, self.class_reps.sparse_rows)
+                        for k, x in row))
 
 
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
     """Rows = images under b of the degree-n basis chains (dom x cod), as
     sparse rows."""
     terms = _b_terms(A, n)
-
-    def row(a):
-        out = defaultdict(lambda: ZERO)
-        for b, x in terms(a):
-            out[encode_index(A, b)] += x
-        return sparse_row(out)
-
-    return QMatrix(map(row, multi_indices(A, n)),
+    return QMatrix((chain_from_terms(A, n - 1, terms(a)).row
+                    for a in multi_indices(A, n)),
                    cols=chain_space_dim(A, n - 1))
 
 
@@ -376,14 +364,17 @@ def leibniz_rows(A: FiniteAlgebra) -> Callable:
     return rows
 
 
+def _leibniz_system(A: FiniteAlgebra):
+    """The Leibniz law on every basis pair as sparse rows over flattened
+    dim x dim maps: the unknown X(e_s)_m sits at s d + m."""
+    d, law = A.dim, leibniz_rows(A)
+    return (row for i, j in itertools.product(range(d), repeat=2)
+            for row in law(i, j, lambda s, m: s * d + m))
+
+
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
     """Basis of Der(A), each row a flattened dim x dim map."""
-    d = A.dim
-    law = leibniz_rows(A)
-    # the unknown X(e_s)_m sits at s d + m of the flattened map
-    rows = (row for i, j in itertools.product(range(d), repeat=2)
-            for row in law(i, j, lambda s, m: s * d + m))
-    return nullspace(QMatrix(rows, cols=d * d))
+    return nullspace(QMatrix(_leibniz_system(A), cols=A.dim ** 2))
 
 
 def inner_derivation_basis(A: FiniteAlgebra) -> QMatrix:
@@ -453,14 +444,14 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
     der = derivation_basis(A)
     for xi, xflat in enumerate(der):
         X = cochain_from_flat(A, xflat)
-        for zi, z in enumerate(pres_n.cycle_basis):
+        for zi, z in enumerate(pres_n.cycle_basis.sparse_rows):
             lz = lie_derivative(X, Chain(A, n, z), checked=False)
             add("L_X cycles->cycles", f"X{xi} z{zi}", in_cycles(lz.coords))
             if pres_lo is not None:
                 iz = interior_product(X, Chain(A, n, z), checked=False)
                 add("i_X cycles->cycles", f"X{xi} z{zi}",
                     in_cycles_lo(iz.coords))
-        for bi, b in enumerate(pres_n.boundary_basis):
+        for bi, b in enumerate(pres_n.boundary_basis.sparse_rows):
             lb = lie_derivative(X, Chain(A, n, b), checked=False)
             add("L_X boundaries->boundaries", f"X{xi} b{bi}",
                 in_boundaries(lb.coords))
@@ -487,7 +478,7 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
         z = pres_n.rep_chain(zi)
         bBz = boundary_b(connes_B(z))
         add("b(B(cycle)) is a boundary", f"z{zi}", in_boundaries(bBz.coords))
-    for bi, b in enumerate(pres_n.boundary_basis):
+    for bi, b in enumerate(pres_n.boundary_basis.sparse_rows):
         Bb = connes_B(Chain(A, n, b))
         add("B boundaries->boundaries", f"b{bi}", in_boundaries_hi(Bb.coords))
 

@@ -12,13 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import FiniteAlgebra, matrix_algebra, opposite_algebra
+from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
+                      opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
 from .exactlin import (ZERO, HccourantError, QMatrix, make_reducer,
                        rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
+
+
+#: the largest target dimension r^2 dim A built unless max_dim is given
+MORITA_MAX_DIM = 100
 
 
 class MoritaError(HccourantError):
@@ -171,10 +176,14 @@ def _check_homotopy_identity(A: FiniteAlgebra, M: FiniteAlgebra,
 def verify_morita(A: FiniteAlgebra, r: int = 2, *,
                   max_dim: Optional[int] = None,
                   src: Optional[ESpace] = None) -> MoritaContext:
-    """Build E and epsilon on both sides and verify the transport exactly."""
+    """Build E and epsilon on both sides and verify the transport exactly;
+    the target's dimension is checked against max_dim (by default
+    ``MORITA_MAX_DIM``) before the target is built."""
+    limit = MORITA_MAX_DIM if max_dim is None else max_dim
+    check_guard(r * r * A.dim, 2, limit)
     M = matrix_algebra(A, r)
     src = src or ESpace(A, max_dim=max_dim)
-    tgt = ESpace(M, max_dim=max_dim if max_dim is not None else M.dim)
+    tgt = ESpace(M, max_dim=limit)
     maps = build_morita_maps(src, tgt, r)
 
     h1co_bij = (rank(maps.h1co_map) == src.h1co.dim

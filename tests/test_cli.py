@@ -80,6 +80,17 @@ def test_guard_blocks_and_override(tmp_path, capsys):
     assert code == 0
 
 
+def test_morita_target_guard_exit_2(capsys):
+    """The target M_11(Q) has dimension 121, over the Morita-target bound
+    of 100: refused before it is built."""
+    code, out = run(["morita", "--algebra", "q", "--r", "11",
+                     "--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert "121" in doc["error"] and "\n" not in doc["error"]
+
+
 def test_unsupported_degree_blocked(capsys):
     code, out = run(["homology", "--algebra", "qx2", "--degree", "5"],
                     capsys)

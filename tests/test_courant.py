@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant.algebra import build_v1
+from hccourant import courant
+from hccourant.algebra import GuardError, build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
 from hccourant.dirac import Submodule, orthogonal
 from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace, rank,
@@ -23,6 +24,17 @@ EXPECTED_J_DIM = {"qx2": 0, "qx3": 0, "v1_1": 0, "v1_2": 1, "v1_3": 3}
 @pytest.mark.parametrize("name", sorted(EXPECTED_E_DIM))
 def test_e_dimensions(espaces, name):
     assert espaces[name].dim == EXPECTED_E_DIM[name]
+
+
+def test_espace_guard_refuses_before_cohomology(monkeypatch):
+    """The guarded homologies run before the unguarded H^1, so an algebra
+    over the degree-1 guard is refused before any derivation is solved."""
+    def unguarded(A):
+        raise AssertionError("cohomology_h1 ran before the guard")
+
+    monkeypatch.setattr(courant, "cohomology_h1", unguarded)
+    with pytest.raises(GuardError):
+        ESpace(truncated_poly(17))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_J_DIM))
