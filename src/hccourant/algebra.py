@@ -36,9 +36,9 @@ GUARD_MAX_DIM = {0: 64, 1: 16, 2: 16, 3: 6, 4: 6}
 def check_guard(dim: int, degree: int, max_dim: Optional[int] = None) -> None:
     limit = max_dim if max_dim is not None else GUARD_MAX_DIM.get(degree)
     if limit is None:
-        raise GuardError(
-            f"homology degree {degree} is not supported; "
-            f"degrees 0..3 only")
+        raise GuardError(f"chain degree {degree} has no default guard (only "
+                         f"{min(GUARD_MAX_DIM)}..{max(GUARD_MAX_DIM)}); pass "
+                         f"max_dim (CLI: --guard) to set one")
     if dim > limit:
         raise GuardError(
             f"algebra dimension {dim} exceeds the guard {limit} for "

@@ -19,7 +19,10 @@ them from the chain-level rules on first use, so a space that never
 brackets pays nothing; ``bracket``, ``form`` and ``z_scale`` contract them
 with ``bilinear``, and ``orthogonal`` reads every radical and orthogonal off
 the form table.  The chain-level ``courant_bracket`` stays as the reference
-the tables are tested against.
+the tables are tested against.  EpsilonSpace keeps the quotient map as the
+matrix ``projection`` (row k: the class of e_k) and induces its tables from
+E's: the form table is E's read on the class reps (``pullback``), the
+bracket and Z tables are then also mapped by ``projection``.
 
 Checks run at construction: ESpace verifies that B descends to H_0 (D does
 not depend on the representative); EpsilonSpace verifies, exactly, that J is
@@ -35,9 +38,9 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
-                       make_membership, make_span_test, nullspace,
-                       quotient_basis, row_combination, sparse, sparse_row,
-                       sparse_table, vec, vec_is_zero)
+                       make_membership, make_span_test, nullspace, pullback,
+                       pushforward, quotient_basis, row_combination, sparse,
+                       sparse_row, sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -299,22 +302,22 @@ class EpsilonSpace:
         self.espace = espace
         self.algebra = espace.algebra
         self.J = kernel_J(espace)
-        reps, reduce = quotient_basis(QMatrix.identity(espace.dim), self.J)
+        units = QMatrix.identity(espace.dim)
+        reps, reduce = quotient_basis(units, self.J)
         self.class_reps = reps
-        self._reduce = reduce
+        self.projection = QMatrix([reduce(e) for e in units], cols=reps.rows)
         self.dim = reps.rows
         self.center_basis = espace.center_basis
         self.h0_dim = espace.h0_dim
         self._verify_ideal()
-        self.form_table = sparse_table((espace.form(ra, rb) for rb in reps)
-                                       for ra in reps)
+        self.form_table = pullback(espace.form_table, reps, reps, self.h0_dim)
         self._verify_nondegenerate()
 
     # -- coordinates --------------------------------------------------------
 
     def reduce(self, evec: Sequence) -> tuple:
         """E(A) coordinates -> epsilon(A) class coordinates."""
-        return self._reduce(evec)
+        return row_combination(self.espace._coords(evec), self.projection)
 
     def lift(self, coords: Sequence) -> tuple:
         """epsilon(A) class coordinates -> E(A) coordinates of the rep."""
@@ -327,15 +330,15 @@ class EpsilonSpace:
         """bracket_table[a][b] = [[r_a, r_b]] reduced, for the class
         representatives r_a; well defined because J is an ideal."""
         E, reps = self.espace, self.class_reps
-        return sparse_table((self._reduce(E.bracket(ra, rb)) for rb in reps)
-                            for ra in reps)
+        return pushforward(pullback(E.bracket_table, reps, reps, E.dim),
+                           self.projection)
 
     @cached_property
     def z_table(self) -> tuple:
         """z_table[m][a] = c_m . r_a reduced, for the centre basis c_m."""
-        E, reps = self.espace, self.class_reps
-        return sparse_table((self._reduce(E.z_scale(c, ra)) for ra in reps)
-                            for c in QMatrix.identity(self.center_basis.rows))
+        E, centre = self.espace, QMatrix.identity(self.center_basis.rows)
+        return pushforward(pullback(E.z_table, centre, self.class_reps, E.dim),
+                           self.projection)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         return bilinear(self._coords(u), self._coords(v), self.bracket_table,
@@ -370,17 +373,16 @@ class EpsilonSpace:
     # -- construction-time verification -------------------------------------
 
     def _verify_ideal(self):
-        E = self.espace
-        T = E.bracket_table
-        in_J = make_span_test(self.J)
-        units = QMatrix.identity(E.dim)
-        for j, jrow in enumerate(self.J):
-            for k, ek in enumerate(units):
-                left = bilinear(jrow, ek, T, E.dim)
-                right = bilinear(ek, jrow, T, E.dim)
-                if not (in_J(left) and in_J(right)):
-                    raise CourantError(
-                        f"radical is not a bracket ideal at (J{j}, e{k})")
+        # J is the kernel of the projection: [J_j, e_k], [e_k, J_j] map to 0
+        E, P = self.espace, self.projection
+        T, units = E.bracket_table, QMatrix.identity(E.dim)
+        left = pushforward(pullback(T, self.J, units, E.dim), P)
+        right = pushforward(pullback(T, units, self.J, E.dim), P)
+        bad = ([(j, k) for j, row in enumerate(left) for k, _ in row]
+               + [(j, k) for k, row in enumerate(right) for j, _ in row])
+        if bad:
+            raise CourantError("radical is not a bracket ideal at "
+                               "(J%d, e%d)" % min(bad))
 
     def _verify_nondegenerate(self):
         if orthogonal(self, QMatrix.identity(self.dim)).rows:

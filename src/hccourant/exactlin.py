@@ -16,7 +16,9 @@ coefficients that ``membership`` and the T of ``rref_transform`` give over
 dependent rows are one valid solution among many; every caller in the
 package passes independent rows, where the coefficients are unique, and
 asks ``make_span_test`` when it only wants to know whether a vector lies in
-a span.
+a span.  ``pullback`` reads a sparse table on the rows of two matrices and
+``pushforward`` maps its cells by a matrix, so a map that preserves a
+bracket, form or pairing does so by one table identity.
 """
 
 from __future__ import annotations
@@ -221,6 +223,22 @@ def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
                         t *= c
                         out[k] = out[k] + t if k in out else t
     return dense(out.items(), dim)
+
+
+def pullback(table, left: QMatrix, right: QMatrix, dim: int) -> tuple:
+    """The sparse table of the cells ``bilinear(left[i], right[j], table,
+    dim)``: ``table`` read on the rows of two matrices."""
+    rights = right.data
+    return sparse_table((bilinear(u, v, table, dim) for v in rights)
+                        for u in left)
+
+
+def pushforward(table, M: QMatrix) -> tuple:
+    """``table`` with each cell c mapped to c.M and zero images dropped; F
+    carries T to T' exactly when pullback(T', F, F, d) == pushforward(T, M)."""
+    return tuple(tuple((j, m) for j, c in row
+                       if (m := sparse(row_combination(dense(c, M.rows), M))))
+                 for row in table)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,8 @@ def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
 def homology(A: FiniteAlgebra, n: int, *,
              max_dim: Optional[int] = None) -> HomologyPresentation:
     """H_n(A, A) with canonical cycle/boundary bases and class reps."""
+    if n < 0:
+        raise HochschildError(f"homology degree {n} is negative")
     check_guard(A.dim, n, max_dim)
     check_guard(A.dim, n + 1, max_dim)
     N = chain_space_dim(A, n)

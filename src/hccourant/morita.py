@@ -4,7 +4,10 @@ The chain-level maps are the entrywise extension of a derivation and the
 corner embedding a_0 (x) ... (x) a_n -> E11(a_0) (x) ... (x) E11(a_n).  The
 module verifies, exactly, that they induce bracket- and form-preserving
 bijections E(A) -> E(M_r(A)) and epsilon(A) -> epsilon(M_r(A)), and
-transports Dirac structures along the induced isomorphism.
+transports Dirac structures along the induced isomorphism.  Each map is a
+matrix on class coordinates, and each preservation check is one table
+identity, ``pullback(T_target, F, F) == pushforward(T_source, F_values)``
+(see ``exactlin.pullback``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
                       opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, HccourantError, QMatrix, make_reducer,
+from .exactlin import (ZERO, HccourantError, QMatrix, pullback, pushforward,
                        rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
@@ -63,17 +66,11 @@ class MoritaMaps:
     h1co_map: QMatrix   # H^1(A) class basis -> H^1(M_r) class coords
     h1_map: QMatrix     # H_1(A) class basis -> H_1(M_r) class coords
     h0_map: QMatrix     # H_0(A) class basis -> H_0(M_r) class coords
-    h0_inv: QMatrix     # the computed inverse of h0_map
+    e_map: QMatrix      # h1co_map (+) h1_map: E(A) -> E(M_r) class coords
 
     def map_e_vec(self, v) -> tuple:
         """E(A) class coordinates -> E(M_r(A)) class coordinates."""
-        v = vec(v)
-        hc = self.source.h1co.dim
-        return (row_combination(v[:hc], self.h1co_map)
-                + row_combination(v[hc:], self.h1_map))
-
-    def map_h0(self, h) -> tuple:
-        return row_combination(vec(h), self.h0_map)
+        return row_combination(vec(v), self.e_map)
 
 
 def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
@@ -96,13 +93,10 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
     h0_map = QMatrix(h0_rows, cols=tgt.h0.dim)
     if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
         raise MoritaError("corner embedding does not identify H_0")
-    h0_coords = make_reducer(h0_map)
-    h0_inv = QMatrix([h0_coords(row) for row in QMatrix.identity(tgt.h0.dim)],
-                     cols=src.h0.dim)
-    return MoritaMaps(src, tgt, r,
-                      QMatrix(h1co_rows, cols=tgt.h1co.dim),
-                      QMatrix(h1_rows, cols=tgt.h1.dim),
-                      h0_map, h0_inv)
+    e_map = QMatrix([x + (ZERO,) * tgt.h1.dim for x in h1co_rows]
+                    + [(ZERO,) * tgt.h1co.dim + a for a in h1_rows], tgt.dim)
+    return MoritaMaps(src, tgt, r, QMatrix(h1co_rows, cols=tgt.h1co.dim),
+                      QMatrix(h1_rows, cols=tgt.h1.dim), h0_map, e_map)
 
 
 @dataclass(frozen=True)
@@ -192,21 +186,12 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     h0_bij = True  # enforced in build_morita_maps
 
     # pairing: <T(X), I(alpha)> = phi(<X, alpha>) on class bases
-    pairing_ok = True
-    for i, xi in enumerate(QMatrix.identity(src.h1co.dim)):
-        for j, aj in enumerate(QMatrix.identity(src.h1.dim)):
-            lhs = tgt.pairing_classes(maps.h1co_map[i], maps.h1_map[j])
-            rhs = maps.map_h0(src.pairing_classes(xi, aj))
-            if lhs != rhs:
-                pairing_ok = False
-
+    pairing_ok = (pullback(tgt._ptable, maps.h1co_map, maps.h1_map, tgt.h0_dim)
+                  == pushforward(src._ptable, maps.h0_map))
     # bracket: (T (+) I) [[u, v]] = [[(T (+) I) u, (T (+) I) v]]
-    units = QMatrix.identity(src.dim)
-    e_images = [maps.map_e_vec(u) for u in units]
-    bracket_ok = all(
-        maps.map_e_vec(src.bracket(units[i], units[j]))
-        == tgt.bracket(e_images[i], e_images[j])
-        for i in range(src.dim) for j in range(src.dim))
+    F = maps.e_map
+    bracket_ok = (pullback(tgt.bracket_table, F, F, tgt.dim)
+                  == pushforward(src.bracket_table, F))
 
     homotopy_ok = _check_homotopy_identity(A, M, r)
 
@@ -214,29 +199,16 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     tgt_eps = EpsilonSpace(tgt)
     dims_ok = src_eps.dim == tgt_eps.dim
 
-    # induced map on the quotients and its bracket/form preservation
-    qb_ok = True
-    qf_ok = True
+    # the induced map F on the quotients: row a is the image of class rep a
+    qb_ok = qf_ok = False
     if dims_ok:
-        def qmap(u):
-            return tgt_eps.reduce(maps.map_e_vec(src_eps.lift(u)))
-        basis = list(QMatrix.identity(src_eps.dim))
-        images = QMatrix([qmap(b) for b in basis] or [],
-                         cols=tgt_eps.dim)
-        if rank(images) != src_eps.dim:
-            qb_ok = qf_ok = False
-        else:
-            for i, u in enumerate(basis):
-                for j, v in enumerate(basis):
-                    lhs = qmap(src_eps.bracket(u, v))
-                    rhs = tgt_eps.bracket(images[i], images[j])
-                    if lhs != rhs:
-                        qb_ok = False
-                    if maps.map_h0(src_eps.form(u, v)) != \
-                            tgt_eps.form(images[i], images[j]):
-                        qf_ok = False
-    else:
-        qb_ok = qf_ok = False
+        F = QMatrix([tgt_eps.reduce(maps.map_e_vec(rep))
+                     for rep in src_eps.class_reps], cols=tgt_eps.dim)
+        if rank(F) == src_eps.dim:
+            qb_ok = (pullback(tgt_eps.bracket_table, F, F, tgt_eps.dim)
+                     == pushforward(src_eps.bracket_table, F))
+            qf_ok = (pullback(tgt_eps.form_table, F, F, tgt_eps.h0_dim)
+                     == pushforward(src_eps.form_table, maps.h0_map))
 
     report = MoritaReport(A.name, r, h1co_bij, h1_bij, h0_bij, pairing_ok,
                           bracket_ok, homotopy_ok, dims_ok, qb_ok, qf_ok)
@@ -287,7 +259,7 @@ def verify_opposite(E: ESpace, *,
     Degree-1 cycle and boundary spaces, derivations and inner derivations all
     literally coincide for the opposite product, so both sides share their
     canonical presentations; the bracket and form tables are then compared
-    entry by entry.
+    as tables.
     """
     A = E.algebra
     Eop = ESpace(opposite_algebra(A), max_dim=max_dim)
@@ -299,7 +271,5 @@ def verify_opposite(E: ESpace, *,
     brackets = forms = dims and same_pres
     if dims and same_pres:
         brackets = E.bracket_table == Eop.bracket_table
-        basis = QMatrix.identity(E.dim)
-        forms = all(E.form(u, v) == Eop.form(u, v)
-                    for u in basis for v in basis)
+        forms = E.form_table == Eop.form_table
     return OppositeReport(A.name, dims, same_pres, brackets, forms)

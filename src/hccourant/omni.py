@@ -10,9 +10,9 @@ This module builds the explicit linear bijection gl(V) (+) V -> epsilon(V[1])
 sending a matrix to its derivation class and a vector v to the homology class
 of 1 (x) v, and verifies exactly that it carries the Weinstein bracket to the
 induced Courant bracket, and the pairing to the induced bilinear form up to
-the global scalar 2.  Dirac structures of epsilon(V[1]) that are graphs over
-V then correspond to Lie brackets on V; `d_structure_check` decides both
-sides and compares them.
+the global scalar 2, each by one table identity (``exactlin.pullback``).
+Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
+Lie brackets on V; `d_structure_check` decides both sides and compares them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
 from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear, dense,
-                       rank, row_combination, span_equal, sparse_row,
-                       sparse_table, vec)
+                       pullback, pushforward, rank, row_combination,
+                       span_equal, sparse_row, sparse_table, vec)
 from .hochschild import cochain_from_flat, elementary_chain
 
 
@@ -204,7 +204,7 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
     and the induced form equals FORM_SCALAR times the half-sum pairing.
     """
     iso = build_omni_iso(n, espace=espace)
-    E, eps, A = iso.espace, iso.eps, iso.espace.algebra
+    E, eps, A, fwd = iso.espace, iso.eps, iso.espace.algebra, iso.fwd
 
     kernel_dim_ok = eps.J.rows == n * (n - 1) // 2
     gen_rows = []
@@ -215,21 +215,14 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
     kernel_generators_ok = span_equal(
         QMatrix(gen_rows or [], cols=E.dim), eps.J)
 
-    units = QMatrix.identity(n * n + n)
-    images = iso.fwd.data
     bijective = True  # enforced in build_omni_iso
-
-    bracket_ok = True
-    form_ok = True
-    for i, u in enumerate(units):
-        for j, w in enumerate(units):
-            lhs = eps.bracket(images[i], images[j])
-            if lhs != iso.to_eps(weinstein_bracket(n, u, w)):
-                bracket_ok = False
-            p = omni_pairing(n, u, w)
-            embedded = E.h0_class((ZERO,) + tuple(FORM_SCALAR * x for x in p))
-            if eps.form(images[i], images[j]) != embedded:
-                form_ok = False
+    bracket_ok = (pullback(eps.bracket_table, fwd, fwd, eps.dim)
+                  == pushforward(weinstein_table(n), fwd))
+    # row i: the H_0 class of FORM_SCALAR v_i, the image of a pairing value
+    embed = QMatrix([E.h0_class(dense(((i + 1, FORM_SCALAR),), A.dim))
+                     for i in range(n)], cols=E.h0_dim)
+    form_ok = (pullback(eps.form_table, fwd, fwd, E.h0_dim)
+               == pushforward(pairing_table(n), embed))
 
     report = MainTheoremReport(n, kernel_dim_ok, kernel_generators_ok,
                                bijective, bracket_ok, FORM_SCALAR, form_ok)

@@ -97,6 +97,30 @@ def test_unsupported_degree_blocked(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ("-1", "-2"))
+def test_negative_homology_degree_exit_2(degree, capsys):
+    """Refused as a degree before any guard or chain space is built."""
+    code, out = run(["homology", "--algebra", "qx2", "--degree", degree,
+                     "--guard", "100", "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "negative" in error and "\n" not in error
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_homology_past_the_default_guards_names_the_override(capsys):
+    """H_4 needs the degree-5 boundaries, which have no default guard: the
+    refusal says how to lift it, and --guard does."""
+    code, out = run(["homology", "--algebra", "qx2", "--degree", "4",
+                     "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "--guard" in error and "\n" not in error
+    code, _ = run(["homology", "--algebra", "qx2", "--degree", "4",
+                   "--guard", "2"], capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize("degree", ("0", "2", "-1"))
 def test_cohomology_refuses_any_degree_but_1(degree, capsys):
     code, out = run(["cohomology", "--algebra", "qx2", "--degree", degree,

@@ -7,8 +7,9 @@ from hccourant import courant
 from hccourant.algebra import GuardError, build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
 from hccourant.dirac import Submodule, orthogonal
-from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace, rank,
-                                row_combination, vec_is_zero)
+from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace,
+                                quotient_basis, rank, row_combination,
+                                vec_is_zero)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
                                   elementary_chain, h_left_multiply)
 from conftest import (is_canonical_table, perturbed_table, rand_combination,
@@ -230,6 +231,20 @@ def test_epsilon_form_rejects_wrong_length(espaces, epsilons):
         espaces["v1_3"].form((1,), (1,))
     with pytest.raises(CourantError, match="length mismatch"):
         eps.form((1,), (1,))
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_epsilon_reduce_matches_the_quotient_reducer(espaces, epsilons, name):
+    """reduce is the stored projection matrix; it agrees with the echelon
+    reducer of quotient_basis on random E(A) vectors and checks lengths."""
+    E, eps = espaces[name], epsilons[name]
+    _, reducer = quotient_basis(QMatrix.identity(E.dim), eps.J)
+    rng = rng_for("reduce-" + name)
+    for _ in range(20):
+        v = rand_vec(rng, E.dim)
+        assert eps.reduce(v) == reducer(v)
+    with pytest.raises(CourantError, match="length mismatch"):
+        eps.reduce((1,) * (E.dim + 1))
 
 
 def test_z_scale_checks_centre_coordinate_length(espaces, epsilons):

@@ -8,7 +8,8 @@ from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
                                 make_membership, make_reducer, make_span_test,
                                 membership,
-                                nullspace, quotient_basis, rank, rat, rat_str,
+                                nullspace, pullback, pushforward,
+                                quotient_basis, rank, rat, rat_str,
                                 row_combination, row_space, rref,
                                 rref_transform, sparse_table, span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
@@ -361,6 +362,46 @@ def test_bilinear_matches_dense_contraction(case):
     out = bilinear(u, v, sparse, dim)
     assert out == _dense_bilinear(u, v, table, dim)
     assert all(type(x) is Q for x in out)
+
+
+@st.composite
+def _tables_and_maps(draw):
+    """(table, left, right, M, dim): a dense m x n table of length-dim
+    cells, matrices with m and n columns to read it on, and a map M of the
+    cell space, often not injective (zero rows are drawn often, and M may
+    have more rows than columns)."""
+    m, n, dim, out = (draw(st.integers(0, 4)) for _ in range(4))
+    table = [[draw(_vectors(dim)) for _ in range(n)] for _ in range(m)]
+    left, right = (QMatrix([draw(_vectors(c)) for _ in
+                            range(draw(st.integers(0, 3)))], cols=c)
+                   for c in (m, n))
+    M = QMatrix([draw(_vectors(out)) for _ in range(dim)], cols=out)
+    return table, left, right, M, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables_and_maps())
+def test_pullback_and_pushforward_match_their_definitions(case):
+    table, left, right, M, dim = case
+    sparse = sparse_table(table)
+    pulled = pullback(sparse, left, right, dim)
+    assert pulled == sparse_table(
+        [[bilinear(u, v, sparse, dim) for v in right] for u in left])
+    assert is_canonical_table(pulled, left.rows, right.rows, dim)
+    pushed = pushforward(sparse, M)
+    assert pushed == sparse_table(
+        [[row_combination(cell, M) for cell in row] for row in table])
+    assert is_canonical_table(pushed, len(table), right.cols, M.cols)
+
+
+def test_pushforward_drops_the_cells_a_singular_map_kills():
+    # M kills e_0 and sends e_1, e_2 to the same vector
+    M = QMatrix([(0, 0), (1, 2), (1, 2)])
+    table = sparse_table([[(5, 0, 0), (0, 1, -1)], [(0, 1, 0), (0, 0, 0)]])
+    pushed = pushforward(table, M)
+    # both cells of row 0 map to zero; cell (1, 0) maps to e_1 -> (1, 2)
+    assert pushed == ((), ((0, ((0, Q(1)), (1, Q(2)))),))
+    assert is_canonical_table(pushed, 2, 2, 2)
 
 
 # ---------------------------------------------------------------------------

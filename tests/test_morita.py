@@ -5,7 +5,7 @@ import pytest
 
 from hccourant.algebra import (build_v1, ground_field, matrix_algebra,
                                truncated_poly, upper_triangular2)
-from hccourant.courant import ESpace
+from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import Submodule, is_dirac, make_bracket_table, \
     poisson_graph
 from hccourant.exactlin import QMatrix
@@ -131,3 +131,57 @@ def test_morita_bracket_comparison_can_fail(monkeypatch):
     rep = verify_morita(A, 2).report
     assert rep.pairing_preserved and rep.homotopy_identity
     assert not rep.bracket_preserved and not rep.ok
+
+
+def _false_flags(report) -> set:
+    """The names of the report's booleans that are False, ``ok`` aside."""
+    return {k for k, v in report.to_json().items()
+            if v is False and k != "ok"}
+
+
+def test_morita_pairing_comparison_can_fail(monkeypatch):
+    """A perturbed pairing table on the target fails the pairing identity
+    only: the target's form table is cached from the true pairing first."""
+    A = truncated_poly(2)
+
+    def build(B, **kwargs):
+        E = ESpace(B, **kwargs)
+        if B is not A:
+            E.form_table  # cached before the pairing is perturbed
+            E._ptable = perturbed_table(E._ptable, 0, 0, 0)
+        return E
+
+    monkeypatch.setattr(morita, "ESpace", build)
+    rep = verify_morita(A, 2).report
+    assert _false_flags(rep) == {"pairing_preserved"} and not rep.ok
+
+
+@pytest.mark.parametrize("attr, flag", (
+    ("bracket_table", "quotient_bracket_preserved"),
+    ("form_table", "quotient_form_preserved")))
+def test_morita_quotient_comparisons_can_fail(monkeypatch, attr, flag):
+    A = truncated_poly(2)
+
+    def build(E):
+        eps = EpsilonSpace(E)
+        if E.algebra is not A:
+            setattr(eps, attr, perturbed_table(getattr(eps, attr), 0, 0, 0))
+        return eps
+
+    monkeypatch.setattr(morita, "EpsilonSpace", build)
+    rep = verify_morita(A, 2).report
+    assert _false_flags(rep) == {flag} and not rep.ok
+
+
+def test_opposite_form_comparison_can_fail(monkeypatch):
+    A = truncated_poly(3)
+    E = ESpace(A)
+
+    def build(B, **kwargs):
+        Eop = ESpace(B, **kwargs)
+        Eop.form_table = perturbed_table(Eop.form_table, 0, 0, 0)
+        return Eop
+
+    monkeypatch.setattr(morita, "ESpace", build)
+    rep = verify_opposite(E)
+    assert _false_flags(rep) == {"form_tables_match"} and not rep.ok

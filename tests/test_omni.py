@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hccourant import omni
 from hccourant.exactlin import (Q, QMatrix, make_reducer, nullspace,
                                 sparse_table)
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
                             d_structure_check, mu_tilde, omni_pairing,
                             pairing_table, verify_ev1, verify_main_theorem,
                             weinstein_bracket, weinstein_table)
-from conftest import is_canonical_table, load_script, rng_for
+from conftest import (is_canonical_table, load_script, perturbed_table,
+                      rng_for)
 
 
 def _elem(xi, v):
@@ -143,11 +145,24 @@ def test_ev1_dimensions(n):
     assert rep.ok, rep.to_json()
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_main_theorem(n):
     iso, rep = verify_main_theorem(n)
     assert rep.ok, rep.to_json()
     assert rep.form_scalar == FORM_SCALAR == 2
+
+
+@pytest.mark.parametrize("name, flag", (
+    ("weinstein_table", "bracket_tables_match"),
+    ("pairing_table", "form_tables_match")))
+def test_main_theorem_comparisons_can_fail(monkeypatch, name, flag):
+    """A perturbed omni-Lie table fails its own table identity only."""
+    table = getattr(omni, name)
+    monkeypatch.setattr(omni, name,
+                        lambda n: perturbed_table(table(n), 0, 0, 0))
+    _, rep = verify_main_theorem(2)
+    false = {k for k, v in rep.to_json().items() if v is False}
+    assert false == {flag, "ok"}, rep.to_json()
 
 
 def test_iso_roundtrip():
