@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Survey of homology and bracket-space dimensions over the bundled corpus.
 
-Prints, for every bundled algebra: dim H_0, H_1, H^1, dim E, dim J, and
-dim epsilon.  Everything is computed exactly.
+Prints, for every bundled algebra: dim H_0, H_1, H^1, dim E, dim J,
+dim epsilon, dim H_2, and the dimension of the space of closed alternating
+2-form classes (the nullspace of ``dirac._two_form_conditions``).
+Everything is computed exactly.
 """
 
 import argparse
 from dataclasses import dataclass
 
 from hccourant.courant import EpsilonSpace, ESpace
+from hccourant.dirac import _two_form_conditions
+from hccourant.exactlin import nullspace
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
+from hccourant.hochschild import homology
 
 
 @dataclass
@@ -20,7 +25,7 @@ class SurveyConfig:
 
 def run(cfg: SurveyConfig) -> None:
     header = (f"{'algebra':<12} {'dim':>4} {'H0':>4} {'H1':>4} "
-              f"{'H^1':>4} {'E':>4} {'J':>4} {'eps':>4}")
+              f"{'H^1':>4} {'E':>4} {'J':>4} {'eps':>4} {'H2':>4} {'2f':>4}")
     print(header)
     print("-" * len(header))
     for name in cfg.names:
@@ -31,8 +36,12 @@ def run(cfg: SurveyConfig) -> None:
             jdim, edim = eps.J.rows, eps.dim
         else:
             jdim, edim = 0, 0
+        h2 = homology(A, 2, max_dim=cfg.guard)
+        h3 = homology(A, 3, max_dim=cfg.guard)
+        forms = nullspace(_two_form_conditions(E, h2, h3)).rows
         print(f"{name:<12} {A.dim:>4} {E.h0.dim:>4} {E.h1.dim:>4} "
-              f"{E.h1co.dim:>4} {E.dim:>4} {jdim:>4} {edim:>4}")
+              f"{E.h1co.dim:>4} {E.dim:>4} {jdim:>4} {edim:>4} "
+              f"{h2.dim:>4} {forms:>4}")
 
 
 if __name__ == "__main__":

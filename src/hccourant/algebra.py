@@ -223,12 +223,20 @@ def algebra_to_json(A: FiniteAlgebra) -> dict:
             "structure": triples}
 
 
+def rational_list(x) -> tuple:
+    """A JSON list of rationals as a vector; a string is refused, not read
+    one entry per character."""
+    if not isinstance(x, list):
+        raise AlgebraError(f"not a list of rationals: {x!r}")
+    return tuple(map(rat, x))
+
+
 def algebra_from_json(doc: dict) -> FiniteAlgebra:
     try:
         name = doc["name"]
         dim = doc["dimension"]
         basis = tuple(doc["basis"])
-        unit = tuple(rat(x) for x in doc["unit"])
+        unit = rational_list(doc["unit"])
         triples = doc["structure"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra description: {exc}") from exc
@@ -242,7 +250,7 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
     for entry in triples:
         try:
             i, j, coords = entry
-            coords = [rat(x) for x in coords]
+            coords = rational_list(coords)
         except (TypeError, ValueError) as exc:
             raise AlgebraError(f"malformed structure entry {entry!r}") from exc
         if type(i) is not int or type(j) is not int:

@@ -15,8 +15,9 @@ import sys
 from typing import Optional
 
 from .courant import EpsilonSpace, ESpace
-from .dirac import (Submodule, find_two_form_witness, is_dirac, is_poisson,
-                    lie_algebroid_check, poisson_graph, two_form_graph)
+from .dirac import (find_two_form_witness, is_dirac, is_poisson,
+                    lie_algebroid_check, poisson_graph, project,
+                    two_form_graph)
 from .exactlin import HccourantError, QMatrix, rat_str
 from .files import (BUNDLED_ALGEBRAS, BUNDLED_TABLES, FileFormatError,
                     load_algebra_ref, load_bracket_table, load_submodule,
@@ -145,8 +146,7 @@ def _cmd_dirac_check(args):
     else:
         L = load_submodule(args.submodule, E, eps)
         if not L.on_quotient:
-            L = Submodule(eps, QMatrix([eps.reduce(v) for v in L.vectors],
-                                       cols=eps.dim))
+            L = project(eps, L.vectors)
     verdict = is_dirac(L)
     rep = {"algebra": A.name, "epsilon_dim": eps.dim,
            "submodule_dim": L.dim,
@@ -179,22 +179,17 @@ def _cmd_two_form(args):
     A, E, eps = _build_spaces(args)
     if args.omega is not None:
         omega = load_two_form(args.omega, E)
-        L, verdict = two_form_graph(eps, omega)
-        rep = {"algebra": A.name, "omega": _rvec(omega.coords),
-               "graph_basis": _rmat(L.vectors),
-               "verdict": verdict.to_json()}
-        return rep, (EXIT_OK if verdict.dirac else EXIT_FALSE)
-    rng = random.Random(args.seed)
-    witness, h2 = find_two_form_witness(E, rng=rng)
-    rep = {"algebra": A.name, "h2_dim": h2.dim,
-           "witness": _rvec(witness.coords) if witness else None,
-           "outcome": "witness found" if witness else "none found"}
-    if witness is not None:
-        L, verdict = two_form_graph(eps, witness)
-        rep["graph_basis"] = _rmat(L.vectors)
-        rep["verdict"] = verdict.to_json()
-        return rep, (EXIT_OK if verdict.dirac else EXIT_FALSE)
-    return rep, EXIT_OK
+        rep = {"algebra": A.name, "omega": _rvec(omega.coords)}
+    else:
+        omega, h2 = find_two_form_witness(E)
+        rep = {"algebra": A.name, "h2_dim": h2.dim,
+               "witness": _rvec(omega.coords) if omega else None,
+               "outcome": "witness found" if omega else "none found"}
+        if omega is None:
+            return rep, EXIT_OK
+    L, verdict = two_form_graph(eps, omega)
+    rep.update(graph_basis=_rmat(L.vectors), verdict=verdict.to_json())
+    return rep, (EXIT_OK if verdict.dirac else EXIT_FALSE)
 
 
 def _cmd_morita(args):

@@ -10,6 +10,10 @@ skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws`` sums it
 on i < j < k once skew-symmetry holds.  The hamiltonian map of a Poisson
 graph and the anchor of a Lie algebroid are sparse tables, cached per
 algebra and per quotient and contracted by ``bilinear``.
+
+A 2-form class omega in H_2 is closed (B omega = 0 in H_3) and alternating
+(i_X i_Y omega + i_Y i_X omega = 0 in H_0) by conditions linear in its
+coordinates, so the valid classes are the nullspace of one system.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ class Submodule:
         vs, form = self.vectors.data, self.ambient.form
         return all(vec_is_zero(form(vs[i], vs[j]))
                    for i in range(self.dim) for j in range(i, self.dim))
+
+
+def project(eps: EpsilonSpace, rows) -> Submodule:
+    """The image in the quotient of the span of the E(A) vectors ``rows``."""
+    return Submodule(eps, QMatrix([eps.reduce(r) for r in rows],
+                                  cols=eps.dim))
 
 
 def is_isotropic(L: Submodule) -> bool:
@@ -296,9 +306,7 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     rows = [E.h1co.reduce(pi(rep)) + unit for rep, unit in
             zip(E.h1.class_reps, QMatrix.identity(E.h1.dim))]
     L_E = Submodule(E, QMatrix(rows, cols=E.dim))
-    proj = [eps.reduce(r) for r in L_E.vectors]
-    L_eps = Submodule(eps, QMatrix(proj, cols=eps.dim))
-    return L_E, L_eps
+    return L_E, project(eps, L_E.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -315,34 +323,49 @@ class TwoFormClass:
 
 
 def _two_form_conditions(E: ESpace, h2: HomologyPresentation,
-                         h3: HomologyPresentation, coords) -> bool:
-    rep = h2.class_to_chain(vec(coords))
-    if not vec_is_zero(h3.reduce_chain(connes_B(rep))):
-        return False
-    for i in range(E.h1co.dim):
-        X = E._derivation_rep(i)
-        for j in range(i, E.h1co.dim):
-            Y = E._derivation_rep(j)
-            iY = interior_product(Y, rep, checked=False)
-            iX = interior_product(X, rep, checked=False)
-            s = (interior_product(X, iY, checked=False)
-                 + interior_product(Y, iX, checked=False))
-            if not vec_is_zero(E.h0.reduce(s.coords)):
-                return False
-    return True
+                         h3: HomologyPresentation) -> QMatrix:
+    """The system whose nullspace is the closed alternating classes: column
+    k is the H_2 class rep omega_k, the rows are the H_3 coordinates of
+    B(omega_k), then for each pair i <= j of H^1 class reps, in row-major
+    order, the H_0 coordinates of i_X_i i_X_j omega_k + i_X_j i_X_i omega_k.
+    """
+    Xs = [E._derivation_rep(i) for i in range(E.h1co.dim)]
+    pairs = _pairs(len(Xs))
+    columns = []
+    for k in range(h2.dim):
+        rep = h2.rep_chain(k)
+        ix = [interior_product(X, rep, checked=False) for X in Xs]
+        column = list(h3.reduce_chain(connes_B(rep)))
+        for i, j in pairs:
+            s = (interior_product(Xs[i], ix[j], checked=False)
+                 + interior_product(Xs[j], ix[i], checked=False))
+            column += E.h0.reduce(s.coords)
+        columns.append(column)
+    return QMatrix(columns, cols=h3.dim + E.h0.dim * len(pairs)).transpose()
+
+
+def _pairs(n: int) -> list:
+    return list(itertools.combinations_with_replacement(range(n), 2))
 
 
 def two_form(E: ESpace, coords: Sequence, *, h2=None, h3=None,
              max_dim: Optional[int] = None) -> TwoFormClass:
-    """Validated closed alternating 2-form class; raises DiracError if the
-    closedness or alternation condition fails."""
+    """Validated closed alternating 2-form class; raises DiracError naming
+    the first condition of ``_two_form_conditions`` that fails."""
     h2 = h2 or homology(E.algebra, 2, max_dim=max_dim)
     h3 = h3 or homology(E.algebra, 3, max_dim=max_dim)
     coords = vec(coords)
     if len(coords) != h2.dim:
         raise DiracError("2-form coordinate length mismatch")
-    if not _two_form_conditions(E, h2, h3, coords):
-        raise DiracError("2-form is not closed and alternating")
+    system = _two_form_conditions(E, h2, h3)
+    values = row_combination(coords, system.transpose())
+    r = next((r for r, x in enumerate(values) if x), None)
+    if r is not None and r < h3.dim:
+        raise DiracError(f"2-form is not closed: H_3 coordinate {r} of "
+                         f"B(omega) is {rat_str(values[r])}")
+    if r is not None:
+        i, j = _pairs(E.h1co.dim)[(r - h3.dim) // E.h0.dim]
+        raise DiracError(f"2-form is not alternating at the pair ({i}, {j})")
     return TwoFormClass(E, h2, coords)
 
 
@@ -353,47 +376,20 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()
-    units = QMatrix.identity(E.h1co.dim)
-    rows = []
-    for k in range(E.h1co.dim):
-        X = E._derivation_rep(k)
-        ix = interior_product(X, rep, checked=False)
-        rows.append(units[k] + E.h1.reduce_chain(ix))
-    L_E = Submodule(E, QMatrix(rows, cols=E.dim))
-    proj = [eps.reduce(r) for r in L_E.vectors]
-    L = Submodule(eps, QMatrix(proj, cols=eps.dim))
+    rows = [unit + E.h1.reduce_chain(interior_product(
+                E._derivation_rep(k), rep, checked=False))
+            for k, unit in enumerate(QMatrix.identity(E.h1co.dim))]
+    L = project(eps, rows)
     return L, is_dirac(L)
 
 
-def find_two_form_witness(E: ESpace, *, rng=None, random_tries: int = 50,
-                          grid_limit: int = 7,
-                          max_dim: Optional[int] = None):
-    """Bounded search for a nonzero closed alternating 2-form class.
-
-    Exhausts the grid {-1, 0, 1} on the H_2 class coordinates when the class
-    space is small, then draws random rational coordinates.  Returns
-    ``(witness_or_None, h2)``; absence is a recorded outcome, not an error.
-    """
+def find_two_form_witness(E: ESpace, *, max_dim: Optional[int] = None):
+    """``(witness_or_None, h2)``: row 0 of the canonical nullspace of
+    ``_two_form_conditions``, None when omega = 0 is the only class."""
     h2 = homology(E.algebra, 2, max_dim=max_dim)
     h3 = homology(E.algebra, 3, max_dim=max_dim)
-    m = h2.dim
-    if m == 0:
-        return None, h2
-    if m <= grid_limit:
-        for combo in itertools.product((-1, 0, 1), repeat=m):
-            if all(c == 0 for c in combo):
-                continue
-            coords = vec(combo)
-            if _two_form_conditions(E, h2, h3, coords):
-                return TwoFormClass(E, h2, coords), h2
-    if rng is not None:
-        for _ in range(random_tries):
-            coords = vec([rng.randint(-5, 5) for _ in range(m)])
-            if vec_is_zero(coords):
-                continue
-            if _two_form_conditions(E, h2, h3, coords):
-                return TwoFormClass(E, h2, coords), h2
-    return None, h2
+    kernel = nullspace(_two_form_conditions(E, h2, h3))
+    return (TwoFormClass(E, h2, kernel[0]) if kernel.rows else None), h2
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ import json
 import os
 from typing import Optional, Union
 
-from .algebra import FiniteAlgebra, algebra_from_json
+from .algebra import FiniteAlgebra, algebra_from_json, rational_list
 from .courant import EpsilonSpace, ESpace
 from .dirac import BracketTable, Submodule, TwoFormClass, two_form
-from .exactlin import HccourantError, QMatrix, ZERO, rat, vec
+from .exactlin import HccourantError, QMatrix, ZERO
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -80,7 +80,7 @@ def load_table(path: str, d: int) -> list:
     for entry in entries:
         try:
             i, j, coords = entry
-            coords = vec(rat(x) for x in coords)
+            coords = rational_list(coords)
         except (TypeError, ValueError) as exc:
             raise FileFormatError(
                 f"{path}: malformed entry {entry!r}") from exc
@@ -123,7 +123,7 @@ def load_submodule(path: str,
             f"{path}: ambient must be \"E\" or \"epsilon\", "
             f"got {ambient_name!r}")
     try:
-        rows = [vec(rat(x) for x in row) for row in vectors]
+        rows = [rational_list(row) for row in vectors]
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed vector") from exc
     for row in rows:
@@ -137,7 +137,7 @@ def load_submodule(path: str,
 def load_two_form(path: str, E: ESpace) -> TwoFormClass:
     doc = _load_json(path)
     try:
-        coords = [rat(x) for x in doc["coords"]]
+        coords = rational_list(doc["coords"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(
             f"{path}: two-form files need rational 'coords'") from exc

@@ -10,7 +10,7 @@ import pytest
 
 import hccourant
 from hccourant.cli import main
-from hccourant.files import FileFormatError, load_algebra_ref
+from hccourant.files import DATA_DIR, FileFormatError, load_algebra_ref
 
 
 def run(args, capsys):
@@ -223,6 +223,33 @@ def test_algebra_repeated_structure_pair_exit_2(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _bundled_doc(name):
+    return json.loads(Path(DATA_DIR, f"{name}.json").read_text())
+
+
+# a string where a list of rationals belongs would be read one entry per
+# character: each of these files used to run as if it held the list
+@pytest.mark.parametrize("argv, doc", (
+    (["two-form", "--algebra", "v1_2", "--omega"], {"coords": "10000"}),
+    (["dirac-check", "--algebra", "v1_2", "--submodule"],
+     {"ambient": "epsilon", "vectors": ["100000"]}),
+    (["poisson-graph", "--algebra", "v1_2", "--bracket"],
+     {"entries": [[1, 2, "001"]]}),
+    (["validate", "--algebra"], dict(_bundled_doc("qx2"), unit="10")),
+    (["validate", "--algebra"],
+     {"name": "x", "dimension": 1, "basis": ["1"], "unit": ["1"],
+      "structure": [[0, 0, "1"]]}),
+), ids=("two-form", "submodule", "bracket", "unit", "structure"))
+def test_string_for_a_rational_list_exit_2(tmp_path, capsys, argv, doc):
+    p = tmp_path / "file.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(argv + [str(p), "--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert doc["error"] and "\n" not in doc["error"]
+
+
 def test_every_package_error_derives_from_the_base():
     import importlib
     import pkgutil
@@ -293,7 +320,26 @@ def test_two_form_search_records_outcome(capsys):
                      "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["outcome"] in ("witness found", "none found")
+    assert doc["outcome"] == "witness found"
+    assert doc["witness"] == ["1", "0", "0", "0", "0"]
+    assert doc["verdict"]["dirac"] is True
+
+
+@pytest.mark.parametrize("coords, expected_code", (
+    (["1"] + ["0"] * 13, 0),   # e_0: closed and alternating
+    (["0"] * 3 + ["1"] + ["0"] * 10, 2),  # e_3: B(e_3) != 0 in H_3
+))
+def test_two_form_omega_file(tmp_path, capsys, coords, expected_code):
+    p = tmp_path / "omega.json"
+    p.write_text(json.dumps({"algebra": "v1_3", "coords": coords}))
+    code, out = run(["two-form", "--algebra", "v1_3", "--omega", str(p),
+                     "--format", "json"], capsys)
+    assert code == expected_code
+    doc = json.loads(out)
+    if expected_code == 0:
+        assert doc["verdict"]["dirac"] is True
+    else:
+        assert "not closed" in doc["error"] and "\n" not in doc["error"]
 
 
 def test_morita_subcommand(capsys):
@@ -389,6 +435,8 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
     "morita_v1_3_r3.json": ["morita", "--algebra", "v1_3", "--r", "3"],
     "morita_m2q_r3.json": ["morita", "--algebra", "m2q", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
+    # the first closed alternating class of the 14-dimensional H_2
+    "two_form_v1_3.json": ["two-form", "--algebra", "v1_3"],
 }.items()}
 # the false side: not Poisson, not closed, with the closure counterexample
 PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_seed7.json"] = (

@@ -1,13 +1,16 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hccourant import dirac
 from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              Submodule, _anchor_table, _check_biderivation,
-                             biderivation_space, find_two_form_witness,
+                             _two_form_conditions, biderivation_space,
+                             find_two_form_witness,
                              hamiltonian_map, is_bracket_closed, is_dirac,
                              is_isotropic, is_maximally_isotropic,
                              is_poisson, is_z_stable, lie_algebroid_check,
@@ -15,13 +18,16 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              poisson_graph, table_from_flat, two_form,
                              two_form_graph)
 from hccourant.exactlin import (Q, QMatrix, bilinear, make_membership,
-                                nullspace, rank, row_combination,
-                                sparse_table, vec, vec_is_zero)
+                                make_span_test, nullspace, rank,
+                                row_combination, sparse_table, vec,
+                                vec_is_zero)
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.hochschild import Cochain1
+from hccourant.hochschild import (Cochain1, connes_B, homology,
+                                  interior_product)
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
-from conftest import dense_structure, load_script, rng_for
+from conftest import (dense_structure, load_script, rand_combination,
+                      rand_vec, rng_for)
 
 
 def _table(A, entries):
@@ -421,11 +427,101 @@ def test_lie_algebroid_on_h1_summand(espaces, epsilons, name):
 
 
 def test_two_form_witness_search_is_recorded(espaces):
-    E = espaces["v1_2"]
-    witness, h2 = find_two_form_witness(E, rng=rng_for("witness"))
-    # absence is a legitimate recorded outcome; a found witness must verify
-    if witness is not None:
-        assert any(witness.coords)
+    """The witness is row 0 of the canonical nullspace: on V[1], n = 2 the
+    closed alternating classes are the multiples of e_0."""
+    witness, h2 = find_two_form_witness(espaces["v1_2"])
+    assert h2.dim == 5
+    assert witness.coords == (1, 0, 0, 0, 0)
+    for name in ("qx2", "qx3", "v1_1"):
+        assert find_two_form_witness(espaces[name])[0] is None
+
+
+def _ref_two_form_conditions(E, h2, h3, coords):
+    """The per-candidate loops the kernel system replaced, kept as its
+    oracle.  Returns whether B(omega) = 0 in H_3, and the pairs i <= j
+    where i_X i_Y omega + i_Y i_X omega != 0 in H_0."""
+    rep = h2.class_to_chain(vec(coords))
+    closed = vec_is_zero(h3.reduce_chain(connes_B(rep)))
+    failing = []
+    for i in range(E.h1co.dim):
+        X = E._derivation_rep(i)
+        for j in range(i, E.h1co.dim):
+            Y = E._derivation_rep(j)
+            iY = interior_product(Y, rep, checked=False)
+            iX = interior_product(X, rep, checked=False)
+            s = (interior_product(X, iY, checked=False)
+                 + interior_product(Y, iX, checked=False))
+            if not vec_is_zero(E.h0.reduce(s.coords)):
+                failing.append((i, j))
+    return closed, failing
+
+
+@pytest.fixture(scope="module")
+def two_form_kernels(espaces):
+    out = {}
+    for name in ("qx3", "v1_2", "v1_3"):
+        E = espaces[name]
+        h2, h3 = homology(E.algebra, 2), homology(E.algebra, 3)
+        out[name] = (E, h2, h3, nullspace(_two_form_conditions(E, h2, h3)))
+    return out
+
+
+@pytest.mark.parametrize("name,kernel_dim",
+                         [("qx3", 0), ("v1_2", 1), ("v1_3", 3)])
+def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
+                                               kernel_dim):
+    """Nullspace membership and the ``two_form`` verdict agree with the
+    per-candidate loops, on random coordinates and on random members of
+    the kernel."""
+    E, h2, h3, kernel = two_form_kernels[name]
+    assert kernel.rows == kernel_dim
+    in_kernel = make_span_test(kernel)
+    rng = rng_for(f"two-form-kernel/{name}")
+    draws = [rand_vec(rng, h2.dim) for _ in range(15)]
+    draws += [rand_combination(rng, kernel) for _ in range(5)]
+    for coords in draws:
+        closed, failing = _ref_two_form_conditions(E, h2, h3, coords)
+        assert in_kernel(coords) == (closed and not failing)
+        if closed and not failing:
+            assert two_form(E, coords, h2=h2, h3=h3).coords == coords
+        else:
+            named = ("not closed" if not closed
+                     else f"not alternating at the pair {failing[0]}")
+            with pytest.raises(DiracError, match=re.escape(named)):
+                two_form(E, coords, h2=h2, h3=h3)
+
+
+@pytest.mark.parametrize("name", ("v1_2", "v1_3"))
+def test_two_form_kernel_graphs_are_dirac(two_form_kernels, epsilons, name):
+    """Every closed alternating class, a basis vector or a random
+    combination of the basis, has a Dirac graph."""
+    E, h2, h3, kernel = two_form_kernels[name]
+    rng = rng_for(f"two-form-graph/{name}")
+    for coords in list(kernel) + [rand_combination(rng, kernel)
+                                  for _ in range(3)]:
+        omega = two_form(E, coords, h2=h2, h3=h3)
+        assert two_form_graph(epsilons[name], omega)[1].dirac
+
+
+def test_two_form_rejects_with_the_failing_condition(two_form_kernels,
+                                                      monkeypatch):
+    E, h2, h3, _ = two_form_kernels["v1_2"]
+    e1 = (0, 1, 0, 0, 0)
+    with pytest.raises(DiracError, match="not closed: H_3 coordinate 0 "):
+        two_form(E, e1, h2=h2, h3=h3)
+    with pytest.raises(DiracError, match="length mismatch"):
+        two_form(E, (1, 0, 0, 0), h2=h2, h3=h3)
+    # no bundled class is closed but not alternating, so the pair decoding
+    # is read on a system with one alternation row set: H_0 row 0 of the
+    # second pair, (0, 1)
+    system = _two_form_conditions(E, h2, h3)
+    row = h3.dim + E.h0.dim
+    rows = [((1, Q(1)),) if r == row else () for r in range(system.rows)]
+    monkeypatch.setattr(dirac, "_two_form_conditions",
+                        lambda *_: QMatrix(rows, cols=system.cols))
+    with pytest.raises(DiracError,
+                       match=r"not alternating at the pair \(0, 1\)"):
+        two_form(E, e1, h2=h2, h3=h3)
 
 
 def test_submodule_canonicalized_to_rref(v13):
