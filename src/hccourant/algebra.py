@@ -235,11 +235,15 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
     try:
         name = doc["name"]
         dim = doc["dimension"]
-        basis = tuple(doc["basis"])
+        basis = doc["basis"]
         unit = rational_list(doc["unit"])
         triples = doc["structure"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra description: {exc}") from exc
+    # a string basis would be read one name per character
+    if not isinstance(basis, list) or not all(type(b) is str for b in basis):
+        raise AlgebraError(f"basis must be a list of strings, got {basis!r}")
+    basis = tuple(basis)
     # bool is an int subclass and int() truncates floats: accept only JSON
     # integers as the dimension and as indices
     if type(dim) is not int:

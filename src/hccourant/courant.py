@@ -32,15 +32,14 @@ raises CourantError if either fails.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
-from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
-                       make_membership, make_span_test, nullspace, pullback,
-                       pushforward, quotient_basis, row_combination, sparse,
-                       sparse_row, sparse_table, vec, vec_is_zero)
+from .exactlin import (Q, ONE, ZERO, HccourantError, QMatrix, bilinear,
+                       contract, make_membership, make_span_test, nullspace,
+                       pullback, pushforward, quotient_basis, row_combination,
+                       sparse, sparse_row, sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -264,19 +263,16 @@ class ESpace:
 def orthogonal_rows(space, vectors) -> QMatrix:
     """The equations of {e : (e, l) = 0 in H_0 for every row l of
     ``vectors``} in the coordinates of ``space`` (an ESpace or
-    EpsilonSpace), read off its form table: row (l, h) holds
-    sum_j l_j F[k][j][h] at column k."""
+    EpsilonSpace), read off its form table: row (l, h) holds (e_k, l)_h at
+    column k, one sparse contraction per k on the nonzeros of l."""
     F, n = space.form_table, space.dim
     rows = []
-    for l in vectors:
-        block = [defaultdict(lambda: ZERO) for _ in range(space.h0_dim)]
-        for k, row in enumerate(F):
-            for j, cell in row:
-                c = l[j]
-                if c:
-                    for h, t in cell:
-                        block[h][k] += c * t
-        rows += map(sparse_row, block)
+    for l in vectors.sparse_rows:
+        block = [[] for _ in range(space.h0_dim)]
+        for k in range(n):
+            for h, x in contract(((k, ONE),), l, F):
+                block[h].append((k, x))
+        rows += block
     return QMatrix(rows, cols=n)
 
 
@@ -310,7 +306,7 @@ class EpsilonSpace:
         self.center_basis = espace.center_basis
         self.h0_dim = espace.h0_dim
         self._verify_ideal()
-        self.form_table = pullback(espace.form_table, reps, reps, self.h0_dim)
+        self.form_table = pullback(espace.form_table, reps, reps)
         self._verify_nondegenerate()
 
     # -- coordinates --------------------------------------------------------
@@ -330,14 +326,14 @@ class EpsilonSpace:
         """bracket_table[a][b] = [[r_a, r_b]] reduced, for the class
         representatives r_a; well defined because J is an ideal."""
         E, reps = self.espace, self.class_reps
-        return pushforward(pullback(E.bracket_table, reps, reps, E.dim),
+        return pushforward(pullback(E.bracket_table, reps, reps),
                            self.projection)
 
     @cached_property
     def z_table(self) -> tuple:
         """z_table[m][a] = c_m . r_a reduced, for the centre basis c_m."""
         E, centre = self.espace, QMatrix.identity(self.center_basis.rows)
-        return pushforward(pullback(E.z_table, centre, self.class_reps, E.dim),
+        return pushforward(pullback(E.z_table, centre, self.class_reps),
                            self.projection)
 
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
@@ -376,8 +372,8 @@ class EpsilonSpace:
         # J is the kernel of the projection: [J_j, e_k], [e_k, J_j] map to 0
         E, P = self.espace, self.projection
         T, units = E.bracket_table, QMatrix.identity(E.dim)
-        left = pushforward(pullback(T, self.J, units, E.dim), P)
-        right = pushforward(pullback(T, units, self.J, E.dim), P)
+        left = pushforward(pullback(T, self.J, units), P)
+        right = pushforward(pullback(T, units, self.J), P)
         bad = ([(j, k) for j, row in enumerate(left) for k, _ in row]
                + [(j, k) for k, row in enumerate(right) for j, _ in row])
         if bad:

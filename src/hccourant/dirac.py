@@ -1,15 +1,26 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
 Submodules are Q-subspaces of E(A) or of the quotient, stored as canonical
-(RREF) spanning sets.  Verdicts are exact; Z(A)-stability is a separate flag.
+(RREF) spanning sets, and tested against the same echelon.  Verdicts are
+exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse rows
+throughout: isotropy, closure and Z-stability contract the ambient's
+tables with ``exactlin.contract``, and only a counterexample is dense.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
 isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
 lies in its orthogonal, so it is maximal exactly when dim L-perp = dim L.  A
 skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws`` sums it
-on i < j < k once skew-symmetry holds.  The hamiltonian map of a Poisson
-graph and the anchor of a Lie algebroid are sparse tables, cached per
-algebra and per quotient and contracted by ``bilinear``.
+on i < j < k once skew-symmetry holds.
+
+A Poisson graph is linear in the flat bracket table, and so are its two
+checks: ``_graph_map(E)``, cached per space, holds the image of every unit
+table (the hamiltonian values on the H_1 boundaries, the residuals of the
+values on the H_1 class reps against Der(A), and their H^1 class
+coordinates), and ``poisson_graph`` is one sparse row combination of it.
+``hamiltonian_map``, on chain representatives, is its reference.  The
+anchor of a Lie algebroid is a sparse table cached per quotient, and
+``lie_algebroid_check`` contracts it, the bracket and the Z-action tables
+on sparse rows too.
 
 A 2-form class omega in H_2 is closed (B omega = 0 in H_3) and alternating
 (i_X i_Y omega + i_Y i_X omega = 0 in H_0) by conditions linear in its
@@ -20,16 +31,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import (EpsilonSpace, ESpace, orthogonal as form_orthogonal,
                       orthogonal_rows)
-from .exactlin import (HccourantError, QMatrix, bilinear, make_span_test,
-                       nullspace, rank, rat_str, row_combination, row_space,
-                       sparse_table, vec, vec_is_zero)
+from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
+                       bilinear, combine, contract, dense, echelon_span,
+                       nullspace, rank, rat_str, row_combination, sparse,
+                       sparse_row, sparse_table, transpose_table, vec,
+                       vec_is_zero)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -43,14 +56,21 @@ class DiracError(HccourantError):
 
 @dataclass(frozen=True)
 class Submodule:
-    """A spanning set of vectors in E(A) or epsilon(A) coordinates."""
+    """A spanning set of vectors in E(A) or epsilon(A) coordinates.
+
+    ``vectors`` is stored as the RREF basis of the span, and ``contains``
+    tests a sparse row against the same echelon, so a submodule is
+    eliminated once."""
     ambient: object  # ESpace or EpsilonSpace
     vectors: QMatrix
+    contains: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vectors.cols != self.ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
-        object.__setattr__(self, "vectors", row_space(self.vectors))
+        basis, contains = echelon_span(self.vectors)
+        object.__setattr__(self, "vectors", basis)
+        object.__setattr__(self, "contains", contains)
 
     @property
     def dim(self) -> int:
@@ -61,22 +81,21 @@ class Submodule:
         return isinstance(self.ambient, EpsilonSpace)
 
     @cached_property
-    def contains(self):
-        """The span test of ``vectors``, one elimination per submodule."""
-        return make_span_test(self.vectors)
-
-    @cached_property
     def isotropic(self) -> bool:
         """The form vanishes on all spanning pairs (it is symmetric, so on
         the pairs i <= j)."""
-        vs, form = self.vectors.data, self.ambient.form
-        return all(vec_is_zero(form(vs[i], vs[j]))
-                   for i in range(self.dim) for j in range(i, self.dim))
+        vs, F = self.vectors.sparse_rows, self.ambient.form_table
+        return not any(contract(vs[i], vs[j], F)
+                       for i in range(self.dim) for j in range(i, self.dim))
 
 
-def project(eps: EpsilonSpace, rows) -> Submodule:
-    """The image in the quotient of the span of the E(A) vectors ``rows``."""
-    return Submodule(eps, QMatrix([eps.reduce(r) for r in rows],
+def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
+    """The image in the quotient of the span of the rows of ``vectors``, a
+    matrix of E(A) vectors."""
+    if vectors.cols != eps.espace.dim:
+        raise DiracError("spanning vectors do not match E(A)")
+    return Submodule(eps, QMatrix([combine(r, eps.projection)
+                                   for r in vectors.sparse_rows],
                                   cols=eps.dim))
 
 
@@ -100,23 +119,22 @@ def is_maximally_isotropic(L: Submodule) -> bool:
 def is_bracket_closed(L: Submodule):
     """Returns (closed, counterexample); the counterexample names the first
     failing pair of spanning indices in row-major order and the offending
-    bracket value.  On an isotropic L the bracket is skew, so the pairs
-    i <= j decide and hold that first failure."""
-    vs = L.vectors.data
+    bracket value, as a dense tuple.  On an isotropic L the bracket is skew,
+    so the pairs i <= j decide and hold that first failure."""
+    vs, T = L.vectors.sparse_rows, L.ambient.bracket_table
     for i in range(L.dim):
         for j in range(i if L.isotropic else 0, L.dim):
-            b = L.ambient.bracket(vs[i], vs[j])
+            b = contract(vs[i], vs[j], T)
             if not L.contains(b):
-                return False, (i, j, b)
+                return False, (i, j, dense(b, L.ambient.dim))
     return True, None
 
 
 def is_z_stable(L: Submodule) -> bool:
-    for c in QMatrix.identity(L.ambient.center_basis.rows):
-        for l in L.vectors:
-            if not L.contains(L.ambient.z_scale(c, l)):
-                return False
-    return True
+    Z = L.ambient.z_table
+    return all(L.contains(contract(((m, ONE),), l, Z))
+               for m in range(L.ambient.center_basis.rows)
+               for l in L.vectors.sparse_rows)
 
 
 @dataclass(frozen=True)
@@ -297,14 +315,64 @@ def hamiltonian_map(E: ESpace, t: BracketTable):
     return on_chain
 
 
+@functools.lru_cache(maxsize=8)
+def _graph_map(E: ESpace) -> QMatrix:
+    """The Poisson graph as a linear map of the flat bracket table: row q is
+    the image of the unit table e_q, in three blocks of columns,
+      the hamiltonian values on the rows of ``E.h1.boundary_basis``,
+      the residuals of pi(rep_j) against Der(A) (the echelon of
+        ``E.h1co``), for the H_1 class reps rep_j,
+      the H^1 class coordinates of pi(rep_j),
+    each value or residual d^2 wide, each class block h1co.dim wide.  A
+    table's row combination of it is its graph, its boundary check and its
+    Der(A) check at once.  Cached, since every bracket table over A is
+    contracted with it; ``hamiltonian_map`` is the chain-level reference."""
+    A = E.algebra
+    D, n, hc = A.dim ** 3, A.dim ** 2, E.h1co.dim
+    # cell (q, r) is the hamiltonian image of chain index r under e_q
+    T = transpose_table(_hamiltonian_table(A), D)
+    bounds = E.h1.boundary_basis.sparse_rows
+    reps = E.h1.class_reps.sparse_rows
+    base = (len(bounds) + len(reps)) * n
+    rows = []
+    for q in range(D):
+        unit = ((q, ONE),)
+        row = [(s * n + k, x) for s, b in enumerate(bounds)
+               for k, x in contract(unit, b, T)]
+        coords = []
+        for j, rep in enumerate(reps):
+            w, c = E.h1co.reduce.split(contract(unit, rep, T))
+            row += [((len(bounds) + j) * n + k, x) for k, x in w]
+            coords += [(base + j * hc + k, x) for k, x in c]
+        rows.append(row + coords)
+    return QMatrix(rows, cols=base + len(reps) * hc)
+
+
 def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     """The graph of the hamiltonian map over the H_1 class basis, in E(A),
-    together with its projection to the quotient."""
-    if not E.algebra.is_commutative():
+    together with its projection to the quotient: one row combination of
+    ``_graph_map``.  Raises DiracError when the map does not vanish on the
+    boundaries and ExactLinError when a value is not a derivation."""
+    A = E.algebra
+    if not A.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
-    pi = hamiltonian_map(E, t)
-    rows = [E.h1co.reduce(pi(rep)) + unit for rep, unit in
-            zip(E.h1.class_reps, QMatrix.identity(E.h1.dim))]
+    if t.algebra is not A:
+        raise DiracError("bracket table over a different algebra")
+    graph = combine(sparse([x for row in t.table for cell in row
+                            for x in cell]), _graph_map(E))
+    n, hc = A.dim ** 2, E.h1co.dim
+    values = E.h1.boundary_basis.rows * n
+    base = values + E.h1.dim * n
+    if graph and graph[0][0] < values:
+        raise DiracError("hamiltonian map does not vanish on boundaries")
+    if graph and graph[0][0] < base:
+        raise ExactLinError("reduce: vector outside the span")
+    rows = [[] for _ in range(E.h1.dim)]
+    for k, x in graph:
+        j, m = divmod(k - base, hc)
+        rows[j].append((m, x))
+    for j, row in enumerate(rows):
+        row.append((hc + j, ONE))
     L_E = Submodule(E, QMatrix(rows, cols=E.dim))
     return L_E, project(eps, L_E.vectors)
 
@@ -379,7 +447,7 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     rows = [unit + E.h1.reduce_chain(interior_product(
                 E._derivation_rep(k), rep, checked=False))
             for k, unit in enumerate(QMatrix.identity(E.h1co.dim))]
-    L = project(eps, rows)
+    L = project(eps, QMatrix(rows, cols=E.dim))
     return L, is_dirac(L)
 
 
@@ -437,15 +505,16 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     if not verdict.dirac:
         raise DiracError("lie_algebroid_check requires a Dirac structure")
     cdim = eps.center_basis.rows
-    S, units = _anchor_table(eps), QMatrix.identity(cdim)
+    S, T, Z = _anchor_table(eps), eps.bracket_table, eps.z_table
+    units = QMatrix.identity(cdim).sparse_rows
 
     def sigma(u) -> QMatrix:  # rows: the images of the centre basis
-        return QMatrix([bilinear(u, e, S, cdim) for e in units], cols=cdim)
+        return QMatrix([contract(u, e, S) for e in units], cols=cdim)
 
-    vs = L.vectors.data
+    vs = L.vectors.sparse_rows
     n = L.dim
     # br[i][j] = [[l_i, l_j]], computed once for every loop below
-    br = [[eps.bracket(a, b) for b in vs] for a in vs]
+    br = [[contract(a, b, T) for b in vs] for a in vs]
     anchor_ok = True
     sigmas = [sigma(u) for u in vs]
     for i, si in enumerate(sigmas):
@@ -465,21 +534,23 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     draws = list(units)
     if rng is not None:
         for _ in range(z_samples):
-            draws.append(vec(rng.randint(-3, 3) for _ in range(cdim)))
+            draws.append(sparse(vec(rng.randint(-3, 3) for _ in range(cdim))))
     for c in draws:
-        zl = [eps.z_scale(c, l) for l in vs]
+        zl = [contract(c, l, Z) for l in vs]
         for i in range(n):
-            xz = row_combination(c, sigmas[i])
+            xz = combine(c, sigmas[i])
             for j in range(n):
-                lhs = eps.bracket(vs[i], zl[j])
-                rhs = tuple(a + b for a, b in zip(
-                    eps.z_scale(c, br[i][j]), eps.z_scale(xz, vs[j])))
-                if lhs != rhs:
+                # [[l_i, z l_j]] = z [[l_i, l_j]] + X_i(z) l_j
+                rhs = dict(contract(c, br[i][j], Z))
+                for k, x in contract(xz, vs[j], Z):
+                    rhs[k] = rhs[k] + x if k in rhs else x
+                if contract(vs[i], zl[j], T) != sparse_row(rhs):
                     leibniz_ok = False
 
     # structure constants: a member of L (in RREF) has its entries at the
     # pivots as coordinates; on a skew bracket Leibniz and cyclic Jacobi agree
-    pivots = [row[0][0] for row in L.vectors.sparse_rows]
-    consts = sparse_table([[b[p] for p in pivots] for b in row] for row in br)
+    pivots = [row[0][0] for row in vs]
+    consts = sparse_table([[dict(b).get(p, ZERO) for p in pivots] for b in row]
+                          for row in br)
     skew_ok, jacobi_ok = lie_laws(n, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)

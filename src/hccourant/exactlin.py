@@ -7,18 +7,25 @@ and quotient bases, all over Q with no rounding ever.
 Matrices are immutable and store sparse rows: the nonzero entries of a
 row as ascending ``(k, x)`` pairs, the one row form of the kernel (see
 ``QMatrix``); dense tuples are made only where a caller reads a row as a
-coordinate tuple.  One sparse reduced echelon, grown a row at a time, is
-the only elimination; it takes sparse rows and gives them back, and every
-routine reads its result from it.  The nonzero rows of R, the pivots,
-``row_space`` and ``nullspace`` are canonical functions of the row span, so
-they do not depend on the order or multiplicity of the input rows.  The
-coefficients that ``membership`` and the T of ``rref_transform`` give over
-dependent rows are one valid solution among many; every caller in the
-package passes independent rows, where the coefficients are unique, and
-asks ``make_span_test`` when it only wants to know whether a vector lies in
-a span.  ``pullback`` reads a sparse table on the rows of two matrices and
-``pushforward`` maps its cells by a matrix, so a map that preserves a
-bracket, form or pairing does so by one table identity.
+coordinate tuple.  One sparse contraction loop, ``contract``, takes sparse
+rows and a sparse table and returns a canonical sparse row; ``combine`` is
+the same for a linear combination of matrix rows, and ``bilinear`` and
+``row_combination`` are their dense-coordinate wrappers.  One sparse
+reduced echelon, grown a row at a time, is the only elimination; it takes
+sparse rows and gives them back, and every routine reads its result from
+it.  The nonzero rows of R, the pivots, ``row_space`` and ``nullspace`` are
+canonical functions of the row span, so they do not depend on the order or
+multiplicity of the input rows.  ``echelon_span`` gives the basis and a
+sparse span test from one elimination, and a ``Reducer`` also splits any
+sparse row, linearly, into its residual against the span and its
+coordinates.  The coefficients that ``membership`` and the T of
+``rref_transform`` give over dependent rows are one valid solution among
+many; every caller in the package passes independent rows, where the
+coefficients are unique, and asks ``make_span_test`` when it only wants to
+know whether a vector lies in a span.  ``pullback`` reads a sparse table on
+the rows of two matrices and ``pushforward`` maps its cells by a matrix, so
+a map that preserves a bracket, form or pairing does so by one table
+identity.
 """
 
 from __future__ import annotations
@@ -157,17 +164,25 @@ def canonical_row(row, cols: int) -> tuple:
     return tuple(out)
 
 
+def combine(c: Sequence, M: QMatrix) -> tuple:
+    """c . M for a sparse row of coefficients c (its pairs in any order), as
+    a canonical sparse row: only the rows of M that c names are visited,
+    and the sums accumulate in a dict, so no term is ever added to a zero."""
+    rows = M.sparse_rows
+    out = {}
+    for i, ci in c:
+        for k, x in rows[i]:
+            x *= ci
+            out[k] = out[k] + x if k in out else x
+    return sparse_row(out)
+
+
 def row_combination(c: Sequence, M: QMatrix) -> tuple:
-    """c . M, the linear combination of the rows of M with coefficients c."""
+    """c . M, the linear combination of the rows of M with coefficients c,
+    as a dense tuple (``combine`` on the nonzero coefficients)."""
     if len(c) != M.rows:
         raise ExactLinError("row_combination: dimension mismatch")
-    out = {}
-    for ci, row in zip(c, M.sparse_rows):
-        if ci:
-            for k, x in row:
-                x *= ci
-                out[k] = out[k] + x if k in out else x
-    return dense(out.items(), M.cols)
+    return dense(combine(sparse(c), M), M.cols)
 
 
 def sparse(v: Sequence, shift: int = 0) -> tuple:
@@ -197,47 +212,54 @@ def sparse_table(table) -> tuple:
                  for row in table)
 
 
-def transpose_table(table) -> tuple:
-    """The square sparse table whose cell (j, i) is cell (i, j) of
-    ``table``, in the same canonical form."""
-    out = [[] for _ in table]
+def transpose_table(table, cols: Optional[int] = None) -> tuple:
+    """The sparse table whose cell (j, i) is cell (i, j) of ``table``, in
+    the same canonical form; ``cols``, the number of rows of the result, is
+    that of ``table`` unless given."""
+    out = [[] for _ in range(len(table) if cols is None else cols)]
     for i, row in enumerate(table):
         for j, cell in row:
             out[j].append((i, cell))
     return tuple(map(tuple, out))
 
 
-def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
-    """sum_ij u_i v_j table[i][j] as a length-``dim`` vector, for a sparse
-    table (see ``sparse_table``): structure constants, a pairing table, a
-    bracket table.  Only the nonzero cells and entries are visited, and the
-    sums accumulate in a dict, so no term is ever added to a zero."""
+def contract(u: Sequence, v: Sequence, table) -> tuple:
+    """sum_ij u_i v_j table[i][j] for sparse rows u and v and a sparse table
+    (see ``sparse_table``): structure constants, a pairing table, a bracket
+    table.  The result is a canonical sparse row.  Only the nonzero entries
+    of u and the cells of its rows are visited, and the sums accumulate in a
+    dict, so no term is ever added to a zero."""
+    v = dict(v)
     out = {}
-    for i, ui in enumerate(u):
-        if ui:
-            for j, cell in table[i]:
-                vj = v[j]
-                if vj:
-                    c = ui * vj
-                    for k, t in cell:
-                        t *= c
-                        out[k] = out[k] + t if k in out else t
-    return dense(out.items(), dim)
+    for i, ui in u:
+        for j, cell in table[i]:
+            vj = v.get(j)
+            if vj is not None:
+                c = ui * vj
+                for k, t in cell:
+                    t *= c
+                    out[k] = out[k] + t if k in out else t
+    return sparse_row(out)
 
 
-def pullback(table, left: QMatrix, right: QMatrix, dim: int) -> tuple:
-    """The sparse table of the cells ``bilinear(left[i], right[j], table,
-    dim)``: ``table`` read on the rows of two matrices."""
-    rights = right.data
-    return sparse_table((bilinear(u, v, table, dim) for v in rights)
-                        for u in left)
+def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
+    """``contract`` on dense coordinate tuples, as a length-``dim`` tuple."""
+    return dense(contract(sparse(u), sparse(v), table), dim)
+
+
+def pullback(table, left: QMatrix, right: QMatrix) -> tuple:
+    """The sparse table of the cells ``contract(left[i], right[j], table)``:
+    ``table`` read on the rows of two matrices."""
+    rights = right.sparse_rows
+    return tuple(tuple((j, c) for j, v in enumerate(rights)
+                       if (c := contract(u, v, table)))
+                 for u in left.sparse_rows)
 
 
 def pushforward(table, M: QMatrix) -> tuple:
     """``table`` with each cell c mapped to c.M and zero images dropped; F
-    carries T to T' exactly when pullback(T', F, F, d) == pushforward(T, M)."""
-    return tuple(tuple((j, m) for j, c in row
-                       if (m := sparse(row_combination(dense(c, M.rows), M))))
+    carries T to T' exactly when pullback(T', F, F) == pushforward(T, M)."""
+    return tuple(tuple((j, m) for j, c in row if (m := combine(c, M)))
                  for row in table)
 
 
@@ -335,14 +357,31 @@ def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
     return E
 
 
-def _reducer(E: _Echelon, n: int) -> Callable[[Sequence], tuple]:
-    def reduce(v: Sequence) -> tuple:
-        c = E.coords(v, n)
+class Reducer:
+    """The coordinate map of an echelon over its rows tagged {i: 1}, i < n.
+
+    ``reduce(v)`` is the c of ``_Echelon.coords`` on a dense v and raises
+    outside the span.  ``split(row)`` is the linear map behind it, on a
+    sparse row and defined everywhere: ``(residual, coords)``, both
+    canonical sparse rows, where the residual is empty exactly when the row
+    lies in the span and coords are then those ``reduce`` gives.
+    """
+
+    __slots__ = ("echelon", "n")
+
+    def __init__(self, echelon: _Echelon, n: int):
+        self.echelon = echelon
+        self.n = n
+
+    def __call__(self, v: Sequence) -> tuple:
+        c = self.echelon.coords(v, self.n)
         if c is None:
             raise ExactLinError("reduce: vector outside the span")
         return c
 
-    return reduce
+    def split(self, row: Sequence) -> tuple:
+        w, t = self.echelon.residual(row, {})
+        return sparse_row(w), sparse_row({k: -x for k, x in t.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +420,17 @@ def row_space(M: QMatrix) -> QMatrix:
     return QMatrix(_echelon(M, False).basis(), M.cols)
 
 
+def echelon_span(M: QMatrix):
+    """``(row_space(M), contains)`` from one elimination: ``contains(row)``
+    says whether a sparse row lies in the row span of M."""
+    E = _echelon(M, False)
+
+    def contains(row: Sequence) -> bool:
+        return not E.residual(row, {})[0]
+
+    return QMatrix(E.basis(), M.cols), contains
+
+
 def nullspace(M: QMatrix) -> QMatrix:
     """Canonical basis of {x : Mx = 0}, free variables set to 1 in ascending
     column order; rows of the result are the basis vectors."""
@@ -410,14 +460,14 @@ def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
 
 
 def make_span_test(S: QMatrix) -> Callable[[Sequence], bool]:
-    """Whether v lies in the row span of a fixed S, eliminating S once and
-    without the coefficients ``make_membership`` carries."""
-    E = _echelon(S, False)
+    """Whether a dense v lies in the row span of a fixed S, eliminating S
+    once and without the coefficients ``make_membership`` carries."""
+    _, in_span = echelon_span(S)
 
     def contains(v: Sequence) -> bool:
         if len(v) != S.cols:
             raise ExactLinError("span test: dimension mismatch")
-        return not E.residual(sparse(v), {})[0]
+        return in_span(sparse(v))
 
     return contains
 
@@ -428,7 +478,7 @@ def span_equal(A: QMatrix, B: QMatrix) -> bool:
     return row_space(A) == row_space(B)
 
 
-def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
+def make_reducer(B: QMatrix) -> Reducer:
     """Coordinate map onto the rows of B (must be linearly independent).
 
     The returned callable maps any v in rowspan(B) to the unique c with
@@ -437,7 +487,7 @@ def make_reducer(B: QMatrix) -> Callable[[Sequence], tuple]:
     E = _echelon(B, True)
     if len(E.rows) != B.rows:
         raise ExactLinError("make_reducer: rows are dependent")
-    return _reducer(E, B.rows)
+    return Reducer(E, B.rows)
 
 
 def quotient_basis(space: QMatrix, subspace: QMatrix):
@@ -461,4 +511,4 @@ def quotient_basis(space: QMatrix, subspace: QMatrix):
             kept.append(row)
     if len(E.rows) != Rsp.rows:
         raise ExactLinError("quotient_basis: subspace not contained in space")
-    return QMatrix(tuple(kept), space.cols), _reducer(E, len(kept))
+    return QMatrix(tuple(kept), space.cols), Reducer(E, len(kept))

@@ -186,11 +186,11 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     h0_bij = True  # enforced in build_morita_maps
 
     # pairing: <T(X), I(alpha)> = phi(<X, alpha>) on class bases
-    pairing_ok = (pullback(tgt._ptable, maps.h1co_map, maps.h1_map, tgt.h0_dim)
+    pairing_ok = (pullback(tgt._ptable, maps.h1co_map, maps.h1_map)
                   == pushforward(src._ptable, maps.h0_map))
     # bracket: (T (+) I) [[u, v]] = [[(T (+) I) u, (T (+) I) v]]
     F = maps.e_map
-    bracket_ok = (pullback(tgt.bracket_table, F, F, tgt.dim)
+    bracket_ok = (pullback(tgt.bracket_table, F, F)
                   == pushforward(src.bracket_table, F))
 
     homotopy_ok = _check_homotopy_identity(A, M, r)
@@ -205,9 +205,9 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
         F = QMatrix([tgt_eps.reduce(maps.map_e_vec(rep))
                      for rep in src_eps.class_reps], cols=tgt_eps.dim)
         if rank(F) == src_eps.dim:
-            qb_ok = (pullback(tgt_eps.bracket_table, F, F, tgt_eps.dim)
+            qb_ok = (pullback(tgt_eps.bracket_table, F, F)
                      == pushforward(src_eps.bracket_table, F))
-            qf_ok = (pullback(tgt_eps.form_table, F, F, tgt_eps.h0_dim)
+            qf_ok = (pullback(tgt_eps.form_table, F, F)
                      == pushforward(src_eps.form_table, maps.h0_map))
 
     report = MoritaReport(A.name, r, h1co_bij, h1_bij, h0_bij, pairing_ok,

@@ -13,6 +13,8 @@ induced Courant bracket, and the pairing to the induced bilinear form up to
 the global scalar 2, each by one table identity (``exactlin.pullback``).
 Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
 Lie brackets on V; `d_structure_check` decides both sides and compares them.
+Each graph row (mu(v_i, .), v_i) is read off the sparse mu table and mapped
+to epsilon(V[1]) as one sparse combination of the rows of ``OmniIso.fwd``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from typing import Optional, Sequence
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear, dense,
-                       pullback, pushforward, rank, row_combination,
-                       span_equal, sparse_row, sparse_table, vec)
+from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+                       combine, dense, pullback, pushforward, rank,
+                       row_combination, span_equal, sparse_row, sparse_table,
+                       vec)
 from .hochschild import cochain_from_flat, elementary_chain
 
 
@@ -216,12 +219,12 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
         QMatrix(gen_rows or [], cols=E.dim), eps.J)
 
     bijective = True  # enforced in build_omni_iso
-    bracket_ok = (pullback(eps.bracket_table, fwd, fwd, eps.dim)
+    bracket_ok = (pullback(eps.bracket_table, fwd, fwd)
                   == pushforward(weinstein_table(n), fwd))
     # row i: the H_0 class of FORM_SCALAR v_i, the image of a pairing value
     embed = QMatrix([E.h0_class(dense(((i + 1, FORM_SCALAR),), A.dim))
                      for i in range(n)], cols=E.h0_dim)
-    form_ok = (pullback(eps.form_table, fwd, fwd, E.h0_dim)
+    form_ok = (pullback(eps.form_table, fwd, fwd)
                == pushforward(pairing_table(n), embed))
 
     report = MainTheoremReport(n, kernel_dim_ok, kernel_generators_ok,
@@ -252,24 +255,25 @@ class DStructureReport:
                 "verdict": self.verdict.to_json()}
 
 
-def mu_tilde(n: int, mu, v) -> tuple:
-    """The matrix of mu(v, .) acting on the basis of V, for mu in the sparse
-    table form of ``exactlin.sparse_table``: column j is mu(v, v_j)."""
-    v = vec(v)
-    return tuple(zip(*(bilinear(v, e, mu, n) for e in QMatrix.identity(n))))
+def d_graph_rows(n: int, mu) -> list:
+    """The graph rows {(mu(v_i, .), v_i)} in omni-Lie coordinates, as
+    sparse rows, for mu in the sparse table form of
+    ``exactlin.sparse_table``: the matrix mu(v_i, .) has column j equal to
+    mu(v_i, v_j), so E_aj (at a n + j) holds mu(v_i, v_j)_a, then v_i."""
+    return [sorted((a * n + j, x) for j, cell in mu[i] for a, x in cell)
+            + [(n * n + i, ONE)] for i in range(n)]
 
 
 def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     """Dirac verdict of the graph {(mu(v, .), v)} versus the Lie-bracket
-    oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j)."""
+    oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Each
+    graph row is a sparse combination of the rows of ``iso.fwd``."""
     n = iso.n
     mu = tuple(tuple(vec(mu[i][j]) for j in range(n)) for i in range(n))
     if any(len(c) != n for row in mu for c in row):
         raise OmniError("mu has cells of the wrong length")
     mu = sparse_table(mu)
-    # the graph row over v: the matrix mu(v, .) flattened, then v
-    rows = [iso.to_eps(tuple(x for row in mu_tilde(n, mu, v) for x in row)
-                       + v) for v in QMatrix.identity(n)]
+    rows = [combine(row, iso.fwd) for row in d_graph_rows(n, mu)]
     L = Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
     verdict = is_dirac(L)
     skew, jacobi = lie_laws(n, mu)

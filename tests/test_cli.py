@@ -250,6 +250,20 @@ def test_string_for_a_rational_list_exit_2(tmp_path, capsys, argv, doc):
     assert doc["error"] and "\n" not in doc["error"]
 
 
+@pytest.mark.parametrize("basis", ("1x", ["1", 2], {"1": "x"}, None),
+                         ids=("string", "number", "object", "null"))
+def test_basis_not_a_list_of_strings_exit_2(tmp_path, capsys, basis):
+    p = tmp_path / "algebra.json"
+    p.write_text(json.dumps(dict(_bundled_doc("qx2"), basis=basis)))
+    code, out = run(["validate", "--algebra", str(p), "--format", "json"],
+                    capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert "basis must be a list of strings" in doc["error"]
+    assert "\n" not in doc["error"]
+
+
 def test_every_package_error_derives_from_the_base():
     import importlib
     import pkgutil

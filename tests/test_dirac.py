@@ -17,7 +17,8 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              lie_laws, make_bracket_table, orthogonal,
                              poisson_graph, table_from_flat, two_form,
                              two_form_graph)
-from hccourant.exactlin import (Q, QMatrix, bilinear, make_membership,
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
+                                make_membership,
                                 make_span_test, nullspace, rank,
                                 row_combination, sparse_table, vec,
                                 vec_is_zero)
@@ -26,6 +27,7 @@ from hccourant.hochschild import (Cochain1, connes_B, homology,
                                   interior_product)
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
+from hccourant.omni import build_omni_iso, d_structure_check
 from conftest import (dense_structure, load_script, rand_combination,
                       rand_vec, rng_for)
 
@@ -334,6 +336,45 @@ def test_closure_counterexample_below_the_diagonal():
     assert not closed and ce[:2] == (1, 0)
     assert (closed, ce) == _ref_is_bracket_closed(L)
     assert is_dirac(L).to_json() == _ref_is_dirac(L).to_json()
+
+
+def _ref_d_graph(iso, mu):
+    """The D-structure graph by the dense body the sparse rows replaced:
+    row i is the flattened matrix with column j = mu(v_i, v_j), then v_i,
+    mapped by ``iso.to_eps``."""
+    n = iso.n
+    T = sparse_table(tuple(tuple(vec(c) for c in r) for r in mu))
+    units = QMatrix.identity(n)
+    rows = []
+    for v in units:
+        cols = [bilinear(v, e, T, n) for e in units]
+        rows.append(iso.to_eps(tuple(cols[j][a] for a in range(n)
+                                     for j in range(n)) + v))
+    return Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
+
+
+def test_d_structure_counterexample_matches_dense_reference():
+    """Non-Lie mu, skew (isotropic graph) and not: the verdict, with the
+    first failing pair in row-major order and its dense bracket, is the
+    brute-force one on the dense graph."""
+    iso = build_omni_iso(3)
+    rng = rng_for("d-structure-counterexample")
+    failures = {True: 0, False: 0}  # keyed by isotropy of the graph
+    for k in range(30):
+        mu = [[[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+              for _ in range(3)]
+        if k % 2:  # skew: the graph is isotropic and the closure decides
+            mu = [[[mu[i][j][a] - mu[j][i][a] for a in range(3)]
+                   for j in range(3)] for i in range(3)]
+        rep = d_structure_check(iso, mu)
+        L = _ref_d_graph(iso, mu)
+        assert rep.verdict.to_json() == _ref_is_dirac(L).to_json()
+        ce = rep.verdict.counterexample
+        if ce is not None:
+            assert ce == _ref_is_bracket_closed(L)[1]
+            assert all(type(x) is Q for x in ce[2])
+            failures[L.isotropic] += 1
+    assert failures[True] and failures[False]
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -702,6 +743,63 @@ def test_hamiltonian_map_refuses_a_non_biderivation(v13):
     object.__setattr__(t, "table", tuple(map(tuple, table)))
     with pytest.raises(DiracError, match="boundaries"):
         hamiltonian_map(E, t)
+
+
+def _unvalidated_table(A, flat):
+    """A bracket table built past the validation of ``BracketTable``."""
+    d = A.dim
+    t = object.__new__(BracketTable)
+    object.__setattr__(t, "algebra", A)
+    object.__setattr__(t, "table", tuple(
+        tuple(tuple(flat[(i * d + j) * d:(i * d + j + 1) * d])
+              for j in range(d)) for i in range(d)))
+    return t
+
+
+def _ref_poisson_graph(E, eps, t):
+    """The graph by the body the graph map replaced: the chain-level
+    hamiltonian map on each H_1 class rep, then ``E.h1co.reduce``."""
+    pi = hamiltonian_map(E, t)
+    rows = [E.h1co.reduce(pi(rep)) + unit for rep, unit in
+            zip(E.h1.class_reps, QMatrix.identity(E.h1.dim))]
+    L_E = Submodule(E, QMatrix(rows, cols=E.dim))
+    return L_E, Submodule(eps, QMatrix([eps.reduce(r) for r in L_E.vectors],
+                                       cols=eps.dim))
+
+
+def _graph_outcome(graph, E, eps, t):
+    """The bases of both graphs, or the type and message of the refusal."""
+    try:
+        L_E, L = graph(E, eps, t)
+    except (DiracError, ExactLinError) as exc:
+        return type(exc), str(exc)
+    return L_E.vectors, L.vectors
+
+
+@pytest.mark.parametrize("name, counts", [("qx3", (24, 2, 1)),
+                                          ("v1_2", (15, 4, 8)),
+                                          ("v1_3", (28, 9, 27))])
+def test_graph_map_matches_chain_reference(espaces, epsilons, bider_spaces,
+                                           name, counts):
+    """Every unit table e_q (boundary refusal / Der(A) refusal / graph, in
+    the counts given) and seeded random biderivations: ``poisson_graph``
+    returns the reference's bases or raises its exception and message."""
+    E, eps, space = espaces[name], epsilons[name], bider_spaces[name]
+    A = E.algebra
+    D = A.dim ** 3
+    seen = {DiracError: 0, ExactLinError: 0, QMatrix: 0}
+    for q in range(D):
+        t = _unvalidated_table(A, [Q(int(k == q)) for k in range(D)])
+        got = _graph_outcome(poisson_graph, E, eps, t)
+        assert got == _graph_outcome(_ref_poisson_graph, E, eps, t), q
+        seen[got[0] if isinstance(got[0], type) else QMatrix] += 1
+    assert (seen[DiracError], seen[ExactLinError], seen[QMatrix]) == counts
+    rng = rng_for(f"graph-map/{name}")
+    for _ in range(10):
+        t = table_from_flat(A, rand_combination(rng, space))
+        L_E, L = poisson_graph(E, eps, t)
+        assert (L_E.vectors, L.vectors) == _graph_outcome(_ref_poisson_graph,
+                                                          E, eps, t)
 
 
 def _ref_sigma(eps, u):

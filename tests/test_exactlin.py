@@ -6,12 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
-                                make_membership, make_reducer, make_span_test,
-                                membership,
+                                combine, contract, make_membership,
+                                make_reducer, make_span_test, membership,
                                 nullspace, pullback, pushforward,
                                 quotient_basis, rank, rat, rat_str,
                                 row_combination, row_space, rref,
-                                rref_transform, sparse_table, span_equal, vec)
+                                rref_transform, sparse, sparse_table,
+                                span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 from conftest import is_canonical_table
@@ -364,6 +365,39 @@ def test_bilinear_matches_dense_contraction(case):
     assert all(type(x) is Q for x in out)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_contractions())
+@example(((Q(1), Q(1)), (Q(1),), [[(Q(1),)], [(Q(-1),)]], 1))
+def test_contract_is_canonical_and_matches_bilinear(case):
+    """The sparse kernel on sparse rows: a canonical sparse row (ascending,
+    no zeros, every entry a Q), equal to the dense reference and to
+    ``sparse(bilinear(...))``; the example cancels to the empty row."""
+    u, v, table, dim = case
+    T = sparse_table(table)
+    out = contract(sparse(u), sparse(v), T)
+    ks = [k for k, _ in out]
+    assert ks == sorted(set(ks)) and all(0 <= k < dim for k in ks)
+    assert all(x != 0 and type(x) is Q for _, x in out)
+    assert out == sparse(_dense_bilinear(u, v, table, dim))
+    assert out == sparse(bilinear(u, v, T, dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    _vectors(n), st.lists(_vectors(3), min_size=n, max_size=n))),
+    st.randoms(use_true_random=False))
+def test_combine_is_canonical_in_any_coefficient_order(case, rnd):
+    c, rows = case
+    M = QMatrix(rows, cols=3)
+    ref = tuple(sum((ci * r[k] for ci, r in zip(c, rows)), Q(0))
+                for k in range(3))
+    pairs = list(sparse(c))
+    rnd.shuffle(pairs)
+    out = combine(pairs, M)
+    assert out == sparse(ref) and all(type(x) is Q for _, x in out)
+    assert row_combination(c, M) == ref
+
+
 @st.composite
 def _tables_and_maps(draw):
     """(table, left, right, M, dim): a dense m x n table of length-dim
@@ -384,7 +418,7 @@ def _tables_and_maps(draw):
 def test_pullback_and_pushforward_match_their_definitions(case):
     table, left, right, M, dim = case
     sparse = sparse_table(table)
-    pulled = pullback(sparse, left, right, dim)
+    pulled = pullback(sparse, left, right)
     assert pulled == sparse_table(
         [[bilinear(u, v, sparse, dim) for v in right] for u in left])
     assert is_canonical_table(pulled, left.rows, right.rows, dim)

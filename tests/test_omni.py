@@ -1,13 +1,15 @@
 """The gl(V) (+) V model and its realization on V[1]."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant import omni
-from hccourant.exactlin import (Q, QMatrix, make_reducer, nullspace,
-                                sparse_table)
+from hccourant.exactlin import (Q, QMatrix, combine, dense, make_reducer,
+                                nullspace, sparse, sparse_table)
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
-                            d_structure_check, mu_tilde, omni_pairing,
+                            d_graph_rows, d_structure_check, omni_pairing,
                             pairing_table, verify_ev1, verify_main_theorem,
                             weinstein_bracket, weinstein_table)
 from conftest import (is_canonical_table, load_script, perturbed_table,
@@ -174,14 +176,27 @@ def test_iso_roundtrip():
         assert coords(iso.to_eps(u)) == u
 
 
-def test_mu_tilde():
-    n = 3
-    mu = _zero_mu(n)
-    mu[0][1][2] = 1  # mu(v1, v2) = v3
-    m = mu_tilde(n, sparse_table(tuple(tuple(Q(x) for x in c) for c in r)
-                                 for r in mu), (Q(1), Q(0), Q(0)))
-    assert m[2][1] == 1
-    assert sum(abs(x) for row in m for x in row) == 1
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_d_graph_rows(n):
+    """Graph row i holds the matrix mu(v_i, .), whose column j is
+    mu(v_i, v_j), then v_i; through ``iso.fwd`` it is the image of that
+    coordinate tuple under ``OmniIso.to_eps``."""
+    iso = build_omni_iso(n)
+    rng = rng_for(f"d-graph-rows/{n}")
+    mus = [_zero_mu(n)]
+    mus[0][0][1][n - 1] = 1  # mu(v_0, v_1) = v_{n-1}
+    mus += [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)] for _ in range(5)]
+    for mu in mus:
+        table = sparse_table(tuple(tuple(Q(x) for x in c) for c in r)
+                             for r in mu)
+        rows = d_graph_rows(n, table)
+        for i, row in enumerate(rows):
+            coords = dense(row, n * n + n)
+            for a, j in itertools.product(range(n), repeat=2):
+                assert coords[a * n + j] == mu[i][j][a]
+            assert coords[n * n:] == tuple(Q(int(k == i)) for k in range(n))
+            assert combine(row, iso.fwd) == sparse(iso.to_eps(coords))
 
 
 def test_d_structure_zero_and_so3():
