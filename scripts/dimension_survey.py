@@ -2,8 +2,9 @@
 """Survey of homology and bracket-space dimensions over the bundled corpus.
 
 Prints, for every bundled algebra: dim H_0, H_1, H^1, dim E, dim J,
-dim epsilon, dim H_2, and the dimension of the space of closed alternating
-2-form classes (the nullspace of ``dirac._two_form_conditions``).
+dim epsilon, dim H_2, and the dimension of the space of closed 2-form
+classes (the nullspace of ``dirac._two_form_conditions``, the matrix of
+B: H_2 -> H_3).
 Everything is computed exactly.
 """
 
@@ -38,7 +39,7 @@ def run(cfg: SurveyConfig) -> None:
             jdim, edim = 0, 0
         h2 = homology(A, 2, max_dim=cfg.guard)
         h3 = homology(A, 3, max_dim=cfg.guard)
-        forms = nullspace(_two_form_conditions(E, h2, h3)).rows
+        forms = nullspace(_two_form_conditions(h2, h3)).rows
         print(f"{name:<12} {A.dim:>4} {E.h0.dim:>4} {E.h1.dim:>4} "
               f"{E.h1co.dim:>4} {E.dim:>4} {jdim:>4} {edim:>4} "
               f"{h2.dim:>4} {forms:>4}")

@@ -178,10 +178,10 @@ def _cmd_poisson_graph(args):
 def _cmd_two_form(args):
     A, E, eps = _build_spaces(args)
     if args.omega is not None:
-        omega = load_two_form(args.omega, E)
+        omega = load_two_form(args.omega, E, max_dim=args.guard)
         rep = {"algebra": A.name, "omega": _rvec(omega.coords)}
     else:
-        omega, h2 = find_two_form_witness(E)
+        omega, h2 = find_two_form_witness(E, max_dim=args.guard)
         rep = {"algebra": A.name, "h2_dim": h2.dim,
                "witness": _rvec(omega.coords) if omega else None,
                "outcome": "witness found" if omega else "none found"}

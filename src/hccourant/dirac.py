@@ -22,9 +22,12 @@ anchor of a Lie algebroid is a sparse table cached per quotient, and
 ``lie_algebroid_check`` contracts it, the bracket and the Z-action tables
 on sparse rows too.
 
-A 2-form class omega in H_2 is closed (B omega = 0 in H_3) and alternating
-(i_X i_Y omega + i_Y i_X omega = 0 in H_0) by conditions linear in its
-coordinates, so the valid classes are the nullspace of one system.
+A 2-form class omega in H_2 is closed when B omega = 0 in H_3, a condition
+linear in its coordinates, so the closed classes are the nullspace of the
+matrix of B: H_2 -> H_3.  Every class is also alternating,
+i_X i_Y omega + i_Y i_X omega = 0 in H_0: i_X is the cap product with the
+1-cocycle X, and the cup product on HH^* is graded-commutative
+(Gerstenhaber, 1963), so the sum is +-(X cup Y + Y cup X) cap omega = 0.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from .courant import (EpsilonSpace, ESpace, orthogonal as form_orthogonal,
 from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
                        bilinear, combine, contract, dense, echelon_span,
                        nullspace, rank, rat_str, row_combination, sparse,
-                       sparse_row, sparse_table, transpose_table, vec,
-                       vec_is_zero)
+                       sparse_row, sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -249,22 +251,27 @@ def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:
 
 def _lie_flags(n: int, table):
     """Yields skew, then jacobi; ``all`` over it skips Jacobi if skew fails."""
-    units = QMatrix.identity(n)
-    br = [[bilinear(x, y, table, n) for y in units] for x in units]
-    skew = all(br[i][j] == tuple(-t for t in br[j][i])
+    units = [((k, ONE),) for k in range(n)]
+    br = [[contract(x, y, table) for y in units] for x in units]
+    skew = all(br[i][j] == tuple((k, -t) for k, t in br[j][i])
                for i in range(n) for j in range(i, n))
     yield skew
 
     @functools.cache
     def outer(a, b, c):  # [[e_a, e_b], e_c]
-        return bilinear(br[a][b], units[c], table, n)
+        return contract(br[a][b], units[c], table)
+
+    def jacobi_fails(i, j, k):  # the cyclic sum, in one dict, is nonzero
+        out = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, t in outer(a, b, c):
+                out[m] = out[m] + t if m in out else t
+        return any(out.values())
 
     # a skew bracket's Jacobiator is totally antisymmetric
     triples = (itertools.combinations(range(n), 3) if skew
                else itertools.product(range(n), repeat=3))
-    yield all(vec_is_zero([p + q + r for p, q, r in zip(
-        outer(i, j, k), outer(j, k, i), outer(k, i, j))])
-        for i, j, k in triples)
+    yield not any(jacobi_fails(*t) for t in triples)
 
 
 def lie_laws(n: int, table) -> tuple:
@@ -390,50 +397,30 @@ class TwoFormClass:
         return self.h2.class_to_chain(self.coords)
 
 
-def _two_form_conditions(E: ESpace, h2: HomologyPresentation,
+def _two_form_conditions(h2: HomologyPresentation,
                          h3: HomologyPresentation) -> QMatrix:
-    """The system whose nullspace is the closed alternating classes: column
-    k is the H_2 class rep omega_k, the rows are the H_3 coordinates of
-    B(omega_k), then for each pair i <= j of H^1 class reps, in row-major
-    order, the H_0 coordinates of i_X_i i_X_j omega_k + i_X_j i_X_i omega_k.
-    """
-    Xs = [E._derivation_rep(i) for i in range(E.h1co.dim)]
-    pairs = _pairs(len(Xs))
-    columns = []
-    for k in range(h2.dim):
-        rep = h2.rep_chain(k)
-        ix = [interior_product(X, rep, checked=False) for X in Xs]
-        column = list(h3.reduce_chain(connes_B(rep)))
-        for i, j in pairs:
-            s = (interior_product(Xs[i], ix[j], checked=False)
-                 + interior_product(Xs[j], ix[i], checked=False))
-            column += E.h0.reduce(s.coords)
-        columns.append(column)
-    return QMatrix(columns, cols=h3.dim + E.h0.dim * len(pairs)).transpose()
-
-
-def _pairs(n: int) -> list:
-    return list(itertools.combinations_with_replacement(range(n), 2))
+    """The matrix of B: H_2 -> H_3, whose nullspace is the closed classes:
+    column k holds the H_3 coordinates of B(omega_k), for omega_k the H_2
+    class rep k.  Alternation needs no rows: it holds on every class (see
+    the module docstring)."""
+    return QMatrix([h3.reduce_chain(connes_B(h2.rep_chain(k)))
+                    for k in range(h2.dim)], cols=h3.dim).transpose()
 
 
 def two_form(E: ESpace, coords: Sequence, *, h2=None, h3=None,
              max_dim: Optional[int] = None) -> TwoFormClass:
-    """Validated closed alternating 2-form class; raises DiracError naming
-    the first condition of ``_two_form_conditions`` that fails."""
+    """Validated closed 2-form class; raises DiracError naming the first
+    H_3 coordinate of B(omega) that is not zero."""
     h2 = h2 or homology(E.algebra, 2, max_dim=max_dim)
     h3 = h3 or homology(E.algebra, 3, max_dim=max_dim)
     coords = vec(coords)
     if len(coords) != h2.dim:
         raise DiracError("2-form coordinate length mismatch")
-    system = _two_form_conditions(E, h2, h3)
-    values = row_combination(coords, system.transpose())
+    values = row_combination(coords, _two_form_conditions(h2, h3).transpose())
     r = next((r for r, x in enumerate(values) if x), None)
-    if r is not None and r < h3.dim:
+    if r is not None:
         raise DiracError(f"2-form is not closed: H_3 coordinate {r} of "
                          f"B(omega) is {rat_str(values[r])}")
-    if r is not None:
-        i, j = _pairs(E.h1co.dim)[(r - h3.dim) // E.h0.dim]
-        raise DiracError(f"2-form is not alternating at the pair ({i}, {j})")
     return TwoFormClass(E, h2, coords)
 
 
@@ -453,10 +440,11 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
 
 def find_two_form_witness(E: ESpace, *, max_dim: Optional[int] = None):
     """``(witness_or_None, h2)``: row 0 of the canonical nullspace of
-    ``_two_form_conditions``, None when omega = 0 is the only class."""
+    ``_two_form_conditions``, the first closed class, None when omega = 0
+    is the only one."""
     h2 = homology(E.algebra, 2, max_dim=max_dim)
     h3 = homology(E.algebra, 3, max_dim=max_dim)
-    kernel = nullspace(_two_form_conditions(E, h2, h3))
+    kernel = nullspace(_two_form_conditions(h2, h3))
     return (TwoFormClass(E, h2, kernel[0]) if kernel.rows else None), h2
 
 

@@ -134,11 +134,12 @@ def load_submodule(path: str,
     return Submodule(ambient, QMatrix(rows or [], cols=ambient.dim))
 
 
-def load_two_form(path: str, E: ESpace) -> TwoFormClass:
+def load_two_form(path: str, E: ESpace, *,
+                  max_dim: Optional[int] = None) -> TwoFormClass:
     doc = _load_json(path)
     try:
         coords = rational_list(doc["coords"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(
             f"{path}: two-form files need rational 'coords'") from exc
-    return two_form(E, coords)
+    return two_form(E, coords, max_dim=max_dim)

@@ -87,8 +87,7 @@ def run_suite(seed: int):
         add(f"poisson-random/{name}", agree == RANDOM_TABLES_PER_ALGEBRA,
             cases=RANDOM_TABLES_PER_ALGEBRA, agreements=agree)
 
-    # two-form graphs: the first closed alternating class, wherever epsilon
-    # is nonzero
+    # two-form graphs: the first closed class, wherever epsilon is nonzero
     for name in BUNDLED_ALGEBRAS:
         entry = spaces[name]
         if len(entry) < 3:

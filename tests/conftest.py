@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hccourant.algebra import FiniteAlgebra
+from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.exactlin import Q, QMatrix
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
@@ -26,6 +26,22 @@ def espaces(algebras):
 def epsilons(espaces):
     return {name: EpsilonSpace(E) for name, E in espaces.items()
             if E.dim > 0}
+
+
+def monomial_algebra(a: int, b: int) -> FiniteAlgebra:
+    """Q[x, y]/(x^a, y^b), with basis x^i y^j (i < a, j < b) in row-major
+    order, built with ``make_algebra``."""
+    mono = [(i, j) for i in range(a) for j in range(b)]
+    index = {m: k for k, m in enumerate(mono)}
+
+    def prod(p, q):
+        k = index.get((p[0] + q[0], p[1] + q[1]))
+        return [1 if s == k else 0 for s in range(len(mono))]
+
+    names = [f"x^{i}y^{j}" for i, j in mono]
+    return make_algebra(f"Q[x,y]/(x^{a},y^{b})", names,
+                        [[prod(p, q) for q in mono] for p in mono],
+                        [1] + [0] * (len(mono) - 1))
 
 
 def rand_q(rng, lo=-4, hi=4):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hccourant
+from hccourant.algebra import GUARD_MAX_DIM
 from hccourant.cli import main
 from hccourant.files import DATA_DIR, FileFormatError, load_algebra_ref
 
@@ -340,7 +341,7 @@ def test_two_form_search_records_outcome(capsys):
 
 
 @pytest.mark.parametrize("coords, expected_code", (
-    (["1"] + ["0"] * 13, 0),   # e_0: closed and alternating
+    (["1"] + ["0"] * 13, 0),   # e_0: closed
     (["0"] * 3 + ["1"] + ["0"] * 10, 2),  # e_3: B(e_3) != 0 in H_3
 ))
 def test_two_form_omega_file(tmp_path, capsys, coords, expected_code):
@@ -354,6 +355,28 @@ def test_two_form_omega_file(tmp_path, capsys, coords, expected_code):
         assert doc["verdict"]["dirac"] is True
     else:
         assert "not closed" in doc["error"] and "\n" not in doc["error"]
+
+
+def test_two_form_passes_the_guard_to_h2_and_h3(tmp_path, monkeypatch,
+                                                capsys):
+    """H_2 and H_3 of v1_3 (dimension 4) read the degree-3 and degree-4
+    guards; with both lowered to 3, the witness search and an --omega file
+    are refused by default and run under --guard 4."""
+    monkeypatch.setitem(GUARD_MAX_DIM, 3, 3)
+    monkeypatch.setitem(GUARD_MAX_DIM, 4, 3)
+    p = tmp_path / "omega.json"
+    p.write_text(json.dumps({"algebra": "v1_3",
+                             "coords": ["1"] + ["0"] * 13}))
+    for extra in ([], ["--omega", str(p)]):
+        code, out = run(["two-form", "--algebra", "v1_3", *extra,
+                         "--format", "json"], capsys)
+        assert code == 2 and "guard" in json.loads(out)["error"]
+        code, _ = run(["two-form", "--algebra", "v1_3", *extra,
+                       "--guard", "4"], capsys)
+        assert code == 0
+    _assert_pinned("two_form_v1_3.json",
+                   ["two-form", "--algebra", "v1_3", "--guard", "4"], 0,
+                   capsys)
 
 
 def test_morita_subcommand(capsys):
@@ -449,7 +472,7 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
     "morita_v1_3_r3.json": ["morita", "--algebra", "v1_3", "--r", "3"],
     "morita_m2q_r3.json": ["morita", "--algebra", "m2q", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
-    # the first closed alternating class of the 14-dimensional H_2
+    # the first closed class of the 14-dimensional H_2
     "two_form_v1_3.json": ["two-form", "--algebra", "v1_3"],
 }.items()}
 # the false side: not Poisson, not closed, with the closure counterexample

@@ -1,12 +1,10 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
 import itertools
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant import dirac
 from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              Submodule, _anchor_table, _check_biderivation,
                              _two_form_conditions, biderivation_space,
@@ -23,13 +21,14 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
                                 row_combination, sparse_table, vec,
                                 vec_is_zero)
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.hochschild import (Cochain1, connes_B, homology,
+from hccourant.hochschild import (Chain, Cochain1, connes_B,
+                                  derivation_basis, homology,
                                   interior_product)
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
 from hccourant.omni import build_omni_iso, d_structure_check
-from conftest import (dense_structure, load_script, rand_combination,
-                      rand_vec, rng_for)
+from conftest import (dense_structure, load_script, monomial_algebra,
+                      rand_combination, rand_derivation, rand_vec, rng_for)
 
 
 def _table(A, entries):
@@ -469,7 +468,7 @@ def test_lie_algebroid_on_h1_summand(espaces, epsilons, name):
 
 def test_two_form_witness_search_is_recorded(espaces):
     """The witness is row 0 of the canonical nullspace: on V[1], n = 2 the
-    closed alternating classes are the multiples of e_0."""
+    closed classes are the multiples of e_0."""
     witness, h2 = find_two_form_witness(espaces["v1_2"])
     assert h2.dim == 5
     assert witness.coords == (1, 0, 0, 0, 0)
@@ -503,7 +502,7 @@ def two_form_kernels(espaces):
     for name in ("qx3", "v1_2", "v1_3"):
         E = espaces[name]
         h2, h3 = homology(E.algebra, 2), homology(E.algebra, 3)
-        out[name] = (E, h2, h3, nullspace(_two_form_conditions(E, h2, h3)))
+        out[name] = (E, h2, h3, nullspace(_two_form_conditions(h2, h3)))
     return out
 
 
@@ -513,7 +512,7 @@ def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
                                                kernel_dim):
     """Nullspace membership and the ``two_form`` verdict agree with the
     per-candidate loops, on random coordinates and on random members of
-    the kernel."""
+    the kernel; no pair ever fails alternation there."""
     E, h2, h3, kernel = two_form_kernels[name]
     assert kernel.rows == kernel_dim
     in_kernel = make_span_test(kernel)
@@ -522,19 +521,18 @@ def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
     draws += [rand_combination(rng, kernel) for _ in range(5)]
     for coords in draws:
         closed, failing = _ref_two_form_conditions(E, h2, h3, coords)
-        assert in_kernel(coords) == (closed and not failing)
-        if closed and not failing:
+        assert failing == []
+        assert in_kernel(coords) == closed
+        if closed:
             assert two_form(E, coords, h2=h2, h3=h3).coords == coords
         else:
-            named = ("not closed" if not closed
-                     else f"not alternating at the pair {failing[0]}")
-            with pytest.raises(DiracError, match=re.escape(named)):
+            with pytest.raises(DiracError, match="not closed"):
                 two_form(E, coords, h2=h2, h3=h3)
 
 
 @pytest.mark.parametrize("name", ("v1_2", "v1_3"))
 def test_two_form_kernel_graphs_are_dirac(two_form_kernels, epsilons, name):
-    """Every closed alternating class, a basis vector or a random
+    """Every closed class, a basis vector or a random
     combination of the basis, has a Dirac graph."""
     E, h2, h3, kernel = two_form_kernels[name]
     rng = rng_for(f"two-form-graph/{name}")
@@ -544,25 +542,44 @@ def test_two_form_kernel_graphs_are_dirac(two_form_kernels, epsilons, name):
         assert two_form_graph(epsilons[name], omega)[1].dirac
 
 
-def test_two_form_rejects_with_the_failing_condition(two_form_kernels,
-                                                      monkeypatch):
+def test_two_form_rejects_with_the_failing_condition(two_form_kernels):
     E, h2, h3, _ = two_form_kernels["v1_2"]
     e1 = (0, 1, 0, 0, 0)
     with pytest.raises(DiracError, match="not closed: H_3 coordinate 0 "):
         two_form(E, e1, h2=h2, h3=h3)
     with pytest.raises(DiracError, match="length mismatch"):
         two_form(E, (1, 0, 0, 0), h2=h2, h3=h3)
-    # no bundled class is closed but not alternating, so the pair decoding
-    # is read on a system with one alternation row set: H_0 row 0 of the
-    # second pair, (0, 1)
-    system = _two_form_conditions(E, h2, h3)
-    row = h3.dim + E.h0.dim
-    rows = [((1, Q(1)),) if r == row else () for r in range(system.rows)]
-    monkeypatch.setattr(dirac, "_two_form_conditions",
-                        lambda *_: QMatrix(rows, cols=system.cols))
-    with pytest.raises(DiracError,
-                       match=r"not alternating at the pair \(0, 1\)"):
-        two_form(E, e1, h2=h2, h3=h3)
+
+
+# the corpus, then Q[x, y]/(x^a, y^b) for (a, b) = (2, 2) and (3, 2), on
+# which a single term i_X i_Y omega can be nonzero in H_0
+ALTERNATION_CASES = [(name, None) for name in BUNDLED_ALGEBRAS] + [
+    ("qxy22", (2, 2)), ("qxy32", (3, 2))]
+
+
+@pytest.mark.parametrize("name,monomial", ALTERNATION_CASES,
+                         ids=[name for name, _ in ALTERNATION_CASES])
+def test_two_forms_alternate_on_every_class(algebras, name, monomial):
+    """i_X i_Y omega + i_Y i_X omega = 0 in H_0 for random derivations X, Y
+    and random 2-cycles omega: the cup product on HH^* is
+    graded-commutative, which is why ``_two_form_conditions`` holds no
+    alternation rows.  On the monomial algebras some single term is
+    nonzero, so the sum vanishes by cancellation, not term by term."""
+    A = monomial_algebra(*monomial) if monomial else algebras[name]
+    h0, h2 = homology(A, 0), homology(A, 2)
+    dbasis = derivation_basis(A)
+    rng = rng_for(f"alternation/{name}")
+    nonzero_terms = 0
+    for _ in range(10):
+        X, Y = (rand_derivation(rng, A, dbasis) for _ in range(2))
+        omega = Chain(A, 2, rand_combination(rng, h2.cycle_basis))
+        iXiY, iYiX = (interior_product(
+            U, interior_product(V, omega, checked=False), checked=False)
+            for U, V in ((X, Y), (Y, X)))
+        assert vec_is_zero(h0.reduce_chain(iXiY + iYiX))
+        nonzero_terms += not vec_is_zero(h0.reduce_chain(iXiY))
+    if monomial:
+        assert nonzero_terms
 
 
 def test_submodule_canonicalized_to_rref(v13):
