@@ -26,6 +26,16 @@ know whether a vector lies in a span.  ``pullback`` reads a sparse table on
 the rows of two matrices and ``pushforward`` maps its cells by a matrix, so
 a map that preserves a bracket, form or pairing does so by one table
 identity.
+
+Numbers have one form: a rational is an ``int`` when it is integral and a
+``Q`` (gmpy2's ``mpq``, or ``fractions.Fraction`` without gmpy2) with
+denominator > 1 otherwise, so integral tables run on ``int`` arithmetic.
+``rat``, ``vec`` and the row rule ``canonical_row`` bring any int, bool,
+``"p/q"`` string or ``Q`` to it, and ``contract``, ``combine`` and the
+echelon return rows in it.  An ``int`` equals and hashes like the ``Q`` of
+the same value, so the form changes no comparison, cache key or
+``rat_str``.  ``/`` on two ints is a float, so the one division, in the
+echelon's pivot scaling, goes through ``Q``.
 """
 
 from __future__ import annotations
@@ -37,14 +47,26 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Q
 
-ZERO = Q(0)
-ONE = Q(1)
+ZERO = 0
+ONE = 1
 
 
-def rat(x) -> Q:
-    """Coerce ints, strings like ``"p/q"``, or rationals to an exact rational."""
+def _number(x):
+    """x in the number form: an ``int`` when integral, else a ``Q`` with
+    denominator > 1; anything but an int or a Q goes through ``Q`` first."""
+    if type(x) is not int:
+        if type(x) is not Q:
+            x = Q(x)
+        if x.denominator == 1:
+            return int(x.numerator)
+    return x
+
+
+def rat(x):
+    """Coerce ints, strings like ``"p/q"``, or rationals to an exact rational
+    in the number form."""
     try:
-        return Q(x)
+        return _number(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ExactLinError(f"not a rational: {x!r}") from exc
 
@@ -55,9 +77,8 @@ def rat_str(x) -> str:
 
 
 def vec(entries: Iterable) -> tuple:
-    """Entries as a tuple of exact rationals; rationals pass through as they
-    are, anything else goes through ``Q``."""
-    return tuple(x if type(x) is Q else Q(x) for x in entries)
+    """Entries as a tuple of exact rationals in the number form."""
+    return tuple(map(_number, entries))
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -157,8 +178,8 @@ def canonical_row(row, cols: int) -> tuple:
             raise ExactLinError("sparse row indices must ascend in "
                                 f"range({cols})")
         last = k
-        if type(x) is not Q:
-            x = Q(x)
+        if type(x) is not int:
+            x = _number(x)
         if x:
             out.append((k, x))
     return tuple(out)
@@ -174,7 +195,7 @@ def combine(c: Sequence, M: QMatrix) -> tuple:
         for k, x in rows[i]:
             x *= ci
             out[k] = out[k] + x if k in out else x
-    return sparse_row(out)
+    return _number_row(out)
 
 
 def row_combination(c: Sequence, M: QMatrix) -> tuple:
@@ -195,6 +216,12 @@ def sparse_row(d: dict) -> tuple:
     """The canonical sparse form of a {k: x} dict: its (k, x) items with x
     nonzero (or, for a table row of cells, nonempty), k ascending."""
     return tuple(sorted((k, x) for k, x in d.items() if x))
+
+
+def _number_row(d: dict) -> tuple:
+    """``sparse_row`` of a {k: x} dict of sums, each x in the number form."""
+    return tuple(sorted((k, x if type(x) is int else _number(x))
+                        for k, x in d.items() if x))
 
 
 def dense(row: Sequence, n: int) -> tuple:
@@ -239,7 +266,7 @@ def contract(u: Sequence, v: Sequence, table) -> tuple:
                 for k, t in cell:
                     t *= c
                     out[k] = out[k] + t if k in out else t
-    return sparse_row(out)
+    return _number_row(out)
 
 
 def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
@@ -320,9 +347,9 @@ class _Echelon:
             return False
         p = min(w)
         if w[p] != 1:
-            inv = 1 / w[p]
-            w = {k: x * inv for k, x in w.items()}
-            t = {k: x * inv for k, x in t.items()}
+            inv = Q(1) / w[p]
+            w = {k: _number(x * inv) for k, x in w.items()}
+            t = {k: _number(x * inv) for k, x in t.items()}
         for q, r in self.rows.items():
             f = r.get(p)
             if f:
@@ -345,7 +372,7 @@ class _Echelon:
         w, t = self.residual(sparse(v), {})
         if w:
             return None
-        return dense([(k, -x) for k, x in t.items()], n)
+        return dense(_number_row({k: -x for k, x in t.items()}), n)
 
 
 def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
@@ -381,7 +408,7 @@ class Reducer:
 
     def split(self, row: Sequence) -> tuple:
         w, t = self.echelon.residual(row, {})
-        return sparse_row(w), sparse_row({k: -x for k, x in t.items()})
+        return _number_row(w), _number_row({k: -x for k, x in t.items()})
 
 
 # ---------------------------------------------------------------------------

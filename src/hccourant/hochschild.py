@@ -79,12 +79,17 @@ def encode_index(A: FiniteAlgebra, indices: Sequence[int]) -> int:
     return idx
 
 
-def _summed(A: FiniteAlgebra, n: int, pairs: Iterable) -> Chain:
-    """The degree-n chain sum x e_k over (coordinate k, x) pairs."""
+def _summed_row(pairs: Iterable) -> tuple:
+    """sum x e_k over (coordinate k, x) pairs, as a sparse row."""
     out = {}
     for k, x in pairs:
         out[k] = out[k] + x if k in out else x
-    return Chain(A, n, sparse_row(out))
+    return sparse_row(out)
+
+
+def _summed(A: FiniteAlgebra, n: int, pairs: Iterable) -> Chain:
+    """The degree-n chain sum x e_k over (coordinate k, x) pairs."""
+    return Chain(A, n, _summed_row(pairs))
 
 
 def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
@@ -317,9 +322,9 @@ class HomologyPresentation:
 
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
     """Rows = images under b of the degree-n basis chains (dom x cod), as
-    sparse rows."""
+    sparse rows, each summed once and canonicalised by ``QMatrix``."""
     terms = _b_terms(A, n)
-    return QMatrix((chain_from_terms(A, n - 1, terms(a)).row
+    return QMatrix((_summed_row((encode_index(A, b), x) for b, x in terms(a))
                     for a in multi_indices(A, n)),
                    cols=chain_space_dim(A, n - 1))
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear,
+from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
                        combine, dense, pullback, pushforward, rank,
                        row_combination, span_equal, sparse_row, sparse_table,
                        vec)
@@ -74,7 +74,7 @@ def weinstein_table(n: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def pairing_table(n: int) -> tuple:
     """(E_ij, v_j) = (v_j, E_ij) = v_i / 2, and every other pair is 0."""
-    nn, half = n * n, ONE / 2
+    nn, half = n * n, Q(1, 2)
     cells = _cells()
     for i, j in itertools.product(range(n), repeat=2):
         cells[i * n + j, nn + j][i] += half

@@ -97,6 +97,12 @@ def perturbed_table(table, i, j, k):
                  for row in rows)
 
 
+def is_number(x) -> bool:
+    """The package's number form: an ``int`` when integral, else a ``Q``
+    whose denominator is not 1 (so never a float, a bool or ``Q(4, 2)``)."""
+    return type(x) is int or (type(x) is Q and x.denominator != 1)
+
+
 def is_canonical_table(table, rows, cols, dim) -> bool:
     """``table`` is in the canonical sparse form: ``rows`` rows of
     (j, cell) pairs, j ascending in range(cols), no empty cell, and each cell

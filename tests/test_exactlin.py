@@ -1,13 +1,16 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
-                                combine, contract, make_membership,
-                                make_reducer, make_span_test, membership,
+                                canonical_row, combine, contract,
+                                make_membership, make_reducer,
+                                make_span_test, membership,
                                 nullspace, pullback, pushforward,
                                 quotient_basis, rank, rat, rat_str,
                                 row_combination, row_space, rref,
@@ -15,7 +18,7 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
                                 span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
-from conftest import is_canonical_table
+from conftest import is_canonical_table, is_number
 
 rationals = st.builds(
     lambda p, q: Q(p) / Q(q),
@@ -124,14 +127,14 @@ def test_vec_and_qmatrix_hold_only_rationals():
     inputs = [3, "2/5", True, Q(-7) / 3]
     expected = (Q(3), Q(2) / 5, Q(1), Q(-7) / 3)
     v = vec(inputs)
-    assert v == expected and all(type(x) is Q for x in v)
+    assert v == expected and all(is_number(x) for x in v)
     M = QMatrix([inputs, inputs[::-1]])
     assert M[0] == expected
-    assert all(type(x) is Q for row in M for x in row)
-    # outputs built from rationals keep the type
+    assert all(is_number(x) for row in M for x in row)
+    # outputs built from rationals keep the number form
     for out in (rref(M)[0], rref_transform(M)[1], M.transpose(),
                 row_space(M), nullspace(M)):
-        assert all(type(x) is Q for row in out for x in row)
+        assert all(is_number(x) for row in out for x in row)
     with pytest.raises(ExactLinError):
         QMatrix([[1, 2], [3]])
     with pytest.raises(ExactLinError):
@@ -175,10 +178,15 @@ def _fraction(x) -> Fraction:
 
 def reference_rref(M: QMatrix):
     """Textbook Gauss-Jordan on lists of ``Fraction``s."""
-    R = [[_fraction(x) for x in row] for row in M]
+    return _gauss_jordan([[_fraction(x) for x in row] for row in M], M.cols)
+
+
+def _gauss_jordan(R: list, cols: int):
+    """``(R, pivots, rank)`` for R, a list of rows of ``Fraction``s, brought
+    to reduced row echelon form in place."""
     pivots = []
     r = 0
-    for c in range(M.cols):
+    for c in range(cols):
         pr = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
         if pr is None:
             continue
@@ -362,7 +370,7 @@ def test_bilinear_matches_dense_contraction(case):
     assert is_canonical_table(sparse, len(table), len(v), dim)
     out = bilinear(u, v, sparse, dim)
     assert out == _dense_bilinear(u, v, table, dim)
-    assert all(type(x) is Q for x in out)
+    assert all(is_number(x) for x in out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,14 +378,15 @@ def test_bilinear_matches_dense_contraction(case):
 @example(((Q(1), Q(1)), (Q(1),), [[(Q(1),)], [(Q(-1),)]], 1))
 def test_contract_is_canonical_and_matches_bilinear(case):
     """The sparse kernel on sparse rows: a canonical sparse row (ascending,
-    no zeros, every entry a Q), equal to the dense reference and to
-    ``sparse(bilinear(...))``; the example cancels to the empty row."""
+    no zeros, every entry in the number form), equal to the dense reference
+    and to ``sparse(bilinear(...))``; the example cancels to the empty
+    row."""
     u, v, table, dim = case
     T = sparse_table(table)
     out = contract(sparse(u), sparse(v), T)
     ks = [k for k, _ in out]
     assert ks == sorted(set(ks)) and all(0 <= k < dim for k in ks)
-    assert all(x != 0 and type(x) is Q for _, x in out)
+    assert all(x != 0 and is_number(x) for _, x in out)
     assert out == sparse(_dense_bilinear(u, v, table, dim))
     assert out == sparse(bilinear(u, v, T, dim))
 
@@ -394,7 +403,7 @@ def test_combine_is_canonical_in_any_coefficient_order(case, rnd):
     pairs = list(sparse(c))
     rnd.shuffle(pairs)
     out = combine(pairs, M)
-    assert out == sparse(ref) and all(type(x) is Q for _, x in out)
+    assert out == sparse(ref) and all(is_number(x) for _, x in out)
     assert row_combination(c, M) == ref
 
 
@@ -454,7 +463,7 @@ def _dense_rows(draw):
 
 def _is_canonical_row(row, cols) -> bool:
     ks = [k for k, _ in row]
-    return (all(type(x) is Q and x != 0 for _, x in row)
+    return (all(is_number(x) and x != 0 for _, x in row)
             and all(0 <= k < cols for k in ks)
             and all(a < b for a, b in zip(ks, ks[1:])))
 
@@ -510,7 +519,7 @@ def test_row_combination_matches_dense_reference(case):
     c, rows, n = case
     out = row_combination(c, QMatrix(rows, cols=n))
     assert out == _dense_row_combination(c, rows, n)
-    assert all(type(x) is Q for x in out)
+    assert all(is_number(x) for x in out)
     with pytest.raises(ExactLinError, match="dimension mismatch"):
         row_combination(tuple(c) + (Q(1),), QMatrix(rows, cols=n))
 
@@ -523,3 +532,173 @@ def test_sparse_rows_are_validated():
             QMatrix(bad, cols=3)
     with pytest.raises(ExactLinError, match="explicit cols"):
         QMatrix([((0, 1),)])
+
+
+# ---------------------------------------------------------------------------
+# the number form: an int when integral, else a Q with denominator > 1
+
+# what a caller may hand in: ints, bools, integral Qs like Q(4, 2) and
+# non-integral Qs; strings "p/q" too wherever a value is coerced (``vec``,
+# ``canonical_row``, the QMatrix constructor), but not to the arithmetic
+_raw_numbers = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3), st.booleans(),
+    st.builds(lambda p, k: Q(p * k, k), st.integers(-3, 3),
+              st.integers(1, 3)),
+    st.builds(Q, st.integers(-5, 5), st.integers(2, 4)))
+_mixed_numbers = st.one_of(_raw_numbers, st.builds(
+    "{}/{}".format, st.integers(-6, 6), st.integers(1, 3)))
+
+
+def _ref(x) -> Fraction:
+    """The textbook value of a mixed input."""
+    return Fraction(x) if isinstance(x, (int, str)) else _fraction(x)
+
+
+def _dense_ref(v) -> list:
+    return [_ref(x) for x in v]
+
+
+def _ref_rows(M: QMatrix) -> list:
+    return [_dense_ref(row) for row in M]
+
+
+def _in_number_form(values) -> bool:
+    """Every value an int or a non-integral Q: no float, bool or Q(4, 2)."""
+    return all(is_number(x) for x in values)
+
+
+def _row_values(row) -> list:
+    return [x for _, x in row]
+
+
+def _table_values(table) -> list:
+    return [t for row in table for _, cell in row for _, t in cell]
+
+
+def _ref_combine(c, rows, n) -> list:
+    out = [Fraction(0)] * n
+    for ci, row in zip(c, rows):
+        for k, x in enumerate(row):
+            out[k] += ci * x
+    return out
+
+
+def _ref_bilinear(u, v, table, dim) -> list:
+    return [sum((a * b * t[k] for a, row in zip(u, table)
+                 for b, t in zip(v, row)), Fraction(0)) for k in range(dim)]
+
+
+def _ref_rank(rows, n) -> int:
+    return _gauss_jordan([list(r) for r in rows], n)[2]
+
+
+@st.composite
+def _mixed_systems(draw):
+    """A matrix of mixed entries with m rows and n columns, a subspace of
+    its row span (integer combinations), sparse rows u, v and c of raw
+    numbers, an m x n table of length-dim cells, a matrix L with m columns
+    and a map P of the cell space."""
+    m, n, dim = (draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                 draw(st.integers(0, 3)))
+
+    def rows(count, length, values=_mixed_numbers):
+        return [[draw(values) for _ in range(length)] for _ in range(count)]
+
+    return {"rows": rows(m, n), "n": n, "dim": dim,
+            "sub": rows(draw(st.integers(0, 3)), m, st.integers(-2, 2)),
+            "u": rows(1, m, _raw_numbers)[0],
+            "v": rows(1, n, _raw_numbers)[0],
+            "c": rows(1, m, _raw_numbers)[0],
+            "table": [rows(n, dim, _raw_numbers) for _ in range(m)],
+            "left": rows(draw(st.integers(0, 3)), m),
+            "P": rows(dim, draw(st.integers(0, 3)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_systems())
+@example({"rows": [[4, True, "6/3"], [Q(4, 2), Q(1, 2), "-3/2"]], "n": 3,
+          "dim": 1, "sub": [[2, 0]], "u": [Q(2, 2), Q(1, 2)],
+          "v": [True, Q(1, 2), 2], "c": [2, Q(1, 2)],
+          "table": [[[Q(4, 2)], [Q(1, 2)], [1]], [[Q(3, 2)], [2], [0]]],
+          "left": [[Q(1, 2), "1/2"]], "P": [[Q(2, 1), "1/2"]]})
+def test_number_form_holds_on_mixed_inputs(case):
+    """Ints, bools, "p/q" strings, integral and non-integral Qs in; every
+    output of the coercions, the contractions and the eliminations is in
+    the number form, holds no float and equals the ``Fraction`` reference."""
+    rows, n, dim = case["rows"], case["n"], case["dim"]
+    refs = [_dense_ref(r) for r in rows]
+    # coercion: vec, canonical_row and the constructor
+    for r, ref in zip(rows, refs):
+        assert vec(r) == tuple(ref) and _in_number_form(vec(r))
+        out = canonical_row(r, n)
+        assert out == sparse(ref) and _in_number_form(_row_values(out))
+    M = QMatrix(rows, cols=n)
+    assert _ref_rows(M) == refs
+    # the contractions
+    T = sparse_table(case["table"])
+    ref_T = [[_dense_ref(cell) for cell in row] for row in case["table"]]
+    u, v, c = (sparse(case[k]) for k in "uvc")
+    out = contract(u, v, T)
+    assert out == sparse(_ref_bilinear(_dense_ref(case["u"]),
+                                       _dense_ref(case["v"]), ref_T, dim))
+    assert _in_number_form(_row_values(out))
+    out = combine(c, M)
+    assert out == sparse(_ref_combine(_dense_ref(case["c"]), refs, n))
+    assert _in_number_form(_row_values(out))
+    L = QMatrix(case["left"], cols=len(rows))
+    pulled = pullback(T, L, M)
+    assert pulled == sparse_table([[_ref_bilinear(left, right, ref_T, dim)
+                                    for right in refs] for left in _ref_rows(L)])
+    assert _in_number_form(_table_values(pulled))
+    P = QMatrix(case["P"], cols=len(case["P"][0]) if case["P"] else 0)
+    pushed = pushforward(T, P)
+    assert pushed == sparse_table([[_ref_combine(cell, _ref_rows(P), P.cols)
+                                    for cell in row] for row in ref_T])
+    assert _in_number_form(_table_values(pushed))
+    # the eliminations
+    R, pivots, rk = _gauss_jordan([list(r) for r in refs], n)
+    space = row_space(M)
+    assert _ref_rows(space) == R[:rk]
+    assert _in_number_form(x for row in space for x in row)
+    free = [k for k in range(n) if k not in pivots]
+    null = nullspace(M)
+    assert _ref_rows(null) == [
+        [Fraction(k == f) if k not in pivots else -R[pivots.index(k)][f]
+         for k in range(n)] for f in free]
+    assert _in_number_form(x for row in null for x in row)
+    sub = QMatrix([_ref_combine(s, refs, n) for s in case["sub"]], cols=n)
+    reps, reduce = quotient_basis(M, sub)
+    assert _in_number_form(x for row in reps for x in row)
+    sub_refs = _ref_rows(sub)
+    kept = []
+    for row in R[:rk]:
+        if _ref_rank(sub_refs + kept + [row], n) > _ref_rank(
+                sub_refs + kept, n):
+            kept.append(row)
+    assert _ref_rows(reps) == kept
+    for probe in refs + sub_refs:
+        coords = reduce(probe)
+        assert _in_number_form(coords)
+        residual = [a - b for a, b in zip(probe, _ref_combine(
+            _dense_ref(coords), kept, n))]
+        assert _ref_rank(sub_refs + [residual], n) == _ref_rank(sub_refs, n)
+
+
+def test_no_float_can_enter_the_package():
+    """``/`` on two ints is a float, so the package divides only through
+    ``Q``: exactlin's one ``Q(1) / x``, and no other ``/`` and no float
+    literal anywhere in ``src/hccourant``."""
+    import hccourant
+    divisions = []
+    for path in sorted(Path(hccourant.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, (float, complex))), where
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                    isinstance(node.op, ast.Div):
+                divisions.append((path.name, node))
+    assert len(divisions) == 1, [f"{p}:{d.lineno}" for p, d in divisions]
+    name, node = divisions[0]
+    assert name == "exactlin.py" and isinstance(node, ast.BinOp)
+    assert ast.unparse(node.left) == "Q(1)"
