@@ -3,11 +3,15 @@
 formulas, the explicit isomorphism, and a randomized D-structure corpus
 (graphs of random mu tables versus the direct Lie-bracket oracle).
 
-The corpus draws two kinds of mu table per dimension n: entries drawn
-uniformly from {-1, 0, 1}, which are almost never Lie brackets, and
+The corpus draws three kinds of mu table per dimension n: entries drawn
+uniformly from {-1, 0, 1}, which are almost never Lie brackets,
 change-of-basis images P mu(P^-1 x, P^-1 y) of known Lie brackets (so(3),
-Heisenberg, r_2, each plus an abelian summand), which always are.  The
-second kind checks the oracle agreement on the Dirac = True side.
+Heisenberg, r_2, each plus an abelian summand), which always are, and
+uniform tables scaled by a random nonzero p/q.  The second kind checks the
+oracle agreement on the Dirac = True side; the third puts fractional
+entries in the graph rows, so that a failed closure reports the bracket of
+fractional reduced rows.  The third kind is drawn from a generator of its
+own, so the first two kinds and their lines do not depend on it.
 
 Example:
     python scripts/omni_corpus.py --max-n 3 --tables 200 --seed 11
@@ -17,7 +21,7 @@ import argparse
 import random
 from dataclasses import dataclass
 
-from hccourant.exactlin import (QMatrix, bilinear, make_reducer, rank,
+from hccourant.exactlin import (Q, QMatrix, bilinear, make_reducer, rank,
                                 row_combination, sparse_table)
 from hccourant.omni import d_structure_check, verify_ev1, verify_main_theorem
 
@@ -110,7 +114,19 @@ def run(cfg: OmniConfig) -> int:
               f"{lie_count} Lie brackets; {cfg.tables} change-of-basis Lie "
               f"tables, {lie_dirac} Lie and Dirac; "
               f"{inconsistent} disagreements")
-        bad += inconsistent + (not main.ok) + (not rep.ok)
+        scaled_rng = random.Random(f"scaled/{cfg.seed + n}")
+        scaled_lie = scaled_bad = 0
+        for _ in range(cfg.tables):
+            c = Q(scaled_rng.choice((-1, 1)) * scaled_rng.randint(1, 9),
+                  scaled_rng.randint(1, 9))
+            mu = [[[c * scaled_rng.randint(-1, 1) for _ in range(n)]
+                   for _ in range(n)] for _ in range(n)]
+            d = d_structure_check(iso, mu)
+            scaled_lie += d.is_lie_bracket
+            scaled_bad += not d.consistent
+        print(f"  scaled corpus: {cfg.tables} uniform tables times p/q, "
+              f"{scaled_lie} Lie brackets; {scaled_bad} disagreements")
+        bad += inconsistent + scaled_bad + (not main.ok) + (not rep.ok)
         # an image of a Lie bracket is one: each such table must pass both
         bad += cfg.tables - lie_dirac
     return 0 if bad == 0 else 1

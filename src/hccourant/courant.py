@@ -36,8 +36,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
-from .exactlin import (Q, ONE, ZERO, HccourantError, QMatrix, bilinear,
-                       contract, make_membership, make_span_test, nullspace,
+from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
+                       make_membership, make_span_test, nullspace,
                        pullback, pushforward, quotient_basis, row_combination,
                        sparse, sparse_row, sparse_table, vec, vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
@@ -140,9 +140,9 @@ class ESpace:
 
     def skew_bracket(self, u: Sequence, v: Sequence) -> tuple:
         half = Q(1, 2)
-        return tuple(p - half * q for p, q in
-                     zip(self.courant_bracket(u, v),
-                         self.d_map(self.form(u, v))))
+        return vec(p - half * q for p, q in
+                   zip(self.courant_bracket(u, v),
+                       self.d_map(self.form(u, v))))
 
     # -- structure tensors --------------------------------------------------
 
@@ -260,25 +260,34 @@ class ESpace:
         return self.h0.reduce(X.apply(rep.coords))
 
 
-def orthogonal_rows(space, vectors) -> QMatrix:
-    """The equations of {e : (e, l) = 0 in H_0 for every row l of
-    ``vectors``} in the coordinates of ``space`` (an ESpace or
-    EpsilonSpace), read off its form table: row (l, h) holds (e_k, l)_h at
-    column k, one sparse contraction per k on the nonzeros of l."""
+def orthogonal_rows(space, rows: Sequence) -> QMatrix:
+    """The equations of {e : (e, l) = 0 in H_0 for every sparse row l of
+    ``rows``} in the coordinates of ``space`` (an ESpace or EpsilonSpace),
+    read off its form table: row (l, h) holds (e_k, l)_h at column k.  Each
+    l's block is filled in one pass over the nonzero cells of the table,
+    (e_k, e_j)_h l_j summed into entry (h, k); ``QMatrix`` drops the sums
+    that cancel."""
     F, n = space.form_table, space.dim
-    rows = []
-    for l in vectors.sparse_rows:
-        block = [[] for _ in range(space.h0_dim)]
+    out = []
+    for l in rows:
+        l = dict(l)
+        block = [{} for _ in range(space.h0_dim)]
         for k in range(n):
-            for h, x in contract(((k, ONE),), l, F):
-                block[h].append((k, x))
-        rows += block
-    return QMatrix(rows, cols=n)
+            for j, cell in F[k]:
+                x = l.get(j)
+                if x is not None:
+                    for h, t in cell:
+                        t *= x
+                        b = block[h]
+                        b[k] = b[k] + t if k in b else t
+        out += (tuple(b.items()) for b in block)  # k ascending
+    return QMatrix(out, cols=n)
 
 
-def orthogonal(space, vectors) -> QMatrix:
-    """Basis of the space that ``orthogonal_rows`` gives the equations of."""
-    return nullspace(orthogonal_rows(space, vectors))
+def orthogonal(space, vectors: QMatrix) -> QMatrix:
+    """Basis of the space that ``orthogonal_rows`` gives the equations of,
+    for the rows of a matrix ``vectors``."""
+    return nullspace(orthogonal_rows(space, vectors.sparse_rows))
 
 
 def kernel_J(E: ESpace) -> QMatrix:

@@ -1,10 +1,14 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
 Submodules are Q-subspaces of E(A) or of the quotient, stored as canonical
-(RREF) spanning sets, and tested against the same echelon.  Verdicts are
-exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse rows
-throughout: isotropy, closure and Z-stability contract the ambient's
-tables with ``exactlin.contract``, and only a counterexample is dense.
+(RREF) spanning sets for reports and beside them as the echelon's primitive
+integer rows, and tested against the same echelon.  Verdicts are exact;
+Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse rows
+throughout: isotropy, maximality, closure and Z-stability hold or fail
+with any rescaling of the spanning rows, so they contract the ambient's
+tables with ``exactlin.contract`` on the integer rows, and a span test is
+the emptiness of a fraction-free residual.  Only a counterexample is dense,
+and it is the bracket of the RREF rows.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
 isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
@@ -60,18 +64,23 @@ class DiracError(HccourantError):
 class Submodule:
     """A spanning set of vectors in E(A) or epsilon(A) coordinates.
 
-    ``vectors`` is stored as the RREF basis of the span, and ``contains``
-    tests a sparse row against the same echelon, so a submodule is
-    eliminated once."""
+    ``vectors`` is stored as the RREF basis of the span, ``int_rows`` as the
+    echelon's primitive integer rows (row i a positive multiple of row i of
+    ``vectors``), and ``contains`` tests a sparse row against the same
+    echelon, so a submodule is eliminated once.  Isotropy, maximality,
+    closure and Z-stability hold for a spanning set exactly when they hold
+    for any rescaling of its rows, so they run on ``int_rows``."""
     ambient: object  # ESpace or EpsilonSpace
     vectors: QMatrix
+    int_rows: tuple = field(init=False, repr=False, compare=False)
     contains: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vectors.cols != self.ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
-        basis, contains = echelon_span(self.vectors)
+        basis, int_rows, contains = echelon_span(self.vectors)
         object.__setattr__(self, "vectors", basis)
+        object.__setattr__(self, "int_rows", int_rows)
         object.__setattr__(self, "contains", contains)
 
     @property
@@ -86,7 +95,7 @@ class Submodule:
     def isotropic(self) -> bool:
         """The form vanishes on all spanning pairs (it is symmetric, so on
         the pairs i <= j)."""
-        vs, F = self.vectors.sparse_rows, self.ambient.form_table
+        vs, F = self.int_rows, self.ambient.form_table
         return not any(contract(vs[i], vs[j], F)
                        for i in range(self.dim) for j in range(i, self.dim))
 
@@ -115,19 +124,21 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     L-perp, so the dimensions decide, and dim L-perp is the ambient
     dimension less the rank of the equations of L-perp."""
     return L.isotropic and L.ambient.dim - rank(
-        orthogonal_rows(L.ambient, L.vectors)) == L.dim
+        orthogonal_rows(L.ambient, L.int_rows)) == L.dim
 
 
 def is_bracket_closed(L: Submodule):
     """Returns (closed, counterexample); the counterexample names the first
     failing pair of spanning indices in row-major order and the offending
     bracket value, as a dense tuple.  On an isotropic L the bracket is skew,
-    so the pairs i <= j decide and hold that first failure."""
-    vs, T = L.vectors.sparse_rows, L.ambient.bracket_table
+    so the pairs i <= j decide and hold that first failure.  The test runs
+    on ``int_rows``; the counterexample is the bracket of the RREF rows."""
+    vs, T = L.int_rows, L.ambient.bracket_table
     for i in range(L.dim):
         for j in range(i if L.isotropic else 0, L.dim):
-            b = contract(vs[i], vs[j], T)
-            if not L.contains(b):
+            if not L.contains(contract(vs[i], vs[j], T)):
+                rref = L.vectors.sparse_rows
+                b = contract(rref[i], rref[j], T)
                 return False, (i, j, dense(b, L.ambient.dim))
     return True, None
 
@@ -136,7 +147,7 @@ def is_z_stable(L: Submodule) -> bool:
     Z = L.ambient.z_table
     return all(L.contains(contract(((m, ONE),), l, Z))
                for m in range(L.ambient.center_basis.rows)
-               for l in L.vectors.sparse_rows)
+               for l in L.int_rows)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,12 @@ coordinate tuple.  One sparse contraction loop, ``contract``, takes sparse
 rows and a sparse table and returns a canonical sparse row; ``combine`` is
 the same for a linear combination of matrix rows, and ``bilinear`` and
 ``row_combination`` are their dense-coordinate wrappers.  One sparse
-reduced echelon, grown a row at a time, is the only elimination; it takes
-sparse rows and gives them back, and every routine reads its result from
-it.  The nonzero rows of R, the pivots, ``row_space`` and ``nullspace`` are
+echelon, grown a row at a time, is the only elimination; it takes sparse
+rows and gives them back, and every routine reads its result from it.  It
+is fraction-free: each pivot row is a primitive row of ints, so spans of
+integral rows are eliminated and tested on int arithmetic, and the reduced
+(RREF) rows exist only where a reader returns them.  The nonzero rows of
+R, the pivots, ``row_space`` and ``nullspace`` are
 canonical functions of the row span, so they do not depend on the order or
 multiplicity of the input rows.  ``echelon_span`` gives the basis and a
 sparse span test from one elimination, and a ``Reducer`` also splits any
@@ -34,12 +37,15 @@ denominator > 1 otherwise, so integral tables run on ``int`` arithmetic.
 ``"p/q"`` string or ``Q`` to it, and ``contract``, ``combine`` and the
 echelon return rows in it.  An ``int`` equals and hashes like the ``Q`` of
 the same value, so the form changes no comparison, cache key or
-``rat_str``.  ``/`` on two ints is a float, so the one division, in the
-echelon's pivot scaling, goes through ``Q``.
+``rat_str``.  ``/`` on two ints is a float, so the one division goes
+through ``Q``: ``_over``, where an echelon reader turns an integer row and
+its scale into the rows it returns (and where a row's tag follows the row
+when a content is divided out).
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 try:
@@ -78,7 +84,11 @@ def rat_str(x) -> str:
 
 def vec(entries: Iterable) -> tuple:
     """Entries as a tuple of exact rationals in the number form."""
-    return tuple(map(_number, entries))
+    v = tuple(entries)
+    for x in v:
+        if type(x) is not int:
+            return tuple(map(_number, v))
+    return v
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -307,15 +317,50 @@ def _axpy(w: dict, f, row: dict) -> None:
                 del w[k]
 
 
-class _Echelon:
-    """The reduced row echelon form of a growing span.
+def _scale(w: dict, a: int) -> None:
+    """w *= a on a sparse row, in place."""
+    for k in w:
+        w[k] *= a
 
-    ``rows`` maps each pivot column to a sparse row ({column: value}) that
-    is 1 at its pivot and 0 at every other pivot.  A row's pivot is its
-    leftmost nonzero, so the rows sorted by pivot are the RREF of the span.
-    ``tags`` maps each pivot to a sparse tag: the row as a combination of
-    the tags of the rows added, e.g. {i: 1} for the i-th row of a matrix,
-    or {} for a row whose coefficients are not wanted.
+
+def _over(d: dict, s: int) -> tuple:
+    """The canonical sparse row of d / s, for a {k: x} dict of rationals and
+    a nonzero int s: each x / s in the number form.  This is the package's
+    one division; every echelon row a reader returns passes through it."""
+    if s == 1:
+        return _number_row(d)
+    return sparse_row({k: _number(Q(x.numerator, x.denominator * s))
+                       for k, x in d.items()})
+
+
+def _integral(w: dict, t: dict) -> tuple:
+    """``(m w, m t, m)`` for a sparse row w of rationals and its tag t, with
+    m the lcm of the denominators of w's entries, so that m w is a sparse
+    row of ints."""
+    m = 1
+    for x in w.values():
+        m = lcm(m, int(x.denominator))
+    return ({k: int(x * m) for k, x in w.items()},
+            {k: x * m for k, x in t.items()}, m)
+
+
+class _Echelon:
+    """The echelon of a growing span, kept on integers.
+
+    ``rows`` maps each pivot column p to a sparse row ({column: int}) that
+    is primitive (the gcd of its entries is 1), positive at p and 0 at every
+    other pivot.  A row's pivot is its leftmost nonzero, so the rows sorted
+    by pivot, each divided by its pivot entry, are the RREF of the span;
+    that division is made only where a reader returns a row (``_over``).
+    ``tags`` maps each pivot to a sparse tag that scales with its row: the
+    row as a combination of the tags of the rows added, e.g. {i: 1} for the
+    i-th row of a matrix, or {} for a row whose coefficients are not wanted.
+    A row with denominators is multiplied once, with its tag, by the lcm of
+    its denominators (``_integral``), when a non-unit pivot or the new
+    pivot row needs ints.  A row w is reduced by pivot row p as
+    w <- a w - b row_p, with a w[p] = b row_p[p] and a, b coprime; a unit
+    pivot (row_p[p] == 1) takes a = 1, b = w[p] and no gcd, so spans with
+    unit pivots (most boundary and Leibniz systems) do no content work.
     """
 
     __slots__ = ("cols", "rows", "tags")
@@ -326,41 +371,89 @@ class _Echelon:
         self.tags = {}
 
     def residual(self, row: Sequence, tag: dict):
-        """``(w, t)``: a sparse row less its projection on the echelon, as a
-        {column: value} dict (empty when the row lies in the span), and t,
-        tag less the same combination of tags."""
-        w = dict(row)
-        t = dict(tag)
+        """``(w, t, s)``: s times a sparse row less its projection on the
+        echelon, as a {column: value} dict (empty when the row lies in the
+        span), t, s times tag less the same combination of tags, and the
+        positive int s.  The row is made integral (``_integral``) only when
+        a non-unit pivot needs its entry as an int."""
+        w, t, s = dict(row), dict(tag), 1
         rows, tags = self.rows, self.tags
-        # each row is 0 at every other pivot, so w[p] is still v[p] when
-        # row p is subtracted, in any order
+        # each row is 0 at every other pivot, so neither step below changes
+        # whether w is 0 at another pivot: they clear in any order
         for p in [k for k in w if k in rows]:
+            row = rows[p]
             f = w[p]
-            _axpy(w, f, rows[p])
+            if row[p] != 1:
+                if type(f) is not int:
+                    w, t, m = _integral(w, t)
+                    s *= m
+                    f = w[p]
+                c = row[p]
+                g = gcd(f, c)
+                if g != c:
+                    a = c // g
+                    s *= a
+                    _scale(w, a)
+                    _scale(t, a)
+                f //= g
+            _axpy(w, f, row)
             _axpy(t, f, tags[p])
-        return w, t
+        return w, t, s
 
     def add(self, row: Sequence, tag: dict) -> bool:
         """Add a row carrying ``tag``; True when the span grew."""
-        w, t = self.residual(row, tag)
+        w, t, _ = self.residual(row, tag)
         if not w:
             return False
+        for x in w.values():
+            if type(x) is not int:
+                w, t, _ = _integral(w, t)
+                break
         p = min(w)
-        if w[p] != 1:
-            inv = Q(1) / w[p]
-            w = {k: _number(x * inv) for k, x in w.items()}
-            t = {k: _number(x * inv) for k, x in t.items()}
-        for q, r in self.rows.items():
+        c = w[p]
+        if c != 1:
+            # primitive, with a positive pivot; a pivot of -1 only flips
+            g = 1 if c == -1 else gcd(*w.values())
+            if c < 0:
+                g = -g
+            if g == -1:
+                w = {k: -x for k, x in w.items()}
+                t = {k: -x for k, x in t.items()}
+            elif g != 1:
+                w = {k: x // g for k, x in w.items()}
+                t = dict(_over(t, g))
+            c = w[p]
+        rows, tags = self.rows, self.tags
+        for q, r in rows.items():
             f = r.get(p)
             if f:
+                tq = tags[q]
+                if c != 1:
+                    g = gcd(f, c)
+                    f //= g
+                    if g != c:
+                        _scale(r, c // g)
+                        _scale(tq, c // g)
                 _axpy(r, f, w)
-                _axpy(self.tags[q], f, t)
-        self.rows[p] = w
-        self.tags[p] = t
+                _axpy(tq, f, t)
+                if r[q] != 1:
+                    g = gcd(*r.values())
+                    if g != 1:
+                        for k in r:
+                            r[k] //= g
+                        tags[q] = dict(_over(tq, g))
+        rows[p] = w
+        tags[p] = t
         return True
 
     def basis(self) -> tuple:
         """The sparse rows of the RREF, pivots ascending."""
+        rows = self.rows
+        return tuple(_over(rows[p], rows[p][p]) for p in sorted(rows))
+
+    def primitive_rows(self) -> tuple:
+        """The stored integer rows as sparse rows, pivots ascending: row i is
+        row i of ``basis`` times its pivot entry."""
         rows = self.rows
         return tuple(sparse_row(rows[p]) for p in sorted(rows))
 
@@ -369,10 +462,10 @@ class _Echelon:
         the row added with tag {i: 1} and i < n; None outside the span."""
         if len(v) != self.cols:
             raise ExactLinError("membership: dimension mismatch")
-        w, t = self.residual(sparse(v), {})
+        w, t, s = self.residual(sparse(v), {})
         if w:
             return None
-        return dense(_number_row({k: -x for k, x in t.items()}), n)
+        return dense(_over({k: -x for k, x in t.items()}, s), n)
 
 
 def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
@@ -407,8 +500,8 @@ class Reducer:
         return c
 
     def split(self, row: Sequence) -> tuple:
-        w, t = self.echelon.residual(row, {})
-        return _number_row(w), _number_row({k: -x for k, x in t.items()})
+        w, t, s = self.echelon.residual(row, {})
+        return _over(w, s), _over({k: -x for k, x in t.items()}, s)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +527,7 @@ def rref_transform(M: QMatrix):
     pivots = tuple(sorted(E.rows))
     pad = ((),) * (M.rows - len(pivots))
     R = E.basis() + pad
-    T = tuple(sparse_row(E.tags[p]) for p in pivots) + pad
+    T = tuple(_over(E.tags[p], E.rows[p][p]) for p in pivots) + pad
     return QMatrix(R, M.cols), QMatrix(T, M.rows), pivots, len(pivots)
 
 
@@ -448,14 +541,16 @@ def row_space(M: QMatrix) -> QMatrix:
 
 
 def echelon_span(M: QMatrix):
-    """``(row_space(M), contains)`` from one elimination: ``contains(row)``
-    says whether a sparse row lies in the row span of M."""
+    """``(row_space(M), rows, contains)`` from one elimination: ``rows`` are
+    the echelon's primitive integer rows, row i a positive multiple of row i
+    of the RREF, and ``contains(row)`` says whether a sparse row lies in the
+    row span of M, with no division."""
     E = _echelon(M, False)
 
     def contains(row: Sequence) -> bool:
         return not E.residual(row, {})[0]
 
-    return QMatrix(E.basis(), M.cols), contains
+    return QMatrix(E.basis(), M.cols), E.primitive_rows(), contains
 
 
 def nullspace(M: QMatrix) -> QMatrix:
@@ -465,9 +560,8 @@ def nullspace(M: QMatrix) -> QMatrix:
     free = [c for c in range(M.cols) if c not in rows]
     basis = {fc: {fc: ONE} for fc in free}
     for p, row in rows.items():
-        for k, x in row.items():
-            if k != p:
-                basis[k][p] = -x
+        for k, x in _over({k: -x for k, x in row.items() if k != p}, row[p]):
+            basis[k][p] = x
     return QMatrix([sparse_row(basis[fc]) for fc in free], M.cols)
 
 
@@ -489,7 +583,7 @@ def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
 def make_span_test(S: QMatrix) -> Callable[[Sequence], bool]:
     """Whether a dense v lies in the row span of a fixed S, eliminating S
     once and without the coefficients ``make_membership`` carries."""
-    _, in_span = echelon_span(S)
+    _, _, in_span = echelon_span(S)
 
     def contains(v: Sequence) -> bool:
         if len(v) != S.cols:

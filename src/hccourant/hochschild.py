@@ -136,7 +136,7 @@ class Cochain1:
                 for k, r in enumerate(self.rows[j]):
                     if r:
                         out[k] += xj * r
-        return tuple(out)
+        return vec(out)
 
     def flatten(self) -> tuple:
         return tuple(x for row in self.rows for x in row)

@@ -7,13 +7,13 @@ from hccourant import courant
 from hccourant.algebra import GuardError, build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
 from hccourant.dirac import Submodule, orthogonal
-from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, nullspace,
-                                quotient_basis, rank, row_combination,
-                                vec_is_zero)
+from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, contract,
+                                nullspace, quotient_basis, rank,
+                                row_combination, sparse, vec_is_zero)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
                                   elementary_chain, h_left_multiply)
-from conftest import (is_canonical_table, perturbed_table, rand_combination,
-                      rand_vec, rng_for, vec_add)
+from conftest import (is_canonical_table, is_number, perturbed_table,
+                      rand_combination, rand_vec, rng_for, vec_add)
 
 NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
 
@@ -158,6 +158,22 @@ def test_skew_bracket_is_antisymmetric(espaces, name):
         a = E.skew_bracket(e1, e2)
         b = E.skew_bracket(e2, e1)
         assert a == tuple(-x for x in b)
+
+
+def test_skew_bracket_and_cochain_apply_keep_the_number_form(espaces):
+    """Arithmetic on Q entries can give integral Qs; both results go through
+    ``vec``, so every entry is an int when integral."""
+    E = espaces["v1_3"]
+    u = (Q(1, 2),) + (0,) * (E.dim - 1)
+    v = (2,) + (0,) * (E.dim - 1)
+    assert all(is_number(x) for x in E.skew_bracket(u, v))
+    A = E.algebra
+    half = Cochain1(A, tuple(tuple(Q(1, 2) if j == k else 0
+                                   for k in range(A.dim))
+                             for j in range(A.dim)))
+    image = half.apply((2, 0, 2, 0))
+    assert image == (1, 0, 1, 0)
+    assert all(is_number(x) for x in image)
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -385,6 +401,34 @@ def _unit_form_orthogonal(L):
     if not rows:
         return QMatrix.identity(n)
     return nullspace(QMatrix(rows, cols=n))
+
+
+def _unit_form_rows(amb, vectors):
+    """Reference equations of the orthogonal: the body ``orthogonal_rows``
+    had, one contraction of the form table per ambient unit vector and
+    spanning vector, stacked over the H_0 coordinates."""
+    rows = []
+    for l in vectors:
+        block = [[] for _ in range(amb.h0_dim)]
+        for k in range(amb.dim):
+            for h, x in contract(((k, 1),), sparse(l), amb.form_table):
+                block[h].append((k, x))
+        rows += block
+    return QMatrix(rows, cols=amb.dim)
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_orthogonal_rows_match_unit_form_rows(espaces, epsilons, name):
+    """The one-pass block of ``orthogonal_rows`` is the per-unit-vector
+    contraction's, matrix for matrix, on integral and fractional rows."""
+    rng = rng_for(f"perp-rows/{name}")
+    for amb in (espaces[name], epsilons[name]):
+        for count in range(amb.dim + 1):
+            vectors = [[Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                        for _ in range(amb.dim)] for _ in range(count)]
+            got = courant.orthogonal_rows(
+                amb, QMatrix(vectors, cols=amb.dim).sparse_rows)
+            assert got == _unit_form_rows(amb, vectors)
 
 
 @pytest.mark.parametrize("name", NONZERO_E)

@@ -377,6 +377,87 @@ def test_d_structure_counterexample_matches_dense_reference():
     assert failures[True] and failures[False]
 
 
+def _scaled(c, table) -> list:
+    """c times a nested list of rationals, as Q entries."""
+    if isinstance(table, (list, tuple)):
+        return [_scaled(c, x) for x in table]
+    return Q(c) * table
+
+
+def _scaled_nonjacobi(A, c) -> BracketTable:
+    """The non-Jacobi pin's table times c: the same graph, with fractional
+    RREF rows once c is not an integer."""
+    return make_bracket_table(
+        A, _scaled(c, load_bracket_table("bracket_nonjacobi_v1_3", A).table))
+
+
+def _has_fractional_rows(L) -> bool:
+    return any(not isinstance(x, int) for r in L.vectors for x in r)
+
+
+def _fractional_graphs(v13):
+    """``(L, verdict)`` pairs of non-Dirac graphs whose RREF rows have
+    denominators and of the package's verdict on them: the non-Jacobi
+    Poisson pin scaled by non-integers (``is_dirac``), and uniform
+    {-1, 0, 1} mu tables on V = Q^3 scaled by seeded p/q (the graph by
+    ``_ref_d_graph``, the verdict by ``d_structure_check``)."""
+    A, E, eps = v13
+    out = []
+    for c in ("2/3", "-5/2", "7/4"):
+        L = poisson_graph(E, eps, _scaled_nonjacobi(A, Q(c)))[1]
+        out.append((L, is_dirac(L)))
+    iso = build_omni_iso(3)
+    rng = rng_for("fractional-graphs")
+    while len(out) < 13:
+        c = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+        mu = [[[c * rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+              for _ in range(3)]
+        L = _ref_d_graph(iso, mu)
+        if _has_fractional_rows(L):
+            out.append((L, d_structure_check(iso, mu).verdict))
+    return out
+
+
+def test_int_rows_are_positive_multiples_of_the_rref(v13, epsilons):
+    """Each integer row of a Submodule is its RREF row times the integer row's
+    (positive) pivot entry, on the fractional graphs and on seeded rational
+    submodules of every quotient and E(A)."""
+    subs = [L for L, _ in _fractional_graphs(v13)]
+    for name, eps in sorted(epsilons.items()):
+        rng = rng_for(f"int-rows/{name}")
+        for amb in (eps.espace, eps):
+            for count in range(1, amb.dim + 1):
+                subs.append(Submodule(amb, QMatrix(
+                    [[Q(rng.randint(-4, 4), rng.randint(1, 4))
+                      for _ in range(amb.dim)] for _ in range(count)],
+                    cols=amb.dim)))
+    assert sum(map(_has_fractional_rows, subs)) > len(subs) // 2
+    for L in subs:
+        assert len(L.int_rows) == L.dim
+        for row, ref in zip(L.int_rows, L.vectors.sparse_rows):
+            assert all(type(x) is int for _, x in row)
+            p, c = row[0]
+            assert c > 0 and ref[0] == (p, 1)
+            assert row == tuple((k, c * x) for k, x in ref)
+
+
+def test_fractional_counterexample_matches_dense_reference(v13):
+    """A graph with fractional RREF rows that is not closed: the verdict and
+    its counterexample, the bracket of the RREF rows, are the brute-force
+    ones on ``L.vectors``; the D-structure check reports the same."""
+    graphs = _fractional_graphs(v13)
+    for L, verdict in graphs:
+        assert _has_fractional_rows(L)
+        assert not verdict.closed
+        assert verdict.to_json() == _ref_is_dirac(L).to_json()
+        assert verdict.counterexample == _ref_is_bracket_closed(L)[1]
+        assert all(is_number(x) for x in verdict.counterexample[2])
+    # a non-integral entry in the bracket: the integer rows' own bracket
+    # would differ from the reported one
+    assert any(not isinstance(x, int) for _, verdict in graphs
+               for x in verdict.counterexample[2])
+
+
 @pytest.mark.parametrize("name", NONZERO_E)
 def test_dimension_alone_is_not_maximality(epsilons, name):
     """A submodule that is not isotropic can have an orthogonal of its own

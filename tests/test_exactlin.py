@@ -1,20 +1,21 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
-                                canonical_row, combine, contract,
-                                make_membership, make_reducer,
-                                make_span_test, membership,
-                                nullspace, pullback, pushforward,
-                                quotient_basis, rank, rat, rat_str,
-                                row_combination, row_space, rref,
-                                rref_transform, sparse, sparse_table,
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, _echelon,
+                                bilinear, canonical_row, combine, contract,
+                                dense, make_membership, make_reducer,
+                                make_span_test, membership, nullspace,
+                                pullback, pushforward, quotient_basis, rank,
+                                rat, rat_str, row_combination, row_space,
+                                rref, rref_transform, sparse, sparse_table,
                                 span_equal, vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
@@ -684,21 +685,210 @@ def test_number_form_holds_on_mixed_inputs(case):
         assert _ref_rank(sub_refs + [residual], n) == _ref_rank(sub_refs, n)
 
 
+# ---------------------------------------------------------------------------
+# the fraction-free echelon against textbook Gauss-Jordan on Fractions
+
+def _ref_eliminate(rows: list, cols: int):
+    """``(R, T, pivots)`` of textbook Gauss-Jordan on [rows | I]: R the
+    nonzero rows of the RREF of rows (lists of Fractions) and T the
+    matching rows of the transform, T . rows = R."""
+    m = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(m)]
+           for i, r in enumerate(rows)]
+    full, pivots, rk = _gauss_jordan(aug, cols + m)
+    pivots = tuple(p for p in pivots if p < cols)
+    return ([r[:cols] for r in full[:len(pivots)]],
+            [r[cols:] for r in full[:len(pivots)]], pivots)
+
+
+def _ref_reduce(R: list, pivots: tuple, v: list) -> list:
+    """v less sum_p v[p] R_p over the RREF rows R: its residual against
+    the span, the one vector congruent to v that is 0 at every pivot."""
+    v = list(v)
+    for r, p in zip(R, pivots):
+        f = v[p]
+        if f:
+            v = [a - f * b for a, b in zip(v, r)]
+    return v
+
+
+def _ref_solve(rows: list, cols: int, v: list):
+    """c with c . rows = v for linearly independent rows, else None when v
+    is outside their span."""
+    R, T, pivots = _ref_eliminate(rows, cols)
+    if any(_ref_reduce(R, pivots, v)):
+        return None
+    c = [Fraction(0)] * len(rows)
+    for t, p in zip(T, pivots):
+        c = [a + v[p] * b for a, b in zip(c, t)]
+    return c
+
+
+def _ref_nullspace(R: list, pivots: tuple, cols: int) -> list:
+    free = [c for c in range(cols) if c not in pivots]
+    out = []
+    for fc in free:
+        x = [Fraction(0)] * cols
+        x[fc] = Fraction(1)
+        for r, p in zip(R, pivots):
+            x[p] = -r[fc]
+        out.append(x)
+    return out
+
+
+def _dense_fractions(M: QMatrix) -> list:
+    return [[_fraction(x) for x in row] for row in M]
+
+
+def _assert_primitive_echelon(E, M: Optional[QMatrix] = None) -> None:
+    """Every stored pivot row is a primitive row of exact ``int``s, positive
+    at its pivot, its leftmost entry, and 0 at every other pivot; when M is
+    given, the rows were added with tags {i: 1} for the rows i of M, and
+    each row's tag, a combination of the rows of M, gives that row."""
+    for p, row in E.rows.items():
+        assert all(type(x) is int and x for x in row.values()), row
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in E.rows if q != p)
+        if M is not None:
+            got = [Fraction(0)] * M.cols
+            for i, c in E.tags[p].items():
+                got = [a + _fraction(Q(c)) * _fraction(b)
+                       for a, b in zip(got, M[i])]
+            assert got == [Fraction(row.get(k, 0)) for k in range(M.cols)]
+
+
+#: entries that give rows with denominators, with a content > 1 and with
+#: non-unit pivots, and zeros
+_entries = st.one_of(st.just(0), st.integers(-6, 6), rationals)
+
+
+@st.composite
+def _echelon_cases(draw):
+    """(M, S, probes): a matrix with dependent and zero rows, a subspace of
+    its row span, and probe vectors in and out of the span."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=cols, max_size=cols)
+    base = draw(st.lists(row, min_size=1, max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):  # dependent rows and zero rows
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        f, g = draw(rationals), draw(rationals)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [f * x + g * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    M = QMatrix(rows, cols=cols)
+    sub = [[sum((c * x for c, x in zip(coeffs, col)), Q(0))
+            for col in zip(*[list(r) for r in M])]
+           for coeffs in draw(st.lists(
+               st.lists(st.integers(-2, 2), min_size=M.rows,
+                        max_size=M.rows), max_size=3))]
+    S = QMatrix(sub, cols=cols)
+    probes = [list(r) for r in M] + draw(st.lists(row, max_size=3))
+    return M, S, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_echelon_cases())
+def test_fraction_free_echelon_matches_gauss_jordan(case):
+    """Every reader of the fraction-free echelon gives textbook
+    Gauss-Jordan's rows on Fractions, for matrices with fractional entries,
+    non-unit pivots, dependent rows and zero rows; every stored pivot row is
+    a primitive int row with a positive pivot."""
+    M, S, probes = case
+    n = M.cols
+    ref_M = _dense_fractions(M)
+    R, T, pivots = _ref_eliminate(ref_M, n)
+    zero = [Fraction(0)] * n
+
+    # rref, row_space, nullspace
+    got_R, got_pivots, got_rk = rref(M)
+    assert _dense_fractions(got_R) == R + [zero] * (M.rows - len(R))
+    assert (got_pivots, got_rk) == (pivots, len(R))
+    assert _dense_fractions(row_space(M)) == R
+    assert _dense_fractions(nullspace(M)) == _ref_nullspace(R, pivots, n)
+    for out in (got_R, row_space(M), nullspace(M)):
+        assert all(is_number(x) for row in out for x in row)
+
+    # rref_transform: T . M = R, and T is Gauss-Jordan's when the rows are
+    # independent (it is unique then)
+    got_R, got_T, _, _ = rref_transform(M)
+    assert all(is_number(x) for row in got_T for x in row)
+    TM = [[sum((_fraction(c) * x for c, x in zip(t, col)), Fraction(0))
+           for col in zip(*ref_M)] for t in got_T]
+    assert TM == _dense_fractions(got_R)
+    if len(R) == M.rows:
+        assert _dense_fractions(got_T) == T
+
+    # membership: a solution exactly when Gauss-Jordan finds v in the span
+    for v in probes:
+        ref_v = [_fraction(Q(x)) for x in v]
+        c = membership(tuple(v), M)
+        assert (c is None) == any(_ref_reduce(R, pivots, ref_v))
+        if c is not None:
+            assert all(is_number(x) for x in c)
+            assert [sum((_fraction(a) * b for a, b in zip(c, col)),
+                        Fraction(0)) for col in zip(*ref_M)] == ref_v
+
+    # quotient_basis of the row span modulo S, and its Reducer
+    reps, reduce = quotient_basis(M, S)
+    R_sub, _, _ = _ref_eliminate(_dense_fractions(S), n)
+    kept = []
+    for r in R:  # the RREF rows that complete the subspace, in order
+        if len(_ref_eliminate(R_sub + kept + [r], n)[0]) > \
+                len(R_sub) + len(kept):
+            kept.append(r)
+    assert _dense_fractions(reps) == kept
+    for v in probes:
+        ref_v = [_fraction(Q(x)) for x in v]
+        residual = _ref_reduce(R, pivots, ref_v)
+        inside = [a - b for a, b in zip(ref_v, residual)]
+        coords = _ref_solve(kept + R_sub, n, inside)[:len(kept)]
+        w, c = reduce.split(sparse(vec(v)))
+        assert [_fraction(x) for x in dense(w, n)] == residual
+        assert [_fraction(x) for x in dense(c, len(kept))] == coords
+        assert all(is_number(x) for _, x in w + c)
+        if not any(residual):
+            assert [_fraction(x) for x in reduce(tuple(v))] == coords
+        else:
+            with pytest.raises(ExactLinError):
+                reduce(tuple(v))
+
+    # the stored rows, untagged, tagged, and in the quotient's echelon
+    _assert_primitive_echelon(_echelon(M, False))
+    _assert_primitive_echelon(_echelon(M, True), M)
+    _assert_primitive_echelon(reduce.echelon)
+
+
+def _is_int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
 def test_no_float_can_enter_the_package():
     """``/`` on two ints is a float, so the package divides only through
-    ``Q``: exactlin's one ``Q(1) / x``, and no other ``/`` and no float
-    literal anywhere in ``src/hccourant``."""
+    ``Q``, and at one site: no ``/`` and no float literal anywhere in
+    ``src/hccourant``, and one division, the ``Q(n, d)`` in exactlin's
+    ``_over``, which every echelon row a reader returns passes through.  A
+    ``Q(n, d)`` counts as a division unless n and d are int literals (a
+    rational literal such as ``Q(1, 2)``)."""
     import hccourant
-    divisions = []
+    divisions, over = [], None
     for path in sorted(Path(hccourant.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             assert not (isinstance(node, ast.Constant)
                         and isinstance(node.value, (float, complex))), where
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
-                    isinstance(node.op, ast.Div):
-                divisions.append((path.name, node))
-    assert len(divisions) == 1, [f"{p}:{d.lineno}" for p, d in divisions]
-    name, node = divisions[0]
-    assert name == "exactlin.py" and isinstance(node, ast.BinOp)
-    assert ast.unparse(node.left) == "Q(1)"
+            assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.Div)), where
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "Q" \
+                    and len(node.args) == 2 \
+                    and not all(map(_is_int_literal, node.args)):
+                divisions.append((where, node))
+            if isinstance(node, ast.FunctionDef) and node.name == "_over" \
+                    and path.name == "exactlin.py":
+                over = node
+    assert len(divisions) == 1, [where for where, _ in divisions]
+    assert over is not None and divisions[0][1] in list(ast.walk(over))
