@@ -36,10 +36,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
-from .exactlin import (Q, ZERO, HccourantError, QMatrix, bilinear,
-                       make_membership, make_span_test, nullspace,
-                       pullback, pushforward, quotient_basis, row_combination,
-                       sparse, sparse_row, sparse_table, vec, vec_is_zero)
+from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
+                       dense, nullspace, pullback, pushforward, quotient_basis,
+                       row_combination, sparse, sparse_row, sparse_table, vec,
+                       vec_is_zero)
 from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -117,10 +117,10 @@ class ESpace:
     def _check_d_map_descent(self):
         # B of a commutator representative must land in the boundaries,
         # otherwise D would depend on the representative
-        in_boundaries = make_span_test(self.h1.boundary_basis)
+        boundaries = Span(self.h1.boundary_basis)
         for row in self.h0.boundary_basis.sparse_rows:
             b = connes_B(Chain(self.algebra, 0, row))
-            if not in_boundaries(b.coords):
+            if not boundaries.contains(b.row):
                 raise CourantError(
                     "B does not descend on H0: representative dependence")
 
@@ -165,8 +165,8 @@ class ESpace:
         ex, ea = QMatrix.identity(hc), QMatrix.identity(hh)
         for i in range(hc):
             for j in range(hh):
-                lx = self.h1.reduce(lie_derivative(
-                    X[i], self.h1.rep_chain(j), checked=False).coords)
+                lx = self.h1.reduce_chain(lie_derivative(
+                    X[i], self.h1.rep_chain(j), checked=False))
                 back = row_combination(self.pairing_classes(ex[i], ea[j]), D)
                 T[i][hc + j] = sparse(lx, hc)
                 T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
@@ -204,23 +204,23 @@ class ESpace:
         return tuple(map(sparse_row, table))
 
     @cached_property
-    def _center_membership(self):
-        return make_membership(self.center_basis)
+    def _center(self) -> Span:
+        return Span(self.center_basis, tagged=True)
 
     def center_coords(self, zcoords: Sequence) -> tuple:
         """Coordinates of a central element over ``center_basis``."""
-        c = self._center_membership(zcoords)
-        if c is None:
+        w, c = self._center.split(zcoords)
+        if w:
             raise CourantError("element is not central")
-        return c
+        return dense(c, self._center.n)
 
     def center_action(self, xcoords: Sequence, zcoords: Sequence) -> tuple:
         """X(z) for z central; the result is checked to be central again."""
-        if self._center_membership(zcoords) is None:
+        if not self._center.contains(zcoords):
             raise CourantError("center_action: element is not central")
         X = self.derivation_of(xcoords)
         out = X.apply(vec(zcoords))
-        if self._center_membership(out) is None:
+        if not self._center.contains(out):
             raise CourantError("center_action: image left the center")
         return out
 

@@ -1,8 +1,9 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
-Submodules are Q-subspaces of E(A) or of the quotient, stored as canonical
-(RREF) spanning sets for reports and beside them as the echelon's primitive
-integer rows, and tested against the same echelon.  Verdicts are exact;
+Submodules are Q-subspaces of E(A) or of the quotient, each held as one
+``exactlin.Span``: its primitive integer rows carry the verdicts and it
+answers their span tests, while the canonical (RREF) basis is built only
+for a report, a Lie-algebroid check or a counterexample.  Verdicts are exact;
 Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse rows
 throughout: isotropy, maximality, closure and Z-stability hold or fail
 with any rescaling of the spanning rows, so they contract the ambient's
@@ -38,17 +39,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
-from .courant import (EpsilonSpace, ESpace, orthogonal as form_orthogonal,
-                      orthogonal_rows)
+from .courant import EpsilonSpace, ESpace, orthogonal_rows
 from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
-                       bilinear, combine, contract, dense, echelon_span,
-                       nullspace, rank, rat_str, row_combination, sparse,
-                       sparse_row, sparse_table, transpose_table, vec)
+                       Span, bilinear, combine, contract, dense, nullspace,
+                       rank, rat_str, row_combination, sparse, sparse_row,
+                       sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -60,32 +60,36 @@ class DiracError(HccourantError):
 # ---------------------------------------------------------------------------
 # submodules
 
-@dataclass(frozen=True)
 class Submodule:
-    """A spanning set of vectors in E(A) or epsilon(A) coordinates.
+    """A subspace of E(A) or epsilon(A), given by spanning vectors.
 
-    ``vectors`` is stored as the RREF basis of the span, ``int_rows`` as the
-    echelon's primitive integer rows (row i a positive multiple of row i of
-    ``vectors``), and ``contains`` tests a sparse row against the same
-    echelon, so a submodule is eliminated once.  Isotropy, maximality,
+    The span is eliminated once, into ``span`` (an ``exactlin.Span``):
+    ``int_rows`` are its primitive integer rows, ``contains`` tests a sparse
+    row against it and ``dim`` is its dimension.  Isotropy, maximality,
     closure and Z-stability hold for a spanning set exactly when they hold
-    for any rescaling of its rows, so they run on ``int_rows``."""
-    ambient: object  # ESpace or EpsilonSpace
-    vectors: QMatrix
-    int_rows: tuple = field(init=False, repr=False, compare=False)
-    contains: Callable = field(init=False, repr=False, compare=False)
+    for any rescaling of its rows, so they run on ``int_rows``.  The RREF
+    basis ``vectors`` (row i a positive multiple of row i of ``int_rows``)
+    is built only when something reads it: a report, a Lie-algebroid check
+    or a closure counterexample."""
 
-    def __post_init__(self):
-        if self.vectors.cols != self.ambient.dim:
+    def __init__(self, ambient, vectors: QMatrix):
+        if vectors.cols != ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
-        basis, int_rows, contains = echelon_span(self.vectors)
-        object.__setattr__(self, "vectors", basis)
-        object.__setattr__(self, "int_rows", int_rows)
-        object.__setattr__(self, "contains", contains)
+        self.ambient = ambient  # ESpace or EpsilonSpace
+        self.span = Span(vectors)
+        self.contains = self.span.contains
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        return self.span.primitive_rows()
+
+    @cached_property
+    def vectors(self) -> QMatrix:
+        return QMatrix(self.span.basis(), self.ambient.dim)
 
     @property
     def dim(self) -> int:
-        return self.vectors.rows
+        return self.span.dim
 
     @property
     def on_quotient(self) -> bool:
@@ -116,7 +120,7 @@ def is_isotropic(L: Submodule) -> bool:
 
 def orthogonal(L: Submodule) -> QMatrix:
     """L-perp = {e : (e, l) = 0 in H_0 for every l in L}."""
-    return form_orthogonal(L.ambient, L.vectors)
+    return nullspace(orthogonal_rows(L.ambient, L.int_rows))
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -391,8 +395,8 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
         rows[j].append((m, x))
     for j, row in enumerate(rows):
         row.append((hc + j, ONE))
-    L_E = Submodule(E, QMatrix(rows, cols=E.dim))
-    return L_E, project(eps, L_E.vectors)
+    spanning = QMatrix(rows, cols=E.dim)
+    return Submodule(E, spanning), project(eps, spanning)
 
 
 # ---------------------------------------------------------------------------

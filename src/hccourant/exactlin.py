@@ -10,22 +10,23 @@ row as ascending ``(k, x)`` pairs, the one row form of the kernel (see
 coordinate tuple.  One sparse contraction loop, ``contract``, takes sparse
 rows and a sparse table and returns a canonical sparse row; ``combine`` is
 the same for a linear combination of matrix rows, and ``bilinear`` and
-``row_combination`` are their dense-coordinate wrappers.  One sparse
-echelon, grown a row at a time, is the only elimination; it takes sparse
-rows and gives them back, and every routine reads its result from it.  It
-is fraction-free: each pivot row is a primitive row of ints, so spans of
-integral rows are eliminated and tested on int arithmetic, and the reduced
-(RREF) rows exist only where a reader returns them.  The nonzero rows of
-R, the pivots, ``row_space`` and ``nullspace`` are
-canonical functions of the row span, so they do not depend on the order or
-multiplicity of the input rows.  ``echelon_span`` gives the basis and a
-sparse span test from one elimination, and a ``Reducer`` also splits any
-sparse row, linearly, into its residual against the span and its
-coordinates.  The coefficients that ``membership`` and the T of
+``row_combination`` are their dense-coordinate wrappers.  One object,
+``Span``, is the only elimination: the row span of a matrix, eliminated
+once as a sparse echelon grown a row at a time.  It is fraction-free: each
+pivot row is a primitive row of ints, so spans of integral rows are
+eliminated and tested on int arithmetic, and the reduced (RREF) rows exist
+only where a reader asks for them.  A span tests a row (``contains``),
+splits it, linearly, into its residual and its coordinates over the
+tagged rows (``split``), and gives those coordinates as a map (a call);
+``make_reducer`` and ``quotient_basis`` return one.  ``rref``,
+``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
+``membership`` are thin readers of a span.  The nonzero rows of R, the
+pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
+span, so they do not depend on the order or multiplicity of the input
+rows.  The coefficients that ``membership`` and the T of
 ``rref_transform`` give over dependent rows are one valid solution among
 many; every caller in the package passes independent rows, where the
-coefficients are unique, and asks ``make_span_test`` when it only wants to
-know whether a vector lies in a span.  ``pullback`` reads a sparse table on
+coefficients are unique.  ``pullback`` reads a sparse table on
 the rows of two matrices and ``pushforward`` maps its cells by a matrix, so
 a map that preserves a bracket, form or pairing does so by one table
 identity.
@@ -34,11 +35,11 @@ Numbers have one form: a rational is an ``int`` when it is integral and a
 ``Q`` (gmpy2's ``mpq``, or ``fractions.Fraction`` without gmpy2) with
 denominator > 1 otherwise, so integral tables run on ``int`` arithmetic.
 ``rat``, ``vec`` and the row rule ``canonical_row`` bring any int, bool,
-``"p/q"`` string or ``Q`` to it, and ``contract``, ``combine`` and the
-echelon return rows in it.  An ``int`` equals and hashes like the ``Q`` of
+``"p/q"`` string or ``Q`` to it, and ``contract``, ``combine`` and a span
+return rows in it.  An ``int`` equals and hashes like the ``Q`` of
 the same value, so the form changes no comparison, cache key or
 ``rat_str``.  ``/`` on two ints is a float, so the one division goes
-through ``Q``: ``_over``, where an echelon reader turns an integer row and
+through ``Q``: ``_over``, where a span reader turns an integer row and
 its scale into the rows it returns (and where a row's tag follows the row
 when a content is divided out).
 """
@@ -46,7 +47,7 @@ when a content is divided out).
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 try:
     from gmpy2 import mpq as Q
@@ -301,7 +302,7 @@ def pushforward(table, M: QMatrix) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The echelon
+# The span
 
 def _axpy(w: dict, f, row: dict) -> None:
     """w -= f * row on sparse rows, dropping entries that cancel."""
@@ -326,7 +327,7 @@ def _scale(w: dict, a: int) -> None:
 def _over(d: dict, s: int) -> tuple:
     """The canonical sparse row of d / s, for a {k: x} dict of rationals and
     a nonzero int s: each x / s in the number form.  This is the package's
-    one division; every echelon row a reader returns passes through it."""
+    one division; every span row a reader returns passes through it."""
     if s == 1:
         return _number_row(d)
     return sparse_row({k: _number(Q(x.numerator, x.denominator * s))
@@ -344,8 +345,8 @@ def _integral(w: dict, t: dict) -> tuple:
             {k: x * m for k, x in t.items()}, m)
 
 
-class _Echelon:
-    """The echelon of a growing span, kept on integers.
+class Span:
+    """The row span of a matrix, eliminated once and kept on integers.
 
     ``rows`` maps each pivot column p to a sparse row ({column: int}) that
     is primitive (the gcd of its entries is 1), positive at p and 0 at every
@@ -353,26 +354,52 @@ class _Echelon:
     by pivot, each divided by its pivot entry, are the RREF of the span;
     that division is made only where a reader returns a row (``_over``).
     ``tags`` maps each pivot to a sparse tag that scales with its row: the
-    row as a combination of the tags of the rows added, e.g. {i: 1} for the
-    i-th row of a matrix, or {} for a row whose coefficients are not wanted.
+    row as a combination of the tags of the rows added.  Built with
+    ``tagged``, row i of M carries {i: 1}, so tags are coefficients over the
+    rows of M and ``n``, the number of tagged rows, is M.rows; otherwise
+    every tag is {} and n is 0.
     A row with denominators is multiplied once, with its tag, by the lcm of
     its denominators (``_integral``), when a non-unit pivot or the new
     pivot row needs ints.  A row w is reduced by pivot row p as
     w <- a w - b row_p, with a w[p] = b row_p[p] and a, b coprime; a unit
     pivot (row_p[p] == 1) takes a = 1, b = w[p] and no gcd, so spans with
     unit pivots (most boundary and Leibniz systems) do no content work.
+
+    ``contains(row)`` is the span test, with no division.  ``split(row)``
+    is the linear map behind the coordinates, defined everywhere:
+    ``(residual, coords)``, both canonical sparse rows, where the residual
+    is empty exactly when the row lies in the span, and then
+    row = sum_i coords_i r_i + (rows with empty tags), for r_i the row
+    tagged {i: 1}.  Calling the span on a row gives those coords as a dense
+    tuple of length n and raises outside the span.  All three take a row
+    dense or sparse, as the ``QMatrix`` constructor does.
     """
 
-    __slots__ = ("cols", "rows", "tags")
+    __slots__ = ("cols", "rows", "tags", "n")
 
-    def __init__(self, cols: int):
-        self.cols = cols
+    def __init__(self, M: QMatrix, tagged: bool = False):
+        self.cols = M.cols
         self.rows = {}
         self.tags = {}
+        self.n = M.rows if tagged else 0
+        for i, row in enumerate(M.sparse_rows):
+            self.add(row, {i: ONE} if tagged else {})
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _sparse(self, row: Sequence) -> Sequence:
+        """A row given dense (``cols`` entries) or sparse, as a sparse row."""
+        if row and type(row[0]) is not tuple:
+            if len(row) != self.cols:
+                raise ExactLinError("span: dimension mismatch")
+            return sparse(row)
+        return row
 
     def residual(self, row: Sequence, tag: dict):
         """``(w, t, s)``: s times a sparse row less its projection on the
-        echelon, as a {column: value} dict (empty when the row lies in the
+        span, as a {column: value} dict (empty when the row lies in the
         span), t, s times tag less the same combination of tags, and the
         positive int s.  The row is made integral (``_integral``) only when
         a non-unit pivot needs its entry as an int."""
@@ -401,7 +428,7 @@ class _Echelon:
         return w, t, s
 
     def add(self, row: Sequence, tag: dict) -> bool:
-        """Add a row carrying ``tag``; True when the span grew."""
+        """Add a sparse row carrying ``tag``; True when the span grew."""
         w, t, _ = self.residual(row, tag)
         if not w:
             return False
@@ -457,51 +484,18 @@ class _Echelon:
         rows = self.rows
         return tuple(sparse_row(rows[p]) for p in sorted(rows))
 
-    def coords(self, v: Sequence, n: int) -> Optional[tuple]:
-        """c with v = sum_i c_i r_i + (rows with empty tags), where r_i is
-        the row added with tag {i: 1} and i < n; None outside the span."""
-        if len(v) != self.cols:
-            raise ExactLinError("membership: dimension mismatch")
-        w, t, s = self.residual(sparse(v), {})
-        if w:
-            return None
-        return dense(_over({k: -x for k, x in t.items()}, s), n)
-
-
-def _echelon(M: QMatrix, tagged: bool) -> _Echelon:
-    """The echelon of the rows of M, added in order; with ``tagged`` row i
-    carries the tag {i: 1}, so tags are coefficients over the rows of M."""
-    E = _Echelon(M.cols)
-    for i, row in enumerate(M.sparse_rows):
-        E.add(row, {i: ONE} if tagged else {})
-    return E
-
-
-class Reducer:
-    """The coordinate map of an echelon over its rows tagged {i: 1}, i < n.
-
-    ``reduce(v)`` is the c of ``_Echelon.coords`` on a dense v and raises
-    outside the span.  ``split(row)`` is the linear map behind it, on a
-    sparse row and defined everywhere: ``(residual, coords)``, both
-    canonical sparse rows, where the residual is empty exactly when the row
-    lies in the span and coords are then those ``reduce`` gives.
-    """
-
-    __slots__ = ("echelon", "n")
-
-    def __init__(self, echelon: _Echelon, n: int):
-        self.echelon = echelon
-        self.n = n
-
-    def __call__(self, v: Sequence) -> tuple:
-        c = self.echelon.coords(v, self.n)
-        if c is None:
-            raise ExactLinError("reduce: vector outside the span")
-        return c
+    def contains(self, row: Sequence) -> bool:
+        return not self.residual(self._sparse(row), {})[0]
 
     def split(self, row: Sequence) -> tuple:
-        w, t, s = self.echelon.residual(row, {})
+        w, t, s = self.residual(self._sparse(row), {})
         return _over(w, s), _over({k: -x for k, x in t.items()}, s)
+
+    def __call__(self, row: Sequence) -> tuple:
+        w, c = self.split(row)
+        if w:
+            raise ExactLinError("reduce: vector outside the span")
+        return dense(c, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +506,9 @@ def rref(M: QMatrix):
 
     Returns ``(R, pivots, rank)`` with pivot columns ascending.
     """
-    E = _echelon(M, False)
-    rk = len(E.rows)
-    R = E.basis() + ((),) * (M.rows - rk)
-    return QMatrix(R, M.cols), tuple(sorted(E.rows)), rk
+    S = Span(M)
+    R = S.basis() + ((),) * (M.rows - S.dim)
+    return QMatrix(R, M.cols), tuple(sorted(S.rows)), S.dim
 
 
 def rref_transform(M: QMatrix):
@@ -523,40 +516,27 @@ def rref_transform(M: QMatrix):
 
     The rows of T past the rank are zero, like those of R.
     """
-    E = _echelon(M, True)
-    pivots = tuple(sorted(E.rows))
+    S = Span(M, tagged=True)
+    pivots = tuple(sorted(S.rows))
     pad = ((),) * (M.rows - len(pivots))
-    R = E.basis() + pad
-    T = tuple(_over(E.tags[p], E.rows[p][p]) for p in pivots) + pad
+    R = S.basis() + pad
+    T = tuple(_over(S.tags[p], S.rows[p][p]) for p in pivots) + pad
     return QMatrix(R, M.cols), QMatrix(T, M.rows), pivots, len(pivots)
 
 
 def rank(M: QMatrix) -> int:
-    return len(_echelon(M, False).rows)
+    return Span(M).dim
 
 
 def row_space(M: QMatrix) -> QMatrix:
     """Canonical (RREF) basis of the row span."""
-    return QMatrix(_echelon(M, False).basis(), M.cols)
-
-
-def echelon_span(M: QMatrix):
-    """``(row_space(M), rows, contains)`` from one elimination: ``rows`` are
-    the echelon's primitive integer rows, row i a positive multiple of row i
-    of the RREF, and ``contains(row)`` says whether a sparse row lies in the
-    row span of M, with no division."""
-    E = _echelon(M, False)
-
-    def contains(row: Sequence) -> bool:
-        return not E.residual(row, {})[0]
-
-    return QMatrix(E.basis(), M.cols), E.primitive_rows(), contains
+    return QMatrix(Span(M).basis(), M.cols)
 
 
 def nullspace(M: QMatrix) -> QMatrix:
     """Canonical basis of {x : Mx = 0}, free variables set to 1 in ascending
     column order; rows of the result are the basis vectors."""
-    rows = _echelon(M, False).rows
+    rows = Span(M).rows
     free = [c for c in range(M.cols) if c not in rows]
     basis = {fc: {fc: ONE} for fc in free}
     for p, row in rows.items():
@@ -565,71 +545,42 @@ def nullspace(M: QMatrix) -> QMatrix:
     return QMatrix([sparse_row(basis[fc]) for fc in free], M.cols)
 
 
-def make_membership(S: QMatrix) -> Callable[[Sequence], Optional[tuple]]:
-    """``membership`` against a fixed S, eliminating S once for every call."""
-    E = _echelon(S, True)
-
-    def solve(v: Sequence) -> Optional[tuple]:
-        return E.coords(v, S.rows)
-
-    return solve
-
-
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:
     """Coefficients c with c.S = v when v is in the row span of S, else None."""
-    return make_membership(S)(v)
+    w, c = Span(S, tagged=True).split(v)
+    return None if w else dense(c, S.rows)
 
 
-def make_span_test(S: QMatrix) -> Callable[[Sequence], bool]:
-    """Whether a dense v lies in the row span of a fixed S, eliminating S
-    once and without the coefficients ``make_membership`` carries."""
-    _, _, in_span = echelon_span(S)
-
-    def contains(v: Sequence) -> bool:
-        if len(v) != S.cols:
-            raise ExactLinError("span test: dimension mismatch")
-        return in_span(sparse(v))
-
-    return contains
-
-
-def span_equal(A: QMatrix, B: QMatrix) -> bool:
-    if A.cols != B.cols:
-        return False
-    return row_space(A) == row_space(B)
-
-
-def make_reducer(B: QMatrix) -> Reducer:
+def make_reducer(B: QMatrix) -> Span:
     """Coordinate map onto the rows of B (must be linearly independent).
 
-    The returned callable maps any v in rowspan(B) to the unique c with
+    The returned span maps any v in rowspan(B) to the unique c with
     c.B = v; raises ExactLinError outside the span.
     """
-    E = _echelon(B, True)
-    if len(E.rows) != B.rows:
+    S = Span(B, tagged=True)
+    if S.dim != B.rows:
         raise ExactLinError("make_reducer: rows are dependent")
-    return Reducer(E, B.rows)
+    return S
 
 
 def quotient_basis(space: QMatrix, subspace: QMatrix):
     """Coset representatives of rowspan(space) / rowspan(subspace).
 
     Returns ``(reps, reduce)``: reps are the canonical space-basis rows that
-    complete the subspace to the space, and ``reduce`` maps any vector of
-    the space to its coordinates over reps modulo the subspace.
+    complete the subspace to the space, and ``reduce``, a ``Span``, maps any
+    vector of the space to its coordinates over reps modulo the subspace.
     """
     if space.cols != subspace.cols:
         raise ExactLinError("quotient_basis: column mismatch")
     Rsp = row_space(space)
-    # one echelon: subspace rows carry no tag, kept row i carries {i: 1}, so
+    # one span: subspace rows carry no tag, kept row i carries {i: 1}, so
     # the tags of a vector's combination are its coordinates over reps
-    E = _Echelon(space.cols)
-    for row in subspace.sparse_rows:
-        E.add(row, {})
+    S = Span(subspace)
     kept = []
     for row in Rsp.sparse_rows:
-        if E.add(row, {len(kept): ONE}):
+        if S.add(row, {len(kept): ONE}):
             kept.append(row)
-    if len(E.rows) != Rsp.rows:
+    if S.dim != Rsp.rows:
         raise ExactLinError("quotient_basis: subspace not contained in space")
-    return QMatrix(tuple(kept), space.cols), Reducer(E, len(kept))
+    S.n = len(kept)
+    return QMatrix(tuple(kept), space.cols), S

@@ -69,7 +69,24 @@ def load_table(path: str, d: int) -> list:
     """The d x d table of length-d rational vectors in an ``entries`` file
     (a bracket table, or the omni bracket table mu with mu[i][j] the
     coordinates of mu(v_i, v_j)); omitted entries are zero."""
-    doc = _load_json(path)
+    return _entries(_load_json(path), path, d)
+
+
+def _check_algebra(doc, path: str, A: FiniteAlgebra) -> None:
+    """A file's ``"algebra"`` field, when present, is resolved like
+    ``--algebra`` and must give A's structure constants and unit."""
+    if not isinstance(doc, dict) or "algebra" not in doc:
+        return
+    ref = doc["algebra"]
+    if not isinstance(ref, str):
+        raise FileFormatError(f"{path}: 'algebra' must be a name or a path")
+    B = load_algebra_ref(ref)
+    if (B.structure, B.unit) != (A.structure, A.unit):
+        raise FileFormatError(
+            f"{path}: the file is over {ref!r}, not over {A.name}")
+
+
+def _entries(doc, path: str, d: int) -> list:
     try:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
@@ -100,7 +117,9 @@ def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
     if not os.path.exists(path):
         raise FileFormatError(
             f"no such bracket-table file or bundled name: {ref!r}")
-    return BracketTable(A, tuple(map(tuple, load_table(path, A.dim))))
+    doc = _load_json(path)
+    _check_algebra(doc, path, A)
+    return BracketTable(A, tuple(map(tuple, _entries(doc, path, A.dim))))
 
 
 def load_submodule(path: str,
@@ -137,6 +156,7 @@ def load_submodule(path: str,
 def load_two_form(path: str, E: ESpace, *,
                   max_dim: Optional[int] = None) -> TwoFormClass:
     doc = _load_json(path)
+    _check_algebra(doc, path, E.algebra)
     try:
         coords = rational_list(doc["coords"])
     except (KeyError, TypeError, ValueError) as exc:

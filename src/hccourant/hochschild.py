@@ -18,9 +18,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ZERO, ONE, ExactLinError, HccourantError, QMatrix,
-                       canonical_row, dense, make_span_test, nullspace,
-                       quotient_basis, row_space, sparse_row,
-                       transpose_table, vec, vec_is_zero)
+                       Span, canonical_row, dense, nullspace, quotient_basis,
+                       row_space, sparse_row, transpose_table, vec,
+                       vec_is_zero)
 
 
 class HochschildError(HccourantError):
@@ -296,7 +296,7 @@ class HomologyPresentation:
     cycle_basis: QMatrix
     boundary_basis: QMatrix
     class_reps: QMatrix
-    reduce: Callable[[Sequence], tuple]
+    reduce: Span  # class coordinates of a cycle, given dense or sparse
 
     @property
     def dim(self) -> int:
@@ -305,7 +305,7 @@ class HomologyPresentation:
     def reduce_chain(self, c: Chain) -> tuple:
         if c.algebra is not self.algebra or c.degree != self.degree:
             raise HochschildError("chain does not match the presentation")
-        return self.reduce(c.coords)
+        return self.reduce(c.row)
 
     def rep_chain(self, k: int) -> Chain:
         return Chain(self.algebra, self.degree, self.class_reps.sparse_rows[k])
@@ -405,7 +405,7 @@ def pairing(X: Cochain1, alpha: Chain,
         raise HochschildError("pairing requires a degree-1 chain")
     if X.algebra is not alpha.algebra or h0.algebra is not alpha.algebra:
         raise HochschildError("pairing: mismatched algebras")
-    return h0.reduce(interior_product(X, alpha, checked=False).coords)
+    return h0.reduce(interior_product(X, alpha, checked=False).row)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +436,36 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
     pres_n = homology(A, n, max_dim=max_dim)
     pres_lo = homology(A, n - 1, max_dim=max_dim) if n >= 1 else None
     check_guard(A.dim, n + 2, max_dim)
-    in_boundaries_hi = make_span_test(_boundary_operator_rows(A, n + 2))
+    in_boundaries_hi = Span(_boundary_operator_rows(A, n + 2)).contains
     checks = []
 
     def add(name, case, ok):
         checks.append(DescentCheck(name, case, ok))
 
-    in_cycles = make_span_test(pres_n.cycle_basis)
-    in_boundaries = make_span_test(pres_n.boundary_basis)
+    in_cycles = Span(pres_n.cycle_basis).contains
+    in_boundaries = Span(pres_n.boundary_basis).contains
     if pres_lo is not None:
-        in_cycles_lo = make_span_test(pres_lo.cycle_basis)
-        in_boundaries_lo = make_span_test(pres_lo.boundary_basis)
+        in_cycles_lo = Span(pres_lo.cycle_basis).contains
+        in_boundaries_lo = Span(pres_lo.boundary_basis).contains
 
     der = derivation_basis(A)
     for xi, xflat in enumerate(der):
         X = cochain_from_flat(A, xflat)
         for zi, z in enumerate(pres_n.cycle_basis.sparse_rows):
             lz = lie_derivative(X, Chain(A, n, z), checked=False)
-            add("L_X cycles->cycles", f"X{xi} z{zi}", in_cycles(lz.coords))
+            add("L_X cycles->cycles", f"X{xi} z{zi}", in_cycles(lz.row))
             if pres_lo is not None:
                 iz = interior_product(X, Chain(A, n, z), checked=False)
                 add("i_X cycles->cycles", f"X{xi} z{zi}",
-                    in_cycles_lo(iz.coords))
+                    in_cycles_lo(iz.row))
         for bi, b in enumerate(pres_n.boundary_basis.sparse_rows):
             lb = lie_derivative(X, Chain(A, n, b), checked=False)
             add("L_X boundaries->boundaries", f"X{xi} b{bi}",
-                in_boundaries(lb.coords))
+                in_boundaries(lb.row))
             if pres_lo is not None:
                 ib = interior_product(X, Chain(A, n, b), checked=False)
                 add("i_X boundaries->boundaries", f"X{xi} b{bi}",
-                    in_boundaries_lo(ib.coords))
+                    in_boundaries_lo(ib.row))
 
     for ai in range(A.dim):
         inner = inner_derivation(A, A.basis_vector(ai))
@@ -475,18 +475,18 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
             z = pres_n.rep_chain(zi)
             lz = lie_derivative(inner, z, checked=False)
             add("L_inner vanishes on homology", f"a{ai} z{zi}",
-                vec_is_zero(pres_n.reduce(lz.coords)))
+                vec_is_zero(pres_n.reduce(lz.row)))
             if pres_lo is not None:
                 iz = interior_product(inner, z, checked=False)
                 add("i_inner vanishes on homology", f"a{ai} z{zi}",
-                    vec_is_zero(pres_lo.reduce(iz.coords)))
+                    vec_is_zero(pres_lo.reduce(iz.row)))
 
     for zi in range(pres_n.dim):
         z = pres_n.rep_chain(zi)
         bBz = boundary_b(connes_B(z))
-        add("b(B(cycle)) is a boundary", f"z{zi}", in_boundaries(bBz.coords))
+        add("b(B(cycle)) is a boundary", f"z{zi}", in_boundaries(bBz.row))
     for bi, b in enumerate(pres_n.boundary_basis.sparse_rows):
         Bb = connes_B(Chain(A, n, b))
-        add("B boundaries->boundaries", f"b{bi}", in_boundaries_hi(Bb.coords))
+        add("B boundaries->boundaries", f"b{bi}", in_boundaries_hi(Bb.row))
 
     return DescentReport(A, n, tuple(checks))

@@ -30,7 +30,7 @@ from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
                        combine, dense, pullback, pushforward, rank,
-                       row_combination, span_equal, sparse_row, sparse_table,
+                       row_combination, row_space, sparse_row, sparse_table,
                        vec)
 from .hochschild import cochain_from_flat, elementary_chain
 
@@ -215,8 +215,8 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
         for j in range(i + 1, n):
             c = elementary_chain(A, (i + 1, j + 1))  # v_i (x) v_j
             gen_rows.append((ZERO,) * E.h1co.dim + tuple(E.class_of_chain(c)))
-    kernel_generators_ok = span_equal(
-        QMatrix(gen_rows or [], cols=E.dim), eps.J)
+    kernel_generators_ok = (row_space(QMatrix(gen_rows or [], cols=E.dim))
+                            == row_space(eps.J))
 
     bijective = True  # enforced in build_omni_iso
     bracket_ok = (pullback(eps.bracket_table, fwd, fwd)

@@ -1,5 +1,7 @@
 """File loaders and the command-line front end, including exit codes."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -281,6 +283,28 @@ def test_every_package_error_derives_from_the_base():
     assert all(issubclass(e, HccourantError) for e in errors), errors
 
 
+def test_traced_names_resolve_where_the_tracer_wraps_them():
+    """Every name in the benchmark tracer's ``TRACED`` resolves in
+    ``hccourant``: a plain name to a module-level function or class, and
+    ``Class.method`` to a key of that class's own ``__dict__``, the entry
+    the tracer replaces, so a traced method cannot move to a base class."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for modname, names in tracer.TRACED.values():
+        scope = vars(importlib.import_module(modname))
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            if owner:
+                assert isinstance(scope.get(owner), type), name
+                assert attr in vars(scope[owner]), name
+            else:
+                obj = scope.get(name)
+                assert inspect.isfunction(obj) or isinstance(obj, type), name
+
+
 def test_dirac_check_nonjacobi_exit_1_with_counterexample(capsys):
     code, out = run(["dirac-check", "--algebra", "v1_3",
                      "--bracket", "bracket_nonjacobi_v1_3",
@@ -309,6 +333,44 @@ def test_dirac_check_submodule_file(tmp_path, capsys, epsilons):
                      "--submodule", str(p)], capsys)
     assert code == 0
     assert "dirac: True" in out
+
+
+def test_dirac_check_submodule_in_e(tmp_path, capsys, epsilons):
+    """The rows of ``test_dirac_check_submodule_file``, lifted to E(A), give
+    the same verdict and the same basis through the projection."""
+    eps = epsilons["v1_3"]
+    E = eps.espace
+    units = [tuple(1 if k == i else 0 for k in range(E.dim))
+             for i in range(E.h1co.dim)]
+    bases = []
+    for ambient, rows in (
+            ("epsilon", [eps.reduce(u) for u in units]),
+            ("E", [eps.lift(eps.reduce(u)) for u in units])):
+        p = tmp_path / f"{ambient}.json"
+        p.write_text(json.dumps({"ambient": ambient, "vectors": [
+            [str(x) for x in row] for row in rows]}))
+        code, out = run(["dirac-check", "--algebra", "v1_3", "--submodule",
+                         str(p), "--format", "json"], capsys)
+        assert code == 0
+        bases.append(json.loads(out)["submodule_basis"])
+    assert bases[0] == bases[1]
+
+
+@pytest.mark.parametrize("algebra", ("v1_2", "qx2"))
+@pytest.mark.parametrize("kind", ("bracket", "omega"))
+def test_file_over_another_algebra_exit_2(tmp_path, capsys, algebra, kind):
+    """A bracket table or two-form file names its algebra; over any other
+    ``--algebra`` it is refused, not read as a table of that algebra."""
+    if kind == "bracket":
+        argv = ["dirac-check", "--bracket", "bracket_zero_v1_3"]
+    else:
+        p = tmp_path / "omega.json"
+        p.write_text(json.dumps({"algebra": "v1_3", "coords": ["0"] * 5}))
+        argv = ["two-form", "--omega", str(p)]
+    code, out = run(argv + ["--algebra", algebra, "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "'v1_3'" in error and "\n" not in error
 
 
 def test_submodule_bad_ambient(tmp_path, capsys):

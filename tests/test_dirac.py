@@ -1,6 +1,8 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,8 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              lie_laws, make_bracket_table, orthogonal,
                              poisson_graph, table_from_flat, two_form,
                              two_form_graph)
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, bilinear,
-                                make_membership,
-                                make_span_test, nullspace, rank,
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
+                                nullspace, rank, rat_str, row_space,
                                 row_combination, sparse_table, vec,
                                 vec_is_zero)
 from hccourant.courant import EpsilonSpace, ESpace
@@ -26,6 +27,7 @@ from hccourant.hochschild import (Chain, Cochain1, connes_B,
                                   interior_product)
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
                              load_bracket_table)
+from hccourant import omni
 from hccourant.omni import build_omni_iso, d_structure_check
 from conftest import (dense_structure, is_number, load_script,
                       monomial_algebra, rand_combination, rand_derivation,
@@ -239,17 +241,17 @@ def _ref_is_maximally_isotropic(L):
     if not _ref_is_isotropic(L):
         return False
     perp = orthogonal(L)
-    in_L = make_membership(L.vectors)
-    return rank(perp) == L.dim and all(in_L(r) is not None for r in perp)
+    in_L = Span(L.vectors).contains
+    return rank(perp) == L.dim and all(in_L(r) for r in perp)
 
 
 def _ref_is_bracket_closed(L):
     vs = L.vectors.data
-    coords = make_membership(L.vectors)
+    in_L = Span(L.vectors).contains
     for i in range(L.dim):
         for j in range(L.dim):
             b = L.ambient.bracket(vs[i], vs[j])
-            if coords(b) is None:
+            if not in_L(b):
                 return False, (i, j, b)
     return True, None
 
@@ -597,7 +599,7 @@ def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
     the kernel; no pair ever fails alternation there."""
     E, h2, h3, kernel = two_form_kernels[name]
     assert kernel.rows == kernel_dim
-    in_kernel = make_span_test(kernel)
+    in_kernel = Span(kernel).contains
     rng = rng_for(f"two-form-kernel/{name}")
     draws = [rand_vec(rng, h2.dim) for _ in range(15)]
     draws += [rand_combination(rng, kernel) for _ in range(5)]
@@ -670,6 +672,36 @@ def test_submodule_canonicalized_to_rref(v13):
     L = Submodule(eps, QMatrix([v, v], cols=eps.dim))
     assert L.dim == 1
     assert L.vectors[0][0] == 1
+
+
+def test_a_verdict_that_holds_builds_no_rref(v13, monkeypatch):
+    """``is_dirac`` decides on the span and its integer rows alone: on a
+    Dirac Poisson graph and a Dirac D-structure graph the RREF basis is
+    never built, and reading it afterwards gives the RREF of the spanning
+    rows, the pinned basis of the Poisson graph."""
+    A, E, eps = v13
+    _, L = poisson_graph(E, eps, load_bracket_table("bracket_so3_v1_3", A))
+    assert is_dirac(L).dirac
+    assert "vectors" not in L.__dict__
+    pin = Path(__file__).parent / "data" / "poisson_graph_v1_3_so3_seed7.json"
+    assert [[rat_str(x) for x in row] for row in L.vectors] == \
+        json.loads(pin.read_text())["graph_basis_epsilon"]
+
+    made = []
+
+    class Recorded(Submodule):
+        def __init__(self, ambient, vectors):
+            super().__init__(ambient, vectors)
+            made.append((self, vectors))
+
+    monkeypatch.setattr(omni, "Submodule", Recorded)
+    a = (1, 2, -1)  # mu(x, y) = a(x) y - a(y) x is a Lie bracket
+    mu = [[[a[i] * (k == j) - a[j] * (k == i) for k in range(3)]
+           for j in range(3)] for i in range(3)]
+    assert d_structure_check(build_omni_iso(3), mu).dirac
+    (L, spanning), = made
+    assert "vectors" not in L.__dict__
+    assert L.vectors == row_space(spanning)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, _echelon,
-                                bilinear, canonical_row, combine, contract,
-                                dense, make_membership, make_reducer,
-                                make_span_test, membership, nullspace,
+from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
+                                canonical_row, combine, contract, dense,
+                                make_reducer, membership, nullspace,
                                 pullback, pushforward, quotient_basis, rank,
                                 rat, rat_str, row_combination, row_space,
                                 rref, rref_transform, sparse, sparse_table,
-                                span_equal, vec)
+                                vec)
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import homology
 from conftest import is_canonical_table, is_number
@@ -69,7 +68,7 @@ def test_membership_and_span():
     assert membership((0, 0, 1), S) is None
     assert membership((1, 1, 2), S) is not None
     assert membership((1, 1, 3), S) is None
-    in_S = make_span_test(S)
+    in_S = Span(S).contains
     assert in_S((2, 3, 5)) and in_S((1, 1, 2)) and in_S((0, 0, 0))
     assert not in_S((0, 0, 1)) and not in_S((1, 1, 3))
 
@@ -106,13 +105,15 @@ def test_make_reducer_rejects_dependent_rows():
 
 def test_membership_solver_rejects_wrong_length():
     S = QMatrix([[1, 0, 1], [0, 1, 1]])
-    solve = make_membership(S)
+    solve = Span(S, tagged=True)
     assert solve((1, 1, 2)) == (Q(1), Q(1))
     for v in ((1, 1), (1, 1, 2, 0)):
         with pytest.raises(ExactLinError, match="dimension mismatch"):
             solve(v)
         with pytest.raises(ExactLinError, match="dimension mismatch"):
-            make_span_test(S)(v)
+            membership(v, S)
+        with pytest.raises(ExactLinError, match="dimension mismatch"):
+            Span(S).contains(v)
 
 
 def test_empty_matrix_needs_cols():
@@ -165,7 +166,8 @@ def test_membership_reconstruction(M, coeffs):
             v[k] += c * x
     c = membership(tuple(v), M)
     assert c is not None
-    assert make_span_test(M)(tuple(v))
+    assert Span(M).contains(tuple(v))
+    assert Span(M).contains(sparse(vec(v)))
     rebuilt = [Q(0)] * M.cols
     for ci, row in zip(c, M):
         for k, x in enumerate(row):
@@ -235,8 +237,8 @@ def test_rref_transform_matches_rref(M, picks):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
-def test_row_space_is_span_equal(M):
-    assert span_equal(row_space(M), M)
+def test_row_space_spans_the_rows(M):
+    assert row_space(row_space(M)) == row_space(M)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +742,7 @@ def _dense_fractions(M: QMatrix) -> list:
     return [[_fraction(x) for x in row] for row in M]
 
 
-def _assert_primitive_echelon(E, M: Optional[QMatrix] = None) -> None:
+def _assert_primitive_span(E, M: Optional[QMatrix] = None) -> None:
     """Every stored pivot row is a primitive row of exact ``int``s, positive
     at its pivot, its leftmost entry, and 0 at every other pivot; when M is
     given, the rows were added with tags {i: 1} for the rows i of M, and
@@ -764,7 +766,7 @@ _entries = st.one_of(st.just(0), st.integers(-6, 6), rationals)
 
 
 @st.composite
-def _echelon_cases(draw):
+def _span_cases(draw):
     """(M, S, probes): a matrix with dependent and zero rows, a subspace of
     its row span, and probe vectors in and out of the span."""
     cols = draw(st.integers(1, 6))
@@ -790,8 +792,8 @@ def _echelon_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_echelon_cases())
-def test_fraction_free_echelon_matches_gauss_jordan(case):
+@given(_span_cases())
+def test_fraction_free_span_matches_gauss_jordan(case):
     """Every reader of the fraction-free echelon gives textbook
     Gauss-Jordan's rows on Fractions, for matrices with fractional entries,
     non-unit pivots, dependent rows and zero rows; every stored pivot row is
@@ -831,7 +833,7 @@ def test_fraction_free_echelon_matches_gauss_jordan(case):
             assert [sum((_fraction(a) * b for a, b in zip(c, col)),
                         Fraction(0)) for col in zip(*ref_M)] == ref_v
 
-    # quotient_basis of the row span modulo S, and its Reducer
+    # quotient_basis of the row span modulo S, and its Span
     reps, reduce = quotient_basis(M, S)
     R_sub, _, _ = _ref_eliminate(_dense_fractions(S), n)
     kept = []
@@ -856,9 +858,9 @@ def test_fraction_free_echelon_matches_gauss_jordan(case):
                 reduce(tuple(v))
 
     # the stored rows, untagged, tagged, and in the quotient's echelon
-    _assert_primitive_echelon(_echelon(M, False))
-    _assert_primitive_echelon(_echelon(M, True), M)
-    _assert_primitive_echelon(reduce.echelon)
+    _assert_primitive_span(Span(M))
+    _assert_primitive_span(Span(M, tagged=True), M)
+    _assert_primitive_span(reduce)
 
 
 def _is_int_literal(node) -> bool:
