@@ -14,6 +14,7 @@ import random
 import sys
 from typing import Optional
 
+from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import (find_two_form_witness, is_dirac, is_poisson,
                     lie_algebroid_check, poisson_graph, project,
@@ -107,18 +108,20 @@ def _cmd_courant(args):
     return rep, EXIT_OK
 
 
-def _cmd_kernel(args):
+def _build_spaces(args):
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
-    eps = EpsilonSpace(E)
+    return A, E, EpsilonSpace(E)
+
+
+def _cmd_kernel(args):
+    A, E, eps = _build_spaces(args)
     return {"algebra": A.name, "e_dim": E.dim, "kernel_dim": eps.J.rows,
             "kernel_basis": _rmat(eps.J)}, EXIT_OK
 
 
 def _cmd_epsilon(args):
-    A = load_algebra_ref(args.algebra)
-    E = ESpace(A, max_dim=args.guard)
-    eps = EpsilonSpace(E)
+    A, E, eps = _build_spaces(args)
     units = QMatrix.identity(eps.dim)
     return {"algebra": A.name, "e_dim": E.dim, "kernel_dim": eps.J.rows,
             "epsilon_dim": eps.dim,
@@ -126,13 +129,6 @@ def _cmd_epsilon(args):
             "form_table": [[_rvec(eps.form(u, v)) for v in units]
                            for u in units],
             "nondegenerate": True}, EXIT_OK
-
-
-def _build_spaces(args):
-    A = load_algebra_ref(args.algebra)
-    E = ESpace(A, max_dim=args.guard)
-    eps = EpsilonSpace(E)
-    return A, E, eps
 
 
 def _cmd_dirac_check(args):
@@ -208,8 +204,9 @@ def _cmd_omni(args):
     if n is None:
         raise FileFormatError("omni requires --dim")
     mu = load_table(args.mu, n) if args.mu is not None else None
-    ev1 = verify_ev1(n)
-    iso, main = verify_main_theorem(n)
+    E = ESpace(build_v1(n), max_dim=args.guard)
+    ev1 = verify_ev1(n, espace=E)
+    iso, main = verify_main_theorem(n, espace=E)
     rep = {"n": n, "ev1": ev1.to_json(), "main_theorem": main.to_json(),
            "e_dim": ev1.e_dim, "kernel_dim": iso.eps.J.rows,
            "epsilon_dim": iso.eps.dim,

@@ -63,21 +63,27 @@ class DiracError(HccourantError):
 class Submodule:
     """A subspace of E(A) or epsilon(A), given by spanning vectors.
 
-    The span is eliminated once, into ``span`` (an ``exactlin.Span``):
-    ``int_rows`` are its primitive integer rows, ``contains`` tests a sparse
-    row against it and ``dim`` is its dimension.  Isotropy, maximality,
-    closure and Z-stability hold for a spanning set exactly when they hold
-    for any rescaling of its rows, so they run on ``int_rows``.  The RREF
-    basis ``vectors`` (row i a positive multiple of row i of ``int_rows``)
-    is built only when something reads it: a report, a Lie-algebroid check
-    or a closure counterexample."""
+    The span is eliminated once, into ``span`` (an ``exactlin.Span``), when
+    first read: ``int_rows`` are its primitive integer rows, ``contains``
+    tests a sparse row against it and ``dim`` is its dimension.  Isotropy,
+    maximality, closure and Z-stability hold for a spanning set exactly
+    when they hold for any rescaling of its rows, so they run on
+    ``int_rows``.  The RREF basis ``vectors`` (row i a positive multiple of
+    row i of ``int_rows``) is built only when something reads it: a report,
+    a Lie-algebroid check or a closure counterexample."""
 
     def __init__(self, ambient, vectors: QMatrix):
         if vectors.cols != ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
         self.ambient = ambient  # ESpace or EpsilonSpace
-        self.span = Span(vectors)
-        self.contains = self.span.contains
+        self.spanning = vectors
+
+    @cached_property
+    def span(self) -> Span:
+        return Span(self.spanning)
+
+    def contains(self, row) -> bool:
+        return self.span.contains(row)
 
     @cached_property
     def int_rows(self) -> tuple:

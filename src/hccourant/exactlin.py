@@ -18,7 +18,8 @@ eliminated and tested on int arithmetic, and the reduced (RREF) rows exist
 only where a reader asks for them.  A span tests a row (``contains``),
 splits it, linearly, into its residual and its coordinates over the
 tagged rows (``split``), and gives those coordinates as a map (a call);
-``make_reducer`` and ``quotient_basis`` return one.  ``rref``,
+``make_reducer`` returns one, and ``quotient_basis`` grows a subspace's
+span, eliminated once by its caller, into the quotient's.  ``rref``,
 ``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
 ``membership`` are thin readers of a span.  The nonzero rows of R, the
 pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
@@ -563,24 +564,26 @@ def make_reducer(B: QMatrix) -> Span:
     return S
 
 
-def quotient_basis(space: QMatrix, subspace: QMatrix):
-    """Coset representatives of rowspan(space) / rowspan(subspace).
+def quotient_basis(space: QMatrix, subspace: Span):
+    """Coset representatives of rowspan(space) / subspace, for an untagged
+    ``Span`` ``subspace``, which is grown in place into ``reduce``.
 
     Returns ``(reps, reduce)``: reps are the canonical space-basis rows that
-    complete the subspace to the space, and ``reduce``, a ``Span``, maps any
-    vector of the space to its coordinates over reps modulo the subspace.
+    complete the subspace to the space, and ``reduce``, the grown span, maps
+    any vector of the space to its coordinates over reps modulo the
+    subspace.  Its span is the space, and a vector of the space lies in the
+    subspace exactly when its coordinates are all zero.
     """
     if space.cols != subspace.cols:
         raise ExactLinError("quotient_basis: column mismatch")
     Rsp = row_space(space)
-    # one span: subspace rows carry no tag, kept row i carries {i: 1}, so
-    # the tags of a vector's combination are its coordinates over reps
-    S = Span(subspace)
+    # subspace rows carry no tag, kept row i carries {i: 1}, so the tags of
+    # a vector's combination are its coordinates over reps
     kept = []
     for row in Rsp.sparse_rows:
-        if S.add(row, {len(kept): ONE}):
+        if subspace.add(row, {len(kept): ONE}):
             kept.append(row)
-    if S.dim != Rsp.rows:
+    if subspace.dim != Rsp.rows:
         raise ExactLinError("quotient_basis: subspace not contained in space")
-    S.n = len(kept)
-    return QMatrix(tuple(kept), space.cols), S
+    subspace.n = len(kept)
+    return QMatrix(tuple(kept), space.cols), subspace

@@ -94,6 +94,7 @@ def _entries(doc, path: str, d: int) -> list:
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: 'entries' must be a list")
     table = [[(ZERO,) * d for _ in range(d)] for _ in range(d)]
+    seen = set()
     for entry in entries:
         try:
             i, j, coords = entry
@@ -108,6 +109,10 @@ def _entries(doc, path: str, d: int) -> list:
                 f"{path}: entry indices must be integers: {entry!r}")
         if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
             raise FileFormatError(f"{path}: entry out of range: {entry!r}")
+        if (i, j) in seen:
+            raise FileFormatError(f"{path}: repeated entry for the pair "
+                                  f"({i}, {j})")
+        seen.add((i, j))
         table[i][j] = coords
     return table
 

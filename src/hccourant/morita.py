@@ -19,8 +19,8 @@ from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
                       opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, HccourantError, QMatrix, pullback, pushforward,
-                       rank, row_combination, vec)
+from .exactlin import (ZERO, HccourantError, QMatrix, dense, pullback,
+                       pushforward, rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
 
@@ -35,18 +35,12 @@ class MoritaError(HccourantError):
 
 def cotr(X: Cochain1, M: FiniteAlgebra, r: int) -> Cochain1:
     """Entrywise application of a derivation of A on M_r(A)."""
-    A = X.algebra
-    d = A.dim
+    d = X.algebra.dim
     D = r * r * d
-    rows = []
-    for b in range(D):
-        pq, i = divmod(b, d)
-        img = [ZERO] * D
-        for k, x in enumerate(X.rows[i]):
-            if x:
-                img[pq * d + k] = x
-        rows.append(tuple(img))
-    return Cochain1(M, tuple(rows))
+    # E_pq(e_i), at b = pq d + i, goes to E_pq(X(e_i))
+    return Cochain1(M, tuple(
+        dense([(b - b % d + k, x) for k, x in enumerate(X.rows[b % d])], D)
+        for b in range(D)))
 
 
 def inc(c: Chain, M: FiniteAlgebra, r: int) -> Chain:
@@ -74,23 +68,17 @@ class MoritaMaps:
 
 
 def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
-    A = src.algebra
     M = tgt.algebra
-    h1co_rows = []
-    for k in range(src.h1co.dim):
-        TX = cotr(src._derivation_rep(k), M, r)
-        h1co_rows.append(tgt.class_of_derivation(TX))
+    h1co_rows = [tgt.class_of_derivation(cotr(src._derivation_rep(k), M, r))
+                 for k in range(src.h1co.dim)]
     h1_rows = []
     for k in range(src.h1.dim):
         ia = inc(src.h1.rep_chain(k), M, r)
         if not boundary_b(ia).is_zero():
             raise MoritaError("corner embedding broke a cycle")
         h1_rows.append(tgt.class_of_chain(ia))
-    h0_rows = []
-    for k in range(src.h0.dim):
-        ia = inc(src.h0.rep_chain(k), M, r)
-        h0_rows.append(tgt.h0.reduce_chain(ia))
-    h0_map = QMatrix(h0_rows, cols=tgt.h0.dim)
+    h0_map = QMatrix([tgt.h0.reduce_chain(inc(src.h0.rep_chain(k), M, r))
+                      for k in range(src.h0.dim)], cols=tgt.h0.dim)
     if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
         raise MoritaError("corner embedding does not identify H_0")
     e_map = QMatrix([x + (ZERO,) * tgt.h1.dim for x in h1co_rows]
@@ -224,8 +212,7 @@ def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
         raise MoritaError("submodule is not over the source quotient")
     rows = [ctx.map_eps(v) for v in L.vectors]
     out = Submodule(ctx.tgt_eps, QMatrix(rows, cols=ctx.tgt_eps.dim))
-    verdict = is_dirac(out)
-    return out, verdict
+    return out, is_dirac(out)
 
 
 # ---------------------------------------------------------------------------

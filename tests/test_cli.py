@@ -178,6 +178,34 @@ def test_omni_mu_float_and_bool_indices_rejected(tmp_path, capsys):
     assert "0.9" in doc["error"] and "\n" not in doc["error"]
 
 
+def test_omni_guard_reaches_the_space(capsys):
+    # the guard refusal says "pass --guard", so omni must take the option
+    code, out = run(["omni", "--dim", "2", "--guard", "2", "--format",
+                     "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert "guard 2" in doc["error"] and "\n" not in doc["error"]
+
+
+@pytest.mark.parametrize("args, entries, pair", (
+    (["dirac-check", "--algebra", "v1_3", "--bracket"],
+     [[1, 2, ["0", "0", "0", "1"]], [2, 1, ["0", "0", "0", "-1"]],
+      [1, 2, ["0", "0", "0", "2"]]], "(1, 2)"),
+    (["omni", "--dim", "2", "--mu"],
+     [[0, 1, ["1", "0"]], [1, 0, ["-1", "0"]], [0, 1, ["0", "1"]]],
+     "(0, 1)"),
+))
+def test_table_repeated_pair_exit_2(tmp_path, capsys, args, entries, pair):
+    # a repeated (i, j) entry is refused, not silently overwritten
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"entries": entries}))
+    code, out = run(args + [str(p), "--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert pair in doc["error"] and "\n" not in doc["error"]
+
+
 def test_bracket_table_float_index_exit_2(tmp_path, capsys):
     p = tmp_path / "table.json"
     p.write_text(json.dumps({"algebra": "v1_3", "entries": [

@@ -7,7 +7,7 @@ from hccourant import courant
 from hccourant.algebra import GuardError, build_v1, truncated_poly
 from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
 from hccourant.dirac import Submodule, orthogonal
-from hccourant.exactlin import (Q, ZERO, QMatrix, bilinear, contract,
+from hccourant.exactlin import (Q, ZERO, QMatrix, Span, bilinear, contract,
                                 nullspace, quotient_basis, rank,
                                 row_combination, sparse, vec_is_zero)
 from hccourant.hochschild import (Chain, Cochain1, commutator,
@@ -254,7 +254,7 @@ def test_epsilon_reduce_matches_the_quotient_reducer(espaces, epsilons, name):
     """reduce is the stored projection matrix; it agrees with the echelon
     reducer of quotient_basis on random E(A) vectors and checks lengths."""
     E, eps = espaces[name], epsilons[name]
-    _, reducer = quotient_basis(QMatrix.identity(E.dim), eps.J)
+    _, reducer = quotient_basis(QMatrix.identity(E.dim), Span(eps.J))
     rng = rng_for("reduce-" + name)
     for _ in range(20):
         v = rand_vec(rng, E.dim)

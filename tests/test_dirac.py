@@ -127,6 +127,15 @@ def test_zero_table_graph_is_homology_summand(v13):
     assert is_dirac(L).dirac
 
 
+def test_poisson_graph_in_E_is_not_eliminated_until_read(v13):
+    """A Submodule eliminates its span on first read, so the E(A) graph
+    that a quotient verdict discards costs no elimination."""
+    A, E, eps = v13
+    L_E, _ = poisson_graph(E, eps, load_bracket_table("bracket_so3_v1_3", A))
+    assert "span" not in vars(L_E)
+    assert L_E.dim == L_E.spanning.rows and "span" in vars(L_E)
+
+
 def test_so3_table_is_poisson_and_dirac(v13):
     A, E, eps = v13
     t = load_bracket_table("bracket_so3_v1_3", A)

@@ -76,7 +76,7 @@ def test_membership_and_span():
 def test_quotient_basis_reduces_subspace_to_zero():
     space = QMatrix.identity(3)
     sub = QMatrix([[1, 1, 0]], cols=3)
-    reps, reduce = quotient_basis(space, sub)
+    reps, reduce = quotient_basis(space, Span(sub))
     assert reps.rows == 2
     assert all(x == 0 for x in reduce((1, 1, 0)))
     assert any(x != 0 for x in reduce((1, 0, 0)))
@@ -93,9 +93,9 @@ def test_make_reducer_rejects_outside_span():
 def test_quotient_basis_rejects_bad_subspace():
     space = QMatrix([[1, 0, 0], [0, 1, 0]])
     with pytest.raises(ExactLinError, match="not contained"):
-        quotient_basis(space, QMatrix([[0, 1, 1]]))
+        quotient_basis(space, Span(QMatrix([[0, 1, 1]])))
     with pytest.raises(ExactLinError, match="column mismatch"):
-        quotient_basis(space, QMatrix([[1, 0]]))
+        quotient_basis(space, Span(QMatrix([[1, 0]])))
 
 
 def test_make_reducer_rejects_dependent_rows():
@@ -293,7 +293,7 @@ def test_quotient_basis_matches_reference(space, sub_coeffs, probe_coeffs):
                        cols=space.cols)
     probes = list(space) + list(subspace) + [
         _combination(c, space) for c in probe_coeffs]
-    reps, reduce = quotient_basis(space, subspace)
+    reps, reduce = quotient_basis(space, Span(subspace))
     ref_reps, ref_reduce = reference_quotient_basis(space, subspace)
     assert reps == ref_reps
     for v in probes:
@@ -670,7 +670,7 @@ def test_number_form_holds_on_mixed_inputs(case):
          for k in range(n)] for f in free]
     assert _in_number_form(x for row in null for x in row)
     sub = QMatrix([_ref_combine(s, refs, n) for s in case["sub"]], cols=n)
-    reps, reduce = quotient_basis(M, sub)
+    reps, reduce = quotient_basis(M, Span(sub))
     assert _in_number_form(x for row in reps for x in row)
     sub_refs = _ref_rows(sub)
     kept = []
@@ -834,7 +834,7 @@ def test_fraction_free_span_matches_gauss_jordan(case):
                         Fraction(0)) for col in zip(*ref_M)] == ref_v
 
     # quotient_basis of the row span modulo S, and its Span
-    reps, reduce = quotient_basis(M, S)
+    reps, reduce = quotient_basis(M, Span(S))
     R_sub, _, _ = _ref_eliminate(_dense_fractions(S), n)
     kept = []
     for r in R:  # the RREF rows that complete the subspace, in order

@@ -21,11 +21,11 @@ from hccourant.hochschild import (Chain, Cochain1, HochschildError,
                                   cochain_from_flat, cohomology_h1, commutator,
                                   connes_B, derivation_basis, elementary_chain,
                                   h_left_multiply, homology, inner_derivation,
-                                  inner_derivation_basis, interior_product,
+                                  interior_product,
                                   is_derivation, lie_derivative, pairing,
                                   verify_descent)
 from conftest import (dense_structure, monomial_algebra, rand_chain,
-                      rand_derivation, rand_vec, rng_for)
+                      rand_combination, rand_derivation, rand_vec, rng_for)
 
 SMALL = ("q", "qx2", "qx3", "v1_1", "v1_2", "ut2")
 
@@ -94,7 +94,7 @@ def test_derivation_detection():
 
 def test_inner_derivations_of_commutative_vanish():
     A = truncated_poly(3)
-    assert inner_derivation_basis(A).rows == 0
+    assert cohomology_h1(A).boundary_basis.rows == 0
     x = A.basis_vector(1)
     assert all(not any(r) for r in inner_derivation(A, x).rows)
 
@@ -150,7 +150,7 @@ def test_lie_derivative_is_homotopic_to_b_ix_plus_ix_b(algebras, name):
     rng = rng_for(f"lem-lx/{name}")
     for degree in (1, 2):
         h = homology(A, degree)
-        is_boundary = Span(h.boundary_basis).contains
+        in_boundaries = Span(h.boundary_basis).contains
         for _ in range(8):
             X = rand_derivation(rng, A, dbasis)
             for k in range(h.dim):
@@ -158,7 +158,46 @@ def test_lie_derivative_is_homotopic_to_b_ix_plus_ix_b(algebras, name):
                 lhs = lie_derivative(X, a, checked=False)
                 rhs = connes_B(interior_product(X, a, checked=False)) + \
                     interior_product(X, connes_B(a), checked=False)
-                assert is_boundary((lhs - rhs).coords)
+                row = (lhs - rhs).row
+                assert h.is_boundary(row) and in_boundaries(row)
+
+
+@pytest.mark.parametrize("name", SMALL + ("v1_3", "m2q"))
+def test_presentation_cycle_and_boundary_tests_match_their_spans(algebras,
+                                                                  name):
+    """``is_cycle`` and ``is_boundary`` read the quotient's one span; they
+    agree with the spans of ``cycle_basis`` and ``boundary_basis`` on
+    cycles, boundaries, cycles with a class and arbitrary chains."""
+    A = algebras[name]
+    rng = rng_for(f"cycle-boundary/{name}")
+    for h in (homology(A, 0), homology(A, 1), cohomology_h1(A)):
+        in_Z = Span(h.cycle_basis).contains
+        in_B = Span(h.boundary_basis).contains
+        Z, B = h.cycle_basis, h.boundary_basis
+        probes = [rand_combination(rng, Z) for _ in range(4)] + [
+            rand_combination(rng, B) for _ in range(4)] + [
+            rand_vec(rng, Z.cols) for _ in range(4)] + [(0,) * Z.cols]
+        for v in probes:
+            assert h.is_cycle(v) == in_Z(v)
+            assert h.is_boundary(v) == in_B(v)
+        assert all(map(h.is_boundary, B.sparse_rows))
+        assert not any(h.is_boundary(r) for r in h.class_reps.sparse_rows)
+
+
+@pytest.mark.parametrize("n, adds", ((0, 24), (1, 100), (2, 380)))
+def test_homology_eliminates_each_basis_once(algebras, monkeypatch, n, adds):
+    """homology(v1_3, n) adds each row to a span once: the d^n rows of
+    b_n^T (n >= 1), the d^(n+2) rows of b_(n+1), and the dim Z_n cycle
+    rows twice, once into their own RREF and once into the quotient."""
+    A = algebras["v1_3"]
+    calls = []
+    add = Span.add
+    monkeypatch.setattr(Span, "add",
+                        lambda self, *a: calls.append(1) or add(self, *a))
+    h = homology(A, n)
+    d = A.dim
+    assert len(calls) == (n >= 1) * d ** n + d ** (n + 2) \
+        + 2 * h.cycle_basis.rows == adds
 
 
 def test_connes_B_of_degree0_is_cycle():
