@@ -231,6 +231,32 @@ def rational_list(x) -> tuple:
     return tuple(map(rat, x))
 
 
+def entry_table(entries, d: int) -> dict:
+    """{(i, j): coords} of a JSON list of ``[i, j, coords]`` entries, with
+    0 <= i, j < d and d rationals per entry; a malformed, non-integer,
+    out-of-range or repeated entry is refused with a one-line error."""
+    if not isinstance(entries, list):
+        raise AlgebraError(f"not a list of [i, j, coords] entries: "
+                           f"{entries!r}")
+    table = {}
+    for entry in entries:
+        try:
+            i, j, coords = entry
+            coords = rational_list(coords)
+        except (TypeError, ValueError) as exc:
+            raise AlgebraError(f"malformed entry {entry!r}") from exc
+        # bool is an int subclass and int() truncates floats: accept only
+        # JSON integers as indices
+        if type(i) is not int or type(j) is not int:
+            raise AlgebraError(f"entry indices must be integers: {entry!r}")
+        if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
+            raise AlgebraError(f"entry out of range: {entry!r}")
+        if (i, j) in table:
+            raise AlgebraError(f"repeated entry for the pair ({i}, {j})")
+        table[i, j] = coords
+    return table
+
+
 def algebra_from_json(doc: dict) -> FiniteAlgebra:
     try:
         name = doc["name"]
@@ -244,27 +270,14 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
     if not isinstance(basis, list) or not all(type(b) is str for b in basis):
         raise AlgebraError(f"basis must be a list of strings, got {basis!r}")
     basis = tuple(basis)
-    # bool is an int subclass and int() truncates floats: accept only JSON
-    # integers as the dimension and as indices
+    # bool is an int subclass and int() truncates floats: accept only a JSON
+    # integer as the dimension
     if type(dim) is not int:
         raise AlgebraError(f"dimension must be an integer, got {dim!r}")
     if len(basis) != dim:
         raise AlgebraError("basis length does not match dimension")
     rows = [{} for _ in range(dim)]
-    for entry in triples:
-        try:
-            i, j, coords = entry
-            coords = rational_list(coords)
-        except (TypeError, ValueError) as exc:
-            raise AlgebraError(f"malformed structure entry {entry!r}") from exc
-        if type(i) is not int or type(j) is not int:
-            raise AlgebraError(
-                f"structure entry indices must be integers: {entry!r}")
-        if not (0 <= i < dim and 0 <= j < dim) or len(coords) != dim:
-            raise AlgebraError(f"structure entry out of range: {entry!r}")
-        if j in rows[i]:
-            raise AlgebraError(f"repeated structure entry for the pair "
-                               f"({i}, {j})")
+    for (i, j), coords in entry_table(triples, dim).items():
         rows[i][j] = sparse(coords)
     return FiniteAlgebra(name, dim, basis, tuple(map(sparse_row, rows)), unit)
 

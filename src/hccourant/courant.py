@@ -131,8 +131,7 @@ class ESpace:
         X1, X2 = self.derivation_of(u[:hc]), self.derivation_of(v[:hc])
         a1, a2 = self.chain_of(u[hc:]), self.chain_of(v[hc:])
         xb = self.class_of_derivation(commutator(X1, X2))
-        t = lie_derivative(X1, a2, checked=False) \
-            - lie_derivative(X2, a1, checked=False)
+        t = lie_derivative(X1, a2) - lie_derivative(X2, a1)
         bterm = connes_B(self.h0.class_to_chain(
             self.pairing_classes(v[:hc], u[hc:])))
         return xb + self.h1.reduce_chain(t + bterm)
@@ -164,8 +163,8 @@ class ESpace:
         ex, ea = QMatrix.identity(hc), QMatrix.identity(hh)
         for i in range(hc):
             for j in range(hh):
-                lx = self.h1.reduce_chain(lie_derivative(
-                    X[i], self.h1.rep_chain(j), checked=False))
+                lx = self.h1.reduce_chain(
+                    lie_derivative(X[i], self.h1.rep_chain(j)))
                 back = row_combination(self.pairing_classes(ex[i], ea[j]), D)
                 T[i][hc + j] = sparse(lx, hc)
                 T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)

@@ -25,7 +25,10 @@ coordinates), and ``poisson_graph`` is one sparse row combination of it.
 ``hamiltonian_map``, on chain representatives, is its reference.  The
 anchor of a Lie algebroid is a sparse table cached per quotient, and
 ``lie_algebroid_check`` contracts it, the bracket and the Z-action tables
-on sparse rows too.
+on sparse rows too.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
+record: ``ok`` is the conjunction of the four law fields and the JSON report
+is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
+``ok``, so it writes its own JSON.
 
 A 2-form class omega in H_2 is closed when B omega = 0 in H_3, a condition
 linear in its coordinates, so the closed classes are the nullspace of the
@@ -46,9 +49,9 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal_rows
 from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
-                       Span, bilinear, combine, contract, dense, nullspace,
-                       rank, rat_str, row_combination, sparse, sparse_row,
-                       sparse_table, transpose_table, vec)
+                       Report, Span, bilinear, combine, contract, dense,
+                       nullspace, rank, rat_str, row_combination, sparse,
+                       sparse_row, sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -452,8 +455,8 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()
-    rows = [unit + E.h1.reduce_chain(interior_product(
-                E._derivation_rep(k), rep, checked=False))
+    rows = [unit + E.h1.reduce_chain(
+                interior_product(E._derivation_rep(k), rep))
             for k, unit in enumerate(QMatrix.identity(E.h1co.dim))]
     L = project(eps, QMatrix(rows, cols=E.dim))
     return L, is_dirac(L)
@@ -485,22 +488,11 @@ def _anchor_table(eps: EpsilonSpace) -> tuple:
 
 
 @dataclass(frozen=True)
-class LieAlgebroidReport:
-    anchor_bracket_ok: bool
-    leibniz_rule_ok: bool
-    skew_ok: bool
-    jacobi_ok: bool
-
-    @property
-    def ok(self):
-        return (self.anchor_bracket_ok and self.leibniz_rule_ok
-                and self.skew_ok and self.jacobi_ok)
-
-    def to_json(self):
-        return {"anchor_bracket": self.anchor_bracket_ok,
-                "leibniz_rule": self.leibniz_rule_ok,
-                "skew": self.skew_ok, "jacobi": self.jacobi_ok,
-                "ok": self.ok}
+class LieAlgebroidReport(Report):
+    anchor_bracket: bool
+    leibniz_rule: bool
+    skew: bool
+    jacobi: bool
 
 
 def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,

@@ -47,6 +47,7 @@ when a content is divided out).
 
 from __future__ import annotations
 
+from dataclasses import fields
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -103,6 +104,21 @@ class HccourantError(ValueError):
 
 class ExactLinError(HccourantError):
     pass
+
+
+class Report:
+    """Base of the frozen-dataclass verdict records: ``ok`` is the
+    conjunction of the fields annotated ``bool``, and ``to_json`` gives every
+    field under its own name, then ``"ok"``."""
+
+    @property
+    def ok(self) -> bool:
+        return all(getattr(self, f.name) for f in fields(self)
+                   if f.type in (bool, "bool"))
+
+    def to_json(self) -> dict:
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "ok": self.ok}
 
 
 class QMatrix:

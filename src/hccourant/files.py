@@ -20,7 +20,8 @@ import json
 import os
 from typing import Optional, Union
 
-from .algebra import FiniteAlgebra, algebra_from_json, rational_list
+from .algebra import (AlgebraError, FiniteAlgebra, algebra_from_json,
+                      entry_table, rational_list)
 from .courant import EpsilonSpace, ESpace
 from .dirac import BracketTable, Submodule, TwoFormClass, two_form
 from .exactlin import HccourantError, QMatrix, ZERO
@@ -91,30 +92,12 @@ def _entries(doc, path: str, d: int) -> list:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: missing 'entries'") from exc
-    if not isinstance(entries, list):
-        raise FileFormatError(f"{path}: 'entries' must be a list")
-    table = [[(ZERO,) * d for _ in range(d)] for _ in range(d)]
-    seen = set()
-    for entry in entries:
-        try:
-            i, j, coords = entry
-            coords = rational_list(coords)
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(
-                f"{path}: malformed entry {entry!r}") from exc
-        # bool is an int subclass and int() truncates floats: accept only
-        # JSON integers as indices
-        if type(i) is not int or type(j) is not int:
-            raise FileFormatError(
-                f"{path}: entry indices must be integers: {entry!r}")
-        if not (0 <= i < d and 0 <= j < d) or len(coords) != d:
-            raise FileFormatError(f"{path}: entry out of range: {entry!r}")
-        if (i, j) in seen:
-            raise FileFormatError(f"{path}: repeated entry for the pair "
-                                  f"({i}, {j})")
-        seen.add((i, j))
-        table[i][j] = coords
-    return table
+    try:
+        cells = entry_table(entries, d)
+    except AlgebraError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    zero = (ZERO,) * d
+    return [[cells.get((i, j), zero) for j in range(d)] for i in range(d)]
 
 
 def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
@@ -127,8 +110,7 @@ def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
     return BracketTable(A, tuple(map(tuple, _entries(doc, path, A.dim))))
 
 
-def load_submodule(path: str,
-                   E: ESpace, eps: Optional[EpsilonSpace]) -> Submodule:
+def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
     doc = _load_json(path)
     try:
         ambient_name = doc["ambient"]
@@ -139,8 +121,6 @@ def load_submodule(path: str,
     if ambient_name == "E":
         ambient: Union[ESpace, EpsilonSpace] = E
     elif ambient_name == "epsilon":
-        if eps is None:
-            raise FileFormatError(f"{path}: epsilon ambient unavailable")
         ambient = eps
     else:
         raise FileFormatError(

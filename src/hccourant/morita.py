@@ -7,7 +7,11 @@ bijections E(A) -> E(M_r(A)) and epsilon(A) -> epsilon(M_r(A)), and
 transports Dirac structures along the induced isomorphism.  Each map is a
 matrix on class coordinates, and each preservation check is one table
 identity, ``pullback(T_target, F, F) == pushforward(T_source, F_values)``
-(see ``exactlin.pullback``).
+(see ``exactlin.pullback``).  A Dirac structure is transported by the
+quotient map F that the checks built, kept on the ``MoritaContext``.  The
+verdicts, ``MoritaReport`` and ``OppositeReport``, are ``exactlin.Report``
+records: fields only, with ``ok`` the conjunction of the ``bool`` fields
+and the JSON report the fields by name.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
                       opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, HccourantError, QMatrix, dense, pullback,
-                       pushforward, rank, row_combination, vec)
+from .exactlin import (ZERO, HccourantError, QMatrix, Report, combine, dense,
+                       pullback, pushforward, rank, row_combination, vec)
 from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
                          chain_sparse)
 
@@ -88,11 +92,11 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
 
 
 @dataclass(frozen=True)
-class MoritaReport:
+class MoritaReport(Report):
     algebra: str
     r: int
-    h1co_bijective: bool
-    h1_bijective: bool
+    h1_cohomology_bijective: bool
+    h1_homology_bijective: bool
     h0_bijective: bool
     pairing_preserved: bool
     bracket_preserved: bool
@@ -101,28 +105,6 @@ class MoritaReport:
     quotient_bracket_preserved: bool
     quotient_form_preserved: bool
 
-    @property
-    def ok(self):
-        return all((self.h1co_bijective, self.h1_bijective,
-                    self.h0_bijective, self.pairing_preserved,
-                    self.bracket_preserved, self.homotopy_identity,
-                    self.quotient_dims_match,
-                    self.quotient_bracket_preserved,
-                    self.quotient_form_preserved))
-
-    def to_json(self):
-        return {"algebra": self.algebra, "r": self.r,
-                "h1_cohomology_bijective": self.h1co_bijective,
-                "h1_homology_bijective": self.h1_bijective,
-                "h0_bijective": self.h0_bijective,
-                "pairing_preserved": self.pairing_preserved,
-                "bracket_preserved": self.bracket_preserved,
-                "homotopy_identity": self.homotopy_identity,
-                "quotient_dims_match": self.quotient_dims_match,
-                "quotient_bracket_preserved": self.quotient_bracket_preserved,
-                "quotient_form_preserved": self.quotient_form_preserved,
-                "ok": self.ok}
-
 
 @dataclass(frozen=True)
 class MoritaContext:
@@ -130,9 +112,7 @@ class MoritaContext:
     src_eps: EpsilonSpace
     tgt_eps: EpsilonSpace
     report: MoritaReport
-
-    def map_eps(self, u) -> tuple:
-        return self.tgt_eps.reduce(self.maps.map_e_vec(self.src_eps.lift(u)))
+    eps_map: Optional[QMatrix]  # F: epsilon(A) -> epsilon(M_r), or None
 
 
 def _check_homotopy_identity(A: FiniteAlgebra, M: FiniteAlgebra,
@@ -189,6 +169,7 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
 
     # the induced map F on the quotients: row a is the image of class rep a
     qb_ok = qf_ok = False
+    F = None
     if dims_ok:
         F = QMatrix([tgt_eps.reduce(maps.map_e_vec(rep))
                      for rep in src_eps.class_reps], cols=tgt_eps.dim)
@@ -200,7 +181,7 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
 
     report = MoritaReport(A.name, r, h1co_bij, h1_bij, h0_bij, pairing_ok,
                           bracket_ok, homotopy_ok, dims_ok, qb_ok, qf_ok)
-    return MoritaContext(maps, src_eps, tgt_eps, report)
+    return MoritaContext(maps, src_eps, tgt_eps, report, F)
 
 
 def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
@@ -210,7 +191,7 @@ def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
         raise MoritaError("transport requires a verified Morita context")
     if L.ambient is not ctx.src_eps:
         raise MoritaError("submodule is not over the source quotient")
-    rows = [ctx.map_eps(v) for v in L.vectors]
+    rows = [combine(v, ctx.eps_map) for v in L.vectors.sparse_rows]
     out = Submodule(ctx.tgt_eps, QMatrix(rows, cols=ctx.tgt_eps.dim))
     return out, is_dirac(out)
 
@@ -219,24 +200,12 @@ def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
 # the opposite-algebra isomorphism
 
 @dataclass(frozen=True)
-class OppositeReport:
+class OppositeReport(Report):
     algebra: str
     h_dims_match: bool
     presentations_coincide: bool
     bracket_tables_match: bool
     form_tables_match: bool
-
-    @property
-    def ok(self):
-        return (self.h_dims_match and self.presentations_coincide
-                and self.bracket_tables_match and self.form_tables_match)
-
-    def to_json(self):
-        return {"algebra": self.algebra,
-                "h_dims_match": self.h_dims_match,
-                "presentations_coincide": self.presentations_coincide,
-                "bracket_tables_match": self.bracket_tables_match,
-                "form_tables_match": self.form_tables_match, "ok": self.ok}
 
 
 def verify_opposite(E: ESpace, *,

@@ -15,6 +15,12 @@ Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
 Lie brackets on V; `d_structure_check` decides both sides and compares them.
 Each graph row (mu(v_i, .), v_i) is read off the sparse mu table and mapped
 to epsilon(V[1]) as one sparse combination of the rows of ``OmniIso.fwd``.
+
+``MainTheoremReport`` is an ``exactlin.Report`` record: ``ok`` is the
+conjunction of its ``bool`` fields (``form_scalar`` is a value, not a
+verdict) and its JSON report is the fields by name.  ``EV1Report`` adds
+the expected dimension to its JSON, and ``DStructureReport`` has no ``ok``
+and nests a Dirac verdict, so each writes its own JSON.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from typing import Optional, Sequence
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
-from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, bilinear,
-                       combine, dense, pullback, pushforward, rank,
+from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Report,
+                       bilinear, combine, dense, pullback, pushforward, rank,
                        row_combination, row_space, sparse_row, sparse_table,
                        vec)
 from .hochschild import cochain_from_flat, elementary_chain
@@ -146,7 +152,7 @@ class OmniIso:
 
 
 @dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(Report):
     n: int
     kernel_dim_ok: bool
     kernel_generators_ok: bool
@@ -154,20 +160,6 @@ class MainTheoremReport:
     bracket_tables_match: bool
     form_scalar: int
     form_tables_match: bool
-
-    @property
-    def ok(self):
-        return (self.kernel_dim_ok and self.kernel_generators_ok
-                and self.bijective and self.bracket_tables_match
-                and self.form_tables_match)
-
-    def to_json(self):
-        return {"n": self.n, "kernel_dim_ok": self.kernel_dim_ok,
-                "kernel_generators_ok": self.kernel_generators_ok,
-                "bijective": self.bijective,
-                "bracket_tables_match": self.bracket_tables_match,
-                "form_scalar": self.form_scalar,
-                "form_tables_match": self.form_tables_match, "ok": self.ok}
 
 
 def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:

@@ -76,31 +76,27 @@ def test_criterion_02_operator_identities(capsys, algebras):
             c = rand_chain(rng, A, n)
             # Cartan identities
             XY = commutator(X, Y)
-            lhs = lie_derivative(XY, c, checked=False)
-            rhs = lie_derivative(X, lie_derivative(Y, c, checked=False),
-                                 checked=False) - \
-                lie_derivative(Y, lie_derivative(X, c, checked=False),
-                               checked=False)
+            lhs = lie_derivative(XY, c)
+            rhs = lie_derivative(X, lie_derivative(Y, c)) - \
+                lie_derivative(Y, lie_derivative(X, c))
             ok = ok and lhs.coords == rhs.coords
-            lhs = interior_product(XY, c, checked=False)
-            rhs = lie_derivative(X, interior_product(Y, c, checked=False),
-                                 checked=False) - \
-                interior_product(Y, lie_derivative(X, c, checked=False),
-                                 checked=False)
+            lhs = interior_product(XY, c)
+            rhs = lie_derivative(X, interior_product(Y, c)) - \
+                interior_product(Y, lie_derivative(X, c))
             ok = ok and lhs.coords == rhs.coords
             # homotopy against inner derivations (sign folded into i)
             inner = inner_derivation(A, aprime)
             lhs = h_left_multiply(aprime, boundary_b(c)) - \
                 boundary_b(h_left_multiply(aprime, c))
-            rhs = interior_product(inner, c, checked=False)
+            rhs = interior_product(inner, c)
             ok = ok and lhs.coords == tuple(-x for x in rhs.coords)
             # L_X = B i_X + i_X B on degree-1 homology
             if h1.dim:
                 a = h1.rep_chain(rng.randrange(h1.dim))
-                lx = h1.reduce_chain(lie_derivative(X, a, checked=False))
+                lx = h1.reduce_chain(lie_derivative(X, a))
                 bx = h1.reduce_chain(
-                    connes_B(interior_product(X, a, checked=False))
-                    + interior_product(X, connes_B(a), checked=False))
+                    connes_B(interior_product(X, a))
+                    + interior_product(X, connes_B(a)))
                 ok = ok and lx == bx
     _report(capsys, 2, "Cartan/homotopy/L_X=Bi_X+i_XB identities, 50 draws each",
             ok, time.monotonic() - t0, 60)

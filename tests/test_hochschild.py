@@ -110,17 +110,13 @@ def test_cartan_identities(algebras, name):
         XY = commutator(X, Y)
         for n in (1, 2):
             c = rand_chain(rng, A, n)
-            lhs = lie_derivative(XY, c, checked=False)
-            rhs = lie_derivative(X, lie_derivative(Y, c, checked=False),
-                                 checked=False) - \
-                lie_derivative(Y, lie_derivative(X, c, checked=False),
-                               checked=False)
+            lhs = lie_derivative(XY, c)
+            rhs = lie_derivative(X, lie_derivative(Y, c)) - \
+                lie_derivative(Y, lie_derivative(X, c))
             assert lhs.coords == rhs.coords
-            lhs = interior_product(XY, c, checked=False)
-            rhs = lie_derivative(
-                X, interior_product(Y, c, checked=False), checked=False) - \
-                interior_product(Y, lie_derivative(X, c, checked=False),
-                                 checked=False)
+            lhs = interior_product(XY, c)
+            rhs = lie_derivative(X, interior_product(Y, c)) - \
+                interior_product(Y, lie_derivative(X, c))
             assert lhs.coords == rhs.coords
 
 
@@ -137,7 +133,7 @@ def test_homotopy_identity(algebras, name):
                 boundary_b(h_left_multiply(aprime, c))
             # with the (-1)^(n+1) sign folded into the interior product,
             # the homotopy identity reads h b - b h = i_[., a']
-            rhs = interior_product(inner, c, checked=False)
+            rhs = interior_product(inner, c)
             assert lhs.coords == tuple(-x for x in rhs.coords)
 
 
@@ -155,9 +151,9 @@ def test_lie_derivative_is_homotopic_to_b_ix_plus_ix_b(algebras, name):
             X = rand_derivation(rng, A, dbasis)
             for k in range(h.dim):
                 a = h.rep_chain(k)
-                lhs = lie_derivative(X, a, checked=False)
-                rhs = connes_B(interior_product(X, a, checked=False)) + \
-                    interior_product(X, connes_B(a), checked=False)
+                lhs = lie_derivative(X, a)
+                rhs = connes_B(interior_product(X, a)) + \
+                    interior_product(X, connes_B(a))
                 row = (lhs - rhs).row
                 assert h.is_boundary(row) and in_boundaries(row)
 
@@ -396,13 +392,12 @@ def test_chain_operators_match_reference_loops(algebras, data):
     X = _derivation(data.draw, A)
     aprime = tuple(data.draw(st.lists(_rationals, min_size=A.dim,
                                       max_size=A.dim)))
-    assert lie_derivative(X, c, checked=False) == _ref_lie_derivative(X, c)
+    assert lie_derivative(X, c) == _ref_lie_derivative(X, c)
     assert connes_B(c) == _ref_connes_B(c)
     assert h_left_multiply(aprime, c) == _ref_h_left_multiply(aprime, c)
     if c.degree >= 1:
         assert boundary_b(c) == _ref_boundary_b(c)
-        assert interior_product(X, c, checked=False) == \
-            _ref_interior_product(X, c)
+        assert interior_product(X, c) == _ref_interior_product(X, c)
 
 
 @pytest.mark.parametrize("name", ("q", "qx2", "qx3", "v1_1", "v1_2", "v1_3",

@@ -1,13 +1,15 @@
 """Matrix-algebra transport: chain maps, homology isomorphisms, Dirac
 transport, and the opposite-algebra comparison."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from hccourant.algebra import (build_v1, ground_field, matrix_algebra,
                                truncated_poly, upper_triangular2)
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.dirac import Submodule, is_dirac, make_bracket_table, \
-    poisson_graph
+from hccourant.dirac import Submodule, is_dirac, lie_algebroid_check, \
+    make_bracket_table, poisson_graph, two_form, two_form_graph
 from hccourant.exactlin import QMatrix
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Cochain1, boundary_b, elementary_chain,
@@ -16,6 +18,7 @@ from hccourant import morita
 from hccourant.morita import (MoritaError, cotr, inc, transport_dirac,
                               verify_morita, verify_opposite,
                               _check_homotopy_identity)
+from hccourant.omni import verify_main_theorem
 from conftest import perturbed_table
 
 
@@ -137,6 +140,42 @@ def _false_flags(report) -> set:
     """The names of the report's booleans that are False, ``ok`` aside."""
     return {k for k, v in report.to_json().items()
             if v is False and k != "ok"}
+
+
+def _report(kind, espaces, epsilons):
+    if kind == "morita":
+        return verify_morita(espaces["qx2"].algebra, 2,
+                             src=espaces["qx2"]).report
+    if kind == "opposite":
+        return verify_opposite(espaces["ut2"])
+    if kind == "main":
+        return verify_main_theorem(2, espace=espaces["v1_2"])[1]
+    E, eps = espaces["qx2"], epsilons["qx2"]
+    h2 = homology(E.algebra, 2)
+    L, _ = two_form_graph(eps, two_form(E, (0,) * h2.dim, h2=h2))
+    return lie_algebroid_check(eps, L)
+
+
+@pytest.mark.parametrize("kind", ("morita", "opposite", "main", "algebroid"))
+def test_reports_are_records(espaces, epsilons, kind):
+    """A verdict record's JSON is its fields by name, then ok; ok is the
+    conjunction of its boolean fields, so forcing any one of them False
+    makes ok False and shows under that field's name, and no other field
+    is a verdict."""
+    rep = _report(kind, espaces, epsilons)
+    assert rep.ok
+    assert set(rep.to_json()) == {f.name for f in fields(rep)} | {"ok"}
+    flags = {f.name for f in fields(rep)
+             if isinstance(getattr(rep, f.name), bool)}
+    assert len(flags) >= 4
+    for f in fields(rep):
+        if f.name in flags:
+            forced = replace(rep, **{f.name: False})
+            doc = forced.to_json()
+            assert not forced.ok and doc["ok"] is False
+            assert _false_flags(forced) == {f.name}
+        else:
+            assert replace(rep, **{f.name: None}).ok
 
 
 def test_morita_pairing_comparison_can_fail(monkeypatch):
