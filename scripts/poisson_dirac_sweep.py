@@ -4,7 +4,9 @@ biderivation tables on a commutative bundled algebra.
 
 Random biderivations are almost never Poisson, so on V[1] = Q.1 (+) V the
 sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table) and
-requires each of them to be both Poisson and Dirac.
+requires each of them to be both Poisson and Dirac.  Every graph that is
+Dirac must also pass lie_algebroid_check.  The exit code is 1 on any
+disagreement, failure or Lie-algebroid report that is not ok.
 
 Example:
     python scripts/poisson_dirac_sweep.py --algebra v1_3 --count 500 --seed 7
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from hccourant.algebra import build_v1
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import (biderivation_space, is_dirac, is_poisson,
-                             make_bracket_table, poisson_graph,
-                             table_from_flat)
+                             lie_algebroid_check, make_bracket_table,
+                             poisson_graph, table_from_flat)
 from hccourant.exactlin import row_combination
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
@@ -42,13 +44,27 @@ def run(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     poisson_count = 0
     disagreements = 0
+    algebroids = {"checked": 0, "failed": 0}
+
+    def dirac_and_algebroid(L, k) -> bool:
+        """The Dirac verdict on L, and the Lie-algebroid check when it
+        holds; a report that is not ok is printed and counted."""
+        if not is_dirac(L).dirac:
+            return False
+        rep = lie_algebroid_check(eps, L)
+        algebroids["checked"] += 1
+        if not rep.ok:
+            algebroids["failed"] += 1
+            print(f"  LIE-ALGEBROID FAILURE at draw {k}: {rep.to_json()}")
+        return True
+
     for k in range(cfg.count):
         coeffs = [rng.randint(-cfg.coeff_bound, cfg.coeff_bound)
                   for _ in range(space.rows)]
         t = table_from_flat(A, row_combination(coeffs, space))
         p = is_poisson(t)
         _, L = poisson_graph(E, eps, t)
-        d = is_dirac(L).dirac
+        d = dirac_and_algebroid(L, k)
         poisson_count += p
         if p != d:
             disagreements += 1
@@ -63,13 +79,16 @@ def run(cfg: SweepConfig) -> int:
             name, table = v1_lie_poisson_table(n, rng)
             t = make_bracket_table(A, table)
             _, L = poisson_graph(E, eps, t)
-            p, d = is_poisson(t), is_dirac(L).dirac
+            p, d = is_poisson(t), dirac_and_algebroid(L, k)
             both += p and d
             if not (p and d):
                 print(f"  LIE-POISSON FAILURE at draw {k} ({name}): "
                       f"poisson={p} dirac={d}")
         failures += cfg.count - both
         print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac")
+    failures += algebroids["failed"]
+    print(f"lie-algebroid checks: {algebroids['failed']} failed of "
+          f"{algebroids['checked']}")
     return 0 if failures == 0 else 1
 
 

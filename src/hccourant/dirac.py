@@ -3,13 +3,15 @@
 Submodules are Q-subspaces of E(A) or of the quotient, each held as one
 ``exactlin.Span``: its primitive integer rows carry the verdicts and it
 answers their span tests, while the canonical (RREF) basis is built only
-for a report, a Lie-algebroid check or a counterexample.  Verdicts are exact;
-Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse rows
-throughout: isotropy, maximality, closure and Z-stability hold or fail
+for a report or for a Lie-algebroid check's structure constants.  Verdicts
+are exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse
+rows throughout: isotropy, maximality, closure and Z-stability hold or fail
 with any rescaling of the spanning rows, so they contract the ambient's
 tables with ``exactlin.contract`` on the integer rows, and a span test is
-the emptiness of a fraction-free residual.  Only a counterexample is dense,
-and it is the bracket of the RREF rows.
+the emptiness of a fraction-free residual.  Only a counterexample is dense.
+It is the bracket of the RREF rows, read off the integer bracket: RREF row
+i is integer row i over its pivot entry p_i, so their bracket is the
+integer one over p_i p_j.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
 isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
@@ -22,10 +24,18 @@ checks: ``_graph_map(E)``, cached per space, holds the image of every unit
 table (the hamiltonian values on the H_1 boundaries, the residuals of the
 values on the H_1 class reps against Der(A), and their H^1 class
 coordinates), and ``poisson_graph`` is one sparse row combination of it.
-``hamiltonian_map``, on chain representatives, is its reference.  The
-anchor of a Lie algebroid is a sparse table cached per quotient, and
-``lie_algebroid_check`` contracts it, the bracket and the Z-action tables
-on sparse rows too.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
+``hamiltonian_map``, on chain representatives, is its reference.
+
+The anchor of a Lie algebroid is a sparse table cached per quotient.  The
+anchor law rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
+[[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid,
+not only on a Dirac structure (Liu-Weinstein-Xu, Manin triples for Lie
+bialgebroids, 1997; Uchino, Remarks on the definition of a Courant
+algebroid, 2002).  So their defects are two tables cached per quotient,
+built on first use from its tables, and ``lie_algebroid_check`` reads them
+on the rows of L: by multilinearity that decides both laws on L, and
+where the defects are empty (on every quotient of the corpus) it costs
+nothing per L.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
 record: ``ok`` is the conjunction of the four law fields and the JSON report
 is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
 ``ok``, so it writes its own JSON.
@@ -49,9 +59,10 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal_rows
 from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
-                       Report, Span, bilinear, combine, contract, dense,
-                       nullspace, rank, rat_str, row_combination, sparse,
-                       sparse_row, sparse_table, transpose_table, vec)
+                       Report, Span, _over, bilinear, combine, combine_tables,
+                       contract, dense, nullspace, pullback, pushforward,
+                       rank, rat_str, row_combination, sparse, sparse_table,
+                       transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -72,8 +83,8 @@ class Submodule:
     maximality, closure and Z-stability hold for a spanning set exactly
     when they hold for any rescaling of its rows, so they run on
     ``int_rows``.  The RREF basis ``vectors`` (row i a positive multiple of
-    row i of ``int_rows``) is built only when something reads it: a report,
-    a Lie-algebroid check or a closure counterexample."""
+    row i of ``int_rows``) is built only when something reads it: a report
+    or a Lie-algebroid check's structure constants."""
 
     def __init__(self, ambient, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -145,13 +156,15 @@ def is_bracket_closed(L: Submodule):
     failing pair of spanning indices in row-major order and the offending
     bracket value, as a dense tuple.  On an isotropic L the bracket is skew,
     so the pairs i <= j decide and hold that first failure.  The test runs
-    on ``int_rows``; the counterexample is the bracket of the RREF rows."""
+    on ``int_rows``; the counterexample is the bracket of the RREF rows,
+    read off the integer bracket: RREF row i is ``int_rows[i]`` over its
+    pivot entry p_i, so their bracket is the integer one over p_i p_j."""
     vs, T = L.int_rows, L.ambient.bracket_table
     for i in range(L.dim):
         for j in range(i if L.isotropic else 0, L.dim):
-            if not L.contains(contract(vs[i], vs[j], T)):
-                rref = L.vectors.sparse_rows
-                b = contract(rref[i], rref[j], T)
+            b = contract(vs[i], vs[j], T)
+            if not L.contains(b):
+                b = _over(dict(b), vs[i][0][1] * vs[j][0][1])
                 return False, (i, j, dense(b, L.ambient.dim))
     return True, None
 
@@ -487,6 +500,46 @@ def _anchor_table(eps: EpsilonSpace) -> tuple:
         for r in eps.class_reps)
 
 
+@functools.lru_cache(maxsize=8)
+def _algebroid_defects(eps: EpsilonSpace) -> tuple:
+    """``(anchor, leibniz)``: the defects of the anchor and Leibniz laws of
+    the bracket on the whole quotient, as sparse tables built from its
+    tables.  The anchor defect is bilinear: cell (a, b) is
+        sigma([[e_a, e_b]]) - (sigma_b sigma_a - sigma_a sigma_b),
+    flattened k cdim + q, for sigma_a the anchor of e_a on the centre (row
+    k its image of c_k; rows compose in reverse).  The Leibniz defect is
+    trilinear: row a, column m dim + b holds
+        [[e_a, z_m e_b]] - z_m [[e_a, e_b]] - X_a(z_m) e_b
+    for z_m the centre basis.  Both laws hold on every Courant algebroid, and
+    both tables are empty on every quotient of the corpus (a tier-1 test).
+    Built on first use and cached, since every Lie-algebroid check over the
+    quotient reads them."""
+    S, T, Z = _anchor_table(eps), eps.bracket_table, eps.z_table
+    n, cdim = eps.dim, eps.center_basis.rows
+    sigma = QMatrix([[(k * cdim + q, x) for k, cell in row for q, x in cell]
+                     for row in S], cols=cdim * cdim)
+    # cell ((k, r), (r, q)) is e_(k, q): sigma_u sigma_v from their rows
+    compose = tuple(tuple((r * cdim + q, ((k * cdim + q, ONE),))
+                          for q in range(cdim))
+                    for k in range(cdim) for r in range(cdim))
+    P = pullback(compose, sigma, sigma)
+    anchor = combine_tables(((ONE, pushforward(T, sigma)),
+                             (-1, transpose_table(P, n)), (ONE, P)), n)
+    units = QMatrix.identity(n)
+    leibniz = [[] for _ in range(n)]
+    for m in range(cdim):
+        # row b of zm is z_m e_b, row a of xm is X_a(z_m)
+        zrow = dict(Z[m])
+        zm = QMatrix([zrow.get(b, ()) for b in range(n)], cols=n)
+        xm = QMatrix([dict(row).get(m, ()) for row in S], cols=cdim)
+        defect = combine_tables(((ONE, pullback(T, units, zm)),
+                                 (-1, pushforward(T, zm)),
+                                 (-1, pullback(Z, xm, units))), n)
+        for a, row in enumerate(defect):
+            leibniz[a] += ((m * n + b, cell) for b, cell in row)
+    return anchor, tuple(map(tuple, leibniz))
+
+
 @dataclass(frozen=True)
 class LieAlgebroidReport(Report):
     anchor_bracket: bool
@@ -498,60 +551,48 @@ class LieAlgebroidReport(Report):
 def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                         rng=None, z_samples: int = 5) -> LieAlgebroidReport:
     """For a Dirac structure L: the anchor intertwines brackets, the central
-    Leibniz rule holds on the preimage in E(A), and the restricted bracket is
-    a Lie bracket."""
+    Leibniz rule holds on L, and the restricted bracket is a Lie bracket.
+
+    The anchor law rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
+    [[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid
+    (Liu-Weinstein-Xu, 1997; Uchino, 2002), and their defects are multilinear:
+    they vanish on L exactly when ``_algebroid_defects`` read on the rows of
+    L vanish.  ``anchor_bracket`` is the emptiness of the anchor defect's
+    pullback to the rows of L; for ``leibniz_rule`` each row is contracted
+    into the Leibniz defect first, and only a nonempty part is read on the
+    draws of z and the rows of L.  z runs over the centre basis, then over
+    ``z_samples`` random integer combinations of it drawn from ``rng`` when
+    one is given; by trilinearity the draws add nothing to the basis, and
+    they are still made, so ``rng`` advances as it always has."""
     if L.ambient is not eps:
         raise DiracError("submodule is not over the given quotient")
     verdict = is_dirac(L)
     if not verdict.dirac:
         raise DiracError("lie_algebroid_check requires a Dirac structure")
-    cdim = eps.center_basis.rows
-    S, T, Z = _anchor_table(eps), eps.bracket_table, eps.z_table
-    units = QMatrix.identity(cdim).sparse_rows
-
-    def sigma(u) -> QMatrix:  # rows: the images of the centre basis
-        return QMatrix([contract(u, e, S) for e in units], cols=cdim)
-
-    vs = L.vectors.sparse_rows
-    n = L.dim
-    # br[i][j] = [[l_i, l_j]], computed once for every loop below
-    br = [[contract(a, b, T) for b in vs] for a in vs]
-    anchor_ok = True
-    sigmas = [sigma(u) for u in vs]
-    for i, si in enumerate(sigmas):
-        for j, sj in enumerate(sigmas):
-            # rows are images of the center basis, so composition reverses:
-            # row k of sj si - si sj is sj[k] . si - si[k] . sj
-            comm = QMatrix([[a - b for a, b in zip(row_combination(p, si),
-                                                   row_combination(q, sj))]
-                            for p, q in zip(sj, si)], cols=cdim)
-            if sigma(br[i][j]) != comm:
-                anchor_ok = False
-
-    # z runs over the center basis, then random combinations of it, as
-    # center coordinates c; the anchor image X_i(z) in center coordinates is
-    # c . sigma(l_i), since X_i acts linearly
-    leibniz_ok = True
-    draws = list(units)
+    n, cdim = eps.dim, eps.center_basis.rows
+    anchor, leibniz = _algebroid_defects(eps)
+    draws = list(QMatrix.identity(cdim).sparse_rows)
     if rng is not None:
         for _ in range(z_samples):
             draws.append(sparse(vec(rng.randint(-3, 3) for _ in range(cdim))))
-    for c in draws:
-        zl = [contract(c, l, Z) for l in vs]
-        for i in range(n):
-            xz = combine(c, sigmas[i])
-            for j in range(n):
-                # [[l_i, z l_j]] = z [[l_i, l_j]] + X_i(z) l_j
-                rhs = dict(contract(c, br[i][j], Z))
-                for k, x in contract(xz, vs[j], Z):
-                    rhs[k] = rhs[k] + x if k in rhs else x
-                if contract(vs[i], zl[j], T) != sparse_row(rhs):
-                    leibniz_ok = False
+    ls = QMatrix(L.int_rows, cols=n)
+    anchor_ok = not any(pullback(anchor, ls, ls))
+    leibniz_ok = True
+    for u in L.int_rows:
+        # the defect at u: a one-row table on z (x) v, at column m n + b
+        part = combine_tables([(x, (leibniz[a],)) for a, x in u], 1)
+        if part[0] and any(
+                contract(((0, ONE),), [(m * n + b, x * y) for m, x in c
+                                       for b, y in v], part)
+                for c in draws for v in L.int_rows):
+            leibniz_ok = False
 
     # structure constants: a member of L (in RREF) has its entries at the
     # pivots as coordinates; on a skew bracket Leibniz and cyclic Jacobi agree
+    vs, T = L.vectors.sparse_rows, eps.bracket_table
+    br = [[contract(a, b, T) for b in vs] for a in vs]
     pivots = [row[0][0] for row in vs]
     consts = sparse_table([[dict(b).get(p, ZERO) for p in pivots] for b in row]
                           for row in br)
-    skew_ok, jacobi_ok = lie_laws(n, consts)
+    skew_ok, jacobi_ok = lie_laws(L.dim, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)

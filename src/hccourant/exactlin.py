@@ -30,7 +30,7 @@ many; every caller in the package passes independent rows, where the
 coefficients are unique.  ``pullback`` reads a sparse table on
 the rows of two matrices and ``pushforward`` maps its cells by a matrix, so
 a map that preserves a bracket, form or pairing does so by one table
-identity.
+identity; ``combine_tables`` is ``combine`` for tables, cell by cell.
 
 Numbers have one form: a rational is an ``int`` when it is integral and a
 ``Q`` (gmpy2's ``mpq``, or ``fractions.Fraction`` without gmpy2) with
@@ -318,6 +318,23 @@ def pushforward(table, M: QMatrix) -> tuple:
                  for row in table)
 
 
+def combine_tables(terms, rows: int) -> tuple:
+    """sum c . table over ``(c, table)`` pairs of sparse tables with at most
+    ``rows`` rows, cell by cell, as a sparse table of ``rows`` rows in the
+    canonical form (cells that cancel are dropped)."""
+    out = [{} for _ in range(rows)]
+    for c, table in terms:
+        for acc, row in zip(out, table):
+            for j, cell in row:
+                d = acc.setdefault(j, {})
+                for k, t in cell:
+                    t *= c
+                    d[k] = d[k] + t if k in d else t
+    return tuple(tuple((j, cell) for j, d in sorted(acc.items())
+                       if (cell := _number_row(d)))
+                 for acc in out)
+
+
 # ---------------------------------------------------------------------------
 # The span
 
@@ -390,14 +407,19 @@ class Span:
     tagged {i: 1}.  Calling the span on a row gives those coords as a dense
     tuple of length n and raises outside the span.  All three take a row
     dense or sparse, as the ``QMatrix`` constructor does.
+
+    ``index`` maps each column to a superset of the pivots whose rows are
+    nonzero there, so ``add`` visits only the rows it must clear at the new
+    pivot, not every stored row.
     """
 
-    __slots__ = ("cols", "rows", "tags", "n")
+    __slots__ = ("cols", "rows", "tags", "n", "index")
 
     def __init__(self, M: QMatrix, tagged: bool = False):
         self.cols = M.cols
         self.rows = {}
         self.tags = {}
+        self.index = {}
         self.n = M.rows if tagged else 0
         for i, row in enumerate(M.sparse_rows):
             self.add(row, {i: ONE} if tagged else {})
@@ -467,8 +489,10 @@ class Span:
                 w = {k: x // g for k, x in w.items()}
                 t = dict(_over(t, g))
             c = w[p]
-        rows, tags = self.rows, self.tags
-        for q, r in rows.items():
+        rows, tags, index = self.rows, self.tags, self.index
+        # no row is nonzero at p once w is added, so its entry goes
+        for q in index.pop(p, ()):
+            r = rows[q]
             f = r.get(p)
             if f:
                 tq = tags[q]
@@ -486,6 +510,10 @@ class Span:
                         for k in r:
                             r[k] //= g
                         tags[q] = dict(_over(tq, g))
+                for k in w:
+                    index.setdefault(k, set()).add(q)
+        for k in w:
+            index.setdefault(k, set()).add(p)
         rows[p] = w
         tags[p] = t
         return True

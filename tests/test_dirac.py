@@ -1,14 +1,20 @@
 """Isotropy, maximal isotropy, closure, Poisson graphs, two-form graphs."""
 
+import copy
 import itertools
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hccourant import dirac
 from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
-                             Submodule, _anchor_table, _check_biderivation,
+                             LieAlgebroidReport, Submodule,
+                             _algebroid_defects, _anchor_table,
+                             _check_biderivation,
                              _two_form_conditions, biderivation_space,
                              find_two_form_witness,
                              hamiltonian_map, is_bracket_closed, is_dirac,
@@ -18,9 +24,9 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              poisson_graph, table_from_flat, two_form,
                              two_form_graph)
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
-                                nullspace, rank, rat_str, row_space,
-                                row_combination, sparse_table, vec,
-                                vec_is_zero)
+                                combine, contract, nullspace, rank, rat_str,
+                                row_space, row_combination, sparse,
+                                sparse_row, sparse_table, vec, vec_is_zero)
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.hochschild import (Chain, Cochain1, connes_B,
                                   derivation_basis, homology,
@@ -291,6 +297,56 @@ def _ref_algebroid_laws(eps, L):
     return skew, jacobi
 
 
+def _ref_anchor_and_leibniz(eps, L, rng=None, z_samples=5):
+    """(anchor_bracket, leibniz_rule) by the per-pair and per-triple loops
+    the defect tables replaced, on the RREF rows of L, with z over the
+    centre basis and then ``z_samples`` draws from ``rng``."""
+    cdim = eps.center_basis.rows
+    S, T, Z = dirac._anchor_table(eps), eps.bracket_table, eps.z_table
+    units = QMatrix.identity(cdim).sparse_rows
+
+    def sigma(u) -> QMatrix:  # rows: the images of the centre basis
+        return QMatrix([contract(u, e, S) for e in units], cols=cdim)
+
+    vs = L.vectors.sparse_rows
+    n = L.dim
+    br = [[contract(a, b, T) for b in vs] for a in vs]
+    anchor_ok = True
+    sigmas = [sigma(u) for u in vs]
+    for i, si in enumerate(sigmas):
+        for j, sj in enumerate(sigmas):
+            # rows are images of the center basis, so composition reverses:
+            # row k of sj si - si sj is sj[k] . si - si[k] . sj
+            comm = QMatrix([[a - b for a, b in zip(row_combination(p, si),
+                                                   row_combination(q, sj))]
+                            for p, q in zip(sj, si)], cols=cdim)
+            if sigma(br[i][j]) != comm:
+                anchor_ok = False
+
+    leibniz_ok = True
+    draws = list(units)
+    if rng is not None:
+        for _ in range(z_samples):
+            draws.append(sparse(vec(rng.randint(-3, 3) for _ in range(cdim))))
+    for c in draws:
+        zl = [contract(c, l, Z) for l in vs]
+        for i in range(n):
+            xz = combine(c, sigmas[i])
+            for j in range(n):
+                # [[l_i, z l_j]] = z [[l_i, l_j]] + X_i(z) l_j
+                rhs = dict(contract(c, br[i][j], Z))
+                for k, x in contract(xz, vs[j], Z):
+                    rhs[k] = rhs[k] + x if k in rhs else x
+                if contract(vs[i], zl[j], T) != sparse_row(rhs):
+                    leibniz_ok = False
+    return anchor_ok, leibniz_ok
+
+
+def _ref_algebroid_report(eps, L, rng=None):
+    return LieAlgebroidReport(*_ref_anchor_and_leibniz(eps, L, rng),
+                              *_ref_algebroid_laws(eps, L))
+
+
 def _summand(ambient, part):
     """The H^1 ("x") or H_1 ("alpha") summand of E(A), as rows in the
     coordinates of ``ambient`` (E(A) or the quotient); both are isotropic."""
@@ -339,14 +395,51 @@ def test_verdicts_match_brute_force_bodies(epsilons, data):
 
 def test_closure_counterexample_below_the_diagonal():
     """On a submodule that is not isotropic the bracket is not skew, and the
-    only failing pair can lie below the diagonal: (1, 0) here."""
+    only failing pair can lie below the diagonal: (1, 0) here, the second
+    time with a pivot entry 2, so the RREF bracket is half the integer one.
+    The failing verdict builds no RREF."""
     eps = EpsilonSpace(ESpace(load_algebra_ref("qx3")))
-    L = Submodule(eps, QMatrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
-    assert not is_isotropic(L)
+    for rows, pivots in (([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+                          (1, 1, 1)),
+                         ([[3, 0, 0, 0], [-1, 0, 0, 2], [-1, 2, -1, 0]],
+                          (1, 2, 1))):
+        L = Submodule(eps, QMatrix(rows))
+        assert not is_isotropic(L)
+        assert tuple(row[0][1] for row in L.int_rows) == pivots
+        closed, ce = is_bracket_closed(L)
+        assert not closed and ce[:2] == (1, 0)
+        assert "vectors" not in L.__dict__
+        assert (closed, ce) == _ref_is_bracket_closed(L)
+        assert is_dirac(L).to_json() == _ref_is_dirac(L).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_failing_closure_builds_no_rref(epsilons, data):
+    """Submodules of E(A) and of the quotient drawn in echelon form with
+    pivot entries 2 and 3, so that they are the integer rows and every
+    p_i p_j != 1: the closure verdict builds no RREF, and a counterexample
+    is the brute-force one on the RREF rows."""
+    eps = epsilons[data.draw(st.sampled_from(NONZERO_E))]
+    ambient = data.draw(st.sampled_from((eps.espace, eps)))
+    n = ambient.dim
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 2), min_size=1,
+                                      max_size=min(n - 1, 4))))
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = data.draw(st.sampled_from((2, 3)))
+        for k in range(p + 1, n):
+            if k not in pivots:
+                row[k] = data.draw(st.integers(-3, 3))
+        if math.gcd(*row) != 1:
+            row[n - 1] = 1
+        rows.append(row)
+    L = Submodule(ambient, QMatrix(rows, cols=n))
+    assert L.int_rows == tuple(sparse(r) for r in rows)
     closed, ce = is_bracket_closed(L)
-    assert not closed and ce[:2] == (1, 0)
+    assert "vectors" not in L.__dict__
     assert (closed, ce) == _ref_is_bracket_closed(L)
-    assert is_dirac(L).to_json() == _ref_is_dirac(L).to_json()
 
 
 def _ref_d_graph(iso, mu):
@@ -496,25 +589,91 @@ def test_lie_algebroid_laws_match_leibniz_form(epsilons, name):
     eps = epsilons[name]
     E, A = eps.espace, eps.algebra
     rng = rng_for(f"algebroid-laws/{name}")
-    dirac = [Submodule(eps, _summand(eps, part)) for part in ("x", "alpha")]
+    structures = [Submodule(eps, _summand(eps, part))
+                  for part in ("x", "alpha")]
     space = biderivation_space(A)
     for _ in range(5):
         coeffs = [rng.randint(-2, 2) for _ in range(space.rows)]
-        dirac.append(poisson_graph(
+        structures.append(poisson_graph(
             E, eps, table_from_flat(A, row_combination(coeffs, space)))[1])
     if name.startswith("v1_"):
         corpus = load_script("omni_corpus")
         for _ in range(3):
             table = corpus.v1_lie_poisson_table(A.dim - 1, rng)[1]
-            dirac.append(poisson_graph(E, eps, make_bracket_table(A, table))[1])
+            structures.append(poisson_graph(
+                E, eps, make_bracket_table(A, table))[1])
     checked = 0
-    for L in dirac:
+    for L in structures:
         if is_dirac(L).dirac:
-            rep = lie_algebroid_check(eps, L, rng=rng)
-            assert (rep.skew, rep.jacobi) == _ref_algebroid_laws(eps, L)
+            seed = rng.randrange(2 ** 32)
+            rep = lie_algebroid_check(eps, L, rng=random.Random(seed))
+            assert rep == _ref_algebroid_report(eps, L, random.Random(seed))
             assert rep.ok
             checked += 1
     assert checked >= 2
+
+
+def _flipped(table, i, j, k):
+    """A copy of a sparse table with the sign of entry k of cell (i, j)
+    flipped."""
+    rows = [dict(row) for row in table]
+    cell = dict(rows[i][j])
+    cell[k] = -cell[k]
+    rows[i][j] = tuple(sorted(cell.items()))
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def _entries(table):
+    return [(i, j, k) for i, row in enumerate(table) for j, cell in row
+            for k, _ in cell]
+
+
+@pytest.mark.parametrize("name", ("qx3", "v1_3"))
+def test_perturbed_ambient_fails_the_algebroid_laws_as_the_loops_do(
+        epsilons, monkeypatch, name):
+    """One sign flipped in a copied quotient's anchor or Z table, before
+    its defect tables are first built: the defects are no longer empty, and
+    the report is the one the per-pair and per-triple loops give, with
+    ``anchor_bracket`` and ``leibniz_rule`` each false for some flip."""
+    eps = epsilons[name]
+    graphs = _dirac_graphs(eps, rng_for(f"perturbed/{name}"))
+    anchor = _anchor_table(eps)
+    copies = {}  # id -> (copy, its anchor); holding the copy keeps ids unique
+    monkeypatch.setattr(dirac, "_anchor_table",
+                        lambda e: copies.get(id(e), (e, anchor))[1])
+    failed = set()
+    for table, entries in (("anchor", _entries(anchor)),
+                           ("z_table", _entries(eps.z_table))):
+        for i, j, k in entries:
+            bent = copy.copy(eps)
+            if table == "anchor":
+                copies[id(bent)] = (bent, _flipped(anchor, i, j, k))
+            else:
+                bent.z_table = _flipped(eps.z_table, i, j, k)
+            for L in graphs:
+                M = Submodule(bent, L.spanning)
+                rep = lie_algebroid_check(bent, M)
+                assert rep == _ref_algebroid_report(bent, M), (table, i, j, k)
+                if not rep.ok:
+                    assert any(map(any, _algebroid_defects(bent)))
+                failed |= {f for f in ("anchor_bracket", "leibniz_rule")
+                           if not getattr(rep, f)}
+    assert failed == {"anchor_bracket", "leibniz_rule"}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_algebroid_laws_hold_on_the_whole_quotient(epsilons, n):
+    """A fact of this corpus: the anchor and Leibniz defects are empty on
+    every bundled quotient with epsilon(A) != 0 and on epsilon(V[1]) for
+    n = 2..4, so the Lie-algebroid check of any Dirac structure there
+    reduces to skew-symmetry and Jacobi."""
+    spaces = [build_omni_iso(n).eps]
+    if n == 2:
+        spaces += [epsilons[name] for name in NONZERO_E]
+    for eps in spaces:
+        anchor, leibniz = _algebroid_defects(eps)
+        assert len(anchor) == len(leibniz) == eps.dim
+        assert not any(anchor) and not any(leibniz), eps.algebra.name
 
 
 @pytest.mark.parametrize("name", ("qx3", "v1_2", "v1_3"))

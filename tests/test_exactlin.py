@@ -863,6 +863,20 @@ def test_fraction_free_span_matches_gauss_jordan(case):
     _assert_primitive_span(reduce)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_span_cases())
+def test_span_column_index_covers_every_stored_entry(case):
+    """After every ``add``, to an empty span and to the span of a subspace,
+    each stored row is indexed at every column where it is nonzero (the
+    index may hold more), so ``add`` visits every row it must clear."""
+    M, S, _ = case
+    for span in (Span(QMatrix([], cols=M.cols)), Span(S)):
+        for i, row in enumerate(M.sparse_rows):
+            span.add(row, {i: 1})
+            assert all(q in span.index.get(k, ()) for q, r in span.rows.items()
+                       for k in r)
+
+
 def _is_int_literal(node) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
