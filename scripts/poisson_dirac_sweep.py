@@ -5,7 +5,9 @@ biderivation tables on a commutative bundled algebra.
 Random biderivations are almost never Poisson, so on V[1] = Q.1 (+) V the
 sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table) and
 requires each of them to be both Poisson and Dirac.  Every graph that is
-Dirac must also pass lie_algebroid_check.  The exit code is 1 on any
+Dirac must also pass lie_algebroid_check, and every graph's z_stable flag
+must equal a full loop over the centre basis (is_dirac tests only the
+centre elements that do not act as scalars).  The exit code is 1 on any
 disagreement, failure or Lie-algebroid report that is not ok.
 
 Example:
@@ -21,9 +23,17 @@ from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import (biderivation_space, is_dirac, is_poisson,
                              lie_algebroid_check, make_bracket_table,
                              poisson_graph, table_from_flat)
-from hccourant.exactlin import row_combination
+from hccourant.exactlin import QMatrix, Span, row_combination
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
+
+
+def z_stable_oracle(L) -> bool:
+    """Z-stability by the full loop: every centre basis element times every
+    spanning vector lies in the span of L."""
+    ambient, in_L = L.ambient, Span(L.spanning).contains
+    units = QMatrix.identity(ambient.center_basis.rows)
+    return all(in_L(ambient.z_scale(c, l)) for c in units for l in L.spanning)
 
 
 @dataclass
@@ -45,11 +55,19 @@ def run(cfg: SweepConfig) -> int:
     poisson_count = 0
     disagreements = 0
     algebroids = {"checked": 0, "failed": 0}
+    z_disagreements = 0
 
     def dirac_and_algebroid(L, k) -> bool:
         """The Dirac verdict on L, and the Lie-algebroid check when it
-        holds; a report that is not ok is printed and counted."""
-        if not is_dirac(L).dirac:
+        holds; a z_stable flag off the full loop, or a report that is not
+        ok, is printed and counted."""
+        nonlocal z_disagreements
+        verdict = is_dirac(L)
+        if verdict.z_stable != z_stable_oracle(L):
+            z_disagreements += 1
+            print(f"  Z-STABILITY DISAGREEMENT at draw {k}: "
+                  f"z_stable={verdict.z_stable}")
+        if not verdict.dirac:
             return False
         rep = lie_algebroid_check(eps, L)
         algebroids["checked"] += 1
@@ -86,9 +104,10 @@ def run(cfg: SweepConfig) -> int:
                       f"poisson={p} dirac={d}")
         failures += cfg.count - both
         print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac")
-    failures += algebroids["failed"]
+    failures += algebroids["failed"] + z_disagreements
     print(f"lie-algebroid checks: {algebroids['failed']} failed of "
-          f"{algebroids['checked']}")
+          f"{algebroids['checked']}; z-stability disagreements: "
+          f"{z_disagreements}")
     return 0 if failures == 0 else 1
 
 

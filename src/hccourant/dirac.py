@@ -3,15 +3,19 @@
 Submodules are Q-subspaces of E(A) or of the quotient, each held as one
 ``exactlin.Span``: its primitive integer rows carry the verdicts and it
 answers their span tests, while the canonical (RREF) basis is built only
-for a report or for a Lie-algebroid check's structure constants.  Verdicts
-are exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs on sparse
-rows throughout: isotropy, maximality, closure and Z-stability hold or fail
-with any rescaling of the spanning rows, so they contract the ambient's
-tables with ``exactlin.contract`` on the integer rows, and a span test is
-the emptiness of a fraction-free residual.  Only a counterexample is dense.
-It is the bracket of the RREF rows, read off the integer bracket: RREF row
-i is integer row i over its pivot entry p_i, so their bracket is the
-integer one over p_i p_j.
+for a report.  Verdicts are exact; Z(A)-stability is a separate flag.
+``is_dirac`` runs on sparse rows throughout: isotropy, maximality, closure
+and Z-stability hold or fail with any rescaling of the spanning rows, so
+they contract the ambient's tables with ``exactlin.contract`` on the
+integer rows, and a span test is the emptiness of a fraction-free
+residual.  Only a counterexample is dense.  It is the bracket of the RREF
+rows, read off the integer bracket: RREF row i is integer row i over its
+pivot entry p_i, so their bracket is the integer one over p_i p_j.
+
+Z-stability is tested only on the non-scalar centre (``_nonscalar_centre``):
+z -> (action of z) is linear and a scalar preserves every subspace, so L is
+Z-stable exactly when the actions independent of the identity preserve it.
+On every epsilon(V[1]) the centre acts by scalars, so the test is empty.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
 isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
@@ -58,11 +62,11 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal_rows
-from .exactlin import (ONE, ZERO, ExactLinError, HccourantError, QMatrix,
-                       Report, Span, _over, bilinear, combine, combine_tables,
+from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix, Report,
+                       Span, _over, bilinear, combine, combine_tables,
                        contract, dense, nullspace, pullback, pushforward,
-                       rank, rat_str, row_combination, sparse, sparse_table,
-                       transpose_table, vec)
+                       rank, rat_str, row_combination, sparse, sparse_row,
+                       sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -83,8 +87,7 @@ class Submodule:
     maximality, closure and Z-stability hold for a spanning set exactly
     when they hold for any rescaling of its rows, so they run on
     ``int_rows``.  The RREF basis ``vectors`` (row i a positive multiple of
-    row i of ``int_rows``) is built only when something reads it: a report
-    or a Lie-algebroid check's structure constants."""
+    row i of ``int_rows``) is built only when something reads it."""
 
     def __init__(self, ambient, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -169,11 +172,22 @@ def is_bracket_closed(L: Submodule):
     return True, None
 
 
+@functools.lru_cache(maxsize=8)
+def _nonscalar_centre(ambient) -> tuple:
+    """The centre basis indices m whose action, row m of the Z table
+    flattened (cell (a, k) at a n + k), is not in the span of the identity
+    and of the actions kept before it.  Cached per ambient."""
+    n = ambient.dim
+    acts = Span(QMatrix([[(a * n + a, ONE) for a in range(n)]], cols=n * n))
+    return tuple(m for m, row in enumerate(ambient.z_table) if acts.add(
+        [(a * n + k, x) for a, cell in row for k, x in cell], {}))
+
+
 def is_z_stable(L: Submodule) -> bool:
+    """Every non-scalar centre action (``_nonscalar_centre``) maps L to L."""
     Z = L.ambient.z_table
     return all(L.contains(contract(((m, ONE),), l, Z))
-               for m in range(L.ambient.center_basis.rows)
-               for l in L.int_rows)
+               for m in _nonscalar_centre(L.ambient) for l in L.int_rows)
 
 
 @dataclass(frozen=True)
@@ -288,15 +302,14 @@ def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:
 
 def _lie_flags(n: int, table):
     """Yields skew, then jacobi; ``all`` over it skips Jacobi if skew fails."""
-    units = [((k, ONE),) for k in range(n)]
-    br = [[contract(x, y, table) for y in units] for x in units]
-    skew = all(br[i][j] == tuple((k, -t) for k, t in br[j][i])
+    br = [dict(row) for row in table]  # [e_i, e_j] is cell (i, j), if any
+    skew = all(br[i].get(j, ()) == tuple((k, -t) for k, t in br[j].get(i, ()))
                for i in range(n) for j in range(i, n))
     yield skew
 
     @functools.cache
     def outer(a, b, c):  # [[e_a, e_b], e_c]
-        return contract(br[a][b], units[c], table)
+        return contract(br[a].get(b, ()), ((c, ONE),), table)
 
     def jacobi_fails(i, j, k):  # the cyclic sum, in one dict, is nonzero
         out = {}
@@ -587,12 +600,16 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                 for c in draws for v in L.int_rows):
             leibniz_ok = False
 
-    # structure constants: a member of L (in RREF) has its entries at the
-    # pivots as coordinates; on a skew bracket Leibniz and cyclic Jacobi agree
-    vs, T = L.vectors.sparse_rows, eps.bracket_table
-    br = [[contract(a, b, T) for b in vs] for a in vs]
-    pivots = [row[0][0] for row in vs]
-    consts = sparse_table([[dict(b).get(p, ZERO) for p in pivots] for b in row]
-                          for row in br)
+    # structure constants over the integer rows r_k (Lie-ness does not depend
+    # on the basis): r_k alone is nonzero at its pivot p_k; on a skew
+    # bracket Leibniz and cyclic Jacobi agree
+    vs, T = L.int_rows, eps.bracket_table
+    pivots = [row[0] for row in vs]
+
+    def coords(b: dict) -> tuple:
+        return tuple(e for k, (p, x) in enumerate(pivots) if p in b
+                     for e in _over({k: b[p]}, x))
+    consts = tuple(sparse_row({j: coords(dict(contract(u, v, T)))
+                               for j, v in enumerate(vs)}) for u in vs)
     skew_ok, jacobi_ok = lie_laws(L.dim, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)

@@ -27,6 +27,7 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 combine, contract, nullspace, rank, rat_str,
                                 row_space, row_combination, sparse,
                                 sparse_row, sparse_table, vec, vec_is_zero)
+from hccourant.algebra import build_v1
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.hochschild import (Chain, Cochain1, connes_B,
                                   derivation_basis, homology,
@@ -271,12 +272,21 @@ def _ref_is_bracket_closed(L):
     return True, None
 
 
+def _ref_is_z_stable(L):
+    """Z-stability by the full loop: every centre basis element times every
+    spanning vector lies in L."""
+    Z, in_L = L.ambient.z_table, Span(L.spanning).contains
+    return all(in_L(contract(((m, 1),), l, Z))
+               for m in range(L.ambient.center_basis.rows)
+               for l in L.spanning.sparse_rows)
+
+
 def _ref_is_dirac(L):
     iso = _ref_is_isotropic(L)
     maximal = _ref_is_maximally_isotropic(L) if iso else False
     closed, ce = _ref_is_bracket_closed(L)
     return DiracVerdict(iso, maximal, closed, maximal and closed,
-                        is_z_stable(L), False, ce)
+                        _ref_is_z_stable(L), False, ce)
 
 
 def _ref_algebroid_laws(eps, L):
@@ -674,6 +684,101 @@ def test_algebroid_laws_hold_on_the_whole_quotient(epsilons, n):
         anchor, leibniz = _algebroid_defects(eps)
         assert len(anchor) == len(leibniz) == eps.dim
         assert not any(anchor) and not any(leibniz), eps.algebra.name
+
+
+@pytest.fixture(scope="module")
+def v1_spaces():
+    """E(V[1]) and epsilon(V[1]) for n = 1..4, each built once."""
+    spaces = {n: ESpace(build_v1(n)) for n in (1, 2, 3, 4)}
+    return {n: (E, EpsilonSpace(E)) for n, E in spaces.items()}
+
+
+def _random_subspaces(ambient, rng, count):
+    """Spans of random rows of every dimension, every other one closed
+    under the centre (the Z(A)-submodule the rows generate), so that both
+    Z-stability outcomes occur where the centre does not act by scalars."""
+    n, Z = ambient.dim, ambient.z_table
+    for t in range(count):
+        rows = [sparse([rng.choice((-1, 0, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(1, n))]
+        if t % 2:
+            S, todo = Span(QMatrix(rows, cols=n)), list(rows)
+            while todo:
+                l = todo.pop()
+                for m in range(len(Z)):
+                    zl = contract(((m, 1),), l, Z)
+                    if S.add(zl, {}):
+                        todo.append(zl)
+            rows = S.primitive_rows()
+        yield Submodule(ambient, QMatrix(rows, cols=n))
+
+
+def test_z_stability_matches_the_full_loop(espaces, epsilons, v1_spaces):
+    """On random subspaces of every bundled E(A) and epsilon(A) and of
+    epsilon(V[1]) for n = 2..4, ``is_z_stable`` (the non-scalar centre
+    only) agrees with the loop over the whole centre basis; both outcomes
+    occur on epsilon(qx3), E(v1_2) and E(v1_3)."""
+    ambients = {f"E({name})": E for name, E in espaces.items() if E.dim}
+    ambients.update((f"eps({name})", eps) for name, eps in epsilons.items())
+    ambients.update((f"eps(V[1], n = {n})", v1_spaces[n][1])
+                    for n in (2, 3, 4))
+    for label, ambient in ambients.items():
+        rng = rng_for(f"z-stable/{label}")
+        seen = set()
+        for L in _random_subspaces(ambient, rng, 60):
+            verdict = is_z_stable(L)
+            assert verdict == _ref_is_z_stable(L), label
+            seen.add(verdict)
+        if label in ("eps(qx3)", "E(v1_2)", "E(v1_3)"):
+            assert seen == {True, False}, label
+
+
+def _acts_by_scalars(ambient) -> bool:
+    """Every row of the Z table is empty or c times the identity, for c its
+    first entry."""
+    for row in ambient.z_table:
+        c = row[0][1][0][1] if row else 0
+        if row != tuple((a, ((a, c),)) for a in range(ambient.dim) if c):
+            return False
+    return True
+
+
+def test_nonscalar_centre_of_the_corpus(epsilons, v1_spaces):
+    """A fact of this corpus: the centre acts by scalars on epsilon(V[1])
+    for n = 1..4 and on epsilon(qx2), epsilon(v1_2) and epsilon(v1_3), so
+    ``is_z_stable`` tests nothing there; on epsilon(qx3) and on E(V[1])
+    for n = 2..4 it does not, and the non-scalar centre is kept."""
+    scalar = [eps for _, eps in v1_spaces.values()]
+    scalar += [epsilons[name] for name in ("qx2", "v1_2", "v1_3")]
+    for ambient in scalar:
+        assert _acts_by_scalars(ambient)
+        assert dirac._nonscalar_centre(ambient) == ()
+    kept = [(epsilons["qx3"], (1,))]
+    kept += [(v1_spaces[n][0], tuple(range(1, n + 1))) for n in (2, 3, 4)]
+    for ambient, expected in kept:
+        assert not _acts_by_scalars(ambient)
+        assert dirac._nonscalar_centre(ambient) == expected
+
+
+def test_perturbed_z_table_changes_z_stability_as_the_loop_does(epsilons):
+    """One sign flipped in a copy of epsilon(qx3)'s Z table, after the
+    original's non-scalar centre is cached: ``is_z_stable`` on the copy
+    agrees with the full loop on the copy's table, and on some subspace
+    both change their verdict, so the cache reads the table of the ambient
+    it is given."""
+    eps = epsilons["qx3"]
+    subspaces = [L.spanning for L in _random_subspaces(
+        eps, rng_for("z-stable-perturbed"), 40)]
+    before = [is_z_stable(Submodule(eps, M)) for M in subspaces]
+    changed = 0
+    for i, j, k in _entries(eps.z_table):
+        bent = copy.copy(eps)
+        bent.z_table = _flipped(eps.z_table, i, j, k)
+        after = [is_z_stable(Submodule(bent, M)) for M in subspaces]
+        assert after == [_ref_is_z_stable(Submodule(bent, M))
+                         for M in subspaces], (i, j, k)
+        changed += after != before
+    assert changed
 
 
 @pytest.mark.parametrize("name", ("qx3", "v1_2", "v1_3"))
@@ -1158,3 +1263,25 @@ def test_anchor_table_matches_center_action_on_drawn_vectors(epsilons, data):
     u = data.draw(st.lists(st.one_of(st.just(Q(0)), _rationals),
                            min_size=eps.dim, max_size=eps.dim))
     assert _table_sigma(eps, u) == _ref_sigma(eps, u)
+
+
+def test_algebroid_structure_constants_are_those_of_the_integer_rows(
+        epsilons, monkeypatch):
+    """The table ``lie_algebroid_check`` hands to ``lie_laws`` holds the
+    coordinates of [[r_i, r_j]] over the integer rows r_k of L: summed back
+    on them it is the bracket, also where a pivot entry is not 1."""
+    tables = []
+    monkeypatch.setattr(dirac, "lie_laws",
+                        lambda n, t: tables.append(t) or (True, True))
+    pivot_entries = set()
+    for name in GRAPH_ALGEBRAS:
+        eps = epsilons[name]
+        for L in _dirac_graphs(eps, rng_for(f"constants/{name}")):
+            lie_algebroid_check(eps, L)
+            vs, rows = L.int_rows, QMatrix(L.int_rows, cols=eps.dim)
+            for i, j in itertools.product(range(L.dim), repeat=2):
+                cell = dict(tables[-1][i]).get(j, ())
+                assert combine(cell, rows) == contract(vs[i], vs[j],
+                                                       eps.bracket_table)
+            pivot_entries |= {row[0][1] for row in vs}
+    assert pivot_entries - {1}
