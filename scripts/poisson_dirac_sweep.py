@@ -7,8 +7,13 @@ sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table) and
 requires each of them to be both Poisson and Dirac.  Every graph that is
 Dirac must also pass lie_algebroid_check, and every graph's z_stable flag
 must equal a full loop over the centre basis (is_dirac tests only the
-centre elements that do not act as scalars).  The exit code is 1 on any
-disagreement, failure or Lie-algebroid report that is not ok.
+centre elements that do not act as scalars).  A Poisson graph is Z-stable
+by construction, so the sweep then draws as many random subspaces of
+epsilon(A), every other one closed under the centre, and compares
+is_z_stable with the same loop on each; where the centre does not act by
+scalars (qx3) both outcomes must occur.  The exit code is 1 on any
+disagreement, failure, missing outcome or Lie-algebroid report that is not
+ok.
 
 Example:
     python scripts/poisson_dirac_sweep.py --algebra v1_3 --count 500 --seed 7
@@ -20,10 +25,13 @@ from dataclasses import dataclass
 
 from hccourant.algebra import build_v1
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.dirac import (biderivation_space, is_dirac, is_poisson,
-                             lie_algebroid_check, make_bracket_table,
-                             poisson_graph, table_from_flat)
-from hccourant.exactlin import QMatrix, Span, row_combination
+from hccourant.dirac import (Submodule, _nonscalar_centre,
+                             biderivation_space, is_dirac, is_poisson,
+                             is_z_stable, lie_algebroid_check,
+                             make_bracket_table, poisson_graph,
+                             table_from_flat)
+from hccourant.exactlin import (QMatrix, Span, contract, row_combination,
+                                sparse)
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
 
@@ -34,6 +42,26 @@ def z_stable_oracle(L) -> bool:
     ambient, in_L = L.ambient, Span(L.spanning).contains
     units = QMatrix.identity(ambient.center_basis.rows)
     return all(in_L(ambient.z_scale(c, l)) for c in units for l in L.spanning)
+
+
+def random_subspaces(ambient, rng, count):
+    """Spans of random rows of every dimension, every other one closed
+    under the centre (the Z(A)-submodule the rows generate), so that both
+    Z-stability outcomes occur where the centre does not act by scalars."""
+    n, Z = ambient.dim, ambient.z_table
+    for t in range(count):
+        rows = [sparse([rng.choice((-1, 0, 0, 1)) for _ in range(n)])
+                for _ in range(rng.randint(1, n))]
+        if t % 2:
+            S, todo = Span(QMatrix(rows, cols=n)), list(rows)
+            while todo:
+                l = todo.pop()
+                for m in range(len(Z)):
+                    zl = contract(((m, 1),), l, Z)
+                    if S.add(zl, {}):
+                        todo.append(zl)
+            rows = S.primitive_rows()
+        yield Submodule(ambient, QMatrix(rows, cols=n))
 
 
 @dataclass
@@ -108,6 +136,17 @@ def run(cfg: SweepConfig) -> int:
     print(f"lie-algebroid checks: {algebroids['failed']} failed of "
           f"{algebroids['checked']}; z-stability disagreements: "
           f"{z_disagreements}")
+    stable = subspace_disagreements = 0
+    for L in random_subspaces(eps, rng, cfg.count):
+        z = is_z_stable(L)
+        stable += z
+        subspace_disagreements += z != z_stable_oracle(L)
+    nonscalar = bool(_nonscalar_centre(eps))
+    failures += subspace_disagreements
+    failures += nonscalar and not 0 < stable < cfg.count
+    print(f"random subspaces: {stable}/{cfg.count} z-stable ("
+          f"{'both outcomes required' if nonscalar else 'scalar centre'}); "
+          f"z-stability disagreements: {subspace_disagreements}")
     return 0 if failures == 0 else 1
 
 

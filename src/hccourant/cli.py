@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Optional
 
@@ -159,8 +158,7 @@ def _cmd_poisson_graph(args):
     L_E, L = poisson_graph(E, eps, t)
     poisson = is_poisson(t)
     verdict = is_dirac(L)
-    rng = random.Random(args.seed)
-    algebroid = (lie_algebroid_check(eps, L, rng=rng).to_json()
+    algebroid = (lie_algebroid_check(eps, L).to_json()
                  if verdict.dirac else None)
     rep = {"algebra": A.name, "is_poisson": poisson,
            "graph_basis_e": _rmat(L_E.vectors),

@@ -23,11 +23,12 @@ lies in its orthogonal, so it is maximal exactly when dim L-perp = dim L.  A
 skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws`` sums it
 on i < j < k once skew-symmetry holds.
 
-A Poisson graph is linear in the flat bracket table, and so are its two
-checks: ``_graph_map(E)``, cached per space, holds the image of every unit
-table (the hamiltonian values on the H_1 boundaries, the residuals of the
-values on the H_1 class reps against Der(A), and their H^1 class
-coordinates), and ``poisson_graph`` is one sparse row combination of it.
+A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
+cached per space, holds the H^1 class coordinates of the values of every
+unit table on the H_1 class reps, and ``poisson_graph`` is one sparse row
+combination of it.  It needs no refusal: a ``BracketTable`` is a validated
+biderivation, so its hamiltonian map vanishes on the H_1 boundaries and
+each value a {b, .} is a derivation ({b, .} is one and A is commutative).
 ``hamiltonian_map``, on chain representatives, is its reference.
 
 The anchor of a Lie algebroid is a sparse table cached per quotient.  The
@@ -62,11 +63,11 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import EpsilonSpace, ESpace, orthogonal_rows
-from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix, Report,
-                       Span, _over, bilinear, combine, combine_tables,
-                       contract, dense, nullspace, pullback, pushforward,
-                       rank, rat_str, row_combination, sparse, sparse_row,
-                       sparse_table, transpose_table, vec)
+from .exactlin import (ONE, HccourantError, QMatrix, Report, Span, _over,
+                       bilinear, combine, combine_tables, contract, dense,
+                       nullspace, pullback, pushforward, rank, rat_str,
+                       row_combination, sparse, sparse_row, sparse_table,
+                       transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -374,42 +375,29 @@ def hamiltonian_map(E: ESpace, t: BracketTable):
 
 @functools.lru_cache(maxsize=8)
 def _graph_map(E: ESpace) -> QMatrix:
-    """The Poisson graph as a linear map of the flat bracket table: row q is
-    the image of the unit table e_q, in three blocks of columns,
-      the hamiltonian values on the rows of ``E.h1.boundary_basis``,
-      the residuals of pi(rep_j) against Der(A) (the echelon of
-        ``E.h1co``), for the H_1 class reps rep_j,
-      the H^1 class coordinates of pi(rep_j),
-    each value or residual d^2 wide, each class block h1co.dim wide.  A
-    table's row combination of it is its graph, its boundary check and its
-    Der(A) check at once.  Cached, since every bracket table over A is
-    contracted with it; ``hamiltonian_map`` is the chain-level reference."""
-    A = E.algebra
-    D, n, hc = A.dim ** 3, A.dim ** 2, E.h1co.dim
+    """The Poisson graph as a linear map of the flat bracket table: row q
+    holds the H^1 class coordinates of pi_q(rep_j), for pi_q the hamiltonian
+    map of the unit table e_q and rep_j the H_1 class reps, at column
+    j h1co.dim + k.  ``split`` is linear, so a table's row combination of it
+    is the class coordinates of its own values, and on a biderivation these
+    are derivations (see the module docstring): the combination is its
+    graph.  Cached, since every bracket table over A is contracted with it;
+    ``hamiltonian_map`` is the chain-level reference."""
+    D, hc = E.algebra.dim ** 3, E.h1co.dim
     # cell (q, r) is the hamiltonian image of chain index r under e_q
-    T = transpose_table(_hamiltonian_table(A), D)
-    bounds = E.h1.boundary_basis.sparse_rows
+    T = transpose_table(_hamiltonian_table(E.algebra), D)
     reps = E.h1.class_reps.sparse_rows
-    base = (len(bounds) + len(reps)) * n
-    rows = []
-    for q in range(D):
-        unit = ((q, ONE),)
-        row = [(s * n + k, x) for s, b in enumerate(bounds)
-               for k, x in contract(unit, b, T)]
-        coords = []
-        for j, rep in enumerate(reps):
-            w, c = E.h1co.reduce.split(contract(unit, rep, T))
-            row += [((len(bounds) + j) * n + k, x) for k, x in w]
-            coords += [(base + j * hc + k, x) for k, x in c]
-        rows.append(row + coords)
-    return QMatrix(rows, cols=base + len(reps) * hc)
+    return QMatrix([[(j * hc + k, x) for j, rep in enumerate(reps)
+                     for k, x in E.h1co.reduce.split(
+                         contract(((q, ONE),), rep, T))[1]]
+                    for q in range(D)], cols=len(reps) * hc)
 
 
 def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     """The graph of the hamiltonian map over the H_1 class basis, in E(A),
     together with its projection to the quotient: one row combination of
-    ``_graph_map``.  Raises DiracError when the map does not vanish on the
-    boundaries and ExactLinError when a value is not a derivation."""
+    ``_graph_map``.  ``t`` is a validated biderivation, so the graph is
+    well defined and needs no check here."""
     A = E.algebra
     if not A.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
@@ -417,16 +405,10 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
         raise DiracError("bracket table over a different algebra")
     graph = combine(sparse([x for row in t.table for cell in row
                             for x in cell]), _graph_map(E))
-    n, hc = A.dim ** 2, E.h1co.dim
-    values = E.h1.boundary_basis.rows * n
-    base = values + E.h1.dim * n
-    if graph and graph[0][0] < values:
-        raise DiracError("hamiltonian map does not vanish on boundaries")
-    if graph and graph[0][0] < base:
-        raise ExactLinError("reduce: vector outside the span")
+    hc = E.h1co.dim
     rows = [[] for _ in range(E.h1.dim)]
     for k, x in graph:
-        j, m = divmod(k - base, hc)
+        j, m = divmod(k, hc)
         rows[j].append((m, x))
     for j, row in enumerate(rows):
         row.append((hc + j, ONE))
@@ -562,7 +544,7 @@ class LieAlgebroidReport(Report):
 
 
 def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
-                        rng=None, z_samples: int = 5) -> LieAlgebroidReport:
+                        rng=None) -> LieAlgebroidReport:
     """For a Dirac structure L: the anchor intertwines brackets, the central
     Leibniz rule holds on L, and the restricted bracket is a Lie bracket.
 
@@ -573,10 +555,9 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     L vanish.  ``anchor_bracket`` is the emptiness of the anchor defect's
     pullback to the rows of L; for ``leibniz_rule`` each row is contracted
     into the Leibniz defect first, and only a nonempty part is read on the
-    draws of z and the rows of L.  z runs over the centre basis, then over
-    ``z_samples`` random integer combinations of it drawn from ``rng`` when
-    one is given; by trilinearity the draws add nothing to the basis, and
-    they are still made, so ``rng`` advances as it always has."""
+    centre basis z_m and the rows of L: the defect is linear in z, so the
+    basis decides it.  ``rng`` is unused and draws nothing; it is kept
+    because existing callers still pass it."""
     if L.ambient is not eps:
         raise DiracError("submodule is not over the given quotient")
     verdict = is_dirac(L)
@@ -584,10 +565,6 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         raise DiracError("lie_algebroid_check requires a Dirac structure")
     n, cdim = eps.dim, eps.center_basis.rows
     anchor, leibniz = _algebroid_defects(eps)
-    draws = list(QMatrix.identity(cdim).sparse_rows)
-    if rng is not None:
-        for _ in range(z_samples):
-            draws.append(sparse(vec(rng.randint(-3, 3) for _ in range(cdim))))
     ls = QMatrix(L.int_rows, cols=n)
     anchor_ok = not any(pullback(anchor, ls, ls))
     leibniz_ok = True
@@ -595,9 +572,8 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         # the defect at u: a one-row table on z (x) v, at column m n + b
         part = combine_tables([(x, (leibniz[a],)) for a, x in u], 1)
         if part[0] and any(
-                contract(((0, ONE),), [(m * n + b, x * y) for m, x in c
-                                       for b, y in v], part)
-                for c in draws for v in L.int_rows):
+                contract(((0, ONE),), [(m * n + b, y) for b, y in v], part)
+                for m in range(cdim) for v in L.int_rows):
             leibniz_ok = False
 
     # structure constants over the integer rows r_k (Lie-ness does not depend

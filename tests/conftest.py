@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 import zlib
 from pathlib import Path
 
@@ -124,8 +125,12 @@ def rng_for(name: str) -> random.Random:
 
 def load_script(name: str):
     """The module of ``scripts/<name>.py``, for tests that reuse a script's
-    corpus generators."""
-    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    corpus generators.  The scripts directory goes on ``sys.path``, as it
+    does when a script runs, so that a script can import another."""
+    scripts = Path(__file__).parents[1] / "scripts"
+    if str(scripts) not in sys.path:
+        sys.path.append(str(scripts))
+    path = scripts / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
