@@ -22,10 +22,9 @@ from .dirac import (BracketTable, DiracError, DiracVerdict, Submodule,
 from .exactlin import HccourantError, Q, QMatrix, nullspace, rank, rref
 from .files import (FileFormatError, load_algebra_ref, load_bracket_table,
                     load_submodule, load_two_form)
-from .hochschild import (Chain, Cochain1, HomologyPresentation, boundary_b,
-                         cohomology_h1, connes_B, homology,
-                         interior_product, lie_derivative, pairing,
-                         verify_descent)
+from .hochschild import (Chain, HomologyPresentation, boundary_b,
+                         cohomology_h1, connes_B, homology, interior_product,
+                         lie_derivative, pairing, verify_descent)
 from .morita import (MoritaContext, MoritaReport, OppositeReport, cotr, inc,
                      transport_dirac, verify_morita, verify_opposite)
 from .omni import (DStructureReport, OmniIso, build_omni_iso,

@@ -224,10 +224,16 @@ def algebra_to_json(A: FiniteAlgebra) -> dict:
 
 
 def rational_list(x) -> tuple:
-    """A JSON list of rationals as a vector; a string is refused, not read
-    one entry per character."""
+    """A JSON list of rationals, each an integer or a "p/q" string, as a
+    vector.  A string is refused, not read one entry per character, and so
+    are a float and a boolean, which ``rat`` reads as a binary fraction and
+    as 0 or 1."""
     if not isinstance(x, list):
         raise AlgebraError(f"not a list of rationals: {x!r}")
+    for v in x:
+        if type(v) not in (int, str):
+            raise AlgebraError("not an integer or a \"p/q\" string: "
+                               + json.dumps(v))
     return tuple(map(rat, x))
 
 
@@ -244,7 +250,7 @@ def entry_table(entries, d: int) -> dict:
             i, j, coords = entry
             coords = rational_list(coords)
         except (TypeError, ValueError) as exc:
-            raise AlgebraError(f"malformed entry {entry!r}") from exc
+            raise AlgebraError(f"malformed entry {entry!r}: {exc}") from exc
         # bool is an int subclass and int() truncates floats: accept only
         # JSON integers as indices
         if type(i) is not int or type(j) is not int:

@@ -57,7 +57,7 @@ def _e_presentation(E: ESpace) -> dict:
         "h0_dim": E.h0.dim,
         "e_dim": E.dim,
         "h1_cohomology_reps": [
-            _rmat(E._derivation_rep(k).rows) for k in range(E.h1co.dim)],
+            _rmat(E._derivation_rep(k)) for k in range(E.h1co.dim)],
         "h1_homology_reps": [_chain_terms(E.h1, k)
                              for k in range(E.h1.dim)],
         "h0_reps": [_chain_terms(E.h0, k) for k in range(E.h0.dim)],
@@ -92,7 +92,7 @@ def _cmd_cohomology(args):
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
     return {"algebra": A.name, "degree": 1, "dim": E.h1co.dim,
-            "class_reps": [_rmat(E._derivation_rep(k).rows)
+            "class_reps": [_rmat(E._derivation_rep(k))
                            for k in range(E.h1co.dim)]}, EXIT_OK
 
 
@@ -151,8 +151,6 @@ def _cmd_dirac_check(args):
 
 
 def _cmd_poisson_graph(args):
-    if args.bracket is None:
-        raise FileFormatError("poisson-graph requires --bracket")
     A, E, eps = _build_spaces(args)
     t = load_bracket_table(args.bracket, A)
     L_E, L = poisson_graph(E, eps, t)
@@ -199,8 +197,6 @@ def _cmd_morita(args):
 
 def _cmd_omni(args):
     n = args.dim
-    if n is None:
-        raise FileFormatError("omni requires --dim")
     mu = load_table(args.mu, n) if args.mu is not None else None
     E = ESpace(build_v1(n), max_dim=args.guard)
     ev1 = verify_ev1(n, espace=E)
@@ -225,19 +221,39 @@ def _cmd_suite(args):
     return rep, (EXIT_OK if ok else EXIT_FALSE)
 
 
+# the options a subcommand may take, as argparse arguments
+OPTIONS = {
+    "algebra": dict(help="algebra JSON file or bundled name"),
+    "degree": dict(type=int, default=1, help="homology degree"),
+    "r": dict(type=int, default=2, help="matrix size"),
+    "bracket": dict(help="bracket-table JSON file or bundled name"),
+    "submodule": dict(help="submodule JSON file"),
+    "omega": dict(help="two-form JSON file"),
+    "dim": dict(type=int, help="V dimension"),
+    "mu": dict(help="omni bracket table JSON file"),
+    "guard": dict(type=int, help="override the per-degree dimension guard"),
+    "seed": dict(type=int, default=0, help="seed of random draws (recorded)"),
+    "format": dict(choices=("text", "json"), default="text"),
+    "out": dict(help="write the report to a file"),
+}
+
+# subcommand -> (handler, the options it reads, the ones it requires);
+# every subcommand also takes --seed, --format and --out
 COMMANDS = {
-    "validate": _cmd_validate,
-    "homology": _cmd_homology,
-    "cohomology": _cmd_cohomology,
-    "courant": _cmd_courant,
-    "kernel": _cmd_kernel,
-    "epsilon": _cmd_epsilon,
-    "dirac-check": _cmd_dirac_check,
-    "poisson-graph": _cmd_poisson_graph,
-    "two-form": _cmd_two_form,
-    "morita": _cmd_morita,
-    "omni": _cmd_omni,
-    "suite": _cmd_suite,
+    "validate": (_cmd_validate, "algebra", "algebra"),
+    "homology": (_cmd_homology, "algebra degree guard", "algebra"),
+    "cohomology": (_cmd_cohomology, "algebra degree guard", "algebra"),
+    "courant": (_cmd_courant, "algebra guard", "algebra"),
+    "kernel": (_cmd_kernel, "algebra guard", "algebra"),
+    "epsilon": (_cmd_epsilon, "algebra guard", "algebra"),
+    "dirac-check": (_cmd_dirac_check, "algebra bracket submodule guard",
+                    "algebra"),
+    "poisson-graph": (_cmd_poisson_graph, "algebra bracket guard",
+                      "algebra bracket"),
+    "two-form": (_cmd_two_form, "algebra omega guard", "algebra"),
+    "morita": (_cmd_morita, "algebra r guard", "algebra"),
+    "omni": (_cmd_omni, "dim mu guard", "dim"),
+    "suite": (_cmd_suite, "", ""),
 }
 
 
@@ -250,27 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                + ". Bundled bracket tables: " + ", ".join(BUNDLED_TABLES)
                + ".")
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
+    for name, (_, reads, _) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--algebra", help="algebra JSON file or bundled name")
-        sp.add_argument("--degree", type=int, default=1,
-                        help="homology degree (homology subcommand); "
-                             "cohomology takes only 1")
-        sp.add_argument("--r", type=int, default=2,
-                        help="matrix size for the morita subcommand")
-        sp.add_argument("--bracket",
-                        help="bracket-table JSON file or bundled name")
-        sp.add_argument("--submodule", help="submodule JSON file")
-        sp.add_argument("--omega", help="two-form JSON file")
-        sp.add_argument("--dim", type=int, help="V dimension (omni)")
-        sp.add_argument("--mu", help="omni bracket table JSON file")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized draws (recorded)")
-        sp.add_argument("--guard", type=int, default=None,
-                        help="override the per-degree dimension guard")
-        sp.add_argument("--format", choices=("text", "json"),
-                        default="text")
-        sp.add_argument("--out", help="write the report to a file")
+        for opt in reads.split() + ["seed", "format", "out"]:
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
     return p
 
 
@@ -309,14 +308,12 @@ def _flat_str(v):
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    needs_algebra = args.subcommand in (
-        "validate", "homology", "cohomology", "courant", "kernel",
-        "epsilon", "dirac-check", "poisson-graph", "two-form", "morita")
+    run, _, required = COMMANDS[args.subcommand]
     try:
-        if needs_algebra and not args.algebra:
-            raise FileFormatError(
-                f"{args.subcommand} requires --algebra")
-        body, code = COMMANDS[args.subcommand](args)
+        for opt in required.split():
+            if getattr(args, opt) is None:
+                raise FileFormatError(f"{args.subcommand} requires --{opt}")
+        body, code = run(args)
     except (HccourantError, OSError) as exc:
         body, code = {"error": str(exc)}, EXIT_ERROR
     report = {"schema": SCHEMA, "subcommand": args.subcommand,

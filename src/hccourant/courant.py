@@ -37,11 +37,11 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, center
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
-                       dense, nullspace, pullback, pushforward, quotient_basis,
-                       row_combination, sparse, sparse_row, sparse_table, vec,
-                       vec_is_zero)
-from .hochschild import (Chain, Cochain1, cochain_from_flat, cohomology_h1,
-                         commutator, connes_B, h_left_multiply, homology,
+                       combine, contract, dense, nullspace, pullback,
+                       pushforward, quotient_basis, row_combination, sparse,
+                       sparse_row, sparse_table, vec, vec_is_zero)
+from .hochschild import (Chain, cochain_from_flat, cohomology_h1, commutator,
+                         connes_B, flat_cochain, h_left_multiply, homology,
                          lie_derivative, pairing)
 
 
@@ -77,18 +77,19 @@ class ESpace:
 
     # -- representatives ----------------------------------------------------
 
-    def _derivation_rep(self, k: int) -> Cochain1:
-        return cochain_from_flat(self.algebra, self.h1co.class_reps[k])
+    def _derivation_rep(self, k: int) -> QMatrix:
+        return cochain_from_flat(self.algebra,
+                                 self.h1co.class_reps.sparse_rows[k])
 
-    def derivation_of(self, xcoords: Sequence) -> Cochain1:
+    def derivation_of(self, xcoords: Sequence) -> QMatrix:
         return cochain_from_flat(
             self.algebra, row_combination(xcoords, self.h1co.class_reps))
 
     def chain_of(self, acoords: Sequence) -> Chain:
         return self.h1.class_to_chain(acoords)
 
-    def class_of_derivation(self, X: Cochain1) -> tuple:
-        return self.h1co.reduce(X.flatten())
+    def class_of_derivation(self, X: QMatrix) -> tuple:
+        return self.h1co.reduce(flat_cochain(X))
 
     def class_of_chain(self, c: Chain) -> tuple:
         return self.h1.reduce_chain(c)
@@ -190,10 +191,11 @@ class ESpace:
         hc, hh = self.h1co.dim, self.h1.dim
         table = []
         for z in self.center_basis:
-            row = {}
+            row, zs = {}, sparse(z)
             for k in range(hc):
                 X = self._derivation_rep(k)
-                zx = Cochain1(A, tuple(A.mul(z, r) for r in X.rows))
+                zx = QMatrix((contract(zs, r, A.structure)
+                              for r in X.sparse_rows), A.dim)
                 row[k] = sparse(self.class_of_derivation(zx))
             for k in range(hh):
                 za = h_left_multiply(z, self.h1.rep_chain(k))
@@ -216,8 +218,7 @@ class ESpace:
         """X(z) for z central; the result is checked to be central again."""
         if not self._center.contains(zcoords):
             raise CourantError("center_action: element is not central")
-        X = self.derivation_of(xcoords)
-        out = X.apply(vec(zcoords))
+        out = row_combination(vec(zcoords), self.derivation_of(xcoords))
         if not self._center.contains(out):
             raise CourantError("center_action: image left the center")
         return out
@@ -253,9 +254,8 @@ class ESpace:
     def h0_action(self, xcoords: Sequence, h0coords: Sequence) -> tuple:
         """The action of a derivation class on H_0 = A/[A, A] (well-defined
         because derivations preserve the commutator subspace)."""
-        X = self.derivation_of(xcoords)
         rep = self.h0.class_to_chain(vec(h0coords))
-        return self.h0.reduce(X.apply(rep.coords))
+        return self.h0.reduce(combine(rep.row, self.derivation_of(xcoords)))
 
 
 def orthogonal_rows(space, rows: Sequence) -> QMatrix:

@@ -129,7 +129,7 @@ def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
     try:
         rows = [rational_list(row) for row in vectors]
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: malformed vector") from exc
+        raise FileFormatError(f"{path}: malformed vector: {exc}") from exc
     for row in rows:
         if len(row) != ambient.dim:
             raise FileFormatError(
@@ -144,7 +144,9 @@ def load_two_form(path: str, E: ESpace, *,
     _check_algebra(doc, path, E.algebra)
     try:
         coords = rational_list(doc["coords"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(
             f"{path}: two-form files need rational 'coords'") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: coords: {exc}") from exc
     return two_form(E, coords, max_dim=max_dim)

@@ -3,13 +3,15 @@
 Chains of degree n live in A (x) A^(x)n with coordinates indexed
 lexicographically by (i_0, ..., i_n).  A ``Chain`` stores one sparse row
 over them, in the row form of ``QMatrix``, so every operator visits only
-nonzero terms; ``coords`` is a dense read-only view.  The module provides
-the boundary b, Connes' boundary B, the Lie derivative and interior product
-of a derivation, homology/cohomology presentations with deterministic
-class representatives, and the H0-valued pairing <X, alpha> = i_X(alpha).
-A presentation Z/B is one span, ``reduce``, eliminated once: the boundaries
-untagged, then the class reps tagged.  It spans Z and answers the cycle
-and boundary tests; no span of a presentation's bases is built again.
+nonzero terms; ``coords`` is a dense read-only view.  A derivation, like
+any linear map X: A -> A, is the d x d ``QMatrix`` whose row j is X(e_j).
+The module provides the boundary b, Connes' boundary B, the Lie derivative
+and interior product of a derivation, homology/cohomology presentations
+with deterministic class representatives, and the H0-valued pairing
+<X, alpha> = i_X(alpha).  A presentation Z/B is one span, ``reduce``,
+eliminated once: the boundaries untagged, then the class reps tagged.  It
+spans Z and answers the cycle and boundary tests; no span of a
+presentation's bases is built again.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ZERO, ONE, ExactLinError, HccourantError, QMatrix,
-                       Span, canonical_row, dense, nullspace, quotient_basis,
-                       sparse_row, transpose_table, vec, vec_is_zero)
+                       Span, canonical_row, combine, combine_tables, contract,
+                       dense, nullspace, quotient_basis, sparse, sparse_row,
+                       transpose_table, vec)
 
 
 class HochschildError(HccourantError):
@@ -118,67 +121,60 @@ def chain_sparse(c: Chain) -> list:
 
 # ---------------------------------------------------------------------------
 # cochains of degree 1
+#
+# A linear map X: A -> A is the d x d ``QMatrix`` whose row j is X(e_j).
+# Its flattened form, the row space of ``derivation_basis`` and of the H^1
+# class reps, is one sparse row with X(e_j)_m at column j d + m;
+# ``cochain_from_flat`` and ``flat_cochain`` convert between the two.
 
-@dataclass(frozen=True)
-class Cochain1:
-    """A linear map A -> A; row j holds the coordinates of the image of e_j."""
-    algebra: FiniteAlgebra
-    rows: tuple
-
-    def __post_init__(self):
-        d = self.algebra.dim
-        if len(self.rows) != d or any(len(r) != d for r in self.rows):
-            raise HochschildError("cochain must be a dim x dim table")
-
-    def apply(self, x: Sequence) -> tuple:
-        d = self.algebra.dim
-        out = [ZERO] * d
-        for j, xj in enumerate(x):
-            if xj:
-                for k, r in enumerate(self.rows[j]):
-                    if r:
-                        out[k] += xj * r
-        return vec(out)
-
-    def flatten(self) -> tuple:
-        return tuple(x for row in self.rows for x in row)
-
-    def is_zero(self):
-        return all(vec_is_zero(r) for r in self.rows)
-
-
-def cochain_from_flat(A: FiniteAlgebra, flat: Sequence) -> Cochain1:
+def cochain_from_flat(A: FiniteAlgebra, flat: Sequence) -> QMatrix:
+    """The map whose flattened row, given dense or sparse, is ``flat``."""
     d = A.dim
-    flat = vec(flat)
-    if len(flat) != d * d:
-        raise HochschildError("flat cochain length mismatch")
-    return Cochain1(A, tuple(flat[j * d:(j + 1) * d] for j in range(d)))
+    rows = [[] for _ in range(d)]
+    for k, x in canonical_row(flat, d * d):
+        rows[k // d].append((k % d, x))
+    return QMatrix(rows, d)
 
 
-def inner_derivation(A: FiniteAlgebra, a: Sequence) -> Cochain1:
+def flat_cochain(X: QMatrix) -> tuple:
+    """The flattened sparse row of a d x d map."""
+    d = X.cols
+    return tuple((j * d + m, x) for j, row in enumerate(X.sparse_rows)
+                 for m, x in row)
+
+
+def _check_map(A: FiniteAlgebra, X: QMatrix) -> None:
+    if X.rows != A.dim or X.cols != A.dim:
+        raise HochschildError("cochain must be a dim x dim matrix")
+
+
+def _inner_rows(A: FiniteAlgebra) -> QMatrix:
+    """Row i: ad(e_i) = [e_i, .] flattened, read off the commutator table
+    S - S^T, whose cell (i, j) is e_i e_j - e_j e_i."""
+    d, S = A.dim, A.structure
+    C = combine_tables(((ONE, S), (-ONE, transpose_table(S))), d)
+    return QMatrix((tuple((j * d + m, t) for j, cell in row for m, t in cell)
+                    for row in C), d * d)
+
+
+def inner_derivation(A: FiniteAlgebra, a: Sequence) -> QMatrix:
     """[a, .] : x -> ax - xa."""
-    d = A.dim
-    rows = []
-    for j in range(d):
-        ej = A.basis_vector(j)
-        rows.append(tuple(p - q for p, q in
-                          zip(A.mul(a, ej), A.mul(ej, a))))
-    return Cochain1(A, tuple(rows))
+    return cochain_from_flat(A, combine(sparse(vec(a)), _inner_rows(A)))
 
 
-def commutator(X: Cochain1, Y: Cochain1) -> Cochain1:
-    A = X.algebra
-    rows = tuple(tuple(p - q for p, q in
-                       zip(X.apply(Y.rows[j]), Y.apply(X.rows[j])))
-                 for j in range(A.dim))
-    return Cochain1(A, rows)
+def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
+    """[X, Y]: row j is X(Y(e_j)) - Y(X(e_j))."""
+    return QMatrix((_summed_row(itertools.chain(
+        combine(y, X), ((k, -t) for k, t in combine(x, Y))))
+        for x, y in zip(X.sparse_rows, Y.sparse_rows)), X.cols)
 
 
-def is_derivation(f: Cochain1) -> bool:
-    """Whether f solves the Leibniz system of ``derivation_basis``."""
-    flat = f.flatten()
-    return not any(sum(x * flat[k] for k, x in row)
-                   for row in _leibniz_system(f.algebra))
+def is_derivation(A: FiniteAlgebra, X: QMatrix) -> bool:
+    """Whether X solves the Leibniz system of ``derivation_basis``."""
+    _check_map(A, X)
+    flat = dict(flat_cochain(X))
+    return not any(sum(x * flat.get(k, ZERO) for k, x in row)
+                   for row in _leibniz_system(A))
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +214,30 @@ def boundary_b(c: Chain) -> Chain:
     return _apply(c, c.degree - 1, _b_terms(c.algebra, c.degree))
 
 
-def lie_derivative(X: Cochain1, c: Chain) -> Chain:
+def lie_derivative(X: QMatrix, c: Chain) -> Chain:
     """Sum over slots of applying the derivation X in one slot."""
+    _check_map(c.algebra, X)
+    rows = X.sparse_rows
 
     def terms(a):
         for i, ai in enumerate(a):
-            for k, r in enumerate(X.rows[ai]):
-                if r:
-                    yield a[:i] + (k,) + a[i + 1:], r
+            for k, r in rows[ai]:
+                yield a[:i] + (k,) + a[i + 1:], r
 
     return _apply(c, c.degree, terms)
 
 
-def interior_product(X: Cochain1, c: Chain) -> Chain:
+def interior_product(X: QMatrix, c: Chain) -> Chain:
     """(-1)^(n+1) X(a_n) a_0 (x) a_1 (x) ... (x) a_(n-1)."""
     if c.degree < 1:
         raise HochschildError("interior product undefined in degree 0")
-    A = c.algebra
-    n = c.degree
+    _check_map(c.algebra, X)
+    S, rows, n = c.algebra.structure, X.sparse_rows, c.degree
     negative = n % 2 == 0
 
     def terms(a):
-        head = A.mul(X.rows[a[n]], A.basis_vector(a[0]))
-        for k, p in enumerate(head):
-            if p:
-                yield (k,) + a[1:n], (-p if negative else p)
+        for k, p in contract(rows[a[n]], ((a[0], ONE),), S):
+            yield (k,) + a[1:n], (-p if negative else p)
 
     return _apply(c, n - 1, terms)
 
@@ -269,12 +264,11 @@ def connes_B(c: Chain) -> Chain:
 def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
     """The homotopy a_0 (x) ... -> a' a_0 (x) ... used against inner
     derivations."""
-    A = c.algebra
+    S, u = c.algebra.structure, sparse(vec(aprime))
 
     def terms(a):
-        for k, p in enumerate(A.mul(aprime, A.basis_vector(a[0]))):
-            if p:
-                yield (k,) + a[1:], p
+        for k, p in contract(u, ((a[0], ONE),), S):
+            yield (k,) + a[1:], p
 
     return _apply(c, c.degree, terms)
 
@@ -396,17 +390,15 @@ def derivation_basis(A: FiniteAlgebra) -> QMatrix:
 def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     """H^1(A, A) = Der(A) / inner derivations, on flattened d x d maps: its
     ``boundary_basis`` is the RREF basis of the ad(e_i)."""
-    return _presentation(A, 1, derivation_basis(A), QMatrix(
-        [inner_derivation(A, A.basis_vector(i)).flatten()
-         for i in range(A.dim)], cols=A.dim ** 2))
+    return _presentation(A, 1, derivation_basis(A), _inner_rows(A))
 
 
-def pairing(X: Cochain1, alpha: Chain,
+def pairing(X: QMatrix, alpha: Chain,
             h0: HomologyPresentation) -> tuple:
     """<X, alpha> = class of i_X(alpha) in H_0; alpha must have degree 1."""
     if alpha.degree != 1:
         raise HochschildError("pairing requires a degree-1 chain")
-    if X.algebra is not alpha.algebra or h0.algebra is not alpha.algebra:
+    if h0.algebra is not alpha.algebra:
         raise HochschildError("pairing: mismatched algebras")
     return h0.reduce(interior_product(X, alpha).row)
 
@@ -446,7 +438,7 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
         checks.append(DescentCheck(name, case, ok))
 
     # a chain's image lands in the cycles, or the boundaries, of its degree
-    for xi, xflat in enumerate(derivation_basis(A)):
+    for xi, xflat in enumerate(derivation_basis(A).sparse_rows):
         X = cochain_from_flat(A, xflat)
         for kind, label, rows, test in (
                 ("cycles", "z", pres_n.cycle_basis,
@@ -461,10 +453,10 @@ def verify_descent(A: FiniteAlgebra, n: int, *,
                     add(f"i_X {kind}->{kind}", case,
                         test(pres_lo, interior_product(X, c).row))
 
-    for ai in range(A.dim):
-        inner = inner_derivation(A, A.basis_vector(ai))
-        if inner.is_zero():
+    for ai, flat in enumerate(_inner_rows(A).sparse_rows):
+        if not flat:
             continue
+        inner = cochain_from_flat(A, flat)
         for zi in range(pres_n.dim):
             z = pres_n.rep_chain(zi)
             lz = lie_derivative(inner, z)

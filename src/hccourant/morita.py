@@ -23,10 +23,9 @@ from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
                       opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, HccourantError, QMatrix, Report, combine, dense,
+from .exactlin import (ZERO, HccourantError, QMatrix, Report, combine,
                        pullback, pushforward, rank, row_combination, vec)
-from .hochschild import (Chain, Cochain1, boundary_b, chain_from_terms,
-                         chain_sparse)
+from .hochschild import Chain, boundary_b, chain_from_terms, chain_sparse
 
 
 #: the largest target dimension r^2 dim A built unless max_dim is given
@@ -37,14 +36,12 @@ class MoritaError(HccourantError):
     pass
 
 
-def cotr(X: Cochain1, M: FiniteAlgebra, r: int) -> Cochain1:
+def cotr(X: QMatrix, M: FiniteAlgebra, r: int) -> QMatrix:
     """Entrywise application of a derivation of A on M_r(A)."""
-    d = X.algebra.dim
-    D = r * r * d
+    d, rows = X.cols, X.sparse_rows
     # E_pq(e_i), at b = pq d + i, goes to E_pq(X(e_i))
-    return Cochain1(M, tuple(
-        dense([(b - b % d + k, x) for k, x in enumerate(X.rows[b % d])], D)
-        for b in range(D)))
+    return QMatrix(([(b - b % d + k, x) for k, x in rows[b % d]]
+                    for b in range(r * r * d)), M.dim)
 
 
 def inc(c: Chain, M: FiniteAlgebra, r: int) -> Chain:

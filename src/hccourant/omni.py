@@ -38,7 +38,7 @@ from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Report,
                        bilinear, combine, dense, pullback, pushforward, rank,
                        row_combination, row_space, sparse_row, sparse_table,
                        vec)
-from .hochschild import cochain_from_flat, elementary_chain
+from .hochschild import elementary_chain
 
 
 class OmniError(HccourantError):
@@ -175,9 +175,8 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
     for i in range(n):
         for j in range(n):
             # the derivation acting as E_ij on V and killing the unit: its
-            # one nonzero entry is v_i in the image of v_j
-            flat = dense(((d * (j + 1) + i + 1, ONE),), d * d)
-            xcls = A_E.class_of_derivation(cochain_from_flat(A, flat))
+            # flat row is one unit entry, v_i in the image of v_j
+            xcls = A_E.h1co.reduce(((d * (j + 1) + i + 1, ONE),))
             rows.append(eps.reduce(tuple(xcls) + (ZERO,) * A_E.h1.dim))
     for i in range(n):
         c = elementary_chain(A, (0, i + 1))  # the cycle 1 (x) v_i

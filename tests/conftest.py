@@ -10,7 +10,7 @@ from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.exactlin import Q, QMatrix
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import Chain, Cochain1, derivation_basis
+from hccourant.hochschild import Chain, cochain_from_flat, derivation_basis
 
 
 @pytest.fixture(scope="session")
@@ -68,12 +68,9 @@ def rand_combination(rng, basis: QMatrix):
     return tuple(out)
 
 
-def rand_derivation(rng, A: FiniteAlgebra, basis=None) -> Cochain1:
+def rand_derivation(rng, A: FiniteAlgebra, basis=None) -> QMatrix:
     basis = basis if basis is not None else derivation_basis(A)
-    flat = rand_combination(rng, basis)
-    d = A.dim
-    return Cochain1(A, tuple(tuple(flat[j * d:(j + 1) * d])
-                             for j in range(d)))
+    return cochain_from_flat(A, rand_combination(rng, basis))
 
 
 def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:

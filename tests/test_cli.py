@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,42 @@ def test_string_for_a_rational_list_exit_2(tmp_path, capsys, argv, doc):
     assert doc["error"] and "\n" not in doc["error"]
 
 
+def _rational_list_files(value):
+    """The five file kinds above, each with ``value`` as one of its
+    rationals and otherwise well formed."""
+    return (
+        (["two-form", "--algebra", "v1_2", "--omega"],
+         {"algebra": "v1_2", "coords": [value, 0, 0, 0, 0]}),
+        (["dirac-check", "--algebra", "v1_2", "--submodule"],
+         {"ambient": "epsilon", "vectors": [[value, 0, 0, 0, 0, 0]]}),
+        (["poisson-graph", "--algebra", "v1_2", "--bracket"],
+         {"entries": [[1, 2, [0, 0, value]]]}),
+        (["validate", "--algebra"], dict(_bundled_doc("qx2"),
+                                         unit=[value, 0])),
+        (["validate", "--algebra"],
+         {"name": "x", "dimension": 1, "basis": ["1"], "unit": ["1"],
+          "structure": [[0, 0, [value]]]}))
+
+
+# a JSON float or boolean where a rational belongs would be read by ``rat``
+# as a binary fraction or as 0 or 1
+@pytest.mark.parametrize("value, argv, doc", [
+    (value, *case) for value in (0.5, True)
+    for case in _rational_list_files(value)],
+    ids=[f"{kind}-{value}" for value in ("float", "bool")
+         for kind in ("two-form", "submodule", "bracket", "unit",
+                      "structure")])
+def test_float_or_bool_for_a_rational_exit_2(tmp_path, capsys, value, argv,
+                                            doc):
+    p = tmp_path / "file.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(argv + [str(p), "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "\n" not in error
+    assert 'not an integer or a "p/q" string: ' + json.dumps(value) in error
+
+
 @pytest.mark.parametrize("basis", ("1x", ["1", 2], {"1": "x"}, None),
                          ids=("string", "number", "object", "null"))
 def test_basis_not_a_list_of_strings_exit_2(tmp_path, capsys, basis):
@@ -508,6 +545,59 @@ def test_missing_required_option_exit_2_one_line_error(argv):
     assert doc["error"] and "\n" not in doc["error"]
 
 
+# the options each subcommand reads, besides --seed, --format and --out
+READS = {
+    "validate": {"algebra"},
+    "homology": {"algebra", "degree", "guard"},
+    "cohomology": {"algebra", "degree", "guard"},
+    "courant": {"algebra", "guard"},
+    "kernel": {"algebra", "guard"},
+    "epsilon": {"algebra", "guard"},
+    "dirac-check": {"algebra", "bracket", "submodule", "guard"},
+    "poisson-graph": {"algebra", "bracket", "guard"},
+    "two-form": {"algebra", "omega", "guard"},
+    "morita": {"algebra", "r", "guard"},
+    "omni": {"dim", "mu", "guard"},
+    "suite": set(),
+}
+UNREAD = [[name, f"--{opt}", "1"] for name, reads in READS.items()
+          for opt in sorted(set().union(*READS.values()) - reads)] + [
+    # both used to exit 0 without a word about the ignored option
+    ["morita", "--algebra", "v1_2", "--submodule", "nofile.json"],
+    ["homology", "--algebra", "qx2", "--r", "9", "--mu", "x"]]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=" ".join)
+def test_unread_option_exit_2(argv, capsys):
+    """An option the subcommand does not read is refused by argparse, as an
+    unknown choice of ``--format`` is, before anything is loaded."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_usage_lines():
+    """The ``hccourant ...`` lines of the README's command-line section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines()
+            if line.startswith("hccourant ") and "<" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_usage_lines())
+def test_readme_usage_line_runs(line, tmp_path, capsys):
+    """Every usage line exits 0, or 1 where it says ``# exit 1``."""
+    argv = shlex.split(line, comments=True)[1:]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path / "report")
+    else:
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == (1 if "# exit 1" in line else 0)
+    assert (tmp_path / "report").read_text()
+
+
 def test_seed_recorded(capsys):
     code, out = run(["validate", "--algebra", "q", "--seed", "99",
                      "--format", "json"], capsys)
@@ -562,6 +652,9 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
     "morita_v1_3_r3.json": ["morita", "--algebra", "v1_3", "--r", "3"],
     "morita_m2q_r3.json": ["morita", "--algebra", "m2q", "--r", "3"],
     "omni_dim2.json": ["omni", "--dim", "2"],
+    # the reports that print H^1 class reps as d x d matrices
+    "courant_v1_3.json": ["courant", "--algebra", "v1_3"],
+    "cohomology_v1_2.json": ["cohomology", "--algebra", "v1_2"],
     # the first closed class of the 14-dimensional H_2
     "two_form_v1_3.json": ["two-form", "--algebra", "v1_3"],
 }.items()}

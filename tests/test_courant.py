@@ -10,7 +10,7 @@ from hccourant.dirac import Submodule, orthogonal
 from hccourant.exactlin import (Q, ZERO, QMatrix, Span, bilinear, contract,
                                 nullspace, quotient_basis, rank,
                                 row_combination, sparse, vec_is_zero)
-from hccourant.hochschild import (Chain, Cochain1, commutator,
+from hccourant.hochschild import (Chain, commutator,
                                   elementary_chain, h_left_multiply)
 from conftest import (is_canonical_table, is_number, perturbed_table,
                       rand_combination, rand_vec, rng_for, vec_add)
@@ -168,10 +168,9 @@ def test_skew_bracket_and_cochain_apply_keep_the_number_form(espaces):
     v = (2,) + (0,) * (E.dim - 1)
     assert all(is_number(x) for x in E.skew_bracket(u, v))
     A = E.algebra
-    half = Cochain1(A, tuple(tuple(Q(1, 2) if j == k else 0
-                                   for k in range(A.dim))
-                             for j in range(A.dim)))
-    image = half.apply((2, 0, 2, 0))
+    half = QMatrix(tuple(Q(1, 2) if j == k else 0 for k in range(A.dim))
+                   for j in range(A.dim))
+    image = row_combination((2, 0, 2, 0), half)
     assert image == (1, 0, 1, 0)
     assert all(is_number(x) for x in image)
 
@@ -193,7 +192,7 @@ def test_pairing_value_qx2(espaces):
     X = E._derivation_rep(0)
     alpha = elementary_chain(A, (0, 1))
     got = E.pairing_classes((1,), E.class_of_chain(alpha))
-    expected = E.h0.reduce_chain(Chain(A, 0, X.rows[1]))
+    expected = E.h0.reduce_chain(Chain(A, 0, X[1]))
     assert got == expected
 
 
@@ -288,7 +287,7 @@ def _chain_z_scale(E, zcoords, u):
     A, hc = E.algebra, E.h1co.dim
     X = E.derivation_of(u[:hc])
     xz = E.class_of_derivation(
-        Cochain1(A, tuple(A.mul(zcoords, row) for row in X.rows)))
+        QMatrix([A.mul(zcoords, row) for row in X]))
     az = E.h1.reduce_chain(h_left_multiply(zcoords, E.chain_of(u[hc:])))
     return xz + az
 
