@@ -12,7 +12,7 @@ from .algebra import (AlgebraError, FiniteAlgebra, GuardError, build_v1,
                       ground_field, load_algebra, make_algebra,
                       matrix_algebra, opposite_algebra, save_algebra,
                       truncated_poly, upper_triangular2)
-from .courant import CourantError, EpsilonSpace, ESpace, kernel_J
+from .courant import CourantError, CourantSpace, EpsilonSpace, ESpace
 from .dirac import (BracketTable, DiracError, DiracVerdict, Submodule,
                     TwoFormClass, biderivation_space, find_two_form_witness,
                     is_bracket_closed, is_dirac, is_isotropic,

@@ -141,7 +141,7 @@ def _cmd_dirac_check(args):
     else:
         L = load_submodule(args.submodule, E, eps)
         if not L.on_quotient:
-            L = project(eps, L.vectors)
+            L = project(eps, L.spanning)
     verdict = is_dirac(L)
     rep = {"algebra": A.name, "epsilon_dim": eps.dim,
            "submodule_dim": L.dim,
@@ -170,10 +170,10 @@ def _cmd_poisson_graph(args):
 def _cmd_two_form(args):
     A, E, eps = _build_spaces(args)
     if args.omega is not None:
-        omega = load_two_form(args.omega, E, max_dim=args.guard)
+        omega = load_two_form(args.omega, E)
         rep = {"algebra": A.name, "omega": _rvec(omega.coords)}
     else:
-        omega, h2 = find_two_form_witness(E, max_dim=args.guard)
+        omega, h2 = find_two_form_witness(E)
         rep = {"algebra": A.name, "h2_dim": h2.dim,
                "witness": _rvec(omega.coords) if omega else None,
                "outcome": "witness found" if omega else "none found"}
@@ -189,14 +189,14 @@ def _cmd_morita(args):
     ctx = verify_morita(A, args.r, max_dim=args.guard)
     rep = ctx.report.to_json()
     rep["h0_map"] = _rmat(ctx.maps.h0_map)
-    rep["opposite"] = verify_opposite(ctx.maps.source,
-                                     max_dim=args.guard).to_json()
+    rep["opposite"] = verify_opposite(ctx.maps.source).to_json()
     ok = ctx.report.ok and rep["opposite"]["ok"]
     return rep, (EXIT_OK if ok else EXIT_FALSE)
 
 
 def _cmd_omni(args):
     n = args.dim
+    ESpace.check_guard(n + 1, args.guard)  # before V[1]'s d^3 table
     mu = load_table(args.mu, n) if args.mu is not None else None
     E = ESpace(build_v1(n), max_dim=args.guard)
     ev1 = verify_ev1(n, espace=E)

@@ -8,25 +8,27 @@ and the H0-valued symmetric form (e1, e2) = <X2, a1> + <X1, a2>.  The radical
 J of the form is a two-sided bracket ideal; the quotient carries a
 nondegenerate induced form.
 
-An element of either space is its coordinate tuple over a class basis, and
-both spaces work from structure tensors fixed by their values on that basis:
-the bracket table [[e_i, e_j]], the form table (e_i, e_j) and the
-Z(A)-action table c_m . e_k for the centre basis c_m.  A table stores only
-its nonzero cells, in the canonical sparse form of ``exactlin.sparse_table``
-(row i holds ascending (j, cell) pairs, a cell ascending (k, t) pairs with
-t != 0), so two tables are equal exactly when ``==`` says so.  ESpace builds
-them from the chain-level rules on first use, so a space that never
-brackets pays nothing; ``bracket``, ``form`` and ``z_scale`` contract them
-with ``bilinear``, and ``orthogonal`` reads every radical and orthogonal off
-the form table.  The chain-level ``courant_bracket`` stays as the reference
-the tables are tested against.  EpsilonSpace keeps the quotient map as the
-matrix ``projection`` (row k: the class of e_k) and induces its tables from
-E's: the form table is E's read on the class reps (``pullback``), the
-bracket and Z tables are then also mapped by ``projection``.
+Both spaces are ``CourantSpace``s: an element is its coordinate tuple over
+a class basis, and a space works from structure tensors fixed by their
+values on that basis: the bracket table [[e_i, e_j]], the form table
+(e_i, e_j) and the Z(A)-action table c_m . e_k for the centre basis c_m.  A
+table stores only its nonzero cells, in the canonical sparse form of
+``exactlin.sparse_table`` (row i holds ascending (j, cell) pairs, a cell
+ascending (k, t) pairs with t != 0), so two tables are equal exactly when
+``==`` says so.  ``bracket``, ``form`` and ``z_scale`` contract them with
+``bilinear``, and ``orthogonal`` reads every radical and orthogonal off the
+form table, once for both spaces.  ESpace builds its tables from the
+chain-level rules on first use, so a space that never brackets pays
+nothing; its ``courant_bracket`` is the reference they are tested against.
+EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
+the class of e_k) and induces its tables from E's: the form table is E's
+read on the class reps (``pullback``), the bracket and Z tables are then
+also mapped by ``projection``.
 
-Checks run at construction: ESpace verifies that B descends to H_0 (D does
-not depend on the representative); EpsilonSpace verifies, exactly, that J is
-a two-sided bracket ideal and that the induced form is nondegenerate, and
+An ESpace carries its guard ``max_dim``, read by every homology built for
+it.  ESpace verifies that B descends to H_0 (D does not depend on the
+representative); EpsilonSpace verifies, exactly, that J is a two-sided
+bracket ideal and that the induced form is nondegenerate, and
 raises CourantError if either fails.
 """
 
@@ -35,11 +37,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, center
+from .algebra import FiniteAlgebra, center, check_guard
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
                        combine, contract, dense, nullspace, pullback,
                        pushforward, quotient_basis, row_combination, sparse,
-                       sparse_row, sparse_table, vec, vec_is_zero)
+                       sparse_row, sparse_table, vec)
 from .hochschild import (Chain, cochain_from_flat, cohomology_h1, commutator,
                          connes_B, flat_cochain, h_left_multiply, homology,
                          lie_derivative, pairing)
@@ -49,19 +51,89 @@ class CourantError(HccourantError):
     pass
 
 
-class ESpace:
+class CourantSpace:
+    """What E(A) and epsilon(A) share: coordinate tuples of length ``dim``,
+    the sparse ``bracket_table``, ``form_table`` (``h0_dim`` H_0 coordinates
+    per cell) and ``z_table`` over ``center_basis``, and the maps read off
+    them.  ``quotient`` is True on the nondegenerate quotient."""
+
+    quotient = False
+
+    def _coords(self, u: Sequence) -> tuple:
+        u = vec(u)
+        if len(u) != self.dim:
+            raise CourantError(f"{type(self).__name__} length mismatch")
+        return u
+
+    def _zcoords(self, c: Sequence) -> tuple:
+        c = vec(c)
+        if len(c) != self.center_basis.rows:
+            raise CourantError("centre coordinate length mismatch")
+        return c
+
+    def bracket(self, u: Sequence, v: Sequence) -> tuple:
+        """The Courant bracket on coordinates."""
+        return bilinear(self._coords(u), self._coords(v), self.bracket_table,
+                        self.dim)
+
+    def form(self, u: Sequence, v: Sequence) -> tuple:
+        """The H_0-valued form on coordinates."""
+        return bilinear(self._coords(u), self._coords(v), self.form_table,
+                        self.h0_dim)
+
+    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
+        """The Z(A)-module action on coordinates, for z given by its
+        coordinates c over ``center_basis``."""
+        return bilinear(self._zcoords(c), self._coords(u), self.z_table,
+                        self.dim)
+
+    def orthogonal_rows(self, rows: Sequence) -> QMatrix:
+        """The equations of {e : (e, l) = 0 in H_0 for every sparse row l of
+        ``rows``}, read off the form table: row (l, h) holds (e_k, l)_h at
+        column k.  Each l's block is filled in one pass over the nonzero
+        cells of the table, (e_k, e_j)_h l_j summed into entry (h, k);
+        ``QMatrix`` drops the sums that cancel."""
+        F, n = self.form_table, self.dim
+        out = []
+        for l in rows:
+            l = dict(l)
+            block = [{} for _ in range(self.h0_dim)]
+            for k in range(n):
+                for j, cell in F[k]:
+                    x = l.get(j)
+                    if x is not None:
+                        for h, t in cell:
+                            t *= x
+                            b = block[h]
+                            b[k] = b[k] + t if k in b else t
+            out += (tuple(b.items()) for b in block)  # k ascending
+        return QMatrix(out, cols=n)
+
+    def orthogonal(self, rows: Sequence) -> QMatrix:
+        """Basis of the space ``orthogonal_rows`` gives the equations of."""
+        return nullspace(self.orthogonal_rows(rows))
+
+    @cached_property
+    def radical(self) -> QMatrix:
+        """Basis of the radical {e : (e, e') = 0 for all e'}."""
+        return self.orthogonal(QMatrix.identity(self.dim).sparse_rows)
+
+
+class ESpace(CourantSpace):
     """E(A) with fixed presentations of H^1, H_1, H_0 and the center.
 
-    Elements are E coordinate tuples, x-part (H^1) first.  ``dim``,
-    ``bracket``, ``form``, ``form_table``, ``z_scale``, ``center_basis`` and
-    ``h0_dim`` are shared with EpsilonSpace, so a submodule can live in
-    either ambient.
+    Elements are E coordinate tuples, x-part (H^1) first.  ``max_dim`` is
+    the guard of every homology built for the space, here and by the
+    functions that take it (``two_form``, ``find_two_form_witness``,
+    ``load_two_form``, ``verify_opposite``).
     """
 
     def __init__(self, algebra: FiniteAlgebra, *,
                  max_dim: Optional[int] = None):
         self.algebra = algebra
-        # the guarded homologies first, so a refused algebra costs nothing
+        self.max_dim = max_dim
+        # the guard first, so a refused algebra costs nothing
+        self.check_guard(algebra.dim, max_dim)
         self.h1 = homology(algebra, 1, max_dim=max_dim)
         self.h0 = homology(algebra, 0, max_dim=max_dim)
         self.h1co = cohomology_h1(algebra)
@@ -74,6 +146,13 @@ class ESpace:
              for j in range(self.h1.dim))
             for i in range(self.h1co.dim))
         self._check_d_map_descent()
+
+    @staticmethod
+    def check_guard(dim: int, max_dim: Optional[int] = None) -> None:
+        """The refusal of ``ESpace(A, max_dim=max_dim)`` for A of dimension
+        ``dim``, before A is built: H_1 and H_0 read chain degrees 0-2."""
+        for degree in (1, 2, 0):
+            check_guard(dim, degree, max_dim)
 
     # -- representatives ----------------------------------------------------
 
@@ -223,34 +302,6 @@ class ESpace:
             raise CourantError("center_action: image left the center")
         return out
 
-    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
-        """The Z(A)-module action z.(X, alpha) on E(A) coordinates, for z
-        given by its coordinates c over ``center_basis``."""
-        return bilinear(self._zcoords(c), self._coords(u), self.z_table,
-                        self.dim)
-
-    def _zcoords(self, c: Sequence) -> tuple:
-        c = vec(c)
-        if len(c) != self.center_basis.rows:
-            raise CourantError("centre coordinate length mismatch")
-        return c
-
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """The Courant bracket on E(A) coordinates."""
-        return bilinear(self._coords(u), self._coords(v), self.bracket_table,
-                        self.dim)
-
-    def _coords(self, u: Sequence) -> tuple:
-        u = vec(u)
-        if len(u) != self.dim:
-            raise CourantError("E-vector length mismatch")
-        return u
-
-    def form(self, u: Sequence, v: Sequence) -> tuple:
-        """The H_0-valued form on E(A) coordinates."""
-        return bilinear(self._coords(u), self._coords(v), self.form_table,
-                        self.h0_dim)
-
     def h0_action(self, xcoords: Sequence, h0coords: Sequence) -> tuple:
         """The action of a derivation class on H_0 = A/[A, A] (well-defined
         because derivations preserve the commutator subspace)."""
@@ -258,53 +309,23 @@ class ESpace:
         return self.h0.reduce(combine(rep.row, self.derivation_of(xcoords)))
 
 
-def orthogonal_rows(space, rows: Sequence) -> QMatrix:
-    """The equations of {e : (e, l) = 0 in H_0 for every sparse row l of
-    ``rows``} in the coordinates of ``space`` (an ESpace or EpsilonSpace),
-    read off its form table: row (l, h) holds (e_k, l)_h at column k.  Each
-    l's block is filled in one pass over the nonzero cells of the table,
-    (e_k, e_j)_h l_j summed into entry (h, k); ``QMatrix`` drops the sums
-    that cancel."""
-    F, n = space.form_table, space.dim
-    out = []
-    for l in rows:
-        l = dict(l)
-        block = [{} for _ in range(space.h0_dim)]
-        for k in range(n):
-            for j, cell in F[k]:
-                x = l.get(j)
-                if x is not None:
-                    for h, t in cell:
-                        t *= x
-                        b = block[h]
-                        b[k] = b[k] + t if k in b else t
-        out += (tuple(b.items()) for b in block)  # k ascending
-    return QMatrix(out, cols=n)
-
-
-def orthogonal(space, vectors: QMatrix) -> QMatrix:
-    """Basis of the space that ``orthogonal_rows`` gives the equations of,
-    for the rows of a matrix ``vectors``."""
-    return nullspace(orthogonal_rows(space, vectors.sparse_rows))
-
-
-def kernel_J(E: ESpace) -> QMatrix:
-    """Basis of the radical {e : (e, e') = 0 for all e'} in E coordinates."""
-    return orthogonal(E, QMatrix.identity(E.dim))
-
-
-class EpsilonSpace:
-    """The quotient of E(A) by the radical of the form.
+class EpsilonSpace(CourantSpace):
+    """The quotient of E(A) by the radical ``J`` of the form.
 
     Construction re-verifies, exactly, that the radical is a two-sided
     bracket ideal and that the induced form is nondegenerate; a failure of
     either raises CourantError.
     """
 
+    quotient = True
+    # perfbench's tracer wraps these two in the class's own namespace
+    bracket = CourantSpace.bracket
+    form = CourantSpace.form
+
     def __init__(self, espace: ESpace):
         self.espace = espace
         self.algebra = espace.algebra
-        self.J = kernel_J(espace)
+        self.J = espace.radical
         units = QMatrix.identity(espace.dim)
         reps, reduce = quotient_basis(units, Span(self.J))
         self.class_reps = reps
@@ -343,34 +364,13 @@ class EpsilonSpace:
         return pushforward(pullback(E.z_table, centre, self.class_reps),
                            self.projection)
 
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        return bilinear(self._coords(u), self._coords(v), self.bracket_table,
-                        self.dim)
-
-    def form(self, u: Sequence, v: Sequence) -> tuple:
-        return bilinear(self._coords(u), self._coords(v), self.form_table,
-                        self.h0_dim)
-
-    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
-        return bilinear(self.espace._zcoords(c), self._coords(u), self.z_table,
-                        self.dim)
-
-    def _coords(self, u: Sequence) -> tuple:
-        u = vec(u)
-        if len(u) != self.dim:
-            raise CourantError("epsilon coordinate length mismatch")
-        return u
-
     def rho(self, u: Sequence) -> tuple:
-        """Induced anchor; only well-defined when the algebra is commutative
-        (the radical then sits inside the H_1 summand)."""
-        if not self.algebra.is_commutative():
+        """The induced anchor, rho of the class rep.  rho reads the H^1
+        part, so it descends to the quotient exactly when J has none."""
+        hc = self.espace.h1co.dim
+        if any(row[0][0] < hc for row in self.J.sparse_rows):
             raise CourantError(
-                "rho on the quotient requires a commutative algebra")
-        for row in self.J:
-            if not vec_is_zero(row[:self.espace.h1co.dim]):
-                raise CourantError(
-                    "radical leaves the H_1 summand: rho undefined")
+                "radical leaves the H_1 summand: rho undefined")
         return self.espace.rho(self.lift(u))
 
     # -- construction-time verification -------------------------------------
@@ -387,7 +387,7 @@ class EpsilonSpace:
             raise CourantError("radical is not a bracket ideal at "
                                "(J%d, e%d)" % min(bad))
 
-    def _verify_nondegenerate(self):
-        if orthogonal(self, QMatrix.identity(self.dim)).rows:
+    def _verify_nondegenerate(self):  # the current table, not ``radical``
+        if self.orthogonal(QMatrix.identity(self.dim).sparse_rows).rows:
             raise CourantError("induced form on the quotient is degenerate")
 

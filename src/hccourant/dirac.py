@@ -1,6 +1,7 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
-Submodules are Q-subspaces of E(A) or of the quotient, each held as one
+Submodules are Q-subspaces of a ``courant.CourantSpace``, E(A) or the
+quotient, read through that interface alone, each held as one
 ``exactlin.Span``: its primitive integer rows carry the verdicts and it
 answers their span tests, while the canonical (RREF) basis is built only
 for a report.  Verdicts are exact; Z(A)-stability is a separate flag.
@@ -31,7 +32,8 @@ biderivation, so its hamiltonian map vanishes on the H_1 boundaries and
 each value a {b, .} is a derivation ({b, .} is one and A is commutative).
 ``hamiltonian_map``, on chain representatives, is its reference.
 
-The anchor of a Lie algebroid is a sparse table cached per quotient.  The
+The anchor of a Lie algebroid is a sparse table cached per quotient, read
+through ``EpsilonSpace.rho``, which refuses where it does not descend.  The
 anchor law rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
 [[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid,
 not only on a Dirac structure (Liu-Weinstein-Xu, Manin triples for Lie
@@ -47,7 +49,8 @@ is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
 
 A 2-form class omega in H_2 is closed when B omega = 0 in H_3, a condition
 linear in its coordinates, so the closed classes are the nullspace of the
-matrix of B: H_2 -> H_3.  Every class is also alternating,
+matrix of B: H_2 -> H_3, built under the guard ``max_dim`` of E.  Every
+class is also alternating,
 i_X i_Y omega + i_Y i_X omega = 0 in H_0: i_X is the cap product with the
 1-cocycle X, and the cup product on HH^* is graded-commutative
 (Gerstenhaber, 1963), so the sum is +-(X cup Y + Y cup X) cap omega = 0.
@@ -62,7 +65,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
-from .courant import EpsilonSpace, ESpace, orthogonal_rows
+from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Report, Span, _over,
                        bilinear, combine, combine_tables, contract, dense,
                        nullspace, pullback, pushforward, rank, rat_str,
@@ -80,7 +83,7 @@ class DiracError(HccourantError):
 # submodules
 
 class Submodule:
-    """A subspace of E(A) or epsilon(A), given by spanning vectors.
+    """A subspace of a ``CourantSpace``, given by spanning vectors.
 
     The span is eliminated once, into ``span`` (an ``exactlin.Span``), when
     first read: ``int_rows`` are its primitive integer rows, ``contains``
@@ -90,10 +93,10 @@ class Submodule:
     ``int_rows``.  The RREF basis ``vectors`` (row i a positive multiple of
     row i of ``int_rows``) is built only when something reads it."""
 
-    def __init__(self, ambient, vectors: QMatrix):
+    def __init__(self, ambient: CourantSpace, vectors: QMatrix):
         if vectors.cols != ambient.dim:
             raise DiracError("spanning vectors do not match the ambient")
-        self.ambient = ambient  # ESpace or EpsilonSpace
+        self.ambient = ambient
         self.spanning = vectors
 
     @cached_property
@@ -117,7 +120,7 @@ class Submodule:
 
     @property
     def on_quotient(self) -> bool:
-        return isinstance(self.ambient, EpsilonSpace)
+        return self.ambient.quotient
 
     @cached_property
     def isotropic(self) -> bool:
@@ -144,7 +147,7 @@ def is_isotropic(L: Submodule) -> bool:
 
 def orthogonal(L: Submodule) -> QMatrix:
     """L-perp = {e : (e, l) = 0 in H_0 for every l in L}."""
-    return nullspace(orthogonal_rows(L.ambient, L.int_rows))
+    return L.ambient.orthogonal(L.int_rows)
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -152,7 +155,7 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     L-perp, so the dimensions decide, and dim L-perp is the ambient
     dimension less the rank of the equations of L-perp."""
     return L.isotropic and L.ambient.dim - rank(
-        orthogonal_rows(L.ambient, L.int_rows)) == L.dim
+        L.ambient.orthogonal_rows(L.int_rows)) == L.dim
 
 
 def is_bracket_closed(L: Submodule):
@@ -439,12 +442,11 @@ def _two_form_conditions(h2: HomologyPresentation,
                     for k in range(h2.dim)], cols=h3.dim).transpose()
 
 
-def two_form(E: ESpace, coords: Sequence, *, h2=None, h3=None,
-             max_dim: Optional[int] = None) -> TwoFormClass:
+def two_form(E: ESpace, coords: Sequence) -> TwoFormClass:
     """Validated closed 2-form class; raises DiracError naming the first
     H_3 coordinate of B(omega) that is not zero."""
-    h2 = h2 or homology(E.algebra, 2, max_dim=max_dim)
-    h3 = h3 or homology(E.algebra, 3, max_dim=max_dim)
+    h2 = homology(E.algebra, 2, max_dim=E.max_dim)
+    h3 = homology(E.algebra, 3, max_dim=E.max_dim)
     coords = vec(coords)
     if len(coords) != h2.dim:
         raise DiracError("2-form coordinate length mismatch")
@@ -470,12 +472,12 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     return L, is_dirac(L)
 
 
-def find_two_form_witness(E: ESpace, *, max_dim: Optional[int] = None):
+def find_two_form_witness(E: ESpace):
     """``(witness_or_None, h2)``: row 0 of the canonical nullspace of
     ``_two_form_conditions``, the first closed class, None when omega = 0
     is the only one."""
-    h2 = homology(E.algebra, 2, max_dim=max_dim)
-    h3 = homology(E.algebra, 3, max_dim=max_dim)
+    h2 = homology(E.algebra, 2, max_dim=E.max_dim)
+    h3 = homology(E.algebra, 3, max_dim=E.max_dim)
     kernel = nullspace(_two_form_conditions(h2, h3))
     return (TwoFormClass(E, h2, kernel[0]) if kernel.rows else None), h2
 
@@ -486,13 +488,13 @@ def find_two_form_witness(E: ESpace, *, max_dim: Optional[int] = None):
 @functools.lru_cache(maxsize=8)
 def _anchor_table(eps: EpsilonSpace) -> tuple:
     """The anchor on the centre as a sparse table: cell (a, m) is X_a(c_m) in
-    centre coordinates, for X_a the anchor of class rep r_a and c_m the
-    centre basis.  ``center_action`` checks on every basis pair that c_m and
-    its image are central, which by linearity covers every u and z."""
+    centre coordinates, for X_a = ``eps.rho(e_a)`` and c_m the centre basis.
+    ``center_action`` checks on every basis pair that c_m and its image are
+    central, which by linearity covers every u and z."""
     E = eps.espace
     return sparse_table(
-        (E.center_coords(E.center_action(E.rho(r), c)) for c in E.center_basis)
-        for r in eps.class_reps)
+        (E.center_coords(E.center_action(eps.rho(u), c))
+         for c in E.center_basis) for u in QMatrix.identity(eps.dim))
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Union
 
 from .algebra import (AlgebraError, FiniteAlgebra, algebra_from_json,
                       entry_table, rational_list)
-from .courant import EpsilonSpace, ESpace
+from .courant import CourantSpace, EpsilonSpace, ESpace
 from .dirac import BracketTable, Submodule, TwoFormClass, two_form
 from .exactlin import HccourantError, QMatrix, ZERO
 
@@ -119,7 +118,7 @@ def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
         raise FileFormatError(
             f"{path}: submodule files need 'ambient' and 'vectors'") from exc
     if ambient_name == "E":
-        ambient: Union[ESpace, EpsilonSpace] = E
+        ambient: CourantSpace = E
     elif ambient_name == "epsilon":
         ambient = eps
     else:
@@ -138,8 +137,7 @@ def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
     return Submodule(ambient, QMatrix(rows or [], cols=ambient.dim))
 
 
-def load_two_form(path: str, E: ESpace, *,
-                  max_dim: Optional[int] = None) -> TwoFormClass:
+def load_two_form(path: str, E: ESpace) -> TwoFormClass:
     doc = _load_json(path)
     _check_algebra(doc, path, E.algebra)
     try:
@@ -149,4 +147,4 @@ def load_two_form(path: str, E: ESpace, *,
             f"{path}: two-form files need rational 'coords'") from exc
     except ValueError as exc:
         raise FileFormatError(f"{path}: coords: {exc}") from exc
-    return two_form(E, coords, max_dim=max_dim)
+    return two_form(E, coords)

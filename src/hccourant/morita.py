@@ -205,8 +205,7 @@ class OppositeReport(Report):
     form_tables_match: bool
 
 
-def verify_opposite(E: ESpace, *,
-                    max_dim: Optional[int] = None) -> OppositeReport:
+def verify_opposite(E: ESpace) -> OppositeReport:
     """E(A) vs E(A^op) under the identity on chains, for E = E(A).
 
     Degree-1 cycle and boundary spaces, derivations and inner derivations all
@@ -215,7 +214,7 @@ def verify_opposite(E: ESpace, *,
     as tables.
     """
     A = E.algebra
-    Eop = ESpace(opposite_algebra(A), max_dim=max_dim)
+    Eop = ESpace(opposite_algebra(A), max_dim=E.max_dim)
     dims = (E.h1co.dim == Eop.h1co.dim and E.h1.dim == Eop.h1.dim
             and E.h0.dim == Eop.h0.dim)
     same_pres = (E.h1co.class_reps == Eop.h1co.class_reps

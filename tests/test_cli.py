@@ -95,6 +95,45 @@ def test_morita_target_guard_exit_2(capsys):
     assert "121" in doc["error"] and "\n" not in doc["error"]
 
 
+@pytest.mark.parametrize("guard", (None, "20"))
+def test_omni_guard_refuses_before_v1_is_built(monkeypatch, capsys, guard):
+    """V[1], n = 10^6, has a dense d^3 table: omni refuses it with the
+    one-line error ESpace gives for its dimension, and never builds it."""
+    from hccourant import cli
+    from hccourant.algebra import GuardError, check_guard
+
+    def unguarded(n):
+        raise AssertionError("build_v1 ran before the guard")
+
+    monkeypatch.setattr(cli, "build_v1", unguarded)
+    extra = [] if guard is None else ["--guard", guard]
+    code, out = run(["omni", "--dim", "1000000", "--format", "json", *extra],
+                    capsys)
+    assert code == 2
+    with pytest.raises(GuardError) as refusal:
+        check_guard(1000001, 1, None if guard is None else int(guard))
+    assert json.loads(out)["error"] == str(refusal.value)
+    assert "\n" not in str(refusal.value)
+
+
+def test_espace_check_guard_is_the_espace_refusal():
+    """``ESpace.check_guard(dim, max_dim)`` raises exactly the error
+    ``ESpace`` raises, and passes wherever ``ESpace`` is built."""
+    from hccourant.algebra import GuardError, build_v1
+    from hccourant.courant import ESpace
+    for n, max_dim in ((16, None), (3, 3), (3, 4), (2, None)):
+        try:
+            ESpace(build_v1(n), max_dim=max_dim)
+            refusal = None
+        except GuardError as exc:
+            refusal = str(exc)
+        try:
+            ESpace.check_guard(n + 1, max_dim)
+            assert refusal is None, (n, max_dim)
+        except GuardError as exc:
+            assert str(exc) == refusal, (n, max_dim)
+
+
 def test_unsupported_degree_blocked(capsys):
     code, out = run(["homology", "--algebra", "qx2", "--degree", "5"],
                     capsys)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hccourant import courant
 from hccourant.algebra import GuardError, build_v1, truncated_poly
-from hccourant.courant import CourantError, EpsilonSpace, ESpace, kernel_J
+from hccourant.courant import CourantError, EpsilonSpace, ESpace
 from hccourant.dirac import Submodule, orthogonal
 from hccourant.exactlin import (Q, ZERO, QMatrix, Span, bilinear, contract,
                                 nullspace, quotient_basis, rank,
@@ -40,7 +40,7 @@ def test_espace_guard_refuses_before_cohomology(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_J_DIM))
 def test_kernel_dimensions(espaces, name):
-    assert kernel_J(espaces[name]).rows == EXPECTED_J_DIM[name]
+    assert espaces[name].radical.rows == EXPECTED_J_DIM[name]
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
@@ -199,7 +199,7 @@ def test_pairing_value_qx2(espaces):
 @pytest.mark.parametrize("name", NONZERO_E)
 def test_kernel_is_two_sided_bracket_ideal(espaces, name):
     E = espaces[name]
-    J = kernel_J(E)
+    J = E.radical
     from hccourant.exactlin import membership
     for j in J:
         for e in QMatrix.identity(E.dim):
@@ -350,7 +350,7 @@ def test_structure_tables_are_canonical(espaces, epsilons, name):
 
 def test_ideal_check_fails_on_a_perturbed_bracket_table():
     E = ESpace(build_v1(2))  # its own instance: the tables are cached on it
-    J = kernel_J(E)
+    J = E.radical
     a = next(k for k, x in enumerate(J[0]) if x)
     # [e_0, J_0] gains a multiple of e_0, which lies outside J
     E.bracket_table = perturbed_table(E.bracket_table, 0, a, 0)
@@ -369,7 +369,7 @@ def test_nondegeneracy_check_fails_on_a_zeroed_form_table():
 # radicals and orthogonals read off the form table, against the bodies they
 # replaced
 
-def _pairing_kernel_J(E):
+def _pairing_radical(E):
     """Reference radical: the H_0 coordinates of <X_l, alpha-part> and
     <x-part, alpha_m> stacked from the pairing table."""
     hc, hh, h0d = E.h1co.dim, E.h1.dim, E.h0.dim
@@ -425,15 +425,15 @@ def test_orthogonal_rows_match_unit_form_rows(espaces, epsilons, name):
         for count in range(amb.dim + 1):
             vectors = [[Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                         for _ in range(amb.dim)] for _ in range(count)]
-            got = courant.orthogonal_rows(
-                amb, QMatrix(vectors, cols=amb.dim).sparse_rows)
+            got = amb.orthogonal_rows(
+                QMatrix(vectors, cols=amb.dim).sparse_rows)
             assert got == _unit_form_rows(amb, vectors)
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
 def test_kernel_J_matches_pairing_table_body(espaces, name):
     E = espaces[name]
-    assert kernel_J(E) == _pairing_kernel_J(E)
+    assert E.radical == _pairing_radical(E)
 
 
 @pytest.mark.parametrize("name", NONZERO_E)

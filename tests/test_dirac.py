@@ -27,8 +27,8 @@ from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
                                 contract, nullspace, rank, rat_str, row_space,
                                 row_combination, sparse, sparse_row,
                                 sparse_table, vec, vec_is_zero)
-from hccourant.algebra import build_v1
-from hccourant.courant import EpsilonSpace, ESpace
+from hccourant.algebra import GuardError, build_v1, make_algebra
+from hccourant.courant import CourantError, EpsilonSpace, ESpace
 from hccourant.hochschild import (Chain, cochain_from_flat,
                                   connes_B, derivation_basis, homology,
                                   interior_product, is_derivation)
@@ -786,7 +786,7 @@ def test_two_form_zero_graph_is_gl_summand(v13):
     _, E, eps = v13
     from hccourant.hochschild import homology
     h2 = homology(E.algebra, 2)
-    omega = two_form(E, (Q(0),) * h2.dim, h2=h2)
+    omega = two_form(E, (Q(0),) * h2.dim)
     L, verdict = two_form_graph(eps, omega)
     assert verdict.dirac
     assert L.vectors == _h1_summand(eps).vectors
@@ -800,7 +800,7 @@ def test_lie_algebroid_on_h1_summand(espaces, epsilons, name):
     from hccourant.hochschild import homology
     E, eps = espaces[name], epsilons[name]
     h2 = homology(E.algebra, 2)
-    L, verdict = two_form_graph(eps, two_form(E, (0,) * h2.dim, h2=h2))
+    L, verdict = two_form_graph(eps, two_form(E, (0,) * h2.dim))
     assert verdict.dirac
     rep = lie_algebroid_check(eps, L, rng=rng_for(f"algebroid/{name}"))
     assert rep.ok, rep.to_json()
@@ -863,10 +863,10 @@ def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
         assert failing == []
         assert in_kernel(coords) == closed
         if closed:
-            assert two_form(E, coords, h2=h2, h3=h3).coords == coords
+            assert two_form(E, coords).coords == coords
         else:
             with pytest.raises(DiracError, match="not closed"):
-                two_form(E, coords, h2=h2, h3=h3)
+                two_form(E, coords)
 
 
 @pytest.mark.parametrize("name", ("v1_2", "v1_3"))
@@ -877,7 +877,7 @@ def test_two_form_kernel_graphs_are_dirac(two_form_kernels, epsilons, name):
     rng = rng_for(f"two-form-graph/{name}")
     for coords in list(kernel) + [rand_combination(rng, kernel)
                                   for _ in range(3)]:
-        omega = two_form(E, coords, h2=h2, h3=h3)
+        omega = two_form(E, coords)
         assert two_form_graph(epsilons[name], omega)[1].dirac
 
 
@@ -885,9 +885,9 @@ def test_two_form_rejects_with_the_failing_condition(two_form_kernels):
     E, h2, h3, _ = two_form_kernels["v1_2"]
     e1 = (0, 1, 0, 0, 0)
     with pytest.raises(DiracError, match="not closed: H_3 coordinate 0 "):
-        two_form(E, e1, h2=h2, h3=h3)
+        two_form(E, e1)
     with pytest.raises(DiracError, match="length mismatch"):
-        two_form(E, (1, 0, 0, 0), h2=h2, h3=h3)
+        two_form(E, (1, 0, 0, 0))
 
 
 # the corpus, then Q[x, y]/(x^a, y^b) for (a, b) = (2, 2) and (3, 2), on
@@ -1247,6 +1247,69 @@ def test_anchor_table_matches_center_action_on_drawn_vectors(epsilons, data):
     u = data.draw(st.lists(st.one_of(st.just(Q(0)), _rationals),
                            min_size=eps.dim, max_size=eps.dim))
     assert _table_sigma(eps, u) == _ref_sigma(eps, u)
+
+
+def _from_products(name, basis, products, unit):
+    """The algebra on ``basis`` whose nonzero products of basis elements
+    are e_a e_b = t e_c for ``products[a, b] = (c, t)``."""
+    d, at = len(basis), {b: k for k, b in enumerate(basis)}
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (a, b), (c, t) in products.items():
+        table[at[a]][at[b]][at[c]] = t
+    return make_algebra(name, basis, table, [int(b in unit) for b in basis])
+
+
+def test_anchor_descends_when_the_radical_has_no_h1_part():
+    """Lambda_{-1} = Q<x, y>/(x^2, y^2, xy + yx) is not commutative, yet
+    its radical lies in the H_1 summand: rho descends, and the anchor
+    table is read through it, nonzero on class reps 0 and 3."""
+    basis = ("1", "x", "y", "xy")
+    products = {("x", "y"): ("xy", 1), ("y", "x"): ("xy", -1)}
+    for b in basis:
+        products["1", b] = products[b, "1"] = (b, 1)
+    E = ESpace(_from_products("Lambda_-1", basis, products, ("1",)))
+    eps = EpsilonSpace(E)
+    assert not E.algebra.is_commutative()
+    assert eps.J.rows and not any(any(r[:E.h1co.dim]) for r in eps.J)
+    for u in QMatrix.identity(eps.dim):
+        assert eps.rho(u) == E.rho(eps.lift(u))
+        assert _table_sigma(eps, u) == _ref_sigma(eps, u)
+    assert [a for a, row in enumerate(_anchor_table(eps)) if row] == [0, 3]
+
+
+def test_anchor_is_refused_when_the_radical_has_an_h1_part():
+    """On Q[t]/(t^2) x K, for K the Kronecker path algebra (H_1 = 0, so its
+    derivation classes pair to zero), the radical has an H^1 part: rho
+    does not descend, and the anchor table refuses as ``rho`` does."""
+    basis = ("u", "t", "e1", "e2", "a", "b")
+    products = {("u", "u"): ("u", 1), ("u", "t"): ("t", 1),
+                ("t", "u"): ("t", 1), ("e1", "e1"): ("e1", 1),
+                ("e2", "e2"): ("e2", 1), ("e1", "a"): ("a", 1),
+                ("a", "e2"): ("a", 1), ("e1", "b"): ("b", 1),
+                ("b", "e2"): ("b", 1)}
+    E = ESpace(_from_products("Q[t]/(t^2) x Kronecker", basis, products,
+                              ("u", "e1", "e2")))
+    eps = EpsilonSpace(E)
+    assert eps.dim and any(any(r[:E.h1co.dim]) for r in eps.J)
+    with pytest.raises(CourantError, match="rho undefined"):
+        eps.rho(QMatrix.identity(eps.dim)[0])
+    with pytest.raises(CourantError, match="rho undefined"):
+        _anchor_table(eps)
+
+
+def test_two_form_guard_flows_from_the_space():
+    """H_2 and H_3 of V[1], n = 6 (dimension 7) read chains of degrees 3
+    and 4, whose default guard is 6: the space's own ``max_dim`` lifts it
+    for the witness search and ``two_form``, and the default refuses."""
+    A = build_v1(6)
+    E = ESpace(A, max_dim=7)
+    witness, h2 = find_two_form_witness(E)
+    assert witness is not None and witness.h2.dim == h2.dim
+    assert two_form(E, witness.coords).coords == witness.coords
+    with pytest.raises(GuardError, match="degree 3"):
+        find_two_form_witness(ESpace(A))
+    with pytest.raises(GuardError, match="degree 3"):
+        two_form(ESpace(A), witness.coords)
 
 
 def test_algebroid_structure_constants_are_those_of_the_integer_rows(

@@ -151,7 +151,7 @@ def _report(kind, espaces, epsilons):
         return verify_main_theorem(2, espace=espaces["v1_2"])[1]
     E, eps = espaces["qx2"], epsilons["qx2"]
     h2 = homology(E.algebra, 2)
-    L, _ = two_form_graph(eps, two_form(E, (0,) * h2.dim, h2=h2))
+    L, _ = two_form_graph(eps, two_form(E, (0,) * h2.dim))
     return lie_algebroid_check(eps, L)
 
 
