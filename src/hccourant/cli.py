@@ -4,6 +4,13 @@ Exit codes: 0 = computation succeeded and every checked verdict holds;
 1 = the run was valid but a mathematical verdict is false (e.g. the
 submodule is not Dirac); 2 = malformed input, missing file, or a guard
 refused the computation.
+
+Each handler imports the layers it runs inside its body, so a run compiles
+only those: `validate` loads `algebra`, `exactlin` and `files`; `homology`
+adds `hochschild`; `cohomology`, `courant`, `kernel` and `epsilon` add
+`hochschild` and `courant`; `dirac-check`, `poisson-graph` and `two-form`
+add `dirac` to those; `morita` and `omni` each add their own module to
+that set; `suite` loads every module.
 """
 
 from __future__ import annotations
@@ -13,18 +20,10 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import build_v1
-from .courant import EpsilonSpace, ESpace
-from .dirac import (find_two_form_witness, is_dirac, is_poisson,
-                    lie_algebroid_check, poisson_graph, project,
-                    two_form_graph)
 from .exactlin import HccourantError, QMatrix, rat_str
 from .files import (BUNDLED_ALGEBRAS, BUNDLED_TABLES, FileFormatError,
                     load_algebra_ref, load_bracket_table, load_submodule,
                     load_table, load_two_form)
-from .hochschild import chain_sparse, homology
-from .morita import verify_morita, verify_opposite
-from .omni import d_structure_check, verify_ev1, verify_main_theorem
 
 SCHEMA = "hccourant/1"
 
@@ -43,6 +42,7 @@ def _rmat(M):
 
 def _chain_terms(pres, k):
     """Human-readable representative of the k-th homology class."""
+    from .hochschild import chain_sparse
     c = pres.rep_chain(k)
     names = c.algebra.basis_names
     terms = [f"{rat_str(x)}*[{' (x) '.join(names[i] for i in a)}]"
@@ -50,7 +50,7 @@ def _chain_terms(pres, k):
     return " + ".join(terms) if terms else "0"
 
 
-def _e_presentation(E: ESpace) -> dict:
+def _e_presentation(E) -> dict:
     return {
         "h1_cohomology_dim": E.h1co.dim,
         "h1_homology_dim": E.h1.dim,
@@ -75,6 +75,7 @@ def _cmd_validate(args):
 
 
 def _cmd_homology(args):
+    from .hochschild import homology
     A = load_algebra_ref(args.algebra)
     n = args.degree
     pres = homology(A, n, max_dim=args.guard)
@@ -86,6 +87,7 @@ def _cmd_homology(args):
 
 
 def _cmd_cohomology(args):
+    from .courant import ESpace
     if args.degree != 1:
         raise HccourantError(f"cohomology supports only degree 1, not "
                              f"{args.degree}")
@@ -97,6 +99,7 @@ def _cmd_cohomology(args):
 
 
 def _cmd_courant(args):
+    from .courant import ESpace
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
     rep = _e_presentation(E)
@@ -108,6 +111,7 @@ def _cmd_courant(args):
 
 
 def _build_spaces(args):
+    from .courant import EpsilonSpace, ESpace
     A = load_algebra_ref(args.algebra)
     E = ESpace(A, max_dim=args.guard)
     return A, E, EpsilonSpace(E)
@@ -131,6 +135,7 @@ def _cmd_epsilon(args):
 
 
 def _cmd_dirac_check(args):
+    from .dirac import is_dirac, poisson_graph, project
     if (args.submodule is None) == (args.bracket is None):
         raise FileFormatError(
             "dirac-check needs exactly one of --submodule or --bracket")
@@ -151,6 +156,8 @@ def _cmd_dirac_check(args):
 
 
 def _cmd_poisson_graph(args):
+    from .dirac import (is_dirac, is_poisson, lie_algebroid_check,
+                        poisson_graph)
     A, E, eps = _build_spaces(args)
     t = load_bracket_table(args.bracket, A)
     L_E, L = poisson_graph(E, eps, t)
@@ -168,6 +175,7 @@ def _cmd_poisson_graph(args):
 
 
 def _cmd_two_form(args):
+    from .dirac import find_two_form_witness, two_form_graph
     A, E, eps = _build_spaces(args)
     if args.omega is not None:
         omega = load_two_form(args.omega, E)
@@ -185,6 +193,7 @@ def _cmd_two_form(args):
 
 
 def _cmd_morita(args):
+    from .morita import verify_morita, verify_opposite
     A = load_algebra_ref(args.algebra)
     ctx = verify_morita(A, args.r, max_dim=args.guard)
     rep = ctx.report.to_json()
@@ -195,6 +204,9 @@ def _cmd_morita(args):
 
 
 def _cmd_omni(args):
+    from .algebra import build_v1
+    from .courant import ESpace
+    from .omni import d_structure_check, verify_ev1, verify_main_theorem
     n = args.dim
     ESpace.check_guard(n + 1, args.guard)  # before V[1]'s d^3 table
     mu = load_table(args.mu, n) if args.mu is not None else None

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING
 
 from .algebra import (AlgebraError, FiniteAlgebra, algebra_from_json,
                       entry_table, rational_list)
-from .courant import CourantSpace, EpsilonSpace, ESpace
-from .dirac import BracketTable, Submodule, TwoFormClass, two_form
 from .exactlin import HccourantError, QMatrix, ZERO
+
+if TYPE_CHECKING:  # dirac is imported by the loaders that build its objects
+    from .courant import CourantSpace, EpsilonSpace, ESpace
+    from .dirac import BracketTable, Submodule, TwoFormClass
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -100,6 +103,7 @@ def _entries(doc, path: str, d: int) -> list:
 
 
 def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
+    from .dirac import BracketTable
     path = resolve_path(ref, BUNDLED_TABLES)
     if not os.path.exists(path):
         raise FileFormatError(
@@ -110,6 +114,7 @@ def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
 
 
 def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
+    from .dirac import Submodule
     doc = _load_json(path)
     try:
         ambient_name = doc["ambient"]
@@ -138,6 +143,7 @@ def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:
 
 
 def load_two_form(path: str, E: ESpace) -> TwoFormClass:
+    from .dirac import two_form
     doc = _load_json(path)
     _check_algebra(doc, path, E.algebra)
     try:

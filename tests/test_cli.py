@@ -99,13 +99,13 @@ def test_morita_target_guard_exit_2(capsys):
 def test_omni_guard_refuses_before_v1_is_built(monkeypatch, capsys, guard):
     """V[1], n = 10^6, has a dense d^3 table: omni refuses it with the
     one-line error ESpace gives for its dimension, and never builds it."""
-    from hccourant import cli
+    from hccourant import algebra
     from hccourant.algebra import GuardError, check_guard
 
     def unguarded(n):
         raise AssertionError("build_v1 ran before the guard")
 
-    monkeypatch.setattr(cli, "build_v1", unguarded)
+    monkeypatch.setattr(algebra, "build_v1", unguarded)
     extra = [] if guard is None else ["--guard", guard]
     code, out = run(["omni", "--dim", "1000000", "--format", "json", *extra],
                     capsys)
@@ -582,6 +582,89 @@ def test_missing_required_option_exit_2_one_line_error(argv):
     doc = json.loads(proc.stdout)
     assert doc["exit_code"] == 2
     assert doc["error"] and "\n" not in doc["error"]
+
+
+# the package modules a subcommand loads; ``cli`` runs as ``__main__``
+_BASE = {"algebra", "exactlin", "files", "cli"}
+_COURANT = _BASE | {"hochschild", "courant"}
+_DIRAC = _COURANT | {"dirac"}
+COLD_START = {
+    "validate --algebra q": _BASE,
+    "homology --algebra qx2": _BASE | {"hochschild"},
+    "cohomology --algebra qx2": _COURANT,
+    "courant --algebra qx2": _COURANT,
+    "kernel --algebra qx2": _COURANT,
+    "epsilon --algebra qx2": _COURANT,
+    "dirac-check --algebra v1_3 --bracket bracket_so3_v1_3": _DIRAC,
+    "poisson-graph --algebra v1_3 --bracket bracket_zero_v1_3": _DIRAC,
+    "two-form --algebra v1_3": _DIRAC,
+    "morita --algebra q --r 2": _DIRAC | {"morita"},
+    "omni --dim 2": _DIRAC | {"omni"},
+    "suite --seed 42": _DIRAC | {"morita", "omni", "suite"},
+}
+
+
+@pytest.mark.parametrize("line", sorted(COLD_START))
+def test_subcommand_cold_start_loads_only_its_layers(line):
+    """In a fresh interpreter each subcommand imports only the modules it
+    runs; ``-X importtime`` lists every module imported on stderr."""
+    src = str(Path(hccourant.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hccourant.cli",
+         *line.split(), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1)
+    imported = {row.rpartition("|")[2].strip()
+                for row in proc.stderr.splitlines()
+                if row.startswith("import time:")}
+    loaded = {name.split(".", 1)[1] for name in imported
+              if name.startswith("hccourant.")} | {"cli"}
+    assert loaded == COLD_START[line]
+
+
+# ``hccourant``'s public names, module by module
+PUBLIC_NAMES = {
+    "algebra": "AlgebraError FiniteAlgebra GuardError build_v1 ground_field "
+               "load_algebra make_algebra matrix_algebra opposite_algebra "
+               "save_algebra truncated_poly upper_triangular2",
+    "courant": "CourantError CourantSpace EpsilonSpace ESpace",
+    "dirac": "BracketTable DiracError DiracVerdict Submodule TwoFormClass "
+             "biderivation_space find_two_form_witness is_bracket_closed "
+             "is_dirac is_isotropic is_maximally_isotropic is_poisson "
+             "is_z_stable lie_algebroid_check make_bracket_table "
+             "poisson_graph table_from_flat two_form two_form_graph",
+    "exactlin": "HccourantError Q QMatrix nullspace rank rref",
+    "files": "FileFormatError load_algebra_ref load_bracket_table "
+             "load_submodule load_two_form",
+    "hochschild": "Chain HomologyPresentation boundary_b cohomology_h1 "
+                  "connes_B homology interior_product lie_derivative "
+                  "pairing verify_descent",
+    "morita": "MoritaContext MoritaReport OppositeReport cotr inc "
+              "transport_dirac verify_morita verify_opposite",
+    "omni": "DStructureReport OmniIso build_omni_iso d_structure_check "
+            "omni_pairing verify_ev1 verify_main_theorem weinstein_bracket",
+}
+
+
+def test_lazy_namespace_keeps_every_public_name():
+    """Each public name resolves on first use to its defining module's
+    object, and ``import *`` and ``dir`` both list it."""
+    star = {}
+    exec("from hccourant import *", star)
+    listed = dir(hccourant)
+    for mod, names in PUBLIC_NAMES.items():
+        home = importlib.import_module(f"hccourant.{mod}")
+        for name in names.split():
+            assert getattr(hccourant, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+            assert name in listed, name
+    assert hccourant.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hccourant.no_such_name
+    with pytest.raises(ImportError):
+        from hccourant import no_such_name  # noqa: F401
 
 
 # the options each subcommand reads, besides --seed, --format and --out
