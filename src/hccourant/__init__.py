@@ -20,24 +20,24 @@ __version__ = "0.1.0"
 # module -> the names it exports
 EXPORTS = {
     "algebra": "AlgebraError FiniteAlgebra GuardError build_v1 ground_field "
-               "load_algebra make_algebra matrix_algebra opposite_algebra "
-               "save_algebra truncated_poly upper_triangular2",
+               "make_algebra matrix_algebra opposite_algebra save_algebra "
+               "truncated_poly upper_triangular2",
     "courant": "CourantError CourantSpace EpsilonSpace ESpace",
     "dirac": "BracketTable DiracError DiracVerdict Submodule TwoFormClass "
              "biderivation_space find_two_form_witness is_bracket_closed "
-             "is_dirac is_isotropic is_maximally_isotropic is_poisson "
-             "is_z_stable lie_algebroid_check make_bracket_table "
-             "poisson_graph table_from_flat two_form two_form_graph",
-    "exactlin": "HccourantError Q QMatrix nullspace rank rref",
+             "is_dirac is_maximally_isotropic is_poisson is_z_stable "
+             "lie_algebroid_check make_bracket_table poisson_graph "
+             "table_from_flat two_form two_form_graph",
+    "exactlin": "HccourantError Q QMatrix nullspace rank",
     "files": "FileFormatError load_algebra_ref load_bracket_table "
              "load_submodule load_two_form",
     "hochschild": "Chain HomologyPresentation boundary_b cohomology_h1 "
                   "connes_B homology interior_product lie_derivative "
-                  "pairing verify_descent",
+                  "verify_descent",
     "morita": "MoritaContext MoritaReport OppositeReport cotr inc "
               "transport_dirac verify_morita verify_opposite",
     "omni": "DStructureReport OmniIso build_omni_iso d_structure_check "
-            "omni_pairing verify_ev1 verify_main_theorem weinstein_bracket",
+            "pairing_table verify_ev1 verify_main_theorem weinstein_table",
 }
 
 _HOME = {name: mod for mod, names in EXPORTS.items()

@@ -288,16 +288,6 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
     return FiniteAlgebra(name, dim, basis, tuple(map(sparse_row, rows)), unit)
 
 
-def load_algebra(path: str) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraError(f"{path}: invalid JSON at line {exc.lineno}, "
-                               f"column {exc.colno}") from exc
-    return algebra_from_json(doc)
-
-
 def save_algebra(A: FiniteAlgebra, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(algebra_to_json(A), fh, indent=1, sort_keys=True)

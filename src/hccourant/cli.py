@@ -56,8 +56,7 @@ def _e_presentation(E) -> dict:
         "h1_homology_dim": E.h1.dim,
         "h0_dim": E.h0.dim,
         "e_dim": E.dim,
-        "h1_cohomology_reps": [
-            _rmat(E._derivation_rep(k)) for k in range(E.h1co.dim)],
+        "h1_cohomology_reps": [_rmat(X) for X in E.derivations],
         "h1_homology_reps": [_chain_terms(E.h1, k)
                              for k in range(E.h1.dim)],
         "h0_reps": [_chain_terms(E.h0, k) for k in range(E.h0.dim)],
@@ -88,14 +87,16 @@ def _cmd_homology(args):
 
 def _cmd_cohomology(args):
     from .courant import ESpace
+    from .hochschild import cochain_from_flat, cohomology_h1
     if args.degree != 1:
         raise HccourantError(f"cohomology supports only degree 1, not "
                              f"{args.degree}")
     A = load_algebra_ref(args.algebra)
-    E = ESpace(A, max_dim=args.guard)
-    return {"algebra": A.name, "degree": 1, "dim": E.h1co.dim,
-            "class_reps": [_rmat(E._derivation_rep(k))
-                           for k in range(E.h1co.dim)]}, EXIT_OK
+    ESpace.check_guard(A.dim, args.guard)  # the refusal of E(A)
+    h1co = cohomology_h1(A)
+    return {"algebra": A.name, "degree": 1, "dim": h1co.dim,
+            "class_reps": [_rmat(cochain_from_flat(A, row))
+                           for row in h1co.class_reps.sparse_rows]}, EXIT_OK
 
 
 def _cmd_courant(args):
@@ -145,7 +146,7 @@ def _cmd_dirac_check(args):
         _, L = poisson_graph(E, eps, t)
     else:
         L = load_submodule(args.submodule, E, eps)
-        if not L.on_quotient:
+        if not L.ambient.quotient:
             L = project(eps, L.spanning)
     verdict = is_dirac(L)
     rep = {"algebra": A.name, "epsilon_dim": eps.dim,

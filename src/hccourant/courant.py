@@ -17,9 +17,12 @@ table stores only its nonzero cells, in the canonical sparse form of
 ascending (k, t) pairs with t != 0), so two tables are equal exactly when
 ``==`` says so.  ``bracket``, ``form`` and ``z_scale`` contract them with
 ``bilinear``, and ``orthogonal`` reads every radical and orthogonal off the
-form table, once for both spaces.  ESpace builds its tables from the
-chain-level rules on first use, so a space that never brackets pays
-nothing; its ``courant_bracket`` is the reference they are tested against.
+form table, once for both spaces.  ESpace stores its form once: the form
+table, built at construction from the pairings <X, alpha>, the class of
+i_X alpha in H_0, its only nonzero block.  It builds its bracket and Z
+tables from the chain-level rules on first use, so a space that never
+brackets pays nothing; its ``courant_bracket`` is the reference they are
+tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -41,10 +44,10 @@ from .algebra import FiniteAlgebra, center, check_guard
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
                        combine, contract, dense, nullspace, pullback,
                        pushforward, quotient_basis, row_combination, sparse,
-                       sparse_row, sparse_table, vec)
+                       sparse_row, vec)
 from .hochschild import (Chain, cochain_from_flat, cohomology_h1, commutator,
                          connes_B, flat_cochain, h_left_multiply, homology,
-                         lie_derivative, pairing)
+                         interior_product, lie_derivative)
 
 
 class CourantError(HccourantError):
@@ -122,7 +125,8 @@ class CourantSpace:
 class ESpace(CourantSpace):
     """E(A) with fixed presentations of H^1, H_1, H_0 and the center.
 
-    Elements are E coordinate tuples, x-part (H^1) first.  ``max_dim`` is
+    Elements are E coordinate tuples, x-part (H^1) first; ``derivations``
+    holds the representatives of the H^1 class basis.  ``max_dim`` is
     the guard of every homology built for the space, here and by the
     functions that take it (``two_form``, ``find_two_form_witness``,
     ``load_two_form``, ``verify_opposite``).
@@ -140,11 +144,19 @@ class ESpace(CourantSpace):
         self.center_basis = center(algebra)
         self.dim = self.h1co.dim + self.h1.dim
         self.h0_dim = self.h0.dim
-        # pairing table: P[i][j] = <X_i, alpha_j> in H_0 class coordinates
-        self._ptable = sparse_table(
-            (pairing(self._derivation_rep(i), self.h1.rep_chain(j), self.h0)
-             for j in range(self.h1.dim))
-            for i in range(self.h1co.dim))
+        hc = self.h1co.dim
+        # derivations[k]: the representative X_k of H^1 class basis vector k
+        self.derivations = tuple(map(self.derivation_of,
+                                     QMatrix.identity(hc)))
+        # form_table[i][j] = (e_i, e_j) in H_0 class coordinates: the
+        # pairing <X_i, alpha_j>, the class of i_X_i alpha_j, on (X, alpha)
+        # pairs, symmetric, and 0 on (X, X) and (alpha, alpha) pairs
+        F = [{} for _ in range(self.dim)]
+        for i, X in enumerate(self.derivations):
+            for j in range(self.h1.dim):
+                F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(
+                    interior_product(X, self.h1.rep_chain(j)).row))
+        self.form_table = tuple(map(sparse_row, F))
         self._check_d_map_descent()
 
     @staticmethod
@@ -156,31 +168,20 @@ class ESpace(CourantSpace):
 
     # -- representatives ----------------------------------------------------
 
-    def _derivation_rep(self, k: int) -> QMatrix:
-        return cochain_from_flat(self.algebra,
-                                 self.h1co.class_reps.sparse_rows[k])
-
     def derivation_of(self, xcoords: Sequence) -> QMatrix:
         return cochain_from_flat(
             self.algebra, row_combination(xcoords, self.h1co.class_reps))
 
-    def chain_of(self, acoords: Sequence) -> Chain:
-        return self.h1.class_to_chain(acoords)
-
     def class_of_derivation(self, X: QMatrix) -> tuple:
         return self.h1co.reduce(flat_cochain(X))
-
-    def class_of_chain(self, c: Chain) -> tuple:
-        return self.h1.reduce_chain(c)
-
-    def h0_class(self, element_coords: Sequence) -> tuple:
-        return self.h0.reduce(vec(element_coords))
 
     # -- the structure maps -------------------------------------------------
 
     def pairing_classes(self, xcoords: Sequence, acoords: Sequence) -> tuple:
-        """<X, alpha> in H_0 class coordinates, bilinear in class coords."""
-        return bilinear(xcoords, acoords, self._ptable, self.h0.dim)
+        """<X, alpha> in H_0 class coordinates, bilinear in class coords:
+        the (X, alpha) block of ``form_table``."""
+        return dense(contract(sparse(xcoords), sparse(acoords, self.h1co.dim),
+                              self.form_table), self.h0_dim)
 
     def rho(self, u: Sequence) -> tuple:
         """The anchor: the H^1 part of an E(A) vector."""
@@ -209,7 +210,8 @@ class ESpace(CourantSpace):
         hc = self.h1co.dim
         u, v = self._coords(u), self._coords(v)
         X1, X2 = self.derivation_of(u[:hc]), self.derivation_of(v[:hc])
-        a1, a2 = self.chain_of(u[hc:]), self.chain_of(v[hc:])
+        a1 = self.h1.class_to_chain(u[hc:])
+        a2 = self.h1.class_to_chain(v[hc:])
         xb = self.class_of_derivation(commutator(X1, X2))
         t = lie_derivative(X1, a2) - lie_derivative(X2, a1)
         bterm = connes_B(self.h0.class_to_chain(
@@ -232,7 +234,7 @@ class ESpace(CourantSpace):
         pairs bracket to 0."""
         hc, hh = self.h1co.dim, self.h1.dim
         T = [{} for _ in range(self.dim)]
-        X = [self._derivation_rep(i) for i in range(hc)]
+        X = self.derivations
         for i in range(hc):
             for j in range(i + 1, hc):
                 c = self.class_of_derivation(commutator(X[i], X[j]))
@@ -251,30 +253,18 @@ class ESpace(CourantSpace):
         return tuple(map(sparse_row, T))
 
     @cached_property
-    def form_table(self) -> tuple:
-        """form_table[i][j] = (e_i, e_j) in H_0 class coordinates: the
-        pairing <X_i, alpha_j> on (X, alpha) pairs, symmetric, and 0 on
-        (X, X) and (alpha, alpha) pairs."""
-        hc = self.h1co.dim
-        F = [{} for _ in range(self.dim)]
-        for i, row in enumerate(self._ptable):
-            for j, cell in row:
-                F[i][hc + j] = F[hc + j][i] = cell
-        return tuple(map(sparse_row, F))
-
-    @cached_property
     def z_table(self) -> tuple:
         """z_table[m][k] = c_m . e_k in E coordinates for the centre basis
         c_m: (z X, z alpha) on class representatives."""
         A = self.algebra
         hc, hh = self.h1co.dim, self.h1.dim
+        X = self.derivations
         table = []
         for z in self.center_basis:
             row, zs = {}, sparse(z)
             for k in range(hc):
-                X = self._derivation_rep(k)
                 zx = QMatrix((contract(zs, r, A.structure)
-                              for r in X.sparse_rows), A.dim)
+                              for r in X[k].sparse_rows), A.dim)
                 row[k] = sparse(self.class_of_derivation(zx))
             for k in range(hh):
                 za = h_left_multiply(z, self.h1.rep_chain(k))

@@ -118,10 +118,6 @@ class Submodule:
     def dim(self) -> int:
         return self.span.dim
 
-    @property
-    def on_quotient(self) -> bool:
-        return self.ambient.quotient
-
     @cached_property
     def isotropic(self) -> bool:
         """The form vanishes on all spanning pairs (it is symmetric, so on
@@ -139,15 +135,6 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
     return Submodule(eps, QMatrix([combine(r, eps.projection)
                                    for r in vectors.sparse_rows],
                                   cols=eps.dim))
-
-
-def is_isotropic(L: Submodule) -> bool:
-    return L.isotropic
-
-
-def orthogonal(L: Submodule) -> QMatrix:
-    """L-perp = {e : (e, l) = 0 in H_0 for every l in L}."""
-    return L.ambient.orthogonal(L.int_rows)
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -218,7 +205,7 @@ class DiracVerdict:
 def is_dirac(L: Submodule) -> DiracVerdict:
     """Full verdict; requires a nondegenerate ambient (the quotient) with
     epsilon(A) != 0."""
-    if not L.on_quotient:
+    if not L.ambient.quotient:
         raise DiracError("Dirac verdicts require the nondegenerate quotient; "
                          "use is_maximally_isotropic for the pre-quotient view")
     if L.ambient.dim == 0:
@@ -465,9 +452,8 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()
-    rows = [unit + E.h1.reduce_chain(
-                interior_product(E._derivation_rep(k), rep))
-            for k, unit in enumerate(QMatrix.identity(E.h1co.dim))]
+    rows = [unit + E.h1.reduce_chain(interior_product(X, rep))
+            for unit, X in zip(QMatrix.identity(E.h1co.dim), E.derivations)]
     L = project(eps, QMatrix(rows, cols=E.dim))
     return L, is_dirac(L)
 

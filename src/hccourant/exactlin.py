@@ -94,10 +94,6 @@ def vec(entries: Iterable) -> tuple:
     return v
 
 
-def vec_is_zero(v: Sequence) -> bool:
-    return not any(v)
-
-
 class HccourantError(ValueError):
     """Base of every error the package raises on bad input or a refusal."""
 

@@ -6,12 +6,13 @@ over them, in the row form of ``QMatrix``, so every operator visits only
 nonzero terms; ``coords`` is a dense read-only view.  A derivation, like
 any linear map X: A -> A, is the d x d ``QMatrix`` whose row j is X(e_j).
 The module provides the boundary b, Connes' boundary B, the Lie derivative
-and interior product of a derivation, homology/cohomology presentations
-with deterministic class representatives, and the H0-valued pairing
-<X, alpha> = i_X(alpha).  A presentation Z/B is one span, ``reduce``,
-eliminated once: the boundaries untagged, then the class reps tagged.  It
-spans Z and answers the cycle and boundary tests; no span of a
-presentation's bases is built again.
+and interior product of a derivation, and homology/cohomology presentations
+with deterministic class representatives.  The H0-valued pairing
+<X, alpha> is the class of i_X(alpha): ``interior_product``, then the
+``reduce`` of H_0; ``courant.ESpace`` stores it as its form table.  A
+presentation Z/B is one span, ``reduce``, eliminated once: the boundaries
+untagged, then the class reps tagged.  It spans Z and answers the cycle
+and boundary tests; no span of a presentation's bases is built again.
 """
 
 from __future__ import annotations
@@ -391,16 +392,6 @@ def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     """H^1(A, A) = Der(A) / inner derivations, on flattened d x d maps: its
     ``boundary_basis`` is the RREF basis of the ad(e_i)."""
     return _presentation(A, 1, derivation_basis(A), _inner_rows(A))
-
-
-def pairing(X: QMatrix, alpha: Chain,
-            h0: HomologyPresentation) -> tuple:
-    """<X, alpha> = class of i_X(alpha) in H_0; alpha must have degree 1."""
-    if alpha.degree != 1:
-        raise HochschildError("pairing requires a degree-1 chain")
-    if h0.algebra is not alpha.algebra:
-        raise HochschildError("pairing: mismatched algebras")
-    return h0.reduce(interior_product(X, alpha).row)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
 from .exactlin import (ZERO, HccourantError, QMatrix, Report, combine,
-                       pullback, pushforward, rank, row_combination, vec)
+                       pullback, pushforward, rank, row_combination)
 from .hochschild import Chain, boundary_b, chain_from_terms, chain_sparse
 
 
@@ -63,21 +63,17 @@ class MoritaMaps:
     h0_map: QMatrix     # H_0(A) class basis -> H_0(M_r) class coords
     e_map: QMatrix      # h1co_map (+) h1_map: E(A) -> E(M_r) class coords
 
-    def map_e_vec(self, v) -> tuple:
-        """E(A) class coordinates -> E(M_r(A)) class coordinates."""
-        return row_combination(vec(v), self.e_map)
-
 
 def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
     M = tgt.algebra
-    h1co_rows = [tgt.class_of_derivation(cotr(src._derivation_rep(k), M, r))
-                 for k in range(src.h1co.dim)]
+    h1co_rows = [tgt.class_of_derivation(cotr(X, M, r))
+                 for X in src.derivations]
     h1_rows = []
     for k in range(src.h1.dim):
         ia = inc(src.h1.rep_chain(k), M, r)
         if not boundary_b(ia).is_zero():
             raise MoritaError("corner embedding broke a cycle")
-        h1_rows.append(tgt.class_of_chain(ia))
+        h1_rows.append(tgt.h1.reduce_chain(ia))
     h0_map = QMatrix([tgt.h0.reduce_chain(inc(src.h0.rep_chain(k), M, r))
                       for k in range(src.h0.dim)], cols=tgt.h0.dim)
     if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
@@ -150,25 +146,27 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     h1_bij = (rank(maps.h1_map) == src.h1.dim and src.h1.dim == tgt.h1.dim)
     h0_bij = True  # enforced in build_morita_maps
 
-    # pairing: <T(X), I(alpha)> = phi(<X, alpha>) on class bases
-    pairing_ok = (pullback(tgt._ptable, maps.h1co_map, maps.h1_map)
-                  == pushforward(src._ptable, maps.h0_map))
-    # bracket: (T (+) I) [[u, v]] = [[(T (+) I) u, (T (+) I) v]]
+    src_eps = EpsilonSpace(src)
+    tgt_eps = EpsilonSpace(tgt)
+
+    # form: (F u, F v) = phi((u, v)) for F = T (+) I; F keeps H^1 and H_1
+    # apart and the form is zero on (X, X) and (alpha, alpha), so this is
+    # the pairing identity <T(X), I(alpha)> = phi(<X, alpha>)
     F = maps.e_map
+    pairing_ok = (pullback(tgt.form_table, F, F)
+                  == pushforward(src.form_table, maps.h0_map))
+    # bracket: F [[u, v]] = [[F u, F v]]
     bracket_ok = (pullback(tgt.bracket_table, F, F)
                   == pushforward(src.bracket_table, F))
 
     homotopy_ok = _check_homotopy_identity(A, M, r)
-
-    src_eps = EpsilonSpace(src)
-    tgt_eps = EpsilonSpace(tgt)
     dims_ok = src_eps.dim == tgt_eps.dim
 
     # the induced map F on the quotients: row a is the image of class rep a
     qb_ok = qf_ok = False
     F = None
     if dims_ok:
-        F = QMatrix([tgt_eps.reduce(maps.map_e_vec(rep))
+        F = QMatrix([tgt_eps.reduce(row_combination(rep, maps.e_map))
                      for rep in src_eps.class_reps], cols=tgt_eps.dim)
         if rank(F) == src_eps.dim:
             qb_ok = (pullback(tgt_eps.bracket_table, F, F)

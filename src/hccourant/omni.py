@@ -2,8 +2,11 @@
 
 An element of gl(V) (+) V is its coordinate tuple: the matrix unit E_ij at
 i n + j, then v_i at n^2 + i.  The Weinstein bracket ([xi1, xi2], xi1 v2) and
-the V-valued pairing (1/2)(xi2 v1 + xi1 v2) are sparse tables in the form of
-``exactlin.sparse_table``, built once per n and contracted with ``bilinear``.
+the V-valued pairing (1/2)(xi2 v1 + xi1 v2) are the model's public form:
+``weinstein_table(n)`` and ``pairing_table(n)``, sparse tables in the form of
+``exactlin.sparse_table`` built once per n.  The bracket or pairing of two
+elements is ``exactlin.bilinear`` on them; this module reads the tables
+whole.
 
 V[1] is the algebra Q.1 (+) V with all products of V-vectors equal to zero.
 This module builds the explicit linear bijection gl(V) (+) V -> epsilon(V[1])
@@ -29,15 +32,14 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Report,
-                       bilinear, combine, dense, pullback, pushforward, rank,
-                       row_combination, row_space, sparse_row, sparse_table,
-                       vec)
+                       combine, dense, pullback, pushforward, rank, row_space,
+                       sparse_row, sparse_table, vec)
 from .hochschild import elementary_chain
 
 
@@ -88,24 +90,6 @@ def pairing_table(n: int) -> tuple:
     return _table(cells, nn + n)
 
 
-def _coords(n: int, u: Sequence) -> tuple:
-    u = vec(u)
-    if len(u) != n * n + n:
-        raise OmniError("omni-Lie coordinate length mismatch")
-    return u
-
-
-def weinstein_bracket(n: int, u: Sequence, v: Sequence) -> tuple:
-    """([xi1, xi2], xi1 v2): the skew-symmetrization of the Leibniz bracket."""
-    return bilinear(_coords(n, u), _coords(n, v), weinstein_table(n),
-                    n * n + n)
-
-
-def omni_pairing(n: int, u: Sequence, v: Sequence) -> tuple:
-    """The V-valued symmetric pairing (1/2)(xi2 v1 + xi1 v2)."""
-    return bilinear(_coords(n, u), _coords(n, v), pairing_table(n), n)
-
-
 # ---------------------------------------------------------------------------
 # the V[1] realization
 
@@ -147,9 +131,6 @@ class OmniIso:
     eps: EpsilonSpace
     fwd: QMatrix   # omni basis (E_ij then v_i) -> epsilon coordinates
 
-    def to_eps(self, u: Sequence) -> tuple:
-        return row_combination(_coords(self.n, u), self.fwd)
-
 
 @dataclass(frozen=True)
 class MainTheoremReport(Report):
@@ -180,7 +161,7 @@ def build_omni_iso(n: int, *, espace: Optional[ESpace] = None) -> OmniIso:
             rows.append(eps.reduce(tuple(xcls) + (ZERO,) * A_E.h1.dim))
     for i in range(n):
         c = elementary_chain(A, (0, i + 1))  # the cycle 1 (x) v_i
-        acls = A_E.class_of_chain(c)
+        acls = A_E.h1.reduce_chain(c)
         rows.append(eps.reduce((ZERO,) * A_E.h1co.dim + tuple(acls)))
     fwd = QMatrix(rows, cols=eps.dim)
     if rank(fwd) != dim:
@@ -205,7 +186,8 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
     for i in range(n):
         for j in range(i + 1, n):
             c = elementary_chain(A, (i + 1, j + 1))  # v_i (x) v_j
-            gen_rows.append((ZERO,) * E.h1co.dim + tuple(E.class_of_chain(c)))
+            gen_rows.append((ZERO,) * E.h1co.dim
+                            + tuple(E.h1.reduce_chain(c)))
     kernel_generators_ok = (row_space(QMatrix(gen_rows or [], cols=E.dim))
                             == row_space(eps.J))
 
@@ -213,7 +195,7 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
     bracket_ok = (pullback(eps.bracket_table, fwd, fwd)
                   == pushforward(weinstein_table(n), fwd))
     # row i: the H_0 class of FORM_SCALAR v_i, the image of a pairing value
-    embed = QMatrix([E.h0_class(dense(((i + 1, FORM_SCALAR),), A.dim))
+    embed = QMatrix([E.h0.reduce(dense(((i + 1, FORM_SCALAR),), A.dim))
                      for i in range(n)], cols=E.h0_dim)
     form_ok = (pullback(eps.form_table, fwd, fwd)
                == pushforward(pairing_table(n), embed))

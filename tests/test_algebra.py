@@ -5,11 +5,12 @@ import pytest
 
 from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
                                algebra_to_json, build_v1, center, check_guard,
-                               ground_field, load_algebra, make_algebra,
-                               matrix_algebra, opposite_algebra,
-                               truncated_poly, upper_triangular2)
+                               ground_field, make_algebra, matrix_algebra,
+                               opposite_algebra, truncated_poly,
+                               upper_triangular2)
 from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace
-from hccourant.files import BUNDLED_ALGEBRAS
+from hccourant.files import (BUNDLED_ALGEBRAS, FileFormatError,
+                             load_algebra_ref)
 from hccourant.hochschild import homology
 
 from conftest import dense_structure, is_canonical_table
@@ -211,15 +212,15 @@ def test_json_roundtrip(tmp_path):
     assert B.unit == A.unit
     p = tmp_path / "a.json"
     p.write_text(json.dumps(doc))
-    C = load_algebra(str(p))
+    C = load_algebra_ref(str(p))
     assert C.structure == A.structure
 
 
 def test_malformed_json_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(AlgebraError):
-        load_algebra(str(p))
+    with pytest.raises(FileFormatError, match="invalid JSON at line 1"):
+        load_algebra_ref(str(p))
     with pytest.raises(AlgebraError):
         algebra_from_json({"name": "x", "dimension": 2, "basis": ["1"],
                            "unit": ["1", "0"], "structure": []})

@@ -1,5 +1,6 @@
 """File loaders and the command-line front end, including exit codes."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -387,6 +388,52 @@ def test_every_package_error_derives_from_the_base():
     assert all(issubclass(e, HccourantError) for e in errors), errors
 
 
+# the one private name a module may import from another: the package's one
+# division, which ``dirac`` shares with ``exactlin``
+SHARED_PRIVATE = {"exactlin._over"}
+
+
+def _private_reads(path: Path) -> list:
+    """The private names ``path`` reads from another module: a
+    ``from .x import _y``, or a ``_``-prefixed attribute read on anything
+    but ``self`` or ``cls`` that the module does not define itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)):
+            defined.add(node.attr)
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            reads += [(node.lineno, f"{node.module}.{a.name}")
+                      for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")
+              and not (isinstance(node.value, ast.Name)
+                       and node.value.id in ("self", "cls"))
+              and node.attr not in defined):
+            reads.append((node.lineno, node.attr))
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Each module of the package reaches another only through its public
+    names; ``SHARED_PRIVATE`` is the one exception."""
+    src = Path(hccourant.__file__).parent
+    found = {f"{path.name}:{line} {name}"
+             for path in sorted(src.glob("*.py"))
+             for line, name in _private_reads(path)
+             if name not in SHARED_PRIVATE}
+    assert not found, sorted(found)
+    assert ("exactlin._over" in
+            {name for _, name in _private_reads(src / "dirac.py")})
+
+
 def test_traced_names_resolve_where_the_tracer_wraps_them():
     """Every name in the benchmark tracer's ``TRACED`` resolves in
     ``hccourant``: a plain name to a module-level function or class, and
@@ -627,24 +674,24 @@ def test_subcommand_cold_start_loads_only_its_layers(line):
 # ``hccourant``'s public names, module by module
 PUBLIC_NAMES = {
     "algebra": "AlgebraError FiniteAlgebra GuardError build_v1 ground_field "
-               "load_algebra make_algebra matrix_algebra opposite_algebra "
-               "save_algebra truncated_poly upper_triangular2",
+               "make_algebra matrix_algebra opposite_algebra save_algebra "
+               "truncated_poly upper_triangular2",
     "courant": "CourantError CourantSpace EpsilonSpace ESpace",
     "dirac": "BracketTable DiracError DiracVerdict Submodule TwoFormClass "
              "biderivation_space find_two_form_witness is_bracket_closed "
-             "is_dirac is_isotropic is_maximally_isotropic is_poisson "
-             "is_z_stable lie_algebroid_check make_bracket_table "
-             "poisson_graph table_from_flat two_form two_form_graph",
-    "exactlin": "HccourantError Q QMatrix nullspace rank rref",
+             "is_dirac is_maximally_isotropic is_poisson is_z_stable "
+             "lie_algebroid_check make_bracket_table poisson_graph "
+             "table_from_flat two_form two_form_graph",
+    "exactlin": "HccourantError Q QMatrix nullspace rank",
     "files": "FileFormatError load_algebra_ref load_bracket_table "
              "load_submodule load_two_form",
     "hochschild": "Chain HomologyPresentation boundary_b cohomology_h1 "
                   "connes_B homology interior_product lie_derivative "
-                  "pairing verify_descent",
+                  "verify_descent",
     "morita": "MoritaContext MoritaReport OppositeReport cotr inc "
               "transport_dirac verify_morita verify_opposite",
     "omni": "DStructureReport OmniIso build_omni_iso d_structure_check "
-            "omni_pairing verify_ev1 verify_main_theorem weinstein_bracket",
+            "pairing_table verify_ev1 verify_main_theorem weinstein_table",
 }
 
 
@@ -654,6 +701,8 @@ def test_lazy_namespace_keeps_every_public_name():
     star = {}
     exec("from hccourant import *", star)
     listed = dir(hccourant)
+    assert hccourant.__all__ == sorted(
+        name for names in PUBLIC_NAMES.values() for name in names.split())
     for mod, names in PUBLIC_NAMES.items():
         home = importlib.import_module(f"hccourant.{mod}")
         for name in names.split():
@@ -791,3 +840,20 @@ def test_cli_report_is_pinned(name, capsys):
     basis, the epsilon class reps and form table, the graph bases and the
     Lie-algebroid report."""
     _assert_pinned(name, *PINNED_REPORTS[name], capsys)
+
+
+def test_cohomology_builds_only_h1(monkeypatch, capsys):
+    """``cohomology`` prints H^1 alone and builds no homology: with every
+    binding of ``homology`` refusing, its report is still the pinned one."""
+    from hccourant import hochschild
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cohomology built a homology")
+
+    built = hochschild.homology
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("hccourant")
+                and getattr(mod, "homology", None) is built):
+            monkeypatch.setattr(mod, "homology", refuse)
+    _assert_pinned("cohomology_v1_2.json",
+                   ["cohomology", "--algebra", "v1_2"], 0, capsys)

@@ -21,9 +21,8 @@ from hccourant.hochschild import (Chain, HochschildError,
                                   cochain_from_flat, cohomology_h1, commutator,
                                   connes_B, derivation_basis, elementary_chain,
                                   h_left_multiply, homology, inner_derivation,
-                                  interior_product,
-                                  is_derivation, lie_derivative, pairing,
-                                  verify_descent)
+                                  interior_product, is_derivation,
+                                  lie_derivative, verify_descent)
 from conftest import (dense_structure, monomial_algebra, rand_chain,
                       rand_combination, rand_derivation, rand_vec, rng_for)
 
@@ -238,14 +237,17 @@ def test_pairing_value():
     # <x d/dx, class(1 (x) x)> = X(x)*1 = x
     X = QMatrix(((0, 0), (0, 1)))
     assert is_derivation(A, X)
-    val = pairing(X, elementary_chain(A, (0, 1)), h0)
+    val = h0.reduce(interior_product(X, elementary_chain(A, (0, 1))).row)
     assert val == h0.reduce_chain(Chain(A, 0, A.basis_vector(1)))
 
 
-@pytest.mark.parametrize("name", ("qx2", "v1_1", "v1_2"))
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
 def test_descent(algebras, name):
-    rep = verify_descent(algebras[name], 1)
-    assert rep.ok, rep
+    """L_X, i_X, B and the inner derivations descend at degrees 0, 1 and 2;
+    degree 0 is what ``ESpace``'s own B-descent check relies on."""
+    for degree in (0, 1, 2):
+        rep = verify_descent(algebras[name], degree)
+        assert rep.ok, (degree, rep)
 
 
 # ---------------------------------------------------------------------------

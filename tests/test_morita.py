@@ -178,18 +178,20 @@ def test_reports_are_records(espaces, epsilons, kind):
 
 
 def test_morita_pairing_comparison_can_fail(monkeypatch):
-    """A perturbed pairing table on the target fails the pairing identity
-    only: the target's form table is cached from the true pairing first."""
+    """A perturbed pairing <X_0, alpha_0> on the target fails the pairing
+    identity only: both quotients, and the bracket table the target's is
+    checked with, are built from the true form first."""
     A = truncated_poly(2)
 
-    def build(B, **kwargs):
-        E = ESpace(B, **kwargs)
-        if B is not A:
-            E.form_table  # cached before the pairing is perturbed
-            E._ptable = perturbed_table(E._ptable, 0, 0, 0)
-        return E
+    def build(E):
+        eps = EpsilonSpace(E)
+        if E.algebra is not A:
+            hc = E.h1co.dim
+            E.form_table = perturbed_table(
+                perturbed_table(E.form_table, 0, hc, 0), hc, 0, 0)
+        return eps
 
-    monkeypatch.setattr(morita, "ESpace", build)
+    monkeypatch.setattr(morita, "EpsilonSpace", build)
     rep = verify_morita(A, 2).report
     assert _false_flags(rep) == {"pairing_preserved"} and not rep.ok
 

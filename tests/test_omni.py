@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant import omni
-from hccourant.exactlin import (Q, QMatrix, combine, dense, make_reducer,
-                                nullspace, sparse, sparse_table)
+from hccourant.exactlin import (Q, QMatrix, bilinear, combine, dense,
+                                make_reducer, nullspace, row_combination,
+                                sparse, sparse_table)
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
-                            d_graph_rows, d_structure_check, omni_pairing,
-                            pairing_table, verify_ev1, verify_main_theorem,
-                            weinstein_bracket, weinstein_table)
+                            d_graph_rows, d_structure_check, pairing_table,
+                            verify_ev1, verify_main_theorem, weinstein_table)
 from conftest import (is_canonical_table, load_script, perturbed_table,
                       rng_for)
 
@@ -30,15 +30,25 @@ def _zero_mu(n):
     return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
+def _bracket(n, u, v):
+    """([xi1, xi2], xi1 v2): the Weinstein table contracted on u and v."""
+    return bilinear(u, v, weinstein_table(n), n * n + n)
+
+
+def _pairing(n, u, v):
+    """(1/2)(xi2 v1 + xi1 v2): the pairing table contracted on u and v."""
+    return bilinear(u, v, pairing_table(n), n)
+
+
 def test_weinstein_bracket_formula():
     I = ((1, 0), (0, 1))
     z = ((0, 0), (0, 0))
     e = _elem(I, (0, 0))
-    assert weinstein_bracket(2, e, e) == (0,) * 6
+    assert _bracket(2, e, e) == (0,) * 6
     a = _elem(((1, 2), (3, 4)), (0, 0))
     b = _elem(z, (1, 1))
     # ([xi, 0], xi (1, 1)) = (0, (3, 7))
-    assert weinstein_bracket(2, a, b) == (0, 0, 0, 0, Q(3), Q(7))
+    assert _bracket(2, a, b) == (0, 0, 0, 0, Q(3), Q(7))
 
 
 def test_weinstein_bracket_is_leibniz():
@@ -46,17 +56,17 @@ def test_weinstein_bracket_is_leibniz():
     n = 3
     for _ in range(25):
         e1, e2, e3 = (_rand_elem(rng, n) for _ in range(3))
-        lhs = weinstein_bracket(n, e1, weinstein_bracket(n, e2, e3))
-        rhs1 = weinstein_bracket(n, weinstein_bracket(n, e1, e2), e3)
-        rhs2 = weinstein_bracket(n, e2, weinstein_bracket(n, e1, e3))
+        lhs = _bracket(n, e1, _bracket(n, e2, e3))
+        rhs1 = _bracket(n, _bracket(n, e1, e2), e3)
+        rhs2 = _bracket(n, e2, _bracket(n, e1, e3))
         assert lhs == tuple(a + b for a, b in zip(rhs1, rhs2))
 
 
 def test_omni_pairing_symmetric_and_value():
     a = _elem(((2, 0), (0, 2)), (0, 0))
     b = _elem(((0, 0), (0, 0)), (1, 3))
-    assert omni_pairing(2, a, b) == (Q(1), Q(3))  # (1/2) xi v
-    assert omni_pairing(2, a, b) == omni_pairing(2, b, a)
+    assert _pairing(2, a, b) == (Q(1), Q(3))  # (1/2) xi v
+    assert _pairing(2, a, b) == _pairing(2, b, a)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -68,21 +78,12 @@ def test_omni_pairing_nondegenerate(n):
     for b in units:
         row = []
         for c in units:
-            row.extend(omni_pairing(n, b, c))
+            row.extend(_pairing(n, b, c))
         rows.append(row)
     # e = sum x_b basis_b is degenerate iff x annihilates every row block:
     # x . M = 0, i.e. x in the nullspace of the transpose
     M = QMatrix(rows, cols=dim * n)
     assert nullspace(M.transpose()).rows == 0
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(OmniError):
-        weinstein_bracket(2, (0,) * 6, (0,) * 12)
-    with pytest.raises(OmniError):
-        omni_pairing(2, (0,) * 5, (0,) * 6)
-    with pytest.raises(OmniError):
-        build_omni_iso(2).to_eps((0,) * 5)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def test_tables_match_dense_matrix_products(data):
     u, w = (tuple(data.draw(st.lists(_rationals, min_size=n * n + n,
                                      max_size=n * n + n)))
             for _ in range(2))
-    assert weinstein_bracket(n, u, w) == _dense_weinstein(n, u, w)
-    assert omni_pairing(n, u, w) == _dense_pairing(n, u, w)
+    assert _bracket(n, u, w) == _dense_weinstein(n, u, w)
+    assert _pairing(n, u, w) == _dense_pairing(n, u, w)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -173,14 +174,14 @@ def test_iso_roundtrip():
     rng = rng_for("roundtrip")
     for _ in range(10):
         u = _rand_elem(rng, 2)
-        assert coords(iso.to_eps(u)) == u
+        assert coords(row_combination(u, iso.fwd)) == u
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_d_graph_rows(n):
     """Graph row i holds the matrix mu(v_i, .), whose column j is
-    mu(v_i, v_j), then v_i; through ``iso.fwd`` it is the image of that
-    coordinate tuple under ``OmniIso.to_eps``."""
+    mu(v_i, v_j), then v_i; its sparse combination of the rows of
+    ``iso.fwd`` is the dense one of that coordinate tuple."""
     iso = build_omni_iso(n)
     rng = rng_for(f"d-graph-rows/{n}")
     mus = [_zero_mu(n)]
@@ -196,7 +197,8 @@ def test_d_graph_rows(n):
             for a, j in itertools.product(range(n), repeat=2):
                 assert coords[a * n + j] == mu[i][j][a]
             assert coords[n * n:] == tuple(Q(int(k == i)) for k in range(n))
-            assert combine(row, iso.fwd) == sparse(iso.to_eps(coords))
+            assert combine(row, iso.fwd) == sparse(
+                row_combination(coords, iso.fwd))
 
 
 def test_d_structure_zero_and_so3():
