@@ -15,9 +15,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactlin import (ZERO, ONE, HccourantError, QMatrix, bilinear, dense,
-                       nullspace, rat, rat_str, sparse, sparse_row,
-                       sparse_table, transpose_table)
+from .exactlin import (ZERO, ONE, HccourantError, bilinear, dense, rat,
+                       rat_str, sparse, sparse_row, sparse_table,
+                       transpose_table)
 
 
 class AlgebraError(HccourantError):
@@ -119,22 +119,6 @@ def make_algebra(name: str, basis_names: Sequence[str],
                           for row in structure])
     return FiniteAlgebra(name, dim, tuple(basis_names), table,
                          tuple(map(rat, unit)))
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-
-def center(A: FiniteAlgebra) -> QMatrix:
-    """Basis of {z : z e_i = e_i z for all i}; always contains the unit."""
-    # row (i, k): sum_s z_s (c_{si}^k - c_{is}^k) = 0, read off each
-    # nonzero c_{ab}^k as +t at (b, k, s=a) and -t at (a, k, s=b)
-    rows = defaultdict(lambda: defaultdict(lambda: ZERO))
-    for a, row in enumerate(A.structure):
-        for b, cell in row:
-            for k, t in cell:
-                rows[b, k][a] += t
-                rows[a, k][b] -= t
-    return nullspace(QMatrix(map(sparse_row, rows.values()), cols=A.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +256,8 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
         triples = doc["structure"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra description: {exc}") from exc
+    if type(name) is not str:
+        raise AlgebraError(f"name must be a string, got {name!r}")
     # a string basis would be read one name per character
     if not isinstance(basis, list) or not all(type(b) is str for b in basis):
         raise AlgebraError(f"basis must be a list of strings, got {basis!r}")

@@ -340,8 +340,13 @@ def main(argv: Optional[list] = None) -> int:
         _emit_text(report, buf)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: "
+                             f"{exc.strerror or exc}\n")
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return code

@@ -40,14 +40,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, center, check_guard
+from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
                        combine, contract, dense, nullspace, pullback,
                        pushforward, quotient_basis, row_combination, sparse,
                        sparse_row, vec)
-from .hochschild import (Chain, cochain_from_flat, cohomology_h1, commutator,
-                         connes_B, flat_cochain, h_left_multiply, homology,
-                         interior_product, lie_derivative)
+from .hochschild import (Chain, center, cochain_from_flat, cohomology_h1,
+                         commutator, connes_B, flat_cochain, h_left_multiply,
+                         homology, interior_product, lie_derivative)
 
 
 class CourantError(HccourantError):

@@ -30,7 +30,8 @@ unit table on the H_1 class reps, and ``poisson_graph`` is one sparse row
 combination of it.  It needs no refusal: a ``BracketTable`` is a validated
 biderivation, so its hamiltonian map vanishes on the H_1 boundaries and
 each value a {b, .} is a derivation ({b, .} is one and A is commutative).
-``hamiltonian_map``, on chain representatives, is its reference.
+The tests' reference is the chain-level loop over ``A.mul``, which reads
+no table of this module.
 
 The anchor of a Lie algebroid is a sparse table cached per quotient, read
 through ``EpsilonSpace.rho``, which refuses where it does not descend.  The
@@ -67,10 +68,9 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Report, Span, _over,
-                       bilinear, combine, combine_tables, contract, dense,
-                       nullspace, pullback, pushforward, rank, rat_str,
-                       row_combination, sparse, sparse_row, sparse_table,
-                       transpose_table, vec)
+                       combine, combine_tables, contract, dense, nullspace,
+                       pullback, pushforward, rank, rat_str, row_combination,
+                       sparse, sparse_row, sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -330,37 +330,16 @@ def is_poisson(t: BracketTable) -> bool:
 # ---------------------------------------------------------------------------
 # Poisson graphs
 
-@functools.lru_cache(maxsize=8)
 def _hamiltonian_table(A: FiniteAlgebra) -> tuple:
     """The hamiltonian map a (x) b -> a {b, .} as a sparse table: row i d + j
     is the chain e_i (x) e_j, column (j d + k) d + s is the entry
     {e_j, e_k}_s of the flat bracket table, and the cell is e_i e_s placed
-    at row k of the flat cochain.  Cached, since every bracket table over A
-    is contracted with it."""
+    at row k of the flat cochain."""
     d, S = A.dim, A.structure
     return tuple(
         tuple(((j * d + k) * d + s, tuple((k * d + m, x) for m, x in cell))
               for k in range(d) for s, cell in S[i])
         for i in range(d) for j in range(d))
-
-
-def hamiltonian_map(E: ESpace, t: BracketTable):
-    """The map sending the class of a (x) b to the derivation a {b, .},
-    realized on chain representatives; returns a function from degree-1
-    chain coordinates to the flat cochain.  Well-definedness (vanishing on
-    the boundaries) is asserted."""
-    A = E.algebra
-    if t.algebra is not A:
-        raise DiracError("bracket table over a different algebra")
-    T, n = _hamiltonian_table(A), A.dim ** 2
-    flat = tuple(x for row in t.table for cell in row for x in cell)
-
-    def on_chain(coords: Sequence) -> tuple:
-        return bilinear(coords, flat, T, n)
-
-    if any(any(on_chain(b)) for b in E.h1.boundary_basis):
-        raise DiracError("hamiltonian map does not vanish on boundaries")
-    return on_chain
 
 
 @functools.lru_cache(maxsize=8)
@@ -371,8 +350,7 @@ def _graph_map(E: ESpace) -> QMatrix:
     j h1co.dim + k.  ``split`` is linear, so a table's row combination of it
     is the class coordinates of its own values, and on a biderivation these
     are derivations (see the module docstring): the combination is its
-    graph.  Cached, since every bracket table over A is contracted with it;
-    ``hamiltonian_map`` is the chain-level reference."""
+    graph.  Cached, since every bracket table over A is contracted with it."""
     D, hc = E.algebra.dim ** 3, E.h1co.dim
     # cell (q, r) is the hamiltonian image of chain index r under e_q
     T = transpose_table(_hamiltonian_table(E.algebra), D)

@@ -49,6 +49,8 @@ def _load_json(path: str) -> dict:
             raise FileFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise FileFormatError(f"{path}: unreadable: {exc}") from exc
 
 
 def resolve_path(ref: str, bundled: tuple = BUNDLED_ALGEBRAS) -> str:

@@ -7,12 +7,15 @@ nonzero terms; ``coords`` is a dense read-only view.  A derivation, like
 any linear map X: A -> A, is the d x d ``QMatrix`` whose row j is X(e_j).
 The module provides the boundary b, Connes' boundary B, the Lie derivative
 and interior product of a derivation, and homology/cohomology presentations
-with deterministic class representatives.  The H0-valued pairing
-<X, alpha> is the class of i_X(alpha): ``interior_product``, then the
-``reduce`` of H_0; ``courant.ESpace`` stores it as its form table.  A
-presentation Z/B is one span, ``reduce``, eliminated once: the boundaries
-untagged, then the class reps tagged.  It spans Z and answers the cycle
-and boundary tests; no span of a presentation's bases is built again.
+with deterministic class representatives.  One matrix, the rows ad(e_i),
+gives H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the
+kernel of ad: A -> Der(A), and the inner derivations are its image.  The
+H0-valued pairing <X, alpha> is the class of i_X(alpha):
+``interior_product``, then the ``reduce`` of H_0; ``courant.ESpace`` stores
+it as its form table.  A presentation Z/B is one span, ``reduce``,
+eliminated once: the boundaries untagged, then the class reps tagged.  It
+spans Z and answers the cycle and boundary tests; no span of a
+presentation's bases is built again.
 """
 
 from __future__ import annotations
@@ -170,14 +173,6 @@ def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
         for x, y in zip(X.sparse_rows, Y.sparse_rows)), X.cols)
 
 
-def is_derivation(A: FiniteAlgebra, X: QMatrix) -> bool:
-    """Whether X solves the Leibniz system of ``derivation_basis``."""
-    _check_map(A, X)
-    flat = dict(flat_cochain(X))
-    return not any(sum(x * flat.get(k, ZERO) for k, x in row)
-                   for row in _leibniz_system(A))
-
-
 # ---------------------------------------------------------------------------
 # chain-level operators
 #
@@ -310,10 +305,8 @@ class HomologyPresentation:
         coords = vec(coords)
         if len(coords) != self.dim:
             raise HochschildError("class coordinate length mismatch")
-        return _summed(self.algebra, self.degree,
-                       ((k, c * x) for c, row in
-                        zip(coords, self.class_reps.sparse_rows)
-                        for k, x in row))
+        return Chain(self.algebra, self.degree,
+                     combine(sparse(coords), self.class_reps))
 
 
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
@@ -375,22 +368,27 @@ def leibniz_rows(A: FiniteAlgebra) -> Callable:
     return rows
 
 
-def _leibniz_system(A: FiniteAlgebra):
-    """The Leibniz law on every basis pair as sparse rows over flattened
-    dim x dim maps: the unknown X(e_s)_m sits at s d + m."""
-    d, law = A.dim, leibniz_rows(A)
-    return (row for i, j in itertools.product(range(d), repeat=2)
-            for row in law(i, j, lambda s, m: s * d + m))
-
-
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
-    """Basis of Der(A), each row a flattened dim x dim map."""
-    return nullspace(QMatrix(_leibniz_system(A), cols=A.dim ** 2))
+    """Basis of Der(A), each row a flattened dim x dim map: the nullspace of
+    the Leibniz law on every basis pair, with the unknown X(e_s)_m at
+    s d + m."""
+    d, law = A.dim, leibniz_rows(A)
+    pairs = itertools.product(range(d), repeat=2)
+    return nullspace(QMatrix((row for i, j in pairs
+                              for row in law(i, j, lambda s, m: s * d + m)),
+                             cols=d * d))
+
+
+def center(A: FiniteAlgebra) -> QMatrix:
+    """Z(A) = H^0(A, A), the kernel of ad: A -> Der(A), as the left
+    nullspace of the ad(e_i) rows; always contains the unit."""
+    return nullspace(_inner_rows(A).transpose())
 
 
 def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     """H^1(A, A) = Der(A) / inner derivations, on flattened d x d maps: its
-    ``boundary_basis`` is the RREF basis of the ad(e_i)."""
+    ``boundary_basis`` is the RREF basis of the rows ad(e_i), and
+    ``center`` is their left nullspace."""
     return _presentation(A, 1, derivation_basis(A), _inner_rows(A))
 
 

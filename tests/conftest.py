@@ -8,7 +8,7 @@ import pytest
 
 from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.exactlin import Q, QMatrix
+from hccourant.exactlin import Q, QMatrix, row_combination
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import Chain, cochain_from_flat, derivation_basis
 
@@ -82,6 +82,28 @@ def dense_structure(A: FiniteAlgebra) -> tuple:
     on unit vectors, for reference loops that index a cell."""
     e = [A.basis_vector(i) for i in range(A.dim)]
     return tuple(tuple(A.mul(x, y) for y in e) for x in e)
+
+
+def _ref_coboundary_beta(A: FiniteAlgebra, f: QMatrix) -> QMatrix:
+    """The dense defect a f(b) - f(ab) + f(a) b at (a, b) = (e_i, e_j), with
+    ab read off the dense table."""
+    d = A.dim
+    S = dense_structure(A)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            t1 = A.mul(A.basis_vector(i), f[j])
+            t2 = row_combination(S[i][j], f)
+            t3 = A.mul(f[i], A.basis_vector(j))
+            rows.append(tuple(a - b + c for a, b, c in zip(t1, t2, t3)))
+    return QMatrix(rows, cols=d)
+
+
+def _ref_is_derivation(A: FiniteAlgebra, f: QMatrix) -> bool:
+    """Whether the d x d map f is a derivation, by the dense coboundary
+    defect, which reads neither ``leibniz_rows`` nor any table of the
+    package."""
+    return not any(any(r) for r in _ref_coboundary_beta(A, f))
 
 
 def perturbed_table(table, i, j, k):

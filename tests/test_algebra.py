@@ -4,14 +4,14 @@ import json
 import pytest
 
 from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
-                               algebra_to_json, build_v1, center, check_guard,
+                               algebra_to_json, build_v1, check_guard,
                                ground_field, make_algebra, matrix_algebra,
                                opposite_algebra, truncated_poly,
                                upper_triangular2)
 from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace
 from hccourant.files import (BUNDLED_ALGEBRAS, FileFormatError,
                              load_algebra_ref)
-from hccourant.hochschild import homology
+from hccourant.hochschild import center, homology
 
 from conftest import dense_structure, is_canonical_table
 

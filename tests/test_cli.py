@@ -1,6 +1,7 @@
 """File loaders and the command-line front end, including exit codes."""
 
 import ast
+import copy
 import importlib
 import inspect
 import json
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hccourant
 from hccourant.algebra import GUARD_MAX_DIM
@@ -370,6 +372,116 @@ def test_basis_not_a_list_of_strings_exit_2(tmp_path, capsys, basis):
     assert doc["exit_code"] == 2
     assert "basis must be a list of strings" in doc["error"]
     assert "\n" not in doc["error"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["validate", "--algebra"],
+    ["poisson-graph", "--bracket", "bracket_so3_v1_3", "--algebra"],
+    ["morita", "--algebra"]), ids=("validate", "poisson-graph", "morita"))
+def test_algebra_name_not_a_string_exit_2(tmp_path, capsys, argv):
+    """A list-valued name used to be printed by ``morita`` and to crash
+    ``poisson-graph``, whose caches hash the algebra."""
+    p = tmp_path / "algebra.json"
+    p.write_text(json.dumps(dict(_bundled_doc("v1_3"), name=["v1_3"])))
+    code, out = run(argv + [str(p), "--format", "json"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "name must be a string" in error and "\n" not in error
+
+
+# a file that is not UTF-8, and one nested past the JSON decoder's recursion
+# limit, used to escape ``main`` as a traceback with exit 1
+UNREADABLE = {"not-utf8": b"\xff\xfe{}", "over-nested": b"[" * 200_000}
+
+# each file option, on a run that reaches its loader
+FILE_OPTIONS = {
+    "algebra": ["validate", "--algebra"],
+    "bracket": ["poisson-graph", "--algebra", "v1_3", "--bracket"],
+    "submodule": ["dirac-check", "--algebra", "v1_2", "--submodule"],
+    "omega": ["two-form", "--algebra", "v1_2", "--omega"],
+    "mu": ["omni", "--dim", "2", "--mu"],
+}
+
+
+@pytest.mark.parametrize("option", FILE_OPTIONS)
+@pytest.mark.parametrize("content", UNREADABLE)
+def test_unreadable_input_file_exit_2(tmp_path, capsys, content, option):
+    p = tmp_path / "file.json"
+    p.write_bytes(UNREADABLE[content])
+    code, out = run(FILE_OPTIONS[option] + [str(p), "--format", "json"],
+                    capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith(f"{p}: unreadable: ") and "\n" not in error
+
+
+def _paths(doc, path=()):
+    """Every path to a value of a JSON document, the root's included."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
+# one well-formed document of each file kind, under its option
+FUZZ_SEEDS = {
+    "algebra": _bundled_doc("v1_2"),
+    "bracket": _bundled_doc("bracket_so3_v1_3"),
+    "submodule": {"ambient": "epsilon", "vectors": [[1, 0, 0, 0, 0, 0]]},
+    "omega": {"algebra": "v1_2", "coords": ["1", "0", "0", "0", "0"]},
+    "mu": {"entries": [[0, 1, [0, 1]], [1, 0, [0, -1]]]},
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
+    | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+# (option, bytes to write) or (option, (path, the JSON value put there))
+_fuzz_cases = st.sampled_from(sorted(FUZZ_SEEDS)).flatmap(
+    lambda option: st.tuples(st.just(option), st.binary(max_size=40) | (
+        st.tuples(st.sampled_from(list(_paths(FUZZ_SEEDS[option]))),
+                  _json_values))))
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=("algebra", UNREADABLE["not-utf8"]))
+@example(case=("algebra", UNREADABLE["over-nested"]))
+@example(case=("algebra", (("name",), ["v1_2"])))
+@given(case=_fuzz_cases)
+def test_loader_fuzz_exits_0_1_or_2_with_a_one_line_error(
+        tmp_path_factory, case):
+    """A loader fed a drawn file, or a seed document with one value
+    replaced, never lets an exception escape ``main``: the run exits 0, 1
+    or 2, and exit 2 reports a one-line error."""
+    option, payload = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    p, report = tmp / "file.json", tmp / "report.json"
+    if isinstance(payload, bytes):
+        p.write_bytes(payload)
+    else:
+        p.write_text(json.dumps(_replaced(FUZZ_SEEDS[option], *payload)))
+    code = main(FILE_OPTIONS[option] + [str(p), "--format", "json",
+                                        "--out", str(report)])
+    doc = json.loads(report.read_text())
+    assert code in (0, 1, 2) and doc["exit_code"] == code
+    if code == 2:
+        assert doc["error"] and "\n" not in doc["error"]
 
 
 def test_every_package_error_derives_from_the_base():
@@ -783,6 +895,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(p.read_text())["algebra"] == "Q"
+
+
+@pytest.mark.parametrize("target", ("directory", "missing"))
+def test_unwritable_out_exit_2(tmp_path, capsys, target):
+    """An ``--out`` that cannot be opened used to end in a traceback with
+    exit 1; it is one line on stderr and exit 2."""
+    out = tmp_path if target == "directory" else tmp_path / "no" / "x.json"
+    code = main(["validate", "--algebra", "q", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def _assert_pinned(name, args, expected_code, capsys):
