@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactlin import (ZERO, ONE, HccourantError, bilinear, dense, rat,
-                       rat_str, sparse, sparse_row, sparse_table,
+from .exactlin import (ZERO, ONE, HccourantError, Record, bilinear, dense,
+                       rat, rat_str, sparse, sparse_row, sparse_table,
                        transpose_table)
 
 
@@ -45,8 +44,7 @@ def check_guard(dim: int, degree: int, max_dim: Optional[int] = None) -> None:
             f"degree {degree}; pass max_dim (CLI: --guard) to override")
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     name: str
     dim: int
     basis_names: tuple

@@ -61,16 +61,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
-from .exactlin import (ONE, HccourantError, QMatrix, Report, Span, _over,
-                       combine, combine_tables, contract, dense, nullspace,
-                       pullback, pushforward, rank, rat_str, row_combination,
-                       sparse, sparse_row, sparse_table, transpose_table, vec)
+from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
+                       _over, combine, combine_tables, contract, dense,
+                       nullspace, pullback, pushforward, rank, rat_str,
+                       row_combination, sparse, sparse_row, sparse_table,
+                       transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_rows)
 
@@ -181,8 +181,7 @@ def is_z_stable(L: Submodule) -> bool:
                for m in _nonscalar_centre(L.ambient) for l in L.int_rows)
 
 
-@dataclass(frozen=True)
-class DiracVerdict:
+class DiracVerdict(Record):
     isotropic: bool
     maximal: bool
     closed: bool
@@ -219,8 +218,7 @@ def is_dirac(L: Submodule) -> DiracVerdict:
 # ---------------------------------------------------------------------------
 # biderivation bracket tables
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(Record):
     """Values {e_i, e_j} of a bilinear biderivation on a commutative algebra."""
     algebra: FiniteAlgebra
     table: tuple  # table[i][j]: coords of {e_i, e_j}
@@ -387,8 +385,7 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
 # ---------------------------------------------------------------------------
 # closed 2-forms
 
-@dataclass(frozen=True)
-class TwoFormClass:
+class TwoFormClass(Record):
     espace: ESpace
     h2: HomologyPresentation
     coords: tuple  # H_2 class coordinates
@@ -501,7 +498,6 @@ def _algebroid_defects(eps: EpsilonSpace) -> tuple:
     return anchor, tuple(map(tuple, leibniz))
 
 
-@dataclass(frozen=True)
 class LieAlgebroidReport(Report):
     anchor_bracket: bool
     leibniz_rule: bool

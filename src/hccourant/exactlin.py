@@ -47,8 +47,8 @@ when a content is divided out).
 
 from __future__ import annotations
 
-from dataclasses import fields
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 try:
@@ -65,15 +65,25 @@ def _number(x):
     denominator > 1; anything but an int or a Q goes through ``Q`` first."""
     if type(x) is not int:
         if type(x) is not Q:
-            x = Q(x)
+            x = Q(_rational_str(x) if isinstance(x, str) else x)
         if x.denominator == 1:
             return int(x.numerator)
     return x
 
 
+def _rational_str(s: str) -> str:
+    """s if it is ASCII ``[-]digits`` or ``[-]digits/digits``, at most 1000
+    long; ``Q`` alone reads ``"1e10000000"`` as a 33-million-bit integer."""
+    p, slash, q = s.removeprefix("-").partition("/")
+    if not (len(s) <= 1000 and s.isascii() and p.isdigit()
+            and (q.isdigit() or not slash)):
+        raise ValueError(f"not [-]digits or [-]digits/digits: {s!r}")
+    return s
+
+
 def rat(x):
-    """Coerce ints, strings like ``"p/q"``, or rationals to an exact rational
-    in the number form."""
+    """Coerce ints, strings like ``"-p/q"`` or ``"p"``, or rationals to an
+    exact rational in the number form."""
     try:
         return _number(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -102,19 +112,69 @@ class ExactLinError(HccourantError):
     pass
 
 
-class Report:
-    """Base of the frozen-dataclass verdict records: ``ok`` is the
-    conjunction of the fields annotated ``bool``, and ``to_json`` gives every
-    field under its own name, then ``"ok"``."""
+class Record:
+    """Base of the frozen records, building no code per class: ``_fields``
+    maps each class annotation, bases first, to its type.  A record takes
+    them by position or keyword, then calls ``__post_init__``; ``==`` and
+    ``hash`` follow the field tuple and the class, ``repr`` reads
+    ``Name(field=value, ...)``, and fields cannot be set or deleted."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = {}
+        for c in reversed(cls.__mro__):
+            cls._fields.update(c.__dict__.get("__annotations__", {}))
+        if cls._fields:  # one field gives its value, not a 1-tuple
+            cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args += tuple(kwargs.pop(n) for n in list(names)[len(args):]
+                          if n in kwargs)
+            if kwargs or len(args) != len(names):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(names)}")
+        for name, x in zip(names, args):  # __dict__ would slow field reads
+            object.__setattr__(self, name, x)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Report(Record):
+    """The ``Record`` base of the verdict records: ``ok`` is the conjunction
+    of the fields annotated ``bool``, found once per class, and ``to_json``
+    gives every field under its own name, then ``"ok"``."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._flags = [n for n, t in cls._fields.items() if t in (bool, "bool")]
 
     @property
     def ok(self) -> bool:
-        return all(getattr(self, f.name) for f in fields(self)
-                   if f.type in (bool, "bool"))
+        return all(getattr(self, n) for n in self._flags)
 
     def to_json(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "ok": self.ok}
+        return {**{n: getattr(self, n) for n in self._fields}, "ok": self.ok}
 
 
 class QMatrix:

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ZERO, ONE, ExactLinError, HccourantError, QMatrix,
-                       Span, canonical_row, combine, combine_tables, contract,
-                       dense, nullspace, quotient_basis, sparse, sparse_row,
-                       transpose_table, vec)
+                       Record, Span, canonical_row, combine, combine_tables,
+                       contract, dense, nullspace, quotient_basis, sparse,
+                       sparse_row, transpose_table, vec)
 
 
 class HochschildError(HccourantError):
@@ -39,8 +38,7 @@ class HochschildError(HccourantError):
 # ---------------------------------------------------------------------------
 # chains
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A degree-n chain as one sparse row of (``encode_index``, x) pairs,
     given dense or sparse and stored by the row rule of ``QMatrix``
     (``canonical_row``), so ``==`` and ``hash`` compare chains."""
@@ -272,8 +270,7 @@ def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
 # ---------------------------------------------------------------------------
 # homology presentations
 
-@dataclass(frozen=True)
-class HomologyPresentation:
+class HomologyPresentation(Record):
     """Z/B, B inside Z; ``reduce`` gives a cycle's class coordinates."""
     algebra: FiniteAlgebra
     degree: int
@@ -395,15 +392,13 @@ def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
 # ---------------------------------------------------------------------------
 # descent verification
 
-@dataclass(frozen=True)
-class DescentCheck:
+class DescentCheck(Record):
     name: str
     case: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Record):
     algebra: FiniteAlgebra
     degree: int
     checks: tuple

@@ -16,15 +16,14 @@ and the JSON report the fields by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (FiniteAlgebra, check_guard, matrix_algebra,
                       opposite_algebra)
 from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
-from .exactlin import (ZERO, HccourantError, QMatrix, Report, combine,
-                       pullback, pushforward, rank, row_combination)
+from .exactlin import (ZERO, HccourantError, QMatrix, Record, Report,
+                       combine, pullback, pushforward, rank, row_combination)
 from .hochschild import Chain, boundary_b, chain_from_terms, chain_sparse
 
 
@@ -53,8 +52,7 @@ def inc(c: Chain, M: FiniteAlgebra, r: int) -> Chain:
     return chain_from_terms(M, c.degree, chain_sparse(c))
 
 
-@dataclass(frozen=True)
-class MoritaMaps:
+class MoritaMaps(Record):
     source: ESpace
     target: ESpace
     r: int
@@ -84,7 +82,6 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
                       QMatrix(h1_rows, cols=tgt.h1.dim), h0_map, e_map)
 
 
-@dataclass(frozen=True)
 class MoritaReport(Report):
     algebra: str
     r: int
@@ -99,8 +96,7 @@ class MoritaReport(Report):
     quotient_form_preserved: bool
 
 
-@dataclass(frozen=True)
-class MoritaContext:
+class MoritaContext(Record):
     maps: MoritaMaps
     src_eps: EpsilonSpace
     tgt_eps: EpsilonSpace
@@ -194,7 +190,6 @@ def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
 # ---------------------------------------------------------------------------
 # the opposite-algebra isomorphism
 
-@dataclass(frozen=True)
 class OppositeReport(Report):
     algebra: str
     h_dims_match: bool

@@ -31,15 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
-from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Report,
-                       combine, dense, pullback, pushforward, rank, row_space,
-                       sparse_row, sparse_table, vec)
+from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Record,
+                       Report, combine, dense, pullback, pushforward, rank,
+                       row_space, sparse_row, sparse_table, vec)
 from .hochschild import elementary_chain
 
 
@@ -93,8 +92,7 @@ def pairing_table(n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the V[1] realization
 
-@dataclass(frozen=True)
-class EV1Report:
+class EV1Report(Record):
     n: int
     h1_cohomology_dim: int
     h1_homology_dim: int
@@ -123,8 +121,7 @@ def verify_ev1(n: int, *, espace: Optional[ESpace] = None) -> EV1Report:
     return EV1Report(n, E.h1co.dim, E.h1.dim, E.dim)
 
 
-@dataclass(frozen=True)
-class OmniIso:
+class OmniIso(Record):
     """The bijection gl(V) (+) V -> epsilon(V[1])."""
     n: int
     espace: ESpace
@@ -132,7 +129,6 @@ class OmniIso:
     fwd: QMatrix   # omni basis (E_ij then v_i) -> epsilon coordinates
 
 
-@dataclass(frozen=True)
 class MainTheoremReport(Report):
     n: int
     kernel_dim_ok: bool
@@ -208,8 +204,7 @@ def verify_main_theorem(n: int, *, espace: Optional[ESpace] = None):
 # ---------------------------------------------------------------------------
 # D-structures
 
-@dataclass(frozen=True)
-class DStructureReport:
+class DStructureReport(Record):
     n: int
     dirac: bool
     is_lie_bracket: bool

@@ -1,9 +1,11 @@
 """File loaders and the command-line front end, including exit codes."""
 
 import ast
+import contextlib
 import copy
 import importlib
 import inspect
+import io
 import json
 import os
 import shlex
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hccourant
 from hccourant.algebra import GUARD_MAX_DIM
-from hccourant.cli import main
+from hccourant.cli import COMMANDS, main
 from hccourant.files import DATA_DIR, FileFormatError, load_algebra_ref
 
 
@@ -460,6 +462,7 @@ _fuzz_cases = st.sampled_from(sorted(FUZZ_SEEDS)).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
+@example(case=("algebra", (("unit", 0), "1e10000000")))
 @example(case=("algebra", UNREADABLE["not-utf8"]))
 @example(case=("algebra", UNREADABLE["over-nested"]))
 @example(case=("algebra", (("name",), ["v1_2"])))
@@ -781,6 +784,100 @@ def test_subcommand_cold_start_loads_only_its_layers(line):
     loaded = {name.split(".", 1)[1] for name in imported
               if name.startswith("hccourant.")} | {"cli"}
     assert loaded == COLD_START[line]
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    """The package's records build no code per class, so importing every
+    module loads neither ``dataclasses`` nor the ``inspect`` it imports,
+    which together cost a cold start tens of milliseconds."""
+    src = str(Path(hccourant.__file__).parents[1])
+    modules = ("cli files algebra exactlin hochschild courant dirac morita "
+               "omni suite").split()
+    code = ("import sys\n" + "".join(f"import hccourant.{m}\n"
+                                       for m in modules)
+            + "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# the subcommands that read --r, --dim, --degree or --guard, each with the
+# other options of a run that takes under a second
+OPTION_RUNS = {
+    "homology": ["--algebra", "qx2"],
+    "cohomology": ["--algebra", "qx2"],
+    "courant": ["--algebra", "qx2"],
+    "kernel": ["--algebra", "qx2"],
+    "epsilon": ["--algebra", "qx2"],
+    "dirac-check": ["--algebra", "v1_3", "--bracket", "bracket_so3_v1_3"],
+    "poisson-graph": ["--algebra", "v1_3", "--bracket", "bracket_zero_v1_3"],
+    "two-form": ["--algebra", "qx2"],
+    "morita": ["--algebra", "qx2"],
+    "omni": [],
+}
+_NOT_INTS = st.sampled_from(("", "x", "1.5", "1e3", "0x10", "1/2", "--r"))
+
+
+def _values(lo, hi, huge=True):
+    """Option values: mostly integers in [lo, hi], else integers no guard
+    admits (when ``huge``) and text that is no integer."""
+    small = st.integers(lo, hi).map(str)
+    return st.one_of(small, small, st.integers(10 ** 3, 10 ** 30).map(str)
+                     if huge else small, _NOT_INTS)
+
+
+@st.composite
+def _option_runs(draw):
+    """A subcommand line with drawn values for the options it reads.
+    ``--guard`` never exceeds the smallest default guard, so it only ever
+    refuses more; a degree past the default table is drawn only without
+    ``--guard``, where it is refused, so no draw starts an unbounded
+    computation."""
+    sub = draw(st.sampled_from(sorted(OPTION_RUNS)))
+    reads = COMMANDS[sub][1].split()
+    argv = [sub, *OPTION_RUNS[sub]]
+    guard = draw(st.none() | _values(-3, min(GUARD_MAX_DIM.values()),
+                                     huge=False))
+    if guard is not None:
+        argv += ["--guard", guard]
+    if "degree" in reads and draw(st.booleans()):
+        argv += ["--degree", draw(_values(-3, max(GUARD_MAX_DIM) - 1,
+                                          huge=guard is None))]
+    if "r" in reads:
+        argv += ["--r", draw(_values(-3, 4))]
+    if "dim" in reads:
+        argv += ["--dim", draw(_values(-3, 5))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@example(argv=["homology", "--algebra", "qx2", "--degree", "99999999999"])
+@example(argv=["morita", "--algebra", "qx2", "--r", "0", "--guard", "-1"])
+@example(argv=["omni", "--dim", "1e3"])
+@given(argv=_option_runs())
+def test_option_fuzz_exits_0_1_or_2_with_a_one_line_error(
+        tmp_path_factory, argv):
+    """A subcommand given drawn --r, --dim, --degree and --guard values
+    never lets an exception escape: it exits 0, 1 or 2, and exit 2 reports
+    a one-line error, in the JSON report or, for a value argparse refuses,
+    as the last line on stderr."""
+    report = tmp_path_factory.mktemp("options") / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--format", "json", "--out", str(report)])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and not report.exists()
+            assert err.getvalue().splitlines()[-1].startswith(
+                f"hccourant {argv[0]}: error: ")
+            return
+    doc = json.loads(report.read_text())
+    assert code in (0, 1, 2) and doc["exit_code"] == code
+    if code == 2:
+        assert doc["error"] and "\n" not in doc["error"]
 
 
 # ``hccourant``'s public names, module by module

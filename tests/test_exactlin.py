@@ -8,7 +8,9 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
+from hccourant.algebra import (GUARD_MAX_DIM, AlgebraError, FiniteAlgebra,
+                               GuardError, check_guard, truncated_poly)
+from hccourant.dirac import DiracVerdict
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 canonical_row, combine, contract, dense,
                                 make_reducer, membership, nullspace,
@@ -17,7 +19,8 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 rref, rref_transform, sparse, sparse_table,
                                 vec)
 from hccourant.files import BUNDLED_ALGEBRAS
-from hccourant.hochschild import homology
+from hccourant.hochschild import Chain, HochschildError, homology
+from hccourant.morita import OppositeReport
 from conftest import is_canonical_table, is_number
 
 rationals = st.builds(
@@ -39,6 +42,22 @@ def test_rat_parsing_roundtrip():
     assert rat_str(Q(4)) == "4"
     with pytest.raises(ExactLinError):
         rat("1.5x")
+
+
+@pytest.mark.parametrize("text", ("7", "-3/2", "6/3"))
+def test_rat_accepts_the_integer_and_fraction_forms(text):
+    assert rat(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", (
+    "1e3", "0.5", "1_000", " 3/4", "\u0663", "3/-2", "--3", "", "-", "3/",
+    "1e10000000", "1" * 1001))
+def test_rat_refuses_every_other_string(text):
+    """``Q`` alone would read decimals, exponents, underscores, spaces and
+    non-ASCII digits; ``"1e10000000"`` would build a 33-million-bit
+    integer."""
+    with pytest.raises(ExactLinError, match="not a rational"):
+        rat(text)
 
 
 def test_rref_known_matrix():
@@ -908,3 +927,79 @@ def test_no_float_can_enter_the_package():
                 over = node
     assert len(divisions) == 1, [where for where, _ in divisions]
     assert over is not None and divisions[0][1] in list(ast.walk(over))
+
+
+def _records():
+    """(class, field values, one field changed) for a record of each kind:
+    a chain, an algebra, a verdict and a report."""
+    A = truncated_poly(2)
+    return [(Chain, (A, 1, ((1, 1), (2, -1))), {"row": ((1, 1),)}),
+            (FiniteAlgebra, (A.name, A.dim, A.basis_names, A.structure,
+                             A.unit), {"name": "renamed"}),
+            (DiracVerdict, (True, False, True, False, True, False, None),
+             {"counterexample": (0, 1, (1,))}),
+            (OppositeReport, ("qx2", True, True, False, True),
+             {"form_tables_match": False})]
+
+
+@pytest.mark.parametrize("cls, values, change", _records(),
+                         ids=lambda x: getattr(x, "__name__", ""))
+def test_records_compare_hash_and_freeze_by_field_tuple(cls, values, change):
+    names = list(cls._fields)
+    r = cls(*values)
+    assert [getattr(r, n) for n in names] == list(values)
+    by_keyword = cls(**dict(zip(names, values)))
+    mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+    assert r == by_keyword == mixed
+    assert hash(r) == hash(by_keyword) == hash(mixed) == hash(values)
+    # one field changed, or another class, is never equal
+    other = cls(**{**dict(zip(names, values)), **change})
+    assert other != r and not other == r
+    assert all(c(*v) != r for c, v, _ in _records() if c is not cls)
+    assert r.__eq__(values) is NotImplemented
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(r) == (f"{cls.__name__}({fields})" if cls is not FiniteAlgebra
+                       else f"FiniteAlgebra({values[0]!r}, dim={values[1]})")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(r, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert [getattr(r, n) for n in names] == list(values)
+
+
+@pytest.mark.parametrize("cls, values", [r[:2] for r in _records()],
+                         ids=lambda x: getattr(x, "__name__", ""))
+def test_records_refuse_a_wrong_binding(cls, values):
+    names = list(cls._fields)
+    for args, kwargs in ((values[:-1], {}), (values + (0,), {}),
+                         (values, {"nonesuch": 0}),
+                         (values, {names[0]: values[0]}),
+                         ((), dict(zip(names[1:], values[1:]))),
+                         (values[:-1], {"nonesuch": values[-1]})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_record_post_init_still_validates():
+    """``FiniteAlgebra`` checks its table and ``Chain`` its indices, by
+    position and by keyword alike."""
+    # unital, but (a a) a = b a = 0 while a (a a) = a b = 1
+    bad = sparse_table([[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                        [[0, 0, 1], [0, 0, 0], [0, 0, 0]]])
+    basis = ("1", "a", "b")
+    for make in (lambda: FiniteAlgebra("bad", 3, basis, bad, (1, 0, 0)),
+                 lambda: FiniteAlgebra(name="bad", dim=3, unit=(1, 0, 0),
+                                       basis_names=basis, structure=bad)):
+        with pytest.raises(AlgebraError, match="associativity"):
+            make()
+    A = truncated_poly(2)
+    for make in (lambda: Chain(A, 1, ((4, 1),)),
+                 lambda: Chain(algebra=A, degree=0, row=((0, 1), (2, 1))),
+                 lambda: Chain(A, 1, (1, 0, 0))):
+        with pytest.raises(HochschildError):
+            make()
+    assert Chain(A, 1, (0, 1, 0, 0)).row == ((1, 1),)
