@@ -31,6 +31,10 @@ class GuardError(AlgebraError):
 #: space at degree n has dim d^(n+1)
 GUARD_MAX_DIM = {0: 64, 1: 16, 2: 16, 3: 6, 4: 6}
 
+#: the largest chain space any guard admits: Morita's default target,
+#: dimension 100, in degree 2; no raised ``max_dim`` passes it
+MAX_CHAIN_DIM = 100 ** 3
+
 
 def check_guard(dim: int, degree: int, max_dim: Optional[int] = None) -> None:
     limit = max_dim if max_dim is not None else GUARD_MAX_DIM.get(degree)
@@ -42,6 +46,15 @@ def check_guard(dim: int, degree: int, max_dim: Optional[int] = None) -> None:
         raise GuardError(
             f"algebra dimension {dim} exceeds the guard {limit} for "
             f"degree {degree}; pass max_dim (CLI: --guard) to override")
+    # d^(n+1) by factors, stopping past the bound: 2^(10^11) is never formed
+    size = 1
+    for factors in range(1, degree + 2):  # on Q the factors are the cost
+        size *= dim
+        if size > MAX_CHAIN_DIM or factors > MAX_CHAIN_DIM:
+            raise GuardError(f"chain degree {degree} on dimension {dim} has "
+                             f"{dim}^{degree + 1} coordinates in {degree + 1} "
+                             f"tensor factors; no guard admits more than "
+                             f"{MAX_CHAIN_DIM} of either")
 
 
 class FiniteAlgebra(Record):

@@ -234,18 +234,28 @@ def _cmd_suite(args):
     return rep, (EXIT_OK if ok else EXIT_FALSE)
 
 
+def _int(s: str) -> int:
+    """An integer option: ASCII ``[-]digits`` only, where ``int`` alone
+    also reads the Arabic-Indic digit "\u0663" as 3 and " 1_0" as 10."""
+    if not (s.isascii() and s.removeprefix("-").isdigit()):
+        raise ValueError(f"not [-]digits: {s!r}")
+    return int(s)
+
+
+_int.__name__ = "int"  # argparse names the type in its refusal
+
 # the options a subcommand may take, as argparse arguments
 OPTIONS = {
     "algebra": dict(help="algebra JSON file or bundled name"),
-    "degree": dict(type=int, default=1, help="homology degree"),
-    "r": dict(type=int, default=2, help="matrix size"),
+    "degree": dict(type=_int, default=1, help="homology degree"),
+    "r": dict(type=_int, default=2, help="matrix size"),
     "bracket": dict(help="bracket-table JSON file or bundled name"),
     "submodule": dict(help="submodule JSON file"),
     "omega": dict(help="two-form JSON file"),
-    "dim": dict(type=int, help="V dimension"),
+    "dim": dict(type=_int, help="V dimension"),
     "mu": dict(help="omni bracket table JSON file"),
-    "guard": dict(type=int, help="override the per-degree dimension guard"),
-    "seed": dict(type=int, default=0, help="seed of random draws (recorded)"),
+    "guard": dict(type=_int, help="override the per-degree dimension guard"),
+    "seed": dict(type=_int, default=0, help="seed of random draws (recorded)"),
     "format": dict(choices=("text", "json"), default="text"),
     "out": dict(help="write the report to a file"),
 }

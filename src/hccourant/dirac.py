@@ -72,7 +72,7 @@ from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        row_combination, sparse, sparse_row, sparse_table,
                        transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
-                         interior_product, leibniz_rows)
+                         interior_product, leibniz_operator)
 
 
 class DiracError(HccourantError):
@@ -236,11 +236,16 @@ class BracketTable(Record):
 
 
 def _check_biderivation(A: FiniteAlgebra, table) -> None:
-    flat = [x for row in table for cell in row for x in cell]
-    for slot, i, j, k, rows in _leibniz_laws(A):
-        if any(sum(c * flat[q] for q, c in row) for row in rows):
-            raise DiracError(
-                f"{slot}-slot biderivation law fails at ({i},{j},{k})")
+    """Raises on the first law, in the order of ``_leibniz_laws``, that the
+    table breaks: one row combination of the laws by its nonzero entries."""
+    d = A.dim
+    broken = combine(sparse([x for row in table for cell in row
+                             for x in cell]), _leibniz_laws(A))
+    if broken:
+        ijk, slot = divmod(broken[0][0] // d, 2)
+        i, j, k = ijk // (d * d), ijk // d % d, ijk % d
+        raise DiracError(f"{('second', 'first')[slot]}-slot biderivation "
+                         f"law fails at ({i},{j},{k})")
 
 
 def make_bracket_table(A: FiniteAlgebra, table) -> BracketTable:
@@ -256,29 +261,27 @@ def biderivation_space(A: FiniteAlgebra) -> QMatrix:
     """
     if not A.is_commutative():
         raise DiracError("biderivation space requires a commutative algebra")
-    rows = [row for *_, law in _leibniz_laws(A) for row in law]
-    return nullspace(QMatrix(rows, cols=A.dim ** 3))
+    return nullspace(_leibniz_laws(A).transpose())
 
 
 @functools.lru_cache(maxsize=8)
-def _leibniz_laws(A: FiniteAlgebra) -> tuple:
-    """The biderivation laws as sparse rows on the flattened table, one row
-    per coordinate m: for each (i, j, k), ``("second", i, j, k, rows)`` for
-    {e_i, e_j e_k} = {e_i, e_j} e_k + e_j {e_i, e_k}, then ``("first", ...)``
-    for {e_j e_k, e_i} = {e_j, e_i} e_k + e_j {e_k, e_i}, the same rule with
-    the two slots of every unknown swapped.  Cached, since every bracket
-    table over A is checked against them."""
+def _leibniz_laws(A: FiniteAlgebra) -> QMatrix:
+    """The biderivation laws as the columns of one matrix whose row
+    (a d + b) d + m is the flat table entry {e_a, e_b}_m: coordinate m of
+    law 2 (i d^2 + j d + k) + slot, at column law d + m, is that of
+    ``leibniz_operator`` for the derivation {e_i, .} (slot 0, "second") or
+    {., e_i} (slot 1, "first") on e_j e_k, its unknown D(e_s)_m relabelled
+    (i d + s) d + m or (s d + i) d + m.  Cached per algebra."""
     d = A.dim
-    law = leibniz_rows(A)
-    laws = []
-    for i, j, k in itertools.product(range(d), repeat=3):
-        # the law of the derivation {e_i, .}, then of {., e_i}; coordinate
-        # m of {e_a, e_b} sits at (a d + b) d + m
-        laws.append(("second", i, j, k,
-                     law(j, k, lambda s, m: (i * d + s) * d + m)))
-        laws.append(("first", i, j, k,
-                     law(j, k, lambda s, m: (s * d + i) * d + m)))
-    return tuple(laws)
+    cols, out = 2 * d ** 4, {}
+    by_unknown = leibniz_operator(A).transpose().sparse_rows
+    for a, b, m in itertools.product(range(d), repeat=3):
+        key = ((a * d + b) * d + m) * cols
+        # row r = (j d + k) d + m' of the operator, for the law at i
+        for i, slot, unknown in ((a, 0, b * d + m), (b, 1, a * d + m)):
+            for r, c in by_unknown[unknown]:
+                out[key + ((i * d * d + r // d) * 2 + slot) * d + r % d] = c
+    return QMatrix.from_sums(out, d ** 3, cols)
 
 
 def table_from_flat(A: FiniteAlgebra, flat: Sequence) -> BracketTable:

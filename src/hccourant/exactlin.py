@@ -202,10 +202,7 @@ class QMatrix:
                 raise ExactLinError("a matrix without a dense first row "
                                     "needs explicit cols")
             cols = len(data[0])
-        rows = tuple(canonical_row(r, cols) for r in data)
-        object.__setattr__(self, "sparse_rows", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
+        _stored((canonical_row(r, cols) for r in data), cols, self)
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
@@ -232,15 +229,38 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
     @staticmethod
+    def from_sums(sums: dict, rows: int, cols: int) -> "QMatrix":
+        """The rows x cols matrix whose entry (i, k) is ``sums[i cols + k]``
+        (0 where absent), in canonical rows, its keys unchecked: for the
+        builders whose keys are in range by construction (the Hochschild
+        boundary, the Leibniz laws), tested equal to the constructor's."""
+        out = [()] * rows
+        for key in sorted(sums):
+            if x := sums[key]:
+                i, k = divmod(key, cols)
+                out[i] += ((k, x if type(x) is int else _number(x)),)
+        return _stored(out, cols)
+
+    @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix([((i, ONE),) for i in range(n)], n)
+        return _stored((((i, ONE),) for i in range(n)), n)
 
     def transpose(self) -> "QMatrix":
         out = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
             for k, x in row:
                 out[k].append((i, x))
-        return QMatrix(out, self.rows)
+        return _stored(map(tuple, out), self.rows)
+
+
+def _stored(rows: Iterable[tuple], cols: int, M=None) -> QMatrix:
+    """M, or a new matrix, holding rows already in the canonical form."""
+    M = object.__new__(QMatrix) if M is None else M
+    rows = tuple(rows)
+    object.__setattr__(M, "sparse_rows", rows)
+    object.__setattr__(M, "rows", len(rows))
+    object.__setattr__(M, "cols", cols)
+    return M
 
 
 def _is_sparse(row) -> bool:
@@ -631,7 +651,7 @@ def rank(M: QMatrix) -> int:
 
 def row_space(M: QMatrix) -> QMatrix:
     """Canonical (RREF) basis of the row span."""
-    return QMatrix(Span(M).basis(), M.cols)
+    return _stored(Span(M).basis(), M.cols)
 
 
 def nullspace(M: QMatrix) -> QMatrix:
@@ -643,7 +663,7 @@ def nullspace(M: QMatrix) -> QMatrix:
     for p, row in rows.items():
         for k, x in _over({k: -x for k, x in row.items() if k != p}, row[p]):
             basis[k][p] = x
-    return QMatrix([sparse_row(basis[fc]) for fc in free], M.cols)
+    return _stored((sparse_row(basis[fc]) for fc in free), M.cols)
 
 
 def membership(v: Sequence, S: QMatrix) -> Optional[tuple]:

@@ -20,12 +20,12 @@ presentation's bases is built again.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import defaultdict
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
-from .exactlin import (ZERO, ONE, ExactLinError, HccourantError, QMatrix,
+from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix,
                        Record, Span, canonical_row, combine, combine_tables,
                        contract, dense, nullspace, quotient_basis, sparse,
                        sparse_row, transpose_table, vec)
@@ -107,11 +107,6 @@ def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
 
 def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
     return chain_from_terms(A, len(indices) - 1, ((indices, ONE),))
-
-
-def multi_indices(A: FiniteAlgebra, n: int):
-    """The degree-n multi-indices (a_0, ..., a_n) in coordinate order."""
-    return itertools.product(range(A.dim), repeat=n + 1)
 
 
 def chain_sparse(c: Chain) -> list:
@@ -306,13 +301,46 @@ class HomologyPresentation(Record):
                      combine(sparse(coords), self.class_reps))
 
 
+def _stride_operator(A: FiniteAlgebra, faces, rows: int, cols: int) -> QMatrix:
+    """The operator read off the nonzero products by index strides: for
+    each face (sign, place, offsets) and each term c e_k of a product
+    e_p e_q, with (r, col) = place(p, q, k), row r + f gains sign c at
+    column col + g for every (f, g) in offsets."""
+    products = [(p, q, k, c) for p, row in enumerate(A.structure)
+                for q, cell in row for k, c in cell]
+    out = {}  # the sums, keyed by row cols + column
+    for sign, place, offsets in faces:
+        offsets = [f * cols + g for f, g in offsets]
+        for p, q, k, c in products:
+            r, col = place(p, q, k)
+            base, x = r * cols + col, sign * c
+            for o in offsets:
+                o += base
+                out[o] = out[o] + x if o in out else x
+    return QMatrix.from_sums(out, rows, cols)
+
+
+@functools.lru_cache(maxsize=8)
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
-    """Rows = images under b of the degree-n basis chains (dom x cod), as
-    sparse rows, each summed once and canonicalised by ``QMatrix``."""
-    terms = _b_terms(A, n)
-    return QMatrix((_summed_row((encode_index(A, b), x) for b, x in terms(a))
-                    for a in multi_indices(A, n)),
-                   cols=chain_space_dim(A, n - 1))
+    """b_n as a matrix, row a the chain b(e_a), built face by face (Loday,
+    Cyclic Homology, 1.1): face i < n, sign (-1)^i, puts c at row
+    ((hi d + p) d + q) d^(n-1-i) + lo, column (hi d + k) d^(n-1-i) + lo,
+    for each term c e_k of e_p e_q; the cyclic face reads a_n a_0 the same
+    way.  Cached per (A, n): H_n's boundaries and H_(n+1)'s cycles read one
+    b_(n+1).  The cache holds no ``Span``: ``quotient_basis`` grows one."""
+    d = A.dim
+    faces = []
+    for i in range(n):
+        w = d ** (n - 1 - i)
+        faces.append((-1 if i % 2 else 1,
+                      lambda p, q, k, w=w: ((p * d + q) * w, k * w),
+                      [(hi * d * d * w + lo, hi * d * w + lo)
+                       for hi in range(d ** i) for lo in range(w)]))
+    # the cyclic face: a_n = e_p, a_0 = e_q, and a_1 ... a_(n-1) at mid
+    top, low = d ** n, d ** (n - 1)
+    faces.append((-1 if n % 2 else 1, lambda p, q, k: (q * top + p, k * low),
+                  [(mid * d, mid) for mid in range(low)]))
+    return _stride_operator(A, faces, d * top, top)
 
 
 def homology(A: FiniteAlgebra, n: int, *,
@@ -341,39 +369,23 @@ def _presentation(A: FiniteAlgebra, n: int, cycles: QMatrix,
     return HomologyPresentation(A, n, cycles, basis, reps, reduce)
 
 
-def leibniz_rows(A: FiniteAlgebra) -> Callable:
-    """``rows(i, j, col)``: the Leibniz law D(e_i e_j) = D(e_i) e_j +
-    e_i D(e_j) as d sparse rows, one per coordinate m, on the unknowns
-    D(e_s)_m at column ``col(s, m)``."""
-    d, S = A.dim, A.structure
-    cells = [dict(row) for row in S]
-    by_right = transpose_table(S)  # by_right[j]: the (k, e_k e_j) pairs
-
-    def rows(i, j, col):
-        out = [defaultdict(lambda: ZERO) for _ in range(d)]
-        for s, c in cells[i].get(j, ()):
-            for m in range(d):
-                out[m][col(s, m)] += c
-        for k, cell in by_right[j]:
-            for m, c in cell:
-                out[m][col(i, k)] -= c
-        for k, cell in S[i]:
-            for m, c in cell:
-                out[m][col(j, k)] -= c
-        return [sparse_row(row) for row in out]
-
-    return rows
+def leibniz_operator(A: FiniteAlgebra) -> QMatrix:
+    """delta^1 as a matrix: row (i d + j) d + m is coordinate m of the law
+    D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on the unknowns D(e_s)_m at column
+    s d + m, built by strides from e_i e_j, from e_k e_j for every i and
+    from e_i e_k for every j."""
+    d, t = A.dim, range(A.dim)
+    return _stride_operator(A, (
+        (1, lambda i, j, s: ((i * d + j) * d, s * d), [(m, m) for m in t]),
+        (-1, lambda k, j, m: (j * d + m, k), [(i * d * d, i * d) for i in t]),
+        (-1, lambda i, k, m: (i * d * d + m, k), [(j * d, j * d) for j in t])
+    ), d ** 3, d * d)
 
 
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:
     """Basis of Der(A), each row a flattened dim x dim map: the nullspace of
-    the Leibniz law on every basis pair, with the unknown X(e_s)_m at
-    s d + m."""
-    d, law = A.dim, leibniz_rows(A)
-    pairs = itertools.product(range(d), repeat=2)
-    return nullspace(QMatrix((row for i, j in pairs
-                              for row in law(i, j, lambda s, m: s * d + m)),
-                             cols=d * d))
+    ``leibniz_operator``, with the unknown X(e_s)_m at s d + m."""
+    return nullspace(leibniz_operator(A))
 
 
 def center(A: FiniteAlgebra) -> QMatrix:

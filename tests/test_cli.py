@@ -11,14 +11,16 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hccourant
-from hccourant.algebra import GUARD_MAX_DIM
-from hccourant.cli import COMMANDS, main
+from hccourant.algebra import GUARD_MAX_DIM, GuardError, check_guard
+from hccourant.courant import ESpace
+from hccourant.cli import COMMANDS, build_parser, main
 from hccourant.files import DATA_DIR, FileFormatError, load_algebra_ref
 
 
@@ -143,6 +145,36 @@ def test_unsupported_degree_blocked(capsys):
     code, out = run(["homology", "--algebra", "qx2", "--degree", "5"],
                     capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("algebra, degree", (("qx2", "40"),
+                                              ("qx2", "99999999999"),
+                                              ("q", "99999999999")))
+def test_a_raised_guard_still_bounds_the_chain_space(algebra, degree, capsys):
+    """``--guard`` raises the dimension bound only: a chain space past
+    ``MAX_CHAIN_DIM`` coordinates, or tensor factors, is refused at once,
+    its size named in one line, and no power of the dimension is formed."""
+    start = time.perf_counter()
+    code, out = run(["homology", "--algebra", algebra, "--degree", degree,
+                     "--guard", "6", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith(f"chain degree {degree} on dimension ")
+    assert f"^{int(degree) + 1} coordinates" in error and "\n" not in error
+
+
+def test_the_chain_space_bound_holds_under_any_guard():
+    """E(A) refuses past ``MAX_CHAIN_DIM`` as homology does, here on its
+    degree-2 chains at dimension 101; Morita's default target, dimension
+    100 in degree 2, and 10^6 tensor factors on Q are the most admitted."""
+    with pytest.raises(GuardError) as refusal:
+        ESpace.check_guard(101, 1000)
+    assert "101^3 coordinates" in str(refusal.value)
+    check_guard(100, 2, 100)
+    check_guard(1, 10 ** 6 - 1, 6)
+    with pytest.raises(GuardError):
+        check_guard(1, 10 ** 6, 6)
 
 
 @pytest.mark.parametrize("degree", ("-1", "-2"))
@@ -817,7 +849,9 @@ OPTION_RUNS = {
     "morita": ["--algebra", "qx2"],
     "omni": [],
 }
-_NOT_INTS = st.sampled_from(("", "x", "1.5", "1e3", "0x10", "1/2", "--r"))
+# "\u0663" is the Arabic-Indic digit three, which int() reads as 3
+_NOT_INTS = st.sampled_from(("", "x", "1.5", "1e3", "0x10", "1/2", "--r",
+                             "\u0663", " 1_0"))
 
 
 def _values(lo, hi, huge=True):
@@ -852,10 +886,30 @@ def _option_runs(draw):
     return argv
 
 
+@pytest.mark.parametrize("opt", ("r", "degree", "dim", "guard", "seed"))
+def test_integer_options_read_ascii_digits_only(opt):
+    """An integer option is ASCII ``[-]digits``: argparse refuses "\u0663"
+    and " 1_0", which ``int`` reads as 3 and 10, and reads "-1" and "7"."""
+    sub = {"r": "morita", "degree": "homology", "dim": "omni",
+           "guard": "homology", "seed": "validate"}[opt]
+    parser = build_parser()
+    for bad in ("\u0663", " 1_0", "+3", "1e3"):
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                pytest.raises(SystemExit) as exc:
+            parser.parse_args([sub, f"--{opt}", bad])
+        assert exc.value.code == 2
+        assert f"argument --{opt}: invalid int value" in err.getvalue()
+    for good in ("-1", "7"):
+        assert getattr(parser.parse_args([sub, f"--{opt}", good]),
+                       opt) == int(good)
+
+
 @settings(max_examples=60, deadline=None)
 @example(argv=["homology", "--algebra", "qx2", "--degree", "99999999999"])
 @example(argv=["morita", "--algebra", "qx2", "--r", "0", "--guard", "-1"])
 @example(argv=["omni", "--dim", "1e3"])
+@example(argv=["morita", "--algebra", "q", "--r", "\u0663"])
+@example(argv=["morita", "--algebra", "q", "--r", " 1_0"])
 @given(argv=_option_runs())
 def test_option_fuzz_exits_0_1_or_2_with_a_one_line_error(
         tmp_path_factory, argv):

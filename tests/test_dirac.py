@@ -1066,6 +1066,38 @@ def test_biderivation_check_matches_dense_reference(algebras, name):
         assert got == expected
 
 
+@pytest.mark.parametrize("name", ("qx3", "v1_2", "v1_3"))
+def test_biderivation_check_names_the_first_law_a_mutant_breaks(algebras,
+                                                                name):
+    """On the algebras the suite draws tables for, seeded biderivations with
+    one cell {e_i, e_j} moved, cell by cell: the sparse check raises
+    exactly when the dense one finds a law broken, with its message."""
+    A = algebras[name]
+    d = A.dim
+    space = biderivation_space(A)
+    rng = rng_for(f"bidermutant/{name}")
+    broken = 0
+    for _ in range(3):
+        flat = row_combination([rng.randint(-2, 2) for _ in range(space.rows)],
+                               space)
+        base = [[list(flat[(i * d + j) * d:(i * d + j + 1) * d])
+                 for j in range(d)] for i in range(d)]
+        assert _ref_check_biderivation(A, base) is None
+        for i, j in itertools.product(range(d), repeat=2):
+            table = copy.deepcopy(base)
+            m = rng.randrange(d)
+            table[i][j][m] += rng.choice((-2, -1, 1, Q(1, 2)))
+            expected = _ref_check_biderivation(A, table)
+            try:
+                _check_biderivation(A, table)
+                got = None
+            except DiracError as exc:
+                got = str(exc)
+            assert got == expected, (i, j, m)
+            broken += got is not None
+    assert broken > d * d
+
+
 # ---------------------------------------------------------------------------
 # the hamiltonian and anchor tables against the loops they replaced
 

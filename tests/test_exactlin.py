@@ -511,6 +511,23 @@ def test_sparse_rows_match_dense_reference(case):
         assert all(_is_canonical_row(r, out.cols) for r in out.sparse_rows)
 
 
+def test_from_sums_rows_are_the_constructors():
+    """``QMatrix.from_sums`` reads a dict keyed by row cols + column into
+    the rows the checking constructor makes: zeros and absent keys are zero
+    entries, and a sum that came out integral is an int."""
+    sums = {0 * 4 + 3: Q(1, 2) + Q(1, 2), 0 * 4 + 1: Q(2, 3), 2 * 4 + 0: 5,
+            2 * 4 + 2: 0, 3 * 4 + 3: Q(-1, 4)}
+    M = QMatrix.from_sums(sums, 4, 4)
+    dense = [[0] * 4 for _ in range(4)]
+    for key, x in sums.items():
+        dense[key // 4][key % 4] = x
+    assert M == QMatrix(dense) and M.sparse_rows == QMatrix(dense).sparse_rows
+    assert all(_is_canonical_row(r, M.cols) for r in M.sparse_rows)
+    assert M.sparse_rows[0] == ((1, Q(2, 3)), (3, 1))
+    assert type(M.sparse_rows[0][1][1]) is int
+    assert QMatrix.from_sums({}, 2, 3) == QMatrix([(), ()], cols=3)
+
+
 def _dense_row_combination(c, rows, n):
     """sum_i c_i rows[i] over every entry, zeros included."""
     out = [Q(0)] * n

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
-                               check_guard, truncated_poly)
+                               check_guard, matrix_algebra, opposite_algebra,
+                               truncated_poly)
 from hccourant.exactlin import Q, QMatrix, Span, nullspace
 from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Chain, HochschildError,
@@ -22,7 +23,8 @@ from hccourant.hochschild import (Chain, HochschildError,
                                   connes_B, derivation_basis, elementary_chain,
                                   flat_cochain, h_left_multiply, homology,
                                   inner_derivation, interior_product,
-                                  lie_derivative, verify_descent)
+                                  leibniz_operator, lie_derivative,
+                                  verify_descent)
 from conftest import (_ref_is_derivation, dense_structure, monomial_algebra,
                       rand_chain, rand_combination, rand_derivation, rand_vec,
                       rng_for)
@@ -404,17 +406,40 @@ def test_chain_operators_match_reference_loops(algebras, data):
         assert interior_product(X, c) == _ref_interior_product(X, c)
 
 
-@pytest.mark.parametrize("name", ("q", "qx2", "qx3", "v1_1", "v1_2", "v1_3",
-                                  "m2q", "ut2"))
+# the algebras the suite builds besides the bundled ones: Morita targets
+# and opposite algebras
+BUILT = ("M2(qx2)", "M2(v1_2)", "ut2^op", "qx3^op")
+
+
+def _algebra(algebras, name):
+    if name.startswith("M2("):
+        return matrix_algebra(algebras[name[3:-1]], 2)
+    if name.endswith("^op"):
+        return opposite_algebra(algebras[name[:-3]])
+    return algebras[name]
+
+
+def _assert_canonical(M: QMatrix) -> None:
+    """The rows of M are those the checking constructor makes of them, and
+    each entry is in the number form, which ``==`` alone does not see."""
+    assert QMatrix(M.sparse_rows, M.cols).sparse_rows == M.sparse_rows
+    assert all(type(x) is int or x.denominator != 1
+               for row in M.sparse_rows for _, x in row)
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + BUILT)
 def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
-    A = algebras[name]
+    """The stride-built b_n equals the matrix of b applied to each basis
+    chain by the reference loop, at every degree the guard admits."""
+    A = _algebra(algebras, name)
     for n in range(1, max(GUARD_MAX_DIM) + 1):
         try:
             check_guard(A.dim, n)
         except GuardError:
             continue
-        assert _boundary_operator_rows(A, n) == \
-            _ref_boundary_operator_rows(A, n)
+        B = _boundary_operator_rows(A, n)
+        assert B == _ref_boundary_operator_rows(A, n)
+        _assert_canonical(B)
 
 
 @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
@@ -457,10 +482,11 @@ def _ref_derivation_basis(A):
     return nullspace(QMatrix(rows, cols=d * d))
 
 
-@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + BUILT)
 def test_derivation_basis_matches_dense_reference(algebras, name):
-    A = algebras[name]
+    A = _algebra(algebras, name)
     assert derivation_basis(A) == _ref_derivation_basis(A)
+    _assert_canonical(leibniz_operator(A))
 
 
 # ---------------------------------------------------------------------------
