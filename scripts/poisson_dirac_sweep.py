@@ -30,18 +30,20 @@ from hccourant.dirac import (Submodule, _nonscalar_centre,
                              is_z_stable, lie_algebroid_check,
                              make_bracket_table, poisson_graph,
                              table_from_flat)
-from hccourant.exactlin import (QMatrix, Span, contract, row_combination,
-                                sparse)
+from hccourant.exactlin import (QMatrix, Span, bilinear, contract,
+                                row_combination, sparse)
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
 
 
 def z_stable_oracle(L) -> bool:
     """Z-stability by the full loop: every centre basis element times every
-    spanning vector lies in the span of L."""
+    spanning vector, contracted with the ambient's ``z_table``, lies in the
+    span of L."""
     ambient, in_L = L.ambient, Span(L.spanning).contains
     units = QMatrix.identity(ambient.center_basis.rows)
-    return all(in_L(ambient.z_scale(c, l)) for c in units for l in L.spanning)
+    return all(in_L(bilinear(c, l, ambient.z_table, ambient.dim))
+               for c in units for l in L.spanning)
 
 
 def random_subspaces(ambient, rng, count):

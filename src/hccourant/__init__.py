@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 # module -> the names it exports
 EXPORTS = {
-    "algebra": "AlgebraError FiniteAlgebra GuardError build_v1 ground_field "
-               "make_algebra matrix_algebra opposite_algebra save_algebra "
-               "truncated_poly upper_triangular2",
+    "algebra": "AlgebraError FiniteAlgebra GuardError build_v1 "
+               "make_algebra matrix_algebra opposite_algebra",
     "courant": "CourantError CourantSpace EpsilonSpace ESpace",
     "dirac": "BracketTable DiracError DiracVerdict Submodule TwoFormClass "
              "biderivation_space find_two_form_witness is_bracket_closed "
@@ -32,8 +31,7 @@ EXPORTS = {
     "files": "FileFormatError load_algebra_ref load_bracket_table "
              "load_submodule load_two_form",
     "hochschild": "Chain HomologyPresentation boundary_b cohomology_h1 "
-                  "connes_B homology interior_product lie_derivative "
-                  "verify_descent",
+                  "connes_B homology interior_product lie_derivative",
     "morita": "MoritaContext MoritaReport OppositeReport cotr inc "
               "transport_dirac verify_morita verify_opposite",
     "omni": "DStructureReport OmniIso build_omni_iso d_structure_check "

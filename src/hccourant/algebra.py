@@ -135,22 +135,6 @@ def make_algebra(name: str, basis_names: Sequence[str],
 # ---------------------------------------------------------------------------
 # constructors
 
-def ground_field() -> FiniteAlgebra:
-    return make_algebra("Q", ["1"], [[[1]]], [1])
-
-
-def truncated_poly(n: int) -> FiniteAlgebra:
-    """Q[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
-    if n < 2:
-        raise AlgebraError("truncated_poly requires n >= 2")
-    structure = [[[1 if k == i + j else 0 for k in range(n)]
-                  if i + j < n else [0] * n
-                  for j in range(n)] for i in range(n)]
-    names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
-    return make_algebra(f"Q[x]/(x^{n})", names, structure,
-                        [1] + [0] * (n - 1))
-
-
 def build_v1(n: int) -> FiniteAlgebra:
     """V[1] = span{1, v_1..v_n} with v_i v_j = 0."""
     if n < 1:
@@ -196,20 +180,13 @@ def opposite_algebra(A: FiniteAlgebra) -> FiniteAlgebra:
                          transpose_table(A.structure), A.unit)
 
 
-def upper_triangular2() -> FiniteAlgebra:
-    """Upper-triangular 2x2 matrices over Q, basis E11, E12, E22."""
-    e = {("E11", "E11"): "E11", ("E11", "E12"): "E12",
-         ("E12", "E22"): "E12", ("E22", "E22"): "E22"}
-    names = ["E11", "E12", "E22"]
-    structure = [[[1 if e.get((a, b)) == c else 0 for c in names]
-                  for b in names] for a in names]
-    return make_algebra("UT2", names, structure, [1, 0, 1])
-
-
 # ---------------------------------------------------------------------------
 # JSON description files
 
 def algebra_to_json(A: FiniteAlgebra) -> dict:
+    """The JSON description of A that ``algebra_from_json`` reads back,
+    kept as the writer of the format; the round-trip test holds the two
+    inverse."""
     triples = [[i, j, [rat_str(x) for x in dense(cell, A.dim)]]
                for i, row in enumerate(A.structure) for j, cell in row]
     return {"name": A.name, "dimension": A.dim,
@@ -284,8 +261,3 @@ def algebra_from_json(doc: dict) -> FiniteAlgebra:
         rows[i][j] = sparse(coords)
     return FiniteAlgebra(name, dim, basis, tuple(map(sparse_row, rows)), unit)
 
-
-def save_algebra(A: FiniteAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_json(A), fh, indent=1, sort_keys=True)
-        fh.write("\n")

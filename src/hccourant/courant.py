@@ -15,14 +15,14 @@ values on that basis: the bracket table [[e_i, e_j]], the form table
 table stores only its nonzero cells, in the canonical sparse form of
 ``exactlin.sparse_table`` (row i holds ascending (j, cell) pairs, a cell
 ascending (k, t) pairs with t != 0), so two tables are equal exactly when
-``==`` says so.  ``bracket``, ``form`` and ``z_scale`` contract them with
-``bilinear``, and ``orthogonal`` reads every radical and orthogonal off the
-form table, once for both spaces.  ESpace stores its form once: the form
-table, built at construction from the pairings <X, alpha>, the class of
-i_X alpha in H_0, its only nonzero block.  It builds its bracket and Z
-tables from the chain-level rules on first use, so a space that never
-brackets pays nothing; its ``courant_bracket`` is the reference they are
-tested against.
+``==`` says so.  ``bracket`` and ``form`` contract them with ``bilinear``, as
+a caller contracts ``z_table``, and ``orthogonal`` reads every radical and
+orthogonal off the form table, once for both spaces.  ESpace stores its
+form once: the form table, built at construction from the pairings
+<X, alpha>, the class of i_X alpha in H_0, its only nonzero block.  It
+builds its bracket and Z tables from the chain-level rules on first use,
+so a space that never brackets pays nothing; its ``courant_bracket`` is
+the reference they are tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -41,10 +41,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
-from .exactlin import (Q, ZERO, HccourantError, QMatrix, Span, bilinear,
-                       combine, contract, dense, nullspace, pullback,
-                       pushforward, quotient_basis, row_combination, sparse,
-                       sparse_row, vec)
+from .exactlin import (ZERO, HccourantError, QMatrix, Span, bilinear,
+                       contract, dense, nullspace, pullback, pushforward,
+                       quotient_basis, row_combination, sparse, sparse_row,
+                       vec)
 from .hochschild import (Chain, center, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, flat_cochain, h_left_multiply,
                          homology, interior_product, lie_derivative)
@@ -68,12 +68,6 @@ class CourantSpace:
             raise CourantError(f"{type(self).__name__} length mismatch")
         return u
 
-    def _zcoords(self, c: Sequence) -> tuple:
-        c = vec(c)
-        if len(c) != self.center_basis.rows:
-            raise CourantError("centre coordinate length mismatch")
-        return c
-
     def bracket(self, u: Sequence, v: Sequence) -> tuple:
         """The Courant bracket on coordinates."""
         return bilinear(self._coords(u), self._coords(v), self.bracket_table,
@@ -83,12 +77,6 @@ class CourantSpace:
         """The H_0-valued form on coordinates."""
         return bilinear(self._coords(u), self._coords(v), self.form_table,
                         self.h0_dim)
-
-    def z_scale(self, c: Sequence, u: Sequence) -> tuple:
-        """The Z(A)-module action on coordinates, for z given by its
-        coordinates c over ``center_basis``."""
-        return bilinear(self._zcoords(c), self._coords(u), self.z_table,
-                        self.dim)
 
     def orthogonal_rows(self, rows: Sequence) -> QMatrix:
         """The equations of {e : (e, l) = 0 in H_0 for every sparse row l of
@@ -188,7 +176,8 @@ class ESpace(CourantSpace):
         return self._coords(u)[:self.h1co.dim]
 
     def d_map(self, h0coords: Sequence) -> tuple:
-        """D(h) = (0, class of B on a representative of h)."""
+        """D(h) = (0, class of B on a representative of h); kept because
+        ``bracket_table`` reads it for the D<X_j, alpha_i> term."""
         h0coords = vec(h0coords)
         if len(h0coords) != self.h0.dim:
             raise CourantError("H0 coordinate length mismatch")
@@ -205,8 +194,9 @@ class ESpace(CourantSpace):
                     "B does not descend on H0: representative dependence")
 
     def courant_bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """The bracket on chain representatives: the reference the bracket
-        table is tested against."""
+        """The bracket on chain representatives, kept as the reference the
+        bracket table is tested against and as a name the benchmark tracer
+        wraps."""
         hc = self.h1co.dim
         u, v = self._coords(u), self._coords(v)
         X1, X2 = self.derivation_of(u[:hc]), self.derivation_of(v[:hc])
@@ -217,12 +207,6 @@ class ESpace(CourantSpace):
         bterm = connes_B(self.h0.class_to_chain(
             self.pairing_classes(v[:hc], u[hc:])))
         return xb + self.h1.reduce_chain(t + bterm)
-
-    def skew_bracket(self, u: Sequence, v: Sequence) -> tuple:
-        half = Q(1, 2)
-        return vec(p - half * q for p, q in
-                   zip(self.courant_bracket(u, v),
-                       self.d_map(self.form(u, v))))
 
     # -- structure tensors --------------------------------------------------
 
@@ -277,27 +261,22 @@ class ESpace(CourantSpace):
         return Span(self.center_basis, tagged=True)
 
     def center_coords(self, zcoords: Sequence) -> tuple:
-        """Coordinates of a central element over ``center_basis``."""
+        """Coordinates of a central element over ``center_basis``; kept
+        because ``dirac._anchor_table`` reads the anchor through it."""
         w, c = self._center.split(zcoords)
         if w:
             raise CourantError("element is not central")
         return dense(c, self._center.n)
 
     def center_action(self, xcoords: Sequence, zcoords: Sequence) -> tuple:
-        """X(z) for z central; the result is checked to be central again."""
+        """X(z) for z central; the result is checked to be central again.
+        Kept because ``dirac._anchor_table`` builds the anchor from it."""
         if not self._center.contains(zcoords):
             raise CourantError("center_action: element is not central")
         out = row_combination(vec(zcoords), self.derivation_of(xcoords))
         if not self._center.contains(out):
             raise CourantError("center_action: image left the center")
         return out
-
-    def h0_action(self, xcoords: Sequence, h0coords: Sequence) -> tuple:
-        """The action of a derivation class on H_0 = A/[A, A] (well-defined
-        because derivations preserve the commutator subspace)."""
-        rep = self.h0.class_to_chain(vec(h0coords))
-        return self.h0.reduce(combine(rep.row, self.derivation_of(xcoords)))
-
 
 class EpsilonSpace(CourantSpace):
     """The quotient of E(A) by the radical ``J`` of the form.

@@ -14,8 +14,8 @@ H0-valued pairing <X, alpha> is the class of i_X(alpha):
 ``interior_product``, then the ``reduce`` of H_0; ``courant.ESpace`` stores
 it as its form table.  A presentation Z/B is one span, ``reduce``,
 eliminated once: the boundaries untagged, then the class reps tagged.  It
-spans Z and answers the cycle and boundary tests; no span of a
-presentation's bases is built again.
+spans Z, so ``reduce.contains`` is the cycle test, and it answers the
+boundary test; no span of a presentation's bases is built again.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ def _inner_rows(A: FiniteAlgebra) -> QMatrix:
                     for row in C), d * d)
 
 
-def inner_derivation(A: FiniteAlgebra, a: Sequence) -> QMatrix:
-    """[a, .] : x -> ax - xa."""
-    return cochain_from_flat(A, combine(sparse(vec(a)), _inner_rows(A)))
-
-
 def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
     """[X, Y]: row j is X(Y(e_j)) - Y(X(e_j))."""
     return QMatrix((_summed_row(itertools.chain(
@@ -277,9 +272,6 @@ class HomologyPresentation(Record):
     @property
     def dim(self) -> int:
         return self.class_reps.rows
-
-    def is_cycle(self, row) -> bool:
-        return self.reduce.contains(row)
 
     def is_boundary(self, row) -> bool:
         # in Z with class 0: the reps are independent modulo B
@@ -400,74 +392,3 @@ def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     ``center`` is their left nullspace."""
     return _presentation(A, 1, derivation_basis(A), _inner_rows(A))
 
-
-# ---------------------------------------------------------------------------
-# descent verification
-
-class DescentCheck(Record):
-    name: str
-    case: str
-    ok: bool
-
-
-class DescentReport(Record):
-    algebra: FiniteAlgebra
-    degree: int
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_descent(A: FiniteAlgebra, n: int, *,
-                   max_dim: Optional[int] = None) -> DescentReport:
-    """Exact verification that L_X, i_X, B and the inner-derivation operators
-    descend to homology at degree n on the given algebra."""
-    pres_n = homology(A, n, max_dim=max_dim)
-    pres_lo = homology(A, n - 1, max_dim=max_dim) if n >= 1 else None
-    check_guard(A.dim, n + 2, max_dim)
-    in_boundaries_hi = Span(_boundary_operator_rows(A, n + 2)).contains
-    checks = []
-
-    def add(name, case, ok):
-        checks.append(DescentCheck(name, case, ok))
-
-    # a chain's image lands in the cycles, or the boundaries, of its degree
-    for xi, xflat in enumerate(derivation_basis(A).sparse_rows):
-        X = cochain_from_flat(A, xflat)
-        for kind, label, rows, test in (
-                ("cycles", "z", pres_n.cycle_basis,
-                 HomologyPresentation.is_cycle),
-                ("boundaries", "b", pres_n.boundary_basis,
-                 HomologyPresentation.is_boundary)):
-            for k, row in enumerate(rows.sparse_rows):
-                c, case = Chain(A, n, row), f"X{xi} {label}{k}"
-                add(f"L_X {kind}->{kind}", case,
-                    test(pres_n, lie_derivative(X, c).row))
-                if pres_lo is not None:
-                    add(f"i_X {kind}->{kind}", case,
-                        test(pres_lo, interior_product(X, c).row))
-
-    for ai, flat in enumerate(_inner_rows(A).sparse_rows):
-        if not flat:
-            continue
-        inner = cochain_from_flat(A, flat)
-        for zi in range(pres_n.dim):
-            z = pres_n.rep_chain(zi)
-            lz = lie_derivative(inner, z)
-            add("L_inner vanishes on homology", f"a{ai} z{zi}",
-                pres_n.is_boundary(lz.row))
-            if pres_lo is not None:
-                iz = interior_product(inner, z)
-                add("i_inner vanishes on homology", f"a{ai} z{zi}",
-                    pres_lo.is_boundary(iz.row))
-
-    for zi in range(pres_n.dim):
-        bBz = boundary_b(connes_B(pres_n.rep_chain(zi)))
-        add("b(B(cycle)) is a boundary", f"z{zi}", pres_n.is_boundary(bBz.row))
-    for bi, b in enumerate(pres_n.boundary_basis.sparse_rows):
-        add("B boundaries->boundaries", f"b{bi}",
-            in_boundaries_hi(connes_B(Chain(A, n, b)).row))
-
-    return DescentReport(A, n, tuple(checks))

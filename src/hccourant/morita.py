@@ -177,7 +177,9 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
 
 def transport_dirac(ctx: MoritaContext, L: Submodule) -> tuple:
     """Image of a Dirac structure under the induced isomorphism, re-verified
-    on the target; returns (submodule, verdict)."""
+    on the target; returns (submodule, verdict).  Kept though only the tests
+    call it: it is the paper's Morita transport, which the ``morita``
+    command is to reach once it reads a submodule."""
     if not ctx.report.ok:
         raise MoritaError("transport requires a verified Morita context")
     if L.ambient is not ctx.src_eps:

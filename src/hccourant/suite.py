@@ -55,14 +55,25 @@ def run_suite(seed: int):
         spaces[name] = (A, E)
         add(f"espace/{name}", True, h1_cohomology=E.h1co.dim,
             h1_homology=E.h1.dim, h0=E.h0.dim, e_dim=E.dim)
-        if E.dim:
-            eps = EpsilonSpace(E)
-            spaces[name] = (A, E, eps)
-            add(f"epsilon/{name}", True, kernel_dim=eps.J.rows,
-                epsilon_dim=eps.dim)
-        else:
+        if not E.dim:
             add(f"epsilon/{name}", True, kernel_dim=0, epsilon_dim=0,
                 note="E(A) = 0")
+            continue
+        eps = EpsilonSpace(E)
+        spaces[name] = (A, E, eps)
+        add(f"epsilon/{name}", True, kernel_dim=eps.J.rows,
+            epsilon_dim=eps.dim)
+        # the first closed two-form, while this algebra's b_2 is cached
+        witness, h2 = find_two_form_witness(E)
+        if witness is None:
+            add(f"two-form/{name}", True, h2_dim=h2.dim,
+                outcome="none found")
+        else:
+            _, verdict = two_form_graph(eps, witness)
+            add(f"two-form/{name}", verdict.dirac, h2_dim=h2.dim,
+                outcome="witness found",
+                witness=[rat_str(x) for x in witness.coords],
+                is_dirac=verdict.dirac)
 
     # structured bracket tables on V[1] n=3
     A3, E3, eps3 = spaces["v1_3"]
@@ -86,23 +97,6 @@ def run_suite(seed: int):
                 agree += 1
         add(f"poisson-random/{name}", agree == RANDOM_TABLES_PER_ALGEBRA,
             cases=RANDOM_TABLES_PER_ALGEBRA, agreements=agree)
-
-    # two-form graphs: the first closed class, wherever epsilon is nonzero
-    for name in BUNDLED_ALGEBRAS:
-        entry = spaces[name]
-        if len(entry) < 3:
-            continue
-        A, E, eps = entry
-        witness, h2 = find_two_form_witness(E)
-        if witness is None:
-            add(f"two-form/{name}", True, h2_dim=h2.dim,
-                outcome="none found")
-        else:
-            _, verdict = two_form_graph(eps, witness)
-            add(f"two-form/{name}", verdict.dirac, h2_dim=h2.dim,
-                outcome="witness found",
-                witness=[rat_str(x) for x in witness.coords],
-                is_dirac=verdict.dirac)
 
     # Morita transport and the opposite algebra
     for name in ("qx2", "v1_2"):

@@ -77,6 +77,29 @@ def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:
     return Chain(A, n, rand_vec(rng, A.dim ** (n + 1)))
 
 
+def ref_inner_derivation(A: FiniteAlgebra, a) -> QMatrix:
+    """The inner derivation [a, .] as a d x d map, row j the product
+    a e_j - e_j a read off ``A.mul``."""
+    rows = []
+    for j in range(A.dim):
+        e = A.basis_vector(j)
+        rows.append(tuple(p - q for p, q in zip(A.mul(a, e), A.mul(e, a))))
+    return QMatrix(rows, cols=A.dim)
+
+
+def ref_h0_action(E, xcoords, h0coords) -> tuple:
+    """A derivation class acting on H_0 = A/[A, A]: X(a) for a
+    representative a of the class, by a dense loop over the rows X(e_j),
+    then reduced to H_0 class coordinates."""
+    X = E.derivation_of(xcoords)
+    a = E.h0.class_to_chain(h0coords).coords
+    out = [Q(0)] * E.algebra.dim
+    for c, row in zip(a, X):
+        for m, t in enumerate(row):
+            out[m] += c * t
+    return E.h0.reduce(out)
+
+
 def dense_structure(A: FiniteAlgebra) -> tuple:
     """The dense table S[i][j] = coordinates of e_i e_j, read off ``A.mul``
     on unit vectors, for reference loops that index a cell."""

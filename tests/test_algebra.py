@@ -5,9 +5,7 @@ import pytest
 
 from hccourant.algebra import (AlgebraError, GuardError, algebra_from_json,
                                algebra_to_json, build_v1, check_guard,
-                               ground_field, make_algebra, matrix_algebra,
-                               opposite_algebra, truncated_poly,
-                               upper_triangular2)
+                               make_algebra, matrix_algebra, opposite_algebra)
 from hccourant.exactlin import HccourantError, Q, QMatrix, nullspace
 from hccourant.files import (BUNDLED_ALGEBRAS, FileFormatError,
                              load_algebra_ref)
@@ -17,13 +15,13 @@ from conftest import dense_structure, is_canonical_table
 
 
 def test_ground_field():
-    A = ground_field()
+    A = load_algebra_ref("q")
     assert A.dim == 1
     assert A.mul((Q(2),), (Q(3),)) == (Q(6),)
 
 
 def test_truncated_poly_relations():
-    A = truncated_poly(3)
+    A = load_algebra_ref("qx3")
     x = A.basis_vector(1)
     x2 = A.mul(x, x)
     assert x2 == A.basis_vector(2)
@@ -40,7 +38,7 @@ def test_v1_products_vanish():
 
 
 def test_matrix_algebra_units_multiply():
-    M = matrix_algebra(ground_field(), 2)
+    M = matrix_algebra(load_algebra_ref("q"), 2)
     # E12 * E21 = E11, E12 * E12 = 0; basis order E11, E12, E21, E22
     e12, e21 = M.basis_vector(1), M.basis_vector(2)
     assert M.mul(e12, e21) == M.basis_vector(0)
@@ -49,7 +47,7 @@ def test_matrix_algebra_units_multiply():
 
 
 def test_upper_triangular2_not_commutative():
-    A = upper_triangular2()
+    A = load_algebra_ref("ut2")
     e11, e12 = A.basis_vector(0), A.basis_vector(1)
     assert A.mul(e11, e12) == e12
     assert A.mul(e12, e11) == (Q(0),) * 3
@@ -159,7 +157,7 @@ def test_opposite_and_matrix_algebra_match_dense_reference(algebras, name):
 
 
 def test_center_of_matrix_algebra_is_scalars():
-    M = matrix_algebra(ground_field(), 2)
+    M = matrix_algebra(load_algebra_ref("q"), 2)
     Z = center(M)
     assert Z.rows == 1
     # the center is spanned by the identity matrix
@@ -169,7 +167,7 @@ def test_center_of_matrix_algebra_is_scalars():
 
 
 def test_center_of_commutative_is_everything():
-    A = truncated_poly(3)
+    A = load_algebra_ref("qx3")
     assert center(A).rows == A.dim
     # span{ab - ba} is the degree-0 boundaries: b(a (x) b) = ab - ba
     assert homology(A, 0).boundary_basis.rows == 0
@@ -193,13 +191,13 @@ def test_center_matches_dense_reference(algebras, name):
 
 
 def test_commutator_subspace_m2q():
-    M = matrix_algebra(ground_field(), 2)
+    M = matrix_algebra(load_algebra_ref("q"), 2)
     # sl2: traceless matrices
     assert homology(M, 0).boundary_basis.rows == 3
 
 
 def test_opposite_of_commutative_identical():
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     B = opposite_algebra(A)
     assert B.structure == A.structure
 

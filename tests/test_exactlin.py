@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, AlgebraError, FiniteAlgebra,
-                               GuardError, check_guard, truncated_poly)
+                               GuardError, check_guard)
 from hccourant.dirac import DiracVerdict
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 canonical_row, combine, contract, dense,
@@ -18,7 +18,7 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 rat, rat_str, row_combination, row_space,
                                 rref, rref_transform, sparse, sparse_table,
                                 vec)
-from hccourant.files import BUNDLED_ALGEBRAS
+from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import Chain, HochschildError, homology
 from hccourant.morita import OppositeReport
 from conftest import is_canonical_table, is_number
@@ -949,7 +949,7 @@ def test_no_float_can_enter_the_package():
 def _records():
     """(class, field values, one field changed) for a record of each kind:
     a chain, an algebra, a verdict and a report."""
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     return [(Chain, (A, 1, ((1, 1), (2, -1))), {"row": ((1, 1),)}),
             (FiniteAlgebra, (A.name, A.dim, A.basis_names, A.structure,
                              A.unit), {"name": "renamed"}),
@@ -1013,7 +1013,7 @@ def test_record_post_init_still_validates():
                                        basis_names=basis, structure=bad)):
         with pytest.raises(AlgebraError, match="associativity"):
             make()
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     for make in (lambda: Chain(A, 1, ((4, 1),)),
                  lambda: Chain(algebra=A, degree=0, row=((0, 1), (2, 1))),
                  lambda: Chain(A, 1, (1, 0, 0))):

@@ -3,13 +3,12 @@ transport, and the opposite-algebra comparison."""
 
 import pytest
 
-from hccourant.algebra import (build_v1, ground_field, matrix_algebra,
-                               truncated_poly, upper_triangular2)
+from hccourant.algebra import build_v1, matrix_algebra
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import Submodule, is_dirac, lie_algebroid_check, \
     make_bracket_table, poisson_graph, two_form, two_form_graph
 from hccourant.exactlin import QMatrix
-from hccourant.files import BUNDLED_ALGEBRAS
+from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import boundary_b, elementary_chain, homology
 from hccourant import morita
 from hccourant.morita import (MoritaError, cotr, inc, transport_dirac,
@@ -22,13 +21,13 @@ from conftest import _ref_is_derivation, perturbed_table
 def test_m2q_homology_matches_ground_field():
     """Direct rank computation on M_2(Q) against the ground-field values
     H_0(Q) = Q, H_1(Q) = 0."""
-    M = matrix_algebra(ground_field(), 2)
+    M = matrix_algebra(load_algebra_ref("q"), 2)
     assert homology(M, 0).dim == 1
     assert homology(M, 1).dim == 0
 
 
 def test_cotr_is_a_derivation():
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     M = matrix_algebra(A, 2)
     X = QMatrix(((0, 0), (0, 1)))  # x d/dx
     TX = cotr(X, M, 2)
@@ -36,7 +35,7 @@ def test_cotr_is_a_derivation():
 
 
 def test_inc_preserves_cycles():
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     M = matrix_algebra(A, 2)
     c = elementary_chain(A, (0, 1))
     ic = inc(c, M, 2)
@@ -46,12 +45,12 @@ def test_inc_preserves_cycles():
 
 
 def test_exact_corner_homotopy_identity():
-    for A in (truncated_poly(2), build_v1(2), upper_triangular2()):
+    for A in (load_algebra_ref("qx2"), build_v1(2), load_algebra_ref("ut2")):
         assert _check_homotopy_identity(A, matrix_algebra(A, 2), 2)
 
 
 def test_verify_morita_qx2():
-    ctx = verify_morita(truncated_poly(2), 2)
+    ctx = verify_morita(load_algebra_ref("qx2"), 2)
     assert ctx.report.ok
     assert ctx.src_eps.dim == ctx.tgt_eps.dim == 2
 
@@ -82,23 +81,23 @@ def test_transport_dirac_structure():
 
 
 def test_transport_requires_matching_quotient():
-    ctx = verify_morita(truncated_poly(2), 2)
+    ctx = verify_morita(load_algebra_ref("qx2"), 2)
     other = verify_morita(build_v1(2), 2)
     L = Submodule(other.src_eps, QMatrix([], cols=other.src_eps.dim))
     with pytest.raises(MoritaError):
         transport_dirac(ctx, L)
 
 
-@pytest.mark.parametrize("factory", (upper_triangular2,
-                                     lambda: truncated_poly(3),
-                                     lambda: build_v1(2)))
+@pytest.mark.parametrize("factory", (lambda: load_algebra_ref("qx3"),
+                                     lambda: build_v1(2),
+                                     lambda: load_algebra_ref("ut2")))
 def test_opposite_algebra_same_presentation(factory):
     rep = verify_opposite(ESpace(factory()))
     assert rep.ok, rep
 
 
 def test_ut2_has_trivial_e_on_both_sides():
-    E = ESpace(upper_triangular2())
+    E = ESpace(load_algebra_ref("ut2"))
     assert E.dim == 0
     rep = verify_opposite(E)
     assert rep.ok
@@ -116,7 +115,7 @@ def _perturbing_espace(source):
 
 
 def test_opposite_bracket_comparison_can_fail(monkeypatch):
-    A = truncated_poly(3)
+    A = load_algebra_ref("qx3")
     E = ESpace(A)
     monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
     rep = verify_opposite(E)
@@ -125,7 +124,7 @@ def test_opposite_bracket_comparison_can_fail(monkeypatch):
 
 
 def test_morita_bracket_comparison_can_fail(monkeypatch):
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
     monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
     rep = verify_morita(A, 2).report
     assert rep.pairing_preserved and rep.homotopy_identity
@@ -185,7 +184,7 @@ def test_morita_pairing_comparison_can_fail(monkeypatch):
     """A perturbed pairing <X_0, alpha_0> on the target fails the pairing
     identity only: both quotients, and the bracket table the target's is
     checked with, are built from the true form first."""
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
 
     def build(E):
         eps = EpsilonSpace(E)
@@ -204,7 +203,7 @@ def test_morita_pairing_comparison_can_fail(monkeypatch):
     ("bracket_table", "quotient_bracket_preserved"),
     ("form_table", "quotient_form_preserved")))
 def test_morita_quotient_comparisons_can_fail(monkeypatch, attr, flag):
-    A = truncated_poly(2)
+    A = load_algebra_ref("qx2")
 
     def build(E):
         eps = EpsilonSpace(E)
@@ -218,7 +217,7 @@ def test_morita_quotient_comparisons_can_fail(monkeypatch, attr, flag):
 
 
 def test_opposite_form_comparison_can_fail(monkeypatch):
-    A = truncated_poly(3)
+    A = load_algebra_ref("qx3")
     E = ESpace(A)
 
     def build(B, **kwargs):
