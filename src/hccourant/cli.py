@@ -105,9 +105,9 @@ def _cmd_courant(args):
     E = ESpace(A, max_dim=args.guard)
     rep = _e_presentation(E)
     rep["algebra"] = A.name
-    rep["pairing_table"] = [
-        [_rvec(E.pairing_classes(x, a)) for a in QMatrix.identity(E.h1.dim)]
-        for x in QMatrix.identity(E.h1co.dim)]
+    e, hc = QMatrix.identity(E.dim), E.h1co.dim  # <X_i, alpha_j>
+    rep["pairing_table"] = [[_rvec(E.form(e[i], e[hc + j]))
+                             for j in range(E.h1.dim)] for i in range(hc)]
     return rep, EXIT_OK
 
 
@@ -312,8 +312,6 @@ def _emit_text(doc, out, indent=0):
                 _emit_text(v, out, indent + 1)
             else:
                 out.write(f"{pad}- {_flat_str(v)}\n")
-    else:
-        out.write(f"{pad}{_flat_str(doc)}\n")
 
 
 def _is_flat(v):

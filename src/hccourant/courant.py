@@ -19,10 +19,12 @@ ascending (k, t) pairs with t != 0), so two tables are equal exactly when
 a caller contracts ``z_table``, and ``orthogonal`` reads every radical and
 orthogonal off the form table, once for both spaces.  ESpace stores its
 form once: the form table, built at construction from the pairings
-<X, alpha>, the class of i_X alpha in H_0, its only nonzero block.  It
-builds its bracket and Z tables from the chain-level rules on first use,
-so a space that never brackets pays nothing; its ``courant_bracket`` is
-the reference they are tested against.
+<X, alpha>, the class of i_X alpha in H_0, its only nonzero block, so
+<X, alpha> is ``form((X, 0), (0, alpha))``.  It builds its bracket and Z
+tables from the chain-level rules on first use, so a space that never
+brackets pays nothing: the bracket table reads the pairings off the form
+table and D as one matrix, that of B: H_0 -> H_1.  Its
+``courant_bracket`` is the reference they are tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -42,9 +44,9 @@ from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ZERO, HccourantError, QMatrix, Span, bilinear,
-                       contract, dense, nullspace, pullback, pushforward,
-                       quotient_basis, row_combination, sparse, sparse_row,
-                       vec)
+                       combine, contract, dense, nullspace, pullback,
+                       pushforward, quotient_basis, row_combination, sparse,
+                       sparse_row, vec)
 from .hochschild import (Chain, center, cochain_from_flat, cohomology_h1,
                          commutator, connes_B, flat_cochain, h_left_multiply,
                          homology, interior_product, lie_derivative)
@@ -145,7 +147,7 @@ class ESpace(CourantSpace):
                 F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(
                     interior_product(X, self.h1.rep_chain(j)).row))
         self.form_table = tuple(map(sparse_row, F))
-        self._check_d_map_descent()
+        self._check_b_descends()
 
     @staticmethod
     def check_guard(dim: int, max_dim: Optional[int] = None) -> None:
@@ -165,26 +167,11 @@ class ESpace(CourantSpace):
 
     # -- the structure maps -------------------------------------------------
 
-    def pairing_classes(self, xcoords: Sequence, acoords: Sequence) -> tuple:
-        """<X, alpha> in H_0 class coordinates, bilinear in class coords:
-        the (X, alpha) block of ``form_table``."""
-        return dense(contract(sparse(xcoords), sparse(acoords, self.h1co.dim),
-                              self.form_table), self.h0_dim)
-
     def rho(self, u: Sequence) -> tuple:
         """The anchor: the H^1 part of an E(A) vector."""
         return self._coords(u)[:self.h1co.dim]
 
-    def d_map(self, h0coords: Sequence) -> tuple:
-        """D(h) = (0, class of B on a representative of h); kept because
-        ``bracket_table`` reads it for the D<X_j, alpha_i> term."""
-        h0coords = vec(h0coords)
-        if len(h0coords) != self.h0.dim:
-            raise CourantError("H0 coordinate length mismatch")
-        rep = self.h0.class_to_chain(h0coords)
-        return (ZERO,) * self.h1co.dim + self.h1.reduce_chain(connes_B(rep))
-
-    def _check_d_map_descent(self):
+    def _check_b_descends(self):
         # B of a commutator representative must land in the boundaries,
         # otherwise D would depend on the representative
         A = self.algebra
@@ -204,8 +191,9 @@ class ESpace(CourantSpace):
         a2 = self.h1.class_to_chain(v[hc:])
         xb = self.class_of_derivation(commutator(X1, X2))
         t = lie_derivative(X1, a2) - lie_derivative(X2, a1)
+        zx, za = (ZERO,) * hc, (ZERO,) * self.h1.dim
         bterm = connes_B(self.h0.class_to_chain(
-            self.pairing_classes(v[:hc], u[hc:])))
+            self.form(v[:hc] + za, zx + u[hc:])))  # <X2, a1>
         return xb + self.h1.reduce_chain(t + bterm)
 
     # -- structure tensors --------------------------------------------------
@@ -215,7 +203,9 @@ class ESpace(CourantSpace):
         """bracket_table[i][j] = [[e_i, e_j]] in E coordinates, assembled
         from the chain rules on class-basis pairs: [X_i, X_j] (skew),
         L_X_i alpha_j, and -L_X_j alpha_i + D<X_j, alpha_i>; (alpha, alpha)
-        pairs bracket to 0."""
+        pairs bracket to 0.  D is the matrix of B: H_0 -> H_1, row h the
+        class of B on the H_0 class rep h, and <X_i, alpha_j> is cell
+        (i, hc + j) of ``form_table``."""
         hc, hh = self.h1co.dim, self.h1.dim
         T = [{} for _ in range(self.dim)]
         X = self.derivations
@@ -224,14 +214,14 @@ class ESpace(CourantSpace):
                 c = self.class_of_derivation(commutator(X[i], X[j]))
                 T[i][j] = sparse(c)
                 T[j][i] = sparse([-x for x in c])
-        D = QMatrix([self.d_map(h)[hc:]
-                     for h in QMatrix.identity(self.h0.dim)], cols=hh)
-        ex, ea = QMatrix.identity(hc), QMatrix.identity(hh)
+        D = QMatrix([self.h1.reduce_chain(connes_B(self.h0.rep_chain(h)))
+                     for h in range(self.h0.dim)], cols=hh)
         for i in range(hc):
+            pairings = dict(self.form_table[i])
             for j in range(hh):
                 lx = self.h1.reduce_chain(
                     lie_derivative(X[i], self.h1.rep_chain(j)))
-                back = row_combination(self.pairing_classes(ex[i], ea[j]), D)
+                back = dense(combine(pairings.get(hc + j, ()), D), hh)
                 T[i][hc + j] = sparse(lx, hc)
                 T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
         return tuple(map(sparse_row, T))
@@ -256,27 +246,6 @@ class ESpace(CourantSpace):
             table.append(row)
         return tuple(map(sparse_row, table))
 
-    @cached_property
-    def _center(self) -> Span:
-        return Span(self.center_basis, tagged=True)
-
-    def center_coords(self, zcoords: Sequence) -> tuple:
-        """Coordinates of a central element over ``center_basis``; kept
-        because ``dirac._anchor_table`` reads the anchor through it."""
-        w, c = self._center.split(zcoords)
-        if w:
-            raise CourantError("element is not central")
-        return dense(c, self._center.n)
-
-    def center_action(self, xcoords: Sequence, zcoords: Sequence) -> tuple:
-        """X(z) for z central; the result is checked to be central again.
-        Kept because ``dirac._anchor_table`` builds the anchor from it."""
-        if not self._center.contains(zcoords):
-            raise CourantError("center_action: element is not central")
-        out = row_combination(vec(zcoords), self.derivation_of(xcoords))
-        if not self._center.contains(out):
-            raise CourantError("center_action: image left the center")
-        return out
 
 class EpsilonSpace(CourantSpace):
     """The quotient of E(A) by the radical ``J`` of the form.

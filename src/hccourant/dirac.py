@@ -34,9 +34,11 @@ The tests' reference is the chain-level loop over ``A.mul``, which reads
 no table of this module.
 
 The anchor of a Lie algebroid is a sparse table cached per quotient, read
-through ``EpsilonSpace.rho``, which refuses where it does not descend.  The
-anchor law rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
-[[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid,
+through ``EpsilonSpace.rho``, which refuses where it does not descend; each
+image X_a(c_m) is split against one span of the centre basis, and one that
+leaves the centre raises.  The anchor law rho[[u, v]] = [rho u, rho v] and
+the central Leibniz rule [[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the
+whole Courant algebroid,
 not only on a Dirac structure (Liu-Weinstein-Xu, Manin triples for Lie
 bialgebroids, 1997; Uchino, Remarks on the definition of a Courant
 algebroid, 2002).  So their defects are two tables cached per quotient,
@@ -69,8 +71,8 @@ from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        _over, combine, combine_tables, contract, dense,
                        nullspace, pullback, pushforward, rank, rat_str,
-                       row_combination, sparse, sparse_row, sparse_table,
-                       transpose_table, vec)
+                       sparse, sparse_row, sparse_table, transpose_table,
+                       vec)
 from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
                          interior_product, leibniz_operator)
 
@@ -415,7 +417,7 @@ def two_form(E: ESpace, coords: Sequence) -> TwoFormClass:
     coords = vec(coords)
     if len(coords) != h2.dim:
         raise DiracError("2-form coordinate length mismatch")
-    values = row_combination(coords, _two_form_conditions(h2, h3).transpose())
+    values = h3.reduce_chain(connes_B(h2.class_to_chain(coords)))
     r = next((r for r, x in enumerate(values) if x), None)
     if r is not None:
         raise DiracError(f"2-form is not closed: H_3 coordinate {r} of "
@@ -453,12 +455,17 @@ def find_two_form_witness(E: ESpace):
 def _anchor_table(eps: EpsilonSpace) -> tuple:
     """The anchor on the centre as a sparse table: cell (a, m) is X_a(c_m) in
     centre coordinates, for X_a = ``eps.rho(e_a)`` and c_m the centre basis.
-    ``center_action`` checks on every basis pair that c_m and its image are
-    central, which by linearity covers every u and z."""
-    E = eps.espace
-    return sparse_table(
-        (E.center_coords(E.center_action(eps.rho(u), c))
-         for c in E.center_basis) for u in QMatrix.identity(eps.dim))
+    Each image is split against the centre's span and raises if it leaves
+    the centre; by linearity the basis pairs cover every u and z."""
+    E, cb = eps.espace, eps.center_basis
+    centre, table = Span(cb, tagged=True), []
+    for u in QMatrix.identity(eps.dim):
+        X = E.derivation_of(eps.rho(u))
+        cells = [centre.split(combine(c, X)) for c in cb.sparse_rows]
+        if any(w for w, _ in cells):
+            raise DiracError("the anchor maps the centre out of the centre")
+        table.append(tuple((m, c) for m, (_, c) in enumerate(cells) if c))
+    return tuple(table)
 
 
 @functools.lru_cache(maxsize=8)

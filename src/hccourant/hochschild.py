@@ -5,9 +5,10 @@ lexicographically by (i_0, ..., i_n).  A ``Chain`` stores one sparse row
 over them, in the row form of ``QMatrix``, so every operator visits only
 nonzero terms; ``coords`` is a dense read-only view.  A derivation, like
 any linear map X: A -> A, is the d x d ``QMatrix`` whose row j is X(e_j).
-The module provides the boundary b, Connes' boundary B, the Lie derivative
-and interior product of a derivation, and homology/cohomology presentations
-with deterministic class representatives.  One matrix, the rows ad(e_i),
+The module provides the boundary b, one row combination of its cached
+matrix b_n, Connes' boundary B, the Lie derivative and interior product of
+a derivation, and homology/cohomology presentations with deterministic
+class representatives.  One matrix, the rows ad(e_i),
 gives H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the
 kernel of ad: A -> Der(A), and the inner derivations are its image.  The
 H0-valued pairing <X, alpha> is the class of i_X(alpha):
@@ -164,9 +165,10 @@ def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
 # ---------------------------------------------------------------------------
 # chain-level operators
 #
-# Each operator is a rule on elementary tensors: ``terms(a)`` yields the
-# (multi-index, coefficient) pairs of its image on e_a0 (x) ... (x) e_an, and
-# ``_apply`` extends the rule linearly.
+# b is the cached matrix b_n (``_boundary_operator_rows``).  L_X, i_X, B and
+# a' . are rules on elementary tensors: ``terms(a)`` yields the
+# (multi-index, coefficient) pairs of the image of e_a0 (x) ... (x) e_an,
+# and ``_apply`` extends the rule linearly.
 
 def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
     """The linear extension of a basis-term rule, applied to c."""
@@ -175,27 +177,13 @@ def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
                              for b, y in terms(a)))
 
 
-def _b_terms(A: FiniteAlgebra, n: int) -> Callable:
-    """b on a degree-n basis chain: the face maps a_i a_(i+1) with sign
-    (-1)^i, plus the cyclic last face a_n a_0 with sign (-1)^n."""
-    cells = [dict(row) for row in A.structure]
-
-    def terms(a):
-        for i in range(n):
-            for k, p in cells[a[i]].get(a[i + 1], ()):
-                yield a[:i] + (k,) + a[i + 2:], (-p if i % 2 else p)
-        for k, p in cells[a[n]].get(a[0], ()):
-            yield (k,) + a[1:n], (-p if n % 2 else p)
-
-    return terms
-
-
 def boundary_b(c: Chain) -> Chain:
     """The Hochschild boundary: face maps plus the cyclic last face with
-    sign (-1)^n."""
+    sign (-1)^n, one row combination of the cached b_n."""
     if c.degree < 1:
         raise HochschildError("boundary undefined in degree 0")
-    return _apply(c, c.degree - 1, _b_terms(c.algebra, c.degree))
+    A, n = c.algebra, c.degree
+    return Chain(A, n - 1, combine(c.row, _boundary_operator_rows(A, n)))
 
 
 def lie_derivative(X: QMatrix, c: Chain) -> Chain:

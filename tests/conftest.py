@@ -8,9 +8,10 @@ import pytest
 
 from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.exactlin import Q, QMatrix, row_combination
+from hccourant.exactlin import Q, ZERO, QMatrix, Span, row_combination
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import Chain, cochain_from_flat, derivation_basis
+from hccourant.hochschild import (Chain, cochain_from_flat, connes_B,
+                                  derivation_basis)
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +99,32 @@ def ref_h0_action(E, xcoords, h0coords) -> tuple:
         for m, t in enumerate(row):
             out[m] += c * t
     return E.h0.reduce(out)
+
+
+def ref_pairing(E, xcoords, acoords) -> tuple:
+    """<X, alpha> in H_0 class coordinates, as the form of (X, 0) and
+    (0, alpha)."""
+    hc, hh = E.h1co.dim, E.h1.dim
+    return E.form(tuple(xcoords) + (ZERO,) * hh, (ZERO,) * hc + tuple(acoords))
+
+
+def ref_d_map(E, h0coords) -> tuple:
+    """D(h) = (0, class of B on the chain of h) in E coordinates, built on
+    the chain, where ``bracket_table`` reads the matrix of B: H_0 -> H_1."""
+    return ((ZERO,) * E.h1co.dim
+            + E.h1.reduce_chain(connes_B(E.h0.class_to_chain(h0coords))))
+
+
+def ref_center_coords(E, z) -> tuple:
+    """Coordinates of a central z over ``center_basis``; raises when z is
+    not central."""
+    return Span(E.center_basis, tagged=True)(z)
+
+
+def ref_center_action(E, xcoords, z) -> tuple:
+    """X(z), for X the derivation of ``xcoords``: z's row combination of
+    the rows X(e_j)."""
+    return row_combination(z, E.derivation_of(xcoords))
 
 
 def dense_structure(A: FiniteAlgebra) -> tuple:

@@ -361,6 +361,69 @@ def test_string_for_a_rational_list_exit_2(tmp_path, capsys, argv, doc):
     assert doc["error"] and "\n" not in doc["error"]
 
 
+# (arguments, the file written after them or None, a word of the error)
+REFUSED = {
+    "omni-dim-0": (["omni", "--dim", "0"], None, "n >= 1"),
+    "omni-dim-negative": (["omni", "--dim", "-1"], None, "n >= 1"),
+    "dirac-check-neither": (["dirac-check", "--algebra", "v1_3"], None,
+                            "exactly one"),
+    "dirac-check-both": (["dirac-check", "--algebra", "v1_3", "--bracket",
+                          "bracket_so3_v1_3", "--submodule", "x.json"], None,
+                         "exactly one"),
+    "algebra-dimension-0": (["validate", "--algebra"], {
+        "name": "x", "dimension": 0, "basis": [], "unit": [],
+        "structure": []}, "dimension must be >= 1"),
+    "algebra-unit-length": (["validate", "--algebra"],
+                            dict(_bundled_doc("qx2"), unit=["1"]),
+                            "inconsistent dimensions"),
+    "bracket-algebra-number": (["dirac-check", "--algebra", "v1_3",
+                                "--bracket"], {"algebra": 5, "entries": []},
+                               "'algebra' must be a name"),
+    "bracket-no-entries": (["dirac-check", "--algebra", "v1_3", "--bracket"],
+                           {"algebra": "v1_3"}, "missing 'entries'"),
+    "bracket-entries-object": (["dirac-check", "--algebra", "v1_3",
+                                "--bracket"], {"entries": {}},
+                               "not a list of [i, j, coords] entries"),
+    "bracket-no-such-name": (["dirac-check", "--algebra", "v1_3", "--bracket",
+                              "bracket_no_such_v1_3"], None,
+                             "no such bracket-table file or bundled name"),
+    "submodule-no-ambient": (["dirac-check", "--algebra", "v1_2",
+                              "--submodule"],
+                             {"vectors": [[1, 0, 0, 0, 0, 0]]},
+                             "need 'ambient' and 'vectors'"),
+    "submodule-vector-length": (["dirac-check", "--algebra", "v1_2",
+                                 "--submodule"],
+                                {"ambient": "epsilon", "vectors": [[1, 0]]},
+                                "does not match the ambient dimension 6"),
+    "two-form-no-coords": (["two-form", "--algebra", "v1_2", "--omega"],
+                           {"algebra": "v1_2"}, "need rational 'coords'"),
+    "dirac-check-zero-quotient": (["dirac-check", "--algebra", "q",
+                                   "--submodule"],
+                                  {"ambient": "E", "vectors": []},
+                                  "the quotient is zero"),
+    "poisson-graph-noncommutative": (["poisson-graph", "--algebra", "m2q",
+                                      "--bracket"], {"entries": []},
+                                     "require a commutative algebra"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_exit_2_one_line_error(tmp_path, capsys, case):
+    """An option out of range, a pair of options that exclude each other,
+    a file with a field missing or of the wrong kind, and an input the
+    mathematics refuses all exit 2 with a one-line error naming the fault."""
+    argv, doc, words = REFUSED[case]
+    if doc is not None:
+        p = tmp_path / "file.json"
+        p.write_text(json.dumps(doc))
+        argv = argv + [str(p)]
+    code, out = run(argv + ["--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exit_code"] == 2
+    assert words in doc["error"] and "\n" not in doc["error"]
+
+
 def _rational_list_files(value):
     """The five file kinds above, each with ``value`` as one of its
     rationals and otherwise well formed."""
@@ -1228,6 +1291,18 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
 # the false side: not Poisson, not closed, with the closure counterexample
 PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_seed7.json"] = (
     _poisson_graph("bracket_nonjacobi_v1_3"), 1)
+
+
+def _omni_mu(name):
+    return ["omni", "--dim", "3", "--mu",
+            str(Path(__file__).parent / "data" / f"mu_{name}_3.json")]
+
+
+# the D-structure verdict: the graph of so(3) on Q^3 is Dirac, and that of
+# the non-skew mu(v_0, v_1) = v_0 is not, with its closure counterexample
+# at the pair (0, 1)
+PINNED_REPORTS["omni_dim3_mu_so3.json"] = (_omni_mu("so3"), 0)
+PINNED_REPORTS["omni_dim3_mu_nonskew.json"] = (_omni_mu("nonskew"), 1)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

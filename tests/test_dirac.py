@@ -36,7 +36,8 @@ from hccourant import omni
 from hccourant.omni import build_omni_iso, d_structure_check
 from conftest import (_ref_is_derivation, dense_structure, is_number,
                       load_script, monomial_algebra, rand_combination,
-                      rand_derivation, rand_vec, rng_for)
+                      rand_derivation, rand_vec, ref_center_action,
+                      ref_center_coords, rng_for)
 
 
 def _table(A, entries):
@@ -1204,12 +1205,13 @@ def test_hamiltonian_values_are_derivations_vanishing_on_boundaries(
 
 def _ref_sigma(eps, u):
     """The anchor of u on the centre, by the body the anchor table replaced:
-    row m is X(c_m) in centre coordinates, through ``center_action``."""
+    row m is X(c_m) in centre coordinates, through the chain-level
+    ``ref_center_action`` on the lift of u."""
     E = eps.espace
     cb = E.center_basis
     x = E.rho(eps.lift(u))
-    return QMatrix([E.center_coords(E.center_action(x, z)) for z in cb],
-                   cols=cb.rows)
+    return QMatrix([ref_center_coords(E, ref_center_action(E, x, z))
+                    for z in cb], cols=cb.rows)
 
 
 def _table_sigma(eps, u):
@@ -1273,15 +1275,21 @@ def _from_products(name, basis, products, unit):
     return make_algebra(name, basis, table, [int(b in unit) for b in basis])
 
 
-def test_anchor_descends_when_the_radical_has_no_h1_part():
-    """Lambda_{-1} = Q<x, y>/(x^2, y^2, xy + yx) is not commutative, yet
-    its radical lies in the H_1 summand: rho descends, and the anchor
-    table is read through it, nonzero on class reps 0 and 3."""
+def _lambda_minus_one():
+    """E(A) for Lambda_{-1} = Q<x, y>/(x^2, y^2, xy + yx), basis 1, x, y,
+    xy; its centre is spanned by 1 and xy."""
     basis = ("1", "x", "y", "xy")
     products = {("x", "y"): ("xy", 1), ("y", "x"): ("xy", -1)}
     for b in basis:
         products["1", b] = products[b, "1"] = (b, 1)
-    E = ESpace(_from_products("Lambda_-1", basis, products, ("1",)))
+    return ESpace(_from_products("Lambda_-1", basis, products, ("1",)))
+
+
+def test_anchor_descends_when_the_radical_has_no_h1_part():
+    """Lambda_{-1} is not commutative, yet its radical lies in the H_1
+    summand: rho descends, and the anchor table is read through it, nonzero
+    on class reps 0 and 3."""
+    E = _lambda_minus_one()
     eps = EpsilonSpace(E)
     assert not E.algebra.is_commutative()
     assert eps.J.rows and not any(any(r[:E.h1co.dim]) for r in eps.J)
@@ -1289,6 +1297,19 @@ def test_anchor_descends_when_the_radical_has_no_h1_part():
         assert eps.rho(u) == E.rho(eps.lift(u))
         assert _table_sigma(eps, u) == _ref_sigma(eps, u)
     assert [a for a, row in enumerate(_anchor_table(eps)) if row] == [0, 3]
+
+
+def test_anchor_table_refuses_an_image_outside_the_centre(monkeypatch):
+    """The anchor table splits each image X_a(c_m) against the centre: with
+    every anchor read as the map 1 -> x (not a derivation), the image of
+    the unit is x, which is not central in Lambda_{-1}, and the table
+    raises instead of giving it centre coordinates."""
+    E = _lambda_minus_one()
+    eps = EpsilonSpace(E)
+    to_x = QMatrix([(0, 1, 0, 0)] + [(0,) * 4] * 3, cols=4)
+    monkeypatch.setattr(E, "derivation_of", lambda xcoords: to_x)
+    with pytest.raises(DiracError, match="out of the centre"):
+        _anchor_table(eps)
 
 
 def test_anchor_is_refused_when_the_radical_has_an_h1_part():
