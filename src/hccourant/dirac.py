@@ -19,10 +19,10 @@ Z-stable exactly when the actions independent of the identity preserve it.
 On every epsilon(V[1]) the centre acts by scalars, so the test is empty.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
-isotropic L, so closure is tested on the pairs i <= j there.  An isotropic L
-lies in its orthogonal, so it is maximal exactly when dim L-perp = dim L.  A
-skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws`` sums it
-on i < j < k once skew-symmetry holds.
+isotropic L, where 2[[u, u]] = D(u, u) = 0, so closure is tested on the pairs
+i < j there.  An isotropic L lies in its orthogonal, so it is maximal exactly
+when dim L-perp = dim L.  A skew bracket's Jacobiator is totally
+antisymmetric, so ``lie_laws`` sums it on i < j < k once skew-symmetry holds.
 
 A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
 cached per space, holds the H^1 class coordinates of the values of every
@@ -150,14 +150,15 @@ def is_maximally_isotropic(L: Submodule) -> bool:
 def is_bracket_closed(L: Submodule):
     """Returns (closed, counterexample); the counterexample names the first
     failing pair of spanning indices in row-major order and the offending
-    bracket value, as a dense tuple.  On an isotropic L the bracket is skew,
-    so the pairs i <= j decide and hold that first failure.  The test runs
-    on ``int_rows``; the counterexample is the bracket of the RREF rows,
-    read off the integer bracket: RREF row i is ``int_rows[i]`` over its
-    pivot entry p_i, so their bracket is the integer one over p_i p_j."""
+    bracket value, as a dense tuple.  On an isotropic L the bracket is skew
+    and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
+    (a diagonal pair never fails there).  The test runs on ``int_rows``; the
+    counterexample is the bracket of the RREF rows, read off the integer
+    bracket: RREF row i is ``int_rows[i]`` over its pivot entry p_i, so
+    their bracket is the integer one over p_i p_j."""
     vs, T = L.int_rows, L.ambient.bracket_table
     for i in range(L.dim):
-        for j in range(i if L.isotropic else 0, L.dim):
+        for j in range(i + 1 if L.isotropic else 0, L.dim):
             b = contract(vs[i], vs[j], T)
             if not L.contains(b):
                 b = _over(dict(b), vs[i][0][1] * vs[j][0][1])

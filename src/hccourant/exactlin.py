@@ -467,7 +467,9 @@ class Span:
     row as a combination of the tags of the rows added.  Built with
     ``tagged``, row i of M carries {i: 1}, so tags are coefficients over the
     rows of M and ``n``, the number of tagged rows, is M.rows; otherwise
-    every tag is {} and n is 0.
+    every tag is {} and n is 0, and each distinct row of M is offered once
+    (the zero row too): a repeat of an earlier row lies in the span, so
+    its residual is 0 and ``add`` would change nothing.
     A row with denominators is multiplied once, with its tag, by the lcm of
     its denominators (``_integral``), when a non-unit pivot or the new
     pivot row needs ints.  A row w is reduced by pivot row p as
@@ -497,7 +499,8 @@ class Span:
         self.tags = {}
         self.index = {}
         self.n = M.rows if tagged else 0
-        for i, row in enumerate(M.sparse_rows):
+        rows = M.sparse_rows if tagged else dict.fromkeys(M.sparse_rows)
+        for i, row in enumerate(rows):
             self.add(row, {i: ONE} if tagged else {})
 
     @property

@@ -179,10 +179,13 @@ def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
 
 def boundary_b(c: Chain) -> Chain:
     """The Hochschild boundary: face maps plus the cyclic last face with
-    sign (-1)^n, one row combination of the cached b_n."""
+    sign (-1)^n, one row combination of the cached b_n.  b_n has d^(n+1)
+    rows, so it is refused (``GuardError``) past ``MAX_CHAIN_DIM``, the
+    bound every homology obeys, before any row is built."""
     if c.degree < 1:
         raise HochschildError("boundary undefined in degree 0")
     A, n = c.algebra, c.degree
+    check_guard(A.dim, n, A.dim)
     return Chain(A, n - 1, combine(c.row, _boundary_operator_rows(A, n)))
 
 

@@ -21,7 +21,7 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import Chain, HochschildError, homology
 from hccourant.morita import OppositeReport
-from conftest import is_canonical_table, is_number
+from conftest import is_canonical_table, is_number, rng_for
 
 rationals = st.builds(
     lambda p, q: Q(p) / Q(q),
@@ -911,6 +911,48 @@ def test_span_column_index_covers_every_stored_entry(case):
             span.add(row, {i: 1})
             assert all(q in span.index.get(k, ()) for q, r in span.rows.items()
                        for k in r)
+
+
+@pytest.mark.parametrize("kind", ("int", "rational"))
+@pytest.mark.parametrize("seed", range(12))
+def test_span_offers_each_distinct_row_once(kind, seed, monkeypatch):
+    """``Span(M)`` offers each distinct row of M once, the zero row too,
+    and keeps the state of a span grown by ``add`` on every row of M in
+    order: a repeat of an earlier row has residual 0, so skipping it
+    changes no stored row, tag, index entry or reader."""
+    rng = rng_for(f"span-distinct/{kind}/{seed}")
+    cols = rng.randint(1, 7)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if kind == "int":
+            return rng.randint(-3, 3)
+        return Q(rng.randint(-9, 9), rng.randint(1, 4))
+
+    pool = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+    rows = []
+    for _ in range(rng.randint(12, 16)):  # more rows than distinct ones
+        r, roll = rng.choice(pool), rng.random()
+        rows.append([0] * cols if roll < 0.15
+                    else [-x for x in r] if roll < 0.3 else r)
+    M = QMatrix(rows, cols=cols)
+    ref = Span(QMatrix([], cols=cols))
+    for row in M.sparse_rows:
+        ref.add(row, {})
+
+    calls = []
+    add = Span.add
+    monkeypatch.setattr(Span, "add",
+                        lambda self, *a: calls.append(1) or add(self, *a))
+    S = Span(M)
+    assert len(calls) == len(set(M.sparse_rows)) < M.rows
+    assert (S.rows, S.tags, S.index) == (ref.rows, ref.tags, ref.index)
+    assert S.dim == ref.dim and S.basis() == ref.basis()
+    assert S.primitive_rows() == ref.primitive_rows()
+    R = QMatrix(ref.basis(), cols=cols)
+    assert rank(M) == ref.dim and row_space(M) == R
+    assert nullspace(M) == nullspace(R)
 
 
 def _is_int_literal(node) -> bool:

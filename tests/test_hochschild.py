@@ -181,20 +181,39 @@ def test_presentation_cycle_and_boundary_tests_match_their_spans(algebras,
         assert not any(h.is_boundary(r) for r in h.class_reps.sparse_rows)
 
 
-@pytest.mark.parametrize("n, adds", ((0, 24), (1, 100), (2, 380)))
-def test_homology_eliminates_each_basis_once(algebras, monkeypatch, n, adds):
-    """homology(v1_3, n) adds each row to a span once: the d^n rows of
-    b_n^T (n >= 1), the d^(n+2) rows of b_(n+1), and the dim Z_n cycle
-    rows twice, once into their own RREF and once into the quotient."""
-    A = algebras["v1_3"]
+@pytest.mark.parametrize("name, r, n, adds", (
+    ("v1_3", 1, 0, 9), ("v1_3", 1, 1, 44), ("v1_3", 1, 2, 195),
+    ("v1_2", 2, 1, 697)))
+def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
+                                             n, adds):
+    """homology(M_r(A), n) adds each distinct row to a span once: the
+    distinct rows of b_n^T (n >= 1) and of b_(n+1), and the dim Z_n cycle
+    rows twice, once into their own RREF and once into the quotient.  At
+    Morita scale, H_1 of M_2(v1_2), 415 of the 1,728 rows of b_2 are
+    distinct."""
+    A = algebras[name] if r == 1 else matrix_algebra(algebras[name], r)
     calls = []
     add = Span.add
     monkeypatch.setattr(Span, "add",
                         lambda self, *a: calls.append(1) or add(self, *a))
     h = homology(A, n)
-    d = A.dim
-    assert len(calls) == (n >= 1) * d ** n + d ** (n + 2) \
-        + 2 * h.cycle_basis.rows == adds
+
+    def distinct(M):
+        return len(set(M.sparse_rows))
+
+    b = _boundary_operator_rows
+    assert len(calls) == (n >= 1 and distinct(b(A, n).transpose())) \
+        + distinct(b(A, n + 1)) + 2 * h.cycle_basis.rows == adds
+
+
+def test_boundary_b_refuses_an_operator_past_the_chain_bound():
+    """b_3 of M_6(Q) has 36^4 rows, past MAX_CHAIN_DIM: the boundary of
+    one chain there is refused before any row of it is built."""
+    A = matrix_algebra(load_algebra_ref("q"), 6)
+    cached = _boundary_operator_rows.cache_info().currsize
+    with pytest.raises(GuardError, match="36\\^4"):
+        boundary_b(elementary_chain(A, (0, 1, 2, 3)))
+    assert _boundary_operator_rows.cache_info().currsize == cached
 
 
 def test_connes_B_of_degree0_is_cycle():
