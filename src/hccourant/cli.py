@@ -42,11 +42,11 @@ def _rmat(M):
 
 def _chain_terms(pres, k):
     """Human-readable representative of the k-th homology class."""
-    from .hochschild import chain_sparse
     c = pres.rep_chain(k)
-    names = c.algebra.basis_names
-    terms = [f"{rat_str(x)}*[{' (x) '.join(names[i] for i in a)}]"
-             for a, x in chain_sparse(c)]
+    names, d, n = c.algebra.basis_names, c.algebra.dim, c.degree
+    terms = [rat_str(x) + "*[" + " (x) ".join(
+        names[a // d ** (n - j) % d] for j in range(n + 1)) + "]"
+        for a, x in c.row]
     return " + ".join(terms) if terms else "0"
 
 

@@ -142,10 +142,11 @@ class ESpace(CourantSpace):
         # pairing <X_i, alpha_j>, the class of i_X_i alpha_j, on (X, alpha)
         # pairs, symmetric, and 0 on (X, X) and (alpha, alpha) pairs
         F = [{} for _ in range(self.dim)]
+        reps = tuple(map(self.h1.rep_chain, range(self.h1.dim)))
         for i, X in enumerate(self.derivations):
-            for j in range(self.h1.dim):
+            for j, rep in enumerate(reps):
                 F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(
-                    interior_product(X, self.h1.rep_chain(j)).row))
+                    interior_product(X, rep).row))
         self.form_table = tuple(map(sparse_row, F))
         self._check_b_descends()
 
@@ -216,11 +217,11 @@ class ESpace(CourantSpace):
                 T[j][i] = sparse([-x for x in c])
         D = QMatrix([self.h1.reduce_chain(connes_B(self.h0.rep_chain(h)))
                      for h in range(self.h0.dim)], cols=hh)
+        reps = tuple(map(self.h1.rep_chain, range(hh)))
         for i in range(hc):
             pairings = dict(self.form_table[i])
-            for j in range(hh):
-                lx = self.h1.reduce_chain(
-                    lie_derivative(X[i], self.h1.rep_chain(j)))
+            for j, rep in enumerate(reps):
+                lx = self.h1.reduce_chain(lie_derivative(X[i], rep))
                 back = dense(combine(pairings.get(hc + j, ()), D), hh)
                 T[i][hc + j] = sparse(lx, hc)
                 T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)

@@ -1,35 +1,35 @@
 """Hochschild chains and cochains in low degrees.
 
-Chains of degree n live in A (x) A^(x)n with coordinates indexed
-lexicographically by (i_0, ..., i_n).  A ``Chain`` stores one sparse row
-over them, in the row form of ``QMatrix``, so every operator visits only
-nonzero terms; ``coords`` is a dense read-only view.  A derivation, like
-any linear map X: A -> A, is the d x d ``QMatrix`` whose row j is X(e_j).
-The module provides the boundary b, one row combination of its cached
-matrix b_n, Connes' boundary B, the Lie derivative and interior product of
-a derivation, and homology/cohomology presentations with deterministic
-class representatives.  One matrix, the rows ad(e_i),
-gives H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the
-kernel of ad: A -> Der(A), and the inner derivations are its image.  The
-H0-valued pairing <X, alpha> is the class of i_X(alpha):
-``interior_product``, then the ``reduce`` of H_0; ``courant.ESpace`` stores
-it as its form table.  A presentation Z/B is one span, ``reduce``,
-eliminated once: the boundaries untagged, then the class reps tagged.  It
-spans Z, so ``reduce.contains`` is the cycle test, and it answers the
-boundary test; no span of a presentation's bases is built again.
+Chains of degree n live in A (x) A^(x)n, with e_a0 (x) ... (x) e_an at
+index sum_j a_j d^(n-j).  A ``Chain`` stores one sparse row over them, in
+the row form of ``QMatrix``; ``coords`` is a dense read-only view.  A
+derivation, like any linear map X: A -> A, is the d x d ``QMatrix`` whose
+row j is X(e_j).  Every chain map (the boundary b, Connes' B, the Lie
+derivative L_X, the interior product i_X, the homotopy a' .) and the
+coboundary delta^1 is one list of faces, read by index strides in two ways:
+``apply`` visits the terms of one chain, and ``operator`` builds the matrix
+that homology and Der(A) eliminate.  One matrix, the rows ad(e_i), gives
+H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the kernel of
+ad: A -> Der(A), and the inner derivations are its image.  The H0-valued
+pairing <X, alpha> is the class of i_X(alpha): ``interior_product``, then
+the ``reduce`` of H_0; ``courant.ESpace`` stores it as its form table.  A
+presentation Z/B is one span, ``reduce``, eliminated once: the boundaries
+untagged, then the class reps tagged.  It spans Z, so ``reduce.contains``
+is the cycle test, and it answers the boundary test; no span of a
+presentation's bases is built again.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix,
                        Record, Span, canonical_row, combine, combine_tables,
-                       contract, dense, nullspace, quotient_basis, sparse,
-                       sparse_row, transpose_table, vec)
+                       dense, nullspace, quotient_basis, sparse, sparse_row,
+                       transpose_table, vec)
 
 
 class HochschildError(HccourantError):
@@ -40,9 +40,9 @@ class HochschildError(HccourantError):
 # chains
 
 class Chain(Record):
-    """A degree-n chain as one sparse row of (``encode_index``, x) pairs,
-    given dense or sparse and stored by the row rule of ``QMatrix``
-    (``canonical_row``), so ``==`` and ``hash`` compare chains."""
+    """A degree-n chain as one sparse row of (index, x) pairs, given dense
+    or sparse and stored by the row rule of ``QMatrix`` (``canonical_row``),
+    so ``==`` and ``hash`` compare chains."""
     algebra: FiniteAlgebra
     degree: int
     row: tuple
@@ -50,7 +50,7 @@ class Chain(Record):
     def __post_init__(self):
         if self.degree < 0:
             raise HochschildError("degree must be >= 0")
-        N = chain_space_dim(self.algebra, self.degree)
+        N = self.algebra.dim ** (self.degree + 1)
         try:
             object.__setattr__(self, "row", canonical_row(self.row, N))
         except ExactLinError as exc:
@@ -58,12 +58,12 @@ class Chain(Record):
 
     @property
     def coords(self) -> tuple:
-        return dense(self.row, chain_space_dim(self.algebra, self.degree))
+        return dense(self.row, self.algebra.dim ** (self.degree + 1))
 
     def __add__(self, other, sign=ONE):
         self._same(other)
-        return _summed(self.algebra, self.degree, itertools.chain(
-            self.row, ((k, sign * x) for k, x in other.row)))
+        return Chain(self.algebra, self.degree, _summed_row(itertools.chain(
+            self.row, ((k, sign * x) for k, x in other.row))))
 
     def __sub__(self, other):
         return self.__add__(other, -ONE)
@@ -76,17 +76,6 @@ class Chain(Record):
             raise HochschildError("chain mismatch")
 
 
-def chain_space_dim(A: FiniteAlgebra, n: int) -> int:
-    return A.dim ** (n + 1)
-
-
-def encode_index(A: FiniteAlgebra, indices: Sequence[int]) -> int:
-    idx = 0
-    for i in indices:
-        idx = idx * A.dim + i
-    return idx
-
-
 def _summed_row(pairs: Iterable) -> tuple:
     """sum x e_k over (coordinate k, x) pairs, as a sparse row."""
     out = {}
@@ -95,26 +84,9 @@ def _summed_row(pairs: Iterable) -> tuple:
     return sparse_row(out)
 
 
-def _summed(A: FiniteAlgebra, n: int, pairs: Iterable) -> Chain:
-    """The degree-n chain sum x e_k over (coordinate k, x) pairs."""
-    return Chain(A, n, _summed_row(pairs))
-
-
-def chain_from_terms(A: FiniteAlgebra, n: int, terms: Iterable) -> Chain:
-    """The degree-n chain sum x e_a over (multi-index a, coefficient x) pairs;
-    repeated multi-indices add up."""
-    return _summed(A, n, ((encode_index(A, a), x) for a, x in terms))
-
-
 def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
-    return chain_from_terms(A, len(indices) - 1, ((indices, ONE),))
-
-
-def chain_sparse(c: Chain) -> list:
-    """The nonzero terms [(multi-index, coefficient), ...] in index order."""
-    d, n = c.algebra.dim, c.degree
-    return [(tuple(k // d ** (n - i) % d for i in range(n + 1)), x)
-            for k, x in c.row]
+    return Chain(A, len(indices) - 1, ((sum(
+        i * A.dim ** p for p, i in enumerate(reversed(indices))), ONE),))
 
 
 # ---------------------------------------------------------------------------
@@ -163,89 +135,139 @@ def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# chain-level operators
+# chain maps as faces
 #
-# b is the cached matrix b_n (``_boundary_operator_rows``).  L_X, i_X, B and
-# a' . are rules on elementary tensors: ``terms(a)`` yields the
-# (multi-index, coefficient) pairs of the image of e_a0 (x) ... (x) e_an,
-# and ``_apply`` extends the rule linearly.
+# A map from degree n to degree m is a list of faces (sign, window, slot,
+# kept, table).  A face reads the input slots in ``window`` as one base-d
+# number v; each term t e_k of the sparse row ``table[v]`` puts k in output
+# slot ``slot`` with coefficient sign t, and each (j, s) in ``kept`` copies
+# input slot j to output slot s, for every slot j outside the window.  Slot
+# j of a degree-n index k is k // d^(n-j) % d.
 
-def _apply(c: Chain, degree: int, terms: Callable) -> Chain:
-    """The linear extension of a basis-term rule, applied to c."""
-    return chain_from_terms(c.algebra, degree,
-                            ((b, x * y) for a, x in chain_sparse(c)
-                             for b, y in terms(a)))
+def _spread(d: int, steps) -> list:
+    """sum_j i_j steps_j over every choice of digits i_j < d, in order."""
+    out = [0]
+    for step in steps:
+        out = [o + i * step for o in out for i in range(d)]
+    return out
+
+
+def apply(faces, c: Chain, degree: int, *then) -> Chain:
+    """The chain map ``faces`` on c, visiting only the terms of c, and then
+    each (faces, degree) of ``then`` on the terms of the image before."""
+    d, n, row = c.algebra.dim, c.degree, c.row
+    for faces, degree in ((faces, degree),) + then:
+        pw, out = [d ** e for e in range(max(n, degree) + 1)], {}
+        for sign, window, slot, kept, table in faces:
+            for k, x in row:
+                v, base, x = 0, 0, sign * x
+                for j in window:
+                    v = v * d + k // pw[n - j] % d
+                for j, s in kept:
+                    base += k // pw[n - j] % d * pw[degree - s]
+                for t, y in table[v]:
+                    key, y = base + t * pw[degree - slot], x * y
+                    out[key] = out[key] + y if key in out else y
+        row, n = out.items(), degree
+    return Chain(c.algebra, degree, sparse_row(out))
+
+
+def operator(faces, d: int, n: int, degree: int) -> QMatrix:
+    """The matrix of the chain map ``faces`` from degree n to ``degree``,
+    row a the image of e_a: each term of ``table[v]`` lands at the row of
+    v's window digits plus every offset that the kept slots spread."""
+    cols, out = d ** (degree + 1), {}
+    for sign, window, slot, kept, table in faces:
+        put, rows = d ** (degree - slot), [d ** (n - j) * cols for j in window]
+        offsets = _spread(d, [d ** (n - j) * cols + d ** (degree - s)
+                              for j, s in kept])
+        for r, row in zip(_spread(d, rows), table):
+            for t, y in row:
+                base, x = r + t * put, sign * y
+                for o in offsets:
+                    o += base
+                    out[o] = out[o] + x if o in out else x
+    return QMatrix.from_sums(out, d ** (n + 1), cols)
+
+
+def _products(A: FiniteAlgebra) -> list:
+    """The product table by window value: entry p d + q is e_p e_q."""
+    d, out = A.dim, [()] * A.dim ** 2
+    for p, row in enumerate(A.structure):
+        for q, cell in row:
+            out[p * d + q] = cell
+    return out
+
+
+def _boundary_faces(A: FiniteAlgebra, n: int, only=None) -> list:
+    """b_n (Loday, Cyclic Homology, 1.1), or its faces i in ``only``: face
+    i, sign (-1)^i, puts a_i a_(i+1) in slot i for i < n, and the cyclic
+    face i = n puts a_n a_0 in slot 0."""
+    products, top = _products(A), n + 1
+    return [(-1 if i % 2 else 1, (i, (i + 1) % top), i % n,
+             [(j, j - (j > i)) for j in range(top) if (j - i) % top > 1],
+             products) for i in (range(top) if only is None else only)]
+
+
+def _slot_face(sign, rows, n: int, i: int) -> tuple:
+    """The map with rows ``rows`` on slot i of a degree-n chain."""
+    return sign, (i,), i, [(j, j) for j in range(n + 1) if j != i], rows
+
+
+def _insertion_face(row, n: int) -> tuple:
+    """row (x) a_0 (x) ... (x) a_n: ``row`` inserted at slot 0."""
+    return 1, (), 0, [(j, j + 1) for j in range(n + 1)], (row,)
+
+
+def _connes_faces(A: FiniteAlgebra, n: int) -> list:
+    """B from degree n, non-normalized: for each rotation a_i (x) ... of
+    a_0 (x) ... (x) a_n, sign (-1)^(n i), a unit inserted at slot 0 and
+    at slot 1."""
+    unit, faces, top = (sparse(A.unit),), [], n + 1
+    for i in range(top):
+        sign = -1 if n * i % 2 else 1
+        turn = [(j, (j - i) % top) for j in range(top)]  # a_j at place t
+        faces.append((sign, (), 0, [(j, t + 1) for j, t in turn], unit))
+        faces.append((sign, (), 1, [(j, t + (t > 0)) for j, t in turn], unit))
+    return faces
 
 
 def boundary_b(c: Chain) -> Chain:
-    """The Hochschild boundary: face maps plus the cyclic last face with
-    sign (-1)^n, one row combination of the cached b_n.  b_n has d^(n+1)
-    rows, so it is refused (``GuardError``) past ``MAX_CHAIN_DIM``, the
-    bound every homology obeys, before any row is built."""
+    """The Hochschild boundary, its faces applied to the terms of c."""
     if c.degree < 1:
         raise HochschildError("boundary undefined in degree 0")
-    A, n = c.algebra, c.degree
-    check_guard(A.dim, n, A.dim)
-    return Chain(A, n - 1, combine(c.row, _boundary_operator_rows(A, n)))
+    return apply(_boundary_faces(c.algebra, c.degree), c, c.degree - 1)
 
 
 def lie_derivative(X: QMatrix, c: Chain) -> Chain:
     """Sum over slots of applying the derivation X in one slot."""
     _check_map(c.algebra, X)
-    rows = X.sparse_rows
-
-    def terms(a):
-        for i, ai in enumerate(a):
-            for k, r in rows[ai]:
-                yield a[:i] + (k,) + a[i + 1:], r
-
-    return _apply(c, c.degree, terms)
+    return apply([_slot_face(1, X.sparse_rows, c.degree, i)
+                  for i in range(c.degree + 1)], c, c.degree)
 
 
 def interior_product(X: QMatrix, c: Chain) -> Chain:
-    """(-1)^(n+1) X(a_n) a_0 (x) a_1 (x) ... (x) a_(n-1)."""
+    """(-1)^(n+1) X(a_n) a_0 (x) a_1 (x) ... (x) a_(n-1): -X on slot n,
+    then the cyclic face of b_n."""
     if c.degree < 1:
         raise HochschildError("interior product undefined in degree 0")
     _check_map(c.algebra, X)
-    S, rows, n = c.algebra.structure, X.sparse_rows, c.degree
-    negative = n % 2 == 0
-
-    def terms(a):
-        for k, p in contract(rows[a[n]], ((a[0], ONE),), S):
-            yield (k,) + a[1:n], (-p if negative else p)
-
-    return _apply(c, n - 1, terms)
+    n = c.degree
+    return apply([_slot_face(-1, X.sparse_rows, n, n)], c, n,
+                 (_boundary_faces(c.algebra, n, (n,)), n - 1))
 
 
 def connes_B(c: Chain) -> Chain:
-    """Connes' boundary in the explicit, non-normalized form: for each cyclic
-    rotation, a 1 (x) ... term and an a_i (x) 1 (x) ... term, both with sign
-    (-1)^(n i)."""
-    n = c.degree
-    unit = c.algebra.unit
-
-    def terms(a):
-        for i in range(n + 1):
-            cyc = a[i:] + a[:i]
-            for u, cu in enumerate(unit):
-                if cu:
-                    y = -cu if (n * i) % 2 else cu
-                    yield (u,) + cyc, y
-                    yield (cyc[0], u) + cyc[1:], y
-
-    return _apply(c, n + 1, terms)
+    """Connes' boundary in the explicit, non-normalized form."""
+    return apply(_connes_faces(c.algebra, c.degree), c, c.degree + 1)
 
 
 def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
     """The homotopy a_0 (x) ... -> a' a_0 (x) ... used against inner
-    derivations."""
-    S, u = c.algebra.structure, sparse(vec(aprime))
-
-    def terms(a):
-        for k, p in contract(u, ((a[0], ONE),), S):
-            yield (k,) + a[1:], p
-
-    return _apply(c, c.degree, terms)
+    derivations: a' inserted at slot 0, then face 0 of b_(n+1)."""
+    n = c.degree
+    return apply([_insertion_face(sparse(vec(aprime)), n)], c, n + 1,
+                 (_boundary_faces(c.algebra, n + 1, (0,)), n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,46 +306,11 @@ class HomologyPresentation(Record):
                      combine(sparse(coords), self.class_reps))
 
 
-def _stride_operator(A: FiniteAlgebra, faces, rows: int, cols: int) -> QMatrix:
-    """The operator read off the nonzero products by index strides: for
-    each face (sign, place, offsets) and each term c e_k of a product
-    e_p e_q, with (r, col) = place(p, q, k), row r + f gains sign c at
-    column col + g for every (f, g) in offsets."""
-    products = [(p, q, k, c) for p, row in enumerate(A.structure)
-                for q, cell in row for k, c in cell]
-    out = {}  # the sums, keyed by row cols + column
-    for sign, place, offsets in faces:
-        offsets = [f * cols + g for f, g in offsets]
-        for p, q, k, c in products:
-            r, col = place(p, q, k)
-            base, x = r * cols + col, sign * c
-            for o in offsets:
-                o += base
-                out[o] = out[o] + x if o in out else x
-    return QMatrix.from_sums(out, rows, cols)
-
-
 @functools.lru_cache(maxsize=8)
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
-    """b_n as a matrix, row a the chain b(e_a), built face by face (Loday,
-    Cyclic Homology, 1.1): face i < n, sign (-1)^i, puts c at row
-    ((hi d + p) d + q) d^(n-1-i) + lo, column (hi d + k) d^(n-1-i) + lo,
-    for each term c e_k of e_p e_q; the cyclic face reads a_n a_0 the same
-    way.  Cached per (A, n): H_n's boundaries and H_(n+1)'s cycles read one
-    b_(n+1).  The cache holds no ``Span``: ``quotient_basis`` grows one."""
-    d = A.dim
-    faces = []
-    for i in range(n):
-        w = d ** (n - 1 - i)
-        faces.append((-1 if i % 2 else 1,
-                      lambda p, q, k, w=w: ((p * d + q) * w, k * w),
-                      [(hi * d * d * w + lo, hi * d * w + lo)
-                       for hi in range(d ** i) for lo in range(w)]))
-    # the cyclic face: a_n = e_p, a_0 = e_q, and a_1 ... a_(n-1) at mid
-    top, low = d ** n, d ** (n - 1)
-    faces.append((-1 if n % 2 else 1, lambda p, q, k: (q * top + p, k * low),
-                  [(mid * d, mid) for mid in range(low)]))
-    return _stride_operator(A, faces, d * top, top)
+    """b_n, row a the chain b(e_a), cached per (A, n): H_n's boundaries and
+    H_(n+1)'s cycles read one b_(n+1).  The cache holds no ``Span``."""
+    return operator(_boundary_faces(A, n), A.dim, n, n - 1)
 
 
 def homology(A: FiniteAlgebra, n: int, *,
@@ -333,9 +320,8 @@ def homology(A: FiniteAlgebra, n: int, *,
         raise HochschildError(f"homology degree {n} is negative")
     check_guard(A.dim, n, max_dim)
     check_guard(A.dim, n + 1, max_dim)
-    N = chain_space_dim(A, n)
     if n == 0:
-        cycles = QMatrix.identity(N)
+        cycles = QMatrix.identity(A.dim)
     else:
         # b(z) = z.B for B the rows b(e_idx), so the cycles solve B^T z = 0
         cycles = nullspace(_boundary_operator_rows(A, n).transpose())
@@ -355,14 +341,18 @@ def _presentation(A: FiniteAlgebra, n: int, cycles: QMatrix,
 def leibniz_operator(A: FiniteAlgebra) -> QMatrix:
     """delta^1 as a matrix: row (i d + j) d + m is coordinate m of the law
     D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on the unknowns D(e_s)_m at column
-    s d + m, built by strides from e_i e_j, from e_k e_j for every i and
-    from e_i e_k for every j."""
-    d, t = A.dim, range(A.dim)
-    return _stride_operator(A, (
-        (1, lambda i, j, s: ((i * d + j) * d, s * d), [(m, m) for m in t]),
-        (-1, lambda k, j, m: (j * d + m, k), [(i * d * d, i * d) for i in t]),
-        (-1, lambda i, k, m: (i * d * d + m, k), [(j * d, j * d) for j in t])
-    ), d ** 3, d * d)
+    s d + m, the ``operator`` of three faces on the slots (i, j, m): e_i e_j
+    on (i, j), the cells c_kj^m on (j, m) and c_ik^m on (i, m)."""
+    d = A.dim
+    left, right = [[] for _ in range(d * d)], [[] for _ in range(d * d)]
+    for p, row in enumerate(A.structure):
+        for q, cell in row:
+            for k, c in cell:
+                left[q * d + k].append((p, c))
+                right[p * d + k].append((q, c))
+    return operator(((1, (0, 1), 0, [(2, 1)], _products(A)),
+                     (-1, (1, 2), 1, [(0, 0)], left),
+                     (-1, (0, 2), 1, [(1, 0)], right)), d, 2, 1)
 
 
 def derivation_basis(A: FiniteAlgebra) -> QMatrix:

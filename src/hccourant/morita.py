@@ -24,7 +24,7 @@ from .courant import EpsilonSpace, ESpace
 from .dirac import Submodule, is_dirac
 from .exactlin import (ZERO, HccourantError, QMatrix, Record, Report,
                        combine, pullback, pushforward, rank, row_combination)
-from .hochschild import Chain, boundary_b, chain_from_terms, chain_sparse
+from .hochschild import Chain, boundary_b
 
 
 #: the largest target dimension r^2 dim A built unless max_dim is given
@@ -47,9 +47,13 @@ def inc(c: Chain, M: FiniteAlgebra, r: int) -> Chain:
     """Corner embedding of chains: every slot lands in the (1,1) corner.
 
     With the basis order E_pq(e_i) at index (p r + q) d + i, the (1,1) corner
-    E11(e_i) sits at index i, so the embedding keeps every multi-index.
+    E11(e_i) sits at index i, so the embedding keeps every multi-index,
+    its digits re-read from base dim A to base dim M by strides.
     """
-    return chain_from_terms(M, c.degree, chain_sparse(c))
+    d, D, n = c.algebra.dim, M.dim, c.degree
+    return Chain(M, n, tuple((sum(k // d ** j % d * D ** j
+                                  for j in range(n + 1)), x)
+                             for k, x in c.row))
 
 
 class MoritaMaps(Record):
@@ -115,10 +119,9 @@ def _check_homotopy_identity(A: FiniteAlgebra, M: FiniteAlgebra,
     # E11(1) has the coordinates of 1 in A, by the index-preserving corner
     one_terms = [(m, y) for m, y in enumerate(A.unit) if y]
     for i in range(A.dim):
-        expected = chain_from_terms(M, 1, (((k, i), x) for k, x in u_terms))
-        chain = chain_from_terms(M, 2, (((k, i, m), x * y)
-                                        for k, x in u_terms
-                                        for m, y in one_terms))
+        expected = Chain(M, 1, tuple((k * M.dim + i, x) for k, x in u_terms))
+        chain = Chain(M, 2, tuple((k * M.dim + m, x * y) for k, x in
+                                  expected.row for m, y in one_terms))
         if not (boundary_b(chain) + expected).is_zero():
             return False
     return True

@@ -1287,6 +1287,12 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
     "cohomology_v1_2.json": ["cohomology", "--algebra", "v1_2"],
     # the first closed class of the 14-dimensional H_2
     "two_form_v1_3.json": ["two-form", "--algebra", "v1_3"],
+    # the homology reports, which print class reps as tensors of basis
+    # names: H_2 of V[1] at n = 3 and H_3 of Q[x]/(x^3)
+    "homology_v1_3_degree2.json": ["homology", "--algebra", "v1_3",
+                                   "--degree", "2"],
+    "homology_qx3_degree3.json": ["homology", "--algebra", "qx3",
+                                  "--degree", "3"],
 }.items()}
 # the false side: not Poisson, not closed, with the closure counterexample
 PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_seed7.json"] = (

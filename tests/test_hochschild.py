@@ -4,8 +4,9 @@ Covered here: b^2 = 0; the degree-1 coboundary defect; homology dimensions
 frozen from independent hand computations; the Cartan identities
 L_[X,Y] = [L_X, L_Y] and i_[X,Y] = L_X i_Y - i_Y L_X; the homotopy
 h b - b h = (-1)^(n+1) i_[a',.]; L_X = B i_X + i_X B on H_1 and H_2;
-the product rule for the degree-raising map on commutative algebras; and
-the sparse row a chain is stored as.
+the product rule for the degree-raising map on commutative algebras; the
+sparse row a chain is stored as; and the two evaluators of a face list,
+row a of ``operator`` against ``apply`` on e_a.
 """
 
 import pytest
@@ -13,16 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, matrix_algebra, opposite_algebra)
-from hccourant.exactlin import Q, QMatrix, Span, nullspace
+from hccourant.exactlin import Q, QMatrix, Span, nullspace, sparse
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, HochschildError,
-                                  _boundary_operator_rows, boundary_b,
-                                  chain_from_terms, chain_sparse,
-                                  cochain_from_flat, cohomology_h1, commutator,
-                                  connes_B, derivation_basis, elementary_chain,
+                                  _boundary_faces, _boundary_operator_rows,
+                                  _connes_faces, _insertion_face, _slot_face,
+                                  apply, boundary_b, cochain_from_flat,
+                                  cohomology_h1, commutator, connes_B,
+                                  derivation_basis, elementary_chain,
                                   flat_cochain, h_left_multiply, homology,
                                   interior_product, leibniz_operator,
-                                  lie_derivative)
+                                  lie_derivative, operator)
 from conftest import (_ref_is_derivation, dense_structure, monomial_algebra,
                       rand_chain, rand_combination, rand_derivation, rand_vec,
                       ref_inner_derivation, rng_for)
@@ -206,13 +208,20 @@ def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
         + distinct(b(A, n + 1)) + 2 * h.cycle_basis.rows == adds
 
 
-def test_boundary_b_refuses_an_operator_past_the_chain_bound():
-    """b_3 of M_6(Q) has 36^4 rows, past MAX_CHAIN_DIM: the boundary of
-    one chain there is refused before any row of it is built."""
-    A = matrix_algebra(load_algebra_ref("q"), 6)
+def test_boundary_b_of_one_chain_builds_no_operator(algebras):
+    """``boundary_b`` visits the terms of its chain and caches no b_n: on
+    M_6(Q), whose b_3 has 36^4 rows, past MAX_CHAIN_DIM, and on M_2(v1_3),
+    where it matches the reference loop."""
     cached = _boundary_operator_rows.cache_info().currsize
-    with pytest.raises(GuardError, match="36\\^4"):
-        boundary_b(elementary_chain(A, (0, 1, 2, 3)))
+    A = matrix_algebra(load_algebra_ref("q"), 6)
+    # E_00 E_01 = E_01, and E_01 E_02, E_02 E_03 and E_03 E_00 vanish
+    assert boundary_b(elementary_chain(A, (0, 1, 2, 3))) == \
+        elementary_chain(A, (1, 2, 3))
+    A = matrix_algebra(algebras["v1_3"], 2)
+    rng = rng_for("boundary-one-chain")
+    for _ in range(4):
+        c = elementary_chain(A, [rng.randrange(A.dim) for _ in range(4)])
+        assert boundary_b(c) == _ref_boundary_b(c)
     assert _boundary_operator_rows.cache_info().currsize == cached
 
 
@@ -305,7 +314,7 @@ def test_descent(algebras, name):
 
 
 # ---------------------------------------------------------------------------
-# the basis-term rules against the per-operator loops they replaced
+# the face maps against the per-operator loops they replaced
 #
 # The reference copies below keep the original dense decode/encode loops,
 # with their own index helpers, as the oracle for the chain-level operators.
@@ -417,18 +426,40 @@ def _ref_boundary_operator_rows(A, n):
     return QMatrix(rows, cols=A.dim ** n)
 
 
+# the algebras the suite builds besides the bundled ones: Morita targets
+# and opposite algebras
+BUILT = ("M2(qx2)", "M2(v1_2)", "ut2^op", "qx3^op")
+
+
+def _algebra(algebras, name):
+    if name.startswith("M2("):
+        return matrix_algebra(algebras[name[3:-1]], 2)
+    if name.endswith("^op"):
+        return opposite_algebra(algebras[name[:-3]])
+    return algebras[name]
+
+
 _rationals = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+
+
+def _admitted(d, n):
+    try:
+        check_guard(d, n)
+    except GuardError:
+        return False
+    return True
 
 
 @st.composite
 def _chains(draw, algebras):
-    name = draw(st.sampled_from(sorted(algebras)))
-    A = algebras[name]
-    n = draw(st.integers(0, 2 if A.dim > 2 else 3))
+    """A chain of degree 0-3 that the guard admits, on a bundled or a
+    built algebra."""
+    A = _algebra(algebras, draw(st.sampled_from(BUNDLED_ALGEBRAS + BUILT)))
+    n = draw(st.sampled_from([n for n in range(4) if _admitted(A.dim, n)]))
     N = A.dim ** (n + 1)
     terms = draw(st.dictionaries(st.integers(0, N - 1), _rationals,
                                  max_size=8))
-    return Chain(A, n, tuple(terms.get(i, Q(0)) for i in range(N)))
+    return Chain(A, n, tuple(sorted(terms.items())))
 
 
 def _derivation(draw, A):
@@ -442,33 +473,24 @@ def _derivation(draw, A):
                    for j in range(A.dim))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_chain_operators_match_reference_loops(algebras, data):
+    """The face maps against the loops, at degrees 0-3, on the bundled
+    algebras and on the built ones: only a non-commutative algebra tells
+    the cyclic window (n, 0) from (0, n)."""
     c = data.draw(_chains(algebras))
     A = c.algebra
     X = _derivation(data.draw, A)
     aprime = tuple(data.draw(st.lists(_rationals, min_size=A.dim,
                                       max_size=A.dim)))
     assert lie_derivative(X, c) == _ref_lie_derivative(X, c)
-    assert connes_B(c) == _ref_connes_B(c)
+    if _admitted(A.dim, c.degree + 1):
+        assert connes_B(c) == _ref_connes_B(c)
     assert h_left_multiply(aprime, c) == _ref_h_left_multiply(aprime, c)
     if c.degree >= 1:
         assert boundary_b(c) == _ref_boundary_b(c)
         assert interior_product(X, c) == _ref_interior_product(X, c)
-
-
-# the algebras the suite builds besides the bundled ones: Morita targets
-# and opposite algebras
-BUILT = ("M2(qx2)", "M2(v1_2)", "ut2^op", "qx3^op")
-
-
-def _algebra(algebras, name):
-    if name.startswith("M2("):
-        return matrix_algebra(algebras[name[3:-1]], 2)
-    if name.endswith("^op"):
-        return opposite_algebra(algebras[name[:-3]])
-    return algebras[name]
 
 
 def _assert_canonical(M: QMatrix) -> None:
@@ -492,6 +514,31 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
         B = _boundary_operator_rows(A, n)
         assert B == _ref_boundary_operator_rows(A, n)
         _assert_canonical(B)
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + ("M2(qx2)", "ut2^op",
+                                                    "qx3^op"))
+def test_operator_rows_are_apply_on_basis_chains(algebras, name):
+    """Row a of ``operator(faces, ...)`` is ``apply(faces, e_a, ...)`` for
+    the face lists of b_n, B, one slot of L_X and the insertion of a', at
+    every degree the guard admits on both sides."""
+    A = _algebra(algebras, name)
+    d = A.dim
+    rng = rng_for(f"faces/{name}")
+    X = QMatrix(tuple(rand_vec(rng, d) for _ in range(d)))
+    for n in range(max(GUARD_MAX_DIM) + 1):
+        maps = [(n - 1, _boundary_faces(A, n))] if n else []
+        maps += [(n, [_slot_face(1, X.sparse_rows, n, rng.randrange(n + 1))]),
+                 (n + 1, _connes_faces(A, n)),
+                 (n + 1, [_insertion_face(sparse(rand_vec(rng, d)), n)])]
+        for m, faces in maps:
+            if not (_admitted(d, n) and _admitted(d, m)):
+                continue
+            M = operator(faces, d, n, m)
+            assert (M.rows, M.cols) == (d ** (n + 1), d ** (m + 1))
+            _assert_canonical(M)
+            for a, row in enumerate(M.sparse_rows):
+                assert apply(faces, Chain(A, n, ((a, Q(1)),)), m).row == row
 
 
 @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
@@ -569,21 +616,28 @@ def test_chain_rejects_malformed_rows():
         Chain(A, 1, ((1, Q(1)), (1, Q(2))))  # repeated
 
 
-def test_chain_from_terms_sums_and_cancels(algebras):
+def test_chain_sum_adds_and_cancels(algebras):
+    """``Chain.__add__`` sums repeated indices and drops what cancels."""
     A = algebras["v1_2"]
+
+    def total(n, terms):
+        out = Chain(A, n, ())
+        for a, x in terms:
+            out += Chain(A, n, ((_ref_encode(A.dim, a), x),))
+        return out
+
     terms = [((2, 0), Q(1)), ((0, 1), Q(3)), ((2, 0), Q(-1, 2)),
              ((0, 1), Q(-3)), ((1, 1), Q(5))]
-    assert chain_sparse(chain_from_terms(A, 1, terms)) == \
-        [((1, 1), Q(5)), ((2, 0), Q(1, 2))]
+    assert total(1, terms).row == ((4, Q(5)), (6, Q(1, 2)))
     cancel = terms[1:2] + terms[3:4]
-    assert chain_from_terms(A, 1, cancel).is_zero()
-    assert chain_from_terms(A, 2, ()).is_zero()
+    assert total(1, cancel).is_zero()
+    assert total(2, ()).is_zero()
     rng = rng_for("chain_from_terms")
     for n in (0, 1, 2):
         terms = [(tuple(rng.randrange(A.dim) for _ in range(n + 1)),
                   Q(rng.randint(-2, 2))) for _ in range(12)]
-        total = {}
+        sums = {}
         for a, x in terms:
-            total[a] = total.get(a, Q(0)) + x
-        assert chain_sparse(chain_from_terms(A, n, terms)) == \
-            sorted((a, x) for a, x in total.items() if x)
+            sums[a] = sums.get(a, Q(0)) + x
+        assert total(n, terms).row == tuple(
+            (_ref_encode(A.dim, a), x) for a, x in sorted(sums.items()) if x)
