@@ -233,7 +233,7 @@ class ESpace(CourantSpace):
         c_m: (z X, z alpha) on class representatives."""
         A = self.algebra
         hc, hh = self.h1co.dim, self.h1.dim
-        X = self.derivations
+        X, reps = self.derivations, tuple(map(self.h1.rep_chain, range(hh)))
         table = []
         for z in self.center_basis:
             row, zs = {}, sparse(z)
@@ -241,8 +241,8 @@ class ESpace(CourantSpace):
                 zx = QMatrix((contract(zs, r, A.structure)
                               for r in X[k].sparse_rows), A.dim)
                 row[k] = sparse(self.class_of_derivation(zx))
-            for k in range(hh):
-                za = h_left_multiply(z, self.h1.rep_chain(k))
+            for k, rep in enumerate(reps):
+                za = h_left_multiply(z, rep)
                 row[hc + k] = sparse(self.h1.reduce_chain(za), hc)
             table.append(row)
         return tuple(map(sparse_row, table))

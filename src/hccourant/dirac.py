@@ -33,12 +33,12 @@ each value a {b, .} is a derivation ({b, .} is one and A is commutative).
 The tests' reference is the chain-level loop over ``A.mul``, which reads
 no table of this module.
 
-The anchor of a Lie algebroid is a sparse table cached per quotient, read
-through ``EpsilonSpace.rho``, which refuses where it does not descend; each
-image X_a(c_m) is split against one span of the centre basis, and one that
-leaves the centre raises.  The anchor law rho[[u, v]] = [rho u, rho v] and
-the central Leibniz rule [[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the
-whole Courant algebroid,
+The anchor of a Lie algebroid is a sparse table, built with the defect
+tables below and read through ``EpsilonSpace.rho``, which refuses where
+it does not descend; each image X_a(c_m) is split against one span of the
+centre basis, and one that leaves the centre raises.  The anchor law
+rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
+[[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid,
 not only on a Dirac structure (Liu-Weinstein-Xu, Manin triples for Lie
 bialgebroids, 1997; Uchino, Remarks on the definition of a Courant
 algebroid, 2002).  So their defects are two tables cached per quotient,
@@ -452,7 +452,6 @@ def find_two_form_witness(E: ESpace):
 # ---------------------------------------------------------------------------
 # the Lie-algebroid consequences of a Dirac structure
 
-@functools.lru_cache(maxsize=8)
 def _anchor_table(eps: EpsilonSpace) -> tuple:
     """The anchor on the centre as a sparse table: cell (a, m) is X_a(c_m) in
     centre coordinates, for X_a = ``eps.rho(e_a)`` and c_m the centre basis.

@@ -21,7 +21,6 @@ presentation's bases is built again.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -306,10 +305,8 @@ class HomologyPresentation(Record):
                      combine(sparse(coords), self.class_reps))
 
 
-@functools.lru_cache(maxsize=8)
 def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
-    """b_n, row a the chain b(e_a), cached per (A, n): H_n's boundaries and
-    H_(n+1)'s cycles read one b_(n+1).  The cache holds no ``Span``."""
+    """b_n, row a the chain b(e_a), built where homology reads it."""
     return operator(_boundary_faces(A, n), A.dim, n, n - 1)
 
 

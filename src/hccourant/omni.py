@@ -4,7 +4,7 @@ An element of gl(V) (+) V is its coordinate tuple: the matrix unit E_ij at
 i n + j, then v_i at n^2 + i.  The Weinstein bracket ([xi1, xi2], xi1 v2) and
 the V-valued pairing (1/2)(xi2 v1 + xi1 v2) are the model's public form:
 ``weinstein_table(n)`` and ``pairing_table(n)``, sparse tables in the form of
-``exactlin.sparse_table`` built once per n.  The bracket or pairing of two
+``exactlin.sparse_table`` built per call.  The bracket or pairing of two
 elements is ``exactlin.bilinear`` on them; this module reads the tables
 whole.
 
@@ -28,7 +28,6 @@ and nests a Dirac verdict, so each writes its own JSON.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from typing import Optional
@@ -64,7 +63,6 @@ def _cells() -> defaultdict:
     return defaultdict(lambda: defaultdict(lambda: ZERO))
 
 
-@functools.lru_cache(maxsize=None)
 def weinstein_table(n: int) -> tuple:
     """[[E_ij, E_jk]] contains +E_ik, [[E_ij, E_ki]] contains -E_kj (the
     commutator), [[E_ij, v_j]] = v_i, and every other pair brackets to 0."""
@@ -78,7 +76,6 @@ def weinstein_table(n: int) -> tuple:
     return _table(cells, nn + n)
 
 
-@functools.lru_cache(maxsize=None)
 def pairing_table(n: int) -> tuple:
     """(E_ij, v_j) = (v_j, E_ij) = v_i / 2, and every other pair is 0."""
     nn, half = n * n, Q(1, 2)

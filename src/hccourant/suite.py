@@ -63,7 +63,7 @@ def run_suite(seed: int):
         spaces[name] = (A, E, eps)
         add(f"epsilon/{name}", True, kernel_dim=eps.J.rows,
             epsilon_dim=eps.dim)
-        # the first closed two-form, while this algebra's b_2 is cached
+        # the first closed two-form
         witness, h2 = find_two_form_witness(E)
         if witness is None:
             add(f"two-form/{name}", True, h2_dim=h2.dim,

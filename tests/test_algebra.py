@@ -46,6 +46,11 @@ def test_matrix_algebra_units_multiply():
     assert not M.is_commutative()
 
 
+def test_matrix_algebra_refuses_r_zero():
+    with pytest.raises(AlgebraError, match="matrix_algebra requires r >= 1"):
+        matrix_algebra(load_algebra_ref("q"), 0)
+
+
 def test_upper_triangular2_not_commutative():
     A = load_algebra_ref("ut2")
     e11, e12 = A.basis_vector(0), A.basis_vector(1)

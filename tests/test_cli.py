@@ -3,7 +3,6 @@
 import ast
 import contextlib
 import copy
-import functools
 import importlib
 import inspect
 import io
@@ -716,6 +715,40 @@ def test_no_package_code_only_the_tests_reach():
     assert not unreached, unreached
 
 
+# module.function -> the reader that reads the cached value again
+KEPT_CACHES = {
+    "dirac._leibniz_laws": "every BracketTable and biderivation_space",
+    "dirac._graph_map": "every poisson_graph over the space",
+    "dirac._nonscalar_centre": "every is_dirac over the ambient",
+    "dirac._algebroid_defects": "every lie_algebroid_check over the quotient",
+}
+
+
+CACHE_DECORATORS = ("functools.lru_cache", "functools.cache", "lru_cache",
+                    "cache")
+
+
+def _cache_decorated(tree: ast.Module):
+    """The module-level functions decorated with ``functools.lru_cache``
+    or ``functools.cache``, called (``lru_cache(maxsize=8)``) or not."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(
+                ast.unparse(getattr(d, "func", d)) in CACHE_DECORATORS
+                for d in node.decorator_list):
+            yield node.name
+
+
+def test_every_cache_has_a_named_reader():
+    """A module-level cache stays only where something reads its value
+    again: each one is named in ``KEPT_CACHES`` with that reader, and a
+    value read once per build is built where it is read."""
+    src = Path(__file__).parents[1] / "src" / "hccourant"
+    found = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+             for name in _cache_decorated(ast.parse(
+                 path.read_text(encoding="utf-8")))}
+    assert found == set(KEPT_CACHES)
+
+
 def _package_imports(path: Path):
     """(line, module, name) for every ``from hccourant... import name`` in
     ``path``, imports inside functions included; ``name`` is None for an
@@ -1239,25 +1272,6 @@ def test_suite_seed42_report_is_pinned(capsys):
     representative unnoticed."""
     _assert_pinned("suite_seed42.json", ["suite", "--seed", "42"], 0,
                    capsys)
-
-
-def test_suite_builds_each_boundary_operator_once(monkeypatch):
-    """One ``run_suite`` builds b_n once per (algebra, degree): each
-    algebra's two-form case runs while its b_2 is still in the cache of
-    ``_boundary_operator_rows``, whose size the spy keeps."""
-    from hccourant import hochschild
-    from hccourant.suite import run_suite
-    cached = hochschild._boundary_operator_rows
-    builds = []
-
-    def build(A, n):
-        builds.append((A.name, n))
-        return cached.__wrapped__(A, n)
-
-    spy = functools.lru_cache(cached.cache_parameters()["maxsize"])(build)
-    monkeypatch.setattr(hochschild, "_boundary_operator_rows", spy)
-    run_suite(42)
-    assert builds and len(builds) == len(set(builds)), sorted(builds)
 
 
 def _poisson_graph(table):

@@ -19,7 +19,7 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              find_two_form_witness, is_bracket_closed,
                              is_dirac, is_maximally_isotropic, is_poisson,
                              is_z_stable, lie_algebroid_check, lie_laws,
-                             make_bracket_table, poisson_graph,
+                             make_bracket_table, poisson_graph, project,
                              table_from_flat, two_form, two_form_graph)
 from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
                                 contract, nullspace, rank, rat_str, row_space,
@@ -107,6 +107,47 @@ def test_line_inside_maximal_isotropic_is_not_maximal(v13):
     assert not is_maximally_isotropic(line)
     perp = line.ambient.orthogonal(line.int_rows)
     assert perp.rows > line.dim
+
+
+def _zero_table(A):
+    return make_bracket_table(A, [[(0,) * A.dim] * A.dim] * A.dim)
+
+
+def _nonjacobi_graph(espaces, epsilons):
+    E, eps = espaces["v1_3"], epsilons["v1_3"]
+    t = load_bracket_table("bracket_nonjacobi_v1_3", E.algebra)
+    return poisson_graph(E, eps, t)[1]
+
+
+@pytest.mark.parametrize("call, message", (
+    (lambda E, e: Submodule(e["qx2"], QMatrix([], cols=e["qx2"].dim + 1)),
+     "spanning vectors do not match the ambient"),
+    (lambda E, e: project(e["qx2"], QMatrix([], cols=e["qx3"].espace.dim)),
+     r"spanning vectors do not match E\(A\)"),
+    (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0,)] * 2] * 2),
+     "bracket table has wrong shape"),
+    (lambda E, e: biderivation_space(E["ut2"].algebra),
+     "biderivation space requires a commutative algebra"),
+    (lambda E, e: poisson_graph(E["ut2"], EpsilonSpace(E["ut2"]),
+                                _zero_table(E["qx2"].algebra)),
+     "Poisson graphs require a commutative algebra"),
+    (lambda E, e: poisson_graph(E["qx3"], e["qx3"],
+                                _zero_table(E["qx2"].algebra)),
+     "bracket table over a different algebra"),
+    (lambda E, e: two_form_graph(EpsilonSpace(E["q"]), two_form(E["q"], ())),
+     "the quotient is zero: Dirac structures undefined"),
+    (lambda E, e: lie_algebroid_check(e["qx3"], _nonjacobi_graph(E, e)),
+     "submodule is not over the given quotient"),
+    (lambda E, e: lie_algebroid_check(e["v1_3"], _nonjacobi_graph(E, e)),
+     "lie_algebroid_check requires a Dirac structure")), ids=(
+    "submodule-columns", "project-columns", "table-shape",
+    "biderivations-noncommutative", "graph-noncommutative",
+    "graph-other-algebra", "two-form-graph-zero-quotient",
+    "algebroid-other-quotient", "algebroid-not-dirac"))
+def test_dirac_calls_refuse_what_they_cannot_read(espaces, epsilons, call,
+                                                  message):
+    with pytest.raises(DiracError, match=message):
+        call(espaces, epsilons)
 
 
 def test_is_dirac_requires_nonzero_quotient(espaces):
@@ -1217,8 +1258,8 @@ def _ref_sigma(eps, u):
 def _table_sigma(eps, u):
     """The same anchor as ``lie_algebroid_check`` contracts it: row m is
     ``bilinear(u, e_m, S, cdim)`` on the anchor table S."""
-    cdim = eps.center_basis.rows
-    return QMatrix([bilinear(u, e, _anchor_table(eps), cdim)
+    cdim, S = eps.center_basis.rows, _anchor_table(eps)
+    return QMatrix([bilinear(u, e, S, cdim)
                     for e in QMatrix.identity(cdim)], cols=cdim)
 
 
@@ -1228,8 +1269,7 @@ def _dirac_graphs(eps, rng):
     bracket and, on V[1], of Lie-Poisson tables."""
     E, A = eps.espace, eps.algebra
     found = [Submodule(eps, _summand(eps, part)) for part in ("x", "alpha")]
-    zero = make_bracket_table(A, [[(0,) * A.dim] * A.dim] * A.dim)
-    found.append(poisson_graph(E, eps, zero)[1])
+    found.append(poisson_graph(E, eps, _zero_table(A))[1])
     if A.name.startswith("V[1]"):
         corpus = load_script("omni_corpus")
         for _ in range(3):

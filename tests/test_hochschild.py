@@ -12,6 +12,7 @@ row a of ``operator`` against ``apply`` on e_a.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hccourant import hochschild
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, matrix_algebra, opposite_algebra)
 from hccourant.exactlin import Q, QMatrix, Span, nullspace, sparse
@@ -208,11 +209,14 @@ def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
         + distinct(b(A, n + 1)) + 2 * h.cycle_basis.rows == adds
 
 
-def test_boundary_b_of_one_chain_builds_no_operator(algebras):
-    """``boundary_b`` visits the terms of its chain and caches no b_n: on
+def test_boundary_b_of_one_chain_builds_no_operator(algebras, monkeypatch):
+    """``boundary_b`` visits the terms of its chain and builds no b_n: on
     M_6(Q), whose b_3 has 36^4 rows, past MAX_CHAIN_DIM, and on M_2(v1_3),
     where it matches the reference loop."""
-    cached = _boundary_operator_rows.cache_info().currsize
+    def refuse(*args):
+        raise AssertionError("boundary_b built an operator")
+
+    monkeypatch.setattr(hochschild, "operator", refuse)
     A = matrix_algebra(load_algebra_ref("q"), 6)
     # E_00 E_01 = E_01, and E_01 E_02, E_02 E_03 and E_03 E_00 vanish
     assert boundary_b(elementary_chain(A, (0, 1, 2, 3))) == \
@@ -222,7 +226,6 @@ def test_boundary_b_of_one_chain_builds_no_operator(algebras):
     for _ in range(4):
         c = elementary_chain(A, [rng.randrange(A.dim) for _ in range(4)])
         assert boundary_b(c) == _ref_boundary_b(c)
-    assert _boundary_operator_rows.cache_info().currsize == cached
 
 
 def test_connes_B_of_degree0_is_cycle():
@@ -614,6 +617,26 @@ def test_chain_rejects_malformed_rows():
         Chain(A, 1, ((2, Q(1)), (1, Q(1))))  # not ascending
     with pytest.raises(HochschildError):
         Chain(A, 1, ((1, Q(1)), (1, Q(2))))  # repeated
+
+
+@pytest.mark.parametrize("call, message", (
+    (lambda A: Chain(A, -1, ()), "degree must be >= 0"),
+    (lambda A: elementary_chain(A, (0,)) + elementary_chain(A, (0, 1)),
+     "chain mismatch"),
+    (lambda A: boundary_b(elementary_chain(A, (1,))),
+     "boundary undefined in degree 0"),
+    (lambda A: interior_product(QMatrix.identity(A.dim),
+                                elementary_chain(A, (1,))),
+     "interior product undefined in degree 0"),
+    (lambda A: homology(A, 1).reduce_chain(elementary_chain(A, (0, 1, 1))),
+     "chain does not match the presentation"),
+    (lambda A: homology(A, 1).class_to_chain((1,) * 9),
+     "class coordinate length mismatch")), ids=(
+    "negative-degree", "sum-mismatch", "boundary-degree0",
+    "interior-degree0", "reduce-wrong-degree", "class-wrong-length"))
+def test_chain_calls_refuse_what_they_cannot_read(call, message):
+    with pytest.raises(HochschildError, match=message):
+        call(load_algebra_ref("qx2"))
 
 
 def test_chain_sum_adds_and_cancels(algebras):

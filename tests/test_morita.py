@@ -80,6 +80,18 @@ def test_transport_dirac_structure():
     assert L2.dim == L.dim
 
 
+def test_transport_requires_a_verified_context(monkeypatch):
+    """A context whose report is not ok transports nothing."""
+    A = load_algebra_ref("qx2")
+    monkeypatch.setattr(morita, "ESpace", _perturbing_espace(A))
+    ctx = verify_morita(A, 2)
+    assert not ctx.report.ok
+    L = Submodule(ctx.src_eps, QMatrix([], cols=ctx.src_eps.dim))
+    with pytest.raises(MoritaError,
+                       match="transport requires a verified Morita context"):
+        transport_dirac(ctx, L)
+
+
 def test_transport_requires_matching_quotient():
     ctx = verify_morita(load_algebra_ref("qx2"), 2)
     other = verify_morita(build_v1(2), 2)
