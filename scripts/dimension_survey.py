@@ -3,8 +3,8 @@
 
 Prints, for every bundled algebra: dim H_0, H_1, H^1, dim E, dim J,
 dim epsilon, dim H_2, and the dimension of the space of closed 2-form
-classes (the nullspace of ``dirac._two_form_conditions``, the matrix of
-B: H_2 -> H_3).
+classes (the nullspace of ``dirac._two_form_conditions``, the residuals of
+B omega_k modulo the boundaries im b_4; no H_3 is built).
 Everything is computed exactly.
 """
 
@@ -15,7 +15,7 @@ from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import _two_form_conditions
 from hccourant.exactlin import nullspace
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import homology
+from hccourant.hochschild import boundaries, homology
 
 
 @dataclass
@@ -38,8 +38,8 @@ def run(cfg: SurveyConfig) -> None:
         else:
             jdim, edim = 0, 0
         h2 = homology(A, 2, max_dim=cfg.guard)
-        h3 = homology(A, 3, max_dim=cfg.guard)
-        forms = nullspace(_two_form_conditions(h2, h3)).rows
+        b3 = boundaries(A, 3, max_dim=cfg.guard)
+        forms = nullspace(_two_form_conditions(h2, b3)).rows
         print(f"{name:<12} {A.dim:>4} {E.h0.dim:>4} {E.h1.dim:>4} "
               f"{E.h1co.dim:>4} {E.dim:>4} {jdim:>4} {edim:>4} "
               f"{h2.dim:>4} {forms:>4}")

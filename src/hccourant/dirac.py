@@ -50,10 +50,10 @@ record: ``ok`` is the conjunction of the four law fields and the JSON report
 is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
 ``ok``, so it writes its own JSON.
 
-A 2-form class omega in H_2 is closed when B omega = 0 in H_3, a condition
-linear in its coordinates, so the closed classes are the nullspace of the
-matrix of B: H_2 -> H_3, built under the guard ``max_dim`` of E.  Every
-class is also alternating,
+A 2-form class omega in H_2 is closed when B omega = 0 in H_3.  B omega is a
+cycle (bB + Bb = 0), so that holds when it lies in im b_4, one span built
+under the guard of E (``hochschild.boundaries``): no H_3 is built, and the
+closed classes are one nullspace.  Every class is also alternating,
 i_X i_Y omega + i_Y i_X omega = 0 in H_0: i_X is the cap product with the
 1-cocycle X, and the cup product on HH^* is graded-commutative
 (Gerstenhaber, 1963), so the sum is +-(X cup Y + Y cup X) cap omega = 0.
@@ -73,8 +73,8 @@ from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        nullspace, pullback, pushforward, rank, rat_str,
                        sparse, sparse_row, sparse_table, transpose_table,
                        vec)
-from .hochschild import (Chain, HomologyPresentation, connes_B, homology,
-                         interior_product, leibniz_operator)
+from .hochschild import (Chain, HomologyPresentation, boundaries, connes_B,
+                         homology, interior_product, leibniz_operator)
 
 
 class DiracError(HccourantError):
@@ -400,29 +400,27 @@ class TwoFormClass(Record):
         return self.h2.class_to_chain(self.coords)
 
 
-def _two_form_conditions(h2: HomologyPresentation,
-                         h3: HomologyPresentation) -> QMatrix:
-    """The matrix of B: H_2 -> H_3, whose nullspace is the closed classes:
-    column k holds the H_3 coordinates of B(omega_k), for omega_k the H_2
-    class rep k.  Alternation needs no rows: it holds on every class (see
-    the module docstring)."""
-    return QMatrix([h3.reduce_chain(connes_B(h2.rep_chain(k)))
-                    for k in range(h2.dim)], cols=h3.dim).transpose()
+def _two_form_conditions(h2: HomologyPresentation, b3: Span) -> QMatrix:
+    """Column k is the residual of B(omega_k) modulo ``b3``, for omega_k the
+    H_2 class rep k: linear, and 0 exactly on the closed classes, so they
+    are its nullspace.  Alternation needs no rows (module docstring)."""
+    return QMatrix([b3.split(connes_B(h2.rep_chain(k)).row)[0]
+                    for k in range(h2.dim)], cols=b3.cols).transpose()
 
 
 def two_form(E: ESpace, coords: Sequence) -> TwoFormClass:
-    """Validated closed 2-form class; raises DiracError naming the first
-    H_3 coordinate of B(omega) that is not zero."""
+    """Validated closed 2-form class, refused by length before any degree-3
+    work; raises DiracError naming where B(omega) first leaves im b_4."""
     h2 = homology(E.algebra, 2, max_dim=E.max_dim)
-    h3 = homology(E.algebra, 3, max_dim=E.max_dim)
     coords = vec(coords)
     if len(coords) != h2.dim:
         raise DiracError("2-form coordinate length mismatch")
-    values = h3.reduce_chain(connes_B(h2.class_to_chain(coords)))
-    r = next((r for r, x in enumerate(values) if x), None)
-    if r is not None:
-        raise DiracError(f"2-form is not closed: H_3 coordinate {r} of "
-                         f"B(omega) is {rat_str(values[r])}")
+    b3 = boundaries(E.algebra, 3, max_dim=E.max_dim)
+    residual = b3.split(connes_B(h2.class_to_chain(coords)).row)[0]
+    if residual:
+        k, x = residual[0]
+        raise DiracError(f"2-form is not closed: B(omega) leaves im b_4 at "
+                         f"chain index {k}, by {rat_str(x)}")
     return TwoFormClass(E, h2, coords)
 
 
@@ -444,8 +442,8 @@ def find_two_form_witness(E: ESpace):
     ``_two_form_conditions``, the first closed class, None when omega = 0
     is the only one."""
     h2 = homology(E.algebra, 2, max_dim=E.max_dim)
-    h3 = homology(E.algebra, 3, max_dim=E.max_dim)
-    kernel = nullspace(_two_form_conditions(h2, h3))
+    b3 = boundaries(E.algebra, 3, max_dim=E.max_dim)
+    kernel = nullspace(_two_form_conditions(h2, b3))
     return (TwoFormClass(E, h2, kernel[0]) if kernel.rows else None), h2
 
 

@@ -13,10 +13,10 @@ H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the kernel of
 ad: A -> Der(A), and the inner derivations are its image.  The H0-valued
 pairing <X, alpha> is the class of i_X(alpha): ``interior_product``, then
 the ``reduce`` of H_0; ``courant.ESpace`` stores it as its form table.  A
-presentation Z/B is one span, ``reduce``, eliminated once: the boundaries
-untagged, then the class reps tagged.  It spans Z, so ``reduce.contains``
-is the cycle test, and it answers the boundary test; no span of a
-presentation's bases is built again.
+presentation Z/B is one span, ``reduce``: ``boundaries``, the span of
+im b_(n+1), grown by the class reps tagged.  It spans Z, so
+``reduce.contains`` is the cycle test, and it answers the boundary test;
+no span of a presentation's bases is built again.
 """
 
 from __future__ import annotations
@@ -305,9 +305,11 @@ class HomologyPresentation(Record):
                      combine(sparse(coords), self.class_reps))
 
 
-def _boundary_operator_rows(A: FiniteAlgebra, n: int) -> QMatrix:
-    """b_n, row a the chain b(e_a), built where homology reads it."""
-    return operator(_boundary_faces(A, n), A.dim, n, n - 1)
+def boundaries(A: FiniteAlgebra, n: int, *,
+               max_dim: Optional[int] = None) -> Span:
+    """The span of im b_(n+1); its degree n + 1 must pass the guard first."""
+    check_guard(A.dim, n + 1, max_dim)
+    return Span(operator(_boundary_faces(A, n + 1), A.dim, n + 1, n))
 
 
 def homology(A: FiniteAlgebra, n: int, *,
@@ -316,21 +318,21 @@ def homology(A: FiniteAlgebra, n: int, *,
     if n < 0:
         raise HochschildError(f"homology degree {n} is negative")
     check_guard(A.dim, n, max_dim)
-    check_guard(A.dim, n + 1, max_dim)
+    B = boundaries(A, n, max_dim=max_dim)
     if n == 0:
         cycles = QMatrix.identity(A.dim)
     else:
-        # b(z) = z.B for B the rows b(e_idx), so the cycles solve B^T z = 0
-        cycles = nullspace(_boundary_operator_rows(A, n).transpose())
-    return _presentation(A, n, cycles, _boundary_operator_rows(A, n + 1))
+        # b(z) = z.b_n for b_n the rows b(e_a): cycles solve b_n^T z = 0
+        cycles = nullspace(operator(_boundary_faces(A, n), A.dim, n,
+                                    n - 1).transpose())
+    return _presentation(A, n, cycles, B)
 
 
 def _presentation(A: FiniteAlgebra, n: int, cycles: QMatrix,
-                  boundaries: QMatrix) -> HomologyPresentation:
-    """rowspan(cycles) / rowspan(boundaries) on one span: the boundaries
-    are eliminated once, their RREF read off, and the reps added."""
-    B = Span(boundaries)
-    basis = QMatrix(B.basis(), boundaries.cols)
+                  B: Span) -> HomologyPresentation:
+    """rowspan(cycles) / B on one span: the boundaries B, eliminated once,
+    their RREF read off, then grown by the reps."""
+    basis = QMatrix(B.basis(), B.cols)
     reps, reduce = quotient_basis(cycles, B)
     return HomologyPresentation(A, n, cycles, basis, reps, reduce)
 
@@ -368,5 +370,5 @@ def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     """H^1(A, A) = Der(A) / inner derivations, on flattened d x d maps: its
     ``boundary_basis`` is the RREF basis of the rows ad(e_i), and
     ``center`` is their left nullspace."""
-    return _presentation(A, 1, derivation_basis(A), _inner_rows(A))
+    return _presentation(A, 1, derivation_basis(A), Span(_inner_rows(A)))
 

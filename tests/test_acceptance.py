@@ -17,10 +17,10 @@ from hccourant.dirac import (biderivation_space, find_two_form_witness,
 from hccourant.exactlin import Q, QMatrix, bilinear, rank
 from hccourant.files import BUNDLED_ALGEBRAS, BUNDLED_TABLES, \
     load_algebra_ref, load_bracket_table
-from hccourant.hochschild import (_boundary_operator_rows, boundary_b,
-                                  commutator, connes_B, derivation_basis,
+from hccourant.hochschild import (_boundary_faces, boundary_b, commutator,
+                                  connes_B, derivation_basis,
                                   h_left_multiply, homology, interior_product,
-                                  lie_derivative)
+                                  lie_derivative, operator)
 from hccourant.morita import transport_dirac, verify_morita
 from hccourant.omni import verify_ev1, verify_main_theorem
 from conftest import (rand_chain, rand_derivation, rand_vec,
@@ -44,7 +44,8 @@ def test_criterion_01_chain_complex_soundness(capsys, algebras):
     ok = True
     for name in BUNDLED_ALGEBRAS:
         A = algebras[name]
-        mats = {n: _boundary_operator_rows(A, n) for n in (1, 2, 3)}
+        mats = {n: operator(_boundary_faces(A, n), A.dim, n, n - 1)
+                for n in (1, 2, 3)}
         for n in (2, 3):
             hi, lo = mats[n], mats[n - 1]
             # rows of `hi` are images in C_(n-1); push through b again

@@ -902,7 +902,7 @@ def test_two_form_search_records_outcome(capsys):
 
 @pytest.mark.parametrize("coords, expected_code", (
     (["1"] + ["0"] * 13, 0),   # e_0: closed
-    (["0"] * 3 + ["1"] + ["0"] * 10, 2),  # e_3: B(e_3) != 0 in H_3
+    (["0"] * 3 + ["1"] + ["0"] * 10, 2),  # e_3: B(e_3) not in im b_4
 ))
 def test_two_form_omega_file(tmp_path, capsys, coords, expected_code):
     p = tmp_path / "omega.json"
@@ -919,9 +919,9 @@ def test_two_form_omega_file(tmp_path, capsys, coords, expected_code):
 
 def test_two_form_passes_the_guard_to_h2_and_h3(tmp_path, monkeypatch,
                                                 capsys):
-    """H_2 and H_3 of v1_3 (dimension 4) read the degree-3 and degree-4
-    guards; with both lowered to 3, the witness search and an --omega file
-    are refused by default and run under --guard 4."""
+    """H_2 and the boundaries im b_4 of v1_3 (dimension 4) read the
+    degree-3 and degree-4 guards; with both lowered to 3, the witness search
+    and an --omega file are refused by default and run under --guard 4."""
     monkeypatch.setitem(GUARD_MAX_DIM, 3, 3)
     monkeypatch.setitem(GUARD_MAX_DIM, 4, 3)
     p = tmp_path / "omega.json"

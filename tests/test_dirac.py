@@ -25,9 +25,12 @@ from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
                                 contract, nullspace, rank, rat_str, row_space,
                                 row_combination, sparse, sparse_row,
                                 sparse_table, vec)
-from hccourant.algebra import GuardError, build_v1, make_algebra
+from hccourant import hochschild
+from hccourant.algebra import (GuardError, build_v1, make_algebra,
+                               matrix_algebra)
+from hccourant.cli import main as cli_main
 from hccourant.courant import CourantError, EpsilonSpace, ESpace
-from hccourant.hochschild import (Chain, cochain_from_flat,
+from hccourant.hochschild import (Chain, boundaries, cochain_from_flat,
                                   connes_B, derivation_basis, homology,
                                   interior_product)
 from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
@@ -859,8 +862,9 @@ def test_two_form_witness_search_is_recorded(espaces):
 
 def _ref_two_form_conditions(E, h2, h3, coords):
     """The per-candidate loops the kernel system replaced, kept as its
-    oracle.  Returns whether B(omega) = 0 in H_3, and the pairs i <= j
-    where i_X i_Y omega + i_Y i_X omega != 0 in H_0."""
+    oracle on the H_3 presentation itself.  Returns whether B(omega) = 0 in
+    H_3, and the pairs i <= j where i_X i_Y omega + i_Y i_X omega != 0 in
+    H_0."""
     rep = h2.class_to_chain(vec(coords))
     closed = not any(h3.reduce_chain(connes_B(rep)))
     failing, units = [], QMatrix.identity(E.h1co.dim)
@@ -877,24 +881,42 @@ def _ref_two_form_conditions(E, h2, h3, coords):
 
 
 @pytest.fixture(scope="module")
-def two_form_kernels(espaces):
+def two_form_kernels(espaces, algebras):
+    """``(E, h2, h3, kernel)`` per case: the kernel read off the boundaries
+    im b_4, and H_3 for the oracle.  Besides the corpus: Q[x, y]/(x^2, y^2),
+    Q[x, y]/(x^3, y^2) and M_2(Q[x]/(x^2)), dimension 8, under max_dim 8."""
+    spaces = {name: espaces[name] for name in ("qx3", "v1_2", "v1_3")}
+    spaces["qxy22"] = ESpace(monomial_algebra(2, 2))
+    spaces["qxy32"] = ESpace(monomial_algebra(3, 2))
+    spaces["M2(qx2)"] = ESpace(matrix_algebra(algebras["qx2"], 2), max_dim=8)
     out = {}
-    for name in ("qx3", "v1_2", "v1_3"):
-        E = espaces[name]
-        h2, h3 = homology(E.algebra, 2), homology(E.algebra, 3)
-        out[name] = (E, h2, h3, nullspace(_two_form_conditions(h2, h3)))
+    for name, E in spaces.items():
+        A, guard = E.algebra, E.max_dim
+        h2, h3 = homology(A, 2, max_dim=guard), homology(A, 3, max_dim=guard)
+        b3 = boundaries(A, 3, max_dim=guard)
+        out[name] = (E, h2, h3, nullspace(_two_form_conditions(h2, b3)))
     return out
 
 
-@pytest.mark.parametrize("name,kernel_dim",
-                         [("qx3", 0), ("v1_2", 1), ("v1_3", 3)])
+TWO_FORM_H2_DIMS = {"qx3": 2, "v1_2": 5, "v1_3": 14, "qxy22": 5,
+                    "qxy32": 9, "M2(qx2)": 1}
+
+
+@pytest.mark.parametrize("name,kernel_dim", [
+    ("qx3", 0), ("v1_2", 1), ("v1_3", 3), ("qxy22", 1), ("qxy32", 2),
+    ("M2(qx2)", 0)])
 def test_two_form_kernel_agrees_with_reference(two_form_kernels, name,
                                                kernel_dim):
-    """Nullspace membership and the ``two_form`` verdict agree with the
-    per-candidate loops, on random coordinates and on random members of
-    the kernel; no pair ever fails alternation there."""
+    """The kernel is the nullspace of B: H_2 -> H_3 on the H_3 coordinates,
+    canonical basis and all, and nullspace membership and the ``two_form``
+    verdict agree with the per-candidate loops, on random coordinates and
+    on random members of the kernel; no pair ever fails alternation
+    there."""
     E, h2, h3, kernel = two_form_kernels[name]
-    assert kernel.rows == kernel_dim
+    assert (h2.dim, kernel.rows) == (TWO_FORM_H2_DIMS[name], kernel_dim)
+    assert kernel == nullspace(QMatrix(
+        [h3.reduce_chain(connes_B(h2.rep_chain(k))) for k in range(h2.dim)],
+        cols=h3.dim).transpose())
     in_kernel = Span(kernel).contains
     rng = rng_for(f"two-form-kernel/{name}")
     draws = [rand_vec(rng, h2.dim) for _ in range(15)]
@@ -923,12 +945,55 @@ def test_two_form_kernel_graphs_are_dirac(two_form_kernels, epsilons, name):
 
 
 def test_two_form_rejects_with_the_failing_condition(two_form_kernels):
+    """The refusal names the first chain index where B(omega) leaves the
+    boundaries im b_4, and the residual there."""
     E, h2, h3, _ = two_form_kernels["v1_2"]
     e1 = (0, 1, 0, 0, 0)
-    with pytest.raises(DiracError, match="not closed: H_3 coordinate 0 "):
+    with pytest.raises(DiracError, match=r"not closed: B\(omega\) leaves "
+                       r"im b_4 at chain index 13, by 3$"):
         two_form(E, e1)
     with pytest.raises(DiracError, match="length mismatch"):
         two_form(E, (1, 0, 0, 0))
+
+
+def test_two_form_refuses_a_malformed_omega_before_degree_3(espaces,
+                                                            monkeypatch):
+    """A wrong-length omega is refused right after H_2, before the rows of
+    b_4 that the boundaries im b_4 (or an H_3) would need are built."""
+    operator = hochschild.operator
+
+    def no_degree_4(faces, d, n, degree):
+        assert n != 4, "a degree-4 operator was built"
+        return operator(faces, d, n, degree)
+
+    monkeypatch.setattr(hochschild, "operator", no_degree_4)
+    with pytest.raises(DiracError, match="length mismatch"):
+        two_form(espaces["v1_3"], (1, 0, 0))
+
+
+def test_the_two_form_path_builds_no_h3(espaces, monkeypatch, capsys):
+    """Closedness is a boundary test, B omega against im b_4: with H_3
+    refused, the witness search, ``two_form`` on a closed and on a
+    non-closed class, and the ``two-form`` command all run, and the command
+    still writes its pinned report."""
+    homology_ = dirac.homology
+
+    def no_h3(A, n, **kwargs):
+        assert n != 3, "H_3 was built"
+        return homology_(A, n, **kwargs)
+
+    monkeypatch.setattr(dirac, "homology", no_h3)
+    for name in ("v1_2", "v1_3"):
+        assert find_two_form_witness(espaces[name])[0] is not None
+    E, closed, open_ = espaces["v1_3"], [0] * 14, [0] * 14
+    closed[0] = open_[3] = 1
+    assert two_form(E, closed).coords == tuple(closed)
+    with pytest.raises(DiracError, match="not closed"):
+        two_form(E, open_)
+    capsys.readouterr()
+    assert cli_main(["two-form", "--algebra", "v1_3", "--format", "json"]) == 0
+    pin = Path(__file__).parent / "data" / "two_form_v1_3.json"
+    assert capsys.readouterr().out == pin.read_text(encoding="utf-8")
 
 
 # the corpus, then Q[x, y]/(x^a, y^b) for (a, b) = (2, 2) and (3, 2), on

@@ -18,9 +18,9 @@ from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
 from hccourant.exactlin import Q, QMatrix, Span, nullspace, sparse
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, HochschildError,
-                                  _boundary_faces, _boundary_operator_rows,
-                                  _connes_faces, _insertion_face, _slot_face,
-                                  apply, boundary_b, cochain_from_flat,
+                                  _boundary_faces, _connes_faces,
+                                  _insertion_face, _slot_face, apply,
+                                  boundaries, boundary_b, cochain_from_flat,
                                   cohomology_h1, commutator, connes_B,
                                   derivation_basis, elementary_chain,
                                   flat_cochain, h_left_multiply, homology,
@@ -31,6 +31,11 @@ from conftest import (_ref_is_derivation, dense_structure, monomial_algebra,
                       ref_inner_derivation, rng_for)
 
 SMALL = ("q", "qx2", "qx3", "v1_1", "v1_2", "ut2")
+
+
+def boundary_rows(A, n):
+    """b_n, row a the chain b(e_a): the operator of its faces."""
+    return operator(_boundary_faces(A, n), A.dim, n, n - 1)
 
 
 @pytest.mark.parametrize("name", SMALL + ("v1_3", "m2q"))
@@ -204,7 +209,7 @@ def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
     def distinct(M):
         return len(set(M.sparse_rows))
 
-    b = _boundary_operator_rows
+    b = boundary_rows
     assert len(calls) == (n >= 1 and distinct(b(A, n).transpose())) \
         + distinct(b(A, n + 1)) + 2 * h.cycle_basis.rows == adds
 
@@ -310,7 +315,7 @@ def test_descent(algebras, name):
                     f"i_inner is not 0 on homology: {case}"
             assert h.is_boundary(boundary_b(connes_B(rep)).row), \
                 f"b B of a class rep is not a boundary: degree {n}, rep {z}"
-        in_boundaries_up = Span(_boundary_operator_rows(A, n + 2)).contains
+        in_boundaries_up = boundaries(A, n + 1).contains
         for k, row in enumerate(h.boundary_basis.sparse_rows):
             assert in_boundaries_up(connes_B(Chain(A, n, row)).row), \
                 f"B leaves the boundaries: degree {n}, boundary row {k}"
@@ -514,7 +519,7 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
             check_guard(A.dim, n)
         except GuardError:
             continue
-        B = _boundary_operator_rows(A, n)
+        B = boundary_rows(A, n)
         assert B == _ref_boundary_operator_rows(A, n)
         _assert_canonical(B)
 
