@@ -3,8 +3,12 @@
 biderivation tables on a commutative bundled algebra.
 
 Random biderivations are almost never Poisson, so on V[1] = Q.1 (+) V the
-sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table) and
-requires each of them to be both Poisson and Dirac.  Every graph that is
+sweep also draws Lie-Poisson tables (omni_corpus.v1_lie_poisson_table),
+each also times a random nonzero p/q, and requires each of them to be both
+Poisson and Dirac.  The p/q come from a generator of their own, so the
+other draws and their lines do not depend on them; a scaled table's graph
+rows are cleared of its denominators before any elimination, so these
+draws run the rational graph path.  Every graph that is
 Dirac must also pass lie_algebroid_check, and every graph's z_stable flag
 must equal a full loop over the centre basis (is_dirac tests only the
 centre elements that do not act as scalars).  A Poisson graph is Z-stable
@@ -30,7 +34,7 @@ from hccourant.dirac import (Submodule, _nonscalar_centre,
                              is_z_stable, lie_algebroid_check,
                              make_bracket_table, poisson_graph,
                              table_from_flat)
-from hccourant.exactlin import (QMatrix, Span, bilinear, contract,
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, contract,
                                 row_combination, sparse)
 from hccourant.files import load_algebra_ref
 from omni_corpus import v1_lie_poisson_table
@@ -122,18 +126,29 @@ def run(cfg: SweepConfig) -> int:
     failures = disagreements
     n = A.dim - 1
     if n and A.structure == build_v1(n).structure:
-        both = 0
-        for k in range(cfg.count):
-            name, table = v1_lie_poisson_table(n, rng)
+        both = scaled_both = 0
+        scaled_rng = random.Random(f"scaled/{cfg.seed}")
+
+        def poisson_and_dirac(table, k, name) -> bool:
             t = make_bracket_table(A, table)
             _, L = poisson_graph(E, eps, t)
             p, d = is_poisson(t), dirac_and_algebroid(L, k)
-            both += p and d
             if not (p and d):
                 print(f"  LIE-POISSON FAILURE at draw {k} ({name}): "
                       f"poisson={p} dirac={d}")
-        failures += cfg.count - both
-        print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac")
+            return p and d
+
+        for k in range(cfg.count):
+            name, table = v1_lie_poisson_table(n, rng)
+            both += poisson_and_dirac(table, k, name)
+            c = Q(scaled_rng.choice((-1, 1)) * scaled_rng.randint(1, 9),
+                  scaled_rng.randint(1, 9))
+            scaled = [[[c * x for x in cell] for cell in row]
+                      for row in table]
+            scaled_both += poisson_and_dirac(scaled, k, f"{name} times {c}")
+        failures += 2 * cfg.count - both - scaled_both
+        print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac; "
+              f"times p/q: {scaled_both}/{cfg.count}")
     failures += algebroids["failed"] + z_disagreements
     print(f"lie-algebroid checks: {algebroids['failed']} failed of "
           f"{algebroids['checked']}; z-stability disagreements: "

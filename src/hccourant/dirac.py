@@ -27,9 +27,14 @@ antisymmetric, so ``lie_laws`` sums it on i < j < k once skew-symmetry holds.
 A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
 cached per space, holds the H^1 class coordinates of the values of every
 unit table on the H_1 class reps, and ``poisson_graph`` is one sparse row
-combination of it.  It needs no refusal: a ``BracketTable`` is a validated
-biderivation, so its hamiltonian map vanishes on the H_1 boundaries and
-each value a {b, .} is a derivation ({b, .} is one and A is commutative).
+combination of it.  The combination reads the integral table m t, its
+denominators cleared once by ``exactlin.integral``, and puts m, not 1, at
+each H_1 unit entry: each row is m times the row of t, and a row times a
+nonzero scalar spans the same line, so the graph, its verdict and its
+RREF are those of t, and no rational reaches its spans.  It needs no
+refusal: a ``BracketTable`` is a validated biderivation, so its
+hamiltonian map vanishes on the H_1 boundaries and each value a {b, .} is
+a derivation ({b, .} is one and A is commutative).
 The tests' reference is the chain-level loop over ``A.mul``, which reads
 no table of this module.
 
@@ -70,9 +75,9 @@ from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        _over, combine, combine_tables, contract, dense,
-                       nullspace, pullback, pushforward, rank, rat_str,
-                       sparse, sparse_row, sparse_table, transpose_table,
-                       vec)
+                       integral, nullspace, pullback, pushforward, rank,
+                       rat_str, sparse, sparse_row, sparse_table,
+                       transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, boundaries, connes_B,
                          homology, interior_product, leibniz_operator)
 
@@ -369,21 +374,27 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     """The graph of the hamiltonian map over the H_1 class basis, in E(A),
     together with its projection to the quotient: one row combination of
     ``_graph_map``.  ``t`` is a validated biderivation, so the graph is
-    well defined and needs no check here."""
+    well defined and needs no check here.  Row j is that of the integral
+    table m t (``exactlin.integral``), with m, not 1, at H_1 unit j: m times
+    the row (graph_j(t), e_j), so the graph is the same subspace, and no
+    rational reaches its spans."""
     A = E.algebra
     if not A.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
     if t.algebra is not A:
         raise DiracError("bracket table over a different algebra")
-    graph = combine(sparse([x for row in t.table for cell in row
-                            for x in cell]), _graph_map(E))
+    if eps.espace is not E:
+        raise DiracError("the quotient is not that of the given E(A)")
+    scale, flat = integral(sparse([x for row in t.table for cell in row
+                                   for x in cell]))
+    graph = combine(flat, _graph_map(E))
     hc = E.h1co.dim
     rows = [[] for _ in range(E.h1.dim)]
     for k, x in graph:
         j, m = divmod(k, hc)
         rows[j].append((m, x))
     for j, row in enumerate(rows):
-        row.append((hc + j, ONE))
+        row.append((hc + j, scale))
     spanning = QMatrix(rows, cols=E.dim)
     return Submodule(E, spanning), project(eps, spanning)
 
@@ -428,6 +439,8 @@ def two_form_graph(eps: EpsilonSpace, omega: TwoFormClass):
     """The graph {(X, i_X omega)} over the H^1 class basis, projected to the
     quotient, with its Dirac verdict attached."""
     E = omega.espace
+    if eps.espace is not E:
+        raise DiracError("the quotient is not that of the 2-form's E(A)")
     if eps.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
     rep = omega.rep()

@@ -42,7 +42,12 @@ the same value, so the form changes no comparison, cache key or
 ``rat_str``.  ``/`` on two ints is a float, so the one division goes
 through ``Q``: ``_over``, where a span reader turns an integer row and
 its scale into the rows it returns (and where a row's tag follows the row
-when a content is divided out).
+when a content is divided out).  The way in is ``integral``: a sparse row
+times the lcm m of its denominators, made from numerators and
+denominators.  A span clears a rational row so (``_integral``), and a
+graph verdict clears its rows once where they are built
+(``dirac.poisson_graph``, ``omni.d_structure_check``), since m row spans
+the same line as the row.
 """
 
 from __future__ import annotations
@@ -328,6 +333,26 @@ def _number_row(d: dict) -> tuple:
                         for k, x in d.items() if x))
 
 
+def integral(row: Iterable) -> tuple:
+    """``(m, m row)`` for a sparse row of rationals (a sequence, or the items
+    of a {k: x} dict, read twice): m is the lcm of the denominators of its
+    entries and m row is a sparse row of ints, each entry p/q made as
+    p (m / q) from its numerator and denominator, so no rational is built
+    on either backend; an integral row has m = 1 and is returned as ints.
+    Denominators are cleared here where graph data is built, before any
+    span sees it: ``dirac.poisson_graph`` clears a bracket table's flat
+    entries and ``omni.d_structure_check`` each graph row; a span clears a
+    rational row it must make integral (``_integral``).  m row spans the
+    same line as the row, so none of them changes a subspace."""
+    dens = [int(x.denominator) for _, x in row if type(x) is not int]
+    if not dens:
+        return 1, tuple(row)
+    m = lcm(*dens)
+    return m, tuple((k, x * m if type(x) is int
+                     else int(x.numerator) * (m // int(x.denominator)))
+                    for k, x in row)
+
+
 def dense(row: Sequence, n: int) -> tuple:
     """The length-n tuple of a sparse row."""
     out = [ZERO] * n
@@ -446,13 +471,9 @@ def _over(d: dict, s: int) -> tuple:
 
 def _integral(w: dict, t: dict) -> tuple:
     """``(m w, m t, m)`` for a sparse row w of rationals and its tag t, with
-    m the lcm of the denominators of w's entries, so that m w is a sparse
-    row of ints."""
-    m = 1
-    for x in w.values():
-        m = lcm(m, int(x.denominator))
-    return ({k: int(x * m) for k, x in w.items()},
-            {k: x * m for k, x in t.items()}, m)
+    m and the sparse row of ints m w those of ``integral``."""
+    m, w = integral(w.items())
+    return dict(w), {k: x * m for k, x in t.items()}, m
 
 
 class Span:

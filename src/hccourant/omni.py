@@ -16,8 +16,11 @@ induced Courant bracket, and the pairing to the induced bilinear form up to
 the global scalar 2, each by one table identity (``exactlin.pullback``).
 Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
 Lie brackets on V; `d_structure_check` decides both sides and compares them.
-Each graph row (mu(v_i, .), v_i) is read off the sparse mu table and mapped
-to epsilon(V[1]) as one sparse combination of the rows of ``OmniIso.fwd``.
+Each graph row (mu(v_i, .), v_i) is read off the sparse mu table, cleared
+of its denominators (``exactlin.integral``: the row times the lcm of its
+denominators spans the same line, so the graph is unchanged) and mapped to
+epsilon(V[1]) as one sparse combination of the rows of ``OmniIso.fwd``,
+so no rational reaches the span of a D-structure verdict.
 
 ``MainTheoremReport`` is an ``exactlin.Report`` record: ``ok`` is the
 conjunction of its ``bool`` fields (``form_scalar`` is a value, not a
@@ -36,8 +39,9 @@ from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
 from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Record,
-                       Report, combine, dense, pullback, pushforward, rank,
-                       row_space, sparse_row, sparse_table, vec)
+                       Report, combine, dense, integral, pullback,
+                       pushforward, rank, row_space, sparse_row, sparse_table,
+                       vec)
 from .hochschild import elementary_chain
 
 
@@ -232,13 +236,15 @@ def d_graph_rows(n: int, mu) -> list:
 def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     """Dirac verdict of the graph {(mu(v, .), v)} versus the Lie-bracket
     oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Each
-    graph row is a sparse combination of the rows of ``iso.fwd``."""
+    graph row, cleared of its denominators, is a sparse combination of the
+    rows of ``iso.fwd``."""
     n = iso.n
     mu = tuple(tuple(vec(mu[i][j]) for j in range(n)) for i in range(n))
     if any(len(c) != n for row in mu for c in row):
         raise OmniError("mu has cells of the wrong length")
     mu = sparse_table(mu)
-    rows = [combine(row, iso.fwd) for row in d_graph_rows(n, mu)]
+    rows = [combine(integral(row)[1], iso.fwd)
+            for row in d_graph_rows(n, mu)]
     L = Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
     verdict = is_dirac(L)
     skew, jacobi = lie_laws(n, mu)

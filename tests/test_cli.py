@@ -1323,6 +1323,15 @@ def _omni_mu(name):
 # at the pair (0, 1)
 PINNED_REPORTS["omni_dim3_mu_so3.json"] = (_omni_mu("so3"), 0)
 PINNED_REPORTS["omni_dim3_mu_nonskew.json"] = (_omni_mu("nonskew"), 1)
+# rational inputs, whose graph rows are cleared of denominators: so(3)
+# times 3/7 (Dirac), the non-Jacobi table times -5/2 (not closed, with its
+# counterexample) and so(3) times 1/2 on Q^3
+PINNED_REPORTS["poisson_graph_v1_3_so3_3_7_seed7.json"] = (_poisson_graph(
+    str(Path(__file__).parent / "data" / "bracket_so3_3_7_v1_3.json")), 0)
+PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_m5_2_seed7.json"] = (
+    _poisson_graph(str(Path(__file__).parent / "data"
+                       / "bracket_nonjacobi_m5_2_v1_3.json")), 1)
+PINNED_REPORTS["omni_dim3_mu_so3_half.json"] = (_omni_mu("so3_half"), 0)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

@@ -142,11 +142,18 @@ def _nonjacobi_graph(espaces, epsilons):
     (lambda E, e: lie_algebroid_check(e["qx3"], _nonjacobi_graph(E, e)),
      "submodule is not over the given quotient"),
     (lambda E, e: lie_algebroid_check(e["v1_3"], _nonjacobi_graph(E, e)),
-     "lie_algebroid_check requires a Dirac structure")), ids=(
+     "lie_algebroid_check requires a Dirac structure"),
+    # V[1] at n = 1 is qx2: the same dimensions, another E(A)
+    (lambda E, e: poisson_graph(E["v1_1"], e["qx2"],
+                                _zero_table(E["v1_1"].algebra)),
+     r"the quotient is not that of the given E\(A\)"),
+    (lambda E, e: two_form_graph(e["qx2"], two_form(E["v1_1"], (0,))),
+     r"the quotient is not that of the 2-form's E\(A\)")), ids=(
     "submodule-columns", "project-columns", "table-shape",
     "biderivations-noncommutative", "graph-noncommutative",
     "graph-other-algebra", "two-form-graph-zero-quotient",
-    "algebroid-other-quotient", "algebroid-not-dirac"))
+    "algebroid-other-quotient", "algebroid-not-dirac",
+    "graph-other-quotient", "two-form-graph-other-quotient"))
 def test_dirac_calls_refuse_what_they_cannot_read(espaces, epsilons, call,
                                                   message):
     with pytest.raises(DiracError, match=message):
@@ -1472,3 +1479,134 @@ def test_algebroid_structure_constants_are_those_of_the_integer_rows(
                                                        eps.bracket_table)
             pivot_entries |= {row[0][1] for row in vs}
     assert pivot_entries - {1}
+
+
+# ---------------------------------------------------------------------------
+# graphs of rational tables: their rows are cleared of denominators
+
+SCALES = (Q(3, 7), Q(-5, 2), Q(9))
+
+
+def _rational_graph(E, eps, t):
+    """The graph of the rational rows (graph_j(t), e_{hc+j}), with a 1 at
+    the H_1 unit, by the chain reference, and their projection to the
+    quotient."""
+    L_E = _ref_poisson_graph(E, eps, t)[0]
+    return L_E, project(eps, L_E.spanning)
+
+
+def _integral_spanning(L) -> bool:
+    return all(type(x) is int for row in L.spanning.sparse_rows
+               for _, x in row)
+
+
+def _scale_cases(algebras, bider_spaces):
+    """(name, table) pairs: so(3) and the non-Jacobi table on v1_3 (Dirac
+    and not), and a seeded biderivation on v1_2 and qx3."""
+    A = algebras["v1_3"]
+    cases = [("v1_3", load_bracket_table(ref, A).table) for ref in (
+        "bracket_so3_v1_3", "bracket_nonjacobi_v1_3")]
+    for name in ("v1_2", "qx3"):
+        flat = rand_combination(rng_for(f"scaled-graph/{name}"),
+                                bider_spaces[name])
+        cases.append((name, table_from_flat(algebras[name], flat).table))
+    return cases
+
+
+@pytest.mark.parametrize("c", SCALES, ids=map(str, SCALES))
+def test_graph_of_a_scaled_table_is_the_rational_rows_graph(
+        espaces, epsilons, algebras, bider_spaces, c):
+    """c t on v1_3, v1_2 and qx3: ``poisson_graph`` offers its spans integer
+    rows, m times the rational ones, and gives the bases and the verdict
+    of the rational rows (graph_j(c t), e_{hc+j})."""
+    verdicts, fractional = set(), 0
+    for name, table in _scale_cases(algebras, bider_spaces):
+        E, eps = espaces[name], epsilons[name]
+        t = make_bracket_table(E.algebra, _scaled(c, table))
+        L_E, L = poisson_graph(E, eps, t)
+        ref_E, ref = _rational_graph(E, eps, t)
+        assert _integral_spanning(L_E) and _integral_spanning(L)
+        assert L_E.vectors == ref_E.vectors, name
+        assert L.vectors == ref.vectors, name
+        verdict = is_dirac(L).to_json()
+        assert verdict == is_dirac(ref).to_json(), name
+        verdicts.add(verdict["dirac"])
+        fractional += not _integral_spanning(ref_E)
+    assert verdicts == {True, False}
+    assert fractional >= (2 if c.denominator > 1 else 0)
+
+
+def _so3_mu(n: int) -> list:
+    """so(3) on the first three coordinates of Q^n."""
+    mu = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        mu[i][j][k], mu[j][i][k] = 1, -1
+    return mu
+
+
+def _mu_cases(n: int) -> list:
+    """so(3) (Dirac), a seeded skew {-1, 0, 1} mu (not Lie, so its graph is
+    isotropic and the closure decides) and at n = 4 a metabelian mu."""
+    rng = rng_for(f"scaled-mu/{n}")
+    mu = [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+          for _ in range(n)]
+    skew = [[[mu[i][j][a] - mu[j][i][a] for a in range(n)]
+             for j in range(n)] for i in range(n)]
+    cases = [_so3_mu(n), skew]
+    if n == 4:
+        a = (1, -2, 3, 1)
+        cases.append([[[a[i] * (k == j) - a[j] * (k == i) for k in range(n)]
+                       for j in range(n)] for i in range(n)])
+    return cases
+
+
+@pytest.mark.parametrize("c", SCALES, ids=map(str, SCALES))
+@pytest.mark.parametrize("n", (3, 4))
+def test_d_structure_of_a_scaled_mu_is_the_rational_rows_one(
+        monkeypatch, n, c):
+    """c mu at n = 3 and 4: ``d_structure_check`` offers its span integer
+    rows and gives the basis and the verdict of the rational graph rows
+    (mu(v_i, .), v_i) mapped by ``iso.fwd``."""
+    iso = build_omni_iso(n)
+    graphs = []
+    monkeypatch.setattr(omni, "is_dirac",
+                        lambda L: graphs.append(L) or is_dirac(L))
+    verdicts = set()
+    for mu in _mu_cases(n):
+        mu = _scaled(c, mu)
+        rep = d_structure_check(iso, mu)
+        ref = _ref_d_graph(iso, mu)
+        assert _integral_spanning(graphs[-1])
+        assert graphs[-1].vectors == ref.vectors
+        assert rep.verdict.to_json() == is_dirac(ref).to_json()
+        assert rep.consistent
+        verdicts.add(rep.dirac)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind", ("poisson-graph", "d-structure"))
+def test_a_rational_graph_verdict_offers_its_spans_only_ints(
+        v13, monkeypatch, kind):
+    """During one verdict on so(3) times 3/7, as a Poisson graph on v1_3
+    with its E(A) basis and as a D-structure at n = 3, every row and tag
+    entry offered to a span is an int."""
+    A, E, eps = v13
+    iso = build_omni_iso(3)  # built before the spy: its spans are not read
+    offered = []
+    add = Span.add
+
+    def spy(self, row, tag):
+        offered.extend(x for _, x in row)
+        offered.extend(tag.values())
+        return add(self, row, tag)
+
+    monkeypatch.setattr(Span, "add", spy)
+    c = Q(3, 7)
+    if kind == "poisson-graph":
+        t = load_bracket_table("bracket_so3_v1_3", A)
+        L_E, L = poisson_graph(E, eps, make_bracket_table(A, _scaled(
+            c, t.table)))
+        assert is_dirac(L).dirac and L_E.vectors.rows == L_E.dim
+    else:
+        assert d_structure_check(iso, _scaled(c, _so3_mu(3))).dirac
+    assert offered and all(type(x) is int for x in offered)

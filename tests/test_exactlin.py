@@ -13,7 +13,7 @@ from hccourant.algebra import (GUARD_MAX_DIM, AlgebraError, FiniteAlgebra,
 from hccourant.dirac import DiracVerdict
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 canonical_row, combine, contract, dense,
-                                make_reducer, membership, nullspace,
+                                integral, make_reducer, membership, nullspace,
                                 pullback, pushforward, quotient_basis, rank,
                                 rat, rat_str, row_combination, row_space,
                                 rref, rref_transform, sparse, sparse_table,
@@ -825,6 +825,33 @@ def _span_cases(draw):
     S = QMatrix(sub, cols=cols)
     probes = [list(r) for r in M] + draw(st.lists(row, max_size=3))
     return M, S, probes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals, st.builds(
+    lambda p, k: Q(p * k, k), st.integers(-3, 3), st.integers(1, 3))),
+    max_size=6))
+def test_integral_clears_denominators_without_a_rational(values):
+    """``integral`` of a sparse row of ints, integral Qs and fractions: m is
+    the lcm of the denominators, m row is a row of ints equal to m times
+    the row, and, on the ``Fraction`` backend, no Fraction is built."""
+    row = tuple((k, x) for k, x in enumerate(values) if x)
+    made = []
+    if Q is Fraction:  # mpq's constructor cannot be wrapped
+        new = Fraction.__new__
+        Fraction.__new__ = lambda cls, *a, **kw: made.append(a) or new(
+            cls, *a, **kw)
+    try:
+        m, out = integral(row)
+    finally:
+        if Q is Fraction:
+            Fraction.__new__ = new
+    assert not made
+    assert m == math.lcm(*(int(Q(x).denominator) for _, x in row))
+    assert [k for k, _ in out] == [k for k, _ in row]
+    assert all(type(y) is int and y == m * x for (_, x), (_, y)
+               in zip(row, out))
+    assert integral(out) == (1, out)
 
 
 @settings(max_examples=80, deadline=None)
