@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactlin import (ZERO, ONE, HccourantError, Record, bilinear, dense,
@@ -73,6 +74,16 @@ class FiniteAlgebra(Record):
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
+
+    @cached_property
+    def products(self) -> list:
+        """The cells e_p e_q at p d + q, built once per algebra on first
+        read: the window table of the faces of b and delta^1."""
+        out = [()] * self.dim ** 2
+        for p, row in enumerate(self.structure):
+            for q, cell in row:
+                out[p * self.dim + q] = cell
+        return out
 
     def is_commutative(self) -> bool:
         return self.structure == transpose_table(self.structure)

@@ -20,11 +20,14 @@ a caller contracts ``z_table``, and ``orthogonal`` reads every radical and
 orthogonal off the form table, once for both spaces.  ESpace stores its
 form once: the form table, built at construction from the pairings
 <X, alpha>, the class of i_X alpha in H_0, its only nonzero block, so
-<X, alpha> is ``form((X, 0), (0, alpha))``.  It builds its bracket and Z
-tables from the chain-level rules on first use, so a space that never
-brackets pays nothing: the bracket table reads the pairings off the form
-table and D as one matrix, that of B: H_0 -> H_1.  Its
-``courant_bracket`` is the reference they are tested against.
+<X, alpha> is ``form((X, 0), (0, alpha))``; the bracket and Z tables are
+built on first use, so a space that never brackets pays nothing.  Each
+table takes one ``hochschild.slot_images`` pass per derivation or centre
+element over the terms of all the H_1 class reps (or flattened
+derivations), and reduces each nonzero cell by its presentation's span;
+the bracket table reads the pairings off the form table and D as one
+matrix, that of B: H_0 -> H_1.  ``courant_bracket`` and the single-chain
+rules of ``hochschild`` are the reference the tables are tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -43,13 +46,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
-from .exactlin import (ZERO, HccourantError, QMatrix, Span, bilinear,
+from .exactlin import (ONE, ZERO, HccourantError, QMatrix, Span, bilinear,
                        combine, contract, dense, nullspace, pullback,
                        pushforward, quotient_basis, row_combination, sparse,
                        sparse_row, vec)
 from .hochschild import (Chain, center, cochain_from_flat, cohomology_h1,
-                         commutator, connes_B, flat_cochain, h_left_multiply,
-                         homology, interior_product, lie_derivative)
+                         commutator, connes_B, flat_cochain, homology,
+                         lie_derivative, slot_images)
 
 
 class CourantError(HccourantError):
@@ -142,11 +145,12 @@ class ESpace(CourantSpace):
         # pairing <X_i, alpha_j>, the class of i_X_i alpha_j, on (X, alpha)
         # pairs, symmetric, and 0 on (X, X) and (alpha, alpha) pairs
         F = [{} for _ in range(self.dim)]
-        reps = tuple(map(self.h1.rep_chain, range(self.h1.dim)))
+        reps = self.h1.class_reps.sparse_rows
         for i, X in enumerate(self.derivations):
-            for j, rep in enumerate(reps):
-                F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(
-                    interior_product(X, rep).row))
+            for j, row in enumerate(slot_images(reps, algebra.dim, (1, X, 1),
+                                                cyclic=algebra.products)):
+                if row:  # a zero image is class 0
+                    F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(row))
         self.form_table = tuple(map(sparse_row, F))
         self._check_b_descends()
 
@@ -201,49 +205,48 @@ class ESpace(CourantSpace):
 
     @cached_property
     def bracket_table(self) -> tuple:
-        """bracket_table[i][j] = [[e_i, e_j]] in E coordinates, assembled
-        from the chain rules on class-basis pairs: [X_i, X_j] (skew),
-        L_X_i alpha_j, and -L_X_j alpha_i + D<X_j, alpha_i>; (alpha, alpha)
-        pairs bracket to 0.  D is the matrix of B: H_0 -> H_1, row h the
-        class of B on the H_0 class rep h, and <X_i, alpha_j> is cell
-        (i, hc + j) of ``form_table``."""
-        hc, hh = self.h1co.dim, self.h1.dim
-        T = [{} for _ in range(self.dim)]
-        X = self.derivations
-        for i in range(hc):
-            for j in range(i + 1, hc):
-                c = self.class_of_derivation(commutator(X[i], X[j]))
-                T[i][j] = sparse(c)
-                T[j][i] = sparse([-x for x in c])
+        """bracket_table[i][j] = [[e_i, e_j]] in E coordinates on class-basis
+        pairs: [X_i, X_j] (skew), L_X_i alpha_j, and -L_X_j alpha_i +
+        D<X_j, alpha_i>, <X_i, alpha_j> read off cell (i, hc + j) of
+        ``form_table``; (alpha, alpha) pairs bracket to 0."""
+        hc, hh, d = self.h1co.dim, self.h1.dim, self.algebra.dim
         D = QMatrix([self.h1.reduce_chain(connes_B(self.h0.rep_chain(h)))
-                     for h in range(self.h0.dim)], cols=hh)
-        reps = tuple(map(self.h1.rep_chain, range(hh)))
-        for i in range(hc):
+                     for h in range(self.h0.dim)], cols=hh)  # B: H_0 -> H_1
+        flats, reps = self.h1co.class_reps, self.h1.class_reps
+        T, zero = [{} for _ in range(self.dim)], (ZERO,) * hh
+        for i, X in enumerate(self.derivations):
+            rows = slot_images(flats.sparse_rows[i + 1:], d, (1, X, 1),
+                               (-1, X.transpose(), 0))  # X X_j - X_j X
+            for j, row in enumerate(rows, i + 1):
+                if row:
+                    c = self.h1co.reduce(row)
+                    T[i][j], T[j][i] = sparse(c), sparse([-x for x in c])
             pairings = dict(self.form_table[i])
-            for j, rep in enumerate(reps):
-                lx = self.h1.reduce_chain(lie_derivative(X[i], rep))
-                back = dense(combine(pairings.get(hc + j, ()), D), hh)
-                T[i][hc + j] = sparse(lx, hc)
-                T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
+            lies = slot_images(reps.sparse_rows, d, (1, X, 0), (1, X, 1))
+            for j, row in enumerate(lies, hc):
+                if row or j in pairings:
+                    lx = self.h1.reduce(row) if row else zero
+                    back = dense(combine(pairings.get(j, ()), D), hh)
+                    T[i][j] = sparse(lx, hc)
+                    T[j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
         return tuple(map(sparse_row, T))
 
     @cached_property
     def z_table(self) -> tuple:
         """z_table[m][k] = c_m . e_k in E coordinates for the centre basis
-        c_m: (z X, z alpha) on class representatives."""
-        A = self.algebra
-        hc, hh = self.h1co.dim, self.h1.dim
-        X, reps = self.derivations, tuple(map(self.h1.rep_chain, range(hh)))
-        table = []
-        for z in self.center_basis:
-            row, zs = {}, sparse(z)
-            for k in range(hc):
-                zx = QMatrix((contract(zs, r, A.structure)
-                              for r in X[k].sparse_rows), A.dim)
-                row[k] = sparse(self.class_of_derivation(zx))
-            for k, rep in enumerate(reps):
-                za = h_left_multiply(z, rep)
-                row[hc + k] = sparse(self.h1.reduce_chain(za), hc)
+        c_m: z . on slot 1 of each flattened X is z X, and on slot 0 of each
+        H_1 rep alpha it is z alpha, one ``slot_images`` pass each."""
+        A, hc, table = self.algebra, self.h1co.dim, []
+        flats, reps = self.h1co.class_reps, self.h1.class_reps
+        for z in self.center_basis.sparse_rows:
+            left = QMatrix([contract(z, ((a, ONE),), A.structure)
+                            for a in range(A.dim)], A.dim)  # z e_a
+            row = {k: sparse(self.h1co.reduce(r)) for k, r in enumerate(
+                slot_images(flats.sparse_rows, A.dim, (1, left, 1))) if r}
+            for k, r in enumerate(slot_images(reps.sparse_rows, A.dim,
+                                              (1, left, 0))):
+                if r:
+                    row[hc + k] = sparse(self.h1.reduce(r), hc)
             table.append(row)
         return tuple(map(sparse_row, table))
 

@@ -5,14 +5,14 @@ index sum_j a_j d^(n-j).  A ``Chain`` stores one sparse row over them, in
 the row form of ``QMatrix``; ``coords`` is a dense read-only view.  A
 derivation, like any linear map X: A -> A, is the d x d ``QMatrix`` whose
 row j is X(e_j).  Every chain map (the boundary b, Connes' B, the Lie
-derivative L_X, the interior product i_X, the homotopy a' .) and the
-coboundary delta^1 is one list of faces, read by index strides in two ways:
-``apply`` visits the terms of one chain, and ``operator`` builds the matrix
-that homology and Der(A) eliminate.  One matrix, the rows ad(e_i), gives
-H^0 and the boundaries of H^1: the centre Z(A) = H^0(A, A) is the kernel of
-ad: A -> Der(A), and the inner derivations are its image.  The H0-valued
-pairing <X, alpha> is the class of i_X(alpha): ``interior_product``, then
-the ``reduce`` of H_0; ``courant.ESpace`` stores it as its form table.  A
+derivative L_X, the interior product i_X) and the coboundary delta^1 is
+one list of faces, read by index strides in two ways: ``apply`` visits the
+terms of one chain, and ``operator`` builds the matrix that homology and
+Der(A) eliminate; b's faces read ``A.products``, built once per algebra.
+E(A)'s tables read L_X, i_X, z . and [X, Y] on many degree-1 rows at once
+by ``slot_images``, whose reference is these single-chain rules.  One
+matrix, the rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is
+the kernel of ad: A -> Der(A), and the inner derivations are its image.  A
 presentation Z/B is one span, ``reduce``: ``boundaries``, the span of
 im b_(n+1), grown by the class reps tagged.  It spans Z, so
 ``reduce.contains`` is the cycle test, and it answers the boundary test;
@@ -189,33 +189,19 @@ def operator(faces, d: int, n: int, degree: int) -> QMatrix:
     return QMatrix.from_sums(out, d ** (n + 1), cols)
 
 
-def _products(A: FiniteAlgebra) -> list:
-    """The product table by window value: entry p d + q is e_p e_q."""
-    d, out = A.dim, [()] * A.dim ** 2
-    for p, row in enumerate(A.structure):
-        for q, cell in row:
-            out[p * d + q] = cell
-    return out
-
-
 def _boundary_faces(A: FiniteAlgebra, n: int, only=None) -> list:
     """b_n (Loday, Cyclic Homology, 1.1), or its faces i in ``only``: face
     i, sign (-1)^i, puts a_i a_(i+1) in slot i for i < n, and the cyclic
     face i = n puts a_n a_0 in slot 0."""
-    products, top = _products(A), n + 1
+    top = n + 1
     return [(-1 if i % 2 else 1, (i, (i + 1) % top), i % n,
              [(j, j - (j > i)) for j in range(top) if (j - i) % top > 1],
-             products) for i in (range(top) if only is None else only)]
+             A.products) for i in (range(top) if only is None else only)]
 
 
 def _slot_face(sign, rows, n: int, i: int) -> tuple:
     """The map with rows ``rows`` on slot i of a degree-n chain."""
     return sign, (i,), i, [(j, j) for j in range(n + 1) if j != i], rows
-
-
-def _insertion_face(row, n: int) -> tuple:
-    """row (x) a_0 (x) ... (x) a_n: ``row`` inserted at slot 0."""
-    return 1, (), 0, [(j, j + 1) for j in range(n + 1)], (row,)
 
 
 def _connes_faces(A: FiniteAlgebra, n: int) -> list:
@@ -261,12 +247,30 @@ def connes_B(c: Chain) -> Chain:
     return apply(_connes_faces(c.algebra, c.degree), c, c.degree + 1)
 
 
-def h_left_multiply(aprime: Sequence, c: Chain) -> Chain:
-    """The homotopy a_0 (x) ... -> a' a_0 (x) ... used against inner
-    derivations: a' inserted at slot 0, then face 0 of b_(n+1)."""
-    n = c.degree
-    return apply([_insertion_face(sparse(vec(aprime)), n)], c, n + 1,
-                 (_boundary_faces(c.algebra, n + 1, (0,)), n))
+# ---------------------------------------------------------------------------
+# degree-1 images of many rows at once, for E(A)'s tables, building no
+# Chain or face list; the single-chain rules above are their reference
+
+def slot_images(rows, d: int, *maps, cyclic=None) -> list:
+    """sum over ``maps`` (sign, M, slot) of sign M on slot ``slot`` of each
+    degree-1 sparse row of ``rows``, M a d x d QMatrix (row a: M(e_a)),
+    then, given the product table ``cyclic``, a_0 (x) a_1 -> a_1 a_0: L_X
+    is (1, X, 0) + (1, X, 1), i_X is (1, X, 1) then ``A.products``, and on
+    a flattened map Y, (1, X, 1) gives X Y and (1, X^T, 0) gives Y X."""
+    maps, out = [(sign, M.sparse_rows, slot) for sign, M, slot in maps], []
+    for row in rows:
+        acc = {}
+        for k, x in row:  # a_0 (x) a_1 at k = a_0 d + a_1
+            a0, a1 = divmod(k, d)
+            for sign, M, slot in maps:
+                a, base, step = (a1, a0 * d, 1) if slot else (a0, a1, d)
+                for m, t in M[a]:
+                    m, t = base + m * step, sign * t * x
+                    acc[m] = acc[m] + t if m in acc else t
+        out.append(sparse_row(acc) if cyclic is None else _summed_row(
+            (m, t * x) for k, x in acc.items()  # a_1 a_0
+            for m, t in cyclic[k % d * d + k // d]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +353,7 @@ def leibniz_operator(A: FiniteAlgebra) -> QMatrix:
             for k, c in cell:
                 left[q * d + k].append((p, c))
                 right[p * d + k].append((q, c))
-    return operator(((1, (0, 1), 0, [(2, 1)], _products(A)),
+    return operator(((1, (0, 1), 0, [(2, 1)], A.products),
                      (-1, (1, 2), 1, [(0, 0)], left),
                      (-1, (0, 2), 1, [(1, 0)], right)), d, 2, 1)
 

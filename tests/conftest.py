@@ -8,10 +8,14 @@ import pytest
 
 from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.exactlin import Q, ZERO, QMatrix, Span, row_combination
+from hccourant.exactlin import (Q, ZERO, QMatrix, Span, combine, contract,
+                                dense, row_combination, sparse, sparse_row,
+                                vec)
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import (Chain, cochain_from_flat, connes_B,
-                                  derivation_basis)
+from hccourant.hochschild import (Chain, _boundary_faces, apply,
+                                  cochain_from_flat, commutator, connes_B,
+                                  derivation_basis, interior_product,
+                                  lie_derivative)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +80,80 @@ def rand_derivation(rng, A: FiniteAlgebra, basis=None) -> QMatrix:
 
 def rand_chain(rng, A: FiniteAlgebra, n: int) -> Chain:
     return Chain(A, n, rand_vec(rng, A.dim ** (n + 1)))
+
+
+def insertion_face(row, n: int) -> tuple:
+    """The face of row (x) a_0 (x) ... (x) a_n: ``row`` inserted at slot 0."""
+    return 1, (), 0, [(j, j + 1) for j in range(n + 1)], (row,)
+
+
+def h_left_multiply(aprime, c: Chain) -> Chain:
+    """The homotopy a_0 (x) ... -> a' a_0 (x) ... used against inner
+    derivations, in the face form: a' inserted at slot 0, then face 0 of
+    b_(n+1)."""
+    n = c.degree
+    return apply([insertion_face(sparse(vec(aprime)), n)], c, n + 1,
+                 (_boundary_faces(c.algebra, n + 1, (0,)), n))
+
+
+def ref_form_table(E) -> tuple:
+    """E's form table built pair by pair from the chain rules: cell
+    (i, hc + j) and its mirror the H_0 class of i_X_i alpha_j, each a
+    ``interior_product`` on a rep ``Chain``."""
+    hc = E.h1co.dim
+    F = [{} for _ in range(E.dim)]
+    reps = tuple(map(E.h1.rep_chain, range(E.h1.dim)))
+    for i, X in enumerate(E.derivations):
+        for j, rep in enumerate(reps):
+            F[i][hc + j] = F[hc + j][i] = sparse(E.h0.reduce(
+                interior_product(X, rep).row))
+    return tuple(map(sparse_row, F))
+
+
+def ref_bracket_table(E) -> tuple:
+    """E's bracket table built pair by pair from the chain rules: the class
+    of ``commutator`` on (X, X) pairs, of ``lie_derivative`` on (X, alpha)
+    pairs, and -L_X_j alpha_i + D<X_j, alpha_i> on (alpha, X) pairs, D the
+    matrix of ``connes_B`` from H_0 to H_1."""
+    hc, hh = E.h1co.dim, E.h1.dim
+    T = [{} for _ in range(E.dim)]
+    X = E.derivations
+    for i in range(hc):
+        for j in range(i + 1, hc):
+            c = E.class_of_derivation(commutator(X[i], X[j]))
+            T[i][j] = sparse(c)
+            T[j][i] = sparse([-x for x in c])
+    D = QMatrix([E.h1.reduce_chain(connes_B(E.h0.rep_chain(h)))
+                 for h in range(E.h0.dim)], cols=hh)
+    reps = tuple(map(E.h1.rep_chain, range(hh)))
+    for i in range(hc):
+        pairings = dict(E.form_table[i])
+        for j, rep in enumerate(reps):
+            lx = E.h1.reduce_chain(lie_derivative(X[i], rep))
+            back = dense(combine(pairings.get(hc + j, ()), D), hh)
+            T[i][hc + j] = sparse(lx, hc)
+            T[hc + j][i] = sparse([b - a for a, b in zip(lx, back)], hc)
+    return tuple(map(sparse_row, T))
+
+
+def ref_z_table(E) -> tuple:
+    """E's Z-action table built pair by pair: z X as the d x d map of rows
+    z X(e_j), and z alpha as ``h_left_multiply`` on a rep ``Chain``."""
+    A = E.algebra
+    hc, hh = E.h1co.dim, E.h1.dim
+    X, reps = E.derivations, tuple(map(E.h1.rep_chain, range(hh)))
+    table = []
+    for z in E.center_basis:
+        row, zs = {}, sparse(z)
+        for k in range(hc):
+            zx = QMatrix((contract(zs, r, A.structure)
+                          for r in X[k].sparse_rows), A.dim)
+            row[k] = sparse(E.class_of_derivation(zx))
+        for k, rep in enumerate(reps):
+            za = h_left_multiply(z, rep)
+            row[hc + k] = sparse(E.h1.reduce_chain(za), hc)
+        table.append(row)
+    return tuple(map(sparse_row, table))
 
 
 def ref_inner_derivation(A: FiniteAlgebra, a) -> QMatrix:

@@ -18,12 +18,11 @@ from hccourant.exactlin import Q, QMatrix, bilinear, rank
 from hccourant.files import BUNDLED_ALGEBRAS, BUNDLED_TABLES, \
     load_algebra_ref, load_bracket_table
 from hccourant.hochschild import (_boundary_faces, boundary_b, commutator,
-                                  connes_B, derivation_basis,
-                                  h_left_multiply, homology, interior_product,
-                                  lie_derivative, operator)
+                                  connes_B, derivation_basis, homology,
+                                  interior_product, lie_derivative, operator)
 from hccourant.morita import transport_dirac, verify_morita
 from hccourant.omni import verify_ev1, verify_main_theorem
-from conftest import (rand_chain, rand_derivation, rand_vec,
+from conftest import (h_left_multiply, rand_chain, rand_derivation, rand_vec,
                       ref_center_action, ref_center_coords, ref_d_map,
                       ref_h0_action, ref_inner_derivation, rng_for, vec_add)
 

@@ -1,21 +1,26 @@
 """The bracket/form/anchor axioms on E(A) and the quotient construction."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant import courant
-from hccourant.algebra import GuardError, build_v1
+from hccourant.algebra import (GuardError, build_v1, matrix_algebra,
+                               opposite_algebra)
 from hccourant.courant import CourantError, EpsilonSpace, ESpace
 from hccourant.dirac import Submodule
-from hccourant.exactlin import (Q, ZERO, QMatrix, Span, bilinear, contract,
-                                nullspace, quotient_basis, rank,
-                                row_combination, sparse)
+from hccourant.exactlin import (Q, ZERO, ExactLinError, QMatrix, Span,
+                                bilinear, contract, nullspace,
+                                quotient_basis, rank, row_combination, sparse)
 from hccourant.hochschild import (Chain, commutator, elementary_chain,
-                                  h_left_multiply, interior_product)
-from conftest import (is_canonical_table, is_number, perturbed_table,
-                      rand_combination, rand_vec, ref_center_action,
-                      ref_center_coords, ref_d_map, ref_h0_action,
-                      ref_pairing, rng_for, vec_add)
+                                  interior_product)
+from conftest import (h_left_multiply, is_canonical_table, is_number,
+                      perturbed_table, rand_combination, rand_vec,
+                      ref_bracket_table, ref_center_action,
+                      ref_center_coords, ref_d_map, ref_form_table,
+                      ref_h0_action, ref_pairing, ref_z_table, rng_for,
+                      vec_add)
 
 NONZERO_E = ("qx2", "qx3", "v1_1", "v1_2", "v1_3")
 
@@ -333,6 +338,57 @@ def test_structure_tables_are_canonical(espaces, epsilons, name):
         assert is_canonical_table(space.form_table, n, n, space.h0_dim)
         assert is_canonical_table(space.z_table, space.center_basis.rows,
                                   n, n)
+
+
+# the algebras besides the bundled ones whose tables are held to the
+# per-pair reference: Morita targets, opposite algebras and the omni V[1]
+BUILT_SPACES = {
+    "M2(qx2)": lambda a: matrix_algebra(a["qx2"], 2),
+    "M2(v1_2)": lambda a: matrix_algebra(a["v1_2"], 2),
+    "M3(v1_3)": lambda a: matrix_algebra(a["v1_3"], 3),
+    "ut2^op": lambda a: opposite_algebra(a["ut2"]),
+    "qx3^op": lambda a: opposite_algebra(a["qx3"]),
+    "v1_4": lambda a: build_v1(4),
+    "v1_5": lambda a: build_v1(5),
+}
+
+
+@pytest.mark.parametrize("name", NONZERO_E + tuple(BUILT_SPACES))
+def test_tables_equal_the_per_pair_reference(algebras, espaces, epsilons,
+                                             name):
+    """E's form, bracket and Z tables equal the ones built pair by pair
+    from the single-chain rules, cell for cell and in the number form;
+    so do epsilon's, which an EpsilonSpace induces from E's tables and
+    from the reference ones alike."""
+    if name in espaces:
+        E, eps = espaces[name], epsilons[name]
+    else:
+        E = ESpace(BUILT_SPACES[name](algebras), max_dim=36)
+        eps = EpsilonSpace(E) if E.dim else None
+    refs = ref_form_table(E), ref_bracket_table(E), ref_z_table(E)
+    tables = E.form_table, E.bracket_table, E.z_table
+    assert tables == refs
+    assert all(is_number(x) for table in tables for row in table
+               for _, cell in row for _, x in cell)
+    if eps is None:
+        return
+    ref_space = copy.copy(E)  # the same presentations, the reference tables
+    vars(ref_space).pop("radical", None)
+    ref_space.form_table, ref_space.bracket_table, ref_space.z_table = refs
+    ref_eps = EpsilonSpace(ref_space)
+    assert ((eps.form_table, eps.bracket_table, eps.z_table)
+            == (ref_eps.form_table, ref_eps.bracket_table, ref_eps.z_table))
+
+
+def test_bracket_table_refuses_a_non_derivation():
+    """A derivation replaced by a map that is not one: X(1) = v_1.  The
+    tables reduce every nonzero cell by its presentation's span, so the
+    bracket table refuses [X, X_j], which is not a derivation."""
+    E = ESpace(build_v1(2))  # its own instance: the tables are cached on it
+    X = QMatrix(((0, 1, 0), (0, 0, 0), (0, 0, 0)))
+    E.derivations = (X,) + E.derivations[1:]
+    with pytest.raises(ExactLinError, match="reduce: vector outside the span"):
+        E.bracket_table
 
 
 def test_ideal_check_fails_on_a_perturbed_bracket_table():

@@ -5,8 +5,9 @@ frozen from independent hand computations; the Cartan identities
 L_[X,Y] = [L_X, L_Y] and i_[X,Y] = L_X i_Y - i_Y L_X; the homotopy
 h b - b h = (-1)^(n+1) i_[a',.]; L_X = B i_X + i_X B on H_1 and H_2;
 the product rule for the degree-raising map on commutative algebras; the
-sparse row a chain is stored as; and the two evaluators of a face list,
-row a of ``operator`` against ``apply`` on e_a.
+sparse row a chain is stored as; the two evaluators of a face list,
+row a of ``operator`` against ``apply`` on e_a; and the batched degree-1
+evaluator ``slot_images`` against the single-chain rules.
 """
 
 import pytest
@@ -15,19 +16,20 @@ from hypothesis import given, settings, strategies as st
 from hccourant import hochschild
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, matrix_algebra, opposite_algebra)
-from hccourant.exactlin import Q, QMatrix, Span, nullspace, sparse
+from hccourant.exactlin import (Q, QMatrix, Span, contract, dense,
+                                nullspace, sparse)
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, HochschildError,
-                                  _boundary_faces, _connes_faces,
-                                  _insertion_face, _slot_face, apply,
-                                  boundaries, boundary_b, cochain_from_flat,
-                                  cohomology_h1, commutator, connes_B,
-                                  derivation_basis, elementary_chain,
-                                  flat_cochain, h_left_multiply, homology,
+                                  _boundary_faces, _connes_faces, _slot_face,
+                                  apply, boundaries, boundary_b,
+                                  cochain_from_flat, cohomology_h1,
+                                  commutator, connes_B, derivation_basis,
+                                  elementary_chain, flat_cochain, homology,
                                   interior_product, leibniz_operator,
-                                  lie_derivative, operator)
-from conftest import (_ref_is_derivation, dense_structure, monomial_algebra,
-                      rand_chain, rand_combination, rand_derivation, rand_vec,
+                                  lie_derivative, operator, slot_images)
+from conftest import (_ref_is_derivation, dense_structure, h_left_multiply,
+                      insertion_face, monomial_algebra, rand_chain,
+                      rand_combination, rand_derivation, rand_vec,
                       ref_inner_derivation, rng_for)
 
 SMALL = ("q", "qx2", "qx3", "v1_1", "v1_2", "ut2")
@@ -501,6 +503,43 @@ def test_chain_operators_match_reference_loops(algebras, data):
         assert interior_product(X, c) == _ref_interior_product(X, c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slot_images_are_the_single_chain_rules(algebras, data):
+    """``slot_images`` on a batch of degree-1 rows equals the single-chain
+    rules on each row: L_X, i_X (the cyclic product step), left
+    multiplication by a' on slot 0, and, on a flattened map Y, the
+    commutator [X, Y]; X is any d x d map, a derivation or not."""
+    A = _algebra(algebras, data.draw(st.sampled_from(BUNDLED_ALGEBRAS
+                                                     + BUILT)))
+    d = A.dim
+
+    def draw_row(n):
+        terms = data.draw(st.dictionaries(st.integers(0, n - 1), _rationals,
+                                          max_size=6))
+        return tuple(sorted((k, x) for k, x in terms.items() if x))
+
+    def draw_map():
+        return cochain_from_flat(A, draw_row(d * d))
+
+    X, Y = draw_map(), draw_map()
+    chains = [Chain(A, 1, draw_row(d * d)) for _ in range(3)]
+    rows = [c.row for c in chains]
+    aprime = draw_row(d)
+    left = QMatrix([contract(aprime, ((a, 1),), A.structure)
+                    for a in range(d)], d)
+    assert slot_images(rows, d, (1, X, 0), (1, X, 1)) == [
+        lie_derivative(X, c).row for c in chains]
+    assert slot_images(rows, d, (1, X, 1),
+                                  cyclic=A.products) == [
+        interior_product(X, c).row for c in chains]
+    assert slot_images(rows, d, (1, left, 0)) == [
+        h_left_multiply(dense(aprime, d), c).row for c in chains]
+    assert slot_images([flat_cochain(Y)], d, (1, X, 1),
+                                  (-1, X.transpose(), 0)) == [
+        flat_cochain(commutator(X, Y))]
+
+
 def _assert_canonical(M: QMatrix) -> None:
     """The rows of M are those the checking constructor makes of them, and
     each entry is in the number form, which ``==`` alone does not see."""
@@ -538,7 +577,7 @@ def test_operator_rows_are_apply_on_basis_chains(algebras, name):
         maps = [(n - 1, _boundary_faces(A, n))] if n else []
         maps += [(n, [_slot_face(1, X.sparse_rows, n, rng.randrange(n + 1))]),
                  (n + 1, _connes_faces(A, n)),
-                 (n + 1, [_insertion_face(sparse(rand_vec(rng, d)), n)])]
+                 (n + 1, [insertion_face(sparse(rand_vec(rng, d)), n)])]
         for m, faces in maps:
             if not (_admitted(d, n) and _admitted(d, m)):
                 continue
