@@ -21,8 +21,8 @@ import argparse
 import random
 from dataclasses import dataclass
 
-from hccourant.exactlin import (Q, QMatrix, bilinear, make_reducer, rank,
-                                row_combination, sparse_table)
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, row_combination,
+                                sparse_table)
 from hccourant.omni import d_structure_check, verify_ev1, verify_main_theorem
 
 #: known Lie brackets: name -> (dimension, {(i, j): {k: c}}) for
@@ -64,9 +64,9 @@ def conjugated_lie_table(n: int, rng: random.Random):
     while True:
         P = QMatrix([[rng.randint(-2, 2) for _ in range(n)]
                      for _ in range(n)])
-        if rank(P) == n:
+        coords = Span(P, tagged=True)  # coordinates over the rows of P
+        if coords.dim == n:
             break
-    coords = make_reducer(P)
     # row i of inv_cols is P^-1 e_i, the i-th column of P^-1
     inv_cols = QMatrix([coords(e) for e in QMatrix.identity(n)]).transpose()
     mu, PT = sparse_table(lie_table(name, n)), P.transpose()

@@ -22,12 +22,13 @@ form once: the form table, built at construction from the pairings
 <X, alpha>, the class of i_X alpha in H_0, its only nonzero block, so
 <X, alpha> is ``form((X, 0), (0, alpha))``; the bracket and Z tables are
 built on first use, so a space that never brackets pays nothing.  Each
-table takes one ``hochschild.slot_images`` pass per derivation or centre
-element over the terms of all the H_1 class reps (or flattened
-derivations), and reduces each nonzero cell by its presentation's span;
-the bracket table reads the pairings off the form table and D as one
-matrix, that of B: H_0 -> H_1.  ``courant_bracket`` and the single-chain
-rules of ``hochschild`` are the reference the tables are tested against.
+table makes one ``hochschild.apply`` call per derivation or centre
+element on all the H_1 class reps (or flattened derivations) at once,
+with the face list of a single-chain rule (``interior_map``, ``lie_map``,
+``commutator_map``, ``left_map``), and reduces each nonzero cell by its
+presentation's span; the bracket table reads the pairings off the form
+table and D as one matrix, that of B: H_0 -> H_1.  ``courant_bracket`` is
+the reference the tables are tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -46,13 +47,14 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
-from .exactlin import (ONE, ZERO, HccourantError, QMatrix, Span, bilinear,
-                       combine, contract, dense, nullspace, pullback,
+from .exactlin import (ZERO, HccourantError, QMatrix, Span, bilinear,
+                       combine, combine_tables, dense, nullspace, pullback,
                        pushforward, quotient_basis, row_combination, sparse,
-                       sparse_row, vec)
-from .hochschild import (Chain, center, cochain_from_flat, cohomology_h1,
-                         commutator, connes_B, flat_cochain, homology,
-                         lie_derivative, slot_images)
+                       sparse_row, transpose_table, vec)
+from .hochschild import (Chain, apply, center, cochain_from_flat,
+                         cohomology_h1, commutator, commutator_map, connes_B,
+                         flat_cochain, homology, interior_map, left_map,
+                         lie_derivative, lie_map)
 
 
 class CourantError(HccourantError):
@@ -147,8 +149,8 @@ class ESpace(CourantSpace):
         F = [{} for _ in range(self.dim)]
         reps = self.h1.class_reps.sparse_rows
         for i, X in enumerate(self.derivations):
-            for j, row in enumerate(slot_images(reps, algebra.dim, (1, X, 1),
-                                                cyclic=algebra.products)):
+            for j, row in enumerate(apply(reps, algebra.dim, 1,
+                                          *interior_map(algebra, X, 1))):
                 if row:  # a zero image is class 0
                     F[i][hc + j] = F[hc + j][i] = sparse(self.h0.reduce(row))
         self.form_table = tuple(map(sparse_row, F))
@@ -215,14 +217,13 @@ class ESpace(CourantSpace):
         flats, reps = self.h1co.class_reps, self.h1.class_reps
         T, zero = [{} for _ in range(self.dim)], (ZERO,) * hh
         for i, X in enumerate(self.derivations):
-            rows = slot_images(flats.sparse_rows[i + 1:], d, (1, X, 1),
-                               (-1, X.transpose(), 0))  # X X_j - X_j X
+            rows = apply(flats.sparse_rows[i + 1:], d, 1, *commutator_map(X))
             for j, row in enumerate(rows, i + 1):
                 if row:
                     c = self.h1co.reduce(row)
                     T[i][j], T[j][i] = sparse(c), sparse([-x for x in c])
             pairings = dict(self.form_table[i])
-            lies = slot_images(reps.sparse_rows, d, (1, X, 0), (1, X, 1))
+            lies = apply(reps.sparse_rows, d, 1, *lie_map(X, 1))
             for j, row in enumerate(lies, hc):
                 if row or j in pairings:
                     lx = self.h1.reduce(row) if row else zero
@@ -234,19 +235,17 @@ class ESpace(CourantSpace):
     @cached_property
     def z_table(self) -> tuple:
         """z_table[m][k] = c_m . e_k in E coordinates for the centre basis
-        c_m: z . on slot 1 of each flattened X is z X, and on slot 0 of each
-        H_1 rep alpha it is z alpha, one ``slot_images`` pass each."""
-        A, hc, table = self.algebra, self.h1co.dim, []
-        flats, reps = self.h1co.class_reps, self.h1.class_reps
+        c_m: ``left_map`` on slot 1 of all flattened X gives z X, and on
+        slot 0 of all H_1 reps alpha z alpha, one ``apply`` call each."""
+        A, table = self.algebra, []
+        parts = (0, self.h1co, 1), (self.h1co.dim, self.h1, 0)
         for z in self.center_basis.sparse_rows:
-            left = QMatrix([contract(z, ((a, ONE),), A.structure)
-                            for a in range(A.dim)], A.dim)  # z e_a
-            row = {k: sparse(self.h1co.reduce(r)) for k, r in enumerate(
-                slot_images(flats.sparse_rows, A.dim, (1, left, 1))) if r}
-            for k, r in enumerate(slot_images(reps.sparse_rows, A.dim,
-                                              (1, left, 0))):
-                if r:
-                    row[hc + k] = sparse(self.h1.reduce(r), hc)
+            row = {}
+            for shift, pres, slot in parts:
+                images = apply(pres.class_reps.sparse_rows, A.dim, 1,
+                               *left_map(A, z, 1, slot))
+                row.update((shift + k, sparse(pres.reduce(r), shift))
+                           for k, r in enumerate(images) if r)
             table.append(row)
         return tuple(map(sparse_row, table))
 
@@ -318,13 +317,15 @@ class EpsilonSpace(CourantSpace):
     # -- construction-time verification -------------------------------------
 
     def _verify_ideal(self):
-        # J is the kernel of the projection: [J_j, e_k], [e_k, J_j] map to 0
-        E, P = self.espace, self.projection
-        T, units = E.bracket_table, QMatrix.identity(E.dim)
-        left = pushforward(pullback(T, self.J, units), P)
-        right = pushforward(pullback(T, units, self.J), P)
-        bad = ([(j, k) for j, row in enumerate(left) for k, _ in row]
-               + [(j, k) for k, row in enumerate(right) for j, _ in row])
+        # J is the kernel of the projection: [J_j, e_k], [e_k, J_j] map to
+        # 0; row j of either table is sum_a J_ja S[a], S = T or T^t
+        T, P = self.espace.bracket_table, self.projection
+        bad = []
+        for S in (T, transpose_table(T)):
+            rows = [combine_tables(((x, (S[a],)) for a, x in J), 1)[0]
+                    for J in self.J.sparse_rows]
+            bad += [(j, k) for j, row in enumerate(pushforward(rows, P))
+                    for k, _ in row]
         if bad:
             raise CourantError("radical is not a bracket ideal at "
                                "(J%d, e%d)" % min(bad))

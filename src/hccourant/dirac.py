@@ -235,12 +235,11 @@ class BracketTable(Record):
         A = self.algebra
         if not A.is_commutative():
             raise DiracError("bracket tables require a commutative algebra")
-        d = A.dim
-        if len(self.table) != d or any(len(r) != d for r in self.table) or \
-                any(len(self.table[i][j]) != d
-                    for i in range(d) for j in range(d)):
+        d, t = A.dim, self.table
+        if len(t) != d or any(len(r) != d or any(len(c) != d for c in r)
+                              for r in t):
             raise DiracError("bracket table has wrong shape")
-        _check_biderivation(A, self.table)
+        _check_biderivation(A, t)
 
 
 def _check_biderivation(A: FiniteAlgebra, table) -> None:
@@ -257,9 +256,7 @@ def _check_biderivation(A: FiniteAlgebra, table) -> None:
 
 
 def make_bracket_table(A: FiniteAlgebra, table) -> BracketTable:
-    d = A.dim
-    t = tuple(tuple(vec(table[i][j]) for j in range(d)) for i in range(d))
-    return BracketTable(A, t)
+    return BracketTable(A, tuple(tuple(map(vec, row)) for row in table))
 
 
 def biderivation_space(A: FiniteAlgebra) -> QMatrix:

@@ -5,13 +5,13 @@ index sum_j a_j d^(n-j).  A ``Chain`` stores one sparse row over them, in
 the row form of ``QMatrix``; ``coords`` is a dense read-only view.  A
 derivation, like any linear map X: A -> A, is the d x d ``QMatrix`` whose
 row j is X(e_j).  Every chain map (the boundary b, Connes' B, the Lie
-derivative L_X, the interior product i_X) and the coboundary delta^1 is
-one list of faces, read by index strides in two ways: ``apply`` visits the
-terms of one chain, and ``operator`` builds the matrix that homology and
-Der(A) eliminate; b's faces read ``A.products``, built once per algebra.
-E(A)'s tables read L_X, i_X, z . and [X, Y] on many degree-1 rows at once
-by ``slot_images``, whose reference is these single-chain rules.  One
-matrix, the rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is
+derivative L_X, the interior product i_X, left multiplication by z) and
+the coboundary delta^1 is one list of faces, read by index strides in two
+ways: ``apply`` visits the terms of a batch of chains (one chain, or all
+of E(A)'s class reps), and ``operator`` builds the matrix that homology
+and Der(A) eliminate; b's faces read ``A.products``, built once per
+algebra.  E(A)'s tables read the rules' face lists from ``lie_map``,
+``interior_map``, ``left_map`` and ``commutator_map``.  One matrix, the rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is
 the kernel of ad: A -> Der(A), and the inner derivations are its image.  A
 presentation Z/B is one span, ``reduce``: ``boundaries``, the span of
 im b_(n+1), grown by the class reps tagged.  It spans Z, so
@@ -21,14 +21,13 @@ no span of a presentation's bases is built again.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix,
                        Record, Span, canonical_row, combine, combine_tables,
-                       dense, nullspace, quotient_basis, sparse, sparse_row,
-                       transpose_table, vec)
+                       contract, dense, nullspace, quotient_basis, sparse,
+                       sparse_row, transpose_table, vec)
 
 
 class HochschildError(HccourantError):
@@ -61,8 +60,10 @@ class Chain(Record):
 
     def __add__(self, other, sign=ONE):
         self._same(other)
-        return Chain(self.algebra, self.degree, _summed_row(itertools.chain(
-            self.row, ((k, sign * x) for k, x in other.row))))
+        out = dict(self.row)
+        for k, x in other.row:
+            out[k] = out[k] + sign * x if k in out else sign * x
+        return Chain(self.algebra, self.degree, sparse_row(out))
 
     def __sub__(self, other):
         return self.__add__(other, -ONE)
@@ -73,14 +74,6 @@ class Chain(Record):
     def _same(self, other):
         if self.algebra is not other.algebra or self.degree != other.degree:
             raise HochschildError("chain mismatch")
-
-
-def _summed_row(pairs: Iterable) -> tuple:
-    """sum x e_k over (coordinate k, x) pairs, as a sparse row."""
-    out = {}
-    for k, x in pairs:
-        out[k] = out[k] + x if k in out else x
-    return sparse_row(out)
 
 
 def elementary_chain(A: FiniteAlgebra, indices: Sequence[int]) -> Chain:
@@ -126,13 +119,6 @@ def _inner_rows(A: FiniteAlgebra) -> QMatrix:
                     for row in C), d * d)
 
 
-def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
-    """[X, Y]: row j is X(Y(e_j)) - Y(X(e_j))."""
-    return QMatrix((_summed_row(itertools.chain(
-        combine(y, X), ((k, -t) for k, t in combine(x, Y))))
-        for x, y in zip(X.sparse_rows, Y.sparse_rows)), X.cols)
-
-
 # ---------------------------------------------------------------------------
 # chain maps as faces
 #
@@ -141,7 +127,8 @@ def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
 # number v; each term t e_k of the sparse row ``table[v]`` puts k in output
 # slot ``slot`` with coefficient sign t, and each (j, s) in ``kept`` copies
 # input slot j to output slot s, for every slot j outside the window.  Slot
-# j of a degree-n index k is k // d^(n-j) % d.
+# j of a degree-n index k is k // d^(n-j) % d.  ``apply`` runs a map given
+# as steps (faces, degree), so i_X is two: X on a slot, then a product.
 
 def _spread(d: int, steps) -> list:
     """sum_j i_j steps_j over every choice of digits i_j < d, in order."""
@@ -151,24 +138,33 @@ def _spread(d: int, steps) -> list:
     return out
 
 
-def apply(faces, c: Chain, degree: int, *then) -> Chain:
-    """The chain map ``faces`` on c, visiting only the terms of c, and then
-    each (faces, degree) of ``then`` on the terms of the image before."""
-    d, n, row = c.algebra.dim, c.degree, c.row
-    for faces, degree in ((faces, degree),) + then:
-        pw, out = [d ** e for e in range(max(n, degree) + 1)], {}
+def apply(rows, d: int, n: int, *steps) -> list:
+    """Each step (faces, degree) in turn, from degree n, on every sparse row
+    of the batch ``rows``, visiting only their terms; a ``Chain`` is a
+    batch of one, and the powers of d are made once per step."""
+    for faces, degree in steps:
+        pw = [d ** e for e in range(max(n, degree) + 1)]
+        out = [{} for _ in rows]
         for sign, window, slot, kept, table in faces:
-            for k, x in row:
-                v, base, x = 0, 0, sign * x
-                for j in window:
-                    v = v * d + k // pw[n - j] % d
-                for j, s in kept:
-                    base += k // pw[n - j] % d * pw[degree - s]
-                for t, y in table[v]:
-                    key, y = base + t * pw[degree - slot], x * y
-                    out[key] = out[key] + y if key in out else y
-        row, n = out.items(), degree
-    return Chain(c.algebra, degree, sparse_row(out))
+            put = pw[degree - slot]
+            for row, acc in zip(rows, out):
+                for k, x in row:
+                    v, base, x = 0, 0, sign * x
+                    for j in window:
+                        v = v * d + k // pw[n - j] % d
+                    for j, s in kept:
+                        base += k // pw[n - j] % d * pw[degree - s]
+                    for t, y in table[v]:
+                        key, y = base + t * put, x * y
+                        acc[key] = acc[key] + y if key in acc else y
+        rows, n = [acc.items() for acc in out], degree
+    return [sparse_row(acc) for acc in out]
+
+
+def _image(c: Chain, *steps) -> Chain:
+    """The steps of a chain map on the batch of one chain c."""
+    row, = apply((c.row,), c.algebra.dim, c.degree, *steps)
+    return Chain(c.algebra, steps[-1][1], row)
 
 
 def operator(faces, d: int, n: int, degree: int) -> QMatrix:
@@ -217,60 +213,63 @@ def _connes_faces(A: FiniteAlgebra, n: int) -> list:
     return faces
 
 
+def lie_map(X: QMatrix, n: int) -> tuple:
+    """L_X on degree n: the map X on each slot."""
+    return ([_slot_face(1, X.sparse_rows, n, i) for i in range(n + 1)], n),
+
+
+def interior_map(A: FiniteAlgebra, X: QMatrix, n: int) -> tuple:
+    """i_X from degree n, (-1)^(n+1) X(a_n) a_0 (x) a_1 (x) ... (x)
+    a_(n-1): -X on slot n, then the cyclic face of b_n."""
+    return (([_slot_face(-1, X.sparse_rows, n, n)], n),
+            (_boundary_faces(A, n, (n,)), n - 1))
+
+
+def commutator_map(X: QMatrix) -> tuple:
+    """[X, .] on flattened maps Y, read as degree-1 rows (Y(e_j)_m at
+    a_0 = j, a_1 = m): X on slot 1 gives X Y, and X^T on slot 0 gives Y X."""
+    return ([_slot_face(1, X.sparse_rows, 1, 1),
+             _slot_face(-1, X.transpose().sparse_rows, 1, 0)], 1),
+
+
+def left_map(A: FiniteAlgebra, z, n: int, slot: int) -> tuple:
+    """Left multiplication by z, a sparse row, on one slot of degree n."""
+    rows = [contract(z, ((a, ONE),), A.structure) for a in range(A.dim)]
+    return ([_slot_face(1, rows, n, slot)], n),
+
+
+def commutator(X: QMatrix, Y: QMatrix) -> QMatrix:
+    """[X, Y]: row j is X(Y(e_j)) - Y(X(e_j))."""
+    d = X.cols
+    row, = apply((flat_cochain(Y),), d, 1, *commutator_map(X))
+    return QMatrix([[(k % d, x) for k, x in row if k // d == j]
+                    for j in range(d)], d)
+
+
 def boundary_b(c: Chain) -> Chain:
     """The Hochschild boundary, its faces applied to the terms of c."""
     if c.degree < 1:
         raise HochschildError("boundary undefined in degree 0")
-    return apply(_boundary_faces(c.algebra, c.degree), c, c.degree - 1)
+    return _image(c, (_boundary_faces(c.algebra, c.degree), c.degree - 1))
 
 
 def lie_derivative(X: QMatrix, c: Chain) -> Chain:
     """Sum over slots of applying the derivation X in one slot."""
     _check_map(c.algebra, X)
-    return apply([_slot_face(1, X.sparse_rows, c.degree, i)
-                  for i in range(c.degree + 1)], c, c.degree)
+    return _image(c, *lie_map(X, c.degree))
 
 
 def interior_product(X: QMatrix, c: Chain) -> Chain:
-    """(-1)^(n+1) X(a_n) a_0 (x) a_1 (x) ... (x) a_(n-1): -X on slot n,
-    then the cyclic face of b_n."""
+    """i_X on one chain (``interior_map``)."""
     if c.degree < 1:
         raise HochschildError("interior product undefined in degree 0")
     _check_map(c.algebra, X)
-    n = c.degree
-    return apply([_slot_face(-1, X.sparse_rows, n, n)], c, n,
-                 (_boundary_faces(c.algebra, n, (n,)), n - 1))
+    return _image(c, *interior_map(c.algebra, X, c.degree))
 
 
 def connes_B(c: Chain) -> Chain:
     """Connes' boundary in the explicit, non-normalized form."""
-    return apply(_connes_faces(c.algebra, c.degree), c, c.degree + 1)
-
-
-# ---------------------------------------------------------------------------
-# degree-1 images of many rows at once, for E(A)'s tables, building no
-# Chain or face list; the single-chain rules above are their reference
-
-def slot_images(rows, d: int, *maps, cyclic=None) -> list:
-    """sum over ``maps`` (sign, M, slot) of sign M on slot ``slot`` of each
-    degree-1 sparse row of ``rows``, M a d x d QMatrix (row a: M(e_a)),
-    then, given the product table ``cyclic``, a_0 (x) a_1 -> a_1 a_0: L_X
-    is (1, X, 0) + (1, X, 1), i_X is (1, X, 1) then ``A.products``, and on
-    a flattened map Y, (1, X, 1) gives X Y and (1, X^T, 0) gives Y X."""
-    maps, out = [(sign, M.sparse_rows, slot) for sign, M, slot in maps], []
-    for row in rows:
-        acc = {}
-        for k, x in row:  # a_0 (x) a_1 at k = a_0 d + a_1
-            a0, a1 = divmod(k, d)
-            for sign, M, slot in maps:
-                a, base, step = (a1, a0 * d, 1) if slot else (a0, a1, d)
-                for m, t in M[a]:
-                    m, t = base + m * step, sign * t * x
-                    acc[m] = acc[m] + t if m in acc else t
-        out.append(sparse_row(acc) if cyclic is None else _summed_row(
-            (m, t * x) for k, x in acc.items()  # a_1 a_0
-            for m, t in cyclic[k % d * d + k // d]))
-    return out
+    return _image(c, (_connes_faces(c.algebra, c.degree), c.degree + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -238,10 +238,10 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Each
     graph row, cleared of its denominators, is a sparse combination of the
     rows of ``iso.fwd``."""
-    n = iso.n
-    mu = tuple(tuple(vec(mu[i][j]) for j in range(n)) for i in range(n))
-    if any(len(c) != n for row in mu for c in row):
-        raise OmniError("mu has cells of the wrong length")
+    n, mu = iso.n, tuple(tuple(map(vec, row)) for row in mu)
+    if len(mu) != n or any(len(row) != n or any(len(c) != n for c in row)
+                           for row in mu):
+        raise OmniError("mu has rows or cells of the wrong length")
     mu = sparse_table(mu)
     rows = [combine(integral(row)[1], iso.fwd)
             for row in d_graph_rows(n, mu)]

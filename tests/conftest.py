@@ -92,8 +92,10 @@ def h_left_multiply(aprime, c: Chain) -> Chain:
     derivations, in the face form: a' inserted at slot 0, then face 0 of
     b_(n+1)."""
     n = c.degree
-    return apply([insertion_face(sparse(vec(aprime)), n)], c, n + 1,
+    row, = apply((c.row,), c.algebra.dim, n,
+                 ([insertion_face(sparse(vec(aprime)), n)], n + 1),
                  (_boundary_faces(c.algebra, n + 1, (0,)), n))
+    return Chain(c.algebra, n, row)
 
 
 def ref_form_table(E) -> tuple:

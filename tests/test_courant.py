@@ -392,13 +392,17 @@ def test_bracket_table_refuses_a_non_derivation():
 
 
 def test_ideal_check_fails_on_a_perturbed_bracket_table():
-    E = ESpace(build_v1(2))  # its own instance: the tables are cached on it
-    J = E.radical
-    a = next(k for k, x in enumerate(J[0]) if x)
-    # [e_0, J_0] gains a multiple of e_0, which lies outside J
-    E.bracket_table = perturbed_table(E.bracket_table, 0, a, 0)
-    with pytest.raises(CourantError, match="bracket ideal"):
-        EpsilonSpace(E)
+    """[e_0, J_0], and then [J_0, e_0], gains a multiple of e_0, which lies
+    outside J: each side fails the check, with the witness (J0, e0)."""
+    for side in (0, 1):
+        E = ESpace(build_v1(2))  # its own instance: the tables are cached
+        J = E.radical
+        a = next(k for k, x in enumerate(J[0]) if x)
+        cell = (a, 0) if side else (0, a)
+        E.bracket_table = perturbed_table(E.bracket_table, *cell, 0)
+        with pytest.raises(CourantError,
+                           match=r"bracket ideal at \(J0, e0\)$"):
+            EpsilonSpace(E)
 
 
 def test_nondegeneracy_check_fails_on_a_zeroed_form_table():

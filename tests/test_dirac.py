@@ -129,6 +129,14 @@ def _nonjacobi_graph(espaces, epsilons):
      r"spanning vectors do not match E\(A\)"),
     (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0,)] * 2] * 2),
      "bracket table has wrong shape"),
+    (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0, 0)] * 2]),
+     "bracket table has wrong shape"),
+    (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0, 0)]] * 2),
+     "bracket table has wrong shape"),
+    (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0, 0)] * 3] * 3),
+     "bracket table has wrong shape"),
+    (lambda E, e: make_bracket_table(E["qx2"].algebra, [[(0, 0)] * 3] * 2),
+     "bracket table has wrong shape"),
     (lambda E, e: biderivation_space(E["ut2"].algebra),
      "biderivation space requires a commutative algebra"),
     (lambda E, e: poisson_graph(E["ut2"], EpsilonSpace(E["ut2"]),
@@ -150,6 +158,8 @@ def _nonjacobi_graph(espaces, epsilons):
     (lambda E, e: two_form_graph(e["qx2"], two_form(E["v1_1"], (0,))),
      r"the quotient is not that of the 2-form's E\(A\)")), ids=(
     "submodule-columns", "project-columns", "table-shape",
+    "table-short-rows", "table-short-cells", "table-long",
+    "table-long-cells",
     "biderivations-noncommutative", "graph-noncommutative",
     "graph-other-algebra", "two-form-graph-zero-quotient",
     "algebroid-other-quotient", "algebroid-not-dirac",

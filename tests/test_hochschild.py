@@ -6,8 +6,9 @@ L_[X,Y] = [L_X, L_Y] and i_[X,Y] = L_X i_Y - i_Y L_X; the homotopy
 h b - b h = (-1)^(n+1) i_[a',.]; L_X = B i_X + i_X B on H_1 and H_2;
 the product rule for the degree-raising map on commutative algebras; the
 sparse row a chain is stored as; the two evaluators of a face list,
-row a of ``operator`` against ``apply`` on e_a; and the batched degree-1
-evaluator ``slot_images`` against the single-chain rules.
+row a of ``operator`` against ``apply`` on e_a, one basis chain or all of
+them in one batch; and ``apply`` on a batch of degree-1 rows, with the
+face lists E(A)'s tables read, against the dense reference loops.
 """
 
 import pytest
@@ -16,17 +17,18 @@ from hypothesis import given, settings, strategies as st
 from hccourant import hochschild
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, matrix_algebra, opposite_algebra)
-from hccourant.exactlin import (Q, QMatrix, Span, contract, dense,
-                                nullspace, sparse)
+from hccourant.exactlin import Q, QMatrix, Span, dense, nullspace, sparse
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, HochschildError,
                                   _boundary_faces, _connes_faces, _slot_face,
                                   apply, boundaries, boundary_b,
                                   cochain_from_flat, cohomology_h1,
-                                  commutator, connes_B, derivation_basis,
-                                  elementary_chain, flat_cochain, homology,
+                                  commutator, commutator_map, connes_B,
+                                  derivation_basis, elementary_chain,
+                                  flat_cochain, homology, interior_map,
                                   interior_product, leibniz_operator,
-                                  lie_derivative, operator, slot_images)
+                                  left_map, lie_derivative, lie_map,
+                                  operator)
 from conftest import (_ref_is_derivation, dense_structure, h_left_multiply,
                       insertion_face, monomial_algebra, rand_chain,
                       rand_combination, rand_derivation, rand_vec,
@@ -503,13 +505,22 @@ def test_chain_operators_match_reference_loops(algebras, data):
         assert interior_product(X, c) == _ref_interior_product(X, c)
 
 
+def _ref_commutator(X, Y):
+    """[X, Y] on dense rows: row j is sum_m Y_jm X(e_m) - X_jm Y(e_m)."""
+    d = X.cols
+    return QMatrix([[sum(Y[j][m] * X[m][k] - X[j][m] * Y[m][k]
+                         for m in range(d)) for k in range(d)]
+                    for j in range(d)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_slot_images_are_the_single_chain_rules(algebras, data):
-    """``slot_images`` on a batch of degree-1 rows equals the single-chain
-    rules on each row: L_X, i_X (the cyclic product step), left
-    multiplication by a' on slot 0, and, on a flattened map Y, the
-    commutator [X, Y]; X is any d x d map, a derivation or not."""
+def test_batched_apply_is_the_single_chain_rules(algebras, data):
+    """``apply`` on a batch of degree-1 rows, with the face lists E(A)'s
+    tables read, equals the dense reference loops on each row: L_X, i_X
+    (two steps, the cyclic product last), left multiplication by a' on
+    slot 0 and, on flattened maps Y, the commutator [X, Y], which
+    ``commutator`` reads too; X is any d x d map, a derivation or not."""
     A = _algebra(algebras, data.draw(st.sampled_from(BUNDLED_ALGEBRAS
                                                      + BUILT)))
     d = A.dim
@@ -522,22 +533,21 @@ def test_slot_images_are_the_single_chain_rules(algebras, data):
     def draw_map():
         return cochain_from_flat(A, draw_row(d * d))
 
-    X, Y = draw_map(), draw_map()
+    X, Ys = draw_map(), [draw_map() for _ in range(3)]
     chains = [Chain(A, 1, draw_row(d * d)) for _ in range(3)]
     rows = [c.row for c in chains]
     aprime = draw_row(d)
-    left = QMatrix([contract(aprime, ((a, 1),), A.structure)
-                    for a in range(d)], d)
-    assert slot_images(rows, d, (1, X, 0), (1, X, 1)) == [
-        lie_derivative(X, c).row for c in chains]
-    assert slot_images(rows, d, (1, X, 1),
-                                  cyclic=A.products) == [
-        interior_product(X, c).row for c in chains]
-    assert slot_images(rows, d, (1, left, 0)) == [
-        h_left_multiply(dense(aprime, d), c).row for c in chains]
-    assert slot_images([flat_cochain(Y)], d, (1, X, 1),
-                                  (-1, X.transpose(), 0)) == [
-        flat_cochain(commutator(X, Y))]
+    assert apply(rows, d, 1, *lie_map(X, 1)) == [
+        _ref_lie_derivative(X, c).row for c in chains]
+    assert apply(rows, d, 1, *interior_map(A, X, 1)) == [
+        _ref_interior_product(X, c).row for c in chains]
+    assert apply(rows, d, 1, *left_map(A, aprime, 1, 0)) == [
+        _ref_h_left_multiply(dense(aprime, d), c).row for c in chains]
+    assert apply([flat_cochain(Y) for Y in Ys], d, 1,
+                 *commutator_map(X)) == [
+        flat_cochain(_ref_commutator(X, Y)) for Y in Ys]
+    assert [commutator(X, Y) for Y in Ys] == [
+        _ref_commutator(X, Y) for Y in Ys]
 
 
 def _assert_canonical(M: QMatrix) -> None:
@@ -566,9 +576,10 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
 @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + ("M2(qx2)", "ut2^op",
                                                     "qx3^op"))
 def test_operator_rows_are_apply_on_basis_chains(algebras, name):
-    """Row a of ``operator(faces, ...)`` is ``apply(faces, e_a, ...)`` for
-    the face lists of b_n, B, one slot of L_X and the insertion of a', at
-    every degree the guard admits on both sides."""
+    """Row a of ``operator(faces, ...)`` is ``apply`` on e_a, and all the
+    rows are ``apply`` on every e_a in one batch, for the face lists of
+    b_n, B, one slot of L_X and the insertion of a', at every degree the
+    guard admits on both sides."""
     A = _algebra(algebras, name)
     d = A.dim
     rng = rng_for(f"faces/{name}")
@@ -585,7 +596,9 @@ def test_operator_rows_are_apply_on_basis_chains(algebras, name):
             assert (M.rows, M.cols) == (d ** (n + 1), d ** (m + 1))
             _assert_canonical(M)
             for a, row in enumerate(M.sparse_rows):
-                assert apply(faces, Chain(A, n, ((a, Q(1)),)), m).row == row
+                assert apply((((a, Q(1)),),), d, n, (faces, m)) == [row]
+            units = [((a, Q(1)),) for a in range(M.rows)]
+            assert apply(units, d, n, (faces, m)) == list(M.sparse_rows)
 
 
 @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)

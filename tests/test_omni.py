@@ -242,7 +242,15 @@ def test_d_structure_random_corpus_agrees():
 
 
 def test_d_structure_rejects_wrong_cell_length():
+    """A short cell, and at n = 3 a mu short or long in its rows, cells or
+    cell entries, is refused, not read in part or past its end."""
     iso = build_omni_iso(2)
     mu = [[[0, 0], [0]], [[0, 0], [0, 0]]]
     with pytest.raises(OmniError, match="wrong length"):
         d_structure_check(iso, mu)
+    iso = build_omni_iso(3)
+    for size, rows, cells in ((2, 3, 3), (3, 2, 3), (3, 3, 2), (3, 4, 4),
+                              (4, 3, 3), (3, 4, 3), (3, 3, 4)):
+        mu = [[[0] * size for _ in range(cells)] for _ in range(rows)]
+        with pytest.raises(OmniError, match="wrong length"):
+            d_structure_check(iso, mu)
