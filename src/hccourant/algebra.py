@@ -85,8 +85,12 @@ class FiniteAlgebra(Record):
                 out[p * self.dim + q] = cell
         return out
 
-    def is_commutative(self) -> bool:
+    @cached_property
+    def _commutative(self) -> bool:
         return self.structure == transpose_table(self.structure)
+
+    def is_commutative(self) -> bool:
+        return self._commutative
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"

@@ -8,27 +8,27 @@ and the H0-valued symmetric form (e1, e2) = <X2, a1> + <X1, a2>.  The radical
 J of the form is a two-sided bracket ideal; the quotient carries a
 nondegenerate induced form.
 
-Both spaces are ``CourantSpace``s: an element is its coordinate tuple over
-a class basis, and a space works from structure tensors fixed by their
-values on that basis: the bracket table [[e_i, e_j]], the form table
-(e_i, e_j) and the Z(A)-action table c_m . e_k for the centre basis c_m.  A
-table stores only its nonzero cells, in the canonical sparse form of
+Both spaces are ``CourantSpace``s: an element is its coordinate tuple over a
+class basis, and a space works from structure tensors fixed by their values
+on that basis: the bracket table [[e_i, e_j]], the form table (e_i, e_j) and
+the Z(A)-action table c_m . e_k for the centre basis c_m.  A table stores
+only its nonzero cells, in the canonical sparse form of
 ``exactlin.sparse_table`` (row i holds ascending (j, cell) pairs, a cell
 ascending (k, t) pairs with t != 0), so two tables are equal exactly when
-``==`` says so.  ``bracket`` and ``form`` contract them with ``bilinear``, as
-a caller contracts ``z_table``, and ``orthogonal`` reads every radical and
-orthogonal off the form table, once for both spaces.  ESpace stores its
-form once: the form table, built at construction from the pairings
-<X, alpha>, the class of i_X alpha in H_0, its only nonzero block, so
-<X, alpha> is ``form((X, 0), (0, alpha))``; the bracket and Z tables are
-built on first use, so a space that never brackets pays nothing.  Each
-table makes one ``hochschild.apply`` call per derivation or centre
-element on all the H_1 class reps (or flattened derivations) at once,
-with the face list of a single-chain rule (``interior_map``, ``lie_map``,
-``commutator_map``, ``left_map``), and reduces each nonzero cell by its
-presentation's span; the bracket table reads the pairings off the form
-table and D as one matrix, that of B: H_0 -> H_1.  ``courant_bracket`` is
-the reference the tables are tested against.
+``==`` says so.  ``bracket`` and ``form`` contract them with ``bilinear``,
+as a caller contracts ``z_table``, and ``orthogonal_equations`` reads every
+radical and orthogonal off the form table, once for both spaces.  ESpace
+stores its form once: the form table, built at construction from the
+pairings <X, alpha>, the class of i_X alpha in H_0, its only nonzero block,
+so <X, alpha> is ``form((X, 0), (0, alpha))``; the bracket and Z tables are
+built on first use, so a space that never brackets pays nothing.  Each table
+makes one ``hochschild.apply`` call per derivation or centre element on all
+the H_1 class reps (or flattened derivations) at once, with the face list of
+a single-chain rule (``interior_map``, ``lie_map``, ``commutator_map``,
+``left_map``), and reduces each nonzero cell by its presentation's span; the
+bracket table reads the pairings off the form table and D as one matrix,
+that of B: H_0 -> H_1.  ``courant_bracket`` is the reference the tables are
+tested against.
 EpsilonSpace keeps the quotient map as the matrix ``projection`` (row k:
 the class of e_k) and induces its tables from E's: the form table is E's
 read on the class reps (``pullback``), the bracket and Z tables are then
@@ -85,27 +85,27 @@ class CourantSpace:
         return bilinear(self._coords(u), self._coords(v), self.form_table,
                         self.h0_dim)
 
+    def orthogonal_equations(self, rows: Sequence):
+        """The equations of the orthogonal of the sparse rows ``rows``, as
+        ``h0_dim`` {k: x} dicts per row l: dict h holds (e_k, l)_h at k (0
+        where a sum cancels), summed from the rows F[j] with j in l's
+        support alone, since the form table F is symmetric."""
+        F = self.form_table
+        for l in rows:
+            block = [{} for _ in range(self.h0_dim)]
+            for j, x in l:
+                for k, cell in F[j]:
+                    for h, t in cell:
+                        t *= x
+                        b = block[h]
+                        b[k] = b[k] + t if k in b else t
+            yield from block
+
     def orthogonal_rows(self, rows: Sequence) -> QMatrix:
         """The equations of {e : (e, l) = 0 in H_0 for every sparse row l of
-        ``rows``}, read off the form table: row (l, h) holds (e_k, l)_h at
-        column k.  Each l's block is filled in one pass over the nonzero
-        cells of the table, (e_k, e_j)_h l_j summed into entry (h, k);
-        ``QMatrix`` drops the sums that cancel."""
-        F, n = self.form_table, self.dim
-        out = []
-        for l in rows:
-            l = dict(l)
-            block = [{} for _ in range(self.h0_dim)]
-            for k in range(n):
-                for j, cell in F[k]:
-                    x = l.get(j)
-                    if x is not None:
-                        for h, t in cell:
-                            t *= x
-                            b = block[h]
-                            b[k] = b[k] + t if k in b else t
-            out += (tuple(b.items()) for b in block)  # k ascending
-        return QMatrix(out, cols=n)
+        ``rows``}: row (l, h) holds (e_k, l)_h at column k."""
+        return QMatrix(map(sparse_row, self.orthogonal_equations(rows)),
+                       cols=self.dim)
 
     def orthogonal(self, rows: Sequence) -> QMatrix:
         """Basis of the space ``orthogonal_rows`` gives the equations of."""

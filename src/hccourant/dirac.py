@@ -7,22 +7,24 @@ answers their span tests, while the canonical (RREF) basis is built only
 for a report.  Verdicts are exact; Z(A)-stability is a separate flag.
 ``is_dirac`` runs on sparse rows throughout: isotropy, maximality, closure
 and Z-stability hold or fail with any rescaling of the spanning rows, so
-they contract the ambient's tables with ``exactlin.contract`` on the
-integer rows, and a span test is the emptiness of a fraction-free
-residual.  Only a counterexample is dense.  It is the bracket of the RREF
-rows, read off the integer bracket: RREF row i is integer row i over its
-pivot entry p_i, so their bracket is the integer one over p_i p_j.
+they contract the ambient's tables on the integer rows, each against the
+row's dict built once, and a span test is the emptiness of a fraction-free
+residual.  Only a counterexample is dense (``is_bracket_closed``).
 
 Z-stability is tested only on the non-scalar centre (``_nonscalar_centre``):
 z -> (action of z) is linear and a scalar preserves every subspace, so L is
 Z-stable exactly when the actions independent of the identity preserve it.
 On every epsilon(V[1]) the centre acts by scalars, so the test is empty.
 
-By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on an
-isotropic L, where 2[[u, u]] = D(u, u) = 0, so closure is tested on the pairs
-i < j there.  An isotropic L lies in its orthogonal, so it is maximal exactly
-when dim L-perp = dim L.  A skew bracket's Jacobiator is totally
-antisymmetric, so ``lie_laws`` sums it on i < j < k once skew-symmetry holds.
+By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on
+an isotropic L, where 2[[u, u]] = D(u, u) = 0, so closure is tested on the
+pairs i < j there, each value tested as summed, unsorted.  An isotropic L
+lies in L-perp; a vector of L-perp less the rows of L at its pivot entries
+is in L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet C)
+for C the non-pivot columns.  L is maximal exactly when the equations of
+L-perp on C have rank |C| = n - dim L; one untagged span takes them and
+stops at that rank.  A skew bracket's Jacobiator is totally antisymmetric,
+so ``lie_laws`` sums it on i < j < k once skew-symmetry holds.
 
 A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
 cached per space, holds the H^1 class coordinates of the values of every
@@ -74,8 +76,8 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
-                       _over, combine, combine_tables, contract, dense,
-                       integral, nullspace, pullback, pushforward, rank,
+                       _over, combine, combine_tables, contract, contract_sums,
+                       dense, integral, nullspace, pullback, pushforward,
                        rat_str, sparse, sparse_row, sparse_table,
                        transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, boundaries, connes_B,
@@ -93,12 +95,10 @@ class Submodule:
     """A subspace of a ``CourantSpace``, given by spanning vectors.
 
     The span is eliminated once, into ``span`` (an ``exactlin.Span``), when
-    first read: ``int_rows`` are its primitive integer rows, ``contains``
-    tests a sparse row against it and ``dim`` is its dimension.  Isotropy,
-    maximality, closure and Z-stability hold for a spanning set exactly
-    when they hold for any rescaling of its rows, so they run on
-    ``int_rows``.  The RREF basis ``vectors`` (row i a positive multiple of
-    row i of ``int_rows``) is built only when something reads it."""
+    first read: ``int_rows`` are its primitive integer rows, the verdicts'
+    input (module docstring), ``contains`` tests a sparse row against it
+    and ``dim`` is its dimension.  The RREF basis ``vectors`` (row i a
+    positive multiple of row i of ``int_rows``) is built only when read."""
 
     def __init__(self, ambient: CourantSpace, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -130,8 +130,9 @@ class Submodule:
         """The form vanishes on all spanning pairs (it is symmetric, so on
         the pairs i <= j)."""
         vs, F = self.int_rows, self.ambient.form_table
-        return not any(contract(vs[i], vs[j], F)
-                       for i in range(self.dim) for j in range(i, self.dim))
+        return not any(any(contract_sums(u, v, F).values())
+                       for j, v in enumerate(map(dict, vs))
+                       for u in vs[:j + 1])
 
 
 def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
@@ -145,11 +146,18 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and equal to its orthogonal: an isotropic L lies in
-    L-perp, so the dimensions decide, and dim L-perp is the ambient
-    dimension less the rank of the equations of L-perp."""
-    return L.isotropic and L.ambient.dim - rank(
-        L.ambient.orthogonal_rows(L.int_rows)) == L.dim
+    """L isotropic and L-perp meet C = 0, for C the non-pivot columns of L
+    (module docstring): the equations of L-perp on C reach rank |C|."""
+    if not L.isotropic:
+        return False
+    free, pivots = L.ambient.dim - L.dim, L.span.rows
+    eqs = Span(QMatrix((), cols=L.ambient.dim))
+    for b in L.ambient.orthogonal_equations(L.int_rows):
+        if eqs.dim == free:
+            break
+        if row := [(k, x) for k, x in b.items() if x and k not in pivots]:
+            eqs.add(row, {})
+    return eqs.dim == free
 
 
 def is_bracket_closed(L: Submodule):
@@ -157,16 +165,17 @@ def is_bracket_closed(L: Submodule):
     failing pair of spanning indices in row-major order and the offending
     bracket value, as a dense tuple.  On an isotropic L the bracket is skew
     and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
-    (a diagonal pair never fails there).  The test runs on ``int_rows``; the
-    counterexample is the bracket of the RREF rows, read off the integer
-    bracket: RREF row i is ``int_rows[i]`` over its pivot entry p_i, so
-    their bracket is the integer one over p_i p_j."""
+    (a diagonal pair never fails there).  The test runs on ``int_rows``;
+    the counterexample, built only then, is the bracket of the RREF rows:
+    RREF row i is ``int_rows[i]`` over its pivot entry p_i, so their
+    bracket is the integer one over p_i p_j."""
     vs, T = L.int_rows, L.ambient.bracket_table
-    for i in range(L.dim):
+    ds = [dict(v) for v in vs]
+    for i, u in enumerate(vs):
         for j in range(i + 1 if L.isotropic else 0, L.dim):
-            b = contract(vs[i], vs[j], T)
-            if not L.contains(b):
-                b = _over(dict(b), vs[i][0][1] * vs[j][0][1])
+            b = contract_sums(u, ds[j], T)
+            if not L.contains([(k, x) for k, x in b.items() if x]):
+                b = _over(b, u[0][1] * vs[j][0][1])
                 return False, (i, j, dense(b, L.ambient.dim))
     return True, None
 
@@ -370,11 +379,8 @@ def _graph_map(E: ESpace) -> QMatrix:
 def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     """The graph of the hamiltonian map over the H_1 class basis, in E(A),
     together with its projection to the quotient: one row combination of
-    ``_graph_map``.  ``t`` is a validated biderivation, so the graph is
-    well defined and needs no check here.  Row j is that of the integral
-    table m t (``exactlin.integral``), with m, not 1, at H_1 unit j: m times
-    the row (graph_j(t), e_j), so the graph is the same subspace, and no
-    rational reaches its spans."""
+    ``_graph_map`` on the integral table m t, with m at each H_1 unit entry
+    (module docstring)."""
     A = E.algebra
     if not A.is_commutative():
         raise DiracError("Poisson graphs require a commutative algebra")
@@ -486,10 +492,8 @@ def _algebroid_defects(eps: EpsilonSpace) -> tuple:
     k its image of c_k; rows compose in reverse).  The Leibniz defect is
     trilinear: row a, column m dim + b holds
         [[e_a, z_m e_b]] - z_m [[e_a, e_b]] - X_a(z_m) e_b
-    for z_m the centre basis.  Both laws hold on every Courant algebroid, and
-    both tables are empty on every quotient of the corpus (a tier-1 test).
-    Built on first use and cached, since every Lie-algebroid check over the
-    quotient reads them."""
+    for z_m the centre basis.  Both tables are empty on every quotient of
+    the corpus (a tier-1 test).  Cached per quotient."""
     S, T, Z = _anchor_table(eps), eps.bracket_table, eps.z_table
     n, cdim = eps.dim, eps.center_basis.rows
     sigma = QMatrix([[(k * cdim + q, x) for k, cell in row for q, x in cell]
@@ -528,11 +532,8 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     """For a Dirac structure L: the anchor intertwines brackets, the central
     Leibniz rule holds on L, and the restricted bracket is a Lie bracket.
 
-    The anchor law rho[[u, v]] = [rho u, rho v] and the central Leibniz rule
-    [[u, z v]] = z [[u, v]] + rho(u)(z) v hold on the whole Courant algebroid
-    (Liu-Weinstein-Xu, 1997; Uchino, 2002), and their defects are multilinear:
-    they vanish on L exactly when ``_algebroid_defects`` read on the rows of
-    L vanish.  ``anchor_bracket`` is the emptiness of the anchor defect's
+    The two laws are read off ``_algebroid_defects`` (module docstring):
+    ``anchor_bracket`` is the emptiness of the anchor defect's
     pullback to the rows of L; for ``leibniz_rule`` each row is contracted
     into the Leibniz defect first, and only a nonempty part is read on the
     centre basis z_m and the rows of L: the defect is linear in z, so the

@@ -4,33 +4,34 @@ Everything downstream (homology, brackets, Dirac verdicts) reduces to the
 operations here: reduced row echelon form, nullspaces, row-span membership
 and quotient bases, all over Q with no rounding ever.
 
-Matrices are immutable and store sparse rows: the nonzero entries of a
-row as ascending ``(k, x)`` pairs, the one row form of the kernel (see
+Matrices are immutable and store sparse rows: the nonzero entries of a row
+as ascending ``(k, x)`` pairs, the one row form of the kernel (see
 ``QMatrix``); dense tuples are made only where a caller reads a row as a
-coordinate tuple.  One sparse contraction loop, ``contract``, takes sparse
-rows and a sparse table and returns a canonical sparse row; ``combine`` is
-the same for a linear combination of matrix rows, and ``bilinear`` and
-``row_combination`` are their dense-coordinate wrappers.  One object,
+coordinate tuple.  One sparse contraction loop, ``contract_sums``, takes
+sparse rows and a sparse table and sums into an unsorted dict, which a span
+test reads as it is; ``contract`` returns the sums as a canonical sparse
+row.  ``combine`` is the same for a linear combination of matrix rows;
+``bilinear`` and ``row_combination`` are their dense wrappers.  One object,
 ``Span``, is the only elimination: the row span of a matrix, eliminated
 once as a sparse echelon grown a row at a time.  It is fraction-free: each
 pivot row is a primitive row of ints, so spans of integral rows are
 eliminated and tested on int arithmetic, and the reduced (RREF) rows exist
 only where a reader asks for them.  A span tests a row (``contains``),
-splits it, linearly, into its residual and its coordinates over the
-tagged rows (``split``), and gives those coordinates as a map (a call);
+splits it, linearly, into its residual and its coordinates over the tagged
+rows (``split``), and gives those coordinates as a map (a call);
 ``make_reducer`` returns one, and ``quotient_basis`` grows a subspace's
 span, eliminated once by its caller, into the quotient's.  ``rref``,
 ``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
 ``membership`` are thin readers of a span.  The nonzero rows of R, the
 pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
-span, so they do not depend on the order or multiplicity of the input
-rows.  The coefficients that ``membership`` and the T of
-``rref_transform`` give over dependent rows are one valid solution among
-many; every caller in the package passes independent rows, where the
-coefficients are unique.  ``pullback`` reads a sparse table on
-the rows of two matrices and ``pushforward`` maps its cells by a matrix, so
-a map that preserves a bracket, form or pairing does so by one table
-identity; ``combine_tables`` is ``combine`` for tables, cell by cell.
+span, so they do not depend on the order or multiplicity of the input rows.
+The coefficients that ``membership`` and the T of ``rref_transform`` give
+over dependent rows are one valid solution among many; every caller in the
+package passes independent rows, where the coefficients are unique.
+``pullback`` reads a sparse table on the rows of two matrices and
+``pushforward`` maps its cells by a matrix, so a map that preserves a
+bracket, form or pairing does so by one table identity; ``combine_tables``
+is ``combine`` for tables, cell by cell.
 
 Numbers have one form: a rational is an ``int`` when it is integral and a
 ``Q`` (gmpy2's ``mpq``, or ``fractions.Fraction`` without gmpy2) with
@@ -339,11 +340,7 @@ def integral(row: Iterable) -> tuple:
     entries and m row is a sparse row of ints, each entry p/q made as
     p (m / q) from its numerator and denominator, so no rational is built
     on either backend; an integral row has m = 1 and is returned as ints.
-    Denominators are cleared here where graph data is built, before any
-    span sees it: ``dirac.poisson_graph`` clears a bracket table's flat
-    entries and ``omni.d_structure_check`` each graph row; a span clears a
-    rational row it must make integral (``_integral``).  m row spans the
-    same line as the row, so none of them changes a subspace."""
+    Its callers are named in the module docstring."""
     dens = [int(x.denominator) for _, x in row if type(x) is not int]
     if not dens:
         return 1, tuple(row)
@@ -385,7 +382,12 @@ def contract(u: Sequence, v: Sequence, table) -> tuple:
     table.  The result is a canonical sparse row.  Only the nonzero entries
     of u and the cells of its rows are visited, and the sums accumulate in a
     dict, so no term is ever added to a zero."""
-    v = dict(v)
+    return _number_row(contract_sums(u, dict(v), table))
+
+
+def contract_sums(u: Sequence, v: dict, table) -> dict:
+    """The sums of ``contract`` for v given as a {j: x} dict, as a {k: x}
+    dict, unsorted and with any sum that cancels kept as a 0."""
     out = {}
     for i, ui in u:
         for j, cell in table[i]:
@@ -395,7 +397,7 @@ def contract(u: Sequence, v: Sequence, table) -> tuple:
                 for k, t in cell:
                     t *= c
                     out[k] = out[k] + t if k in out else t
-    return _number_row(out)
+    return out
 
 
 def bilinear(u: Sequence, v: Sequence, table, dim: int) -> tuple:
@@ -488,9 +490,9 @@ class Span:
     row as a combination of the tags of the rows added.  Built with
     ``tagged``, row i of M carries {i: 1}, so tags are coefficients over the
     rows of M and ``n``, the number of tagged rows, is M.rows; otherwise
-    every tag is {} and n is 0, and each distinct row of M is offered once
-    (the zero row too): a repeat of an earlier row lies in the span, so
-    its residual is 0 and ``add`` would change nothing.
+    every tag is {} and n is 0, and each distinct row of M is offered once,
+    since a repeat lies in the span.  An empty tag is never scaled, reduced
+    or divided, so an untagged span does no tag work.
     A row with denominators is multiplied once, with its tag, by the lcm of
     its denominators (``_integral``), when a non-unit pivot or the new
     pivot row needs ints.  A row w is reduced by pivot row p as
@@ -509,16 +511,14 @@ class Span:
 
     ``index`` maps each column to a superset of the pivots whose rows are
     nonzero there, so ``add`` visits only the rows it must clear at the new
-    pivot, not every stored row.
+    pivot, not every stored row; it is updated once per new pivot, at the
+    new row's columns, with the pivots of the rows that changed.
     """
 
     __slots__ = ("cols", "rows", "tags", "n", "index")
 
     def __init__(self, M: QMatrix, tagged: bool = False):
-        self.cols = M.cols
-        self.rows = {}
-        self.tags = {}
-        self.index = {}
+        self.cols, self.rows, self.tags, self.index = M.cols, {}, {}, {}
         self.n = M.rows if tagged else 0
         rows = M.sparse_rows if tagged else dict.fromkeys(M.sparse_rows)
         for i, row in enumerate(rows):
@@ -546,7 +546,7 @@ class Span:
         rows, tags = self.rows, self.tags
         # each row is 0 at every other pivot, so neither step below changes
         # whether w is 0 at another pivot: they clear in any order
-        for p in [k for k in w if k in rows]:
+        for p in w.keys() & rows.keys():
             row = rows[p]
             f = w[p]
             if row[p] != 1:
@@ -560,10 +560,12 @@ class Span:
                     a = c // g
                     s *= a
                     _scale(w, a)
-                    _scale(t, a)
+                    if t:
+                        _scale(t, a)
                 f //= g
             _axpy(w, f, row)
-            _axpy(t, f, tags[p])
+            if tags[p]:
+                _axpy(t, f, tags[p])
         return w, t, s
 
     def add(self, row: Sequence, tag: dict) -> bool:
@@ -587,33 +589,36 @@ class Span:
                 t = {k: -x for k, x in t.items()}
             elif g != 1:
                 w = {k: x // g for k, x in w.items()}
-                t = dict(_over(t, g))
+                t = dict(_over(t, g)) if t else t
             c = w[p]
         rows, tags, index = self.rows, self.tags, self.index
+        touched = {p}
         # no row is nonzero at p once w is added, so its entry goes
         for q in index.pop(p, ()):
             r = rows[q]
             f = r.get(p)
             if f:
+                touched.add(q)
                 tq = tags[q]
                 if c != 1:
                     g = gcd(f, c)
                     f //= g
                     if g != c:
                         _scale(r, c // g)
-                        _scale(tq, c // g)
+                        if tq:
+                            _scale(tq, c // g)
                 _axpy(r, f, w)
-                _axpy(tq, f, t)
+                if t:
+                    _axpy(tq, f, t)
                 if r[q] != 1:
                     g = gcd(*r.values())
                     if g != 1:
                         for k in r:
                             r[k] //= g
-                        tags[q] = dict(_over(tq, g))
-                for k in w:
-                    index.setdefault(k, set()).add(q)
+                        if tq:
+                            tags[q] = dict(_over(tq, g))
         for k in w:
-            index.setdefault(k, set()).add(p)
+            index.setdefault(k, set()).update(touched)
         rows[p] = w
         tags[p] = t
         return True

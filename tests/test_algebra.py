@@ -235,3 +235,25 @@ def test_guard():
     check_guard(17, 1, max_dim=20)
     with pytest.raises(GuardError):
         check_guard(2, 9)
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_commutativity_is_decided_once_per_algebra(name, monkeypatch):
+    """``is_commutative`` transposes the structure table on its first call
+    only, per algebra: every Poisson graph and bracket table over A asks
+    again, and the answer stays the dense loop's."""
+    from hccourant import algebra
+    calls = []
+    transpose = algebra.transpose_table
+    monkeypatch.setattr(algebra, "transpose_table",
+                        lambda t: calls.append(1) or transpose(t))
+    A = load_algebra_ref(name)
+    d, S = A.dim, dense_structure(A)
+    verdicts = {A.is_commutative() for _ in range(5)}
+    assert verdicts == {all(S[i][j] == S[j][i]
+                            for i in range(d) for j in range(d))}
+    assert len(calls) == 1
+    B = opposite_algebra(A)  # a new algebra decides it anew, once
+    calls.clear()
+    assert {B.is_commutative() for _ in range(5)} == verdicts
+    assert len(calls) == 1

@@ -12,7 +12,9 @@ from hccourant.courant import CourantError, EpsilonSpace, ESpace
 from hccourant.dirac import Submodule
 from hccourant.exactlin import (Q, ZERO, ExactLinError, QMatrix, Span,
                                 bilinear, contract, nullspace,
-                                quotient_basis, rank, row_combination, sparse)
+                                quotient_basis, rank, row_combination, sparse,
+                                transpose_table)
+from hccourant.files import BUNDLED_ALGEBRAS
 from hccourant.hochschild import (Chain, commutator, elementary_chain,
                                   interior_product)
 from conftest import (h_left_multiply, is_canonical_table, is_number,
@@ -351,6 +353,24 @@ BUILT_SPACES = {
     "v1_4": lambda a: build_v1(4),
     "v1_5": lambda a: build_v1(5),
 }
+
+
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + (
+    "M2(qx2)", "ut2^op", "qx3^op", "v1_4"))
+def test_form_tables_are_their_own_transpose(algebras, espaces, epsilons,
+                                             name):
+    """Every E and epsilon of the corpus (the bundled algebras, M_2(qx2),
+    ut2^op, qx3^op and V[1] at n = 2..4): the form table is its transpose,
+    cell for cell, which ``orthogonal_equations`` reads (e_k, l) by."""
+    if name in espaces:
+        E = espaces[name]
+    else:
+        E = ESpace(BUILT_SPACES[name](algebras), max_dim=36)
+    spaces = (E, epsilons.get(name) or EpsilonSpace(E)) if E.dim else (E,)
+    for space in spaces:
+        F = space.form_table
+        assert F == transpose_table(F, space.dim)
+        assert any(F) == (space.dim > 0)
 
 
 @pytest.mark.parametrize("name", NONZERO_E + tuple(BUILT_SPACES))

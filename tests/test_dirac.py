@@ -22,9 +22,9 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              make_bracket_table, poisson_graph, project,
                              table_from_flat, two_form, two_form_graph)
 from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
-                                contract, nullspace, rank, rat_str, row_space,
-                                row_combination, sparse, sparse_row,
-                                sparse_table, vec)
+                                contract, dense, integral, nullspace, rank,
+                                rat_str, row_space, row_combination, sparse,
+                                sparse_row, sparse_table, vec)
 from hccourant import hochschild
 from hccourant.algebra import (GuardError, build_v1, make_algebra,
                                matrix_algebra)
@@ -1620,3 +1620,201 @@ def test_a_rational_graph_verdict_offers_its_spans_only_ints(
     else:
         assert d_structure_check(iso, _scaled(c, _so3_mu(3))).dirac
     assert offered and all(type(x) is int for x in offered)
+
+
+# ---------------------------------------------------------------------------
+# the verdict kernel against the bodies it replaced: maximality by the rank
+# of every equation of L-perp, scanned off every cell of the form table, and
+# isotropy and closure by one ``contract`` per pair
+
+def _prior_orthogonal_rows(amb, rows) -> QMatrix:
+    """The equations of L-perp by a scan of every cell of the form table for
+    each row l: row (l, h) holds (e_k, l)_h at column k."""
+    F, out = amb.form_table, []
+    for l in rows:
+        l = dict(l)
+        block = [{} for _ in range(amb.h0_dim)]
+        for k in range(amb.dim):
+            for j, cell in F[k]:
+                if j in l:
+                    for h, t in cell:
+                        block[h][k] = block[h].get(k, 0) + t * l[j]
+        out += (sparse_row(b) for b in block)
+    return QMatrix(out, cols=amb.dim)
+
+
+def _prior_isotropic(L) -> bool:
+    vs, F = L.int_rows, L.ambient.form_table
+    return not any(contract(vs[i], vs[j], F)
+                   for i in range(L.dim) for j in range(i, L.dim))
+
+
+def _prior_is_maximally_isotropic(L) -> bool:
+    return _prior_isotropic(L) and L.ambient.dim - rank(
+        _prior_orthogonal_rows(L.ambient, L.int_rows)) == L.dim
+
+
+def _prior_is_bracket_closed(L):
+    vs, T = L.int_rows, L.ambient.bracket_table
+    for i in range(L.dim):
+        for j in range(i + 1 if _prior_isotropic(L) else 0, L.dim):
+            b = contract(vs[i], vs[j], T)
+            if not L.contains(b):
+                p = vs[i][0][1] * vs[j][0][1]
+                return False, (i, j, tuple(vec(Q(x) / p for x in dense(
+                    b, L.ambient.dim))))
+    return True, None
+
+
+def _prior_is_dirac(L) -> DiracVerdict:
+    maximal = _prior_is_maximally_isotropic(L)
+    closed, ce = _prior_is_bracket_closed(L)
+    return DiracVerdict(_prior_isotropic(L), maximal, closed,
+                        maximal and closed, is_z_stable(L), False, ce)
+
+
+def _assert_prior_verdicts(L) -> None:
+    """Every verdict on L, and on the quotient every ``DiracVerdict`` field,
+    its counterexample's entry types and its JSON, is the prior bodies'."""
+    assert L.isotropic == _prior_isotropic(L)
+    assert is_maximally_isotropic(L) == _prior_is_maximally_isotropic(L)
+    got, ref = is_bracket_closed(L), _prior_is_bracket_closed(L)
+    assert got == ref
+    if got[1] is not None:
+        assert list(map(type, got[1][2])) == list(map(type, ref[1][2]))
+    if L.ambient.quotient:
+        verdict, ref = is_dirac(L), _prior_is_dirac(L)
+        assert verdict == ref and verdict.to_json() == ref.to_json()
+
+
+@pytest.fixture(scope="module")
+def omni_isos():
+    return {n: build_omni_iso(n) for n in (2, 3, 4)}
+
+
+def _d_graph(iso, mu) -> Submodule:
+    """The D-structure graph of mu, built as ``d_structure_check`` builds
+    it."""
+    mu = sparse_table(tuple(tuple(map(vec, row)) for row in mu))
+    rows = [combine(integral(row)[1], iso.fwd)
+            for row in omni.d_graph_rows(iso.n, mu)]
+    return Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
+
+
+def _metabelian_mu(a) -> list:
+    """mu(x, y) = a(x) y - a(y) x, a Lie bracket for every functional a."""
+    n = len(a)
+    return [[[a[i] * (k == j) - a[j] * (k == i) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def _drawn_mu(data, n) -> list:
+    kind = data.draw(st.sampled_from(("random", "skew", "metabelian")))
+    if kind == "metabelian":
+        return _metabelian_mu(data.draw(st.lists(st.integers(-3, 3),
+                                                 min_size=n, max_size=n)))
+    cell = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    mu = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    if kind == "skew":
+        mu = [[[mu[i][j][a] - mu[j][i][a] for a in range(n)]
+               for j in range(n)] for i in range(n)]
+    return mu
+
+
+def _dropped(L, i) -> Submodule:
+    """L less its integer row i (mod dim L)."""
+    rows = L.int_rows[:i % L.dim] + L.int_rows[i % L.dim + 1:]
+    return Submodule(L.ambient, QMatrix(rows, cols=L.ambient.dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verdict_kernel_matches_the_prior_bodies(espaces, epsilons, algebras,
+                                                 bider_spaces, omni_isos,
+                                                 data):
+    """Poisson graphs of integral and scaled biderivations (in the quotient
+    and in the E(A) pre-quotient view), D-structure graphs at n = 2..4,
+    spanning sets with dependent rows, and Dirac graphs with a row
+    dropped."""
+    kind = data.draw(st.sampled_from(
+        ("poisson", "d-structure", "spanning", "dropped")))
+    graphs = []
+    if kind == "poisson":
+        name = data.draw(st.sampled_from(GRAPH_ALGEBRAS))
+        A, E, eps = algebras[name], espaces[name], epsilons[name]
+        coeffs = data.draw(st.lists(st.integers(-3, 3),
+                                    min_size=bider_spaces[name].rows,
+                                    max_size=bider_spaces[name].rows))
+        c = data.draw(st.sampled_from((1, Q(3, 7), Q(-5, 2))))
+        flat = [c * x for x in row_combination(coeffs, bider_spaces[name])]
+        graphs += poisson_graph(E, eps, table_from_flat(A, flat))
+    if kind == "d-structure":
+        iso = omni_isos[data.draw(st.integers(2, 4))]
+        graphs.append(_d_graph(iso, _drawn_mu(data, iso.n)))
+    if kind == "dropped":
+        eps = epsilons[data.draw(st.sampled_from(GRAPH_ALGEBRAS))]
+        iso = omni_isos[data.draw(st.integers(2, 4))]
+        mu = _metabelian_mu(data.draw(st.lists(
+            st.integers(-3, 3), min_size=iso.n, max_size=iso.n)))
+        dirac_graphs = _dirac_graphs(eps, random.Random(
+            data.draw(st.integers(0, 99)))) + [_d_graph(iso, mu)]
+        graphs = [_dropped(L, data.draw(st.integers(0, 9)))
+                  for L in dirac_graphs if L.dim]
+        for L in graphs:
+            assert L.isotropic and not is_maximally_isotropic(L)
+    if kind == "spanning":
+        eps = epsilons[data.draw(st.sampled_from(NONZERO_E))]
+        amb = data.draw(st.sampled_from((eps.espace, eps)))
+        n, entry = amb.dim, st.sampled_from((0, 0, 0, 1, -1, 2, Q(1, 2)))
+        rows = [data.draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(data.draw(st.integers(1, n)))]
+        for _ in range(data.draw(st.integers(1, 3))):
+            f = data.draw(st.integers(-2, 2))
+            a, b = data.draw(st.sampled_from(rows)), data.draw(
+                st.sampled_from(rows))
+            rows.append([x + f * y for x, y in zip(a, b)])
+        graphs.append(Submodule(amb, QMatrix(rows, cols=n)))
+    for L in graphs:
+        _assert_prior_verdicts(L)
+
+
+@pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
+def test_a_dirac_graph_less_a_row_is_isotropic_and_not_maximal(
+        epsilons, omni_isos, name):
+    """Every Dirac graph of ``_dirac_graphs`` and the so(3) D-structures
+    at n = 3, 4, less any one of its rows: isotropic, not maximal, and as
+    the prior bodies judge it."""
+    eps = epsilons[name]
+    graphs = _dirac_graphs(eps, rng_for(f"dropped/{name}"))
+    graphs += [_d_graph(omni_isos[n], _so3_mu(n)) for n in (3, 4)]
+    for L in graphs:
+        assert is_maximally_isotropic(L)
+        for i in range(L.dim):
+            L_less = _dropped(L, i)
+            assert L_less.isotropic and not is_maximally_isotropic(L_less)
+            _assert_prior_verdicts(L_less)
+
+
+@pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
+def test_maximality_offers_its_span_only_non_pivot_columns(
+        epsilons, omni_isos, name, monkeypatch):
+    """The equations of L-perp reach their span on the non-pivot columns of
+    L alone, and none is offered once the span has rank n - dim L."""
+    eps = epsilons[name]
+    graphs = _dirac_graphs(eps, rng_for(f"offered/{name}"))
+    graphs += [_d_graph(omni_isos[n], _so3_mu(n)) for n in (3, 4)]
+    graphs += [_dropped(L, 0) for L in list(graphs) if L.dim]
+    offered = []
+    add = Span.add
+    for L in graphs:
+        L.int_rows, L.isotropic  # the span of L is built before the spy
+        monkeypatch.setattr(Span, "add", lambda self, row, tag: offered.append(
+            (self.dim, list(row))) or add(self, row, tag))
+        maximal = is_maximally_isotropic(L)
+        monkeypatch.setattr(Span, "add", add)
+        free, pivots = L.ambient.dim - L.dim, L.span.rows
+        assert bool(offered) == bool(L.dim)  # L = 0 has no equations
+        assert all(dim < free for dim, _ in offered)
+        assert not any(k in pivots for _, row in offered for k, _ in row)
+        assert maximal == _prior_is_maximally_isotropic(L)
+        offered.clear()

@@ -940,6 +940,25 @@ def test_span_column_index_covers_every_stored_entry(case):
                        for k in r)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_span_cases())
+def test_an_untagged_span_stores_the_tagged_rows(case):
+    """A span grown by ``add`` with empty tags stores the rows a tagged
+    span of the same matrix stores, keeps every tag empty, and after every
+    ``add`` indexes each stored row at every column where it is nonzero."""
+    M, S, _ = case
+    untagged, tagged = Span(QMatrix([], cols=M.cols)), Span(M, tagged=True)
+    for row in M.sparse_rows:
+        untagged.add(row, {})
+        assert all(q in untagged.index.get(k, ())
+                   for q, r in untagged.rows.items() for k in r)
+    assert untagged.rows == tagged.rows == Span(M).rows
+    assert not any(untagged.tags.values()) and not any(Span(M).tags.values())
+    for span in (tagged, Span(S)):
+        assert all(q in span.index.get(k, ()) for q, r in span.rows.items()
+                   for k in r)
+
+
 @pytest.mark.parametrize("kind", ("int", "rational"))
 @pytest.mark.parametrize("seed", range(12))
 def test_span_offers_each_distinct_row_once(kind, seed, monkeypatch):
