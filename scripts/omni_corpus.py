@@ -11,7 +11,10 @@ uniform tables scaled by a random nonzero p/q.  The second kind checks the
 oracle agreement on the Dirac = True side; the third puts fractional
 entries in the graph rows, so that a failed closure reports the bracket of
 fractional reduced rows.  The third kind is drawn from a generator of its
-own, so the first two kinds and their lines do not depend on it.
+own, so the first two kinds and their lines do not depend on it.  Every
+maximality verdict is also held to the full nullspace of L-perp: L is
+maximal isotropic exactly when L-perp contains L and has its dimension;
+a disagreement is printed and makes the script exit 1.
 
 Example:
     python scripts/omni_corpus.py --max-n 3 --tables 200 --seed 11
@@ -21,9 +24,11 @@ import argparse
 import random
 from dataclasses import dataclass
 
-from hccourant.exactlin import (Q, QMatrix, Span, bilinear, row_combination,
-                                sparse_table)
-from hccourant.omni import d_structure_check, verify_ev1, verify_main_theorem
+from hccourant.dirac import Submodule
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
+                                row_combination, sparse_table, vec)
+from hccourant.omni import (d_graph_rows, d_structure_check, verify_ev1,
+                            verify_main_theorem)
 
 #: known Lie brackets: name -> (dimension, {(i, j): {k: c}}) for
 #: [e_i, e_j] = sum_k c e_k, with [e_j, e_i] = -[e_i, e_j] implied
@@ -86,6 +91,25 @@ def v1_lie_poisson_table(n: int, rng: random.Random):
                                        for row in mu]
 
 
+def maximal_by_nullspace(iso, mu) -> bool:
+    """The oracle of a D-structure's maximality: its graph rows
+    (mu(v_i, .), v_i), mapped by ``iso.fwd``, span an L whose L-perp, the
+    full nullspace of its equations, contains L and has its dimension."""
+    mu = sparse_table(tuple(tuple(map(vec, row)) for row in mu))
+    L = Submodule(iso.eps, QMatrix([combine(row, iso.fwd) for row in
+                                    d_graph_rows(iso.n, mu)],
+                                   cols=iso.eps.dim))
+    perp = iso.eps.orthogonal(L.int_rows)
+    return perp.rows == L.dim and all(map(Span(perp).contains, L.int_rows))
+
+
+def checked(iso, mu):
+    """``(report, agrees)``: the D-structure report of mu, and whether its
+    maximality verdict is the oracle's."""
+    d = d_structure_check(iso, mu)
+    return d, d.verdict.maximal == maximal_by_nullspace(iso, mu)
+
+
 def run(cfg: OmniConfig) -> int:
     bad = 0
     for n in range(1, cfg.max_n + 1):
@@ -98,18 +122,20 @@ def run(cfg: OmniConfig) -> int:
         print(f"  main theorem: {main.to_json()}")
         rng = random.Random(cfg.seed + n)
         lie_count = 0
-        inconsistent = 0
+        inconsistent = maximal_bad = 0
         for _ in range(cfg.tables):
             mu = [[[rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d = d_structure_check(iso, mu)
+            d, agrees = checked(iso, mu)
             lie_count += d.is_lie_bracket
             inconsistent += not d.consistent
+            maximal_bad += not agrees
         lie_dirac = 0
         for _ in range(cfg.tables):
-            d = d_structure_check(iso, conjugated_lie_table(n, rng)[1])
+            d, agrees = checked(iso, conjugated_lie_table(n, rng)[1])
             lie_dirac += d.is_lie_bracket and d.dirac
             inconsistent += not d.consistent
+            maximal_bad += not agrees
         print(f"  D-structure corpus: {cfg.tables} uniform tables, "
               f"{lie_count} Lie brackets; {cfg.tables} change-of-basis Lie "
               f"tables, {lie_dirac} Lie and Dirac; "
@@ -121,12 +147,17 @@ def run(cfg: OmniConfig) -> int:
                   scaled_rng.randint(1, 9))
             mu = [[[c * scaled_rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d = d_structure_check(iso, mu)
+            d, agrees = checked(iso, mu)
             scaled_lie += d.is_lie_bracket
             scaled_bad += not d.consistent
+            maximal_bad += not agrees
         print(f"  scaled corpus: {cfg.tables} uniform tables times p/q, "
               f"{scaled_lie} Lie brackets; {scaled_bad} disagreements")
-        bad += inconsistent + scaled_bad + (not main.ok) + (not rep.ok)
+        if maximal_bad:
+            print(f"  maximality: {maximal_bad} verdicts disagree with the "
+                  f"nullspace of L-perp")
+        bad += inconsistent + scaled_bad + maximal_bad
+        bad += (not main.ok) + (not rep.ok)
         # an image of a Lie bracket is one: each such table must pass both
         bad += cfg.tables - lie_dirac
     return 0 if bad == 0 else 1

@@ -65,7 +65,9 @@ class CourantSpace:
     """What E(A) and epsilon(A) share: coordinate tuples of length ``dim``,
     the sparse ``bracket_table``, ``form_table`` (``h0_dim`` H_0 coordinates
     per cell) and ``z_table`` over ``center_basis``, and the maps read off
-    them.  ``quotient`` is True on the nondegenerate quotient."""
+    them.  ``quotient`` is True on the nondegenerate quotient.  The first
+    ``x_dim`` coordinates come from H^1 and the rest from H_1; the form
+    pairs H^1 only with H_1, so it vanishes on each of the two blocks."""
 
     quotient = False
 
@@ -138,6 +140,7 @@ class ESpace(CourantSpace):
         self.h1co = cohomology_h1(algebra)
         self.center_basis = center(algebra)
         self.dim = self.h1co.dim + self.h1.dim
+        self.x_dim = self.h1co.dim
         self.h0_dim = self.h0.dim
         hc = self.h1co.dim
         # derivations[k]: the representative X_k of H^1 class basis vector k
@@ -272,6 +275,8 @@ class EpsilonSpace(CourantSpace):
         self.class_reps = reps
         self.projection = QMatrix([reduce(e) for e in units], cols=reps.rows)
         self.dim = reps.rows
+        # the reps are unit vectors e_k, k ascending: the H^1 ones come first
+        self.x_dim = sum(row[0][0] < espace.x_dim for row in reps.sparse_rows)
         self.center_basis = espace.center_basis
         self.h0_dim = espace.h0_dim
         self._verify_ideal()

@@ -18,13 +18,29 @@ On every epsilon(V[1]) the centre acts by scalars, so the test is empty.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on
 an isotropic L, where 2[[u, u]] = D(u, u) = 0, so closure is tested on the
-pairs i < j there, each value tested as summed, unsorted.  An isotropic L
-lies in L-perp; a vector of L-perp less the rows of L at its pivot entries
-is in L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet C)
-for C the non-pivot columns.  L is maximal exactly when the equations of
-L-perp on C have rank |C| = n - dim L; one untagged span takes them and
-stops at that rank.  A skew bracket's Jacobiator is totally antisymmetric,
-so ``lie_laws`` sums it on i < j < k once skew-symmetry holds.
+pairs i < j there, each value tested as summed, unsorted.
+
+Maximality is decided by complement where it can be.  The form pairs H^1
+only with H_1, so it vanishes on each coordinate block W of a space (the
+first ``x_dim`` coordinates, or the rest).  Lemma: for L isotropic and
+V = L (+) W, L-perp = L (+) (rad meet W).  Proof: L lies in L-perp, so
+L-perp = L (+) (L-perp meet W); a w in W is orthogonal to W, so w is
+orthogonal to L exactly when it is orthogonal to L + W = V, i.e. w is in
+the radical.  So L is maximal exactly when rad meet W = 0, which always
+holds on the nondegenerate quotient.  Every graph the package checks is
+such a complement: Poisson and D-structure graphs of the H^1 block,
+2-form graphs of the H_1 block.  V = L (+) W holds when the rows of L,
+restricted to the columns outside W, are independent (dim L = n - |W|),
+one untagged span of dim L short rows; on E(A), rad meet W = 0 when the
+rows of ``radical`` restricted so are independent.  Any other isotropic L
+is decided on C, the non-pivot columns of L: a vector of L-perp less the
+rows of L at its pivot entries is in L-perp and 0 on the pivot columns,
+so L-perp = L (+) (L-perp meet C), and L is maximal exactly when the
+equations of L-perp on C have rank |C| = n - dim L; one untagged span
+takes them and stops at that rank.
+
+A skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws``
+sums it on i < j < k once skew-symmetry holds.
 
 A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
 cached per space, holds the H^1 class coordinates of the values of every
@@ -140,19 +156,40 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
     matrix of E(A) vectors."""
     if vectors.cols != eps.espace.dim:
         raise DiracError("spanning vectors do not match E(A)")
-    return Submodule(eps, QMatrix([combine(r, eps.projection)
-                                   for r in vectors.sparse_rows],
-                                  cols=eps.dim))
+    return Submodule(eps, QMatrix.from_canonical(
+        [combine(r, eps.projection) for r in vectors.sparse_rows], eps.dim))
+
+
+def _independent_off(rows, lo: int, hi: int, n: int) -> bool:
+    """The sparse rows, restricted to the columns outside [lo, hi), are
+    linearly independent: one untagged span takes them and stops at the
+    first that lies in it."""
+    span = Span(QMatrix((), cols=n))
+    return all(span.add([(k, x) for k, x in row if not lo <= k < hi], {})
+               for row in rows)
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and L-perp meet C = 0, for C the non-pivot columns of L
-    (module docstring): the equations of L-perp on C reach rank |C|."""
+    """L isotropic and L-perp = L.  Lemma (module docstring): for W a
+    coordinate block on which the form vanishes and V = L (+) W,
+    L-perp = L (+) (rad meet W), since L-perp = L (+) (L-perp meet W) and
+    a w in W, orthogonal to W, is orthogonal to L exactly when it is
+    orthogonal to L + W = V.  So for each block of n - dim L columns on
+    which the rows of L, restricted off it, are independent, L is maximal
+    exactly when rad meet W = 0: always on the quotient, and on E(A) when
+    the radical's rows restricted off W are independent.  Otherwise the
+    equations of L-perp on the non-pivot columns C of L must reach rank
+    |C| = n - dim L."""
     if not L.isotropic:
         return False
-    free, pivots = L.ambient.dim - L.dim, L.span.rows
-    eqs = Span(QMatrix((), cols=L.ambient.dim))
-    for b in L.ambient.orthogonal_equations(L.int_rows):
+    amb, n = L.ambient, L.ambient.dim
+    for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
+        if hi - lo == n - L.dim and _independent_off(L.int_rows, lo, hi, n):
+            return amb.quotient or _independent_off(
+                amb.radical.sparse_rows, lo, hi, n)
+    free, pivots = n - L.dim, L.span.rows
+    eqs = Span(QMatrix((), cols=n))
+    for b in amb.orthogonal_equations(L.int_rows):
         if eqs.dim == free:
             break
         if row := [(k, x) for k, x in b.items() if x and k not in pivots]:
@@ -396,9 +433,8 @@ def poisson_graph(E: ESpace, eps: EpsilonSpace, t: BracketTable):
     for k, x in graph:
         j, m = divmod(k, hc)
         rows[j].append((m, x))
-    for j, row in enumerate(rows):
-        row.append((hc + j, scale))
-    spanning = QMatrix(rows, cols=E.dim)
+    spanning = QMatrix.from_canonical(
+        [(*row, (hc + j, scale)) for j, row in enumerate(rows)], E.dim)
     return Submodule(E, spanning), project(eps, spanning)
 
 

@@ -248,6 +248,14 @@ class QMatrix:
         return _stored(out, cols)
 
     @staticmethod
+    def from_canonical(rows: Iterable[tuple], cols: int) -> "QMatrix":
+        """The matrix of rows already in the canonical form (tuples of
+        (k, x) pairs, k ascending in range(cols), x nonzero in the number
+        form), stored unchecked: for graph rows the package builds so
+        (``combine``), tested equal to the constructor's."""
+        return _stored(rows, cols)
+
+    @staticmethod
     def identity(n: int) -> "QMatrix":
         return _stored((((i, ONE),) for i in range(n)), n)
 

@@ -245,7 +245,7 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     mu = sparse_table(mu)
     rows = [combine(integral(row)[1], iso.fwd)
             for row in d_graph_rows(n, mu)]
-    L = Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
+    L = Submodule(iso.eps, QMatrix.from_canonical(rows, iso.eps.dim))
     verdict = is_dirac(L)
     skew, jacobi = lie_laws(n, mu)
     return DStructureReport(n, verdict.dirac, skew and jacobi, skew, jacobi,

@@ -373,6 +373,29 @@ def test_form_tables_are_their_own_transpose(algebras, espaces, epsilons,
         assert any(F) == (space.dim > 0)
 
 
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + (
+    "M2(qx2)", "ut2^op", "qx3^op", "v1_4"))
+def test_the_form_vanishes_on_both_blocks(algebras, espaces, epsilons, name):
+    """The first ``x_dim`` coordinates of every E and epsilon of the corpus
+    come from H^1 and the rest from H_1, and the form table has no cell on
+    a pair inside either block, which maximality by complement reads."""
+    if name in espaces:
+        E = espaces[name]
+    else:
+        E = ESpace(BUILT_SPACES[name](algebras), max_dim=36)
+    spaces = (E, epsilons.get(name) or EpsilonSpace(E)) if E.dim else (E,)
+    assert E.x_dim == E.h1co.dim
+    for space in spaces:
+        x, n = space.x_dim, space.dim
+        for lo, hi in ((0, x), (x, n)):
+            assert not any(lo <= j < hi for row in space.form_table[lo:hi]
+                           for j, _ in row)
+    if E.dim:
+        eps = spaces[1]
+        assert [any(eps.lift(u)[:E.x_dim]) for u in QMatrix.identity(
+            eps.dim)] == [k < eps.x_dim for k in range(eps.dim)]
+
+
 @pytest.mark.parametrize("name", NONZERO_E + tuple(BUILT_SPACES))
 def test_tables_equal_the_per_pair_reference(algebras, espaces, epsilons,
                                              name):

@@ -1407,6 +1407,19 @@ def _lambda_minus_one():
     return ESpace(_from_products("Lambda_-1", basis, products, ("1",)))
 
 
+def _kronecker_espace() -> ESpace:
+    """E(A) for A = Q[t]/(t^2) x K, K the Kronecker path algebra: its
+    radical lies in the H^1 block."""
+    basis = ("u", "t", "e1", "e2", "a", "b")
+    products = {("u", "u"): ("u", 1), ("u", "t"): ("t", 1),
+                ("t", "u"): ("t", 1), ("e1", "e1"): ("e1", 1),
+                ("e2", "e2"): ("e2", 1), ("e1", "a"): ("a", 1),
+                ("a", "e2"): ("a", 1), ("e1", "b"): ("b", 1),
+                ("b", "e2"): ("b", 1)}
+    return ESpace(_from_products("Q[t]/(t^2) x Kronecker", basis, products,
+                                 ("u", "e1", "e2")))
+
+
 def test_anchor_descends_when_the_radical_has_no_h1_part():
     """Lambda_{-1} is not commutative, yet its radical lies in the H_1
     summand: rho descends, and the anchor table is read through it, nonzero
@@ -1438,14 +1451,7 @@ def test_anchor_is_refused_when_the_radical_has_an_h1_part():
     """On Q[t]/(t^2) x K, for K the Kronecker path algebra (H_1 = 0, so its
     derivation classes pair to zero), the radical has an H^1 part: rho
     does not descend, and the anchor table refuses as ``rho`` does."""
-    basis = ("u", "t", "e1", "e2", "a", "b")
-    products = {("u", "u"): ("u", 1), ("u", "t"): ("t", 1),
-                ("t", "u"): ("t", 1), ("e1", "e1"): ("e1", 1),
-                ("e2", "e2"): ("e2", 1), ("e1", "a"): ("a", 1),
-                ("a", "e2"): ("a", 1), ("e1", "b"): ("b", 1),
-                ("b", "e2"): ("b", 1)}
-    E = ESpace(_from_products("Q[t]/(t^2) x Kronecker", basis, products,
-                              ("u", "e1", "e2")))
+    E = _kronecker_espace()
     eps = EpsilonSpace(E)
     assert eps.dim and any(any(r[:E.h1co.dim]) for r in eps.J)
     with pytest.raises(CourantError, match="rho undefined"):
@@ -1795,26 +1801,171 @@ def test_a_dirac_graph_less_a_row_is_isotropic_and_not_maximal(
             _assert_prior_verdicts(L_less)
 
 
+def _blocks(amb) -> tuple:
+    """The two coordinate blocks [lo, hi) of a space: H^1, then H_1."""
+    return (0, amb.x_dim), (amb.x_dim, amb.dim)
+
+
+def _inside_a_block(amb, rng) -> list:
+    """For each block W with n - |W| < |W|: a random L inside W of
+    dimension n - |W|, isotropic as W is.  That is the dimension of W's
+    complements, yet L meets W, and the other block is smaller than W, so
+    L complements neither."""
+    n, found = amb.dim, []
+    for lo, hi in _blocks(amb):
+        k = n - (hi - lo)
+        while 0 < k < hi - lo:
+            rows = [[rng.randint(-2, 2) if lo <= c < hi else 0
+                     for c in range(n)] for _ in range(k)]
+            L = Submodule(amb, QMatrix(rows, cols=n))
+            if L.dim == k:
+                found.append(L)
+                break
+    return found
+
+
+def _two_form_graphs(E, eps, rng) -> list:
+    """Graphs {(X, i_X omega)} of a random closed 2-form class, in E(A) and
+    projected to the quotient, with the rows ``two_form_graph`` builds."""
+    h2 = homology(E.algebra, 2)
+    kernel = nullspace(dirac._two_form_conditions(
+        h2, boundaries(E.algebra, 3)))
+    coeffs = [rng.randint(-2, 2) for _ in range(kernel.rows)]
+    rep = h2.class_to_chain(row_combination(coeffs, kernel)
+                            if kernel.rows else (0,) * h2.dim)
+    rows = [unit + E.h1.reduce_chain(interior_product(X, rep))
+            for unit, X in zip(QMatrix.identity(E.h1co.dim), E.derivations)]
+    spanning = QMatrix(rows, cols=E.dim)
+    return [Submodule(E, spanning), project(eps, spanning)]
+
+
+def _offered_rows(L, monkeypatch) -> list:
+    """(span dim, row) for every row ``is_maximally_isotropic(L)`` offers
+    to a span; its verdict must be the prior body's."""
+    L.int_rows, L.isotropic  # the span of L is built before the spy
+    offered, add = [], Span.add
+    monkeypatch.setattr(Span, "add", lambda self, row, tag: offered.append(
+        (self.dim, list(row))) or add(self, row, tag))
+    maximal = is_maximally_isotropic(L)
+    monkeypatch.setattr(Span, "add", add)
+    assert maximal == _prior_is_maximally_isotropic(L)
+    return offered
+
+
 @pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
 def test_maximality_offers_its_span_only_non_pivot_columns(
         epsilons, omni_isos, name, monkeypatch):
-    """The equations of L-perp reach their span on the non-pivot columns of
-    L alone, and none is offered once the span has rank n - dim L."""
+    """Where L complements no block, the equations of L-perp reach their
+    span on the non-pivot columns of L alone, and none is offered once the
+    span has rank n - dim L: Dirac graphs less a row, and an L inside a
+    block W of dimension n - |W|, whose complement test offers one empty
+    row first."""
     eps = epsilons[name]
     graphs = _dirac_graphs(eps, rng_for(f"offered/{name}"))
     graphs += [_d_graph(omni_isos[n], _so3_mu(n)) for n in (3, 4)]
-    graphs += [_dropped(L, 0) for L in list(graphs) if L.dim]
-    offered = []
-    add = Span.add
+    graphs = [_dropped(L, 0) for L in graphs if L.dim]
+    rng = rng_for(f"inside/{name}")
+    graphs += _inside_a_block(eps, rng) + _inside_a_block(eps.espace, rng)
     for L in graphs:
-        L.int_rows, L.isotropic  # the span of L is built before the spy
-        monkeypatch.setattr(Span, "add", lambda self, row, tag: offered.append(
-            (self.dim, list(row))) or add(self, row, tag))
-        maximal = is_maximally_isotropic(L)
-        monkeypatch.setattr(Span, "add", add)
+        offered = _offered_rows(L, monkeypatch)
         free, pivots = L.ambient.dim - L.dim, L.span.rows
         assert bool(offered) == bool(L.dim)  # L = 0 has no equations
         assert all(dim < free for dim, _ in offered)
         assert not any(k in pivots for _, row in offered for k, _ in row)
-        assert maximal == _prior_is_maximally_isotropic(L)
-        offered.clear()
+
+
+def _restricted(L, lo, hi) -> list:
+    return [[(k, x) for k, x in row if not lo <= k < hi] for row in L.int_rows]
+
+
+@pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
+def test_maximality_of_a_block_complement_offers_only_its_restricted_rows(
+        espaces, epsilons, omni_isos, name, monkeypatch):
+    """Both summands, Poisson graphs, D-structure graphs at n = 3, 4 and
+    2-form graphs complement a block W: the verdict offers its span exactly
+    the dim L rows of L restricted off W, nonempty, and no equation row."""
+    E, eps = espaces[name], epsilons[name]
+    rng = rng_for(f"complement/{name}")
+    graphs = _dirac_graphs(eps, rng) + _two_form_graphs(E, eps, rng)[1:]
+    graphs += [_d_graph(omni_isos[n], mu) for n in (3, 4)
+               for mu in (_so3_mu(n), _metabelian_mu((1, -2, 3, 1)[:n]))]
+    for L in graphs:
+        amb = L.ambient
+        offered = [row for _, row in _offered_rows(L, monkeypatch) if row]
+        assert len(offered) == L.dim
+        assert any(hi - lo == amb.dim - L.dim
+                   and offered == _restricted(L, lo, hi)
+                   for lo, hi in _blocks(amb))
+
+
+@pytest.mark.parametrize("name", NONZERO_E)
+def test_maximality_by_complement_matches_the_prior_body(
+        espaces, epsilons, name):
+    """In E(A) and the quotient: 2-form graphs (complements of the H_1
+    block), an L inside a block W with dim L = n - |W| (not a complement,
+    so not maximal), both summands and L = 0."""
+    E, eps = espaces[name], epsilons[name]
+    rng = rng_for(f"by-complement/{name}")
+    inside = _inside_a_block(E, rng) + _inside_a_block(eps, rng)
+    for L in inside:
+        assert L.isotropic and not is_maximally_isotropic(L)
+    graphs = inside + [L for _ in range(3)
+                       for L in _two_form_graphs(E, eps, rng)]
+    for amb in (E, eps):
+        graphs += [Submodule(amb, _summand(amb, part))
+                   for part in ("x", "alpha")]
+        graphs.append(Submodule(amb, QMatrix((), cols=amb.dim)))
+    for L in graphs:
+        assert is_maximally_isotropic(L) == _prior_is_maximally_isotropic(L)
+
+
+def test_a_complement_meeting_the_radical_is_not_maximal():
+    """In E(A) for Q[t]/(t^2) x Kronecker the radical lies in the H^1
+    block: the H_1 summand complements it, and rad meet W != 0, so it is
+    not maximal; the H^1 summand complements the H_1 block, which the
+    radical misses, so it is."""
+    E = _kronecker_espace()
+    rad = E.radical.sparse_rows
+    assert rad and all(k < E.x_dim for row in rad for k, _ in row)
+    alpha, x = (Submodule(E, _summand(E, part)) for part in ("alpha", "x"))
+    assert alpha.isotropic and not is_maximally_isotropic(alpha)
+    assert x.isotropic and is_maximally_isotropic(x)
+    for L in (alpha, x, Submodule(E, QMatrix((), cols=E.dim))):
+        assert is_maximally_isotropic(L) == _prior_is_maximally_isotropic(L)
+
+
+def _assert_stored_canonically(M) -> None:
+    """M holds what the validating constructor would store, entry types
+    and row tuples included."""
+    ref = QMatrix(M.sparse_rows, cols=M.cols)
+    assert M == ref
+    assert all(type(row) is tuple for row in M.sparse_rows)
+    assert [[type(x) for _, x in row] for row in M.sparse_rows] == [
+        [type(x) for _, x in row] for row in ref.sparse_rows]
+
+
+def test_graph_rows_are_stored_as_the_constructor_stores_them(
+        espaces, epsilons, algebras, bider_spaces, monkeypatch):
+    """``poisson_graph`` (both its graphs), ``project`` and
+    ``d_structure_check`` store their rows unchecked: on the corpus graphs
+    (integral and scaled tables, so(3), random and metabelian mu) those
+    are the rows ``QMatrix(rows, cols)`` stores."""
+    for name in GRAPH_ALGEBRAS:
+        E, eps = espaces[name], epsilons[name]
+        rng = rng_for(f"stored/{name}")
+        for c in (1,) + SCALES:
+            flat = [c * x for x in rand_combination(rng, bider_spaces[name])]
+            for L in poisson_graph(E, eps, table_from_flat(algebras[name],
+                                                           flat)):
+                _assert_stored_canonically(L.spanning)
+    graphs = []
+    monkeypatch.setattr(omni, "is_dirac",
+                        lambda L: graphs.append(L) or is_dirac(L))
+    for n in (3, 4):
+        iso = build_omni_iso(n)
+        for c in SCALES:
+            for mu in _mu_cases(n):
+                d_structure_check(iso, _scaled(c, mu))
+    assert len(graphs) == 15
+    for L in graphs:
+        _assert_stored_canonically(L.spanning)
