@@ -29,15 +29,14 @@ orthogonal to L exactly when it is orthogonal to L + W = V, i.e. w is in
 the radical.  So L is maximal exactly when rad meet W = 0, which always
 holds on the nondegenerate quotient.  Every graph the package checks is
 such a complement: Poisson and D-structure graphs of the H^1 block,
-2-form graphs of the H_1 block.  V = L (+) W holds when the rows of L,
-restricted to the columns outside W, are independent (dim L = n - |W|),
-one untagged span of dim L short rows; on E(A), rad meet W = 0 when the
-rows of ``radical`` restricted so are independent.  Any other isotropic L
-is decided on C, the non-pivot columns of L: a vector of L-perp less the
-rows of L at its pivot entries is in L-perp and 0 on the pivot columns,
-so L-perp = L (+) (L-perp meet C), and L is maximal exactly when the
-equations of L-perp on C have rank |C| = n - dim L; one untagged span
-takes them and stops at that rank.
+2-form graphs of the H_1 block.  On the quotient V = L (+) W holds when
+the rows of L, restricted to the columns outside W, are independent
+(dim L = n - |W|), one untagged span of dim L short rows.  Any other
+isotropic L, and every L in E(A), is decided on C, the non-pivot columns
+of L: a vector of L-perp less the rows of L at its pivot entries is in
+L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet C), and
+L is maximal exactly when the equations of L-perp on C have rank
+|C| = n - dim L; one untagged span takes them and stops at that rank.
 
 A skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws``
 sums it on i < j < k once skew-symmetry holds.
@@ -170,23 +169,17 @@ def _independent_off(rows, lo: int, hi: int, n: int) -> bool:
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and L-perp = L.  Lemma (module docstring): for W a
-    coordinate block on which the form vanishes and V = L (+) W,
-    L-perp = L (+) (rad meet W), since L-perp = L (+) (L-perp meet W) and
-    a w in W, orthogonal to W, is orthogonal to L exactly when it is
-    orthogonal to L + W = V.  So for each block of n - dim L columns on
-    which the rows of L, restricted off it, are independent, L is maximal
-    exactly when rad meet W = 0: always on the quotient, and on E(A) when
-    the radical's rows restricted off W are independent.  Otherwise the
-    equations of L-perp on the non-pivot columns C of L must reach rank
-    |C| = n - dim L."""
+    """L isotropic and L-perp = L: on the quotient, true of an L that
+    complements a coordinate block (the lemma of the module docstring);
+    otherwise the equations of L-perp on the non-pivot columns C of L must
+    reach rank |C| = n - dim L."""
     if not L.isotropic:
         return False
     amb, n = L.ambient, L.ambient.dim
     for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
-        if hi - lo == n - L.dim and _independent_off(L.int_rows, lo, hi, n):
-            return amb.quotient or _independent_off(
-                amb.radical.sparse_rows, lo, hi, n)
+        if amb.quotient and hi - lo == n - L.dim and _independent_off(
+                L.int_rows, lo, hi, n):
+            return True
     free, pivots = n - L.dim, L.span.rows
     eqs = Span(QMatrix((), cols=n))
     for b in amb.orthogonal_equations(L.int_rows):

@@ -1855,17 +1855,21 @@ def _offered_rows(L, monkeypatch) -> list:
 @pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
 def test_maximality_offers_its_span_only_non_pivot_columns(
         epsilons, omni_isos, name, monkeypatch):
-    """Where L complements no block, the equations of L-perp reach their
-    span on the non-pivot columns of L alone, and none is offered once the
-    span has rank n - dim L: Dirac graphs less a row, and an L inside a
-    block W of dimension n - |W|, whose complement test offers one empty
-    row first."""
+    """Where the quotient's complement test does not decide, the equations
+    of L-perp reach their span on the non-pivot columns of L alone, and
+    none is offered once the span has rank n - dim L: Dirac graphs less a
+    row, an L inside a block W of dimension n - |W|, whose complement test
+    on the quotient offers one empty row first, and 2-form graphs and both
+    summands in E(A), which complement a block but take this path there."""
     eps = epsilons[name]
     graphs = _dirac_graphs(eps, rng_for(f"offered/{name}"))
     graphs += [_d_graph(omni_isos[n], _so3_mu(n)) for n in (3, 4)]
     graphs = [_dropped(L, 0) for L in graphs if L.dim]
     rng = rng_for(f"inside/{name}")
     graphs += _inside_a_block(eps, rng) + _inside_a_block(eps.espace, rng)
+    graphs += _two_form_graphs(eps.espace, eps, rng)[:1]
+    graphs += [Submodule(eps.espace, _summand(eps.espace, part))
+               for part in ("x", "alpha")]
     for L in graphs:
         offered = _offered_rows(L, monkeypatch)
         free, pivots = L.ambient.dim - L.dim, L.span.rows
