@@ -30,8 +30,12 @@ the radical.  So L is maximal exactly when rad meet W = 0, which always
 holds on the nondegenerate quotient.  Every graph the package checks is
 such a complement: Poisson and D-structure graphs of the H^1 block,
 2-form graphs of the H_1 block.  On the quotient V = L (+) W holds when
-the rows of L, restricted to the columns outside W, are independent
-(dim L = n - |W|), one untagged span of dim L short rows.  Any other
+dim L = n - |W| and the nonzero spanning rows of L, restricted to the
+columns outside W, are all nonempty and lead at distinct columns: each
+such row is nonzero where those with later leading columns vanish, so the
+restrictions are independent, and as at most n - |W| columns lead, the
+rows are a basis of L that meets W only in 0.  Every graph the package
+builds meets this rule, which needs no elimination.  Any other
 isotropic L, and every L in E(A), is decided on C, the non-pivot columns
 of L: a vector of L-perp less the rows of L at its pivot entries is in
 L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet C), and
@@ -39,7 +43,8 @@ L is maximal exactly when the equations of L-perp on C have rank
 |C| = n - dim L; one untagged span takes them and stops at that rank.
 
 A skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws``
-sums it on i < j < k once skew-symmetry holds.
+sums it on i < j < k once skew-symmetry holds, each term read off the
+table's cells: [[e_a, e_b], e_c] = sum over s of [e_a, e_b]_s [e_s, e_c].
 
 A Poisson graph is linear in the flat bracket table: ``_graph_map(E)``,
 cached per space, holds the H^1 class coordinates of the values of every
@@ -159,13 +164,13 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
         [combine(r, eps.projection) for r in vectors.sparse_rows], eps.dim))
 
 
-def _independent_off(rows, lo: int, hi: int, n: int) -> bool:
+def _independent_off(rows, lo: int, hi: int) -> bool:
     """The sparse rows, restricted to the columns outside [lo, hi), are
-    linearly independent: one untagged span takes them and stops at the
-    first that lies in it."""
-    span = Span(QMatrix((), cols=n))
-    return all(span.add([(k, x) for k, x in row if not lo <= k < hi], {})
-               for row in rows)
+    independent by the leading-column rule of the module docstring; False
+    leaves L to the equations of L-perp."""
+    leads = [next((k for k, _ in row if not lo <= k < hi), None)
+             for row in rows]
+    return None not in leads and len(set(leads)) == len(leads)
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -176,10 +181,11 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     if not L.isotropic:
         return False
     amb, n = L.ambient, L.ambient.dim
-    for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
-        if amb.quotient and hi - lo == n - L.dim and _independent_off(
-                L.int_rows, lo, hi, n):
-            return True
+    if amb.quotient:
+        rows = [row for row in L.spanning.sparse_rows if row]
+        for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
+            if hi - lo == n - L.dim and _independent_off(rows, lo, hi):
+                return True
     free, pivots = n - L.dim, L.span.rows
     eqs = Span(QMatrix((), cols=n))
     for b in amb.orthogonal_equations(L.int_rows):
@@ -343,15 +349,12 @@ def _lie_flags(n: int, table):
                for i in range(n) for j in range(i, n))
     yield skew
 
-    @functools.cache
-    def outer(a, b, c):  # [[e_a, e_b], e_c]
-        return contract(br[a].get(b, ()), ((c, ONE),), table)
-
     def jacobi_fails(i, j, k):  # the cyclic sum, in one dict, is nonzero
         out = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, t in outer(a, b, c):
-                out[m] = out[m] + t if m in out else t
+            for s, x in br[a].get(b, ()):
+                for m, t in br[s].get(c, ()):
+                    out[m] = out.get(m, 0) + x * t
         return any(out.values())
 
     # a skew bracket's Jacobiator is totally antisymmetric
@@ -361,8 +364,8 @@ def _lie_flags(n: int, table):
 
 
 def lie_laws(n: int, table) -> tuple:
-    """(skew, jacobi) for a bilinear bracket on Q^n given as a sparse table
-    (see ``exactlin.sparse_table``), on all basis pairs and triples."""
+    """(skew, jacobi) on all basis pairs and triples of the bracket on Q^n
+    of an ``exactlin.sparse_table``; Jacobi terms are summed from its cells."""
     return tuple(_lie_flags(n, table))
 
 

@@ -1332,6 +1332,11 @@ PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_m5_2_seed7.json"] = (
     _poisson_graph(str(Path(__file__).parent / "data"
                        / "bracket_nonjacobi_m5_2_v1_3.json")), 1)
 PINNED_REPORTS["omni_dim3_mu_so3_half.json"] = (_omni_mu("so3_half"), 0)
+# skew and not Jacobi: [e0, e1] = e2, [e1, e2] = e0, [e0, e2] = e0; its
+# graph complements the gl(V) block, so it is maximal, and it fails
+# closure at the pair (0, 1) and the Jacobi identity on a triple i < j < k
+PINNED_REPORTS["omni_dim3_mu_skew_nonjacobi.json"] = (
+    _omni_mu("skew_nonjacobi"), 1)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

@@ -276,7 +276,8 @@ def _dense_lie_laws(n, mu):
 def test_lie_laws_match_dense_cyclic_sum():
     """Sparse random tables (mostly not skew), their skew parts and
     change-of-basis images of Lie brackets, so every (skew, jacobi) outcome
-    is met."""
+    is met; each also times a p/q, and metabelian brackets of a rational
+    functional, so the Jacobi sums run on rational entries."""
     corpus = load_script("omni_corpus")
     rng = rng_for("lie_laws")
     seen = set()
@@ -289,6 +290,12 @@ def test_lie_laws_match_dense_cyclic_sum():
             tables = [mu, skew]
             if n > 1:
                 tables.append(corpus.conjugated_lie_table(n, rng)[1])
+            c = Q(rng.choice((-5, -1, 3)), rng.choice((2, 7)))
+            tables += [[[[c * x for x in cell] for cell in row] for row in t]
+                       for t in tables]
+            tables.append(_metabelian_mu([Q(rng.randint(-3, 3),
+                                            rng.randint(1, 4))
+                                          for _ in range(n)]))
             for t in tables:
                 laws = lie_laws(n, sparse_table(
                     tuple(vec(c) for c in row) for row in t))
@@ -1858,8 +1865,9 @@ def test_maximality_offers_its_span_only_non_pivot_columns(
     """Where the quotient's complement test does not decide, the equations
     of L-perp reach their span on the non-pivot columns of L alone, and
     none is offered once the span has rank n - dim L: Dirac graphs less a
-    row, an L inside a block W of dimension n - |W|, whose complement test
-    on the quotient offers one empty row first, and 2-form graphs and both
+    row, an L inside a block W of dimension n - |W|, which the quotient's
+    complement test rules out by its empty restricted row, offering
+    nothing, so the equations decide, and 2-form graphs and both
     summands in E(A), which complement a block but take this path there."""
     eps = epsilons[name]
     graphs = _dirac_graphs(eps, rng_for(f"offered/{name}"))
@@ -1878,16 +1886,13 @@ def test_maximality_offers_its_span_only_non_pivot_columns(
         assert not any(k in pivots for _, row in offered for k, _ in row)
 
 
-def _restricted(L, lo, hi) -> list:
-    return [[(k, x) for k, x in row if not lo <= k < hi] for row in L.int_rows]
-
-
 @pytest.mark.parametrize("name", GRAPH_ALGEBRAS)
 def test_maximality_of_a_block_complement_offers_only_its_restricted_rows(
         espaces, epsilons, omni_isos, name, monkeypatch):
     """Both summands, Poisson graphs, D-structure graphs at n = 3, 4 and
-    2-form graphs complement a block W: the verdict offers its span exactly
-    the dim L rows of L restricted off W, nonempty, and no equation row."""
+    2-form graphs complement a block W, and their spanning rows restricted
+    off W lead at distinct columns: the verdict is True and offers no row
+    to any span, so no restricted row and no equation row."""
     E, eps = espaces[name], epsilons[name]
     rng = rng_for(f"complement/{name}")
     graphs = _dirac_graphs(eps, rng) + _two_form_graphs(E, eps, rng)[1:]
@@ -1895,11 +1900,96 @@ def test_maximality_of_a_block_complement_offers_only_its_restricted_rows(
                for mu in (_so3_mu(n), _metabelian_mu((1, -2, 3, 1)[:n]))]
     for L in graphs:
         amb = L.ambient
-        offered = [row for _, row in _offered_rows(L, monkeypatch) if row]
-        assert len(offered) == L.dim
-        assert any(hi - lo == amb.dim - L.dim
-                   and offered == _restricted(L, lo, hi)
-                   for lo, hi in _blocks(amb))
+        assert any(hi - lo == amb.dim - L.dim for lo, hi in _blocks(amb))
+        assert _offered_rows(L, monkeypatch) == []
+        assert is_maximally_isotropic(L)
+
+
+def _decided_by(L, monkeypatch) -> str:
+    """What decided ``is_maximally_isotropic(L)``, whose verdict must be
+    the prior body's: "rule" when the complement test answers alone, and
+    "rule, equations" when the equations of L-perp are read after it.  No
+    span is offered a row before the equations."""
+    L.int_rows, L.isotropic  # the span of L is built before the spies
+    seen, add = [], Span.add
+    equations = type(L.ambient).orthogonal_equations
+    with monkeypatch.context() as m:
+        m.setattr(Span, "add", lambda self, row, tag: seen.append(
+            "span") or add(self, row, tag))
+        m.setattr(type(L.ambient), "orthogonal_equations",
+                  lambda self, rows: seen.append("equations") or equations(
+                      self, rows))
+        maximal = is_maximally_isotropic(L)
+    assert maximal == _prior_is_maximally_isotropic(L)
+    assert seen[:1] in ([], ["equations"])
+    return "rule, equations" if seen else "rule"
+
+
+def _restricted(rows, lo, hi) -> list:
+    return [[(k, x) for k, x in row if not lo <= k < hi] for row in rows]
+
+
+def _leads(rows, lo, hi) -> list:
+    """The leading column of each sparse row off [lo, hi), None if empty."""
+    return [row[0][0] if row else None for row in _restricted(rows, lo, hi)]
+
+
+def test_maximality_of_a_respanned_complement_matches_the_prior_body(
+        epsilons, omni_isos, monkeypatch):
+    """Dirac graphs of the quotients and so(3) and metabelian D-structure
+    graphs at n = 3, 4, each a complement of a block W, re-spanned: an
+    extra zero row, which leaves the nonzero spanning rows as they were, so
+    the rule decides; a duplicated row, whose restriction leads where its
+    copy's does; row j replaced
+    by row i + row j, for row i the one whose restriction off W leads
+    first, so two restricted rows lead at one column; and on V[1], whose
+    blocks differ in size, row 0 replaced by a w in W orthogonal to the
+    other rows, where there is one (on every D-structure graph): an
+    isotropic L of the same dimension that meets W, so a restricted row is
+    empty; and row 0 replaced by w + row 1, the same L, whose restricted
+    rows are nonempty and collide.  In all but the first the rule does not
+    decide and the equations do, maximal or not as the prior body says."""
+    graphs = [L for name in GRAPH_ALGEBRAS
+              for L in _dirac_graphs(epsilons[name], rng_for(
+                  f"respanned/{name}"))]
+    graphs += [_d_graph(omni_isos[n], mu) for n in (3, 4)
+               for mu in (_so3_mu(n), _metabelian_mu((1, -2, 3, 1)[:n]))]
+    seen = set()
+    for L in graphs:
+        amb, n = L.ambient, L.ambient.dim
+        rows = [row for row in L.spanning.sparse_rows if row]
+        assert len(rows) == L.dim
+        # the block L complements
+        (lo, hi), = [(lo, hi) for lo, hi in _blocks(amb) if L.dim == n - (
+            hi - lo) == rank(QMatrix(_restricted(rows, lo, hi), cols=n))]
+        assert _decided_by(L, monkeypatch) == "rule"
+        cases = [(rows + [()], "rule"), (rows + rows[:1], "rule, equations")]
+        if L.dim > 1:
+            leads = _leads(rows, lo, hi)
+            i = leads.index(min(leads))
+            j = (i + 1) % L.dim
+            summed = combine(((i, 1), (j, 1)), QMatrix(rows, cols=n))
+            cases.append((rows[:j] + [summed] + rows[j + 1:],
+                          "rule, equations"))
+        if len([b for b in _blocks(amb) if b[1] - b[0] == n - L.dim]) == 1:
+            off_w = [((k, 1),) for k in range(n) if not lo <= k < hi]
+            found = nullspace(QMatrix(list(amb.orthogonal_rows(
+                rows[1:]).sparse_rows) + off_w, cols=n))
+            for w in found.sparse_rows[:1]:
+                cases.append(([w] + rows[1:], "rule, equations"))
+                if L.dim > 1:
+                    cases.append(([combine(((0, 1), (1, 1)), QMatrix(
+                        [w, rows[1]], cols=n))] + rows[1:], "rule, equations"))
+        for spanning, side in cases:
+            M = Submodule(amb, QMatrix(spanning, cols=n))
+            assert M.isotropic and M.dim == L.dim
+            assert _decided_by(M, monkeypatch) == side
+            maximal = is_maximally_isotropic(M)
+            assert maximal or side == "rule, equations"
+            seen.add((len(spanning) - L.dim, side, maximal))
+    assert {(1, "rule", True), (1, "rule, equations", True),
+            (0, "rule, equations", True),
+            (0, "rule, equations", False)} <= seen
 
 
 @pytest.mark.parametrize("name", NONZERO_E)
