@@ -15,7 +15,7 @@ loads no submodule and a command that needs only ``algebra`` never compiles
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # module -> the names it exports
 EXPORTS = {

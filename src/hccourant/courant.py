@@ -335,7 +335,7 @@ class EpsilonSpace(CourantSpace):
             raise CourantError("radical is not a bracket ideal at "
                                "(J%d, e%d)" % min(bad))
 
-    def _verify_nondegenerate(self):  # the current table, not ``radical``
-        if self.orthogonal(QMatrix.identity(self.dim).sparse_rows).rows:
+    def _verify_nondegenerate(self):
+        if self.radical.rows:
             raise CourantError("induced form on the quotient is degenerate")
 

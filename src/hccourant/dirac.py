@@ -240,7 +240,6 @@ class DiracVerdict(Record):
     closed: bool
     dirac: bool
     z_stable: bool
-    pre_quotient: bool
     counterexample: Optional[tuple]
 
     def to_json(self) -> dict:
@@ -250,8 +249,7 @@ class DiracVerdict(Record):
             ce = {"pair": [i, j], "bracket": [rat_str(x) for x in b]}
         return {"isotropic": self.isotropic, "maximal": self.maximal,
                 "closed": self.closed, "dirac": self.dirac,
-                "z_stable": self.z_stable, "pre_quotient": self.pre_quotient,
-                "counterexample": ce}
+                "z_stable": self.z_stable, "counterexample": ce}
 
 
 def is_dirac(L: Submodule) -> DiracVerdict:
@@ -265,7 +263,7 @@ def is_dirac(L: Submodule) -> DiracVerdict:
     maximal = is_maximally_isotropic(L)
     closed, ce = is_bracket_closed(L)
     return DiracVerdict(L.isotropic, maximal, closed, maximal and closed,
-                        is_z_stable(L), False, ce)
+                        is_z_stable(L), ce)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,6 @@ def build_morita_maps(src: ESpace, tgt: ESpace, r: int) -> MoritaMaps:
         h1_rows.append(tgt.h1.reduce_chain(ia))
     h0_map = QMatrix([tgt.h0.reduce_chain(inc(src.h0.rep_chain(k), M, r))
                       for k in range(src.h0.dim)], cols=tgt.h0.dim)
-    if rank(h0_map) != src.h0.dim or src.h0.dim != tgt.h0.dim:
-        raise MoritaError("corner embedding does not identify H_0")
     e_map = QMatrix([x + (ZERO,) * tgt.h1.dim for x in h1co_rows]
                     + [(ZERO,) * tgt.h1co.dim + a for a in h1_rows], tgt.dim)
     return MoritaMaps(src, tgt, r, QMatrix(h1co_rows, cols=tgt.h1co.dim),
@@ -143,7 +141,7 @@ def verify_morita(A: FiniteAlgebra, r: int = 2, *,
     h1co_bij = (rank(maps.h1co_map) == src.h1co.dim
                 and src.h1co.dim == tgt.h1co.dim)
     h1_bij = (rank(maps.h1_map) == src.h1.dim and src.h1.dim == tgt.h1.dim)
-    h0_bij = True  # enforced in build_morita_maps
+    h0_bij = (rank(maps.h0_map) == src.h0.dim and src.h0.dim == tgt.h0.dim)
 
     src_eps = EpsilonSpace(src)
     tgt_eps = EpsilonSpace(tgt)

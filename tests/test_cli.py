@@ -40,8 +40,7 @@ def test_bundled_names_resolve():
 def test_validate_bundled(capsys):
     code, out = run(["validate", "--algebra", "v1_2"], capsys)
     assert code == 0
-    assert "associative: True" in out
-    assert "unital: True" in out
+    assert "dimension: 3" in out and "commutative: True" in out
 
 
 def test_validate_rejects_bad_file(tmp_path, capsys):
@@ -203,24 +202,11 @@ def test_homology_past_the_default_guards_names_the_override(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("degree", ("0", "2", "-1"))
-def test_cohomology_refuses_any_degree_but_1(degree, capsys):
-    code, out = run(["cohomology", "--algebra", "qx2", "--degree", degree,
-                     "--format", "json"], capsys)
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["exit_code"] == 2 and "degree" not in doc
-    assert "\n" not in doc["error"] and degree in doc["error"]
-    code, out = run(["cohomology", "--algebra", "qx2", "--format", "json"],
-                    capsys)
-    assert code == 0 and json.loads(out)["degree"] == 1
-
-
 def test_omni_subcommand_reports_dims(capsys):
     code, out = run(["omni", "--dim", "2", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "hccourant/1"
+    assert doc["schema"] == "hccourant/2"
     assert doc["e_dim"] == 7
     assert doc["kernel_dim"] == 1
 
@@ -890,9 +876,55 @@ def test_poisson_graph_subcommand(capsys):
     assert doc["lie_algebroid"]["ok"] is True
 
 
+def _so3_poisson_graph(capsys):
+    code, out = run(["poisson-graph", "--algebra", "v1_3",
+                     "--bracket", "bracket_so3_v1_3", "--format", "json"],
+                    capsys)
+    return code, json.loads(out)
+
+
+def _with_fields(record, **change):
+    """The record with the given fields changed."""
+    return type(record)(**{**{n: getattr(record, n) for n in record._fields},
+                           **change})
+
+
+def test_poisson_graph_exits_1_when_poisson_and_dirac_disagree(monkeypatch,
+                                                               capsys):
+    """A Poisson table whose graph is reported not Dirac exits 1: the
+    command once returned 0 for every Poisson table."""
+    from hccourant import dirac
+    is_dirac = dirac.is_dirac
+
+    def flipped(L):
+        v = is_dirac(L)
+        return _with_fields(v, dirac=not v.dirac)
+
+    monkeypatch.setattr(dirac, "is_dirac", flipped)
+    code, doc = _so3_poisson_graph(capsys)
+    assert doc["is_poisson"] is True and doc["poisson_iff_dirac"] is False
+    assert code == doc["exit_code"] == 1
+
+
+def test_poisson_graph_exits_1_on_a_failed_algebroid_report(monkeypatch,
+                                                            capsys):
+    """A Dirac Poisson graph whose Lie-algebroid report is not ok exits 1."""
+    from hccourant import dirac
+    check = dirac.lie_algebroid_check
+
+    def failing(eps, L):
+        return _with_fields(check(eps, L), jacobi=False)
+
+    monkeypatch.setattr(dirac, "lie_algebroid_check", failing)
+    code, doc = _so3_poisson_graph(capsys)
+    assert doc["poisson_iff_dirac"] is True
+    assert doc["lie_algebroid"]["ok"] is False
+    assert code == doc["exit_code"] == 1
+
+
 def test_two_form_search_records_outcome(capsys):
-    code, out = run(["two-form", "--algebra", "v1_2", "--seed", "3",
-                     "--format", "json"], capsys)
+    code, out = run(["two-form", "--algebra", "v1_2", "--format", "json"],
+                    capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["outcome"] == "witness found"
@@ -1091,7 +1123,7 @@ def test_integer_options_read_ascii_digits_only(opt):
     """An integer option is ASCII ``[-]digits``: argparse refuses "\u0663"
     and " 1_0", which ``int`` reads as 3 and 10, and reads "-1" and "7"."""
     sub = {"r": "morita", "degree": "homology", "dim": "omni",
-           "guard": "homology", "seed": "validate"}[opt]
+           "guard": "homology", "seed": "suite"}[opt]
     parser = build_parser()
     for bad in ("\u0663", " 1_0", "+3", "1e3"):
         with contextlib.redirect_stderr(io.StringIO()) as err, \
@@ -1170,18 +1202,27 @@ def test_lazy_namespace_keeps_every_public_name():
             assert getattr(hccourant, name) is getattr(home, name), name
             assert star[name] is getattr(home, name), name
             assert name in listed, name
-    assert hccourant.__version__ == "0.1.0"
+    assert hccourant.__version__ == "0.2.0"
     with pytest.raises(AttributeError, match="no_such_name"):
         hccourant.no_such_name
     with pytest.raises(ImportError):
         from hccourant import no_such_name  # noqa: F401
 
 
-# the options each subcommand reads, besides --seed, --format and --out
+def test_package_version_matches_pyproject():
+    """``pyproject.toml`` and ``hccourant.__version__`` name one version;
+    read by a regex, as Python 3.10 has no ``tomllib``."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    versions = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert versions == [hccourant.__version__]
+
+
+# the options each subcommand reads, besides --format and --out
 READS = {
     "validate": {"algebra"},
     "homology": {"algebra", "degree", "guard"},
-    "cohomology": {"algebra", "degree", "guard"},
+    "cohomology": {"algebra", "guard"},
     "courant": {"algebra", "guard"},
     "kernel": {"algebra", "guard"},
     "epsilon": {"algebra", "guard"},
@@ -1190,7 +1231,7 @@ READS = {
     "two-form": {"algebra", "omega", "guard"},
     "morita": {"algebra", "r", "guard"},
     "omni": {"dim", "mu", "guard"},
-    "suite": set(),
+    "suite": {"seed"},
 }
 UNREAD = [[name, f"--{opt}", "1"] for name, reads in READS.items()
           for opt in sorted(set().union(*READS.values()) - reads)] + [
@@ -1228,13 +1269,6 @@ def test_readme_usage_line_runs(line, tmp_path, capsys):
         argv += ["--out", str(tmp_path / "report")]
     assert main(argv) == (1 if "# exit 1" in line else 0)
     assert (tmp_path / "report").read_text()
-
-
-def test_seed_recorded(capsys):
-    code, out = run(["validate", "--algebra", "q", "--seed", "99",
-                     "--format", "json"], capsys)
-    doc = json.loads(out)
-    assert doc["seed"] == 99
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -1275,17 +1309,16 @@ def test_suite_seed42_report_is_pinned(capsys):
 
 
 def _poisson_graph(table):
-    return ["poisson-graph", "--algebra", "v1_3", "--bracket", table,
-            "--seed", "7"]
+    return ["poisson-graph", "--algebra", "v1_3", "--bracket", table]
 
 
 # name -> (arguments, exit code)
 PINNED_REPORTS = {name: (args, 0) for name, args in {
     "kernel_v1_3.json": ["kernel", "--algebra", "v1_3"],
     "epsilon_v1_3.json": ["epsilon", "--algebra", "v1_3"],
-    "poisson_graph_v1_3_so3_seed7.json": _poisson_graph("bracket_so3_v1_3"),
+    "poisson_graph_v1_3_so3.json": _poisson_graph("bracket_so3_v1_3"),
     # the zero bracket: a second Lie-algebroid report
-    "poisson_graph_v1_3_zero_seed7.json": _poisson_graph("bracket_zero_v1_3"),
+    "poisson_graph_v1_3_zero.json": _poisson_graph("bracket_zero_v1_3"),
     "morita_v1_2.json": ["morita", "--algebra", "v1_2"],
     # the scale regime: the targets M_3(qx2) and M_3(v1_2) have dimension
     # 18 and 27
@@ -1309,7 +1342,7 @@ PINNED_REPORTS = {name: (args, 0) for name, args in {
                                   "--degree", "3"],
 }.items()}
 # the false side: not Poisson, not closed, with the closure counterexample
-PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_seed7.json"] = (
+PINNED_REPORTS["poisson_graph_v1_3_nonjacobi.json"] = (
     _poisson_graph("bracket_nonjacobi_v1_3"), 1)
 
 
@@ -1326,9 +1359,9 @@ PINNED_REPORTS["omni_dim3_mu_nonskew.json"] = (_omni_mu("nonskew"), 1)
 # rational inputs, whose graph rows are cleared of denominators: so(3)
 # times 3/7 (Dirac), the non-Jacobi table times -5/2 (not closed, with its
 # counterexample) and so(3) times 1/2 on Q^3
-PINNED_REPORTS["poisson_graph_v1_3_so3_3_7_seed7.json"] = (_poisson_graph(
+PINNED_REPORTS["poisson_graph_v1_3_so3_3_7.json"] = (_poisson_graph(
     str(Path(__file__).parent / "data" / "bracket_so3_3_7_v1_3.json")), 0)
-PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_m5_2_seed7.json"] = (
+PINNED_REPORTS["poisson_graph_v1_3_nonjacobi_m5_2.json"] = (
     _poisson_graph(str(Path(__file__).parent / "data"
                        / "bracket_nonjacobi_m5_2_v1_3.json")), 1)
 PINNED_REPORTS["omni_dim3_mu_so3_half.json"] = (_omni_mu("so3_half"), 0)
@@ -1337,6 +1370,38 @@ PINNED_REPORTS["omni_dim3_mu_so3_half.json"] = (_omni_mu("so3_half"), 0)
 # closure at the pair (0, 1) and the Jacobi identity on a triple i < j < k
 PINNED_REPORTS["omni_dim3_mu_skew_nonjacobi.json"] = (
     _omni_mu("skew_nonjacobi"), 1)
+
+
+# the keys schema 2 removed because no computation decides them; the seed
+# and cohomology's degree are checked per subcommand
+REMOVED_KEYS = {"pre_quotient", "nondegenerate", "associative", "unital"}
+
+
+def _keys(doc):
+    """Every key of a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def test_report_pins_are_schema_2():
+    """Every report under tests/data (the inputs are the mu and bracket
+    tables) is at schema 2, with no removed key at any depth, a seed in the
+    suite report alone and no degree in the cohomology one."""
+    data = Path(__file__).parent / "data"
+    reports = [p for p in sorted(data.glob("*.json"))
+               if not p.name.startswith(("mu_", "bracket_"))]
+    assert len(reports) == 28
+    for path in reports:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["schema"] == "hccourant/2", path.name
+        keys = _keys(doc)
+        assert not keys & REMOVED_KEYS, path.name
+        assert ("seed" in keys) == (doc["subcommand"] == "suite"), path.name
+        if doc["subcommand"] == "cohomology":
+            assert "degree" not in doc
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

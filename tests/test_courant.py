@@ -451,6 +451,7 @@ def test_ideal_check_fails_on_a_perturbed_bracket_table():
 def test_nondegeneracy_check_fails_on_a_zeroed_form_table():
     eps = EpsilonSpace(ESpace(build_v1(2)))  # its own instance
     eps.form_table = ((),) * eps.dim  # every cell zero
+    del eps.radical  # cached by the check at construction
     with pytest.raises(CourantError, match="degenerate"):
         eps._verify_nondegenerate()
 

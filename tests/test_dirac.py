@@ -353,7 +353,7 @@ def _ref_is_dirac(L):
     maximal = _ref_is_maximally_isotropic(L) if iso else False
     closed, ce = _ref_is_bracket_closed(L)
     return DiracVerdict(iso, maximal, closed, maximal and closed,
-                        _ref_is_z_stable(L), False, ce)
+                        _ref_is_z_stable(L), ce)
 
 
 def _ref_algebroid_laws(eps, L):
@@ -1067,7 +1067,7 @@ def test_a_verdict_that_holds_builds_no_rref(v13, monkeypatch):
     _, L = poisson_graph(E, eps, load_bracket_table("bracket_so3_v1_3", A))
     assert is_dirac(L).dirac
     assert "vectors" not in L.__dict__
-    pin = Path(__file__).parent / "data" / "poisson_graph_v1_3_so3_seed7.json"
+    pin = Path(__file__).parent / "data" / "poisson_graph_v1_3_so3.json"
     assert [[rat_str(x) for x in row] for row in L.vectors] == \
         json.loads(pin.read_text())["graph_basis_epsilon"]
 
@@ -1683,7 +1683,7 @@ def _prior_is_dirac(L) -> DiracVerdict:
     maximal = _prior_is_maximally_isotropic(L)
     closed, ce = _prior_is_bracket_closed(L)
     return DiracVerdict(_prior_isotropic(L), maximal, closed,
-                        maximal and closed, is_z_stable(L), False, ce)
+                        maximal and closed, is_z_stable(L), ce)
 
 
 def _assert_prior_verdicts(L) -> None:

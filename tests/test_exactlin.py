@@ -1041,7 +1041,7 @@ def _records():
     return [(Chain, (A, 1, ((1, 1), (2, -1))), {"row": ((1, 1),)}),
             (FiniteAlgebra, (A.name, A.dim, A.basis_names, A.structure,
                              A.unit), {"name": "renamed"}),
-            (DiracVerdict, (True, False, True, False, True, False, None),
+            (DiracVerdict, (True, False, True, False, True, None),
              {"counterexample": (0, 1, (1,))}),
             (OppositeReport, ("qx2", True, True, False, True),
              {"form_tables_match": False})]

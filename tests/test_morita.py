@@ -1,15 +1,19 @@
 """Matrix-algebra transport: chain maps, homology isomorphisms, Dirac
 transport, and the opposite-algebra comparison."""
 
+import json
+
 import pytest
 
 from hccourant.algebra import build_v1, matrix_algebra
+from hccourant.cli import main
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import Submodule, is_dirac, lie_algebroid_check, \
     make_bracket_table, poisson_graph, two_form, two_form_graph
 from hccourant.exactlin import QMatrix
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import boundary_b, elementary_chain, homology
+from hccourant.hochschild import (Chain, boundary_b, elementary_chain,
+                                  homology)
 from hccourant import morita
 from hccourant.morita import (MoritaError, cotr, inc, transport_dirac,
                               verify_morita, verify_opposite,
@@ -240,3 +244,18 @@ def test_opposite_form_comparison_can_fail(monkeypatch):
     monkeypatch.setattr(morita, "ESpace", build)
     rep = verify_opposite(E)
     assert _false_flags(rep) == {"form_tables_match"} and not rep.ok
+
+
+def test_h0_bijective_is_computed(monkeypatch, capsys):
+    """``h0_bijective`` is the rank test of its H^1 and H_1 siblings: with
+    the corner embedding sending every degree-0 chain to 0 it is False and
+    the report is not ok, and ``morita`` exits 1 with the report, where the
+    builder once raised "corner embedding does not identify H_0" (exit 2)."""
+    inc_ = morita.inc
+    monkeypatch.setattr(morita, "inc", lambda c, M, r: inc_(c, M, r)
+                        if c.degree else Chain(M, 0, ()))
+    rep = verify_morita(load_algebra_ref("v1_2"), 2).report
+    assert rep.h0_bijective is False and rep.ok is False
+    assert main(["morita", "--algebra", "v1_2", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["h0_bijective"] is False and doc["ok"] is False
