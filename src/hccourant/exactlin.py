@@ -662,8 +662,8 @@ class Span:
 def rref(M: QMatrix):
     """Reduced row echelon form, padded with zero rows to M's shape.
 
-    Returns ``(R, pivots, rank)`` with pivot columns ascending.
-    """
+    Returns ``(R, pivots, rank)`` with pivot columns ascending; kept, not
+    exported, because the benchmark tracer wraps it."""
     S = Span(M)
     R = S.basis() + ((),) * (M.rows - S.dim)
     return QMatrix(R, M.cols), tuple(sorted(S.rows)), S.dim

@@ -111,8 +111,8 @@ def load_bracket_table(ref: str, A: FiniteAlgebra) -> BracketTable:
         raise FileFormatError(
             f"no such bracket-table file or bundled name: {ref!r}")
     doc = _load_json(path)
-    _check_algebra(doc, path, A)
-    return BracketTable(A, tuple(map(tuple, _entries(doc, path, A.dim))))
+    _check_algebra(doc, ref, A)  # errors name ref, not an install path
+    return BracketTable(A, tuple(map(tuple, _entries(doc, ref, A.dim))))
 
 
 def load_submodule(path: str, E: ESpace, eps: EpsilonSpace) -> Submodule:

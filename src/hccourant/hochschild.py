@@ -11,8 +11,9 @@ ways: ``apply`` visits the terms of a batch of chains (one chain, or all
 of E(A)'s class reps), and ``operator`` builds the matrix that homology
 and Der(A) eliminate; b's faces read ``A.products``, built once per
 algebra.  E(A)'s tables read the rules' face lists from ``lie_map``,
-``interior_map``, ``left_map`` and ``commutator_map``.  One matrix, the rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is
-the kernel of ad: A -> Der(A), and the inner derivations are its image.  A
+``interior_map``, ``left_map`` and ``commutator_map``.  One matrix, the
+rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is the kernel
+of ad: A -> Der(A), and the inner derivations are its image.  A
 presentation Z/B is one span, ``reduce``: ``boundaries``, the span of
 im b_(n+1), grown by the class reps tagged.  It spans Z, so
 ``reduce.contains`` is the cycle test, and it answers the boundary test;

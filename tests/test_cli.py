@@ -844,7 +844,9 @@ def test_dirac_check_submodule_in_e(tmp_path, capsys, epsilons):
 @pytest.mark.parametrize("kind", ("bracket", "omega"))
 def test_file_over_another_algebra_exit_2(tmp_path, capsys, algebra, kind):
     """A bracket table or two-form file names its algebra; over any other
-    ``--algebra`` it is refused, not read as a table of that algebra."""
+    ``--algebra`` it is refused, not read as a table of that algebra.  The
+    error names the file as given: a bundled table's install path would
+    make the report's bytes depend on the checkout."""
     if kind == "bracket":
         argv = ["dirac-check", "--bracket", "bracket_zero_v1_3"]
     else:
@@ -855,6 +857,8 @@ def test_file_over_another_algebra_exit_2(tmp_path, capsys, algebra, kind):
     assert code == 2
     error = json.loads(out)["error"]
     assert "'v1_3'" in error and "\n" not in error
+    if kind == "bracket":
+        assert error.startswith("bracket_zero_v1_3: ")
 
 
 def test_submodule_bad_ambient(tmp_path, capsys):
@@ -1250,25 +1254,50 @@ def test_unread_option_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_usage_lines():
     """The ``hccourant ...`` lines of the README's command-line section."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    return [line for line in section.splitlines()
+    return [line for line in _readme_section("Command line").splitlines()
             if line.startswith("hccourant ") and "<" not in line]
+
+
+def _readme_exit(line):
+    """The N of a usage line that ends in ``# exit N``, else 0."""
+    m = re.search(r"# exit (\d+)$", line)
+    return int(m.group(1)) if m else 0
 
 
 @pytest.mark.parametrize("line", _readme_usage_lines())
 def test_readme_usage_line_runs(line, tmp_path, capsys):
-    """Every usage line exits 0, or 1 where it says ``# exit 1``."""
+    """Every usage line exits as its ``# exit N`` says, 0 without one, and
+    writes its report, an exit-2 error report too."""
     argv = shlex.split(line, comments=True)[1:]
     if "--out" in argv:
         argv[argv.index("--out") + 1] = str(tmp_path / "report")
     else:
         argv += ["--out", str(tmp_path / "report")]
-    assert main(argv) == (1 if "# exit 1" in line else 0)
+    assert main(argv) == _readme_exit(line)
     assert (tmp_path / "report").read_text()
+
+
+def test_readme_is_the_contract():
+    """The README's examples show exits 0, 1 and 2; it has at most 300
+    lines, none past 80 columns; and its layout list names each module of
+    the package once, and no other."""
+    assert {0, 1, 2} <= set(map(_readme_exit, _readme_usage_lines()))
+    lines = README.read_text(encoding="utf-8").splitlines()
+    assert len(lines) <= 300
+    assert [n for n, line in enumerate(lines, 1) if len(line) > 80] == []
+    listed = re.findall(r"^- `(\w+)`", _readme_section("Layout"), re.M)
+    package = Path(__file__).parents[1] / "src" / "hccourant"
+    assert sorted(listed) == sorted(p.stem for p in package.glob("*.py"))
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -1370,6 +1399,13 @@ PINNED_REPORTS["omni_dim3_mu_so3_half.json"] = (_omni_mu("so3_half"), 0)
 # closure at the pair (0, 1) and the Jacobi identity on a triple i < j < k
 PINNED_REPORTS["omni_dim3_mu_skew_nonjacobi.json"] = (
     _omni_mu("skew_nonjacobi"), 1)
+# the so(3) graph of epsilon(v1_3) as a submodule file, re-spanned by an
+# integer unimodular matrix: its rows, restricted off the H^1 block, all
+# lead at one column, so maximality is read off the equations of L-perp
+PINNED_REPORTS["dirac_check_v1_3_so3_respanned.json"] = (
+    ["dirac-check", "--algebra", "v1_3", "--submodule",
+     str(Path(__file__).parent / "data"
+         / "submodule_so3_respanned_v1_3.json")], 0)
 
 
 # the keys schema 2 removed because no computation decides them; the seed
@@ -1388,12 +1424,13 @@ def _keys(doc):
 
 def test_report_pins_are_schema_2():
     """Every report under tests/data (the inputs are the mu and bracket
-    tables) is at schema 2, with no removed key at any depth, a seed in the
-    suite report alone and no degree in the cohomology one."""
+    tables and the submodule) is at schema 2, with no removed key at any
+    depth, a seed in the suite report alone and no degree in the
+    cohomology one."""
     data = Path(__file__).parent / "data"
     reports = [p for p in sorted(data.glob("*.json"))
-               if not p.name.startswith(("mu_", "bracket_"))]
-    assert len(reports) == 28
+               if not p.name.startswith(("mu_", "bracket_", "submodule_"))]
+    assert len(reports) == 29
     for path in reports:
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["schema"] == "hccourant/2", path.name
@@ -1410,6 +1447,28 @@ def test_cli_report_is_pinned(name, capsys):
     basis, the epsilon class reps and form table, the graph bases and the
     Lie-algebroid report."""
     _assert_pinned(name, *PINNED_REPORTS[name], capsys)
+
+
+def test_respanned_graph_takes_the_equation_path(monkeypatch, capsys):
+    """The pinned re-spanned so(3) graph is the Poisson graph's subspace,
+    but its spanning rows fail the leading-column rule, so its maximality
+    takes the equations of L-perp, which no graph the package builds
+    reaches."""
+    from hccourant import dirac
+    ruled, rule = [], dirac._independent_off
+
+    def spy(rows, lo, hi):
+        ruled.append(rule(rows, lo, hi))
+        return ruled[-1]
+    monkeypatch.setattr(dirac, "_independent_off", spy)
+    name = "dirac_check_v1_3_so3_respanned.json"
+    _assert_pinned(name, *PINNED_REPORTS[name], capsys)
+    assert ruled == [False]
+    data = Path(__file__).parent / "data"
+    graph = json.loads((data / "poisson_graph_v1_3_so3.json").read_text(
+        encoding="utf-8"))["graph_basis_epsilon"]
+    assert json.loads((data / name).read_text(encoding="utf-8"))[
+        "submodule_basis"] == graph
 
 
 def test_cohomology_builds_only_h1(monkeypatch, capsys):
