@@ -3,8 +3,9 @@
 
 Prints, for every bundled algebra: dim H_0, H_1, H^1, dim E, dim J,
 dim epsilon, dim H_2, and the dimension of the space of closed 2-form
-classes (the nullspace of ``dirac._two_form_conditions``, the residuals of
-B omega_k modulo the boundaries im b_4; no H_3 is built).
+classes: the nullspace of the matrix whose column k is the residual of
+B omega_k modulo the boundaries im b_4, for omega_k the H_2 class rep k
+(no H_3 is built).
 Everything is computed exactly.
 """
 
@@ -12,10 +13,9 @@ import argparse
 from dataclasses import dataclass
 
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.dirac import _two_form_conditions
-from hccourant.exactlin import nullspace
+from hccourant.exactlin import QMatrix, nullspace
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
-from hccourant.hochschild import boundaries, homology
+from hccourant.hochschild import boundaries, connes_B, homology
 
 
 @dataclass
@@ -39,7 +39,9 @@ def run(cfg: SurveyConfig) -> None:
             jdim, edim = 0, 0
         h2 = homology(A, 2, max_dim=cfg.guard)
         b3 = boundaries(A, 3, max_dim=cfg.guard)
-        forms = nullspace(_two_form_conditions(h2, b3)).rows
+        residuals = QMatrix([b3.split(connes_B(h2.rep_chain(k)).row)[0]
+                             for k in range(h2.dim)], cols=b3.cols)
+        forms = nullspace(residuals.transpose()).rows
         print(f"{name:<12} {A.dim:>4} {E.h0.dim:>4} {E.h1.dim:>4} "
               f"{E.h1co.dim:>4} {E.dim:>4} {jdim:>4} {edim:>4} "
               f"{h2.dim:>4} {forms:>4}")

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 from hccourant.algebra import build_v1
 from hccourant.courant import EpsilonSpace, ESpace
-from hccourant.dirac import (Submodule, _nonscalar_centre,
-                             biderivation_space, is_dirac, is_poisson,
-                             is_z_stable, lie_algebroid_check,
+from hccourant.dirac import (Submodule, biderivation_space, is_dirac,
+                             is_poisson, is_z_stable, lie_algebroid_check,
                              make_bracket_table, poisson_graph,
                              table_from_flat)
 from hccourant.exactlin import (Q, QMatrix, Span, bilinear, contract,
@@ -48,6 +47,18 @@ def z_stable_oracle(L) -> bool:
     units = QMatrix.identity(ambient.center_basis.rows)
     return all(in_L(bilinear(c, l, ambient.z_table, ambient.dim))
                for c in units for l in L.spanning)
+
+
+def nonscalar_centre(ambient) -> bool:
+    """Whether some centre element acts other than as a multiple of the
+    identity, read off the ambient's ``z_table`` cell by cell."""
+    n = ambient.dim
+    for row in ambient.z_table:
+        acts = {(a, k): x for a, cell in row for k, x in cell}
+        c = acts.get((0, 0), 0)
+        if acts != ({(a, a): c for a in range(n)} if c else {}):
+            return True
+    return False
 
 
 def random_subspaces(ambient, rng, count):
@@ -158,7 +169,7 @@ def run(cfg: SweepConfig) -> int:
         z = is_z_stable(L)
         stable += z
         subspace_disagreements += z != z_stable_oracle(L)
-    nonscalar = bool(_nonscalar_centre(eps))
+    nonscalar = nonscalar_centre(eps)
     failures += subspace_disagreements
     failures += nonscalar and not 0 < stable < cfg.count
     print(f"random subspaces: {stable}/{cfg.count} z-stable ("

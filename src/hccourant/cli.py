@@ -77,9 +77,10 @@ def _cmd_homology(args):
     A = load_algebra_ref(args.algebra)
     n = args.degree
     pres = homology(A, n, max_dim=args.guard)
+    # reduce spans Z: the boundaries, then one row per class rep
     return {"algebra": A.name, "degree": n, "dim": pres.dim,
-            "cycle_rank": pres.cycle_basis.rows,
-            "boundary_rank": pres.boundary_basis.rows,
+            "cycle_rank": pres.reduce.dim,
+            "boundary_rank": pres.reduce.dim - pres.dim,
             "class_reps": [_chain_terms(pres, k)
                            for k in range(pres.dim)]}, EXIT_OK
 

@@ -183,10 +183,12 @@ class ESpace(CourantSpace):
 
     def _check_b_descends(self):
         # B of a commutator representative must land in the boundaries,
-        # otherwise D would depend on the representative
-        A = self.algebra
-        for row in self.h0.boundary_basis.sparse_rows:
-            if not self.h1.is_boundary(connes_B(Chain(A, 0, row)).row):
+        # otherwise D would depend on the representative; e_a less the rep
+        # of its H_0 class, over every a, spans the boundaries im b_1
+        A, h0 = self.algebra, self.h0
+        for e in QMatrix.identity(A.dim).sparse_rows:
+            b = Chain(A, 0, e) - h0.class_to_chain(h0.reduce(e))
+            if not self.h1.is_boundary(connes_B(b).row):
                 raise CourantError(
                     "B does not descend on H0: representative dependence")
 

@@ -49,7 +49,9 @@ def _load_json(path: str) -> dict:
             raise FileFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}") from exc
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8, or an integer literal past the
+            # interpreter's int-string limit
             raise FileFormatError(f"{path}: unreadable: {exc}") from exc
 
 

@@ -2,22 +2,22 @@
 
 Chains of degree n live in A (x) A^(x)n, with e_a0 (x) ... (x) e_an at
 index sum_j a_j d^(n-j).  A ``Chain`` stores one sparse row over them, in
-the row form of ``QMatrix``; ``coords`` is a dense read-only view.  A
-derivation, like any linear map X: A -> A, is the d x d ``QMatrix`` whose
-row j is X(e_j).  Every chain map (the boundary b, Connes' B, the Lie
-derivative L_X, the interior product i_X, left multiplication by z) and
-the coboundary delta^1 is one list of faces, read by index strides in two
-ways: ``apply`` visits the terms of a batch of chains (one chain, or all
-of E(A)'s class reps), and ``operator`` builds the matrix that homology
-and Der(A) eliminate; b's faces read ``A.products``, built once per
-algebra.  E(A)'s tables read the rules' face lists from ``lie_map``,
-``interior_map``, ``left_map`` and ``commutator_map``.  One matrix, the
-rows ad(e_i), gives H^0 and the boundaries of H^1: Z(A) is the kernel
-of ad: A -> Der(A), and the inner derivations are its image.  A
-presentation Z/B is one span, ``reduce``: ``boundaries``, the span of
-im b_(n+1), grown by the class reps tagged.  It spans Z, so
-``reduce.contains`` is the cycle test, and it answers the boundary test;
-no span of a presentation's bases is built again.
+the row form of ``QMatrix``.  A derivation, like any linear map X: A -> A,
+is the d x d ``QMatrix`` whose row j is X(e_j).  Every chain map (the
+boundary b, Connes' B, the Lie derivative L_X, the interior product i_X,
+left multiplication by z) and the coboundary delta^1 is one list of faces,
+read by index strides in two ways: ``apply`` visits the terms of a batch of
+chains (one chain, or all of E(A)'s class reps), and ``operator`` builds
+the matrix that homology and Der(A) eliminate; b's faces read
+``A.products``, built once per algebra.  E(A)'s tables read the rules' face
+lists from ``lie_map``, ``interior_map``, ``left_map`` and
+``commutator_map``.  One matrix, the rows ad(e_i), gives H^0 and the
+boundaries of H^1: Z(A) is the kernel of ad: A -> Der(A), and the inner
+derivations are its image.  A presentation Z/B is its class reps and one
+span, ``reduce``: ``boundaries``, the span of im b_(n+1), grown by the
+class reps tagged.  It spans Z, so ``reduce.contains`` is the cycle test,
+``reduce.dim`` is dim Z and it answers the boundary test; no basis of Z or
+B is stored.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .algebra import FiniteAlgebra, check_guard
 from .exactlin import (ONE, ExactLinError, HccourantError, QMatrix,
                        Record, Span, canonical_row, combine, combine_tables,
-                       contract, dense, nullspace, quotient_basis, sparse,
+                       contract, nullspace, quotient_basis, sparse,
                        sparse_row, transpose_table, vec)
 
 
@@ -54,10 +54,6 @@ class Chain(Record):
             object.__setattr__(self, "row", canonical_row(self.row, N))
         except ExactLinError as exc:
             raise HochschildError(f"chain: {exc}") from None
-
-    @property
-    def coords(self) -> tuple:
-        return dense(self.row, self.algebra.dim ** (self.degree + 1))
 
     def __add__(self, other, sign=ONE):
         self._same(other)
@@ -277,11 +273,10 @@ def connes_B(c: Chain) -> Chain:
 # homology presentations
 
 class HomologyPresentation(Record):
-    """Z/B, B inside Z; ``reduce`` gives a cycle's class coordinates."""
+    """Z/B, B inside Z; ``reduce`` spans Z and gives a cycle's class
+    coordinates."""
     algebra: FiniteAlgebra
     degree: int
-    cycle_basis: QMatrix
-    boundary_basis: QMatrix
     class_reps: QMatrix
     reduce: Span  # class coordinates of a cycle, given dense or sparse
 
@@ -318,7 +313,7 @@ def boundaries(A: FiniteAlgebra, n: int, *,
 
 def homology(A: FiniteAlgebra, n: int, *,
              max_dim: Optional[int] = None) -> HomologyPresentation:
-    """H_n(A, A) with canonical cycle/boundary bases and class reps."""
+    """H_n(A, A): canonical class reps modulo the boundaries."""
     if n < 0:
         raise HochschildError(f"homology degree {n} is negative")
     check_guard(A.dim, n, max_dim)
@@ -329,16 +324,7 @@ def homology(A: FiniteAlgebra, n: int, *,
         # b(z) = z.b_n for b_n the rows b(e_a): cycles solve b_n^T z = 0
         cycles = nullspace(operator(_boundary_faces(A, n), A.dim, n,
                                     n - 1).transpose())
-    return _presentation(A, n, cycles, B)
-
-
-def _presentation(A: FiniteAlgebra, n: int, cycles: QMatrix,
-                  B: Span) -> HomologyPresentation:
-    """rowspan(cycles) / B on one span: the boundaries B, eliminated once,
-    their RREF read off, then grown by the reps."""
-    basis = QMatrix(B.basis(), B.cols)
-    reps, reduce = quotient_basis(cycles, B)
-    return HomologyPresentation(A, n, cycles, basis, reps, reduce)
+    return HomologyPresentation(A, n, *quotient_basis(cycles, B))
 
 
 def leibniz_operator(A: FiniteAlgebra) -> QMatrix:
@@ -372,7 +358,8 @@ def center(A: FiniteAlgebra) -> QMatrix:
 
 def cohomology_h1(A: FiniteAlgebra) -> HomologyPresentation:
     """H^1(A, A) = Der(A) / inner derivations, on flattened d x d maps: its
-    ``boundary_basis`` is the RREF basis of the rows ad(e_i), and
-    ``center`` is their left nullspace."""
-    return _presentation(A, 1, derivation_basis(A), Span(_inner_rows(A)))
+    boundaries are the span of the rows ad(e_i), and ``center`` is their
+    left nullspace."""
+    return HomologyPresentation(A, 1, *quotient_basis(derivation_basis(A),
+                                                      Span(_inner_rows(A))))
 

@@ -9,13 +9,13 @@ import pytest
 from hccourant.algebra import FiniteAlgebra, make_algebra
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.exactlin import (Q, ZERO, QMatrix, Span, combine, contract,
-                                dense, row_combination, sparse, sparse_row,
-                                vec)
+                                dense, nullspace, row_combination, row_space,
+                                sparse, sparse_row, vec)
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, _boundary_faces, apply,
                                   cochain_from_flat, commutator, connes_B,
-                                  derivation_basis, interior_product,
-                                  lie_derivative)
+                                  derivation_basis, flat_cochain,
+                                  interior_product, lie_derivative, operator)
 
 
 @pytest.fixture(scope="session")
@@ -168,12 +168,30 @@ def ref_inner_derivation(A: FiniteAlgebra, a) -> QMatrix:
     return QMatrix(rows, cols=A.dim)
 
 
+def cycles_and_boundaries(A: FiniteAlgebra, n: int) -> tuple:
+    """(Z, B) of H_n(A, A), read off the boundary operators and not off a
+    presentation: the nullspace of b_n^T (all of A at n = 0) and the RREF
+    of the rows of b_(n+1)."""
+    def b(m):
+        return operator(_boundary_faces(A, m), A.dim, m, m - 1)
+    Z = nullspace(b(n).transpose()) if n else QMatrix.identity(A.dim)
+    return Z, row_space(b(n + 1))
+
+
+def derivations_and_inner(A: FiniteAlgebra) -> tuple:
+    """(Z, B) of H^1(A, A) on flattened maps: Der(A) and the RREF of the
+    inner derivations [e_i, .]."""
+    inner = [flat_cochain(ref_inner_derivation(A, e))
+             for e in QMatrix.identity(A.dim)]
+    return derivation_basis(A), row_space(QMatrix(inner, cols=A.dim ** 2))
+
+
 def ref_h0_action(E, xcoords, h0coords) -> tuple:
     """A derivation class acting on H_0 = A/[A, A]: X(a) for a
     representative a of the class, by a dense loop over the rows X(e_j),
     then reduced to H_0 class coordinates."""
     X = E.derivation_of(xcoords)
-    a = E.h0.class_to_chain(h0coords).coords
+    a = dense(E.h0.class_to_chain(h0coords).row, E.algebra.dim)
     out = [Q(0)] * E.algebra.dim
     for c, row in zip(a, X):
         for m, t in enumerate(row):

@@ -11,7 +11,8 @@ from hccourant.files import (BUNDLED_ALGEBRAS, FileFormatError,
                              load_algebra_ref)
 from hccourant.hochschild import center, homology
 
-from conftest import dense_structure, is_canonical_table
+from conftest import (cycles_and_boundaries, dense_structure,
+                      is_canonical_table)
 
 
 def test_ground_field():
@@ -175,7 +176,8 @@ def test_center_of_commutative_is_everything():
     A = load_algebra_ref("qx3")
     assert center(A).rows == A.dim
     # span{ab - ba} is the degree-0 boundaries: b(a (x) b) = ab - ba
-    assert homology(A, 0).boundary_basis.rows == 0
+    h = homology(A, 0)
+    assert cycles_and_boundaries(A, 0)[1].rows == 0 == h.reduce.dim - h.dim
 
 
 def _ref_center(A):
@@ -198,7 +200,8 @@ def test_center_matches_dense_reference(algebras, name):
 def test_commutator_subspace_m2q():
     M = matrix_algebra(load_algebra_ref("q"), 2)
     # sl2: traceless matrices
-    assert homology(M, 0).boundary_basis.rows == 3
+    h = homology(M, 0)
+    assert cycles_and_boundaries(M, 0)[1].rows == 3 == h.reduce.dim - h.dim
 
 
 def test_opposite_of_commutative_identical():

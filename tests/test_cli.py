@@ -426,6 +426,35 @@ def _rational_list_files(value):
           "structure": [[0, 0, [value]]]}))
 
 
+# an integer literal one digit past the interpreter's int-string limit, in
+# a file the loader refuses anyway: a unit that fails the unit law, a cell,
+# vector or coordinate list of the wrong length; with a limit, json.load
+# raises a plain ValueError before the loader reads the file
+@pytest.mark.parametrize("argv, doc", (
+    (["validate", "--algebra"], dict(_bundled_doc("qx2"), unit=["BIG", 0])),
+    (["poisson-graph", "--algebra", "v1_2", "--bracket"],
+     {"entries": [[1, 2, [0, 0, "BIG", 0]]]}),
+    (["dirac-check", "--algebra", "v1_2", "--submodule"],
+     {"ambient": "epsilon", "vectors": [["BIG", 0]]}),
+    (["two-form", "--algebra", "v1_2", "--omega"],
+     {"algebra": "v1_2", "coords": ["BIG", 0]}),
+    (["omni", "--dim", "2", "--mu"], {"entries": [[0, 1, ["BIG", 0, 0]]]}),
+), ids=("algebra", "bracket", "submodule", "two-form", "mu"))
+def test_integer_past_the_digit_limit_exit_2(tmp_path, capsys, argv, doc):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    p = tmp_path / "file.json"
+    p.write_text(json.dumps(doc).replace(
+        '"BIG"', "1" + "0" * (limit or 4300)))
+    code = main(argv + [str(p), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    assert report["error"] and "\n" not in report["error"]
+    assert not limit or report["error"].startswith(f"{p}: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 # a JSON float or boolean where a rational belongs would be read by ``rat``
 # as a binary fraction or as 0 or 1
 @pytest.mark.parametrize("value, argv, doc", [
@@ -620,11 +649,14 @@ def _private_reads(path: Path) -> list:
 
 
 def test_no_module_reads_another_modules_private_names():
-    """Each module of the package reaches another only through its public
-    names; ``SHARED_PRIVATE`` is the one exception."""
+    """Each module of the package, and each script, reaches the package
+    only through its public names; ``SHARED_PRIVATE`` is the one
+    exception."""
     src = Path(hccourant.__file__).parent
+    scripts = Path(__file__).parents[1] / "scripts"
     found = {f"{path.name}:{line} {name}"
-             for path in sorted(src.glob("*.py"))
+             for path in sorted(src.glob("*.py")) + sorted(
+                 scripts.glob("*.py"))
              for line, name in _private_reads(path)
              if name not in SHARED_PRIVATE}
     assert not found, sorted(found)

@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hccourant import courant
+from hccourant import courant, hochschild
 from hccourant.algebra import (GuardError, build_v1, matrix_algebra,
                                opposite_algebra)
 from hccourant.courant import CourantError, EpsilonSpace, ESpace
@@ -45,6 +45,30 @@ def test_espace_guard_refuses_before_cohomology(monkeypatch):
     monkeypatch.setattr(courant, "cohomology_h1", unguarded)
     with pytest.raises(GuardError):
         ESpace(build_v1(16))
+
+
+@pytest.mark.parametrize("name, r", (("ut2", 1), ("m2q", 1), ("ut2", 2),
+                                     ("m2q", 2)))
+def test_b_descends_check_refuses_a_wrong_B(algebras, monkeypatch, name, r):
+    """With B's degree-0 slot-0 face inserting e_(d-1) in place of the
+    unit, B sends some commutator to a non-boundary, and ``ESpace`` on
+    each noncommutative algebra here (M_r of ut2 and of M_2(Q)) refuses
+    it."""
+    faces = hochschild._connes_faces
+
+    def wrong_unit(A, n):
+        out = faces(A, n)
+        if n == 0:
+            sign, window, slot, kept, _ = out[0]
+            assert slot == 0
+            out[0] = sign, window, slot, kept, (((A.dim - 1, Q(1)),),)
+        return out
+
+    A = algebras[name] if r == 1 else matrix_algebra(algebras[name], r)
+    ESpace(A)
+    monkeypatch.setattr(hochschild, "_connes_faces", wrong_unit)
+    with pytest.raises(CourantError, match="does not descend"):
+        ESpace(A)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_J_DIM))

@@ -11,13 +11,17 @@ them in one batch; and ``apply`` on a batch of degree-1 rows, with the
 face lists E(A)'s tables read, against the dense reference loops.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant import hochschild
 from hccourant.algebra import (GUARD_MAX_DIM, GuardError, build_v1,
                                check_guard, matrix_algebra, opposite_algebra)
-from hccourant.exactlin import Q, QMatrix, Span, dense, nullspace, sparse
+from hccourant.cli import main
+from hccourant.exactlin import (Q, QMatrix, Span, dense, nullspace, rank,
+                                sparse)
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, HochschildError,
                                   _boundary_faces, _connes_faces, _slot_face,
@@ -29,9 +33,10 @@ from hccourant.hochschild import (Chain, HochschildError,
                                   interior_product, leibniz_operator,
                                   left_map, lie_derivative, lie_map,
                                   operator)
-from conftest import (_ref_is_derivation, dense_structure, h_left_multiply,
-                      insertion_face, monomial_algebra, rand_chain,
-                      rand_combination, rand_derivation, rand_vec,
+from conftest import (_ref_is_derivation, cycles_and_boundaries,
+                      dense_structure, derivations_and_inner,
+                      h_left_multiply, insertion_face, monomial_algebra,
+                      rand_chain, rand_combination, rand_derivation, rand_vec,
                       ref_inner_derivation, rng_for)
 
 SMALL = ("q", "qx2", "qx3", "v1_1", "v1_2", "ut2")
@@ -107,7 +112,8 @@ def test_derivation_detection():
 
 def test_inner_derivations_of_commutative_vanish():
     A = load_algebra_ref("qx3")
-    assert cohomology_h1(A).boundary_basis.rows == 0
+    h = cohomology_h1(A)
+    assert derivations_and_inner(A)[1].rows == 0 and h.reduce.dim == h.dim
     x = A.basis_vector(1)
     assert all(not any(r) for r in ref_inner_derivation(A, x))
 
@@ -126,11 +132,11 @@ def test_cartan_identities(algebras, name):
             lhs = lie_derivative(XY, c)
             rhs = lie_derivative(X, lie_derivative(Y, c)) - \
                 lie_derivative(Y, lie_derivative(X, c))
-            assert lhs.coords == rhs.coords
+            assert lhs.row == rhs.row
             lhs = interior_product(XY, c)
             rhs = lie_derivative(X, interior_product(Y, c)) - \
                 interior_product(Y, lie_derivative(X, c))
-            assert lhs.coords == rhs.coords
+            assert lhs.row == rhs.row
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -147,7 +153,7 @@ def test_homotopy_identity(algebras, name):
             # with the (-1)^(n+1) sign folded into the interior product,
             # the homotopy identity reads h b - b h = i_[., a']
             rhs = interior_product(inner, c)
-            assert lhs.coords == tuple(-x for x in rhs.coords)
+            assert lhs.row == tuple((k, -x) for k, x in rhs.row)
 
 
 @pytest.mark.parametrize("name", SMALL + ("v1_3", "qxy22"))
@@ -159,7 +165,7 @@ def test_lie_derivative_is_homotopic_to_b_ix_plus_ix_b(algebras, name):
     rng = rng_for(f"lem-lx/{name}")
     for degree in (1, 2):
         h = homology(A, degree)
-        in_boundaries = Span(h.boundary_basis).contains
+        in_boundaries = Span(cycles_and_boundaries(A, degree)[1]).contains
         for _ in range(8):
             X = rand_derivation(rng, A, dbasis)
             for k in range(h.dim):
@@ -175,14 +181,14 @@ def test_lie_derivative_is_homotopic_to_b_ix_plus_ix_b(algebras, name):
 def test_presentation_cycle_and_boundary_tests_match_their_spans(algebras,
                                                                   name):
     """``reduce.contains`` and ``is_boundary`` read the quotient's one span;
-    they agree with the spans of ``cycle_basis`` and ``boundary_basis`` on
+    they agree with the spans of Z and B, read off the operators, on
     cycles, boundaries, cycles with a class and arbitrary chains."""
     A = algebras[name]
     rng = rng_for(f"cycle-boundary/{name}")
-    for h in (homology(A, 0), homology(A, 1), cohomology_h1(A)):
-        in_Z = Span(h.cycle_basis).contains
-        in_B = Span(h.boundary_basis).contains
-        Z, B = h.cycle_basis, h.boundary_basis
+    for h, (Z, B) in ((homology(A, 0), cycles_and_boundaries(A, 0)),
+                      (homology(A, 1), cycles_and_boundaries(A, 1)),
+                      (cohomology_h1(A), derivations_and_inner(A))):
+        in_Z, in_B = Span(Z).contains, Span(B).contains
         probes = [rand_combination(rng, Z) for _ in range(4)] + [
             rand_combination(rng, B) for _ in range(4)] + [
             rand_vec(rng, Z.cols) for _ in range(4)] + [(0,) * Z.cols]
@@ -204,6 +210,7 @@ def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
     Morita scale, H_1 of M_2(v1_2), 415 of the 1,728 rows of b_2 are
     distinct."""
     A = algebras[name] if r == 1 else matrix_algebra(algebras[name], r)
+    Z, _ = cycles_and_boundaries(A, n)
     calls = []
     add = Span.add
     monkeypatch.setattr(Span, "add",
@@ -215,7 +222,8 @@ def test_homology_eliminates_each_basis_once(algebras, monkeypatch, name, r,
 
     b = boundary_rows
     assert len(calls) == (n >= 1 and distinct(b(A, n).transpose())) \
-        + distinct(b(A, n + 1)) + 2 * h.cycle_basis.rows == adds
+        + distinct(b(A, n + 1)) + 2 * Z.rows == adds
+    assert h.reduce.dim == Z.rows
 
 
 def test_boundary_b_of_one_chain_builds_no_operator(algebras, monkeypatch):
@@ -258,7 +266,7 @@ def test_kahler_product_rule():
             # multiply a 1-chain by an algebra element on the left slot
             def lmul(z, c):
                 out = [Q(0)] * A.dim ** 2
-                for idx, x in enumerate(c.coords):
+                for idx, x in enumerate(dense(c.row, A.dim ** 2)):
                     if x:
                         i0, i1 = divmod(idx, A.dim)
                         za = A.mul(z, A.basis_vector(i0))
@@ -296,10 +304,10 @@ def test_descent(algebras, name):
     for n in (0, 1, 2):
         h = homology(A, n)
         lo = homology(A, n - 1) if n else None
+        Z, B = cycles_and_boundaries(A, n)
         for kind, rows, holds in (
-                ("cycles", h.cycle_basis, lambda p, r: p.reduce.contains(r)),
-                ("boundaries", h.boundary_basis,
-                 lambda p, r: p.is_boundary(r))):
+                ("cycles", Z, lambda p, r: p.reduce.contains(r)),
+                ("boundaries", B, lambda p, r: p.is_boundary(r))):
             for k, row in enumerate(rows.sparse_rows):
                 c = Chain(A, n, row)
                 for x, X in enumerate(derivations):
@@ -320,7 +328,7 @@ def test_descent(algebras, name):
             assert h.is_boundary(boundary_b(connes_B(rep)).row), \
                 f"b B of a class rep is not a boundary: degree {n}, rep {z}"
         in_boundaries_up = boundaries(A, n + 1).contains
-        for k, row in enumerate(h.boundary_basis.sparse_rows):
+        for k, row in enumerate(B.sparse_rows):
             assert in_boundaries_up(connes_B(Chain(A, n, row)).row), \
                 f"B leaves the boundaries: degree {n}, boundary row {k}"
 
@@ -350,7 +358,7 @@ def _ref_boundary_b(c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
     S = dense_structure(A)
     out = [Q(0)] * d ** n
-    for idx, x in enumerate(c.coords):
+    for idx, x in enumerate(dense(c.row, d ** (n + 1))):
         if not x:
             continue
         a = _ref_decode(d, idx, n)
@@ -369,8 +377,8 @@ def _ref_boundary_b(c):
 
 def _ref_lie_derivative(X, c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
-    out = [Q(0)] * len(c.coords)
-    for idx, x in enumerate(c.coords):
+    out = [Q(0)] * d ** (n + 1)
+    for idx, x in enumerate(dense(c.row, d ** (n + 1))):
         if not x:
             continue
         a = _ref_decode(d, idx, n)
@@ -385,7 +393,7 @@ def _ref_interior_product(X, c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
     sgn = Q(1) if (n + 1) % 2 == 0 else Q(-1)
     out = [Q(0)] * d ** n
-    for idx, x in enumerate(c.coords):
+    for idx, x in enumerate(dense(c.row, d ** (n + 1))):
         if not x:
             continue
         a = _ref_decode(d, idx, n)
@@ -399,7 +407,7 @@ def _ref_interior_product(X, c):
 def _ref_connes_B(c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
     out = [Q(0)] * d ** (n + 2)
-    for idx, x in enumerate(c.coords):
+    for idx, x in enumerate(dense(c.row, d ** (n + 1))):
         if not x:
             continue
         a = _ref_decode(d, idx, n)
@@ -415,8 +423,8 @@ def _ref_connes_B(c):
 
 def _ref_h_left_multiply(aprime, c):
     A, n, d = c.algebra, c.degree, c.algebra.dim
-    out = [Q(0)] * len(c.coords)
-    for idx, x in enumerate(c.coords):
+    out = [Q(0)] * d ** (n + 1)
+    for idx, x in enumerate(dense(c.row, d ** (n + 1))):
         if not x:
             continue
         a = _ref_decode(d, idx, n)
@@ -434,7 +442,8 @@ def _ref_boundary_operator_rows(A, n):
     for idx in range(N):
         coords = [Q(0)] * N
         coords[idx] = Q(1)
-        rows.append(_ref_boundary_b(Chain(A, n, tuple(coords))).coords)
+        rows.append(dense(_ref_boundary_b(Chain(A, n, tuple(coords))).row,
+                          A.dim ** n))
     return QMatrix(rows, cols=A.dim ** n)
 
 
@@ -573,6 +582,25 @@ def test_boundary_operator_rows_match_elementary_chain_build(algebras, name):
         _assert_canonical(B)
 
 
+@pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+def test_homology_report_ranks_match_reference_boundary(algebras, capsys,
+                                                        name):
+    """The ``homology`` report at degrees 0-3: ``cycle_rank`` is
+    d^(n+1) - rank b_n (d at n = 0), ``boundary_rank`` is rank b_(n+1) and
+    ``dim`` is their difference, each rank that of the reference loop's
+    matrix."""
+    A = algebras[name]
+    ranks = [0] + [rank(_ref_boundary_operator_rows(A, m))
+                   for m in range(1, 5)]
+    for n in range(4):
+        assert main(["homology", "--algebra", name, "--degree", str(n),
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cycles = A.dim ** (n + 1) - ranks[n]
+        assert (doc["cycle_rank"], doc["boundary_rank"], doc["dim"]) == (
+            cycles, ranks[n + 1], cycles - ranks[n + 1]), n
+
+
 @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS + ("M2(qx2)", "ut2^op",
                                                     "qx3^op"))
 def test_operator_rows_are_apply_on_basis_chains(algebras, name):
@@ -661,7 +689,8 @@ def test_chain_dense_and_sparse_rows_agree(algebras, name):
         sparse_row = tuple((k, x) for k, x in enumerate(dense_row) if x)
         c, s = Chain(A, n, dense_row), Chain(A, n, sparse_row)
         assert c == s and hash(c) == hash(s)
-        assert c.row == sparse_row and s.coords == dense_row
+        assert c.row == sparse_row
+        assert dense(s.row, A.dim ** (n + 1)) == dense_row
 
 
 def test_chain_rejects_malformed_rows():

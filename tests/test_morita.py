@@ -10,7 +10,7 @@ from hccourant.cli import main
 from hccourant.courant import EpsilonSpace, ESpace
 from hccourant.dirac import Submodule, is_dirac, lie_algebroid_check, \
     make_bracket_table, poisson_graph, two_form, two_form_graph
-from hccourant.exactlin import QMatrix
+from hccourant.exactlin import QMatrix, dense
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import (Chain, boundary_b, elementary_chain,
                                   homology)
@@ -45,7 +45,7 @@ def test_inc_preserves_cycles():
     ic = inc(c, M, 2)
     assert boundary_b(ic).is_zero()
     # the corner embedding is index-preserving on the (1,1) corner
-    assert ic.coords[0 * M.dim + 1] == 1
+    assert dense(ic.row, M.dim ** 2)[0 * M.dim + 1] == 1
 
 
 def test_exact_corner_homotopy_identity():
