@@ -13,8 +13,13 @@ entries in the graph rows, so that a failed closure reports the bracket of
 fractional reduced rows.  The third kind is drawn from a generator of its
 own, so the first two kinds and their lines do not depend on it.  Every
 maximality verdict is also held to the full nullspace of L-perp: L is
-maximal isotropic exactly when L-perp contains L and has its dimension;
-a disagreement is printed and makes the script exit 1.
+maximal isotropic exactly when L-perp contains L and has its dimension.
+Every closure verdict and counterexample is held to the span of the graph
+rows: the bracket of each pair of its RREF rows, in row-major order (i < j
+where the form vanishes on the rows, every pair otherwise), tested by
+``Span(L.spanning).contains``, so a graph the package decides on its own
+rows, with no span, meets one here.  A disagreement of either is printed
+and makes the script exit 1.
 
 Example:
     python scripts/omni_corpus.py --max-n 3 --tables 200 --seed 11
@@ -25,8 +30,8 @@ import random
 from dataclasses import dataclass
 
 from hccourant.dirac import Submodule
-from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
-                                row_combination, sparse_table, vec)
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine, contract,
+                                dense, row_combination, sparse_table, vec)
 from hccourant.omni import (d_graph_rows, d_structure_check, verify_ev1,
                             verify_main_theorem)
 
@@ -91,23 +96,47 @@ def v1_lie_poisson_table(n: int, rng: random.Random):
                                        for row in mu]
 
 
-def maximal_by_nullspace(iso, mu) -> bool:
-    """The oracle of a D-structure's maximality: its graph rows
-    (mu(v_i, .), v_i), mapped by ``iso.fwd``, span an L whose L-perp, the
-    full nullspace of its equations, contains L and has its dimension."""
+def d_graph(iso, mu) -> Submodule:
+    """The graph rows (mu(v_i, .), v_i) of mu, mapped by ``iso.fwd``."""
     mu = sparse_table(tuple(tuple(map(vec, row)) for row in mu))
-    L = Submodule(iso.eps, QMatrix([combine(row, iso.fwd) for row in
-                                    d_graph_rows(iso.n, mu)],
-                                   cols=iso.eps.dim))
-    perp = iso.eps.orthogonal(L.int_rows)
-    return perp.rows == L.dim and all(map(Span(perp).contains, L.int_rows))
+    return Submodule(iso.eps, QMatrix([combine(row, iso.fwd) for row in
+                                       d_graph_rows(iso.n, mu)],
+                                      cols=iso.eps.dim))
+
+
+def maximal_by_nullspace(L) -> bool:
+    """The oracle of a D-structure's maximality: L-perp, the full
+    nullspace of the equations of L, contains L and has its dimension."""
+    perp = L.ambient.orthogonal(L.int_rows)
+    return perp.rows == len(L.int_rows) and all(
+        map(Span(perp).contains, L.int_rows))
+
+
+def closure_by_span(L) -> tuple:
+    """The oracle of a D-structure's closure, ``(closed, counterexample)``:
+    the first pair (i, j) of RREF rows of L, in row-major order, whose
+    bracket ``Span(L.spanning)`` does not contain, with that bracket as a
+    dense tuple; i < j where the form vanishes on the rows."""
+    S, amb = Span(L.spanning), L.ambient
+    rows = S.basis()
+    isotropic = not any(contract(u, v, amb.form_table)
+                        for u in rows for v in rows)
+    for i, u in enumerate(rows):
+        for j in range(i + 1 if isotropic else 0, len(rows)):
+            b = contract(u, rows[j], amb.bracket_table)
+            if not S.contains(b):
+                return False, (i, j, dense(b, amb.dim))
+    return True, None
 
 
 def checked(iso, mu):
-    """``(report, agrees)``: the D-structure report of mu, and whether its
-    maximality verdict is the oracle's."""
-    d = d_structure_check(iso, mu)
-    return d, d.verdict.maximal == maximal_by_nullspace(iso, mu)
+    """``(report, maximal_agrees, closure_agrees)``: the D-structure report
+    of mu, and whether its maximality verdict, and its closure verdict and
+    counterexample, are the oracles'."""
+    d, L = d_structure_check(iso, mu), d_graph(iso, mu)
+    closure = (d.verdict.closed, d.verdict.counterexample)
+    return (d, d.verdict.maximal == maximal_by_nullspace(L),
+            closure == closure_by_span(L))
 
 
 def run(cfg: OmniConfig) -> int:
@@ -122,20 +151,23 @@ def run(cfg: OmniConfig) -> int:
         print(f"  main theorem: {main.to_json()}")
         rng = random.Random(cfg.seed + n)
         lie_count = 0
-        inconsistent = maximal_bad = 0
+        inconsistent = maximal_bad = closure_bad = 0
         for _ in range(cfg.tables):
             mu = [[[rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d, agrees = checked(iso, mu)
+            d, maximal_ok, closure_ok = checked(iso, mu)
             lie_count += d.is_lie_bracket
             inconsistent += not d.consistent
-            maximal_bad += not agrees
+            maximal_bad += not maximal_ok
+            closure_bad += not closure_ok
         lie_dirac = 0
         for _ in range(cfg.tables):
-            d, agrees = checked(iso, conjugated_lie_table(n, rng)[1])
+            d, maximal_ok, closure_ok = checked(
+                iso, conjugated_lie_table(n, rng)[1])
             lie_dirac += d.is_lie_bracket and d.dirac
             inconsistent += not d.consistent
-            maximal_bad += not agrees
+            maximal_bad += not maximal_ok
+            closure_bad += not closure_ok
         print(f"  D-structure corpus: {cfg.tables} uniform tables, "
               f"{lie_count} Lie brackets; {cfg.tables} change-of-basis Lie "
               f"tables, {lie_dirac} Lie and Dirac; "
@@ -147,16 +179,20 @@ def run(cfg: OmniConfig) -> int:
                   scaled_rng.randint(1, 9))
             mu = [[[c * scaled_rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d, agrees = checked(iso, mu)
+            d, maximal_ok, closure_ok = checked(iso, mu)
             scaled_lie += d.is_lie_bracket
             scaled_bad += not d.consistent
-            maximal_bad += not agrees
+            maximal_bad += not maximal_ok
+            closure_bad += not closure_ok
         print(f"  scaled corpus: {cfg.tables} uniform tables times p/q, "
               f"{scaled_lie} Lie brackets; {scaled_bad} disagreements")
         if maximal_bad:
             print(f"  maximality: {maximal_bad} verdicts disagree with the "
                   f"nullspace of L-perp")
-        bad += inconsistent + scaled_bad + maximal_bad
+        if closure_bad:
+            print(f"  closure: {closure_bad} verdicts or counterexamples "
+                  f"disagree with the span of the graph rows")
+        bad += inconsistent + scaled_bad + maximal_bad + closure_bad
         bad += (not main.ok) + (not rep.ok)
         # an image of a Lie bracket is one: each such table must pass both
         bad += cfg.tables - lie_dirac

@@ -1,15 +1,15 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
 Submodules are Q-subspaces of a ``courant.CourantSpace``, E(A) or the
-quotient, read through that interface alone, each held as one
-``exactlin.Span``: its primitive integer rows carry the verdicts and it
-answers their span tests, while the canonical (RREF) basis is built only
-for a report.  Verdicts are exact; Z(A)-stability is a separate flag.
-``is_dirac`` runs on sparse rows throughout: isotropy, maximality, closure
-and Z-stability hold or fail with any rescaling of the spanning rows, so
-they contract the ambient's tables on the integer rows, each against the
-row's dict built once, and a span test is the emptiness of a fraction-free
-residual.  Only a counterexample is dense (``is_bracket_closed``).
+quotient, read through that interface alone.  A graph's spanning rows are
+already an echelon of it (below); any other L is eliminated once into an
+``exactlin.Span``, whose primitive integer rows carry the verdicts, and the
+canonical (RREF) basis is built only for a report or a counterexample.
+Verdicts are exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs
+on sparse rows throughout: isotropy, maximality, closure and Z-stability
+hold or fail with any rescaling of a basis, so they contract the ambient's
+tables on integer rows held as dicts, and a span test is the emptiness of
+a fraction-free residual.  Only a counterexample is dense.
 
 Z-stability is tested only on the non-scalar centre (``_nonscalar_centre``):
 z -> (action of z) is linear and a scalar preserves every subspace, so L is
@@ -30,17 +30,18 @@ the radical.  So L is maximal exactly when rad meet W = 0, which always
 holds on the nondegenerate quotient.  Every graph the package checks is
 such a complement: Poisson and D-structure graphs of the H^1 block,
 2-form graphs of the H_1 block.  On the quotient V = L (+) W holds when
-dim L = n - |W| and the nonzero spanning rows of L, restricted to the
-columns outside W, are all nonempty and lead at distinct columns: each
-such row is nonzero where those with later leading columns vanish, so the
-restrictions are independent, and as at most n - |W| columns lead, the
-rows are a basis of L that meets W only in 0.  Every graph the package
-builds meets this rule, which needs no elimination.  Any other
-isotropic L, and every L in E(A), is decided on C, the non-pivot columns
-of L: a vector of L-perp less the rows of L at its pivot entries is in
-L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet C), and
-L is maximal exactly when the equations of L-perp on C have rank
-|C| = n - dim L; one untagged span takes them and stops at that rank.
+the nonzero spanning rows of L number n - |W| and, restricted to the
+columns outside W, lead at distinct columns: each such row is nonzero
+where those with later leads vanish, so the rows are a basis of L that
+meets W only in 0.  Sorted by lead, each is 0 at the leads before its own,
+so they are an echelon of L (``Submodule.echelon``): a vector lies in L
+exactly when clearing it at each lead in ascending order leaves 0
+(``exactlin.echelon_contains``).  Any other isotropic L, and every L in
+E(A), is decided on C, the non-pivot columns of L: a vector of L-perp less
+the rows of L at its pivot entries is in L-perp and 0 on the pivot
+columns, so L-perp = L (+) (L-perp meet C), and L is maximal exactly when
+the equations of L-perp on C have rank |C| = n - dim L; one untagged span
+takes them and stops at that rank.
 
 A skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws``
 sums it on i < j < k once skew-symmetry holds, each term read off the
@@ -97,9 +98,9 @@ from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        _over, combine, combine_tables, contract, contract_sums,
-                       dense, integral, nullspace, pullback, pushforward,
-                       rat_str, sparse, sparse_row, sparse_table,
-                       transpose_table, vec)
+                       dense, echelon_contains, integral, nullspace,
+                       pullback, pushforward, rat_str, sparse, sparse_row,
+                       sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, boundaries, connes_B,
                          homology, interior_product, leibniz_operator)
 
@@ -114,11 +115,11 @@ class DiracError(HccourantError):
 class Submodule:
     """A subspace of a ``CourantSpace``, given by spanning vectors.
 
-    The span is eliminated once, into ``span`` (an ``exactlin.Span``), when
-    first read: ``int_rows`` are its primitive integer rows, the verdicts'
-    input (module docstring), ``contains`` tests a sparse row against it
-    and ``dim`` is its dimension.  The RREF basis ``vectors`` (row i a
-    positive multiple of row i of ``int_rows``) is built only when read."""
+    ``echelon``, L's basis as (lead, {column: int}) pairs, leads ascending,
+    each row 0 at the leads before its own, is the spanning rows where the
+    complement rule holds (``complement``), else the rows of ``span``, an
+    ``exactlin.Span`` built when first read, as are ``int_rows``, its rows,
+    and the RREF basis ``vectors``, row i ``int_rows[i]`` over its pivot."""
 
     def __init__(self, ambient: CourantSpace, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -130,8 +131,16 @@ class Submodule:
     def span(self) -> Span:
         return Span(self.spanning)
 
+    @cached_property
+    def complement(self) -> Optional[tuple]:
+        return _complement(self.ambient, self.spanning.sparse_rows)
+
+    @cached_property
+    def echelon(self) -> tuple:
+        return self.complement or tuple(sorted(self.span.rows.items()))
+
     def contains(self, row) -> bool:
-        return self.span.contains(row)
+        return echelon_contains(self.echelon, dict(row))
 
     @cached_property
     def int_rows(self) -> tuple:
@@ -143,13 +152,16 @@ class Submodule:
 
     @property
     def dim(self) -> int:
-        return self.span.dim
+        return len(self.echelon)
 
     @cached_property
     def isotropic(self) -> bool:
-        """The form vanishes on all spanning pairs (it is symmetric, so on
-        the pairs i <= j)."""
-        vs, F = self.int_rows, self.ambient.form_table
+        """The form, symmetric, vanishes on the pairs i <= j of the nonzero
+        spanning rows, or of the ``echelon`` where they outnumber it."""
+        vs = [row for row in self.spanning.sparse_rows if row]
+        if len(vs) > self.ambient.dim:
+            vs = [row.items() for _, row in self.echelon]
+        F = self.ambient.form_table
         return not any(any(contract_sums(u, v, F).values())
                        for j, v in enumerate(map(dict, vs))
                        for u in vs[:j + 1])
@@ -164,28 +176,29 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
         [combine(r, eps.projection) for r in vectors.sparse_rows], eps.dim))
 
 
-def _independent_off(rows, lo: int, hi: int) -> bool:
-    """The sparse rows, restricted to the columns outside [lo, hi), are
-    independent by the leading-column rule of the module docstring; False
-    leaves L to the equations of L-perp."""
-    leads = [next((k for k, _ in row if not lo <= k < hi), None)
-             for row in rows]
-    return None not in leads and len(set(leads)) == len(leads)
+def _complement(amb: CourantSpace, rows) -> Optional[tuple]:
+    """The complement rule (module docstring) on a quotient's spanning
+    rows, counted before any lead is read: each nonzero row as (lead,
+    {column: int}), sorted by lead, or None where the rule fails."""
+    rows, n = [row for row in rows if row], amb.dim
+    for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
+        if amb.quotient and len(rows) == n - (hi - lo):
+            leads = [next((k for k, _ in row if not lo <= k < hi), None)
+                     for row in rows]
+            if None not in leads and len(set(leads)) == len(leads):
+                return tuple(sorted((p, dict(integral(row)[1]))
+                                    for p, row in zip(leads, rows)))
+    return None
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
-    """L isotropic and L-perp = L: on the quotient, true of an L that
-    complements a coordinate block (the lemma of the module docstring);
-    otherwise the equations of L-perp on the non-pivot columns C of L must
-    reach rank |C| = n - dim L."""
-    if not L.isotropic:
-        return False
+    """L isotropic and L-perp = L: true where the rule finds that L
+    complements a coordinate block of the quotient (``L.complement``, by
+    the lemma of the module docstring); otherwise the equations of L-perp
+    on the non-pivot columns C of L must reach rank |C| = n - dim L."""
+    if not L.isotropic or L.complement is not None:
+        return L.isotropic
     amb, n = L.ambient, L.ambient.dim
-    if amb.quotient:
-        rows = [row for row in L.spanning.sparse_rows if row]
-        for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
-            if hi - lo == n - L.dim and _independent_off(rows, lo, hi):
-                return True
     free, pivots = n - L.dim, L.span.rows
     eqs = Span(QMatrix((), cols=n))
     for b in amb.orthogonal_equations(L.int_rows):
@@ -201,17 +214,22 @@ def is_bracket_closed(L: Submodule):
     failing pair of spanning indices in row-major order and the offending
     bracket value, as a dense tuple.  On an isotropic L the bracket is skew
     and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
-    (a diagonal pair never fails there).  The test runs on ``int_rows``;
-    the counterexample, built only then, is the bracket of the RREF rows:
-    RREF row i is ``int_rows[i]`` over its pivot entry p_i, so their
-    bracket is the integer one over p_i p_j."""
-    vs, T = L.int_rows, L.ambient.bracket_table
-    ds = [dict(v) for v in vs]
-    for i, u in enumerate(vs):
-        for j in range(i + 1 if L.isotropic else 0, L.dim):
-            b = contract_sums(u, ds[j], T)
-            if not L.contains([(k, x) for k, x in b.items() if x]):
-                b = _over(b, u[0][1] * vs[j][0][1])
+    (a diagonal pair never fails there).  An isotropic L with a
+    ``complement`` is decided on its rows; a failure there, or any other L,
+    runs on the span's integer rows r_i, whose counterexample is the integer
+    bracket over p_i p_j, for p_i the pivot entry of r_i: the RREF rows'."""
+    T, ech = L.ambient.bracket_table, L.isotropic and L.complement
+    if ech and all(
+            echelon_contains(ech, contract_sums(u.items(), v, T))
+            for i, (_, u) in enumerate(ech) for _, v in ech[i + 1:]):
+        return True, None
+    rows = sorted(L.span.rows.items())
+    for i, (p, u) in enumerate(rows):
+        for j in range(i + 1 if L.isotropic else 0, len(rows)):
+            q, v = rows[j]
+            b = contract_sums(u.items(), v, T)
+            if not L.span.contains([(k, x) for k, x in b.items() if x]):
+                b = _over(b, u[p] * v[q])
                 return False, (i, j, dense(b, L.ambient.dim))
     return True, None
 
@@ -230,8 +248,8 @@ def _nonscalar_centre(ambient) -> tuple:
 def is_z_stable(L: Submodule) -> bool:
     """Every non-scalar centre action (``_nonscalar_centre``) maps L to L."""
     Z = L.ambient.z_table
-    return all(L.contains(contract(((m, ONE),), l, Z))
-               for m in _nonscalar_centre(L.ambient) for l in L.int_rows)
+    return all(L.contains(contract_sums(((m, ONE),), l, Z))
+               for m in _nonscalar_centre(L.ambient) for _, l in L.echelon)
 
 
 class DiracVerdict(Record):

@@ -20,7 +20,8 @@ only where a reader asks for them.  A span tests a row (``contains``),
 splits it, linearly, into its residual and its coordinates over the tagged
 rows (``split``), and gives those coordinates as a map (a call);
 ``make_reducer`` returns one, and ``quotient_basis`` grows a subspace's
-span, eliminated once by its caller, into the quotient's.  ``rref``,
+span, eliminated once by its caller, into the quotient's; rows already in
+echelon form need none (``echelon_contains``).  ``rref``,
 ``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
 ``membership`` are thin readers of a span.  The nonzero rows of R, the
 pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
@@ -654,6 +655,27 @@ class Span:
         if w:
             raise ExactLinError("reduce: vector outside the span")
         return dense(c, self.n)
+
+
+def echelon_contains(echelon: Sequence, w: dict) -> bool:
+    """Whether a {column: value} dict w, consumed, lies in the span of
+    ``echelon``: (lead p, {column: int}) pairs, p ascending, each row 0 at
+    the leads before its own.  The step of ``Span.residual``, w <- a w - f
+    row with a w[p] = f row[p], clears w at each lead in turn for good."""
+    for p, row in echelon:
+        f = w.get(p)
+        if f:
+            c = row[p]
+            if c != 1:
+                if type(f) is not int:
+                    w = dict(integral(w.items())[1])
+                    f = w[p]
+                g = gcd(f, c)
+                if g != c:
+                    _scale(w, c // g)
+                f //= g
+            _axpy(w, f, row)
+    return not any(w.values())
 
 
 # ---------------------------------------------------------------------------

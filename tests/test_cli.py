@@ -1483,16 +1483,16 @@ def test_cli_report_is_pinned(name, capsys):
 
 def test_respanned_graph_takes_the_equation_path(monkeypatch, capsys):
     """The pinned re-spanned so(3) graph is the Poisson graph's subspace,
-    but its spanning rows fail the leading-column rule, so its maximality
-    takes the equations of L-perp, which no graph the package builds
-    reaches."""
+    but its spanning rows fail the complement rule, so its verdicts take
+    its span and its maximality the equations of L-perp, which no graph
+    the package builds reaches."""
     from hccourant import dirac
-    ruled, rule = [], dirac._independent_off
+    ruled, rule = [], dirac._complement
 
-    def spy(rows, lo, hi):
-        ruled.append(rule(rows, lo, hi))
-        return ruled[-1]
-    monkeypatch.setattr(dirac, "_independent_off", spy)
+    def spy(amb, rows):
+        ruled.append(rule(amb, rows) is not None)
+        return rule(amb, rows)
+    monkeypatch.setattr(dirac, "_complement", spy)
     name = "dirac_check_v1_3_so3_respanned.json"
     _assert_pinned(name, *PINNED_REPORTS[name], capsys)
     assert ruled == [False]

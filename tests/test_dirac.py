@@ -2066,3 +2066,143 @@ def test_graph_rows_are_stored_as_the_constructor_stores_them(
     assert len(graphs) == 15
     for L in graphs:
         _assert_stored_canonically(L.spanning)
+
+
+# ---------------------------------------------------------------------------
+# a graph is its own echelon: verdicts by the complement rule, with no span
+
+V13_TABLES = ("bracket_zero_v1_3", "bracket_so3_v1_3", "bracket_nonjacobi_v1_3",
+              str(Path(__file__).parent / "data" / "bracket_so3_3_7_v1_3.json"),
+              str(Path(__file__).parent / "data"
+                  / "bracket_nonjacobi_m5_2_v1_3.json"))
+
+
+def _skew_nonjacobi_mu(n, rng) -> list:
+    """The skew part of a seeded {-1, 0, 1} mu that breaks Jacobi (none
+    exists at n = 2, where every skew bracket is Lie)."""
+    while True:
+        mu = [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+              for _ in range(n)]
+        skew = [[[mu[i][j][a] - mu[j][i][a] for a in range(n)]
+                 for j in range(n)] for i in range(n)]
+        if lie_laws(n, sparse_table(skew)) == (True, False):
+            return skew
+
+
+def _complement_graphs(espaces, epsilons, omni_isos) -> list:
+    """(label, L) for graphs the complement rule decides: the Poisson graph
+    of every bundled v1_3 table and of the two pinned tables whose cleared
+    rows lead with 7 and 2, metabelian, conjugated-Lie and skew-non-Jacobi
+    D-graphs at n = 2..4, and two-form graphs of v1_2 and v1_3."""
+    E, eps = espaces["v1_3"], epsilons["v1_3"]
+    found = [(Path(ref).stem, poisson_graph(E, eps, load_bracket_table(
+        ref, E.algebra))[1]) for ref in V13_TABLES]
+    corpus = load_script("omni_corpus")
+    for n in (2, 3, 4):
+        rng = rng_for(f"echelon-d-graphs/{n}")
+        mus = [_metabelian_mu((1, -2, 3, 1)[:n]),
+               corpus.conjugated_lie_table(n, rng)[1]]
+        mus += [_skew_nonjacobi_mu(n, rng)] if n > 2 else []
+        found += [(f"d-graph/{n}/{k}", _d_graph(omni_isos[n], mu))
+                  for k, mu in enumerate(mus)]
+    for name in ("v1_2", "v1_3"):
+        rng = rng_for(f"echelon-two-forms/{name}")
+        found += [(f"two-form/{name}", L) for _ in range(2) for L in
+                  _two_form_graphs(espaces[name], epsilons[name], rng)[1:]]
+    return found
+
+
+def _respanned(rows, n, rng) -> tuple:
+    """``(rejected, turned, scaled)`` for rows sorted by lead: row 0 and
+    each row 0 + row i, which all lead where row 0 does, so the rule
+    rejects them; the rows times a unit upper-triangular integer matrix,
+    each leading where its row does, reversed, so the rule holds on rows
+    that are out of order and have more entries off the block; and those
+    rows times 2, 3, 5 and 7 in turn, so that the leads' entries do not
+    divide the brackets' entries there."""
+    M, m = QMatrix(rows, cols=n), len(rows)
+    rejected = rows[:1] + [combine(((0, 1), (i, 1)), M) for i in range(1, m)]
+    turned = [combine([(i, 1)] + [(k, c) for k in range(i + 1, m)
+                                  if (c := rng.choice((-2, -1, 1, 2)))], M)
+              for i in reversed(range(m))]
+    scaled = [tuple((k, (2, 3, 5, 7)[i % 4] * x) for k, x in row)
+              for i, row in enumerate(turned)]
+    return rejected, turned, scaled
+
+
+def test_a_complement_verdict_is_that_of_every_spanning_set(
+        espaces, epsilons, omni_isos):
+    """Each graph the rule decides has the verdict, field for field and in
+    JSON bytes, of the same subspace spanned by rows the rule rejects (the
+    re-spanning of ``submodule_so3_respanned_v1_3.json``, decided on the
+    span) and by re-spanned, reversed rows the rule takes, scaled or not.
+    Where the rule holds and the closure too, no span is built."""
+    seen, scales = set(), set()
+    for label, L in _complement_graphs(espaces, epsilons, omni_isos):
+        verdict = is_dirac(L)
+        assert L.complement is not None, label
+        assert ("span" in vars(L)) == (not verdict.closed), label
+        rows = [tuple(sorted(row.items())) for _, row in L.complement]
+        scales.update(row[p] for p, row in L.complement)
+        rejected, turned, scaled = _respanned(rows, L.ambient.dim,
+                                              rng_for(f"turned/{label}"))
+        assert [row for row in turned if len(row) > 1]
+        for spanning, ruled in ((rejected, False), (turned, True),
+                                (scaled, True)):
+            M = Submodule(L.ambient, QMatrix(spanning, cols=L.ambient.dim))
+            got = is_dirac(M)
+            assert (M.complement is not None) == ruled, label
+            assert got == verdict, label
+            assert json.dumps(got.to_json()) == json.dumps(verdict.to_json())
+            assert ("span" in vars(M)) == (not (ruled and verdict.closed))
+            if ruled:
+                assert list(M.spanning.sparse_rows) != [
+                    tuple(sorted(row.items())) for _, row in M.complement]
+        seen.add((verdict.isotropic, verdict.closed, verdict.dirac))
+    assert {(True, True, True), (True, False, False)} <= seen
+    assert {2, 7} <= scales
+
+
+def _spans_in(call, monkeypatch) -> tuple:
+    """(spans built, rows offered to a span) while ``call()`` runs."""
+    counts, init, add = [0, 0], Span.__init__, Span.add
+
+    def spy_init(self, *args, **kwargs):
+        counts[0] += 1
+        init(self, *args, **kwargs)
+
+    def spy_add(self, row, tag):
+        counts[1] += 1
+        return add(self, row, tag)
+    with monkeypatch.context() as m:
+        m.setattr(Span, "__init__", spy_init)
+        m.setattr(Span, "add", spy_add)
+        call()
+    return tuple(counts)
+
+
+def test_a_complement_verdict_builds_no_span(v13, bider_spaces, omni_isos,
+                                             monkeypatch):
+    """Inside ``is_dirac``: the so(3) graph on epsilon(v1_3) and the
+    metabelian D-graph at n = 4 build no span and offer no row, where
+    eliminating each took one span of 4 rows; random Poisson graphs and
+    random D-graphs, which are not isotropic, keep their one span of 4
+    rows, which names the counterexample."""
+    A, E, eps = v13
+    iso = omni_isos[4]
+    for amb in (eps, iso.eps):  # cached per ambient, built before the spy
+        dirac._nonscalar_centre(amb)
+    graphs = [poisson_graph(E, eps, load_bracket_table("bracket_so3_v1_3",
+                                                       A))[1],
+              _d_graph(iso, _metabelian_mu((1, -2, 3, 1)))]
+    for L in graphs:
+        assert _spans_in(lambda: is_dirac(L), monkeypatch) == (0, 0)
+        assert is_dirac(L).dirac
+    rng = rng_for("spans/random")
+    for _ in range(10):
+        t = table_from_flat(A, rand_combination(rng, bider_spaces["v1_3"]))
+        mu = [[[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)]
+              for _ in range(4)]
+        for L in (poisson_graph(E, eps, t)[1], _d_graph(iso, mu)):
+            assert _spans_in(lambda: is_dirac(L), monkeypatch) == (1, 4)
+            assert not L.isotropic and not is_dirac(L).closed
