@@ -11,11 +11,13 @@ rows are cleared of its denominators before any elimination, so these
 draws run the rational graph path.  Every graph that is
 Dirac must also pass lie_algebroid_check, and every graph's z_stable flag
 must equal a full loop over the centre basis (is_dirac tests only the
-centre elements that do not act as scalars).  A Poisson graph is Z-stable
-by construction, so the sweep then draws as many random subspaces of
-epsilon(A), every other one closed under the centre, and compares
-is_z_stable with the same loop on each; where the centre does not act by
-scalars (qx3) both outcomes must occur.  The exit code is 1 on any
+centre elements that do not act as scalars), and its closed flag and
+counterexample, which is_dirac builds only when it is read, must be those
+of the span of its rows (omni_corpus.closure_by_span).  A Poisson graph is
+Z-stable by construction, so the sweep then draws as many random
+subspaces of epsilon(A), every other one closed under the centre, and
+compares is_z_stable with the same loop on each; where the centre does not
+act by scalars (qx3) both outcomes must occur.  The exit code is 1 on any
 disagreement, failure, missing outcome or Lie-algebroid report that is not
 ok.
 
@@ -36,7 +38,7 @@ from hccourant.dirac import (Submodule, biderivation_space, is_dirac,
 from hccourant.exactlin import (Q, QMatrix, Span, bilinear, contract,
                                 row_combination, sparse)
 from hccourant.files import load_algebra_ref
-from omni_corpus import v1_lie_poisson_table
+from omni_corpus import closure_by_span, v1_lie_poisson_table
 
 
 def z_stable_oracle(L) -> bool:
@@ -100,14 +102,20 @@ def run(cfg: SweepConfig) -> int:
     poisson_count = 0
     disagreements = 0
     algebroids = {"checked": 0, "failed": 0}
-    z_disagreements = 0
+    z_disagreements = closure_disagreements = 0
 
     def dirac_and_algebroid(L, k) -> bool:
         """The Dirac verdict on L, and the Lie-algebroid check when it
-        holds; a z_stable flag off the full loop, or a report that is not
+        holds; a z_stable flag off the full loop, a closed flag or
+        counterexample off the span of L's rows, or a report that is not
         ok, is printed and counted."""
-        nonlocal z_disagreements
+        nonlocal z_disagreements, closure_disagreements
         verdict = is_dirac(L)
+        closure = (verdict.closed, verdict.counterexample)
+        if closure != closure_by_span(L):
+            closure_disagreements += 1
+            print(f"  CLOSURE DISAGREEMENT at draw {k}: closed, "
+                  f"counterexample = {closure}")
         if verdict.z_stable != z_stable_oracle(L):
             z_disagreements += 1
             print(f"  Z-STABILITY DISAGREEMENT at draw {k}: "
@@ -160,7 +168,7 @@ def run(cfg: SweepConfig) -> int:
         failures += 2 * cfg.count - both - scaled_both
         print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac; "
               f"times p/q: {scaled_both}/{cfg.count}")
-    failures += algebroids["failed"] + z_disagreements
+    failures += algebroids["failed"] + z_disagreements + closure_disagreements
     print(f"lie-algebroid checks: {algebroids['failed']} failed of "
           f"{algebroids['checked']}; z-stability disagreements: "
           f"{z_disagreements}")

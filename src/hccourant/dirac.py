@@ -2,14 +2,16 @@
 
 Submodules are Q-subspaces of a ``courant.CourantSpace``, E(A) or the
 quotient, read through that interface alone.  A graph's spanning rows are
-already an echelon of it (below); any other L is eliminated once into an
-``exactlin.Span``, whose primitive integer rows carry the verdicts, and the
-canonical (RREF) basis is built only for a report or a counterexample.
-Verdicts are exact; Z(A)-stability is a separate flag.  ``is_dirac`` runs
-on sparse rows throughout: isotropy, maximality, closure and Z-stability
-hold or fail with any rescaling of a basis, so they contract the ambient's
-tables on integer rows held as dicts, and a span test is the emptiness of
-a fraction-free residual.  Only a counterexample is dense.
+already an echelon of it (below), on which ``is_dirac`` decides it; any
+other L is eliminated once into an ``exactlin.Span``, whose primitive
+integer rows carry the verdicts.  A graph's span is built only for a
+report's canonical (RREF) basis, a Lie-algebroid check or a
+counterexample, which ``is_dirac`` builds on the verdict's first read of
+it.  Verdicts are exact; Z(A)-stability is a separate flag.  ``is_dirac``
+runs on sparse rows throughout: isotropy, maximality, closure and
+Z-stability hold or fail with any rescaling of a basis, so they contract
+the ambient's tables on integer rows held as dicts, and a span test is the
+emptiness of a fraction-free residual.  Only a counterexample is dense.
 
 Z-stability is tested only on the non-scalar centre (``_nonscalar_centre``):
 z -> (action of z) is linear and a scalar preserves every subspace, so L is
@@ -18,7 +20,8 @@ On every epsilon(V[1]) the centre acts by scalars, so the test is empty.
 
 By the Courant axiom [[u, v]] + [[v, u]] = D(u, v) the bracket is skew on
 an isotropic L, where 2[[u, u]] = D(u, u) = 0, so closure is tested on the
-pairs i < j there, each value tested as summed, unsorted.
+pairs i < j there and on every ordered pair, the diagonal included,
+elsewhere, each value tested as summed, unsorted.
 
 Maximality is decided by complement where it can be.  The form pairs H^1
 only with H_1, so it vanishes on each coordinate block W of a space (the
@@ -209,21 +212,19 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     return eqs.dim == free
 
 
-def is_bracket_closed(L: Submodule):
-    """Returns (closed, counterexample); the counterexample names the first
-    failing pair of spanning indices in row-major order and the offending
-    bracket value, as a dense tuple.  On an isotropic L the bracket is skew
-    and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
-    (a diagonal pair never fails there).  An isotropic L with a
-    ``complement`` is decided on its rows; a failure there, or any other L,
-    runs on the span's integer rows r_i, whose counterexample is the integer
-    bracket over p_i p_j, for p_i the pivot entry of r_i: the RREF rows'."""
-    T, ech = L.ambient.bracket_table, L.isotropic and L.complement
-    if ech and all(
-            echelon_contains(ech, contract_sums(u.items(), v, T))
-            for i, (_, u) in enumerate(ech) for _, v in ech[i + 1:]):
-        return True, None
-    rows = sorted(L.span.rows.items())
+def _closed_on_rows(L: Submodule) -> Optional[bool]:
+    """Closure decided on the rows of ``L.complement``, None where it has
+    none: the pairs i < j on an isotropic L, else every ordered pair."""
+    T, ech = L.ambient.bracket_table, L.complement
+    return None if ech is None else all(
+        echelon_contains(ech, contract_sums(u.items(), v, T))
+        for i, (_, u) in enumerate(ech)
+        for _, v in (ech[i + 1:] if L.isotropic else ech))
+
+
+def _closure_by_span(L: Submodule):
+    """The span loop of ``is_bracket_closed``, on the span's rows."""
+    T, rows = L.ambient.bracket_table, sorted(L.span.rows.items())
     for i, (p, u) in enumerate(rows):
         for j in range(i + 1 if L.isotropic else 0, len(rows)):
             q, v = rows[j]
@@ -232,6 +233,19 @@ def is_bracket_closed(L: Submodule):
                 b = _over(b, u[p] * v[q])
                 return False, (i, j, dense(b, L.ambient.dim))
     return True, None
+
+
+def is_bracket_closed(L: Submodule):
+    """Returns (closed, counterexample); the counterexample names the first
+    failing pair of spanning indices in row-major order and the offending
+    bracket value, as a dense tuple.  On an isotropic L the bracket is skew
+    and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
+    (a diagonal pair never fails there).  An L with a ``complement`` is
+    decided on its rows, with the diagonal where L is not isotropic; a
+    failure there, or any other L, runs on the span's integer rows r_i,
+    whose counterexample is the integer bracket over p_i p_j, for p_i the
+    pivot entry of r_i: the RREF rows'."""
+    return (True, None) if _closed_on_rows(L) else _closure_by_span(L)
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,12 +267,24 @@ def is_z_stable(L: Submodule) -> bool:
 
 
 class DiracVerdict(Record):
+    """The verdict's flags and the counterexample of ``is_bracket_closed``.
+    A callable given as the counterexample is its witness, built by it on
+    the first read (the attribute, ``==``, ``hash``, ``repr`` or
+    ``to_json``) and kept for every later one."""
     isotropic: bool
     maximal: bool
     closed: bool
     dirac: bool
     z_stable: bool
     counterexample: Optional[tuple]
+
+    def __post_init__(self):
+        if callable(self.counterexample):
+            vars(self)["_witness"] = vars(self).pop("counterexample")
+
+    @cached_property
+    def counterexample(self) -> Optional[tuple]:
+        return vars(self).pop("_witness")()
 
     def to_json(self) -> dict:
         ce = None
@@ -272,14 +298,19 @@ class DiracVerdict(Record):
 
 def is_dirac(L: Submodule) -> DiracVerdict:
     """Full verdict; requires a nondegenerate ambient (the quotient) with
-    epsilon(A) != 0."""
+    epsilon(A) != 0.  Where L has a ``complement``, closure is decided on
+    its rows and a failing pair's counterexample, the span loop of
+    ``is_bracket_closed``, is built on the verdict's first read of it."""
     if not L.ambient.quotient:
         raise DiracError("Dirac verdicts require the nondegenerate quotient; "
                          "use is_maximally_isotropic for the pre-quotient view")
     if L.ambient.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
-    maximal = is_maximally_isotropic(L)
-    closed, ce = is_bracket_closed(L)
+    maximal, closed = is_maximally_isotropic(L), _closed_on_rows(L)
+    if closed is None:
+        closed, ce = is_bracket_closed(L)
+    else:
+        ce = None if closed else (lambda: _closure_by_span(L)[1])
     return DiracVerdict(L.isotropic, maximal, closed, maximal and closed,
                         is_z_stable(L), ce)
 

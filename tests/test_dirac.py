@@ -2136,11 +2136,13 @@ def test_a_complement_verdict_is_that_of_every_spanning_set(
     JSON bytes, of the same subspace spanned by rows the rule rejects (the
     re-spanning of ``submodule_so3_respanned_v1_3.json``, decided on the
     span) and by re-spanned, reversed rows the rule takes, scaled or not.
-    Where the rule holds and the closure too, no span is built."""
+    Where the rule holds, no span is built before the counterexample is
+    read, and none at all where the closure holds."""
     seen, scales = set(), set()
     for label, L in _complement_graphs(espaces, epsilons, omni_isos):
         verdict = is_dirac(L)
-        assert L.complement is not None, label
+        assert L.complement is not None and "span" not in vars(L), label
+        assert (verdict.counterexample is None) == verdict.closed, label
         assert ("span" in vars(L)) == (not verdict.closed), label
         rows = [tuple(sorted(row.items())) for _, row in L.complement]
         scales.update(row[p] for p, row in L.complement)
@@ -2186,8 +2188,9 @@ def test_a_complement_verdict_builds_no_span(v13, bider_spaces, omni_isos,
     """Inside ``is_dirac``: the so(3) graph on epsilon(v1_3) and the
     metabelian D-graph at n = 4 build no span and offer no row, where
     eliminating each took one span of 4 rows; random Poisson graphs and
-    random D-graphs, which are not isotropic, keep their one span of 4
-    rows, which names the counterexample."""
+    random D-graphs, which are not isotropic, are decided on their rows
+    too, and the one span of 4 rows that names the counterexample is built
+    on its first read alone."""
     A, E, eps = v13
     iso = omni_isos[4]
     for amb in (eps, iso.eps):  # cached per ambient, built before the spy
@@ -2204,5 +2207,77 @@ def test_a_complement_verdict_builds_no_span(v13, bider_spaces, omni_isos,
         mu = [[[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)]
               for _ in range(4)]
         for L in (poisson_graph(E, eps, t)[1], _d_graph(iso, mu)):
-            assert _spans_in(lambda: is_dirac(L), monkeypatch) == (1, 4)
-            assert not L.isotropic and not is_dirac(L).closed
+            assert _spans_in(lambda: is_dirac(L).dirac,
+                             monkeypatch) == (0, 0)
+            verdict = is_dirac(L)
+            assert _spans_in(lambda: verdict.counterexample,
+                             monkeypatch) == (1, 4)
+            assert _spans_in(lambda: verdict.counterexample,
+                             monkeypatch) == (0, 0)
+            assert not L.isotropic and not verdict.closed
+            assert verdict.counterexample and not verdict.dirac
+
+
+def _diagonal_mu(n) -> list:
+    """mu(v_0, v_0) = v_0 and 0 elsewhere: its D-graph is not isotropic,
+    and [[u_0, u_0]] = (0, v_0) is the one bracket of graph rows outside
+    it, since mu(v_0, .) does not vanish."""
+    return [[[int(i == j == k == 0) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+def _deferred_graphs(v13, bider_space, omni_isos) -> list:
+    """(label, a builder of a fresh L) for graphs whose closure fails on
+    their rows: seeded random v1_3 Poisson graphs, and at n = 3 and 4 the
+    D-graphs of uniform {-1, 0, 1} mu, skew-non-Jacobi mu, p/q multiples of
+    uniform mu and ``_diagonal_mu``, whose only failing pair is diagonal."""
+    A, E, eps = v13
+    rng = rng_for("deferred/poisson")
+    tables = [table_from_flat(A, rand_combination(rng, bider_space))
+              for _ in range(6)]
+    found = [(f"poisson/{k}", lambda t=t: poisson_graph(E, eps, t)[1])
+             for k, t in enumerate(tables)]
+    for n in (3, 4):
+        rng = rng_for(f"deferred/d-graphs/{n}")
+        uniform = [[[[rng.randint(-1, 1) for _ in range(n)]
+                     for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        scaled = [[[[Q(p, q) * x for x in cell] for cell in row]
+                   for row in mu] for mu, p, q in zip(
+                       uniform, (-3, 2, 5), (7, 9, 4))]
+        mus = (uniform + [_skew_nonjacobi_mu(n, rng) for _ in range(2)]
+               + scaled + [_diagonal_mu(n)])
+        found += [(f"d-graph/{n}/{k}", lambda mu=mu, n=n:
+                   _d_graph(omni_isos[n], mu)) for k, mu in enumerate(mus)]
+    return found
+
+
+def test_a_deferred_witness_is_the_eager_one(v13, bider_spaces, omni_isos):
+    """Oracle: on graphs whose closure fails on their rows, ``is_dirac``
+    defers the counterexample, and the verdict equals the eager reference
+    (``_ref_is_dirac``) in every field, ``==``, ``hash``, ``repr`` and
+    ``to_json`` bytes, whichever of them is read first; the eager
+    ``is_bracket_closed`` equals ``_ref_is_bracket_closed``."""
+    seen = set()
+    for label, build in _deferred_graphs(v13, bider_spaces["v1_3"],
+                                         omni_isos):
+        L = build()
+        ref, (closed, ce) = _ref_is_dirac(L), _ref_is_bracket_closed(L)
+        assert not closed and is_bracket_closed(build()) == (closed, ce)
+        reads = {
+            "fields": lambda v: [getattr(v, n) for n in v._fields]
+            == [getattr(ref, n) for n in ref._fields],
+            "counterexample": lambda v: v.counterexample == ce,
+            "==": lambda v: v == ref,
+            "hash": lambda v: hash(v) == hash(ref),
+            "repr": lambda v: repr(v) == repr(ref),
+            "to_json": lambda v: json.dumps(v.to_json())
+            == json.dumps(ref.to_json())}
+        for first in reads:
+            L = build()
+            verdict = is_dirac(L)
+            assert L.complement is not None and "span" not in vars(L)
+            assert "counterexample" not in vars(verdict), label
+            assert reads[first](verdict), (label, first)
+            assert all(read(verdict) for read in reads.values()), label
+        seen.add(L.isotropic)
+    assert seen == {True, False}
