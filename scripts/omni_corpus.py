@@ -19,7 +19,10 @@ rows: the bracket of each pair of its RREF rows, in row-major order (i < j
 where the form vanishes on the rows, every pair otherwise), tested by
 ``Span(L.spanning).contains``, so a graph the package decides on its own
 rows, with no span, meets one here.  A disagreement of either is printed
-and makes the script exit 1.
+and makes the script exit 1.  Every draw whose verdict is Dirac must also
+pass ``lie_algebroid_check``, whose structure constants are read on the
+graph's own rows: one that does not is printed and makes the script exit
+1, and a last line counts the checks.
 
 Example:
     python scripts/omni_corpus.py --max-n 3 --tables 200 --seed 11
@@ -29,9 +32,9 @@ import argparse
 import random
 from dataclasses import dataclass
 
-from hccourant.dirac import Submodule
-from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine, contract,
-                                dense, row_combination, sparse_table, vec)
+from hccourant.dirac import Submodule, lie_algebroid_check
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, contract, dense,
+                                row_combination, sparse_table)
 from hccourant.omni import (d_graph_rows, d_structure_check, verify_ev1,
                             verify_main_theorem)
 
@@ -98,9 +101,7 @@ def v1_lie_poisson_table(n: int, rng: random.Random):
 
 def d_graph(iso, mu) -> Submodule:
     """The graph rows (mu(v_i, .), v_i) of mu, mapped by ``iso.fwd``."""
-    mu = sparse_table(tuple(tuple(map(vec, row)) for row in mu))
-    return Submodule(iso.eps, QMatrix([combine(row, iso.fwd) for row in
-                                       d_graph_rows(iso.n, mu)],
+    return Submodule(iso.eps, QMatrix(d_graph_rows(iso, mu)[1],
                                       cols=iso.eps.dim))
 
 
@@ -129,18 +130,25 @@ def closure_by_span(L) -> tuple:
     return True, None
 
 
-def checked(iso, mu):
+def checked(iso, mu, algebroids: list):
     """``(report, maximal_agrees, closure_agrees)``: the D-structure report
     of mu, and whether its maximality verdict, and its closure verdict and
-    counterexample, are the oracles'."""
+    counterexample, are the oracles'.  Where the verdict is Dirac, the
+    graph's Lie-algebroid report is appended to ``algebroids``, and one
+    that is not ok is printed with mu."""
     d, L = d_structure_check(iso, mu), d_graph(iso, mu)
     closure = (d.verdict.closed, d.verdict.counterexample)
+    if d.dirac:
+        algebroids.append(lie_algebroid_check(iso.eps, L))
+        if not algebroids[-1].ok:
+            print(f"  NOT A LIE ALGEBROID: n={iso.n} mu={mu} "
+                  f"{algebroids[-1].to_json()}")
     return (d, d.verdict.maximal == maximal_by_nullspace(L),
             closure == closure_by_span(L))
 
 
 def run(cfg: OmniConfig) -> int:
-    bad = 0
+    bad, algebroids = 0, []
     for n in range(1, cfg.max_n + 1):
         rep = verify_ev1(n)
         print(f"n={n}: dim H^1={rep.h1_cohomology_dim} "
@@ -155,7 +163,7 @@ def run(cfg: OmniConfig) -> int:
         for _ in range(cfg.tables):
             mu = [[[rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d, maximal_ok, closure_ok = checked(iso, mu)
+            d, maximal_ok, closure_ok = checked(iso, mu, algebroids)
             lie_count += d.is_lie_bracket
             inconsistent += not d.consistent
             maximal_bad += not maximal_ok
@@ -163,7 +171,7 @@ def run(cfg: OmniConfig) -> int:
         lie_dirac = 0
         for _ in range(cfg.tables):
             d, maximal_ok, closure_ok = checked(
-                iso, conjugated_lie_table(n, rng)[1])
+                iso, conjugated_lie_table(n, rng)[1], algebroids)
             lie_dirac += d.is_lie_bracket and d.dirac
             inconsistent += not d.consistent
             maximal_bad += not maximal_ok
@@ -179,7 +187,7 @@ def run(cfg: OmniConfig) -> int:
                   scaled_rng.randint(1, 9))
             mu = [[[c * scaled_rng.randint(-1, 1) for _ in range(n)]
                    for _ in range(n)] for _ in range(n)]
-            d, maximal_ok, closure_ok = checked(iso, mu)
+            d, maximal_ok, closure_ok = checked(iso, mu, algebroids)
             scaled_lie += d.is_lie_bracket
             scaled_bad += not d.consistent
             maximal_bad += not maximal_ok
@@ -196,7 +204,10 @@ def run(cfg: OmniConfig) -> int:
         bad += (not main.ok) + (not rep.ok)
         # an image of a Lie bracket is one: each such table must pass both
         bad += cfg.tables - lie_dirac
-    return 0 if bad == 0 else 1
+    failed = sum(not rep.ok for rep in algebroids)
+    print(f"Lie algebroid: {len(algebroids)} Dirac draws checked, "
+          f"{failed} not ok")
+    return 0 if bad + failed == 0 else 1
 
 
 if __name__ == "__main__":

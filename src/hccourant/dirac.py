@@ -2,10 +2,10 @@
 
 Submodules are Q-subspaces of a ``courant.CourantSpace``, E(A) or the
 quotient, read through that interface alone.  A graph's spanning rows are
-already an echelon of it (below), on which ``is_dirac`` decides it; any
-other L is eliminated once into an ``exactlin.Span``, whose primitive
-integer rows carry the verdicts.  A graph's span is built only for a
-report's canonical (RREF) basis, a Lie-algebroid check or a
+already an echelon of it (below), on which ``is_dirac`` decides it and
+``lie_algebroid_check`` reads it; any other L is eliminated once into an
+``exactlin.Span``, whose primitive integer rows carry the verdicts.  A
+graph's span is built only for a report's canonical (RREF) basis or a
 counterexample, which ``is_dirac`` builds on the verdict's first read of
 it.  Verdicts are exact; Z(A)-stability is a separate flag.  ``is_dirac``
 runs on sparse rows throughout: isotropy, maximality, closure and
@@ -74,9 +74,14 @@ not only on a Dirac structure (Liu-Weinstein-Xu, Manin triples for Lie
 bialgebroids, 1997; Uchino, Remarks on the definition of a Courant
 algebroid, 2002).  So their defects are two tables cached per quotient,
 built on first use from its tables, and ``lie_algebroid_check`` reads them
-on the rows of L: by multilinearity that decides both laws on L, and
-where the defects are empty (on every quotient of the corpus) it costs
-nothing per L.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
+on the rows of ``L.echelon``: by multilinearity that decides both laws on
+L, and a defect table with no cells (on every quotient of the corpus)
+decides its law for every L and is not read.  The structure constants of
+L are the coordinates of [[r_i, r_j]] over the same rows r_k, the
+multipliers of ``exactlin.echelon_clear``: row k is the one row nonzero
+at its lead once the rows before it are cleared, so the multipliers are
+exact and need no back-substitution, and the check builds no span where
+``is_dirac`` built none.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
 record: ``ok`` is the conjunction of the four law fields and the JSON report
 is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
 ``ok``, so it writes its own JSON.
@@ -94,6 +99,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -101,8 +107,8 @@ from .algebra import FiniteAlgebra
 from .courant import CourantSpace, EpsilonSpace, ESpace
 from .exactlin import (ONE, HccourantError, QMatrix, Record, Report, Span,
                        _over, combine, combine_tables, contract, contract_sums,
-                       dense, echelon_contains, integral, nullspace,
-                       pullback, pushforward, rat_str, sparse, sparse_row,
+                       dense, echelon_clear, echelon_contains, integral,
+                       nullspace, pullback, pushforward, rat_str, sparse,
                        sparse_table, transpose_table, vec)
 from .hochschild import (Chain, HomologyPresentation, boundaries, connes_B,
                          homology, interior_product, leibniz_operator)
@@ -119,10 +125,13 @@ class Submodule:
     """A subspace of a ``CourantSpace``, given by spanning vectors.
 
     ``echelon``, L's basis as (lead, {column: int}) pairs, leads ascending,
-    each row 0 at the leads before its own, is the spanning rows where the
-    complement rule holds (``complement``), else the rows of ``span``, an
-    ``exactlin.Span`` built when first read, as are ``int_rows``, its rows,
-    and the RREF basis ``vectors``, row i ``int_rows[i]`` over its pivot."""
+    each row 0 at the leads before its own, is the spanning rows, cleared of
+    denominators, where the complement rule holds (``complement``), else
+    the rows of ``span``, an ``exactlin.Span`` built when first read, as are
+    ``int_rows``, its rows, and the RREF basis ``vectors``, row i
+    ``int_rows[i]`` over its pivot.  Where the rule holds, the verdicts and
+    the Lie-algebroid check read the spanning rows alone, and ``span`` is
+    built only for a counterexample, ``int_rows`` or ``vectors``."""
 
     def __init__(self, ambient: CourantSpace, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -134,9 +143,20 @@ class Submodule:
     def span(self) -> Span:
         return Span(self.spanning)
 
+    @classmethod
+    def from_integral(cls, ambient: CourantSpace, rows) -> "Submodule":
+        """The span of ``rows``, canonical sparse rows of ints, stored
+        unchecked (``QMatrix.from_canonical``): for graph rows the package
+        clears of denominators as it builds them, which the complement rule
+        reads as they are."""
+        L = cls(ambient, QMatrix.from_canonical(rows, ambient.dim))
+        vars(L)["complement"] = _complement(ambient, rows)
+        return L
+
     @cached_property
     def complement(self) -> Optional[tuple]:
-        return _complement(self.ambient, self.spanning.sparse_rows)
+        return _complement(self.ambient, [integral(row)[1] for row in
+                                          self.spanning.sparse_rows])
 
     @cached_property
     def echelon(self) -> tuple:
@@ -181,17 +201,25 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
 
 def _complement(amb: CourantSpace, rows) -> Optional[tuple]:
     """The complement rule (module docstring) on a quotient's spanning
-    rows, counted before any lead is read: each nonzero row as (lead,
-    {column: int}), sorted by lead, or None where the rule fails."""
+    rows, canonical sparse rows of ints, counted before any lead is read:
+    each nonzero row as (lead, {column: int}), sorted by lead, or None
+    where the rule fails."""
     rows, n = [row for row in rows if row], amb.dim
     for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
         if amb.quotient and len(rows) == n - (hi - lo):
-            leads = [next((k for k, _ in row if not lo <= k < hi), None)
-                     for row in rows]
+            leads = [_lead(row, lo, hi) for row in rows]
             if None not in leads and len(set(leads)) == len(leads):
-                return tuple(sorted((p, dict(integral(row)[1]))
-                                    for p, row in zip(leads, rows)))
+                return tuple(sorted(zip(leads, map(dict, rows))))
     return None
+
+
+def _lead(row: tuple, lo: int, hi: int) -> Optional[int]:
+    """The first column outside range(lo, hi) of a nonzero canonical sparse
+    row, or None: its first column, or the first at hi or past it."""
+    if row[0][0] < lo:
+        return row[0][0]
+    i = bisect_left(row, (hi,))  # (hi,) sorts before every (hi, x)
+    return row[i][0] if i < len(row) else None
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -348,7 +376,11 @@ def _check_biderivation(A: FiniteAlgebra, table) -> None:
 
 
 def make_bracket_table(A: FiniteAlgebra, table) -> BracketTable:
-    return BracketTable(A, tuple(tuple(map(vec, row)) for row in table))
+    try:
+        table = tuple(tuple(map(vec, row)) for row in table)
+    except TypeError:  # a row or the table is not a sequence
+        raise DiracError("bracket table has wrong shape") from None
+    return BracketTable(A, table)
 
 
 def biderivation_space(A: FiniteAlgebra) -> QMatrix:
@@ -609,15 +641,19 @@ class LieAlgebroidReport(Report):
 def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                         rng=None) -> LieAlgebroidReport:
     """For a Dirac structure L: the anchor intertwines brackets, the central
-    Leibniz rule holds on L, and the restricted bracket is a Lie bracket.
+    Leibniz rule holds on L, and the restricted bracket is a Lie bracket,
+    each read on the rows r_k of ``L.echelon``.
 
     The two laws are read off ``_algebroid_defects`` (module docstring):
     ``anchor_bracket`` is the emptiness of the anchor defect's
-    pullback to the rows of L; for ``leibniz_rule`` each row is contracted
+    pullback to the rows; for ``leibniz_rule`` each row is contracted
     into the Leibniz defect first, and only a nonempty part is read on the
-    centre basis z_m and the rows of L: the defect is linear in z, so the
-    basis decides it.  ``rng`` is unused and draws nothing; it is kept
-    because existing callers still pass it."""
+    centre basis z_m and the rows: the defect is linear in z, so the
+    basis decides it.  An empty defect table decides its law for every L
+    and is not read.  The structure constants of [[r_i, r_j]] are its
+    coordinates over the rows, the multipliers of ``exactlin.echelon_clear``
+    (Lie-ness does not depend on the basis).  ``rng`` is unused and draws
+    nothing; it is kept because existing callers still pass it."""
     if L.ambient is not eps:
         raise DiracError("submodule is not over the given quotient")
     verdict = is_dirac(L)
@@ -625,27 +661,27 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
         raise DiracError("lie_algebroid_check requires a Dirac structure")
     n, cdim = eps.dim, eps.center_basis.rows
     anchor, leibniz = _algebroid_defects(eps)
-    ls = QMatrix(L.int_rows, cols=n)
-    anchor_ok = not any(pullback(anchor, ls, ls))
+    ech, T = L.echelon, eps.bracket_table
+    rows = [row for _, row in ech]
+    anchor_ok = not any(anchor) or not any(
+        any(contract_sums(u.items(), v, anchor).values())
+        for u in rows for v in rows)
     leibniz_ok = True
-    for u in L.int_rows:
+    for u in rows if any(leibniz) else ():
         # the defect at u: a one-row table on z (x) v, at column m n + b
-        part = combine_tables([(x, (leibniz[a],)) for a, x in u], 1)
-        if part[0] and any(
-                contract(((0, ONE),), [(m * n + b, y) for b, y in v], part)
-                for m in range(cdim) for v in L.int_rows):
+        part = combine_tables([(x, (leibniz[a],)) for a, x in u.items()], 1)
+        if part[0] and any(contract(((0, ONE),), [(m * n + b, y) for b, y
+                                                  in v.items()], part)
+                           for m in range(cdim) for v in rows):
             leibniz_ok = False
 
-    # structure constants over the integer rows r_k (Lie-ness does not depend
-    # on the basis): r_k alone is nonzero at its pivot p_k; on a skew
-    # bracket Leibniz and cyclic Jacobi agree
-    vs, T = L.int_rows, eps.bracket_table
-    pivots = [row[0] for row in vs]
-
-    def coords(b: dict) -> tuple:
-        return tuple(e for k, (p, x) in enumerate(pivots) if p in b
-                     for e in _over({k: b[p]}, x))
-    consts = tuple(sparse_row({j: coords(dict(contract(u, v, T)))
-                               for j, v in enumerate(vs)}) for u in vs)
+    def coords(u: dict, v: dict) -> tuple:
+        c = {}
+        return _over(c, echelon_clear(ech, contract_sums(u.items(), v, T),
+                                      c)[1])
+    # on a skew bracket Leibniz and cyclic Jacobi agree
+    consts = tuple(tuple((j, c) for j, v in enumerate(rows)
+                         if (c := coords(u, v))) for u in rows)
     skew_ok, jacobi_ok = lie_laws(L.dim, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)
+

@@ -21,7 +21,9 @@ splits it, linearly, into its residual and its coordinates over the tagged
 rows (``split``), and gives those coordinates as a map (a call);
 ``make_reducer`` returns one, and ``quotient_basis`` grows a subspace's
 span, eliminated once by its caller, into the quotient's; rows already in
-echelon form need none (``echelon_contains``).  ``rref``,
+echelon form need none: ``echelon_clear`` runs the span's clearing step on
+them and gives a row's residual and its coordinates over them, and
+``echelon_contains`` reads the residual.  ``rref``,
 ``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
 ``membership`` are thin readers of a span.  The nonzero rows of R, the
 pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
@@ -42,13 +44,14 @@ denominator > 1 otherwise, so integral tables run on ``int`` arithmetic.
 return rows in it.  An ``int`` equals and hashes like the ``Q`` of
 the same value, so the form changes no comparison, cache key or
 ``rat_str``.  ``/`` on two ints is a float, so the one division goes
-through ``Q``: ``_over``, where a span reader turns an integer row and
-its scale into the rows it returns (and where a row's tag follows the row
-when a content is divided out).  The way in is ``integral``: a sparse row
+through ``Q``: ``_over``, where a span reader, or a reader of the
+coordinates of ``echelon_clear``, turns an integer row and its scale into
+the rows it returns (and where a row's tag follows the row when a content
+is divided out).  The way in is ``integral``: a sparse row
 times the lcm m of its denominators, made from numerators and
 denominators.  A span clears a rational row so (``_integral``), and a
 graph verdict clears its rows once where they are built
-(``dirac.poisson_graph``, ``omni.d_structure_check``), since m row spans
+(``dirac.poisson_graph``, ``omni.d_graph_rows``), since m row spans
 the same line as the row.
 """
 
@@ -88,12 +91,17 @@ def _rational_str(s: str) -> str:
     return s
 
 
+#: what ``_number`` raises on a value that is not a rational
+_REFUSED = (ValueError, TypeError, ZeroDivisionError, OverflowError)
+
+
 def rat(x):
     """Coerce ints, strings like ``"-p/q"`` or ``"p"``, or rationals to an
-    exact rational in the number form."""
+    exact rational in the number form; anything else, a NaN or an infinity
+    included, raises ``ExactLinError`` naming it."""
     try:
         return _number(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except _REFUSED as exc:
         raise ExactLinError(f"not a rational: {x!r}") from exc
 
 
@@ -103,11 +111,20 @@ def rat_str(x) -> str:
 
 
 def vec(entries: Iterable) -> tuple:
-    """Entries as a tuple of exact rationals in the number form."""
-    v = tuple(entries)
+    """Entries as a tuple of exact rationals in the number form; raises
+    ``ExactLinError`` naming the first entry ``rat`` refuses, or the
+    entries where they are not a sequence."""
+    try:
+        v = tuple(entries)
+    except TypeError:
+        raise ExactLinError(f"not a sequence of rationals: {entries!r}") \
+            from None
     for x in v:
         if type(x) is not int:
-            return tuple(map(_number, v))
+            try:
+                return tuple(map(_number, v))
+            except _REFUSED:
+                return tuple(map(rat, v))  # raises at the first refusal
     return v
 
 
@@ -298,7 +315,10 @@ def canonical_row(row, cols: int) -> tuple:
                                 f"range({cols})")
         last = k
         if type(x) is not int:
-            x = _number(x)
+            try:
+                x = _number(x)
+            except _REFUSED:
+                x = rat(x)  # raises, naming x
         if x:
             out.append((k, x))
     return tuple(out)
@@ -657,25 +677,47 @@ class Span:
         return dense(c, self.n)
 
 
-def echelon_contains(echelon: Sequence, w: dict) -> bool:
-    """Whether a {column: value} dict w, consumed, lies in the span of
-    ``echelon``: (lead p, {column: int}) pairs, p ascending, each row 0 at
-    the leads before its own.  The step of ``Span.residual``, w <- a w - f
-    row with a w[p] = f row[p], clears w at each lead in turn for good."""
-    for p, row in echelon:
+def echelon_clear(echelon: Sequence, w: dict,
+                  coords: Optional[dict] = None) -> tuple:
+    """``(r, s)``: the step of ``Span.residual``, w <- a w - f row with
+    a w[p] = f row[p], clears a {column: value} dict w, consumed, at each
+    lead p of ``echelon`` in turn: (lead p, {column: int}) pairs, p
+    ascending, each row 0 at the leads before its own.  r = s (w - sum_k
+    c_k r_k) for the rows r_k and s the product of the a's, so r is 0
+    exactly when w lies in their span.  Row k is the only row nonzero at
+    its lead once those before it are cleared, so c_k, f over the a's so
+    far, is exact with no back-substitution: ``coords``, where given,
+    receives s c_k at k, and ``_over(coords, s)`` is w's coordinates."""
+    s = 1
+    for k, (p, row) in enumerate(echelon):
         f = w.get(p)
         if f:
             c = row[p]
             if c != 1:
+                a = 1
                 if type(f) is not int:
-                    w = dict(integral(w.items())[1])
+                    a, w = integral(w.items())
+                    w = dict(w)
                     f = w[p]
                 g = gcd(f, c)
                 if g != c:
+                    a *= c // g
                     _scale(w, c // g)
+                if a != 1:
+                    s *= a
+                    if coords:
+                        _scale(coords, a)
                 f //= g
+            if coords is not None:
+                coords[k] = f
             _axpy(w, f, row)
-    return not any(w.values())
+    return w, s
+
+
+def echelon_contains(echelon: Sequence, w: dict) -> bool:
+    """Whether a {column: value} dict w, consumed, lies in the span of
+    ``echelon`` (``echelon_clear``)."""
+    return not any(echelon_clear(echelon, w)[0].values())
 
 
 # ---------------------------------------------------------------------------

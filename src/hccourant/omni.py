@@ -16,11 +16,15 @@ induced Courant bracket, and the pairing to the induced bilinear form up to
 the global scalar 2, each by one table identity (``exactlin.pullback``).
 Dirac structures of epsilon(V[1]) that are graphs over V then correspond to
 Lie brackets on V; `d_structure_check` decides both sides and compares them.
-Each graph row (mu(v_i, .), v_i) is read off the sparse mu table, cleared
-of its denominators (``exactlin.integral``: the row times the lcm of its
-denominators spans the same line, so the graph is unchanged) and mapped to
-epsilon(V[1]) as one sparse combination of the rows of ``OmniIso.fwd``,
-so no rational reaches the span of a D-structure verdict.
+Both read one pass over mu (``d_graph_rows``), which checks each entry and
+brings it to the number form, and gives the sparse mu table for the Lie
+oracle and the graph rows (mu(v_i, .), v_i), each mapped to epsilon(V[1])
+as one sparse combination of the rows of ``OmniIso.fwd`` and cleared of
+its denominators (``exactlin.integral``: the row times the lcm of its
+denominators spans the same line, so the graph is unchanged).  The
+complement rule reads the integral rows as they are built
+(``dirac.Submodule.from_integral``), so no rational reaches a D-structure
+verdict.
 
 ``MainTheoremReport`` is an ``exactlin.Report`` record: ``ok`` is the
 conjunction of its ``bool`` fields (``form_scalar`` is a value, not a
@@ -38,10 +42,9 @@ from typing import Optional
 from .algebra import build_v1
 from .courant import EpsilonSpace, ESpace
 from .dirac import DiracVerdict, Submodule, is_dirac, lie_laws
-from .exactlin import (Q, ZERO, ONE, HccourantError, QMatrix, Record,
-                       Report, combine, dense, integral, pullback,
-                       pushforward, rank, row_space, sparse_row, sparse_table,
-                       vec)
+from .exactlin import (Q, ZERO, ONE, ExactLinError, HccourantError, QMatrix,
+                       Record, Report, combine, dense, integral, pullback,
+                       pushforward, rank, rat, row_space, sparse_row)
 from .hochschild import elementary_chain
 
 
@@ -224,29 +227,57 @@ class DStructureReport(Record):
                 "verdict": self.verdict.to_json()}
 
 
-def d_graph_rows(n: int, mu) -> list:
-    """The graph rows {(mu(v_i, .), v_i)} in omni-Lie coordinates, as
-    sparse rows, for mu in the sparse table form of
-    ``exactlin.sparse_table``: the matrix mu(v_i, .) has column j equal to
-    mu(v_i, v_j), so E_aj (at a n + j) holds mu(v_i, v_j)_a, then v_i."""
-    return [sorted((a * n + j, x) for j, cell in mu[i] for a, x in cell)
-            + [(n * n + i, ONE)] for i in range(n)]
+def _sized(x, n: int, *where):
+    """x, where it has n entries; else raises naming mu at index ``where``."""
+    if not hasattr(x, "__len__") or len(x) != n:
+        at = "".join(f"[{k}]" for k in where)
+        raise OmniError(f"mu{at} has the wrong length: {x!r} is not "
+                        f"{n} entries")
+    return x
+
+
+def _entry(x, *where):
+    """x in the number form, or an OmniError naming mu at index ``where``."""
+    try:
+        return rat(x)
+    except ExactLinError:
+        at = "".join(f"[{k}]" for k in where)
+        raise OmniError(f"mu{at} is not a rational: {x!r}") from None
+
+
+def d_graph_rows(iso: OmniIso, mu) -> tuple:
+    """``(table, rows)`` from mu, n rows of n cells of n entries with
+    mu[i][j] the coordinates of mu(v_i, v_j), read in one pass: each entry
+    is checked and brought to the number form, ``table`` is the sparse mu
+    table of ``exactlin.sparse_table``, and row i of ``rows`` is the graph
+    row (mu(v_i, .), v_i) cleared of its denominators and mapped to
+    epsilon(V[1]) (module docstring).  The matrix mu(v_i, .) has column j
+    equal to mu(v_i, v_j), so E_aj (at a n + j) holds mu(v_i, v_j)_a."""
+    n, fwd = iso.n, iso.fwd
+    table, rows = [], []
+    for i, cells in enumerate(_sized(mu, n)):
+        trow, graph = [], [(n * n + i, ONE)]
+        for j, cell in enumerate(_sized(cells, n, i)):
+            c = []
+            for a, x in enumerate(_sized(cell, n, i, j)):
+                if type(x) is not int:
+                    x = _entry(x, i, j, a)
+                if x:
+                    c.append((a, x))
+                    graph.append((a * n + j, x))
+            if c:
+                trow.append((j, tuple(c)))
+        table.append(tuple(trow))
+        rows.append(integral(combine(graph, fwd))[1])
+    return tuple(table), rows
 
 
 def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     """Dirac verdict of the graph {(mu(v, .), v)} versus the Lie-bracket
-    oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Each
-    graph row, cleared of its denominators, is a sparse combination of the
-    rows of ``iso.fwd``."""
-    n, mu = iso.n, tuple(tuple(map(vec, row)) for row in mu)
-    if len(mu) != n or any(len(row) != n or any(len(c) != n for c in row)
-                           for row in mu):
-        raise OmniError("mu has rows or cells of the wrong length")
-    mu = sparse_table(mu)
-    rows = [combine(integral(row)[1], iso.fwd)
-            for row in d_graph_rows(n, mu)]
-    L = Submodule(iso.eps, QMatrix.from_canonical(rows, iso.eps.dim))
-    verdict = is_dirac(L)
-    skew, jacobi = lie_laws(n, mu)
-    return DStructureReport(n, verdict.dirac, skew and jacobi, skew, jacobi,
-                            verdict)
+    oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Both
+    read the one pass of ``d_graph_rows``."""
+    table, rows = d_graph_rows(iso, mu)
+    verdict = is_dirac(Submodule.from_integral(iso.eps, rows))
+    skew, jacobi = lie_laws(iso.n, table)
+    return DStructureReport(iso.n, verdict.dirac, skew and jacobi, skew,
+                            jacobi, verdict)

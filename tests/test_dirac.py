@@ -21,10 +21,11 @@ from hccourant.dirac import (BracketTable, DiracError, DiracVerdict,
                              is_z_stable, lie_algebroid_check, lie_laws,
                              make_bracket_table, poisson_graph, project,
                              table_from_flat, two_form, two_form_graph)
-from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
-                                contract, dense, integral, nullspace, rank,
-                                rat_str, row_space, row_combination, sparse,
-                                sparse_row, sparse_table, vec)
+from hccourant.exactlin import (Q, QMatrix, Span, _over, bilinear, combine,
+                                combine_tables, contract, dense, nullspace,
+                                pullback, rank, rat_str, row_space,
+                                row_combination, sparse, sparse_row,
+                                sparse_table, vec)
 from hccourant import hochschild
 from hccourant.algebra import (GuardError, build_v1, make_algebra,
                                matrix_algebra)
@@ -33,8 +34,9 @@ from hccourant.courant import CourantError, EpsilonSpace, ESpace
 from hccourant.hochschild import (Chain, boundaries, cochain_from_flat,
                                   connes_B, derivation_basis, homology,
                                   interior_product)
-from hccourant.files import (BUNDLED_ALGEBRAS, load_algebra_ref,
-                             load_bracket_table)
+from hccourant.files import (BUNDLED_ALGEBRAS, BUNDLED_TABLES,
+                             load_algebra_ref, load_bracket_table,
+                             load_submodule)
 from hccourant import omni
 from hccourant.omni import build_omni_iso, d_structure_check
 from conftest import (_ref_is_derivation, cycles_and_boundaries,
@@ -1488,23 +1490,25 @@ def test_two_form_guard_flows_from_the_space():
 def test_algebroid_structure_constants_are_those_of_the_integer_rows(
         epsilons, monkeypatch):
     """The table ``lie_algebroid_check`` hands to ``lie_laws`` holds the
-    coordinates of [[r_i, r_j]] over the integer rows r_k of L: summed back
-    on them it is the bracket, also where a pivot entry is not 1."""
+    coordinates of [[r_i, r_j]] over the integer rows r_k of ``L.echelon``:
+    summed back on them it is the bracket, also where a lead entry is not
+    1."""
     tables = []
     monkeypatch.setattr(dirac, "lie_laws",
                         lambda n, t: tables.append(t) or (True, True))
-    pivot_entries = set()
+    lead_entries = set()
     for name in GRAPH_ALGEBRAS:
         eps = epsilons[name]
         for L in _dirac_graphs(eps, rng_for(f"constants/{name}")):
             lie_algebroid_check(eps, L)
-            vs, rows = L.int_rows, QMatrix(L.int_rows, cols=eps.dim)
+            vs = [sparse_row(row) for _, row in L.echelon]
+            rows = QMatrix(vs, cols=eps.dim)
             for i, j in itertools.product(range(L.dim), repeat=2):
                 cell = dict(tables[-1][i]).get(j, ())
                 assert combine(cell, rows) == contract(vs[i], vs[j],
                                                        eps.bracket_table)
-            pivot_entries |= {row[0][1] for row in vs}
-    assert pivot_entries - {1}
+            lead_entries |= {row[p] for p, row in L.echelon}
+    assert lead_entries - {1}
 
 
 # ---------------------------------------------------------------------------
@@ -1711,10 +1715,8 @@ def omni_isos():
 def _d_graph(iso, mu) -> Submodule:
     """The D-structure graph of mu, built as ``d_structure_check`` builds
     it."""
-    mu = sparse_table(tuple(tuple(map(vec, row)) for row in mu))
-    rows = [combine(integral(row)[1], iso.fwd)
-            for row in omni.d_graph_rows(iso.n, mu)]
-    return Submodule(iso.eps, QMatrix(rows, cols=iso.eps.dim))
+    return Submodule(iso.eps, QMatrix(omni.d_graph_rows(iso, mu)[1],
+                                      cols=iso.eps.dim))
 
 
 def _metabelian_mu(a) -> list:
@@ -2281,3 +2283,194 @@ def test_a_deferred_witness_is_the_eager_one(v13, bider_spaces, omni_isos):
             assert all(read(verdict) for read in reads.values()), label
         seen.add(L.isotropic)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the Lie-algebroid check on the echelon
+
+def _ref_lie_algebroid_check(eps, L):
+    """The span-based body of ``lie_algebroid_check`` before it read
+    ``L.echelon``: both laws read on the integer rows of ``L.span``, empty
+    defect tables included, and the structure constants over those rows,
+    each coordinate the bracket's entry at a pivot over the pivot entry."""
+    if L.ambient is not eps:
+        raise DiracError("submodule is not over the given quotient")
+    if not is_dirac(L).dirac:
+        raise DiracError("lie_algebroid_check requires a Dirac structure")
+    n, cdim = eps.dim, eps.center_basis.rows
+    anchor, leibniz = _algebroid_defects(eps)
+    vs, T = L.int_rows, eps.bracket_table
+    ls = QMatrix(vs, cols=n)
+    anchor_ok = not any(pullback(anchor, ls, ls))
+    leibniz_ok = True
+    for u in vs:
+        part = combine_tables([(x, (leibniz[a],)) for a, x in u], 1)
+        if part[0] and any(
+                contract(((0, 1),), [(m * n + b, y) for b, y in v], part)
+                for m in range(cdim) for v in vs):
+            leibniz_ok = False
+    pivots = [row[0] for row in vs]
+
+    def coords(b: dict) -> tuple:
+        return tuple(e for k, (p, x) in enumerate(pivots) if p in b
+                     for e in _over({k: b[p]}, x))
+    consts = tuple(sparse_row({j: coords(dict(contract(u, v, T)))
+                               for j, v in enumerate(vs)}) for u in vs)
+    return LieAlgebroidReport(anchor_ok, leibniz_ok, *lie_laws(L.dim, consts))
+
+
+def _lie_mus(n, rng) -> list:
+    """(label, mu): so(3), Heisenberg and r_2 plus an abelian summand, where
+    they fit in n, two conjugated Lie tables, and a p/q multiple of each:
+    all Lie brackets, so their D-graphs are Dirac."""
+    corpus = load_script("omni_corpus")
+    found = [(name, corpus.lie_table(name, n))
+             for name, (dim, _) in sorted(corpus.LIE_BRACKETS.items())
+             if dim <= n]
+    found += [(f"conjugated {name}", mu) for name, mu in (
+        corpus.conjugated_lie_table(n, rng) for _ in range(2))]
+    for label, mu in list(found):
+        c = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+        found.append((f"{c} {label}", _scaled(c, mu)))
+    return found
+
+
+def _algebroid_corpus(v13, omni_isos) -> list:
+    """(label, quotient, a builder of a fresh L): every Dirac Poisson graph
+    of a bundled v1_3 table and of the so(3) 3/7 pin, so(3) scaled by 5
+    seeded p/q, the re-spanned so(3) submodule, which complements no block,
+    and the D-graphs of ``_lie_mus`` at n = 2, 3 and 4."""
+    A, E, eps = v13
+    rng = rng_for("algebroid-corpus")
+    tables = [(name, load_bracket_table(name, A)) for name in BUNDLED_TABLES]
+    tables.append(("so3 3/7", load_bracket_table(
+        str(Path(__file__).parent / "data" / "bracket_so3_3_7_v1_3.json"),
+        A)))
+    so3 = load_bracket_table("bracket_so3_v1_3", A).table
+    for _ in range(5):
+        c = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        tables.append((f"so3 {c}", make_bracket_table(A, _scaled(c, so3))))
+    out = [(label, eps, lambda t=t: poisson_graph(E, eps, t)[1])
+           for label, t in tables
+           if is_dirac(poisson_graph(E, eps, t)[1]).dirac]
+    respanned = str(Path(__file__).parent / "data"
+                    / "submodule_so3_respanned_v1_3.json")
+    out.append(("respanned so3", eps,
+                lambda: load_submodule(respanned, E, eps)))
+    rows = poisson_graph(E, eps, tables[1][1])[1].spanning.sparse_rows
+    out.append(("rescaled so3", eps, lambda: Submodule(eps, QMatrix(
+        [[(k, x * c) for k, x in row] for c, row in zip((1, 2, 3), rows)],
+        cols=eps.dim))))
+    for n, iso in sorted(omni_isos.items()):
+        for label, mu in _lie_mus(n, rng):
+            out.append((f"n={n} {label}", iso.eps, lambda iso=iso, mu=mu:
+                        Submodule.from_integral(
+                            iso.eps, omni.d_graph_rows(iso, mu)[1])))
+    return out
+
+
+def test_an_echelon_algebroid_check_is_the_span_body(v13, omni_isos,
+                                                    monkeypatch):
+    """``lie_algebroid_check`` on ``L.echelon`` gives the report of the
+    span-based body on a fresh copy of L, on every structure of
+    ``_algebroid_corpus``: graphs decided on their own rows and one that
+    complements no block; the so(3) graph with its rows scaled by 1, 2 and
+    3 has structure constants that are not integers."""
+    corpus = _algebroid_corpus(v13, omni_isos)
+    scales, over = [], dirac._over
+    monkeypatch.setattr(dirac, "_over",
+                        lambda d, s: scales.append(s) or over(d, s))
+    labels, kinds = set(), set()
+    for label, eps, build in corpus:
+        L, M = build(), build()
+        rep = lie_algebroid_check(eps, L)
+        assert rep == _ref_lie_algebroid_check(eps, M), label
+        assert rep.to_json() == _ref_lie_algebroid_check(eps, M).to_json()
+        assert rep.ok, label
+        labels.add(label.split()[0])
+        kinds.add(L.complement is None)
+    assert kinds == {True, False}
+    assert {"bracket_so3_v1_3", "bracket_zero_v1_3", "so3", "respanned",
+            "rescaled"} <= labels
+    assert sum(label.startswith("n=") for label, _, _ in corpus) == 26
+    assert set(scales) - {1}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_echelon_structure_constants_of_a_d_graph_are_those_of_mu(
+        omni_isos, monkeypatch, n):
+    """The omni-Lie oracle: on epsilon(V[1]) the D-graph of a Lie bracket mu
+    is the Lie algebra (Q^n, mu), v_k to its graph row.  Echelon row r_k is
+    m_k times the row of v_k, m_k its lead entry, so [[r_i, r_j]] has
+    coordinates m_i m_j mu_ij^k / m_k over the rows: rescaled by the lead
+    entries, the constants the check hands ``lie_laws`` are mu's table."""
+    iso = omni_isos[n]
+    v_at = {}  # the column of v_k in epsilon(V[1]) -> k
+    for k in range(n):
+        (p, x), = iso.fwd.sparse_rows[n * n + k]
+        v_at[p] = k
+        assert x == 1
+    tables = []
+    monkeypatch.setattr(dirac, "lie_laws",
+                        lambda dim, t: tables.append(t) or (True, True))
+    leads = set()
+    for label, mu in _lie_mus(n, rng_for(f"echelon-constants/{n}")):
+        table, rows = omni.d_graph_rows(iso, mu)
+        L = Submodule.from_integral(iso.eps, rows)
+        assert lie_algebroid_check(iso.eps, L).ok
+        assert [v_at[p] for p, _ in L.echelon] == list(range(n)), label
+        m = [row[p] for p, row in L.echelon]
+        rescaled = tuple(
+            tuple((j, tuple((k, Q(x) * m[k] / (m[i] * m[j])) for k, x in c))
+                  for j, c in cells)
+            for i, cells in enumerate(tables[-1]))
+        assert rescaled == table, label
+        leads |= set(m)
+    assert leads - {1}
+
+
+def test_a_lie_algebroid_check_builds_no_span(v13, omni_isos, monkeypatch):
+    """Once the quotient's ``_algebroid_defects`` are cached, the check on a
+    graph builds no span and offers no row, where it built one of 4 rows,
+    and reads no ``int_rows``: on scaled so(3) graphs of epsilon(v1_3),
+    whose constants are integral, every coordinate is read at the scale 1,
+    so no rational is made; and on D-graphs at n = 4."""
+    A, E, eps = v13
+    iso = omni_isos[4]
+    for amb in (eps, iso.eps):  # cached per ambient, built before the spy
+        _algebroid_defects(amb)
+        dirac._nonscalar_centre(amb)
+    scales, over = [], dirac._over
+    monkeypatch.setattr(dirac, "_over",
+                        lambda d, s: scales.append(s) or over(d, s))
+    so3 = load_bracket_table("bracket_so3_v1_3", A).table
+    graphs = [(eps, poisson_graph(E, eps, make_bracket_table(
+        A, _scaled(c, so3)))[1]) for c in ("1", "3/7", "-5/2", "9")]
+    for eps_, L in graphs:
+        assert _spans_in(lambda: lie_algebroid_check(eps_, L),
+                         monkeypatch) == (0, 0)
+        assert not {"span", "int_rows"} & set(vars(L))
+    assert set(scales) == {1}
+    for a in ((1, -2, 3, 1), (0, 0, 0, 0)):
+        L = Submodule.from_integral(
+            iso.eps, omni.d_graph_rows(iso, _metabelian_mu(a))[1])
+        assert _spans_in(lambda: lie_algebroid_check(iso.eps, L),
+                         monkeypatch) == (0, 0)
+        assert not {"span", "int_rows"} & set(vars(L))
+
+
+def test_an_empty_defect_table_is_not_read(v13, monkeypatch):
+    """Both defect tables are empty on epsilon(v1_3), which decides both
+    laws for every L: the check contracts no row with the anchor defect and
+    combines no Leibniz row."""
+    A, E, eps = v13
+    anchor, leibniz = _algebroid_defects(eps)
+    assert not any(anchor) and not any(leibniz)
+    read, contract_sums = [], dirac.contract_sums
+    monkeypatch.setattr(dirac, "contract_sums", lambda u, v, t:
+                        read.append(t) or contract_sums(u, v, t))
+    monkeypatch.setattr(dirac, "combine_tables", None)
+    L = poisson_graph(E, eps, load_bracket_table("bracket_so3_v1_3", A))[1]
+    rep = lie_algebroid_check(eps, L)
+    assert rep.ok and rep.anchor_bracket and rep.leibniz_rule
+    assert read and not any(t is anchor for t in read)

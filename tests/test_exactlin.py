@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hccourant.algebra import (GUARD_MAX_DIM, AlgebraError, FiniteAlgebra,
                                GuardError, check_guard)
-from hccourant.dirac import DiracVerdict
+from hccourant.dirac import (DiracError, DiracVerdict, make_bracket_table,
+                             table_from_flat)
 from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
                                 canonical_row, combine, contract, dense,
                                 integral, make_reducer, membership, nullspace,
@@ -21,6 +22,7 @@ from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import Chain, HochschildError, homology
 from hccourant.morita import OppositeReport
+from hccourant.omni import OmniError, build_omni_iso, d_structure_check
 from conftest import (cycles_and_boundaries, is_canonical_table, is_number,
                       rng_for)
 
@@ -59,6 +61,50 @@ def test_rat_refuses_every_other_string(text):
     integer."""
     with pytest.raises(ExactLinError, match="not a rational"):
         rat(text)
+
+
+@pytest.mark.parametrize("bad", ("x", None, [1], math.nan, math.inf),
+                         ids=repr)
+def test_a_non_rational_entry_is_refused_by_name(epsilons, bad):
+    """``HccourantError`` is the base of every error on bad input: each
+    entry point that reads rationals refuses an entry that is not one with
+    an ``ExactLinError`` or ``OmniError`` naming it, not a bare
+    ``ValueError``, ``TypeError`` or ``OverflowError``."""
+    iso, A, eps = build_omni_iso(2), load_algebra_ref("v1_1"), \
+        epsilons["v1_2"]
+    mu = [[[0, 0], [0, bad]], [[0, 0], [0, 0]]]
+    d = A.dim
+    table = [[[bad if (i, j, k) == (0, 1, 0) else 0 for k in range(d)]
+              for j in range(d)] for i in range(d)]
+    flat = [0] * (d ** 3 - 1) + [bad]
+    zero, u = [0] * eps.dim, [0] * (eps.dim - 1) + [bad]
+    calls = [(OmniError, "mu[0][1][1]", lambda: d_structure_check(iso, mu)),
+             (ExactLinError, "", lambda: make_bracket_table(A, table)),
+             (ExactLinError, "", lambda: table_from_flat(A, flat)),
+             (ExactLinError, "", lambda: eps.bracket(zero, u)),
+             (ExactLinError, "", lambda: eps.form(u, zero)),
+             (ExactLinError, "", lambda: vec([1, bad])),
+             (ExactLinError, "", lambda: QMatrix([[(0, bad)]], cols=1))]
+    for error, where, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert repr(bad) in str(info.value) and where in str(info.value)
+
+
+def test_a_number_where_a_row_or_cell_belongs_is_refused():
+    """A mu, row or cell that is not a sequence is the wrong length for
+    ``d_structure_check``, and a bracket table row or cell that is not one
+    is refused by ``make_bracket_table``."""
+    iso, A = build_omni_iso(2), load_algebra_ref("v1_1")
+    for mu, where in ((5, "mu "), ([[[0, 0], [0, 0]], 5], "mu[1] "),
+                      ([[[0, 0], 5], [[0, 0], [0, 0]]], "mu[0][1] ")):
+        with pytest.raises(OmniError, match="wrong length") as info:
+            d_structure_check(iso, mu)
+        assert where in str(info.value)
+    with pytest.raises(DiracError, match="wrong shape"):
+        make_bracket_table(A, [[[0, 0], [0, 0]], 5])
+    with pytest.raises(ExactLinError, match="not a sequence"):
+        make_bracket_table(A, [[[0, 0], 5], [[0, 0], [0, 0]]])
 
 
 def test_rref_known_matrix():

@@ -1,14 +1,15 @@
 """The gl(V) (+) V model and its realization on V[1]."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hccourant import omni
-from hccourant.exactlin import (Q, QMatrix, bilinear, combine, dense,
-                                make_reducer, nullspace, row_combination,
-                                sparse, sparse_table)
+from hccourant.exactlin import (Q, QMatrix, bilinear, make_reducer,
+                                nullspace, row_combination, sparse,
+                                sparse_table)
 from hccourant.omni import (FORM_SCALAR, OmniError, build_omni_iso,
                             d_graph_rows, d_structure_check, pairing_table,
                             verify_ev1, verify_main_theorem, weinstein_table)
@@ -180,25 +181,33 @@ def test_iso_roundtrip():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_d_graph_rows(n):
     """Graph row i holds the matrix mu(v_i, .), whose column j is
-    mu(v_i, v_j), then v_i; its sparse combination of the rows of
-    ``iso.fwd`` is the dense one of that coordinate tuple."""
+    mu(v_i, v_j), then v_i, times the lcm of its denominators; the builder
+    gives it as the sparse combination of the rows of ``iso.fwd`` of that
+    coordinate tuple, and mu as its sparse table, from entries given as
+    ints, ``Q``s or "p/q" strings."""
     iso = build_omni_iso(n)
     rng = rng_for(f"d-graph-rows/{n}")
     mus = [_zero_mu(n)]
     mus[0][0][1][n - 1] = 1  # mu(v_0, v_1) = v_{n-1}
     mus += [[[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
              for _ in range(n)] for _ in range(5)]
+    mus += [[[[Q(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)]
+              for _ in range(n)] for _ in range(n)] for _ in range(3)]
     for mu in mus:
-        table = sparse_table(tuple(tuple(Q(x) for x in c) for c in r)
-                             for r in mu)
-        rows = d_graph_rows(n, table)
+        exact = [[[Q(x) for x in c] for c in r] for r in mu]
+        text = [[[str(x) for x in c] for c in r] for r in exact]
+        table, rows = d_graph_rows(iso, text)
+        assert (table, rows) == d_graph_rows(iso, mu)
+        assert table == sparse_table(exact)
         for i, row in enumerate(rows):
-            coords = dense(row, n * n + n)
+            coords = [Q(0)] * (n * n + n)
             for a, j in itertools.product(range(n), repeat=2):
-                assert coords[a * n + j] == mu[i][j][a]
-            assert coords[n * n:] == tuple(Q(int(k == i)) for k in range(n))
-            assert combine(row, iso.fwd) == sparse(
-                row_combination(coords, iso.fwd))
+                coords[a * n + j] = exact[i][j][a]
+            coords[n * n + i] = Q(1)
+            m = math.lcm(*(x.denominator for x in coords))
+            assert row == sparse(row_combination([m * x for x in coords],
+                                                 iso.fwd))
+            assert all(type(x) is int for _, x in row)
 
 
 def test_d_structure_zero_and_so3():
