@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -143,20 +142,9 @@ class Submodule:
     def span(self) -> Span:
         return Span(self.spanning)
 
-    @classmethod
-    def from_integral(cls, ambient: CourantSpace, rows) -> "Submodule":
-        """The span of ``rows``, canonical sparse rows of ints, stored
-        unchecked (``QMatrix.from_canonical``): for graph rows the package
-        clears of denominators as it builds them, which the complement rule
-        reads as they are."""
-        L = cls(ambient, QMatrix.from_canonical(rows, ambient.dim))
-        vars(L)["complement"] = _complement(ambient, rows)
-        return L
-
     @cached_property
     def complement(self) -> Optional[tuple]:
-        return _complement(self.ambient, [integral(row)[1] for row in
-                                          self.spanning.sparse_rows])
+        return _complement(self.ambient, self.spanning.sparse_rows)
 
     @cached_property
     def echelon(self) -> tuple:
@@ -201,25 +189,17 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
 
 def _complement(amb: CourantSpace, rows) -> Optional[tuple]:
     """The complement rule (module docstring) on a quotient's spanning
-    rows, canonical sparse rows of ints, counted before any lead is read:
-    each nonzero row as (lead, {column: int}), sorted by lead, or None
-    where the rule fails."""
+    rows, counted before any lead is read: each nonzero row as (lead,
+    {column: int}), sorted by lead, or None where the rule fails."""
     rows, n = [row for row in rows if row], amb.dim
     for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
         if amb.quotient and len(rows) == n - (hi - lo):
-            leads = [_lead(row, lo, hi) for row in rows]
+            leads = [next((k for k, _ in row if not lo <= k < hi), None)
+                     for row in rows]
             if None not in leads and len(set(leads)) == len(leads):
-                return tuple(sorted(zip(leads, map(dict, rows))))
+                return tuple(sorted((p, dict(integral(row)[1]))
+                                    for p, row in zip(leads, rows)))
     return None
-
-
-def _lead(row: tuple, lo: int, hi: int) -> Optional[int]:
-    """The first column outside range(lo, hi) of a nonzero canonical sparse
-    row, or None: its first column, or the first at hi or past it."""
-    if row[0][0] < lo:
-        return row[0][0]
-    i = bisect_left(row, (hi,))  # (hi,) sorts before every (hi, x)
-    return row[i][0] if i < len(row) else None
 
 
 def is_maximally_isotropic(L: Submodule) -> bool:
@@ -677,11 +657,10 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
 
     def coords(u: dict, v: dict) -> tuple:
         c = {}
-        return _over(c, echelon_clear(ech, contract_sums(u.items(), v, T),
-                                      c)[1])
+        s = echelon_clear(ech, contract_sums(u.items(), v, T), c)[1]
+        return _over(c, s)
     # on a skew bracket Leibniz and cyclic Jacobi agree
     consts = tuple(tuple((j, c) for j, v in enumerate(rows)
                          if (c := coords(u, v))) for u in rows)
     skew_ok, jacobi_ok = lie_laws(L.dim, consts)
     return LieAlgebroidReport(anchor_ok, leibniz_ok, skew_ok, jacobi_ok)
-

@@ -21,10 +21,8 @@ brings it to the number form, and gives the sparse mu table for the Lie
 oracle and the graph rows (mu(v_i, .), v_i), each mapped to epsilon(V[1])
 as one sparse combination of the rows of ``OmniIso.fwd`` and cleared of
 its denominators (``exactlin.integral``: the row times the lcm of its
-denominators spans the same line, so the graph is unchanged).  The
-complement rule reads the integral rows as they are built
-(``dirac.Submodule.from_integral``), so no rational reaches a D-structure
-verdict.
+denominators spans the same line, so the graph is unchanged), so no
+rational reaches a D-structure verdict.
 
 ``MainTheoremReport`` is an ``exactlin.Report`` record: ``ok`` is the
 conjunction of its ``bool`` fields (``form_scalar`` is a value, not a
@@ -277,7 +275,8 @@ def d_structure_check(iso: OmniIso, mu) -> DStructureReport:
     oracle on mu; mu[i][j] holds the coordinates of mu(v_i, v_j).  Both
     read the one pass of ``d_graph_rows``."""
     table, rows = d_graph_rows(iso, mu)
-    verdict = is_dirac(Submodule.from_integral(iso.eps, rows))
+    verdict = is_dirac(Submodule(iso.eps,
+                                 QMatrix.from_canonical(rows, iso.eps.dim)))
     skew, jacobi = lie_laws(iso.n, table)
     return DStructureReport(iso.n, verdict.dirac, skew and jacobi, skew,
                             jacobi, verdict)

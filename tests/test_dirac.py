@@ -1715,8 +1715,8 @@ def omni_isos():
 def _d_graph(iso, mu) -> Submodule:
     """The D-structure graph of mu, built as ``d_structure_check`` builds
     it."""
-    return Submodule(iso.eps, QMatrix(omni.d_graph_rows(iso, mu)[1],
-                                      cols=iso.eps.dim))
+    return Submodule(iso.eps, QMatrix.from_canonical(
+        omni.d_graph_rows(iso, mu)[1], iso.eps.dim))
 
 
 def _metabelian_mu(a) -> list:
@@ -2363,9 +2363,8 @@ def _algebroid_corpus(v13, omni_isos) -> list:
         cols=eps.dim))))
     for n, iso in sorted(omni_isos.items()):
         for label, mu in _lie_mus(n, rng):
-            out.append((f"n={n} {label}", iso.eps, lambda iso=iso, mu=mu:
-                        Submodule.from_integral(
-                            iso.eps, omni.d_graph_rows(iso, mu)[1])))
+            out.append((f"n={n} {label}", iso.eps,
+                        lambda iso=iso, mu=mu: _d_graph(iso, mu)))
     return out
 
 
@@ -2416,7 +2415,7 @@ def test_echelon_structure_constants_of_a_d_graph_are_those_of_mu(
     leads = set()
     for label, mu in _lie_mus(n, rng_for(f"echelon-constants/{n}")):
         table, rows = omni.d_graph_rows(iso, mu)
-        L = Submodule.from_integral(iso.eps, rows)
+        L = Submodule(iso.eps, QMatrix.from_canonical(rows, iso.eps.dim))
         assert lie_algebroid_check(iso.eps, L).ok
         assert [v_at[p] for p, _ in L.echelon] == list(range(n)), label
         m = [row[p] for p, row in L.echelon]
@@ -2452,8 +2451,7 @@ def test_a_lie_algebroid_check_builds_no_span(v13, omni_isos, monkeypatch):
         assert not {"span", "int_rows"} & set(vars(L))
     assert set(scales) == {1}
     for a in ((1, -2, 3, 1), (0, 0, 0, 0)):
-        L = Submodule.from_integral(
-            iso.eps, omni.d_graph_rows(iso, _metabelian_mu(a))[1])
+        L = _d_graph(iso, _metabelian_mu(a))
         assert _spans_in(lambda: lie_algebroid_check(iso.eps, L),
                          monkeypatch) == (0, 0)
         assert not {"span", "int_rows"} & set(vars(L))
