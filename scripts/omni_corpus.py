@@ -108,9 +108,9 @@ def d_graph(iso, mu) -> Submodule:
 def maximal_by_nullspace(L) -> bool:
     """The oracle of a D-structure's maximality: L-perp, the full
     nullspace of the equations of L, contains L and has its dimension."""
-    perp = L.ambient.orthogonal(L.int_rows)
-    return perp.rows == len(L.int_rows) and all(
-        map(Span(perp).contains, L.int_rows))
+    rows = L.span.primitive_rows()
+    perp = L.ambient.orthogonal(rows)
+    return perp.rows == len(rows) and all(map(Span(perp).contains, rows))
 
 
 def closure_by_span(L) -> tuple:

@@ -13,7 +13,12 @@ Dirac must also pass lie_algebroid_check, and every graph's z_stable flag
 must equal a full loop over the centre basis (is_dirac tests only the
 centre elements that do not act as scalars), and its closed flag and
 counterexample, which is_dirac builds only when it is read, must be those
-of the span of its rows (omni_corpus.closure_by_span).  A Poisson graph is
+of the span of its rows (omni_corpus.closure_by_span).  Each graph is
+also decided re-spanned by a seeded invertible integer matrix
+(respanned): its rows then share a lead, so the complement rule refuses
+them and the verdict takes the span's rows and the equations of L-perp,
+and every flag and the counterexample, each canonical in the subspace,
+must be the graph's own.  A Poisson graph is
 Z-stable by construction, so the sweep then draws as many random
 subspaces of epsilon(A), every other one closed under the centre, and
 compares is_z_stable with the same loop on each; where the centre does not
@@ -35,8 +40,8 @@ from hccourant.dirac import (Submodule, biderivation_space, is_dirac,
                              is_poisson, is_z_stable, lie_algebroid_check,
                              make_bracket_table, poisson_graph,
                              table_from_flat)
-from hccourant.exactlin import (Q, QMatrix, Span, bilinear, contract,
-                                row_combination, sparse)
+from hccourant.exactlin import (Q, QMatrix, Span, bilinear, combine,
+                                contract, row_combination, sparse)
 from hccourant.files import load_algebra_ref
 from omni_corpus import closure_by_span, v1_lie_poisson_table
 
@@ -49,6 +54,19 @@ def z_stable_oracle(L) -> bool:
     units = QMatrix.identity(ambient.center_basis.rows)
     return all(in_L(bilinear(c, l, ambient.z_table, ambient.dim))
                for c in units for l in L.spanning)
+
+
+def respanned(L, rng):
+    """L spanned by the rows of M G, for G its nonzero spanning rows and
+    M = J + diag(d), J all ones and each d_i drawn from 1..3, so that
+    det M = prod(d) (1 + sum 1/d_i) > 0.  Every row of M G is a positive
+    combination of all rows of G, so where G's rows lead at distinct
+    columns off a block, the rows of M G all lead at the first of them."""
+    G = QMatrix([r for r in L.spanning.sparse_rows if r], cols=L.ambient.dim)
+    d = [rng.randint(1, 3) for _ in range(G.rows)]
+    return Submodule(L.ambient, QMatrix(
+        [combine([(j, 1 + (i == j) * d[i]) for j in range(G.rows)], G)
+         for i in range(G.rows)], cols=G.cols))
 
 
 def nonscalar_centre(ambient) -> bool:
@@ -103,12 +121,15 @@ def run(cfg: SweepConfig) -> int:
     disagreements = 0
     algebroids = {"checked": 0, "failed": 0}
     z_disagreements = closure_disagreements = 0
+    respans = {"by span": 0, "disagreements": 0}
+    respan_rng = random.Random(f"respan/{cfg.seed}")
 
     def dirac_and_algebroid(L, k) -> bool:
         """The Dirac verdict on L, and the Lie-algebroid check when it
         holds; a z_stable flag off the full loop, a closed flag or
-        counterexample off the span of L's rows, or a report that is not
-        ok, is printed and counted."""
+        counterexample off the span of L's rows, a verdict of L re-spanned
+        other than L's, or a report that is not ok, is printed and
+        counted."""
         nonlocal z_disagreements, closure_disagreements
         verdict = is_dirac(L)
         closure = (verdict.closed, verdict.counterexample)
@@ -116,6 +137,12 @@ def run(cfg: SweepConfig) -> int:
             closure_disagreements += 1
             print(f"  CLOSURE DISAGREEMENT at draw {k}: closed, "
                   f"counterexample = {closure}")
+        M = respanned(L, respan_rng)
+        respans["by span"] += M.complement is None
+        if is_dirac(M).to_json() != verdict.to_json():
+            respans["disagreements"] += 1
+            print(f"  RE-SPANNED DISAGREEMENT at draw {k}: "
+                  f"{is_dirac(M).to_json()} != {verdict.to_json()}")
         if verdict.z_stable != z_stable_oracle(L):
             z_disagreements += 1
             print(f"  Z-STABILITY DISAGREEMENT at draw {k}: "
@@ -169,9 +196,12 @@ def run(cfg: SweepConfig) -> int:
         print(f"lie-poisson tables: {both}/{cfg.count} poisson and dirac; "
               f"times p/q: {scaled_both}/{cfg.count}")
     failures += algebroids["failed"] + z_disagreements + closure_disagreements
+    failures += respans["disagreements"]
     print(f"lie-algebroid checks: {algebroids['failed']} failed of "
           f"{algebroids['checked']}; z-stability disagreements: "
           f"{z_disagreements}")
+    print(f"re-spanned graphs: {respans['by span']} decided on their span; "
+          f"disagreements: {respans['disagreements']}")
     stable = subspace_disagreements = 0
     for L in random_subspaces(eps, rng, cfg.count):
         z = is_z_stable(L)

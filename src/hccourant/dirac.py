@@ -1,17 +1,17 @@
 """Dirac structures: isotropy, maximal isotropy, bracket closure, graphs.
 
 Submodules are Q-subspaces of a ``courant.CourantSpace``, E(A) or the
-quotient, read through that interface alone.  A graph's spanning rows are
-already an echelon of it (below), on which ``is_dirac`` decides it and
-``lie_algebroid_check`` reads it; any other L is eliminated once into an
-``exactlin.Span``, whose primitive integer rows carry the verdicts.  A
-graph's span is built only for a report's canonical (RREF) basis or a
-counterexample, which ``is_dirac`` builds on the verdict's first read of
-it.  Verdicts are exact; Z(A)-stability is a separate flag.  ``is_dirac``
-runs on sparse rows throughout: isotropy, maximality, closure and
-Z-stability hold or fail with any rescaling of a basis, so they contract
-the ambient's tables on integer rows held as dicts, and a span test is the
-emptiness of a fraction-free residual.  Only a counterexample is dense.
+quotient, read through that interface alone.  Every verdict and the
+Lie-algebroid check read one echelon of L, ``Submodule.echelon``: a
+graph's spanning rows (below), or the primitive integer rows of an
+``exactlin.Span`` of any other L.  A graph's span is built only for a
+report's canonical (RREF) basis or a counterexample, on its first read.
+``is_dirac`` decides L once and keeps the verdict on it, so a check that
+reads it again decides nothing twice.  Verdicts are exact; Z(A)-stability
+is a separate flag.  Isotropy, maximality, closure and Z-stability hold or
+fail with any rescaling of a basis, so they contract the ambient's tables
+on integer rows held as dicts, and a span test is the emptiness of a
+fraction-free residual.  Only a counterexample is dense.
 
 Z-stability is tested only on the non-scalar centre (``_nonscalar_centre``):
 z -> (action of z) is linear and a scalar preserves every subspace, so L is
@@ -36,15 +36,13 @@ such a complement: Poisson and D-structure graphs of the H^1 block,
 the nonzero spanning rows of L number n - |W| and, restricted to the
 columns outside W, lead at distinct columns: each such row is nonzero
 where those with later leads vanish, so the rows are a basis of L that
-meets W only in 0.  Sorted by lead, each is 0 at the leads before its own,
-so they are an echelon of L (``Submodule.echelon``): a vector lies in L
-exactly when clearing it at each lead in ascending order leaves 0
-(``exactlin.echelon_contains``).  Any other isotropic L, and every L in
-E(A), is decided on C, the non-pivot columns of L: a vector of L-perp less
-the rows of L at its pivot entries is in L-perp and 0 on the pivot
-columns, so L-perp = L (+) (L-perp meet C), and L is maximal exactly when
-the equations of L-perp on C have rank |C| = n - dim L; one untagged span
-takes them and stops at that rank.
+meets W only in 0.  Keyed by lead, each is 0 at the leads before its own,
+so they are an echelon of L (``Submodule.echelon``).  Any other isotropic
+L, and every L in E(A), is decided on C, the non-pivot columns of its
+span's echelon: a vector of L-perp less the rows of L at its pivot entries
+is in L-perp and 0 on the pivot columns, so L-perp = L (+) (L-perp meet
+C), and L is maximal exactly when the equations of L-perp on C have rank
+|C| = n - dim L; one untagged span takes them and stops at that rank.
 
 A skew bracket's Jacobiator is totally antisymmetric, so ``lie_laws``
 sums it on i < j < k once skew-symmetry holds, each term read off the
@@ -77,14 +75,12 @@ built on first use from its tables, and ``lie_algebroid_check`` reads them
 on the rows of ``L.echelon``: by multilinearity that decides both laws on
 L, and a defect table with no cells (on every quotient of the corpus)
 decides its law for every L and is not read.  The structure constants of
-L are the coordinates of [[r_i, r_j]] over the same rows r_k, the
-multipliers of ``exactlin.echelon_clear``: row k is the one row nonzero
-at its lead once the rows before it are cleared, so the multipliers are
-exact and need no back-substitution, and the check builds no span where
-``is_dirac`` built none.  Its ``LieAlgebroidReport`` is an ``exactlin.Report``
-record: ``ok`` is the conjunction of the four law fields and the JSON report
-is the fields by name.  A ``DiracVerdict`` carries a counterexample and no
-``ok``, so it writes its own JSON.
+L are the coordinates of [[r_i, r_j]] over the same rows r_k, which
+``exactlin.echelon_clear`` returns keyed by lead, so the check builds no
+span where ``is_dirac`` built none.  Its ``LieAlgebroidReport`` is an
+``exactlin.Report`` record: ``ok`` is the conjunction of the four law
+fields and the JSON report is the fields by name.  A ``DiracVerdict``
+carries a counterexample and no ``ok``, so it writes its own JSON.
 
 A 2-form class omega in H_2 is closed when B omega = 0 in H_3.  B omega is a
 cycle (bB + Bb = 0), so that holds when it lies in im b_4, one span built
@@ -123,14 +119,12 @@ class DiracError(HccourantError):
 class Submodule:
     """A subspace of a ``CourantSpace``, given by spanning vectors.
 
-    ``echelon``, L's basis as (lead, {column: int}) pairs, leads ascending,
-    each row 0 at the leads before its own, is the spanning rows, cleared of
-    denominators, where the complement rule holds (``complement``), else
-    the rows of ``span``, an ``exactlin.Span`` built when first read, as are
-    ``int_rows``, its rows, and the RREF basis ``vectors``, row i
-    ``int_rows[i]`` over its pivot.  Where the rule holds, the verdicts and
-    the Lie-algebroid check read the spanning rows alone, and ``span`` is
-    built only for a counterexample, ``int_rows`` or ``vectors``."""
+    ``echelon`` is L's basis as a {lead: {column: int}} dict, leads
+    ascending, each row 0 at the leads before its own: the spanning rows,
+    cleared of denominators, where the complement rule holds
+    (``complement``), else the rows of ``span``, an ``exactlin.Span`` built
+    when first read, as is the RREF basis ``vectors``.  ``verdict`` is the
+    verdict of ``is_dirac``, decided on its first call and kept."""
 
     def __init__(self, ambient: CourantSpace, vectors: QMatrix):
         if vectors.cols != ambient.dim:
@@ -143,19 +137,15 @@ class Submodule:
         return Span(self.spanning)
 
     @cached_property
-    def complement(self) -> Optional[tuple]:
+    def complement(self) -> Optional[dict]:
         return _complement(self.ambient, self.spanning.sparse_rows)
 
     @cached_property
-    def echelon(self) -> tuple:
-        return self.complement or tuple(sorted(self.span.rows.items()))
+    def echelon(self) -> dict:
+        return self.complement or dict(sorted(self.span.rows.items()))
 
     def contains(self, row) -> bool:
         return echelon_contains(self.echelon, dict(row))
-
-    @cached_property
-    def int_rows(self) -> tuple:
-        return self.span.primitive_rows()
 
     @cached_property
     def vectors(self) -> QMatrix:
@@ -171,11 +161,21 @@ class Submodule:
         spanning rows, or of the ``echelon`` where they outnumber it."""
         vs = [row for row in self.spanning.sparse_rows if row]
         if len(vs) > self.ambient.dim:
-            vs = [row.items() for _, row in self.echelon]
+            vs = [row.items() for row in self.echelon.values()]
         F = self.ambient.form_table
         return not any(any(contract_sums(u, v, F).values())
                        for j, v in enumerate(map(dict, vs))
                        for u in vs[:j + 1])
+
+    @cached_property
+    def verdict(self) -> DiracVerdict:
+        """The verdict of ``is_dirac``, which checks the ambient first."""
+        maximal = is_maximally_isotropic(self)
+        closed, witness = _closure(self, self.echelon)
+        if witness and self.complement is not None:
+            witness = lambda: is_bracket_closed(self)[1]
+        return DiracVerdict(self.isotropic, maximal, closed,
+                            maximal and closed, is_z_stable(self), witness)
 
 
 def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
@@ -187,18 +187,18 @@ def project(eps: EpsilonSpace, vectors: QMatrix) -> Submodule:
         [combine(r, eps.projection) for r in vectors.sparse_rows], eps.dim))
 
 
-def _complement(amb: CourantSpace, rows) -> Optional[tuple]:
+def _complement(amb: CourantSpace, rows) -> Optional[dict]:
     """The complement rule (module docstring) on a quotient's spanning
-    rows, counted before any lead is read: each nonzero row as (lead,
-    {column: int}), sorted by lead, or None where the rule fails."""
+    rows, counted before any lead is read: a {lead: {column: int}} dict of
+    the nonzero rows, leads ascending, or None where the rule fails."""
     rows, n = [row for row in rows if row], amb.dim
     for lo, hi in ((0, amb.x_dim), (amb.x_dim, n)):
         if amb.quotient and len(rows) == n - (hi - lo):
             leads = [next((k for k, _ in row if not lo <= k < hi), None)
                      for row in rows]
             if None not in leads and len(set(leads)) == len(leads):
-                return tuple(sorted((p, dict(integral(row)[1]))
-                                    for p, row in zip(leads, rows)))
+                return dict(sorted((p, dict(integral(row)[1]))
+                                   for p, row in zip(leads, rows)))
     return None
 
 
@@ -209,10 +209,10 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     on the non-pivot columns C of L must reach rank |C| = n - dim L."""
     if not L.isotropic or L.complement is not None:
         return L.isotropic
-    amb, n = L.ambient, L.ambient.dim
-    free, pivots = n - L.dim, L.span.rows
-    eqs = Span(QMatrix((), cols=n))
-    for b in amb.orthogonal_equations(L.int_rows):
+    amb, pivots = L.ambient, L.echelon
+    free = amb.dim - len(pivots)
+    eqs = Span(QMatrix((), cols=amb.dim))
+    for b in amb.orthogonal_equations(map(dict.items, pivots.values())):
         if eqs.dim == free:
             break
         if row := [(k, x) for k, x in b.items() if x and k not in pivots]:
@@ -220,26 +220,18 @@ def is_maximally_isotropic(L: Submodule) -> bool:
     return eqs.dim == free
 
 
-def _closed_on_rows(L: Submodule) -> Optional[bool]:
-    """Closure decided on the rows of ``L.complement``, None where it has
-    none: the pairs i < j on an isotropic L, else every ordered pair."""
-    T, ech = L.ambient.bracket_table, L.complement
-    return None if ech is None else all(
-        echelon_contains(ech, contract_sums(u.items(), v, T))
-        for i, (_, u) in enumerate(ech)
-        for _, v in (ech[i + 1:] if L.isotropic else ech))
-
-
-def _closure_by_span(L: Submodule):
-    """The span loop of ``is_bracket_closed``, on the span's rows."""
-    T, rows = L.ambient.bracket_table, sorted(L.span.rows.items())
+def _closure(L: Submodule, ech: dict) -> tuple:
+    """``(closed, witness)``: closure decided on the rows r_i of ``ech``,
+    an echelon of L, on the pairs i < j where L is isotropic and every
+    ordered pair elsewhere; ``witness`` is None or a call building the first
+    failing pair's (i, j, [[r_i, r_j]] / (p_i p_j)), p_i r_i's lead entry."""
+    T, rows = L.ambient.bracket_table, list(ech.items())
     for i, (p, u) in enumerate(rows):
         for j in range(i + 1 if L.isotropic else 0, len(rows)):
             q, v = rows[j]
-            b = contract_sums(u.items(), v, T)
-            if not L.span.contains([(k, x) for k, x in b.items() if x]):
-                b = _over(b, u[p] * v[q])
-                return False, (i, j, dense(b, L.ambient.dim))
+            if not echelon_contains(ech, contract_sums(u.items(), v, T)):
+                return False, lambda: (i, j, dense(_over(contract_sums(
+                    u.items(), v, T), u[p] * v[q]), L.ambient.dim))
     return True, None
 
 
@@ -248,12 +240,13 @@ def is_bracket_closed(L: Submodule):
     failing pair of spanning indices in row-major order and the offending
     bracket value, as a dense tuple.  On an isotropic L the bracket is skew
     and [[u, u]] = 0, so the pairs i < j decide and hold that first failure
-    (a diagonal pair never fails there).  An L with a ``complement`` is
-    decided on its rows, with the diagonal where L is not isotropic; a
-    failure there, or any other L, runs on the span's integer rows r_i,
-    whose counterexample is the integer bracket over p_i p_j, for p_i the
-    pivot entry of r_i: the RREF rows'."""
-    return (True, None) if _closed_on_rows(L) else _closure_by_span(L)
+    (a diagonal pair never fails there).  Closure is decided on
+    ``L.echelon`` and a counterexample read on the span's rows, whose
+    bracket over their pivot entries (``_closure``) is the RREF rows'."""
+    closed, witness = _closure(L, L.echelon)
+    if witness and L.complement is not None:
+        witness = _closure(L, dict(sorted(L.span.rows.items())))[1]
+    return closed, witness and witness()
 
 
 @functools.lru_cache(maxsize=8)
@@ -269,9 +262,9 @@ def _nonscalar_centre(ambient) -> tuple:
 
 def is_z_stable(L: Submodule) -> bool:
     """Every non-scalar centre action (``_nonscalar_centre``) maps L to L."""
-    Z = L.ambient.z_table
+    Z, ech = L.ambient.z_table, L.echelon
     return all(L.contains(contract_sums(((m, ONE),), l, Z))
-               for m in _nonscalar_centre(L.ambient) for _, l in L.echelon)
+               for m in _nonscalar_centre(L.ambient) for l in ech.values())
 
 
 class DiracVerdict(Record):
@@ -306,21 +299,15 @@ class DiracVerdict(Record):
 
 def is_dirac(L: Submodule) -> DiracVerdict:
     """Full verdict; requires a nondegenerate ambient (the quotient) with
-    epsilon(A) != 0.  Where L has a ``complement``, closure is decided on
-    its rows and a failing pair's counterexample, the span loop of
-    ``is_bracket_closed``, is built on the verdict's first read of it."""
+    epsilon(A) != 0.  It is decided on ``L.echelon`` on the first call and
+    kept as ``L.verdict``, which every later call returns; the
+    counterexample of ``is_bracket_closed`` is built on its first read."""
     if not L.ambient.quotient:
         raise DiracError("Dirac verdicts require the nondegenerate quotient; "
                          "use is_maximally_isotropic for the pre-quotient view")
     if L.ambient.dim == 0:
         raise DiracError("the quotient is zero: Dirac structures undefined")
-    maximal, closed = is_maximally_isotropic(L), _closed_on_rows(L)
-    if closed is None:
-        closed, ce = is_bracket_closed(L)
-    else:
-        ce = None if closed else (lambda: _closure_by_span(L)[1])
-    return DiracVerdict(L.isotropic, maximal, closed, maximal and closed,
-                        is_z_stable(L), ce)
+    return L.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +609,8 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
                         rng=None) -> LieAlgebroidReport:
     """For a Dirac structure L: the anchor intertwines brackets, the central
     Leibniz rule holds on L, and the restricted bracket is a Lie bracket,
-    each read on the rows r_k of ``L.echelon``.
+    each read on the rows r_k of ``L.echelon``; L's verdict is the one
+    ``is_dirac`` keeps on it, decided on the first call.
 
     The two laws are read off ``_algebroid_defects`` (module docstring):
     ``anchor_bracket`` is the emptiness of the anchor defect's
@@ -631,18 +619,18 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
     centre basis z_m and the rows: the defect is linear in z, so the
     basis decides it.  An empty defect table decides its law for every L
     and is not read.  The structure constants of [[r_i, r_j]] are its
-    coordinates over the rows, the multipliers of ``exactlin.echelon_clear``
-    (Lie-ness does not depend on the basis).  ``rng`` is unused and draws
-    nothing; it is kept because existing callers still pass it."""
+    coordinates over the rows, which ``exactlin.echelon_clear`` returns
+    keyed by lead (Lie-ness does not depend on the basis).  ``rng`` is
+    unused and draws nothing; it is kept because existing callers still
+    pass it."""
     if L.ambient is not eps:
         raise DiracError("submodule is not over the given quotient")
-    verdict = is_dirac(L)
-    if not verdict.dirac:
+    if not is_dirac(L).dirac:
         raise DiracError("lie_algebroid_check requires a Dirac structure")
     n, cdim = eps.dim, eps.center_basis.rows
     anchor, leibniz = _algebroid_defects(eps)
     ech, T = L.echelon, eps.bracket_table
-    rows = [row for _, row in ech]
+    rows, at = list(ech.values()), {p: j for j, p in enumerate(ech)}
     anchor_ok = not any(anchor) or not any(
         any(contract_sums(u.items(), v, anchor).values())
         for u in rows for v in rows)
@@ -657,8 +645,8 @@ def lie_algebroid_check(eps: EpsilonSpace, L: Submodule, *,
 
     def coords(u: dict, v: dict) -> tuple:
         c = {}
-        s = echelon_clear(ech, contract_sums(u.items(), v, T), c)[1]
-        return _over(c, s)
+        s = echelon_clear(ech, ech, contract_sums(u.items(), v, T), c)[1]
+        return tuple((at[p], x) for p, x in _over(c, s))
     # on a skew bracket Leibniz and cyclic Jacobi agree
     consts = tuple(tuple((j, c) for j, v in enumerate(rows)
                          if (c := coords(u, v))) for u in rows)

@@ -11,23 +11,25 @@ coordinate tuple.  One sparse contraction loop, ``contract_sums``, takes
 sparse rows and a sparse table and sums into an unsorted dict, which a span
 test reads as it is; ``contract`` returns the sums as a canonical sparse
 row.  ``combine`` is the same for a linear combination of matrix rows;
-``bilinear`` and ``row_combination`` are their dense wrappers.  One object,
-``Span``, is the only elimination: the row span of a matrix, eliminated
-once as a sparse echelon grown a row at a time.  It is fraction-free: each
-pivot row is a primitive row of ints, so spans of integral rows are
-eliminated and tested on int arithmetic, and the reduced (RREF) rows exist
-only where a reader asks for them.  A span tests a row (``contains``),
-splits it, linearly, into its residual and its coordinates over the tagged
-rows (``split``), and gives those coordinates as a map (a call);
-``make_reducer`` returns one, and ``quotient_basis`` grows a subspace's
-span, eliminated once by its caller, into the quotient's; rows already in
-echelon form need none: ``echelon_clear`` runs the span's clearing step on
-them and gives a row's residual and its coordinates over them, and
-``echelon_contains`` reads the residual.  ``rref``,
-``rref_transform``, ``rank``, ``row_space``, ``nullspace`` and
-``membership`` are thin readers of a span.  The nonzero rows of R, the
-pivots, ``row_space`` and ``nullspace`` are canonical functions of the row
-span, so they do not depend on the order or multiplicity of the input rows.
+``bilinear`` and ``row_combination`` are their dense wrappers.  One
+clearing step, ``echelon_clear``, is the only elimination: the
+fraction-free w <- a w - f row, run on integer rows held as a {lead: row}
+dict, gives a row's residual and its coordinates over them.  ``Span`` is
+the row span of a matrix, eliminated once as a sparse echelon grown a row
+at a time: each pivot row is a primitive row of ints, so spans of integral
+rows are eliminated and tested on int arithmetic, and the reduced (RREF)
+rows exist only where a reader asks for them.  Its residual is that step
+at the row's pivots; rows already in echelon form need no span, and
+``echelon_contains`` runs the step at each of their leads.  A span tests a
+row (``contains``), splits it, linearly, into its residual and its
+coordinates over the tagged rows (``split``), and gives those coordinates
+as a map (a call); ``make_reducer`` returns one, and ``quotient_basis``
+grows a subspace's span, eliminated once by its caller, into the
+quotient's.  ``rref``, ``rref_transform``, ``rank``, ``row_space``,
+``nullspace`` and ``membership`` are thin readers of a span.  The nonzero
+rows of R, the pivots, ``row_space`` and ``nullspace`` are canonical
+functions of the row span, so they do not depend on the order or
+multiplicity of the input rows.
 The coefficients that ``membership`` and the T of ``rref_transform`` give
 over dependent rows are one valid solution among many; every caller in the
 package passes independent rows, where the coefficients are unique.
@@ -47,12 +49,12 @@ the same value, so the form changes no comparison, cache key or
 through ``Q``: ``_over``, where a span reader, or a reader of the
 coordinates of ``echelon_clear``, turns an integer row and its scale into
 the rows it returns (and where a row's tag follows the row when a content
-is divided out).  The way in is ``integral``: a sparse row
-times the lcm m of its denominators, made from numerators and
-denominators.  A span clears a rational row so (``_integral``), and a
-graph verdict clears its rows once where they are built
-(``dirac.poisson_graph``, ``omni.d_graph_rows``), since m row spans
-the same line as the row.
+is divided out).  The way in is ``integral``: a sparse row times the lcm m
+of its denominators, made from numerators and denominators.
+``echelon_clear`` clears a rational row so where a non-unit lead entry
+needs it, ``Span.add`` a new pivot row, and a graph verdict its rows once
+where they are built (``dirac.poisson_graph``, ``omni.d_graph_rows``),
+since m row spans the same line as the row.
 """
 
 from __future__ import annotations
@@ -500,13 +502,6 @@ def _over(d: dict, s: int) -> tuple:
                        for k, x in d.items()})
 
 
-def _integral(w: dict, t: dict) -> tuple:
-    """``(m w, m t, m)`` for a sparse row w of rationals and its tag t, with
-    m and the sparse row of ints m w those of ``integral``."""
-    m, w = integral(w.items())
-    return dict(w), {k: x * m for k, x in t.items()}, m
-
-
 class Span:
     """The row span of a matrix, eliminated once and kept on integers.
 
@@ -522,12 +517,12 @@ class Span:
     every tag is {} and n is 0, and each distinct row of M is offered once,
     since a repeat lies in the span.  An empty tag is never scaled, reduced
     or divided, so an untagged span does no tag work.
-    A row with denominators is multiplied once, with its tag, by the lcm of
-    its denominators (``_integral``), when a non-unit pivot or the new
-    pivot row needs ints.  A row w is reduced by pivot row p as
-    w <- a w - b row_p, with a w[p] = b row_p[p] and a, b coprime; a unit
-    pivot (row_p[p] == 1) takes a = 1, b = w[p] and no gcd, so spans with
-    unit pivots (most boundary and Leibniz systems) do no content work.
+    A row is reduced by ``echelon_clear`` at its pivots, and its tag
+    rebuilt once from the coordinates c that returns, t = s tag -
+    sum_p c_p tags[p]; spans with unit pivots (most boundary and Leibniz
+    systems) do no content work.  ``add`` makes a new pivot row integral,
+    with its tag, and clears its pivot out of the stored rows by the same
+    step, written out there, since a call per stored row is slower.
 
     ``contains(row)`` is the span test, with no division.  ``split(row)``
     is the linear map behind the coordinates, defined everywhere:
@@ -567,34 +562,19 @@ class Span:
 
     def residual(self, row: Sequence, tag: dict):
         """``(w, t, s)``: s times a sparse row less its projection on the
-        span, as a {column: value} dict (empty when the row lies in the
-        span), t, s times tag less the same combination of tags, and the
-        positive int s.  The row is made integral (``_integral``) only when
-        a non-unit pivot needs its entry as an int."""
-        w, t, s = dict(row), dict(tag), 1
-        rows, tags = self.rows, self.tags
-        # each row is 0 at every other pivot, so neither step below changes
-        # whether w is 0 at another pivot: they clear in any order
-        for p in w.keys() & rows.keys():
-            row = rows[p]
-            f = w[p]
-            if row[p] != 1:
-                if type(f) is not int:
-                    w, t, m = _integral(w, t)
-                    s *= m
-                    f = w[p]
-                c = row[p]
-                g = gcd(f, c)
-                if g != c:
-                    a = c // g
-                    s *= a
-                    _scale(w, a)
-                    if t:
-                        _scale(t, a)
-                f //= g
-            _axpy(w, f, row)
-            if tags[p]:
-                _axpy(t, f, tags[p])
+        span (``echelon_clear`` at the row's pivots), as a {column: value}
+        dict, empty when the row lies in the span; t, s times tag less the
+        same combination of tags, whose coordinates are taken only where
+        the span (n > 0) or the tag carries a tag; and the int s > 0."""
+        w, c = dict(row), {} if tag or self.n else None
+        w, s = echelon_clear(self.rows, w.keys() & self.rows.keys(), w, c)
+        t = dict(tag)
+        if c:
+            if s != 1 and t:
+                _scale(t, s)
+            for p, f in c.items():
+                if self.tags[p]:
+                    _axpy(t, f, self.tags[p])
         return w, t, s
 
     def add(self, row: Sequence, tag: dict) -> bool:
@@ -603,8 +583,9 @@ class Span:
         if not w:
             return False
         for x in w.values():
-            if type(x) is not int:
-                w, t, _ = _integral(w, t)
+            if type(x) is not int:  # made integral, with its tag
+                m, w = integral(w.items())
+                w, t = dict(w), {k: y * m for k, y in t.items()}
                 break
         p = min(w)
         c = w[p]
@@ -677,21 +658,27 @@ class Span:
         return dense(c, self.n)
 
 
-def echelon_clear(echelon: Sequence, w: dict,
+def echelon_clear(rows: dict, leads: Iterable, w: dict,
                   coords: Optional[dict] = None) -> tuple:
-    """``(r, s)``: the step of ``Span.residual``, w <- a w - f row with
-    a w[p] = f row[p], clears a {column: value} dict w, consumed, at each
-    lead p of ``echelon`` in turn: (lead p, {column: int}) pairs, p
-    ascending, each row 0 at the leads before its own.  r = s (w - sum_k
-    c_k r_k) for the rows r_k and s the product of the a's, so r is 0
-    exactly when w lies in their span.  Row k is the only row nonzero at
-    its lead once those before it are cleared, so c_k, f over the a's so
-    far, is exact with no back-substitution: ``coords``, where given,
-    receives s c_k at k, and ``_over(coords, s)`` is w's coordinates."""
+    """``(r, s)``: the one clearing step, w <- a w - f row_p with
+    a w[p] = f row_p[p] and a, f coprime, run on a {column: value} dict w,
+    consumed, at each p of ``leads`` in turn, for ``rows`` a {lead p:
+    {column: int}} dict.  r = s (w - sum_p c_p row_p), s the product of the
+    a's, is 0 exactly when w lies in the span of the rows.  A step at p
+    changes w only where row p is nonzero.  So for an echelon, each row 0
+    at the leads before its own, every lead is visited, ascending: clearing
+    one can make w nonzero at a later one; for a ``Span``, each row 0 at
+    every other lead, the leads where w is nonzero suffice, in any order.
+    Either way row p is the only row nonzero at p once w is cleared at the
+    leads before it, so c_p, f over the a's so far, is exact with no
+    back-substitution: ``coords``, where given, receives s c_p at p, and
+    ``_over(coords, s)`` is w's coordinates.  A unit row_p[p] takes a = 1
+    and no gcd, a non-unit one makes a rational w integral (``integral``)."""
     s = 1
-    for k, (p, row) in enumerate(echelon):
+    for p in leads:
         f = w.get(p)
         if f:
+            row = rows[p]
             c = row[p]
             if c != 1:
                 a = 1
@@ -709,15 +696,15 @@ def echelon_clear(echelon: Sequence, w: dict,
                         _scale(coords, a)
                 f //= g
             if coords is not None:
-                coords[k] = f
+                coords[p] = f
             _axpy(w, f, row)
     return w, s
 
 
-def echelon_contains(echelon: Sequence, w: dict) -> bool:
-    """Whether a {column: value} dict w, consumed, lies in the span of
-    ``echelon`` (``echelon_clear``)."""
-    return not any(echelon_clear(echelon, w)[0].values())
+def echelon_contains(echelon: dict, w: dict) -> bool:
+    """Whether a {column: value} dict w, consumed, lies in the span of an
+    echelon, a {lead: row} dict, leads ascending: ``echelon_clear`` at each."""
+    return not any(echelon_clear(echelon, echelon, w)[0].values())
 
 
 # ---------------------------------------------------------------------------

@@ -919,6 +919,19 @@ def _so3_poisson_graph(capsys):
     return code, json.loads(out)
 
 
+def test_poisson_graph_decides_its_graph_once(monkeypatch, capsys):
+    """``poisson-graph`` reads the Dirac verdict of its graph L and then
+    runs ``lie_algebroid_check``, which reads it again: the verdict is
+    kept on L, so one closure pass is made over L, not one per read."""
+    from hccourant import dirac
+    passes, closure = [], dirac._closure
+    monkeypatch.setattr(dirac, "_closure",
+                        lambda L, ech: passes.append(L) or closure(L, ech))
+    code, doc = _so3_poisson_graph(capsys)
+    assert code == 0 and doc["lie_algebroid"]["ok"] is True
+    assert len(passes) == 1
+
+
 def _with_fields(record, **change):
     """The record with the given fields changed."""
     return type(record)(**{**{n: getattr(record, n) for n in record._fields},

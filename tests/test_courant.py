@@ -175,7 +175,8 @@ def test_quotient_bracket_skew_on_orthogonal_pairs(epsilons, name):
     for _ in range(12):
         u = rand_vec(rng, eps.dim)
         L = Submodule(eps, QMatrix([u], cols=eps.dim))
-        v = rand_combination(rng, eps.orthogonal(L.int_rows))
+        v = rand_combination(rng,
+                             eps.orthogonal(L.span.primitive_rows()))
         assert not any(eps.form(u, v))
         b = eps.bracket(u, v)
         assert b == tuple(-x for x in eps.bracket(v, u))
@@ -558,4 +559,5 @@ def test_orthogonal_matches_unit_form_body(espaces, epsilons, name):
         for count in range(amb.dim + 1):
             L = Submodule(amb, QMatrix([rand_vec(rng, amb.dim)
                                         for _ in range(count)], cols=amb.dim))
-            assert amb.orthogonal(L.int_rows) == _unit_form_orthogonal(L)
+            assert (amb.orthogonal(L.span.primitive_rows())
+                    == _unit_form_orthogonal(L))

@@ -111,7 +111,7 @@ def test_line_inside_maximal_isotropic_is_not_maximal(v13):
     line = Submodule(eps, QMatrix([L.vectors[0]], cols=eps.dim))
     assert line.isotropic
     assert not is_maximally_isotropic(line)
-    perp = line.ambient.orthogonal(line.int_rows)
+    perp = line.ambient.orthogonal(line.span.primitive_rows())
     assert perp.rows > line.dim
 
 
@@ -326,7 +326,7 @@ def _ref_is_isotropic(L):
 def _ref_is_maximally_isotropic(L):
     if not _ref_is_isotropic(L):
         return False
-    perp = L.ambient.orthogonal(L.int_rows)
+    perp = L.ambient.orthogonal(L.span.primitive_rows())
     in_L = Span(L.vectors).contains
     return rank(perp) == L.dim and all(in_L(r) for r in perp)
 
@@ -485,7 +485,8 @@ def test_closure_counterexample_below_the_diagonal():
                           (1, 2, 1))):
         L = Submodule(eps, QMatrix(rows))
         assert not L.isotropic
-        assert tuple(row[0][1] for row in L.int_rows) == pivots
+        assert tuple(row[0][1]
+                     for row in L.span.primitive_rows()) == pivots
         closed, ce = is_bracket_closed(L)
         assert not closed and ce[:2] == (1, 0)
         assert "vectors" not in L.__dict__
@@ -516,7 +517,7 @@ def test_a_failing_closure_builds_no_rref(epsilons, data):
             row[n - 1] = 1
         rows.append(row)
     L = Submodule(ambient, QMatrix(rows, cols=n))
-    assert L.int_rows == tuple(sparse(r) for r in rows)
+    assert L.span.primitive_rows() == tuple(sparse(r) for r in rows)
     closed, ce = is_bracket_closed(L)
     assert "vectors" not in L.__dict__
     assert (closed, ce) == _ref_is_bracket_closed(L)
@@ -617,8 +618,9 @@ def test_int_rows_are_positive_multiples_of_the_rref(v13, epsilons):
                     cols=amb.dim)))
     assert sum(map(_has_fractional_rows, subs)) > len(subs) // 2
     for L in subs:
-        assert len(L.int_rows) == L.dim
-        for row, ref in zip(L.int_rows, L.vectors.sparse_rows):
+        rows = L.span.primitive_rows()
+        assert len(rows) == L.dim
+        for row, ref in zip(rows, L.vectors.sparse_rows):
             assert all(type(x) is int for _, x in row)
             p, c = row[0]
             assert c > 0 and ref[0] == (p, 1)
@@ -655,7 +657,7 @@ def test_dimension_alone_is_not_maximality(epsilons, name):
             L = Submodule(ambient, QMatrix(
                 [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)]
                  for _ in range(rng.randint(1, n))], cols=n))
-            perp = ambient.orthogonal(L.int_rows)
+            perp = ambient.orthogonal(L.span.primitive_rows())
             if not _ref_is_isotropic(L) and perp.rows == L.dim:
                 break
         assert not is_maximally_isotropic(L)
@@ -1501,13 +1503,13 @@ def test_algebroid_structure_constants_are_those_of_the_integer_rows(
         eps = epsilons[name]
         for L in _dirac_graphs(eps, rng_for(f"constants/{name}")):
             lie_algebroid_check(eps, L)
-            vs = [sparse_row(row) for _, row in L.echelon]
+            vs = [sparse_row(row) for row in L.echelon.values()]
             rows = QMatrix(vs, cols=eps.dim)
             for i, j in itertools.product(range(L.dim), repeat=2):
                 cell = dict(tables[-1][i]).get(j, ())
                 assert combine(cell, rows) == contract(vs[i], vs[j],
                                                        eps.bracket_table)
-            lead_entries |= {row[p] for p, row in L.echelon}
+            lead_entries |= {row[p] for p, row in L.echelon.items()}
     assert lead_entries - {1}
 
 
@@ -1664,18 +1666,18 @@ def _prior_orthogonal_rows(amb, rows) -> QMatrix:
 
 
 def _prior_isotropic(L) -> bool:
-    vs, F = L.int_rows, L.ambient.form_table
+    vs, F = L.span.primitive_rows(), L.ambient.form_table
     return not any(contract(vs[i], vs[j], F)
                    for i in range(L.dim) for j in range(i, L.dim))
 
 
 def _prior_is_maximally_isotropic(L) -> bool:
-    return _prior_isotropic(L) and L.ambient.dim - rank(
-        _prior_orthogonal_rows(L.ambient, L.int_rows)) == L.dim
+    return _prior_isotropic(L) and L.ambient.dim - rank(_prior_orthogonal_rows(
+        L.ambient, L.span.primitive_rows())) == L.dim
 
 
 def _prior_is_bracket_closed(L):
-    vs, T = L.int_rows, L.ambient.bracket_table
+    vs, T = L.span.primitive_rows(), L.ambient.bracket_table
     for i in range(L.dim):
         for j in range(i + 1 if _prior_isotropic(L) else 0, L.dim):
             b = contract(vs[i], vs[j], T)
@@ -1741,7 +1743,8 @@ def _drawn_mu(data, n) -> list:
 
 def _dropped(L, i) -> Submodule:
     """L less its integer row i (mod dim L)."""
-    rows = L.int_rows[:i % L.dim] + L.int_rows[i % L.dim + 1:]
+    rows = L.span.primitive_rows()
+    rows = rows[:i % L.dim] + rows[i % L.dim + 1:]
     return Submodule(L.ambient, QMatrix(rows, cols=L.ambient.dim))
 
 
@@ -1854,7 +1857,7 @@ def _two_form_graphs(E, eps, rng) -> list:
 def _offered_rows(L, monkeypatch) -> list:
     """(span dim, row) for every row ``is_maximally_isotropic(L)`` offers
     to a span; its verdict must be the prior body's."""
-    L.int_rows, L.isotropic  # the span of L is built before the spy
+    L.span, L.isotropic  # the span of L is built before the spy
     offered, add = [], Span.add
     monkeypatch.setattr(Span, "add", lambda self, row, tag: offered.append(
         (self.dim, list(row))) or add(self, row, tag))
@@ -1915,7 +1918,7 @@ def _decided_by(L, monkeypatch) -> str:
     the prior body's: "rule" when the complement test answers alone, and
     "rule, equations" when the equations of L-perp are read after it.  No
     span is offered a row before the equations."""
-    L.int_rows, L.isotropic  # the span of L is built before the spies
+    L.span, L.isotropic  # the span of L is built before the spies
     seen, add = [], Span.add
     equations = type(L.ambient).orthogonal_equations
     with monkeypatch.context() as m:
@@ -2146,8 +2149,8 @@ def test_a_complement_verdict_is_that_of_every_spanning_set(
         assert L.complement is not None and "span" not in vars(L), label
         assert (verdict.counterexample is None) == verdict.closed, label
         assert ("span" in vars(L)) == (not verdict.closed), label
-        rows = [tuple(sorted(row.items())) for _, row in L.complement]
-        scales.update(row[p] for p, row in L.complement)
+        rows = [tuple(sorted(row.items())) for row in L.complement.values()]
+        scales.update(row[p] for p, row in L.complement.items())
         rejected, turned, scaled = _respanned(rows, L.ambient.dim,
                                               rng_for(f"turned/{label}"))
         assert [row for row in turned if len(row) > 1]
@@ -2161,7 +2164,8 @@ def test_a_complement_verdict_is_that_of_every_spanning_set(
             assert ("span" in vars(M)) == (not (ruled and verdict.closed))
             if ruled:
                 assert list(M.spanning.sparse_rows) != [
-                    tuple(sorted(row.items())) for _, row in M.complement]
+                    tuple(sorted(row.items()))
+                    for row in M.complement.values()]
         seen.add((verdict.isotropic, verdict.closed, verdict.dirac))
     assert {(True, True, True), (True, False, False)} <= seen
     assert {2, 7} <= scales
@@ -2299,7 +2303,7 @@ def _ref_lie_algebroid_check(eps, L):
         raise DiracError("lie_algebroid_check requires a Dirac structure")
     n, cdim = eps.dim, eps.center_basis.rows
     anchor, leibniz = _algebroid_defects(eps)
-    vs, T = L.int_rows, eps.bracket_table
+    vs, T = L.span.primitive_rows(), eps.bracket_table
     ls = QMatrix(vs, cols=n)
     anchor_ok = not any(pullback(anchor, ls, ls))
     leibniz_ok = True
@@ -2417,8 +2421,8 @@ def test_echelon_structure_constants_of_a_d_graph_are_those_of_mu(
         table, rows = omni.d_graph_rows(iso, mu)
         L = Submodule(iso.eps, QMatrix.from_canonical(rows, iso.eps.dim))
         assert lie_algebroid_check(iso.eps, L).ok
-        assert [v_at[p] for p, _ in L.echelon] == list(range(n)), label
-        m = [row[p] for p, row in L.echelon]
+        assert [v_at[p] for p in L.echelon] == list(range(n)), label
+        m = [row[p] for p, row in L.echelon.items()]
         rescaled = tuple(
             tuple((j, tuple((k, Q(x) * m[k] / (m[i] * m[j])) for k, x in c))
                   for j, c in cells)
@@ -2430,8 +2434,8 @@ def test_echelon_structure_constants_of_a_d_graph_are_those_of_mu(
 
 def test_a_lie_algebroid_check_builds_no_span(v13, omni_isos, monkeypatch):
     """Once the quotient's ``_algebroid_defects`` are cached, the check on a
-    graph builds no span and offers no row, where it built one of 4 rows,
-    and reads no ``int_rows``: on scaled so(3) graphs of epsilon(v1_3),
+    graph builds no span and offers no row, where it built one of 4 rows:
+    on scaled so(3) graphs of epsilon(v1_3),
     whose constants are integral, every coordinate is read at the scale 1,
     so no rational is made; and on D-graphs at n = 4."""
     A, E, eps = v13
@@ -2448,13 +2452,13 @@ def test_a_lie_algebroid_check_builds_no_span(v13, omni_isos, monkeypatch):
     for eps_, L in graphs:
         assert _spans_in(lambda: lie_algebroid_check(eps_, L),
                          monkeypatch) == (0, 0)
-        assert not {"span", "int_rows"} & set(vars(L))
+        assert "span" not in vars(L)
     assert set(scales) == {1}
     for a in ((1, -2, 3, 1), (0, 0, 0, 0)):
         L = _d_graph(iso, _metabelian_mu(a))
         assert _spans_in(lambda: lie_algebroid_check(iso.eps, L),
                          monkeypatch) == (0, 0)
-        assert not {"span", "int_rows"} & set(vars(L))
+        assert "span" not in vars(L)
 
 
 def test_an_empty_defect_table_is_not_read(v13, monkeypatch):

@@ -12,13 +12,14 @@ from hccourant.algebra import (GUARD_MAX_DIM, AlgebraError, FiniteAlgebra,
                                GuardError, check_guard)
 from hccourant.dirac import (DiracError, DiracVerdict, make_bracket_table,
                              table_from_flat)
-from hccourant.exactlin import (Q, ExactLinError, QMatrix, Span, bilinear,
-                                canonical_row, combine, contract, dense,
+from hccourant.exactlin import (ONE, Q, ExactLinError, QMatrix, Span,
+                                bilinear, canonical_row, combine, contract,
+                                dense, echelon_clear, echelon_contains,
                                 integral, make_reducer, membership, nullspace,
                                 pullback, pushforward, quotient_basis, rank,
                                 rat, rat_str, row_combination, row_space,
-                                rref, rref_transform, sparse, sparse_table,
-                                vec)
+                                rref, rref_transform, sparse, sparse_row,
+                                sparse_table, vec)
 from hccourant.files import BUNDLED_ALGEBRAS, load_algebra_ref
 from hccourant.hochschild import Chain, HochschildError, homology
 from hccourant.morita import OppositeReport
@@ -1046,6 +1047,41 @@ def test_span_offers_each_distinct_row_once(kind, seed, monkeypatch):
     R = QMatrix(ref.basis(), cols=cols)
     assert rank(M) == ref.dim and row_space(M) == R
     assert nullspace(M) == nullspace(R)
+
+
+def test_echelon_clear_scales_the_coordinates_with_the_row():
+    """w = r_0 / 2 + r_1 / 3 clears to 0 with s = 6: the step at lead 0
+    scales w by 2, the step at lead 1 scales w and the coordinate already
+    taken by 3, so s c = (3, 2) and c = (1/2, 1/3).  Without scaling the
+    coordinates the first one would read 1/6."""
+    rows = {0: {0: 2, 2: 1}, 1: {1: 3, 2: 1}}
+    w = {0: ONE, 1: ONE, 2: Q(5, 6)}
+    coords = {}
+    r, s = echelon_clear(rows, rows, w, coords)
+    assert not any(r.values()) and s == 6
+    assert coords == {0: 3, 1: 2}
+    assert {p: Fraction(c, s) for p, c in coords.items()} == {
+        0: Fraction(1, 2), 1: Fraction(1, 3)}
+    assert echelon_contains(rows, {0: ONE, 1: ONE, 2: Q(5, 6)})
+    assert not echelon_contains(rows, {0: ONE, 1: ONE, 2: ONE})
+
+
+def test_echelon_clear_visits_a_lead_the_step_before_made_nonzero():
+    """w = 3 r_0 - r_1 is 0 at lead 1, and clearing it at lead 0 makes it
+    -3 there: an echelon is cleared at every lead in ascending order, not
+    only at the leads where w starts nonzero, which is enough for a span's
+    rows alone (each 0 at every other lead)."""
+    rows = {0: {0: 2, 1: 1, 3: 1}, 1: {1: 3, 2: 1}}
+    w = {0: 6, 2: -1, 3: 3}
+    coords = {}
+    r, s = echelon_clear(rows, rows, dict(w), coords)
+    assert not any(r.values()) and (s, coords) == (1, {0: 3, 1: -1})
+    assert echelon_contains(rows, dict(w))
+    r, _ = echelon_clear(rows, w.keys() & rows.keys(), dict(w))
+    assert r == {1: -3, 2: -1}
+    assert not echelon_contains(rows, {0: 2, 1: 1, 2: 5, 3: 1})
+    S = Span(QMatrix([sparse_row(row) for row in rows.values()], cols=4))
+    assert S.contains(sparse_row(w)) and not S.residual(sparse_row(w), {})[0]
 
 
 def _is_int_literal(node) -> bool:
