@@ -521,8 +521,8 @@ class Span:
     rebuilt once from the coordinates c that returns, t = s tag -
     sum_p c_p tags[p]; spans with unit pivots (most boundary and Leibniz
     systems) do no content work.  ``add`` makes a new pivot row integral,
-    with its tag, and clears its pivot out of the stored rows by the same
-    step, written out there, since a call per stored row is slower.
+    with its tag, stores it, and clears its pivot out of each stored row
+    nonzero there by the same step, whose scale a scales that row's tag.
 
     ``contains(row)`` is the span test, with no division.  ``split(row)``
     is the linear map behind the coordinates, defined everywhere:
@@ -600,26 +600,20 @@ class Span:
             elif g != 1:
                 w = {k: x // g for k, x in w.items()}
                 t = dict(_over(t, g)) if t else t
-            c = w[p]
         rows, tags, index = self.rows, self.tags, self.index
-        touched = {p}
-        # no row is nonzero at p once w is added, so its entry goes
+        rows[p], tags[p], touched = w, t, {p}
+        # no row is nonzero at p once it is cleared with row p, so the
+        # entry of p goes
         for q in index.pop(p, ()):
-            r = rows[q]
-            f = r.get(p)
-            if f:
+            if rows[q].get(p):
                 touched.add(q)
-                tq = tags[q]
-                if c != 1:
-                    g = gcd(f, c)
-                    f //= g
-                    if g != c:
-                        _scale(r, c // g)
-                        if tq:
-                            _scale(tq, c // g)
-                _axpy(r, f, w)
+                f = {}
+                r, a = echelon_clear(rows, (p,), rows[q], f)
+                rows[q], tq = r, tags[q]
+                if a != 1 and tq:
+                    _scale(tq, a)
                 if t:
-                    _axpy(tq, f, t)
+                    _axpy(tq, f[p], t)
                 if r[q] != 1:
                     g = gcd(*r.values())
                     if g != 1:
@@ -629,8 +623,6 @@ class Span:
                             tags[q] = dict(_over(tq, g))
         for k in w:
             index.setdefault(k, set()).update(touched)
-        rows[p] = w
-        tags[p] = t
         return True
 
     def basis(self) -> tuple:
